@@ -1,7 +1,8 @@
-//! Ablations of the PCAPS design choices called out in DESIGN.md §4,
-//! reported as Criterion benchmarks so that both the runtime cost and (via
-//! the printed carbon/ECT summaries below each run) the quality impact of
-//! each choice is visible.
+//! Ablations of the PCAPS design choices the paper leaves open (how
+//! strongly to scale parallelism, which bounds `L`/`U` to threshold
+//! against), reported as Criterion benchmarks so that both the runtime cost
+//! and (via the printed carbon/ECT summaries below each run) the quality
+//! impact of each choice is visible.
 //!
 //! * parallelism scaling on/off (§5.1),
 //! * 48-hour lookahead bounds vs static whole-trace bounds,

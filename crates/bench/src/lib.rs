@@ -1,7 +1,9 @@
 //! # pcaps-bench — Criterion benchmarks for the PCAPS reproduction
 //!
-//! The benchmark targets mirror the paper's performance evaluation and the
-//! ablations called out in DESIGN.md §4:
+//! The benchmark targets mirror the paper's performance evaluation and
+//! ablate the reproduction's own design choices (the parallelism scaling
+//! and the 48-hour lookahead, which the paper specifies loosely enough that
+//! their effect should be measured, not assumed):
 //!
 //! * `scheduler_latency` — Fig. 20: per-invocation scheduling latency of
 //!   FIFO, CAP-FIFO, the Decima-like scheduler and PCAPS as the number of

@@ -12,8 +12,9 @@
 //!   their published summary statistics (Table 1),
 //! * [`synth`] — a calibrated synthetic trace generator that reproduces each
 //!   grid's min/max/mean/coefficient-of-variation and qualitative diurnal
-//!   shape (this substitutes for the proprietary Electricity Maps history;
-//!   see DESIGN.md §1),
+//!   shape (this substitutes for the proprietary Electricity Maps history:
+//!   the schedulers react only to those statistics and to the diurnal
+//!   shape, never to calendar dates),
 //! * [`forecast`] — the 48-hour lookahead used to derive the bounds `L` and
 //!   `U` that threshold-based algorithms rely on,
 //! * [`multi`] — aligned multi-region trace sets for federated (multi-grid)

@@ -7,7 +7,9 @@
 //! (solar duck curve for CAISO, nearly flat coal baseline for ZA, noisy wind
 //! driven swings for DE, ...).  Scheduler behaviour depends only on these
 //! properties — the absolute calendar alignment is irrelevant — so the
-//! substitution preserves the experiments' character (DESIGN.md §1).
+//! substitution preserves the experiments' character: what the paper's
+//! results hinge on is how far and how often intensity swings within a
+//! forecast window, and the generator reproduces exactly that.
 //!
 //! The generator is deterministic given a [`GridRegion`] and a seed, so every
 //! experiment in the harness is reproducible.

@@ -189,10 +189,20 @@
 //!   silently go stale.  Aggregates a policy needs every event (e.g. total
 //!   outstanding work) come from the engine's incrementally maintained
 //!   counters via [`SchedulingContext`] accessors rather than per-event
-//!   folds over the job table.  `tests/scheduler_state.rs` pins the
-//!   reference implementation (`DecimaLike`'s version-stamped table) against
-//!   from-scratch oracles across arrivals, completions, serve-mode
-//!   compaction and migration.
+//!   folds over the job table.  Derived values that depend on *every* job
+//!   are cached under the bits of the global inputs they were computed
+//!   from: `DecimaLike` keys each job's block of per-pair records (pair,
+//!   bottleneck term, score, softmax weight) by job version, rescores
+//!   every pair only when the max-remaining normaliser's bits change, and
+//!   re-exponentiates every pair only when the normaliser's or the max
+//!   score's bits change.  Folds whose result must stay bit-identical (the
+//!   max score, the softmax sum) still run over every pair in order.  Its
+//!   sampling path reports `max p = 1 / Σ` without a max fold, which is
+//!   exact because the argmax pair's weight is `exp(0) = 1` and division by
+//!   one positive `Σ` preserves order.  `tests/scheduler_state.rs` pins the
+//!   reference implementation against from-scratch oracles across
+//!   arrivals, completions, serve-mode compaction and migration, through
+//!   both the distribution and the sampling paths.
 //! * **O(1) carbon bounds.**  Per-event `CarbonView`s (for scheduling and
 //!   routing alike) are served by each trace's sparse-table index; linear
 //!   walks over the forecast horizon belong in trace construction, never in

@@ -13,6 +13,22 @@
 
 use pcaps_schedulers::StageProbability;
 
+/// `p / max`: the relative importance of a stage with probability
+/// `probability` in a distribution whose largest probability is
+/// `max_probability`, clamped to `[0, 1]`.  The one place the formula
+/// lives: PCAPS applies it to a [`SampledStage`], and
+/// [`relative_importance`] to a materialised distribution.
+///
+/// [`SampledStage`]: pcaps_schedulers::SampledStage
+pub fn importance_ratio(probability: f64, max_probability: f64) -> f64 {
+    if max_probability <= 0.0 {
+        // Degenerate distribution (all zero mass): treat every task as
+        // maximally important so nothing is ever starved by a broken policy.
+        return 1.0;
+    }
+    (probability / max_probability).clamp(0.0, 1.0)
+}
+
 /// Relative importance of the entry at `index` within the distribution.
 ///
 /// # Panics
@@ -26,19 +42,7 @@ pub fn relative_importance(distribution: &[StageProbability], index: usize) -> f
         .iter()
         .map(|d| d.probability)
         .fold(f64::NEG_INFINITY, f64::max);
-    if max <= 0.0 {
-        // Degenerate distribution (all zero mass): treat every task as
-        // maximally important so nothing is ever starved by a broken policy.
-        return 1.0;
-    }
-    (distribution[index].probability / max).clamp(0.0, 1.0)
-}
-
-/// Relative importances of every entry in the distribution, in order.
-pub fn relative_importances(distribution: &[StageProbability]) -> Vec<f64> {
-    (0..distribution.len())
-        .map(|i| relative_importance(distribution, i))
-        .collect()
+    importance_ratio(distribution[index].probability, max)
 }
 
 #[cfg(test)]
@@ -57,10 +61,14 @@ mod tests {
             .collect()
     }
 
+    fn importances(d: &[StageProbability]) -> Vec<f64> {
+        (0..d.len()).map(|i| relative_importance(d, i)).collect()
+    }
+
     #[test]
     fn most_likely_task_has_importance_one() {
         let d = dist(&[0.1, 0.6, 0.3]);
-        let r = relative_importances(&d);
+        let r = importances(&d);
         assert!((r[1] - 1.0).abs() < 1e-12);
         assert!((r[0] - 0.1 / 0.6).abs() < 1e-12);
         assert!((r[2] - 0.5).abs() < 1e-12);
@@ -75,7 +83,7 @@ mod tests {
     #[test]
     fn uniform_distribution_all_important() {
         let d = dist(&[0.25, 0.25, 0.25, 0.25]);
-        for r in relative_importances(&d) {
+        for r in importances(&d) {
             assert!((r - 1.0).abs() < 1e-12);
         }
     }
@@ -85,12 +93,13 @@ mod tests {
         let d = dist(&[0.0, 0.0]);
         assert_eq!(relative_importance(&d, 0), 1.0);
         assert_eq!(relative_importance(&d, 1), 1.0);
+        assert_eq!(importance_ratio(0.0, 0.0), 1.0);
     }
 
     #[test]
     fn importances_are_in_unit_interval() {
         let d = dist(&[0.05, 0.9, 0.05]);
-        for r in relative_importances(&d) {
+        for r in importances(&d) {
             assert!((0.0..=1.0).contains(&r));
         }
     }

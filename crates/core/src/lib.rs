@@ -55,7 +55,7 @@ pub mod pcaps;
 pub mod threshold;
 
 pub use cap::{Cap, CapConfig};
-pub use importance::{relative_importance, relative_importances};
+pub use importance::{importance_ratio, relative_importance};
 pub use ksearch::KSearchThresholds;
 pub use pcaps::{Pcaps, PcapsConfig};
 pub use threshold::ThresholdFn;

@@ -1,10 +1,9 @@
 //! The PCAPS scheduler (Algorithm 1).
 
-use crate::importance::relative_importance;
+use crate::importance::importance_ratio;
 use crate::threshold::ThresholdFn;
 use pcaps_cluster::{DecisionSink, SchedEvent, Scheduler, SchedulingContext};
-use pcaps_schedulers::probabilistic::sample_cdf;
-use pcaps_schedulers::{ProbabilisticScheduler, StageProbability};
+use pcaps_schedulers::ProbabilisticScheduler;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -21,8 +20,9 @@ pub struct PcapsConfig {
     /// wrapped policy's distribution at each scheduling event).
     pub seed: u64,
     /// Whether to also apply the carbon-aware parallelism-limit scaling of
-    /// §5.1 (`P′ = ⌈P · min{exp(γ(L−c)/(U−L)·3), 1−γ}⌉`).  Enabled by
-    /// default; the `ablation_parallelism` bench turns it off.
+    /// §5.1, as [`ThresholdFn::parallelism_factor`] adapts it
+    /// (`P′ = ⌈P · exp(5γ(L−c)/(U−L))⌉`).  Enabled by default; the
+    /// `ablation_parallelism` bench turns it off.
     pub scale_parallelism: bool,
     /// Whether a deferral also requests an engine wakeup at the first
     /// carbon step clean enough to admit the sampled stage
@@ -143,10 +143,6 @@ pub struct Pcaps<PB> {
     /// *dirtier* intensity (higher Ψγ(r)), i.e. would wake strictly
     /// earlier.  Cleared when a wakeup arrives.
     pending_wakeup_below: Option<f64>,
-    /// Reused distribution buffer: the wrapped policy writes each event's
-    /// distribution in place ([`ProbabilisticScheduler::distribution_into`]),
-    /// so steady-state events allocate nothing.
-    dist_buf: Vec<StageProbability>,
 }
 
 impl<PB: ProbabilisticScheduler> Pcaps<PB> {
@@ -161,7 +157,6 @@ impl<PB: ProbabilisticScheduler> Pcaps<PB> {
             name,
             last_decision_time: None,
             pending_wakeup_below: None,
-            dist_buf: Vec::new(),
         }
     }
 
@@ -225,21 +220,16 @@ impl<PB: ProbabilisticScheduler> Scheduler for Pcaps<PB> {
         {
             return;
         }
-        // Line 5: sample v ∈ A_t and the probabilities p_{v,t} from PB —
-        // written into the reused buffer, sampled via the shared CDF walk
-        // (`r` is drawn only after the emptiness check, preserving the RNG
-        // stream of the historical inline sampler).
-        self.inner.distribution_into(ctx, &mut self.dist_buf);
-        if self.dist_buf.is_empty() {
+        // Line 5: sample v ∈ A_t with p_{v,t} and max_u p_{u,t} from PB
+        // (`r` is drawn only once A_t is known to be non-empty, preserving
+        // the RNG stream of the historical inline sampler).
+        let rng = &mut self.rng;
+        let Some(chosen) = self.inner.sample(ctx, &mut || rng.gen_range(0.0..1.0)) else {
             return;
-        }
-        let r: f64 = self.rng.gen_range(0.0..1.0);
-        let idx = sample_cdf(self.dist_buf.iter().map(|e| e.probability), r)
-            .expect("distribution checked non-empty above");
-        let chosen = self.dist_buf[idx];
+        };
 
         // Line 6: relative importance r_{v,t}.
-        let importance = relative_importance(&self.dist_buf, idx);
+        let importance = importance_ratio(chosen.probability, chosen.max_probability);
 
         // Line 7: carbon-awareness filter.
         let no_machines_busy = ctx.busy_executors == 0;

@@ -86,10 +86,11 @@ impl ThresholdFn {
     /// carbon is at the clean end of the forecast band, decaying
     /// exponentially towards a single executor as carbon approaches the
     /// dirty end — by normalising the exponent by the band width:
-    /// `exp(3γ(L − c) / (U − L))`.  Deferring less work during clean hours
-    /// is exactly what lets the deferred work "catch up", so this choice
-    /// preserves the paper's carbon/ECT trade-off; DESIGN.md records the
-    /// deviation.
+    /// `exp(5γ(L − c) / (U − L))`, and by dropping the `1 − γ` cap.
+    /// Deferring less work during clean hours is exactly what lets the
+    /// deferred work "catch up", so this choice preserves the paper's
+    /// carbon/ECT trade-off, and unlike the literal formula it stays
+    /// meaningful for every γ ∈ [0, 1] and every grid's intensity range.
     pub fn parallelism_factor(&self, carbon_intensity: f64) -> f64 {
         if self.gamma < 1e-12 {
             return 1.0;

@@ -3,12 +3,13 @@
 //!
 //! The paper compares a carbon-agnostic FIFO schedule, a time-optimal
 //! schedule (T-OPT), a carbon-optimal schedule with an 18-hour deadline
-//! (C-OPT) and PCAPS.  A true C-OPT requires an offline MILP; following the
-//! substitution rules in DESIGN.md we approximate it with the most
-//! aggressive configuration of our own machinery (CAP with `B = 1` over
-//! FIFO, which packs work into the cleanest hours while keeping one machine
-//! running), and we approximate T-OPT with the Decima-like scheduler, which
-//! is optimised for completion time.  The qualitative ordering of the
+//! (C-OPT) and PCAPS.  A true C-OPT requires an offline MILP, and the
+//! build has no solver; since the figure only claims an ordering, we
+//! approximate it with the most aggressive configuration of our own
+//! machinery (CAP with `B = 1` over FIFO, which packs work into the
+//! cleanest hours while keeping one machine running), and we approximate
+//! T-OPT with the Decima-like scheduler, which is optimised for completion
+//! time.  The qualitative ordering of the
 //! paper's figure — C-OPT saves the most carbon and takes the longest,
 //! PCAPS sits in between FIFO and C-OPT — is what this experiment checks.
 

@@ -16,17 +16,60 @@
 //! `DecimaLike` computes those features directly from the DAG and turns them
 //! into scores and a softmax distribution, which it both samples from (when
 //! used as a standalone [`Scheduler`]) and exposes via
-//! [`ProbabilisticScheduler`] (when wrapped by PCAPS).  DESIGN.md §1 records
-//! this substitution.
+//! [`ProbabilisticScheduler`] (when wrapped by PCAPS).  The substitution is
+//! sound for PCAPS's purposes because PCAPS only reads the distribution's
+//! *shape* — relative importance `p / max p` and a sample — never how the
+//! scores were learned, so a policy with the same preferences (short jobs
+//! first, critical path first) exercises the same carbon filter.
+//!
+//! # Incremental passes
+//!
+//! Every pass (one per `on_event`, `sample` or `distribution_into` call)
+//! must produce the bits a from-scratch computation would: max-remaining
+//! normaliser, one score per dispatchable `(job, stage)` pair, then the
+//! softmax `exp((s − max s) / T) / Σ`.  Most of that is reused between
+//! passes, keyed on three things:
+//!
+//! * **Job version.**  Each job owns a block of per-pair records
+//!   (`(job, stage)`, `w_b · bottleneck[stage]`, score, weight), cached
+//!   under its [`JobProgress::version`].  Equal id and version mean an
+//!   equal dispatchable set and remaining work, so only changed jobs
+//!   rebuild their blocks.
+//! * **Normaliser bits.**  Every score depends on the pass's max-remaining
+//!   normaliser, so when its bits change every pair is rescored; otherwise
+//!   only the rebuilt blocks are.
+//! * **Max-score bits.**  Every weight depends on the max score, so when the
+//!   normaliser's or the max score's bits change every pair is
+//!   re-exponentiated; otherwise only the rebuilt blocks are.
+//!
+//! The max-score fold and the normalising sum still run over every pair each
+//! pass — the same sequential folds in the same order — so cached and fresh
+//! values are indistinguishable and schedules are bit-identical to a
+//! from-scratch pass.  [`DecimaLike::cache_stats`] counts which regime each
+//! pass took.  The reuse pays off when many jobs are resident, since the
+//! normaliser and the max score then rarely move.  With a handful of jobs
+//! nearly every pass re-weights everything (603 of 645 passes in the
+//! `decima` reference trial), and a pass costs about what a from-scratch
+//! one does.
+//!
+//! Sampling never materialises the distribution: it walks the CDF of
+//! `weight / Σ` lazily (the divisions the softmax would make, in its order)
+//! and reports `max p = 1 / Σ`.  That is exact: the argmax pair's weight is
+//! `exp(0 / T) = 1` and every other weight is `exp(≤ 0) ≤ 1`, and correctly
+//! rounded division by the same positive `Σ` preserves order, so the
+//! largest `w / Σ` is `1 / Σ` bit for bit.
+//!
+//! [`JobProgress::version`]: pcaps_dag::JobProgress::version
 
 use crate::probabilistic::{
-    sample_cdf, softmax_into, ProbabilisticScheduler, StageProbability,
+    sample_cdf, ProbabilisticScheduler, SampledStage, StageProbability,
 };
 use pcaps_cluster::{DecisionSink, SchedEvent, Scheduler, SchedulingContext};
 use pcaps_dag::{JobId, StageId};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::ops::Range;
 
 /// Feature weights for the Decima-like scoring function.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,15 +96,28 @@ impl Default for DecimaWeights {
     }
 }
 
-/// One job's cached raw feature components, revalidated per event by the
+/// Counters of [`DecimaLike`]'s incremental passes (see the module docs):
+/// plain integers, bumped once per pass or per regime.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DecimaCacheStats {
+    /// Distribution passes (one per `on_event`, `sample` or
+    /// `distribution_into` call).
+    pub passes: u64,
+    /// Passes whose max-remaining normaliser changed bits, so every pair
+    /// was rescored (the first pass counts).
+    pub full_rescores: u64,
+    /// Passes that re-exponentiated every pair: every full rescore, plus the
+    /// passes whose max score changed bits.  The remaining
+    /// `passes − full_reweights` passes re-weighted changed jobs only.
+    pub full_reweights: u64,
+    /// `exp` evaluations over all passes.
+    pub pairs_reweighted: u64,
+}
+
+/// One job's cached block, revalidated per pass by its
 /// [`JobProgress::version`] stamp: equal id + equal version means the job's
-/// observable progress has not changed since the block was computed, so the
-/// O(stages) `remaining_work` fold and the completion-fraction division are
-/// skipped.  The *final* score is not cacheable per job — the
-/// shortest-remaining-work feature depends on the event's global
-/// max-remaining normaliser — so the table holds raw components and the
-/// scoring pass combines them inline with the exact float operations (and
-/// order) of a from-scratch computation.
+/// observable progress — remaining work, completed stages, dispatchable
+/// set — has not changed since the block was built.
 ///
 /// [`JobProgress::version`]: pcaps_dag::JobProgress::version
 #[derive(Debug, Clone, Copy)]
@@ -70,40 +126,75 @@ struct JobEntry {
     version: u64,
     /// Undispatched work (executor-seconds) — `JobView::remaining_work()`.
     remaining: f64,
-    /// Completed stages over total stages.
-    completion: f64,
+    /// `w_c · completed stages / total stages`.
+    completion_term: f64,
+    /// The job's dispatchable pairs are `start..end` in the pair records
+    /// (empty for a job with no dispatchable stage).
+    start: usize,
+    end: usize,
+}
+
+impl JobEntry {
+    fn pairs(&self) -> Range<usize> {
+        self.start..self.end
+    }
+}
+
+/// One dispatchable `(job, stage)` pair's cached values.  Pairs are kept in
+/// pair order: jobs in `ctx.jobs()` order, each job's dispatchable stages
+/// ascending.  One record per pair, so moving a run of surviving blocks is
+/// a single copy.
+#[derive(Debug, Clone, Copy)]
+struct Pair {
+    job: JobId,
+    stage: StageId,
+    /// `w_b · bottleneck[stage]`, fixed for the pair's lifetime.
+    bottleneck: f64,
+    /// Raw score `w_s · short-job feature + w_b · bottleneck + w_c · completion`.
+    score: f64,
+    /// Softmax weight `exp((score − max score) / T)`.
+    weight: f64,
 }
 
 /// The Decima-like scheduler.
 ///
-/// Holds a persistent per-job score table plus reused score/probability
-/// buffers, so a steady-state scheduling event costs O(active jobs) pointer
-/// work + O(touched jobs × their stages) feature recomputation and performs
-/// no heap allocation.  Correctness never depends on the lossy-advisory
-/// `SchedEvent` stream: the table is reconciled against the authoritative
-/// `ctx.jobs()` iteration (arrival order) on every event, which absorbs
-/// arrivals, completions, serve-mode compaction's front retirement and
-/// slot-base shifts, and migration detach/reattach uniformly.
+/// Holds a persistent per-job table and per-pair score/weight records (see
+/// the module docs), so a steady-state pass costs O(active jobs) pointer
+/// work, O(pairs) copying and folding, and feature plus `exp` work for
+/// changed jobs only; it performs no heap allocation.  Correctness never
+/// depends on the lossy-advisory `SchedEvent` stream: the table is
+/// reconciled against the authoritative `ctx.jobs()` iteration (arrival
+/// order) on every pass, which absorbs arrivals, completions, serve-mode
+/// compaction's front retirement and slot-base shifts, and migration
+/// detach/reattach uniformly.
 #[derive(Debug, Clone)]
 pub struct DecimaLike {
     weights: DecimaWeights,
     rng: ChaCha8Rng,
-    /// Cached per-job feature blocks, aligned with the previous event's
-    /// `ctx.jobs()` order.
+    /// Cached per-job blocks, aligned with the previous pass's `ctx.jobs()`
+    /// order.
     table: Vec<JobEntry>,
-    /// Scratch for the table rebuild (swapped with `table` each event).
+    /// Scratch for the table rebuild (swapped with `table` each pass).
     scratch: Vec<JobEntry>,
-    /// `(job, stage)` of each dispatchable pair, aligned with `scores`.
-    pairs: Vec<(JobId, StageId)>,
-    /// Raw scores per dispatchable pair.
-    scores: Vec<f64>,
-    /// Softmax output per dispatchable pair.
-    probs: Vec<f64>,
+    /// The previous pass's pairs, scores and weights.
+    pairs: Vec<Pair>,
+    /// Scratch for the pair rebuild (swapped with `pairs` each pass).
+    pair_scratch: Vec<Pair>,
+    /// Table indices of the blocks rebuilt this pass, whose scores and
+    /// weights are still to be computed.
+    rebuilt: Vec<usize>,
+    /// Bits of the previous pass's normaliser and max score (`None` before
+    /// the first pass).
+    normaliser_bits: Option<u64>,
+    max_score_bits: Option<u64>,
+    /// The previous pass's normalising sum `Σ weight`.
+    sum: f64,
     /// Jobs with non-empty dispatchable sets, counted during the table
     /// pass so the follow-up `parallelism_limit` call (same event, same
     /// context — see the trait contract) does not rescan.  `None` until
     /// the first distribution pass.
     jobs_with_work: Option<usize>,
+    stats: DecimaCacheStats,
 }
 
 impl DecimaLike {
@@ -122,14 +213,23 @@ impl DecimaLike {
             table: Vec::new(),
             scratch: Vec::new(),
             pairs: Vec::new(),
-            scores: Vec::new(),
-            probs: Vec::new(),
+            pair_scratch: Vec::new(),
+            rebuilt: Vec::new(),
+            normaliser_bits: None,
+            max_score_bits: None,
+            sum: 0.0,
             jobs_with_work: None,
+            stats: DecimaCacheStats::default(),
         }
     }
 
-    /// Reconciles the score table with the current context and returns the
-    /// event's max-remaining normaliser.
+    /// Counters of the incremental passes so far.
+    pub fn cache_stats(&self) -> DecimaCacheStats {
+        self.stats
+    }
+
+    /// Reconciles the job table and the pair records with the current
+    /// context and returns the pass's max-remaining normaliser.
     ///
     /// Both the cached table and `ctx.jobs()` list jobs in arrival order,
     /// and every membership change preserves the relative order of
@@ -138,10 +238,11 @@ impl DecimaLike {
     /// append) — so one ordered sweep relocates every surviving block.  A
     /// cached id missing from the context (O(1) slot probe) was removed; a
     /// context id missing from the cache (or present with a different
-    /// [`JobProgress::version`]) recomputes its block.  Per event this is
-    /// O(jobs) pointer work + O(changed jobs × their stages) feature
-    /// recomputation; a recomputed block is produced by the identical calls
-    /// a from-scratch pass would make, so cache hits and misses are
+    /// [`JobProgress::version`]) rebuilds its block and is listed in
+    /// `rebuilt`, with scores and weights left for [`DecimaLike::compute`].
+    /// Surviving blocks are copied into the new pair records in contiguous
+    /// runs.  A rebuilt block is produced by the identical calls a
+    /// from-scratch pass would make, so cache hits and misses are
     /// bit-indistinguishable.
     ///
     /// The max-remaining fold and the jobs-with-work count ride along in
@@ -149,16 +250,22 @@ impl DecimaLike {
     /// same order as a from-scratch scan, hence bit-identical).
     ///
     /// [`JobProgress::version`]: pcaps_dag::JobProgress::version
-    fn refresh_table(&mut self, ctx: &SchedulingContext<'_>) -> f64 {
-        self.scratch.clear();
+    fn refresh(&mut self, ctx: &SchedulingContext<'_>) -> f64 {
+        let DecimaLike { weights, table, scratch, pairs, pair_scratch, rebuilt, .. } = self;
+        scratch.clear();
+        pair_scratch.clear();
+        rebuilt.clear();
         let mut max_remaining = 0.0_f64;
         let mut jobs_with_work = 0usize;
         let mut cursor = 0usize;
+        // Surviving blocks not yet copied: a contiguous range of `pairs`.
+        let mut run = 0..0;
+        let mut next = 0usize;
         for job in ctx.jobs() {
             let version = job.progress.version();
             let mut cached = None;
-            while cursor < self.table.len() {
-                let entry = self.table[cursor];
+            while cursor < table.len() {
+                let entry = table[cursor];
                 if entry.id == job.id {
                     cursor += 1;
                     if entry.version == version {
@@ -175,54 +282,125 @@ impl DecimaLike {
                 }
                 cursor += 1;
             }
-            let entry = cached.unwrap_or_else(|| JobEntry {
-                id: job.id,
-                version,
-                remaining: job.remaining_work(),
-                completion: job.progress.frontier().num_completed() as f64
-                    / job.dag.num_stages() as f64,
-            });
-            max_remaining = f64::max(max_remaining, entry.remaining);
-            if !job.dispatchable_stages().is_empty() {
+            let entry = match cached {
+                Some(entry) => {
+                    if run.end != entry.start {
+                        pair_scratch.extend_from_slice(&pairs[run]);
+                        run = entry.start..entry.start;
+                    }
+                    run.end = entry.end;
+                    JobEntry { start: next, end: next + entry.pairs().len(), ..entry }
+                }
+                None => {
+                    pair_scratch.extend_from_slice(&pairs[run]);
+                    run = 0..0;
+                    let dispatchable = job.dispatchable_stages();
+                    if !dispatchable.is_empty() {
+                        // Per-stage features from the DAG structure — cached
+                        // on the (shared) DAG, so the graph analysis runs
+                        // once per job instead of once per pass.
+                        let bottleneck = job.dag.bottleneck_scores();
+                        pair_scratch.extend(dispatchable.iter().map(|&stage| Pair {
+                            job: job.id,
+                            stage,
+                            bottleneck: weights.bottleneck * bottleneck[stage.index()],
+                            score: f64::NAN,
+                            weight: f64::NAN,
+                        }));
+                        rebuilt.push(scratch.len());
+                    }
+                    let end = next + dispatchable.len();
+                    let completion = job.progress.frontier().num_completed() as f64
+                        / job.dag.num_stages() as f64;
+                    JobEntry {
+                        id: job.id,
+                        version,
+                        remaining: job.remaining_work(),
+                        completion_term: weights.completion * completion,
+                        start: next,
+                        end,
+                    }
+                }
+            };
+            next = entry.end;
+            if !entry.pairs().is_empty() {
                 jobs_with_work += 1;
             }
-            self.scratch.push(entry);
+            max_remaining = f64::max(max_remaining, entry.remaining);
+            scratch.push(entry);
         }
-        std::mem::swap(&mut self.table, &mut self.scratch);
+        pair_scratch.extend_from_slice(&pairs[run]);
+        std::mem::swap(table, scratch);
+        std::mem::swap(pairs, pair_scratch);
         self.jobs_with_work = Some(jobs_with_work);
         max_remaining.max(1e-9)
     }
 
-    /// Computes the distribution into the reused `pairs`/`scores`/`probs`
-    /// buffers: table reconciliation (which also yields the normaliser and
-    /// the jobs-with-work count), one scoring pass over the dispatchable
-    /// stages, then an in-place softmax.  Same float operations in the same
-    /// order as a from-scratch rebuild — probabilities are bit-identical.
+    /// One distribution pass: reconcile the table, then rescore and
+    /// re-weight as much as the cache keys require (see the module docs),
+    /// and re-sum the weights.  Every value is produced by the float
+    /// operations, in the order, of a from-scratch pass.
     fn compute(&mut self, ctx: &SchedulingContext<'_>) {
-        let max_remaining = self.refresh_table(ctx);
-        let DecimaLike { weights, table, pairs, scores, .. } = self;
-        pairs.clear();
-        scores.clear();
-        for (entry, job) in table.iter().zip(ctx.jobs()) {
-            let dispatchable = job.dispatchable_stages();
-            if dispatchable.is_empty() {
-                continue;
-            }
+        let normaliser = self.refresh(ctx);
+        self.stats.passes += 1;
+        let DecimaLike { weights, table, pairs, rebuilt, stats, .. } = self;
+        let score = |entry: &JobEntry, pairs: &mut [Pair]| {
             // Feature 1: jobs with little remaining work score high.
-            let short_job_feature = 1.0 - (entry.remaining / max_remaining);
-            // Per-stage features from the DAG structure — cached on the
-            // (shared) DAG, so the graph analysis runs once per job instead
-            // of once per scheduling event.
-            let bottleneck = job.dag.bottleneck_scores();
-            for &stage in dispatchable {
-                let score = weights.short_job * short_job_feature
-                    + weights.bottleneck * bottleneck[stage.index()]
-                    + weights.completion * entry.completion;
-                pairs.push((job.id, stage));
-                scores.push(score);
+            let short_job = weights.short_job * (1.0 - (entry.remaining / normaliser));
+            for p in &mut pairs[entry.pairs()] {
+                p.score = short_job + p.bottleneck + entry.completion_term;
+            }
+        };
+        let rescore_all = self.normaliser_bits != Some(normaliser.to_bits());
+        self.normaliser_bits = Some(normaliser.to_bits());
+        if rescore_all {
+            stats.full_rescores += 1;
+            for entry in table.iter() {
+                score(entry, pairs);
+            }
+        } else {
+            for &i in rebuilt.iter() {
+                score(&table[i], pairs);
             }
         }
-        softmax_into(&self.scores, self.weights.temperature, &mut self.probs);
+
+        let max_score = pairs.iter().map(|p| p.score).fold(f64::NEG_INFINITY, f64::max);
+        let reweight_all = rescore_all || self.max_score_bits != Some(max_score.to_bits());
+        self.max_score_bits = Some(max_score.to_bits());
+        let temperature = weights.temperature;
+        let len = pairs.len();
+        let mut reweight = |range: Range<usize>| {
+            stats.pairs_reweighted += range.len() as u64;
+            for p in &mut pairs[range] {
+                p.weight = ((p.score - max_score) / temperature).exp();
+            }
+        };
+        if reweight_all {
+            stats.full_reweights += 1;
+            reweight(0..len);
+        } else {
+            for &i in rebuilt.iter() {
+                reweight(table[i].pairs());
+            }
+        }
+        self.sum = self.pairs.iter().map(|p| p.weight).sum();
+    }
+
+    /// The pair the CDF of the latest pass's distribution reaches at `r`:
+    /// a lazy walk over `weight / Σ` (see the module docs for why
+    /// `max_probability = 1 / Σ` is exact).  Only called after a pass that
+    /// found at least one pair.
+    fn pick(&self, r: f64) -> SampledStage {
+        let sum = self.sum;
+        let idx = sample_cdf(self.pairs.iter().map(|p| p.weight / sum), r)
+            .expect("callers check the pass found pairs");
+        let Pair { job, stage, weight, .. } = self.pairs[idx];
+        SampledStage {
+            job,
+            stage,
+            probability: weight / sum,
+            max_probability: 1.0 / sum,
+        }
     }
 
     /// Decima-style parallelism limit: the job's fair share of the cluster
@@ -256,13 +434,25 @@ impl ProbabilisticScheduler for DecimaLike {
 
     fn distribution_into(&mut self, ctx: &SchedulingContext<'_>, out: &mut Vec<StageProbability>) {
         self.compute(ctx);
+        let sum = self.sum;
         out.clear();
-        out.extend(
-            self.pairs
-                .iter()
-                .zip(self.probs.iter())
-                .map(|(&(job, stage), &probability)| StageProbability { job, stage, probability }),
-        );
+        out.extend(self.pairs.iter().map(|p| StageProbability {
+            job: p.job,
+            stage: p.stage,
+            probability: p.weight / sum,
+        }));
+    }
+
+    fn sample(
+        &mut self,
+        ctx: &SchedulingContext<'_>,
+        draw: &mut dyn FnMut() -> f64,
+    ) -> Option<SampledStage> {
+        self.compute(ctx);
+        if self.pairs.is_empty() {
+            return None;
+        }
+        Some(self.pick(draw()))
     }
 
     fn parallelism_limit(&self, ctx: &SchedulingContext<'_>, job: JobId, stage: StageId) -> usize {
@@ -282,17 +472,13 @@ impl Scheduler for DecimaLike {
         out: &mut DecisionSink,
     ) {
         self.compute(ctx);
-        if self.probs.is_empty() {
+        if self.pairs.is_empty() {
             return;
         }
-        // Sample directly from the reused pair/probability buffers — the
-        // standalone path never materialises `StageProbability` entries.
         let r: f64 = self.rng.gen_range(0.0..1.0);
-        let idx = sample_cdf(self.probs.iter().copied(), r)
-            .expect("probs checked non-empty above");
-        let (job, stage) = self.pairs[idx];
-        let limit = self.limit_for(ctx, job, stage);
-        out.dispatch(job, stage, limit);
+        let chosen = self.pick(r);
+        let limit = self.limit_for(ctx, chosen.job, chosen.stage);
+        out.dispatch(chosen.job, chosen.stage, limit);
     }
 }
 

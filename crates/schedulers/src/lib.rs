@@ -18,7 +18,8 @@
 //!   probability distribution over runnable stages (Definition 4.1).  The
 //!   paper uses the GNN+RL Decima; this deterministic-feature substitute
 //!   preserves the interface and the qualitative behaviour PCAPS relies on
-//!   (see DESIGN.md §1),
+//!   (PCAPS reads only the distribution's shape, never how its scores were
+//!   learned, and training a GNN is outside this reproduction's scope),
 //! * [`GreenHadoop`] — the paper's adaptation of GreenHadoop (Appendix
 //!   A.1.1): green/brown energy windows with a convex-combination horizon
 //!   and FIFO dispatch under the derived executor limit.
@@ -41,10 +42,10 @@ pub mod probabilistic;
 pub mod routing;
 pub mod weighted_fair;
 
-pub use decima::{DecimaLike, DecimaWeights};
+pub use decima::{DecimaCacheStats, DecimaLike, DecimaWeights};
 pub use fifo::{KubeDefaultFifo, SparkStandaloneFifo};
 pub use greenhadoop::GreenHadoop;
-pub use probabilistic::{ProbabilisticScheduler, StageProbability};
+pub use probabilistic::{ProbabilisticScheduler, SampledStage, StageProbability};
 pub use routing::{
     CarbonDeltaMigrator, CarbonGreedyRouter, CarbonQueueAwareRouter, LeastOutstandingWorkRouter,
     RoundRobinRouter,

@@ -23,6 +23,20 @@ pub struct StageProbability {
     pub probability: f64,
 }
 
+/// One stage drawn from the distribution (PCAPS Algorithm 1, line 5), with
+/// the two probabilities its relative importance (Definition 4.2) needs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SampledStage {
+    /// The job the stage belongs to.
+    pub job: JobId,
+    /// The stage.
+    pub stage: StageId,
+    /// Probability mass `p_{v,t}` of the drawn stage.
+    pub probability: f64,
+    /// The largest probability `max_u p_{u,t}` in the distribution.
+    pub max_probability: f64,
+}
+
 /// A scheduler that exposes a probability distribution over runnable stages
 /// (Definition 4.1) plus a per-stage parallelism limit, the two signals PCAPS
 /// consumes.
@@ -37,9 +51,9 @@ pub trait ProbabilisticScheduler: Send {
     fn name(&self) -> &str;
 
     /// Writes the distribution `{p_{v,t} : v ∈ A_t}` over all dispatchable
-    /// stages into `out` (cleared first).  This is the hot-path form:
-    /// wrappers own a reused buffer, so a steady-state scheduling event
-    /// allocates nothing.
+    /// stages into `out` (cleared first): the Definition 4.1 view, used by
+    /// tests and oracles.  The scheduling hot path is
+    /// [`ProbabilisticScheduler::sample`], which need not materialise it.
     ///
     /// Implementations must leave `out` empty only when there is no
     /// dispatchable work; otherwise probabilities must be positive and sum
@@ -54,15 +68,33 @@ pub trait ProbabilisticScheduler: Send {
         out
     }
 
+    /// Samples one stage from the distribution: `None` when there is no
+    /// dispatchable work, otherwise the entry whose CDF first reaches
+    /// `r = draw()` ([`sample_cdf`]) plus the distribution's largest
+    /// probability.  `draw` is called exactly once, and only after the
+    /// distribution is known to be non-empty, so a caller's RNG stream does
+    /// not depend on how the policy samples.
+    ///
+    /// The result must be what [`ProbabilisticScheduler::distribution`]
+    /// would give for the same context: the entry `sample_cdf` picks from
+    /// its probabilities, with the same probability bits, and the bits of
+    /// their maximum.  Implementations are free not to materialise it.
+    fn sample(
+        &mut self,
+        ctx: &SchedulingContext<'_>,
+        draw: &mut dyn FnMut() -> f64,
+    ) -> Option<SampledStage>;
+
     /// The parallelism limit (number of executors) the policy would grant
     /// the given stage if it were scheduled now — the `P` that PCAPS rescales
     /// into `P′` (§5.1).
     ///
     /// Callers invoke this immediately after
-    /// [`ProbabilisticScheduler::distribution_into`] within the same
-    /// scheduling event, so implementations may answer from per-event state
-    /// cached by the distribution pass (and must fall back to the context
-    /// when no such state exists yet).
+    /// [`ProbabilisticScheduler::distribution_into`] or
+    /// [`ProbabilisticScheduler::sample`] within the same scheduling event,
+    /// so implementations may answer from per-event state cached by the
+    /// distribution pass (and must fall back to the context when no such
+    /// state exists yet).
     fn parallelism_limit(&self, ctx: &SchedulingContext<'_>, job: JobId, stage: StageId) -> usize;
 }
 
@@ -70,37 +102,24 @@ pub trait ProbabilisticScheduler: Send {
 /// using a softmax with the given temperature.  Returns an empty vector for
 /// empty input.
 pub fn softmax(scores: &[f64], temperature: f64) -> Vec<f64> {
-    let mut out = Vec::new();
-    softmax_into(scores, temperature, &mut out);
-    out
-}
-
-/// In-place form of [`softmax`]: writes the probabilities into `out`
-/// (cleared first), allocating nothing once `out` has warmed to the score
-/// count.  Bit-identical to [`softmax`] — same operations in the same
-/// order.
-pub fn softmax_into(scores: &[f64], temperature: f64, out: &mut Vec<f64>) {
     assert!(temperature > 0.0, "softmax temperature must be positive");
-    out.clear();
-    if scores.is_empty() {
-        return;
-    }
     let max = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    out.extend(scores.iter().map(|s| ((s - max) / temperature).exp()));
+    let mut out: Vec<f64> = scores.iter().map(|s| ((s - max) / temperature).exp()).collect();
     let sum: f64 = out.iter().sum();
     for e in out.iter_mut() {
         *e /= sum;
     }
+    out
 }
 
 /// Walks the CDF of a probability sequence and returns the index at which
 /// the cumulative mass first reaches `r` — the shared sampling step of
-/// [`DecimaLike::on_event`] and PCAPS Algorithm 1 line 5 (one
-/// implementation so the two stay bit-identical: same additions in the same
-/// order, same `r <= acc` comparison, same final-index fallback for
-/// `r ≈ 1` under floating-point rounding).  Returns `None` only for an
-/// empty sequence; callers draw `r` *after* ruling that out so RNG streams
-/// are unchanged.
+/// [`DecimaLike::on_event`], [`ProbabilisticScheduler::sample`] (PCAPS
+/// Algorithm 1 line 5) and the test oracles (one implementation so they
+/// stay bit-identical: same additions in the same order, same `r <= acc`
+/// comparison, same final-index fallback for `r ≈ 1` under floating-point
+/// rounding).  Returns `None` only for an empty sequence; callers draw `r`
+/// *after* ruling that out so RNG streams are unchanged.
 ///
 /// [`DecimaLike::on_event`]: crate::DecimaLike
 pub fn sample_cdf(probs: impl IntoIterator<Item = f64>, r: f64) -> Option<usize> {

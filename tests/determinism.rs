@@ -9,6 +9,7 @@ use carbon_aware_dag_sched::prelude::*;
 use pcaps_experiments::runner::{
     run_trial, BaseScheduler, ExperimentConfig, SchedulerSpec,
 };
+use pcaps_schedulers::DecimaCacheStats;
 
 fn run_pipeline(seed: u64) -> (f64, f64, f64) {
     let trace = SyntheticTraceGenerator::new(GridRegion::Caiso, seed).generate_days(14);
@@ -151,6 +152,59 @@ fn open_loop_serving_matches_the_v1_seed() {
             expected,
             "{name}: the open-loop serving path changed the schedule"
         );
+    }
+}
+
+/// `DecimaLike::cache_stats` after the reference `decima` and `pcaps`
+/// trials, pinned next to their fingerprints: how many passes rescored or
+/// re-weighted every pair is deterministic, so a change to the cache keys
+/// shows here even when the schedule does not move.
+const CACHE_STATS: [(&str, DecimaCacheStats); 2] = [
+    (
+        "decima",
+        DecimaCacheStats {
+            passes: 645,
+            full_rescores: 353,
+            full_reweights: 603,
+            pairs_reweighted: 2441,
+        },
+    ),
+    (
+        "pcaps",
+        DecimaCacheStats {
+            passes: 753,
+            full_rescores: 197,
+            full_reweights: 436,
+            pairs_reweighted: 3700,
+        },
+    ),
+];
+
+#[test]
+fn decima_cache_stats_match_the_pins() {
+    // The schedulers exactly as `run_trial` builds them (same seed
+    // derivation), so the fingerprints above apply.
+    let cfg = reference_config();
+    let seed = cfg.seed ^ 0x5EED;
+    let fingerprint_of = |name: &str| {
+        V1_FINGERPRINTS
+            .iter()
+            .find(|(n, ..)| *n == name)
+            .map(|&(.., f)| f)
+            .expect("pinned spec")
+    };
+    let mut decima = DecimaLike::new(seed);
+    let result = cfg.simulator_instance().run(&mut decima).unwrap();
+    assert_eq!(fingerprint(&result), fingerprint_of("decima"));
+    let mut pcaps = Pcaps::new(
+        DecimaLike::new(seed),
+        PcapsConfig::with_gamma(0.5).with_seed(seed),
+    );
+    let result = cfg.simulator_instance().run(&mut pcaps).unwrap();
+    assert_eq!(fingerprint(&result), fingerprint_of("pcaps"));
+    let got = [decima.cache_stats(), pcaps.inner().cache_stats()];
+    for ((name, expected), got) in CACHE_STATS.iter().zip(got) {
+        assert_eq!(got, *expected, "{name}: DecimaLike cache counters moved");
     }
 }
 

@@ -12,13 +12,23 @@
 //! a missed version bump, a block survived past a membership change, a
 //! float op reordered — fails loudly with the event time attached.
 //!
+//! The per-pair score/weight cache is checked through the sampling fast
+//! path too: with the same draw, `DecimaLike::sample` must pick the
+//! oracle's `(job, stage)` with the oracle's probability, max-probability
+//! and relative-importance bits, and every run tallies which cache regime
+//! (full rescore, full re-weight, changed jobs only) each pass took, so a
+//! test cannot pass without reaching all three.
+//!
 //! Pattern of `tests/properties.rs`: seeded ChaCha8-driven cases, no
 //! external proptest dependency, every failure reproducible.
 
 use carbon_aware_dag_sched::prelude::*;
+use pcaps_core::{importance_ratio, relative_importance};
 use pcaps_dag::JobId;
-use pcaps_schedulers::probabilistic::{softmax, ProbabilisticScheduler, StageProbability};
-use pcaps_schedulers::DecimaWeights;
+use pcaps_schedulers::probabilistic::{
+    sample_cdf, softmax, ProbabilisticScheduler, SampledStage, StageProbability,
+};
+use pcaps_schedulers::{DecimaCacheStats, DecimaWeights};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -112,17 +122,137 @@ fn assert_matches_oracle(
     }
 }
 
+/// How many passes took each cache regime, classified from the
+/// `cache_stats` delta around a single pass.
+#[derive(Debug, Default)]
+struct Regimes {
+    full_rescore: usize,
+    full_reweight: usize,
+    changed_only: usize,
+}
+
+impl Regimes {
+    fn record(&mut self, before: DecimaCacheStats, after: DecimaCacheStats) {
+        assert_eq!(after.passes, before.passes + 1, "one sample is one pass");
+        if after.full_rescores > before.full_rescores {
+            self.full_rescore += 1;
+        } else if after.full_reweights > before.full_reweights {
+            self.full_reweight += 1;
+        } else {
+            self.changed_only += 1;
+        }
+    }
+
+    fn add(&mut self, other: &Regimes) {
+        self.full_rescore += other.full_rescore;
+        self.full_reweight += other.full_reweight;
+        self.changed_only += other.changed_only;
+    }
+
+    fn assert_all_reached(&self, label: &str) {
+        assert!(
+            self.full_rescore > 0 && self.full_reweight > 0 && self.changed_only > 0,
+            "{label}: every cache regime must be exercised, got {self:?}"
+        );
+    }
+}
+
+/// Samples through `DecimaLike::sample` and pins the result against the
+/// oracle: with the same draw `r`, the oracle's `softmax` + `sample_cdf` +
+/// `relative_importance` must give the same `(job, stage)` and the same
+/// probability, max-probability and importance bits.  `draw` must be called
+/// exactly once when a stage is sampled, and never otherwise.
+fn checked_sample(
+    inner: &mut DecimaLike,
+    ctx: &SchedulingContext<'_>,
+    draw: &mut dyn FnMut() -> f64,
+    regimes: &mut Regimes,
+    label: &str,
+) -> Option<SampledStage> {
+    let before = inner.cache_stats();
+    let mut draws = Vec::new();
+    let got = inner.sample(ctx, &mut || {
+        let r = draw();
+        draws.push(r);
+        r
+    });
+    regimes.record(before, inner.cache_stats());
+    let oracle = oracle_distribution(ctx, DecimaWeights::default());
+    let Some(got) = got else {
+        assert!(draws.is_empty(), "{label}: drew without sampling at t={}", ctx.time);
+        assert!(oracle.is_empty(), "{label}: sampled nothing from work at t={}", ctx.time);
+        return None;
+    };
+    assert_eq!(draws.len(), 1, "{label}: one draw per sample at t={}", ctx.time);
+    let idx = sample_cdf(oracle.iter().map(|e| e.probability), draws[0])
+        .expect("the oracle has work whenever the policy sampled");
+    let max = oracle
+        .iter()
+        .map(|e| e.probability)
+        .fold(f64::NEG_INFINITY, f64::max);
+    let bits = |x: f64| x.to_bits();
+    assert_eq!(
+        (got.job, got.stage),
+        (oracle[idx].job, oracle[idx].stage),
+        "{label}: sampled a different pair at t={}",
+        ctx.time
+    );
+    assert_eq!(
+        (bits(got.probability), bits(got.max_probability)),
+        (bits(oracle[idx].probability), bits(max)),
+        "{label}: probability or max-probability bits diverged at t={}",
+        ctx.time
+    );
+    assert_eq!(
+        bits(importance_ratio(got.probability, got.max_probability)),
+        bits(relative_importance(&oracle, idx)),
+        "{label}: relative importance bits diverged at t={}",
+        ctx.time
+    );
+    Some(got)
+}
+
+/// Which `DecimaLike` entry point a [`CheckingDecima`] drives.
+#[derive(Debug, Clone, Copy)]
+enum Route {
+    /// `distribution_into`, then the standalone `Scheduler::on_event`.
+    Distribution,
+    /// `ProbabilisticScheduler::sample` with the wrapper's own draws,
+    /// dispatching the sampled stage as the standalone policy would.
+    Sample,
+}
+
 /// A standalone Decima wrapper that, at every invocation, pins the
-/// incremental distribution and the cached-count parallelism limit against
-/// the from-scratch oracles before delegating the real decision.
+/// incremental distribution (or sample) and the cached-count parallelism
+/// limit against the from-scratch oracles before making the decision.
 struct CheckingDecima {
     inner: DecimaLike,
+    route: Route,
+    rng: ChaCha8Rng,
     checks: usize,
+    regimes: Regimes,
 }
 
 impl CheckingDecima {
-    fn new(seed: u64) -> Self {
-        CheckingDecima { inner: DecimaLike::new(seed), checks: 0 }
+    fn new(seed: u64, route: Route) -> Self {
+        CheckingDecima {
+            inner: DecimaLike::new(seed),
+            route,
+            rng: ChaCha8Rng::seed_from_u64(seed ^ 0xD4A3),
+            checks: 0,
+            regimes: Regimes::default(),
+        }
+    }
+
+    fn check_limit(&self, ctx: &SchedulingContext<'_>, job: JobId, stage: StageId) -> usize {
+        let got = self.inner.parallelism_limit(ctx, job, stage);
+        assert_eq!(
+            got,
+            oracle_limit(ctx, job, stage),
+            "standalone: cached jobs-with-work limit diverged for ({job}, {stage}) at t={}",
+            ctx.time
+        );
+        got
     }
 }
 
@@ -137,31 +267,40 @@ impl Scheduler for CheckingDecima {
         ctx: &SchedulingContext<'_>,
         out: &mut DecisionSink,
     ) {
-        let mut dist = Vec::new();
-        self.inner.distribution_into(ctx, &mut dist);
-        assert_matches_oracle(&dist, ctx, "standalone");
-        for entry in &dist {
-            assert_eq!(
-                self.inner.parallelism_limit(ctx, entry.job, entry.stage),
-                oracle_limit(ctx, entry.job, entry.stage),
-                "standalone: cached jobs-with-work limit diverged for ({}, {}) at t={}",
-                entry.job,
-                entry.stage,
-                ctx.time
-            );
-        }
         self.checks += 1;
-        Scheduler::on_event(&mut self.inner, event, ctx, out)
+        match self.route {
+            Route::Distribution => {
+                let mut dist = Vec::new();
+                self.inner.distribution_into(ctx, &mut dist);
+                assert_matches_oracle(&dist, ctx, "standalone");
+                for entry in &dist {
+                    self.check_limit(ctx, entry.job, entry.stage);
+                }
+                Scheduler::on_event(&mut self.inner, event, ctx, out)
+            }
+            Route::Sample => {
+                let rng = &mut self.rng;
+                let draw = &mut || rng.gen_range(0.0..1.0);
+                let sampled =
+                    checked_sample(&mut self.inner, ctx, draw, &mut self.regimes, "standalone-sample");
+                if let Some(s) = sampled {
+                    let limit = self.check_limit(ctx, s.job, s.stage);
+                    out.dispatch(s.job, s.stage, limit);
+                }
+            }
+        }
     }
 }
 
-/// The same cross-check through the PCAPS wrapping path: PCAPS pulls the
-/// distribution through `distribution_into` into its reused buffer, so the
-/// probabilistic-trait route (including the carbon filter's throttled
-/// re-invocations) is exercised too.
+/// The same cross-check through the PCAPS wrapping path: PCAPS samples
+/// through `sample`, so the probabilistic-trait route (including the carbon
+/// filter's throttled re-invocations) is exercised too.  After each sample
+/// the full distribution is pinned as well (a pass that changes nothing,
+/// so it does not disturb the cache under test).
 struct CheckingProbabilistic {
     inner: DecimaLike,
     checks: usize,
+    regimes: Regimes,
 }
 
 impl ProbabilisticScheduler for CheckingProbabilistic {
@@ -176,7 +315,17 @@ impl ProbabilisticScheduler for CheckingProbabilistic {
     ) {
         self.inner.distribution_into(ctx, out);
         assert_matches_oracle(out, ctx, "pcaps-wrapped");
+    }
+
+    fn sample(
+        &mut self,
+        ctx: &SchedulingContext<'_>,
+        draw: &mut dyn FnMut() -> f64,
+    ) -> Option<SampledStage> {
+        let got = checked_sample(&mut self.inner, ctx, draw, &mut self.regimes, "pcaps-wrapped");
+        self.distribution_into(ctx, &mut Vec::new());
         self.checks += 1;
+        got
     }
 
     fn parallelism_limit(&self, ctx: &SchedulingContext<'_>, job: JobId, stage: StageId) -> usize {
@@ -221,6 +370,7 @@ fn random_dag(rng: &mut ChaCha8Rng) -> JobDag {
 /// both a flat and a volatile trace.
 #[test]
 fn incremental_scores_match_scratch_on_single_cluster_runs() {
+    let mut regimes = Regimes::default();
     for seed in [1u64, 5, 11] {
         let workload: Vec<SubmittedJob> = WorkloadBuilder::new(WorkloadKind::TpchMixed, seed)
             .jobs(12)
@@ -235,20 +385,23 @@ fn incremental_scores_match_scratch_on_single_cluster_runs() {
             workload,
             trace,
         );
-        let mut checker = CheckingDecima::new(seed);
-        let result = sim.run(&mut checker).expect("run completes");
-        assert!(result.all_jobs_complete(), "seed {seed}");
-        assert!(
-            checker.checks > 50,
-            "seed {seed}: the oracle must actually run ({} checks)",
-            checker.checks
-        );
+        for route in [Route::Distribution, Route::Sample] {
+            let mut checker = CheckingDecima::new(seed, route);
+            let result = sim.run(&mut checker).expect("run completes");
+            assert!(result.all_jobs_complete(), "seed {seed}, {route:?}");
+            assert!(
+                checker.checks > 50,
+                "seed {seed}, {route:?}: the oracle must actually run ({} checks)",
+                checker.checks
+            );
+            regimes.add(&checker.regimes);
+        }
     }
+    regimes.assert_all_reached("single cluster");
 }
 
 /// The PCAPS route on a volatile trace (real deferrals + throttled
-/// same-instant re-invocations) must pull bit-identical distributions
-/// through the reused buffer.
+/// same-instant re-invocations) must sample bit-identically to the oracle.
 #[test]
 fn incremental_scores_match_scratch_through_pcaps() {
     let mut values = Vec::new();
@@ -264,13 +417,18 @@ fn incremental_scores_match_scratch_through_pcaps() {
         .collect();
     let sim = Simulator::new(ClusterConfig::new(20).with_time_scale(60.0), workload, trace);
     let mut pcaps = Pcaps::new(
-        CheckingProbabilistic { inner: DecimaLike::new(1), checks: 0 },
+        CheckingProbabilistic {
+            inner: DecimaLike::new(1),
+            checks: 0,
+            regimes: Regimes::default(),
+        },
         PcapsConfig::with_gamma(0.9),
     );
     let result = sim.run(&mut pcaps).expect("run completes");
     assert!(result.all_jobs_complete());
     assert!(pcaps.stats().deferred > 0, "the volatile trace must exercise deferrals");
     assert!(pcaps.inner().checks > 50, "the oracle must actually run");
+    pcaps.inner().regimes.assert_all_reached("pcaps");
 }
 
 /// A fixed-spacing unbounded source, so the serving run stays sub-critical
@@ -311,39 +469,44 @@ impl ArrivalSource for Trickle {
 
 /// Serve-mode compaction: hundreds of arrivals stream through a bounded
 /// resident table, so job ids climb far past the table length and the
-/// slot base shifts under the score table — every distribution must still
-/// match the oracle bit for bit.
+/// slot base shifts under the score table — every distribution and every
+/// sample must still match the oracle bit for bit.
 #[test]
 fn incremental_scores_match_scratch_across_serve_compaction() {
     let trace = CarbonTrace::constant("flat", 300.0, 26_304);
     let sim = Simulator::streaming(ClusterConfig::new(4).with_time_scale(1.0), trace);
-    let mut source = Trickle {
-        spacing: 12.0,
-        next_arrival: 0.0,
-        issued: 0,
-        rng: ChaCha8Rng::seed_from_u64(0x5EED),
-    };
-    let mut session = sim.serve(&mut source).unwrap();
-    let mut checker = CheckingDecima::new(3);
-    let mut router = StaticRouter::new(0);
-    for w in 1..=24 {
-        let mut s: [&mut dyn Scheduler; 1] = [&mut checker];
-        session
-            .run_until(w as f64 * 100.0, &mut router, &mut s, None)
-            .unwrap();
+    for route in [Route::Distribution, Route::Sample] {
+        let mut source = Trickle {
+            spacing: 12.0,
+            next_arrival: 0.0,
+            issued: 0,
+            rng: ChaCha8Rng::seed_from_u64(0x5EED),
+        };
+        let mut session = sim.serve(&mut source).unwrap();
+        let mut checker = CheckingDecima::new(3, route);
+        let mut router = StaticRouter::new(0);
+        for w in 1..=24 {
+            let mut s: [&mut dyn Scheduler; 1] = [&mut checker];
+            session
+                .run_until(w as f64 * 100.0, &mut router, &mut s, None)
+                .unwrap();
+        }
+        assert!(
+            session.jobs_seen() >= 190,
+            "{route:?}: 2400 s at 12 s spacing is ~200 arrivals, got {}",
+            session.jobs_seen()
+        );
+        assert!(
+            session.resident_table_len() < session.jobs_seen() / 4,
+            "{route:?}: compaction must actually retire jobs ({} resident of {} seen)",
+            session.resident_table_len(),
+            session.jobs_seen()
+        );
+        // No regime assertion: the run is sub-critical (about one job in
+        // the system at a time), so nearly every pass moves the normaliser
+        // and rescores everything.
+        assert!(checker.checks > 100, "{route:?}: the oracle must actually run");
     }
-    assert!(
-        session.jobs_seen() >= 190,
-        "2400 s at 12 s spacing is ~200 arrivals, got {}",
-        session.jobs_seen()
-    );
-    assert!(
-        session.resident_table_len() < session.jobs_seen() / 4,
-        "compaction must actually retire jobs ({} resident of {} seen)",
-        session.resident_table_len(),
-        session.jobs_seen()
-    );
-    assert!(checker.checks > 100, "the oracle must actually run");
 }
 
 /// A migration policy that moves one random idle job to a random member on
@@ -382,11 +545,13 @@ impl MigrationPolicy for RandomMover {
 /// Migration detach/reattach: random federated workloads with random
 /// moves, a checking Decima per member.  A job that leaves member A and
 /// reappears at member B (possibly returning to A later) must never
-/// resurrect a stale cached block on either side.
+/// resurrect a stale cached block on either side.  Every case runs through
+/// both the distribution route and the sampling route.
 #[test]
 fn incremental_scores_match_scratch_across_migrations() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x919);
     let mut total_moves = 0usize;
+    let mut regimes = Regimes::default();
     for case in 0..8u64 {
         let members = rng.gen_range(2..4usize);
         let njobs = rng.gen_range(4..9usize);
@@ -406,31 +571,38 @@ fn incremental_scores_match_scratch_across_migrations() {
         let federation = Federation::new(fed_members, workload).with_transfer_matrix(
             TransferMatrix::uniform(members, rng.gen_range(0.0..2.0)).with_energy_per_gb(0.01),
         );
-        let mut policy = RandomMover {
-            rng: ChaCha8Rng::seed_from_u64(0xA10 ^ case),
-            moves: 0,
-        };
-        let mut schedulers: Vec<CheckingDecima> =
-            (0..members).map(|m| CheckingDecima::new(case * 31 + m as u64)).collect();
-        let result = {
-            let mut refs: Vec<&mut dyn Scheduler> = Vec::new();
-            for s in schedulers.iter_mut() {
-                refs.push(s);
+        for route in [Route::Distribution, Route::Sample] {
+            let mut policy = RandomMover {
+                rng: ChaCha8Rng::seed_from_u64(0xA10 ^ case),
+                moves: 0,
+            };
+            let mut schedulers: Vec<CheckingDecima> = (0..members)
+                .map(|m| CheckingDecima::new(case * 31 + m as u64, route))
+                .collect();
+            let result = {
+                let mut refs: Vec<&mut dyn Scheduler> = Vec::new();
+                for s in schedulers.iter_mut() {
+                    refs.push(s);
+                }
+                let mut router = RoundRobinRouter::new();
+                federation
+                    .run_with_migration(&mut router, &mut policy, &mut refs)
+                    .expect("randomized federated runs always complete")
+            };
+            assert!(result.all_jobs_complete(), "case {case}, {route:?}");
+            assert!(
+                schedulers.iter().map(|s| s.checks).sum::<usize>() > 0,
+                "case {case}, {route:?}: the oracle must actually run"
+            );
+            total_moves += result.num_migrations();
+            for s in &schedulers {
+                regimes.add(&s.regimes);
             }
-            let mut router = RoundRobinRouter::new();
-            federation
-                .run_with_migration(&mut router, &mut policy, &mut refs)
-                .expect("randomized federated runs always complete")
-        };
-        assert!(result.all_jobs_complete(), "case {case}");
-        assert!(
-            schedulers.iter().map(|s| s.checks).sum::<usize>() > 0,
-            "case {case}: the oracle must actually run"
-        );
-        total_moves += result.num_migrations();
+        }
     }
     assert!(
         total_moves > 0,
         "across all cases some migrations must apply, or detach/reattach is never exercised"
     );
+    regimes.assert_all_reached("migrations");
 }
