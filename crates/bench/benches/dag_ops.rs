@@ -1,9 +1,14 @@
-//! DAG analysis microbenchmarks: the graph quantities recomputed inside the
-//! Decima-like scorer at every scheduling event.
+//! DAG analysis and workload generation microbenchmarks.
+//!
+//! `dag_analysis` times the graph quantities behind the Decima-like scorer.
+//! A DAG computes them once, on first use, and caches them, so these specs
+//! are a per-job cost paid at a job's first scheduling event, not a
+//! per-event one.  `workload_generation` times the generators alone and a
+//! whole streamed pull (generate, scale, rename) as the simulator pays it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pcaps_dag::analysis;
-use pcaps_workloads::{AlibabaGenerator, TpchQuery, TpchScale};
+use pcaps_workloads::{AlibabaGenerator, TpchQuery, TpchScale, WorkloadBuilder, WorkloadKind};
 
 fn dag_analysis(c: &mut Criterion) {
     let mut group = c.benchmark_group("dag_analysis");
@@ -33,6 +38,14 @@ fn workload_generation(c: &mut Criterion) {
     group.bench_function("alibaba_job", |b| {
         let mut gen = AlibabaGenerator::new(11);
         b.iter(|| criterion::black_box(gen.next_job()))
+    });
+    // What streamed intake pays per job: the generator plus the sampler's
+    // duration scaling and `name#index` renaming.
+    group.bench_function("alibaba_stream_pull", |b| {
+        let mut stream = WorkloadBuilder::new(WorkloadKind::Alibaba, 11)
+            .jobs(usize::MAX)
+            .stream();
+        b.iter(|| criterion::black_box(stream.next()))
     });
     group.finish();
 }

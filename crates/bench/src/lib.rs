@@ -10,8 +10,10 @@
 //!   outstanding jobs grows,
 //! * `threshold_and_ksearch` — cost of evaluating Ψγ and of building /
 //!   querying the CAP k-search threshold set,
-//! * `dag_ops` — critical-path / bottom-level analysis on TPC-H DAGs (the
-//!   inner loop of the Decima-like scorer),
+//! * `dag_ops` — critical-path / bottom-level / bottleneck analysis on
+//!   TPC-H and Alibaba DAGs (computed once per DAG and cached by the
+//!   Decima-like scorer), and workload generation up to a whole streamed
+//!   Alibaba pull,
 //! * `simulator_throughput` — end-to-end simulation speed per scheduler for
 //!   a standard experiment batch (what determines how long Tables 2/3 take),
 //! * `ablations` — PCAPS design ablations (parallelism scaling on/off,

@@ -47,15 +47,22 @@ pub fn makespan_lower_bound(job: &JobDag, executors: usize) -> f64 {
 
 /// Computes the critical path of the job (unlimited-executor longest path).
 pub fn critical_path(job: &JobDag) -> CriticalPath {
-    let order = job
-        .adjacency
+    critical_path_along(job, &topological_order(job))
+}
+
+fn topological_order(job: &JobDag) -> Vec<StageId> {
+    job.adjacency
         .topological_order()
-        .expect("JobDag invariant guarantees acyclicity");
+        .expect("JobDag invariant guarantees acyclicity")
+}
+
+/// [`critical_path`] over a topological `order` of the job's stages.
+fn critical_path_along(job: &JobDag, order: &[StageId]) -> CriticalPath {
     let n = job.num_stages();
     // dist[s] = longest path ending at s, including s.
     let mut dist = vec![0.0_f64; n];
     let mut pred: Vec<Option<StageId>> = vec![None; n];
-    for &s in &order {
+    for &s in order {
         let own = job.stage(s).critical_duration();
         let (best_parent, best) = job
             .adjacency
@@ -90,12 +97,25 @@ pub fn critical_path(job: &JobDag) -> CriticalPath {
     }
 }
 
+/// Bottom level of every stage (see [`StageLevels::bottom_level`]), folded
+/// over a topological `order` of the job's stages in reverse.
+fn bottom_levels(job: &JobDag, order: &[StageId]) -> Vec<f64> {
+    let mut bottom_level = vec![0.0_f64; job.num_stages()];
+    for &s in order.iter().rev() {
+        let child_bl = job
+            .adjacency
+            .children(s)
+            .iter()
+            .map(|&c| bottom_level[c.index()])
+            .fold(0.0_f64, f64::max);
+        bottom_level[s.index()] = job.stage(s).critical_duration() + child_bl;
+    }
+    bottom_level
+}
+
 /// Computes bottom level, top level and work-below for every stage.
 pub fn stage_levels(job: &JobDag) -> StageLevels {
-    let order = job
-        .adjacency
-        .topological_order()
-        .expect("JobDag invariant guarantees acyclicity");
+    let order = topological_order(job);
     let n = job.num_stages();
 
     let mut top_level = vec![0.0_f64; n];
@@ -109,16 +129,8 @@ pub fn stage_levels(job: &JobDag) -> StageLevels {
         top_level[s.index()] = own_start;
     }
 
-    let mut bottom_level = vec![0.0_f64; n];
     let mut work_below = vec![0.0_f64; n];
     for &s in order.iter().rev() {
-        let child_bl = job
-            .adjacency
-            .children(s)
-            .iter()
-            .map(|&c| bottom_level[c.index()])
-            .fold(0.0_f64, f64::max);
-        bottom_level[s.index()] = job.stage(s).critical_duration() + child_bl;
         // Work below counts each descendant exactly once.
         let mut sum = job.stage(s).total_work();
         for d in job.adjacency.descendants(s) {
@@ -128,7 +140,7 @@ pub fn stage_levels(job: &JobDag) -> StageLevels {
     }
 
     StageLevels {
-        bottom_level,
+        bottom_level: bottom_levels(job, &order),
         top_level,
         work_below,
     }
@@ -163,17 +175,21 @@ pub fn approximate_width(job: &JobDag) -> usize {
 /// critical-path length.  A score of 1.0 means the stage lies on the critical
 /// path at its very start; values near 0 indicate stages whose delay barely
 /// affects the job.
+///
+/// O(stages + edges): one topological order feeds the folds of
+/// [`critical_path`] and of [`stage_levels`]' bottom levels, without the
+/// rest of `stage_levels` (its `work_below` is quadratic).
 pub fn bottleneck_scores(job: &JobDag) -> Vec<f64> {
-    let cp = critical_path(job).length;
-    let levels = stage_levels(job);
+    let order = topological_order(job);
+    let cp = critical_path_along(job, &order).length;
     if cp <= 0.0 {
         return vec![1.0; job.num_stages()];
     }
-    levels
-        .bottom_level
-        .iter()
-        .map(|&b| (b / cp).clamp(0.0, 1.0))
-        .collect()
+    let mut scores = bottom_levels(job, &order);
+    for b in &mut scores {
+        *b = (*b / cp).clamp(0.0, 1.0);
+    }
+    scores
 }
 
 #[cfg(test)]

@@ -6,20 +6,19 @@ use crate::ids::StageId;
 use crate::job::JobDag;
 use crate::stage::Stage;
 use crate::task::Task;
-use std::collections::HashMap;
 
 /// Builder for [`JobDag`] that assigns dense stage ids and validates the
 /// result (non-empty stages, acyclic precedence) at [`JobDagBuilder::build`].
 ///
 /// Stages can be referenced either by the [`StageId`] returned from
 /// [`JobDagBuilder::add_stage`] or by name via
-/// [`JobDagBuilder::edge_by_name`].
+/// [`JobDagBuilder::edge_by_name`].  Names need not be unique: a name
+/// refers to the last stage added under it.
 #[derive(Debug, Clone)]
 pub struct JobDagBuilder {
     name: String,
     stages: Vec<Stage>,
     edges: Vec<(StageId, StageId)>,
-    by_name: HashMap<String, StageId>,
 }
 
 impl JobDagBuilder {
@@ -29,15 +28,12 @@ impl JobDagBuilder {
             name: name.into(),
             stages: Vec::new(),
             edges: Vec::new(),
-            by_name: HashMap::new(),
         }
     }
 
     /// Adds a stage and returns its id.
     pub fn add_stage(&mut self, name: impl Into<String>, tasks: Vec<Task>) -> StageId {
         let id = StageId(self.stages.len() as u32);
-        let name = name.into();
-        self.by_name.insert(name.clone(), id);
         self.stages.push(Stage::new(id, name, tasks));
         id
     }
@@ -66,22 +62,30 @@ impl JobDagBuilder {
         Ok(self)
     }
 
-    /// Records a precedence edge between two previously added stages by name.
+    /// Records a precedence edge between two previously added stages by
+    /// name.  A name shared by several stages means the last one added (see
+    /// [`JobDagBuilder::stage_id`]).
     pub fn edge_by_name(self, from: &str, to: &str) -> Result<Self, DagError> {
-        let f = *self
-            .by_name
-            .get(from)
-            .ok_or_else(|| DagError::UnknownStageName { name: from.to_string() })?;
-        let t = *self
-            .by_name
-            .get(to)
-            .ok_or_else(|| DagError::UnknownStageName { name: to.to_string() })?;
+        let id = |name: &str| {
+            self.stage_id(name)
+                .ok_or_else(|| DagError::UnknownStageName {
+                    name: name.to_string(),
+                })
+        };
+        let (f, t) = (id(from)?, id(to)?);
         self.edge(f, t)
     }
 
-    /// Looks up a stage id by name.
+    /// Looks up a stage id by name.  If several stages share the name, the
+    /// last one added wins.  A linear scan from the back: names are only
+    /// looked up while wiring hand-written DAGs, so generators pay nothing
+    /// for them.
     pub fn stage_id(&self, name: &str) -> Option<StageId> {
-        self.by_name.get(name).copied()
+        self.stages
+            .iter()
+            .rev()
+            .find(|s| s.name == name)
+            .map(|s| s.id)
     }
 
     /// Number of stages added so far.
@@ -99,10 +103,7 @@ impl JobDagBuilder {
                 return Err(DagError::EmptyStage { stage: s.id });
             }
         }
-        let mut adjacency = Adjacency::new(self.stages.len());
-        for (f, t) in self.edges {
-            adjacency.add_edge(f, t)?;
-        }
+        let adjacency = Adjacency::from_edges(self.stages.len(), &self.edges)?;
         // Cycle check.
         adjacency.topological_order()?;
         let job = JobDag::from_parts(self.name, self.stages, adjacency);
@@ -208,5 +209,18 @@ mod tests {
         assert_eq!(b.stage_id("c"), Some(StageId(1)));
         assert_eq!(b.stage_id("missing"), None);
         assert_eq!(b.num_stages(), 2);
+    }
+
+    #[test]
+    fn duplicate_names_resolve_to_the_last_stage_added() {
+        let mut b = JobDagBuilder::new("dup");
+        let first = b.add_stage("x", vec![Task::new(1.0)]);
+        let y = b.add_stage("y", vec![Task::new(1.0)]);
+        let second = b.add_stage("x", vec![Task::new(2.0)]);
+        assert_ne!(first, second);
+        assert_eq!(b.stage_id("x"), Some(second));
+        let job = b.edge_by_name("y", "x").unwrap().build().unwrap();
+        assert_eq!(job.adjacency.parents(second), &[y]);
+        assert!(job.adjacency.parents(first).is_empty());
     }
 }

@@ -10,66 +10,118 @@ use crate::ids::StageId;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// Directed adjacency for a fixed number of stages `0..n`.
+/// Directed adjacency for a fixed number of stages `0..n`, stored as
+/// compressed sparse rows in both directions: stage `s`'s children are
+/// `children[child_offsets[s]..child_offsets[s + 1]]`, its parents likewise,
+/// each list in edge-insertion order.  Four heap blocks per DAG, whatever
+/// its size.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Adjacency {
-    /// `children[s]` lists stages that depend on `s`.
-    children: Vec<Vec<StageId>>,
-    /// `parents[s]` lists stages that `s` depends on.
-    parents: Vec<Vec<StageId>>,
+    child_offsets: Vec<u32>,
+    /// Stages that depend on each stage, concatenated.
+    children: Vec<StageId>,
+    parent_offsets: Vec<u32>,
+    /// Stages that each stage depends on, concatenated.
+    parents: Vec<StageId>,
 }
 
 impl Adjacency {
-    /// Creates an edge-less adjacency over `n` stages.
-    pub fn new(n: usize) -> Self {
-        Adjacency {
-            children: vec![Vec::new(); n],
-            parents: vec![Vec::new(); n],
+    /// Builds the adjacency of `n` stages from precedence edges
+    /// `from -> to` in O(stages + edges): after the endpoint checks, one
+    /// pass counts degrees and a second places the edges.
+    ///
+    /// Returns the error that inserting the edges one by one, in order,
+    /// would hit first: the first edge that names an unknown stage (`from`
+    /// checked before `to`), is a self-loop, or repeats an earlier edge.
+    pub fn from_edges(n: usize, edges: &[(StageId, StageId)]) -> Result<Self, DagError> {
+        let malformed = |(from, to): (StageId, StageId)| {
+            if from.index() >= n {
+                Some(DagError::UnknownStage { stage: from })
+            } else if to.index() >= n {
+                Some(DagError::UnknownStage { stage: to })
+            } else if from == to {
+                Some(DagError::SelfLoop { stage: from })
+            } else {
+                None
+            }
+        };
+        // Only the edges before the first malformed one are ever inserted.
+        let (placed, first_malformed) = match edges
+            .iter()
+            .enumerate()
+            .find_map(|(i, &edge)| malformed(edge).map(|error| (i, error)))
+        {
+            Some((i, error)) => (&edges[..i], Some(error)),
+            None => (edges, None),
+        };
+        assert!(
+            placed.len() <= u32::MAX as usize,
+            "edge count overflows u32 offsets"
+        );
+        let mut child_offsets = vec![0u32; n + 1];
+        let mut parent_offsets = vec![0u32; n + 1];
+        for &(from, to) in placed {
+            child_offsets[from.index() + 1] += 1;
+            parent_offsets[to.index() + 1] += 1;
+        }
+        for s in 0..n {
+            child_offsets[s + 1] += child_offsets[s];
+            parent_offsets[s + 1] += parent_offsets[s];
+        }
+        // Placing the edges in order fills each stage's children from the
+        // front, so the filled part of a list is exactly the edges an
+        // in-order insertion would already hold: a repeat is found there.
+        let mut next_child = child_offsets[..n].to_vec();
+        let mut next_parent = parent_offsets[..n].to_vec();
+        let mut children = vec![StageId(0); placed.len()];
+        let mut parents = vec![StageId(0); placed.len()];
+        for &(from, to) in placed {
+            let (f, t) = (from.index(), to.index());
+            let filled = child_offsets[f] as usize..next_child[f] as usize;
+            if children[filled].contains(&to) {
+                return Err(DagError::DuplicateEdge { from, to });
+            }
+            children[next_child[f] as usize] = to;
+            next_child[f] += 1;
+            parents[next_parent[t] as usize] = from;
+            next_parent[t] += 1;
+        }
+        match first_malformed {
+            Some(error) => Err(error),
+            None => Ok(Adjacency {
+                child_offsets,
+                children,
+                parent_offsets,
+                parents,
+            }),
         }
     }
 
     /// Number of stages.
     pub fn len(&self) -> usize {
-        self.children.len()
+        self.child_offsets.len() - 1
     }
 
     /// True if there are no stages.
     pub fn is_empty(&self) -> bool {
-        self.children.is_empty()
+        self.len() == 0
     }
 
     /// Number of edges.
     pub fn num_edges(&self) -> usize {
-        self.children.iter().map(Vec::len).sum()
-    }
-
-    /// Adds an edge `from -> to`, validating both endpoints.
-    pub fn add_edge(&mut self, from: StageId, to: StageId) -> Result<(), DagError> {
-        let n = self.len();
-        for s in [from, to] {
-            if s.index() >= n {
-                return Err(DagError::UnknownStage { stage: s });
-            }
-        }
-        if from == to {
-            return Err(DagError::SelfLoop { stage: from });
-        }
-        if self.children[from.index()].contains(&to) {
-            return Err(DagError::DuplicateEdge { from, to });
-        }
-        self.children[from.index()].push(to);
-        self.parents[to.index()].push(from);
-        Ok(())
+        self.children.len()
     }
 
     /// Stages that directly depend on `s`.
     pub fn children(&self, s: StageId) -> &[StageId] {
-        &self.children[s.index()]
+        let i = s.index();
+        &self.children[self.child_offsets[i] as usize..self.child_offsets[i + 1] as usize]
     }
 
     /// Stages that `s` directly depends on.
     pub fn parents(&self, s: StageId) -> &[StageId] {
-        &self.parents[s.index()]
+        let i = s.index();
+        &self.parents[self.parent_offsets[i] as usize..self.parent_offsets[i + 1] as usize]
     }
 
     /// Stages with no parents (ready as soon as the job arrives).
@@ -92,7 +144,11 @@ impl Adjacency {
     /// stage that is part of (or blocked behind) a cycle.
     pub fn topological_order(&self) -> Result<Vec<StageId>, DagError> {
         let n = self.len();
-        let mut indeg: Vec<usize> = (0..n).map(|i| self.parents[i].len()).collect();
+        let mut indeg: Vec<u32> = self
+            .parent_offsets
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .collect();
         let mut queue: VecDeque<StageId> = (0..n as u32)
             .map(StageId)
             .filter(|s| indeg[s.index()] == 0)
@@ -183,14 +239,13 @@ impl Adjacency {
 mod tests {
     use super::*;
 
+    fn s(i: u32) -> StageId {
+        StageId(i)
+    }
+
     /// Diamond: 0 -> {1,2} -> 3
     fn diamond() -> Adjacency {
-        let mut a = Adjacency::new(4);
-        a.add_edge(StageId(0), StageId(1)).unwrap();
-        a.add_edge(StageId(0), StageId(2)).unwrap();
-        a.add_edge(StageId(1), StageId(3)).unwrap();
-        a.add_edge(StageId(2), StageId(3)).unwrap();
-        a
+        Adjacency::from_edges(4, &[(s(0), s(1)), (s(0), s(2)), (s(1), s(3)), (s(2), s(3))]).unwrap()
     }
 
     #[test]
@@ -222,10 +277,7 @@ mod tests {
 
     #[test]
     fn cycle_detection() {
-        let mut a = Adjacency::new(3);
-        a.add_edge(StageId(0), StageId(1)).unwrap();
-        a.add_edge(StageId(1), StageId(2)).unwrap();
-        a.add_edge(StageId(2), StageId(0)).unwrap();
+        let a = Adjacency::from_edges(3, &[(s(0), s(1)), (s(1), s(2)), (s(2), s(0))]).unwrap();
         match a.topological_order() {
             Err(DagError::CycleDetected { .. }) => {}
             other => panic!("expected cycle error, got {other:?}"),
@@ -234,19 +286,16 @@ mod tests {
 
     #[test]
     fn self_loop_rejected() {
-        let mut a = Adjacency::new(2);
         assert_eq!(
-            a.add_edge(StageId(1), StageId(1)),
+            Adjacency::from_edges(2, &[(s(1), s(1))]),
             Err(DagError::SelfLoop { stage: StageId(1) })
         );
     }
 
     #[test]
     fn duplicate_edge_rejected() {
-        let mut a = Adjacency::new(2);
-        a.add_edge(StageId(0), StageId(1)).unwrap();
         assert_eq!(
-            a.add_edge(StageId(0), StageId(1)),
+            Adjacency::from_edges(2, &[(s(0), s(1)), (s(0), s(1))]),
             Err(DagError::DuplicateEdge {
                 from: StageId(0),
                 to: StageId(1)
@@ -256,9 +305,8 @@ mod tests {
 
     #[test]
     fn unknown_stage_rejected() {
-        let mut a = Adjacency::new(2);
         assert_eq!(
-            a.add_edge(StageId(0), StageId(5)),
+            Adjacency::from_edges(2, &[(s(0), s(5))]),
             Err(DagError::UnknownStage { stage: StageId(5) })
         );
     }
@@ -277,8 +325,9 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let a = Adjacency::new(0);
+        let a = Adjacency::from_edges(0, &[]).unwrap();
         assert!(a.is_empty());
+        assert_eq!(a.num_edges(), 0);
         assert!(a.topological_order().unwrap().is_empty());
     }
 }

@@ -20,10 +20,12 @@ use std::sync::OnceLock;
 /// **Treat a built DAG as immutable.**  Derived quantities
 /// ([`JobDag::bottleneck_scores`], [`JobDag::duration_suffix_sums`]) are
 /// cached on first use; mutating `stages`/`adjacency` in place afterwards
-/// serves stale answers silently.  To change a job, build a new one (as
-/// [`JobDag::scaled`] / [`JobDag::renamed`] do) — the fields stay public
-/// for reading and for tests that deliberately construct invalid states
-/// for [`JobDag::validate`].
+/// serves stale answers silently.  To change a job, pass it by value
+/// through a consuming transform — [`JobDag::scaled`] and
+/// [`JobDag::renamed`] rewrite durations or the name in place and return
+/// the job with both caches cleared, copying nothing.  The fields stay
+/// public for reading and for tests that deliberately construct invalid
+/// states for [`JobDag::validate`].
 #[derive(Debug, Serialize, Deserialize)]
 pub struct JobDag {
     /// Human-readable job name, e.g., `"tpch-q17-10g"`.
@@ -39,7 +41,7 @@ pub struct JobDag {
     /// DAG, queried by Decima-style schedulers at every scheduling event.
     /// Excluded from `Clone`/`PartialEq`; mutating `stages`/`adjacency`
     /// through the public fields after the cache is populated leaves it
-    /// stale (construct a new DAG instead, as `scaled`/`renamed` do).
+    /// stale (go through `scaled`/`renamed`, which clear it, instead).
     #[serde(skip)]
     bottleneck_cache: OnceLock<Box<[f64]>>,
     /// Lazily computed per-stage duration suffix sums backing
@@ -194,28 +196,20 @@ impl JobDag {
         self.adjacency.topological_order().map(|_| ())
     }
 
-    /// Returns a copy of the job with every task duration multiplied by
-    /// `factor` (experiment time scaling, §6.1 of the paper).
-    pub fn scaled(&self, factor: f64) -> JobDag {
-        JobDag {
-            name: self.name.clone(),
-            stages: self.stages.iter().map(|s| s.scaled(factor)).collect(),
-            adjacency: self.adjacency.clone(),
-            bottleneck_cache: OnceLock::new(),
-            work_suffix_cache: OnceLock::new(),
-        }
+    /// Returns the job with every task duration multiplied by `factor`
+    /// (experiment time scaling, §6.1 of the paper), rewritten in place;
+    /// the derived-quantity caches are cleared.  Clone first to keep the
+    /// original.
+    pub fn scaled(self, factor: f64) -> JobDag {
+        let stages = self.stages.into_iter().map(|s| s.scaled(factor)).collect();
+        JobDag::from_parts(self.name, stages, self.adjacency)
     }
 
-    /// Returns a copy with a different name (useful when instantiating the
-    /// same template several times within a workload).
-    pub fn renamed(&self, name: impl Into<String>) -> JobDag {
-        JobDag {
-            name: name.into(),
-            stages: self.stages.clone(),
-            adjacency: self.adjacency.clone(),
-            bottleneck_cache: OnceLock::new(),
-            work_suffix_cache: OnceLock::new(),
-        }
+    /// Returns the job under a different name (useful when instantiating
+    /// the same template several times within a workload), with the
+    /// derived-quantity caches cleared.  Clone first to keep the original.
+    pub fn renamed(self, name: impl Into<String>) -> JobDag {
+        JobDag::from_parts(name.into(), self.stages, self.adjacency)
     }
 }
 
@@ -285,9 +279,17 @@ mod tests {
     #[test]
     fn renamed_changes_only_name() {
         let j = chain(2, 1.0);
-        let r = j.renamed("other");
+        let r = j.clone().renamed("other");
         assert_eq!(r.name, "other");
         assert_eq!(r.num_stages(), j.num_stages());
         assert_eq!(r.adjacency, j.adjacency);
+    }
+
+    #[test]
+    fn scaled_clears_the_caches() {
+        let j = chain(3, 60.0);
+        assert_eq!(j.duration_suffix_sums().1[0], 60.0);
+        let j = j.scaled(0.5);
+        assert_eq!(j.duration_suffix_sums().1[0], 30.0);
     }
 }

@@ -78,14 +78,13 @@ impl Stage {
         self.tasks.iter().map(|t| t.shuffle_bytes).sum()
     }
 
-    /// Returns a copy of this stage with all task durations scaled by
-    /// `factor` (see [`Task::scaled`]).
-    pub fn scaled(&self, factor: f64) -> Self {
-        Stage {
-            id: self.id,
-            name: self.name.clone(),
-            tasks: self.tasks.iter().map(|t| t.scaled(factor)).collect(),
+    /// Returns the stage with all task durations scaled by `factor` (see
+    /// [`Task::scaled`]), rewritten in place.
+    pub fn scaled(mut self, factor: f64) -> Self {
+        for task in &mut self.tasks {
+            *task = task.scaled(factor);
         }
+        self
     }
 }
 

@@ -59,8 +59,16 @@ impl AlibabaGenerator {
     }
 
     /// Overrides the mean number of stages per generated DAG.
+    ///
+    /// # Panics
+    /// Panics if `mean < 3.0`: every DAG has at least three stages (see
+    /// `sample_num_stages`), so a smaller mean would silently clamp every
+    /// DAG to exactly three.
     pub fn with_mean_stages(mut self, mean: f64) -> Self {
-        assert!(mean >= 2.0, "DAGs need at least a couple of stages");
+        assert!(
+            mean >= 3.0,
+            "the mean stage count must be at least 3, got {mean}"
+        );
         self.mean_stages = mean;
         self
     }
@@ -258,11 +266,12 @@ mod tests {
         // couple of real-time minutes (the paper reports ≈2.2 minutes).
         let mut g = AlibabaGenerator::new(11);
         let jobs = g.jobs(200);
+        let n = jobs.len() as f64;
         let mean_scaled = jobs
-            .iter()
+            .into_iter()
             .map(|j| j.scaled(crate::PAPER_DURATION_SCALE).total_work())
             .sum::<f64>()
-            / jobs.len() as f64;
+            / n;
         assert!(
             (60.0..300.0).contains(&mean_scaled),
             "scaled mean {mean_scaled:.0}s should be a few minutes"
@@ -277,5 +286,11 @@ mod tests {
             jobs.iter().map(|j| j.num_stages() as f64).sum::<f64>() / jobs.len() as f64
         };
         assert!(avg(&large.jobs(100)) > avg(&small.jobs(100)));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 3")]
+    fn mean_stages_below_the_minimum_rejected() {
+        let _ = AlibabaGenerator::new(5).with_mean_stages(2.5);
     }
 }

@@ -95,16 +95,29 @@ impl WorkloadBuilder {
     }
 
     /// Sets the mean Poisson inter-arrival time in schedule seconds.
+    ///
+    /// # Panics
+    /// Panics unless `seconds` is positive and finite.
     pub fn mean_interarrival(mut self, seconds: f64) -> Self {
-        assert!(seconds > 0.0, "inter-arrival time must be positive");
+        assert!(
+            seconds.is_finite() && seconds > 0.0,
+            "inter-arrival time must be positive and finite, got {seconds}"
+        );
         self.mean_interarrival = seconds;
         self
     }
 
     /// Sets the factor applied to all task durations (default 1/60, the
     /// paper's experiment scaling).  Use `1.0` to keep raw durations.
+    ///
+    /// # Panics
+    /// Panics unless `scale` is positive and finite — here, rather than at
+    /// the first pull in the middle of a simulation.
     pub fn duration_scale(mut self, scale: f64) -> Self {
-        assert!(scale > 0.0, "duration scale must be positive");
+        assert!(
+            scale.is_finite() && scale > 0.0,
+            "duration scale must be positive and finite, got {scale}"
+        );
         self.duration_scale = scale;
         self
     }
@@ -181,7 +194,8 @@ impl WorkloadBuilder {
 
 /// The DAG-sampling half of a workload stream: kind selection, duration
 /// scaling and unique `name#index` renaming, independent of how arrivals
-/// are spaced.
+/// are spaced.  Each pulled DAG is built once and then scaled and renamed
+/// in place.
 struct JobSampler {
     kind: WorkloadKind,
     duration_scale: f64,
@@ -208,7 +222,8 @@ impl JobSampler {
             }
             WorkloadKind::Alibaba => self.alibaba.next_job(),
         };
-        dag.scaled(self.duration_scale).renamed(format!("{}#{}", dag.name, i))
+        let name = format!("{}#{}", dag.name, i);
+        dag.scaled(self.duration_scale).renamed(name)
     }
 }
 
@@ -393,6 +408,24 @@ mod tests {
     #[should_panic(expected = "at least one job")]
     fn zero_jobs_rejected() {
         let _ = WorkloadBuilder::new(WorkloadKind::Alibaba, 0).jobs(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "duration scale must be positive and finite")]
+    fn infinite_duration_scale_rejected() {
+        let _ = WorkloadBuilder::new(WorkloadKind::Alibaba, 0).duration_scale(f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "duration scale must be positive and finite")]
+    fn nan_duration_scale_rejected() {
+        let _ = WorkloadBuilder::new(WorkloadKind::TpchMixed, 0).duration_scale(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "inter-arrival time must be positive and finite")]
+    fn infinite_interarrival_rejected() {
+        let _ = WorkloadBuilder::new(WorkloadKind::TpchMixed, 0).mean_interarrival(f64::INFINITY);
     }
 
     #[test]

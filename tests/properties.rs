@@ -13,7 +13,9 @@ use carbon_aware_dag_sched::prelude::*;
 use pcaps_cluster::schedulers::SimpleFifo;
 use pcaps_core::{KSearchThresholds, ThresholdFn};
 use pcaps_dag::analysis;
-use pcaps_dag::JobProgress;
+use pcaps_dag::{Adjacency, DagError, JobProgress};
+use pcaps_workloads::AlibabaGenerator;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -80,6 +82,226 @@ fn dag_invariants_hold() {
             assert!(bound <= last + 1e-9, "case {case}");
             last = bound;
         }
+    }
+}
+
+/// Oracle: the bottleneck formula as first written — `stage_levels`' bottom
+/// levels over `critical_path`'s length, each computed on its own.
+fn scratch_bottleneck_scores(dag: &JobDag) -> Vec<f64> {
+    let cp = analysis::critical_path(dag).length;
+    let levels = analysis::stage_levels(dag);
+    if cp <= 0.0 {
+        return vec![1.0; dag.num_stages()];
+    }
+    levels
+        .bottom_level
+        .iter()
+        .map(|&b| (b / cp).clamp(0.0, 1.0))
+        .collect()
+}
+
+fn assert_bottleneck_bits(dag: &JobDag, what: &str) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let expected = bits(&scratch_bottleneck_scores(dag));
+    assert_eq!(bits(&analysis::bottleneck_scores(dag)), expected, "{what}");
+    assert_eq!(bits(dag.bottleneck_scores()), expected, "{what}: cached");
+}
+
+/// The linear-time `bottleneck_scores` must equal the formula it replaced
+/// bit for bit, on the DAG families the simulator runs (seeded Alibaba and
+/// every TPC-H query at every scale), on random layered DAGs, and on
+/// all-zero durations (the `cp <= 0` branch).
+#[test]
+fn bottleneck_scores_match_the_critical_path_and_levels_formula() {
+    for seed in [1, 42, 104_729] {
+        let mut gen = AlibabaGenerator::new(seed);
+        for k in 0..60 {
+            assert_bottleneck_bits(&gen.next_job(), &format!("alibaba seed {seed} job {k}"));
+        }
+    }
+    let mut large = AlibabaGenerator::new(5).with_mean_stages(200.0);
+    for k in 0..5 {
+        assert_bottleneck_bits(&large.next_job(), &format!("large alibaba job {k}"));
+    }
+    for q in TpchQuery::all() {
+        for scale in TpchScale::ALL {
+            for seed in 0..3 {
+                assert_bottleneck_bits(&q.job(scale, seed), &format!("{q:?} {scale:?} {seed}"));
+            }
+        }
+    }
+    let mut rng = ChaCha8Rng::seed_from_u64(0xB077);
+    for case in 0..CASES {
+        assert_bottleneck_bits(&random_dag(&mut rng), &format!("random case {case}"));
+    }
+    let idle = JobDagBuilder::new("idle")
+        .uniform_stage("a", 2, 0.0)
+        .uniform_stage("b", 1, 0.0)
+        .edge(StageId(0), StageId(1))
+        .unwrap()
+        .build()
+        .unwrap();
+    assert_eq!(analysis::bottleneck_scores(&idle), vec![1.0, 1.0]);
+    assert_bottleneck_bits(&idle, "zero durations");
+}
+
+/// Per-stage children or parents lists.
+type StageLists = Vec<Vec<StageId>>;
+
+/// Oracle: edges inserted one at a time into per-stage lists, checking
+/// each edge as it arrives (unknown `from`, unknown `to`, self-loop,
+/// repeat of an earlier edge) and stopping at the first error.
+fn sequential_adjacency(
+    n: usize,
+    edges: &[(StageId, StageId)],
+) -> Result<(StageLists, StageLists), DagError> {
+    let mut children = vec![Vec::new(); n];
+    let mut parents = vec![Vec::new(); n];
+    for &(from, to) in edges {
+        for s in [from, to] {
+            if s.index() >= n {
+                return Err(DagError::UnknownStage { stage: s });
+            }
+        }
+        if from == to {
+            return Err(DagError::SelfLoop { stage: from });
+        }
+        if children[from.index()].contains(&to) {
+            return Err(DagError::DuplicateEdge { from, to });
+        }
+        children[from.index()].push(to);
+        parents[to.index()].push(from);
+    }
+    Ok((children, parents))
+}
+
+fn assert_adjacency_matches(n: usize, edges: &[(StageId, StageId)], what: &str) {
+    let csr = Adjacency::from_edges(n, edges);
+    match sequential_adjacency(n, edges) {
+        Ok((children, parents)) => {
+            let adj = csr.unwrap_or_else(|e| panic!("{what}: unexpected {e:?}"));
+            assert_eq!(adj.len(), n, "{what}");
+            assert_eq!(adj.num_edges(), edges.len(), "{what}");
+            for i in 0..n {
+                let s = StageId(i as u32);
+                assert_eq!(adj.children(s), &children[i][..], "{what}: children of {i}");
+                assert_eq!(adj.parents(s), &parents[i][..], "{what}: parents of {i}");
+            }
+        }
+        Err(expected) => assert_eq!(csr, Err(expected), "{what}"),
+    }
+}
+
+/// `Adjacency::from_edges` must produce the same per-stage lists, in
+/// insertion order, as inserting edge by edge, and fail with the same
+/// first error.
+#[test]
+fn adjacency_from_edges_matches_sequential_insertion() {
+    let s = StageId;
+    let fixed: [(usize, Vec<(StageId, StageId)>); 6] = [
+        // A repeat before an unknown stage...
+        (3, vec![(s(0), s(1)), (s(0), s(1)), (s(0), s(9))]),
+        // ...and an unknown `from` or `to` before a repeat.
+        (3, vec![(s(0), s(1)), (s(9), s(0)), (s(0), s(1))]),
+        (3, vec![(s(0), s(1)), (s(1), s(9)), (s(0), s(1))]),
+        // A self-loop before a repeat, and after one.
+        (3, vec![(s(2), s(2)), (s(0), s(1)), (s(0), s(1))]),
+        (3, vec![(s(0), s(1)), (s(0), s(1)), (s(2), s(2))]),
+        // An unknown stage is reported before the self-loop it forms.
+        (2, vec![(s(5), s(5))]),
+    ];
+    for (k, (n, edges)) in fixed.iter().enumerate() {
+        assert_adjacency_matches(*n, edges, &format!("fixed case {k}"));
+    }
+    let mut rng = ChaCha8Rng::seed_from_u64(0xC5A);
+    let mut outcomes = [0usize; 4];
+    for case in 0..512 {
+        let n = rng.gen_range(0..9usize);
+        let mut edges: Vec<(StageId, StageId)> = Vec::new();
+        for _ in 0..rng.gen_range(0..3 * n + 2) {
+            let roll = rng.gen_range(0..100u32);
+            let edge = if roll < 2 || n == 0 {
+                (
+                    s(rng.gen_range(0..n as u32 + 3)),
+                    s(n as u32 + rng.gen_range(0..3u32)),
+                )
+            } else if roll < 4 {
+                (
+                    s(n as u32 + rng.gen_range(0..3u32)),
+                    s(rng.gen_range(0..n as u32)),
+                )
+            } else if roll < 6 {
+                let x = s(rng.gen_range(0..n as u32));
+                (x, x)
+            } else if roll < 10 && !edges.is_empty() {
+                *edges.choose(&mut rng).unwrap()
+            } else {
+                (s(rng.gen_range(0..n as u32)), s(rng.gen_range(0..n as u32)))
+            };
+            edges.push(edge);
+        }
+        assert_adjacency_matches(n, &edges, &format!("case {case}"));
+        outcomes[match sequential_adjacency(n, &edges) {
+            Ok(_) => 0,
+            Err(DagError::UnknownStage { .. }) => 1,
+            Err(DagError::SelfLoop { .. }) => 2,
+            Err(_) => 3,
+        }] += 1;
+    }
+    assert!(
+        outcomes.iter().all(|&c| c >= 20),
+        "every outcome must be exercised: ok/unknown/self-loop/duplicate = {outcomes:?}"
+    );
+}
+
+/// Asserts that `streamed` is `bare` with every duration multiplied by
+/// `scale` (bit for bit) and named `"{bare.name}#{index}"`.
+fn assert_scaled_and_renamed(streamed: &JobDag, bare: &JobDag, scale: f64, index: usize) {
+    let what = format!("job {index} ({})", bare.name);
+    assert_eq!(streamed.name, format!("{}#{index}", bare.name), "{what}");
+    assert_eq!(streamed.adjacency, bare.adjacency, "{what}");
+    assert_eq!(streamed.num_stages(), bare.num_stages(), "{what}");
+    for (got, raw) in streamed.stages.iter().zip(&bare.stages) {
+        assert_eq!((got.id, &got.name), (raw.id, &raw.name), "{what}");
+        assert_eq!(got.tasks.len(), raw.tasks.len(), "{what}");
+        for (t, r) in got.tasks.iter().zip(&raw.tasks) {
+            assert_eq!(
+                t.duration.to_bits(),
+                (r.duration * scale).to_bits(),
+                "{what}"
+            );
+            assert_eq!(t.shuffle_bytes, r.shuffle_bytes, "{what}");
+        }
+    }
+}
+
+/// A streamed job is its generator's DAG with every duration multiplied
+/// by the builder's scale and a unique `name#index` — nothing else.  The
+/// generator seeds (`seed ^ 0xBEEF` for Alibaba, `seed` for the TPC-H
+/// query draws) are the sampler's.
+#[test]
+fn streamed_dags_are_generator_dags_scaled_and_renamed() {
+    for (seed, scale) in [(3u64, None), (42, Some(0.37)), (104_729, Some(1.0))] {
+        let mut builder = WorkloadBuilder::new(WorkloadKind::Alibaba, seed).jobs(40);
+        if let Some(scale) = scale {
+            builder = builder.duration_scale(scale);
+        }
+        let scale = scale.unwrap_or(pcaps_workloads::PAPER_DURATION_SCALE);
+        let mut gen = AlibabaGenerator::new(seed ^ 0xBEEF);
+        for (i, job) in builder.stream().enumerate() {
+            assert_scaled_and_renamed(&job.dag, &gen.next_job(), scale, i);
+        }
+    }
+    let scale = 0.37;
+    let builder = WorkloadBuilder::new(WorkloadKind::TpchMixed, 9)
+        .jobs(40)
+        .duration_scale(scale);
+    let mut rng = ChaCha8Rng::seed_from_u64(9);
+    let queries = TpchQuery::all();
+    for (i, job) in builder.stream().enumerate() {
+        let q = *queries.choose(&mut rng).unwrap();
+        let at = *TpchScale::ALL.choose(&mut rng).unwrap();
+        assert_scaled_and_renamed(&job.dag, &q.job(at, rng.gen()), scale, i);
     }
 }
 
