@@ -67,9 +67,11 @@ require_full_suite() {
 # oracle, from_matrix ≡ TransferMatrix bit-identity on fed3_migrate_pcaps,
 # drain-then-move replay determinism); tests/scheduler_state.rs pins the
 # incremental probabilistic-scheduler state (DecimaLike's version-stamped
-# score table and cached jobs-with-work count) bit for bit against
-# from-scratch oracles across arrivals, completions, serve-mode compaction
-# and migration.
+# table of factorised softmax terms, recomputed in full only when the
+# max-remaining normaliser changes, and its cached jobs-with-work count)
+# bit for bit against a from-scratch factorised oracle, and within rounding
+# of the textbook softmax, across arrivals, completions, serve-mode
+# compaction and migration.
 require_full_suite migration "migration conformance suite"
 require_full_suite streaming "streaming-equivalence suite"
 require_full_suite faults "fault-injection conformance suite"
@@ -77,6 +79,12 @@ require_full_suite steady_state "steady-state serving suite"
 require_full_suite parallel "execution-mode determinism suite"
 require_full_suite network "network-topology conformance suite"
 require_full_suite scheduler_state "incremental scheduler-state suite"
+
+# Committed results must regenerate from the code: repro_check reruns the
+# multi_region, reliability and steady_state sweeps in full (byte for
+# byte) and the 1k/10k-job rows of alibaba_scale (schedule columns), and
+# exits non-zero with a row diff on any drift.
+cargo run --release -q -p pcaps-experiments --bin repro_check
 
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT

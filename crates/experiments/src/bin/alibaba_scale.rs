@@ -3,9 +3,8 @@
 //! `results/alibaba_scale.csv` with peak-resident-jobs and wall-time
 //! columns — the proof that a trace-scale run never materializes the
 //! workload.
-use pcaps_experiments::alibaba_scale::{run_scale_trial_mode, to_csv, ScaleConfig};
+use pcaps_experiments::alibaba_scale::{scale_sweep, to_csv, ScaleConfig};
 use pcaps_experiments::write_results_file;
-use pcaps_cluster::ExecutionMode;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -17,32 +16,26 @@ fn main() {
         config.executors,
         config.region.code(),
     );
+    // Sequential and batched run back to back per cell: the paired
+    // wall-time rows are an interleaved same-box A/B of the execution
+    // modes on identical (bit-for-bit) schedules.
+    let rows = scale_sweep(&config);
     println!(
         "{:<14} {:>10} {:>8} {:>14} {:>10} {:>12} {:>10} {:>10}",
         "scheduler", "mode", "jobs", "peak_resident", "wall_s", "makespan_s", "tasks", "avg_jct_s"
     );
-    // Sequential and batched run back to back per cell: the paired
-    // wall-time rows are an interleaved same-box A/B of the execution
-    // modes on identical (bit-for-bit) schedules.
-    let mut rows = Vec::new();
-    for &jobs in &config.job_counts {
-        for &spec in &config.schedulers {
-            for mode in [ExecutionMode::Sequential, ExecutionMode::Batched] {
-                let row = run_scale_trial_mode(&config, jobs, spec, mode);
-                println!(
-                    "{:<14} {:>10} {:>8} {:>14} {:>10.2} {:>12.0} {:>10} {:>10.1}",
-                    row.scheduler,
-                    row.mode,
-                    row.jobs,
-                    row.peak_resident_jobs,
-                    row.wall_seconds,
-                    row.makespan,
-                    row.tasks_dispatched,
-                    row.avg_jct,
-                );
-                rows.push(row);
-            }
-        }
+    for row in &rows {
+        println!(
+            "{:<14} {:>10} {:>8} {:>14} {:>10.2} {:>12.0} {:>10} {:>10.1}",
+            row.scheduler,
+            row.mode,
+            row.jobs,
+            row.peak_resident_jobs,
+            row.wall_seconds,
+            row.makespan,
+            row.tasks_dispatched,
+            row.avg_jct,
+        );
     }
     let max_ratio = rows
         .iter()

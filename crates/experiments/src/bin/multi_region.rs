@@ -9,43 +9,20 @@
 //! demonstrating the green-behind-congested-link inversion: blind
 //! carbon-delta migration loses on JCT against never-migrate, while the
 //! transfer-delay-aware variant declines the contended moves.
-use pcaps_carbon::GridRegion;
-use pcaps_experiments::multi_region::{
-    multi_region_sweep, render, to_csv, FederationExperimentConfig, MigrationSpec, RouterSpec,
-};
-use pcaps_experiments::runner::{BaseScheduler, SchedulerSpec};
+use pcaps_experiments::multi_region::{render, MigrationSpec, MultiRegionSweep, RouterSpec};
 use pcaps_experiments::write_results_file;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    // The full sweep runs 96 jobs on 8 executors per member: enough load
-    // that the single greenest grid cannot absorb everything, so routing
-    // must overflow onto second-best grids — exactly the regime where
-    // placements go stale and live migration earns its keep.  (At the old
-    // 48-job/20-executor operating point, Ontario's hydro grid swallowed the
-    // whole workload and migration had nothing left to fix.)
-    let (regions, jobs, execs): (Vec<GridRegion>, usize, usize) = if quick {
-        (vec![GridRegion::Caiso, GridRegion::SouthAfrica], 12, 10)
-    } else {
-        (GridRegion::ALL.to_vec(), 96, 8)
-    };
-    let num_members = regions.len();
-    let mut config = FederationExperimentConfig::standard(regions, jobs, 42);
-    config.executors_per_member = execs;
-    let specs = [
-        SchedulerSpec::Baseline(BaseScheduler::Fifo),
-        SchedulerSpec::Baseline(BaseScheduler::Decima),
-        SchedulerSpec::pcaps_moderate(),
-    ];
-    let outputs = multi_region_sweep(&config, &RouterSpec::ALL, &MigrationSpec::ALL, &specs);
+    let sweep = MultiRegionSweep::run(quick);
     println!(
         "Multi-region federation sweep — {} members × {} routers × {} migration policies × {} schedulers\n",
-        num_members,
+        sweep.config.regions.len(),
         RouterSpec::ALL.len(),
         MigrationSpec::ALL.len(),
-        specs.len()
+        sweep.specs.len()
     );
-    println!("{}", render(&outputs).render());
+    println!("{}", render(&sweep.outputs).render());
     println!(
         "Carbon-aware routing composes with carbon-aware scheduling — and live migration\n\
          gives the placement a second chance: jobs stranded on a grid that turned dirty\n\
@@ -53,23 +30,8 @@ fn main() {
          per-GB transfer (delay + network energy).  See results/multi_region.csv for the\n\
          per-region breakdown including migration counts and transfer seconds."
     );
-    // Congested arm: the two-region cliff (round-robin strands half the
-    // jobs on the dirty grid) with that grid's uplink choked to 0.01 GB/s —
-    // a single 6 GB move takes 600 schedule seconds alone, far past the
-    // aware policy's 60 s cap, and max-min sharing makes concurrent
-    // evacuations slower still.
-    let mut cliff =
-        FederationExperimentConfig::standard(vec![GridRegion::Caiso, GridRegion::SouthAfrica], 12, 42);
-    cliff.executors_per_member = 4;
-    let congested = cliff.clone().with_network(cliff.congested_uplink(1, 0.01));
-    let congested_outputs = multi_region_sweep(
-        &congested,
-        &[RouterSpec::RoundRobin],
-        &MigrationSpec::ALL,
-        &[SchedulerSpec::Baseline(BaseScheduler::Fifo)],
-    );
     println!("\nCongested-uplink arm — ZA's uplink capped at 0.01 GB/s (link-level network model):\n");
-    println!("{}", render(&congested_outputs).render());
+    println!("{}", render(&sweep.congested).render());
     println!(
         "Behind a congested link the payoff inverts: blind carbon-delta migration still\n\
          chases the green grid, but its transfers crawl through the shared 0.01 GB/s\n\
@@ -77,8 +39,5 @@ fn main() {
          sees the contention-aware transfer estimate blow past its cap and declines\n\
          the moves, recovering the JCT loss."
     );
-    let mut csv = to_csv(&outputs);
-    // Same schema, so the congested rows append under the one header.
-    csv.push_str(to_csv(&congested_outputs).split_once('\n').map(|(_, rest)| rest).unwrap_or(""));
-    let _ = write_results_file("multi_region.csv", &csv);
+    let _ = write_results_file("multi_region.csv", &sweep.to_csv());
 }

@@ -8,48 +8,19 @@
 //! matrix and through a link-level network whose outaged-member uplink is
 //! choked — showing the simultaneous evacuations contending for the same
 //! link under max-min fair sharing.
-use pcaps_carbon::GridRegion;
-use pcaps_cluster::RegionOutage;
-use pcaps_experiments::multi_region::MigrationSpec;
-use pcaps_experiments::reliability::{
-    reliability_sweep, render, run_outage_trial, to_csv, ReliabilityStrategy,
-};
-use pcaps_experiments::runner::{BaseScheduler, SchedulerSpec};
+use pcaps_experiments::reliability::{render, ReliabilitySweep};
 use pcaps_experiments::write_results_file;
-use pcaps_experiments::FederationExperimentConfig;
-use pcaps_experiments::RouterSpec;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let (regions, jobs, execs): (Vec<GridRegion>, usize, usize) = if quick {
-        (vec![GridRegion::Caiso, GridRegion::SouthAfrica], 12, 8)
-    } else {
-        (
-            vec![GridRegion::Caiso, GridRegion::Germany, GridRegion::SouthAfrica],
-            48,
-            10,
-        )
-    };
-    let num_members = regions.len();
-    let mut config = FederationExperimentConfig::standard(regions, jobs, 42);
-    config.executors_per_member = execs;
-    // Fault-free baseline, then mean times between crashes per member from
-    // rare (one crash per trace-hour of schedule time) to punishing.
-    let mtbfs: &[Option<f64>] = if quick {
-        &[None, Some(600.0)]
-    } else {
-        &[None, Some(3_600.0), Some(900.0), Some(300.0)]
-    };
-    let strategies = ReliabilityStrategy::ladder();
-    let outputs = reliability_sweep(&config, mtbfs, &strategies)
-        .expect("the generous trial retry policy never exhausts a task's attempts");
+    let sweep = ReliabilitySweep::run(quick);
     println!(
         "Reliability sweep — {} members × {} crash rates × {} strategies\n",
-        num_members,
-        mtbfs.len(),
-        strategies.len()
+        sweep.config.regions.len(),
+        sweep.mtbfs.len(),
+        sweep.strategies.len()
     );
-    println!("{}", render(&outputs).render());
+    println!("{}", render(&sweep.outputs).render());
     println!(
         "Crashes waste both time and carbon: every thrown-away attempt drew power at\n\
          the grid's intensity when it ran.  Goodput tracks the retained fraction of\n\
@@ -57,38 +28,13 @@ fn main() {
          under churn because routing and migration steer retries toward green grids.\n\
          See results/reliability.csv for every trial."
     );
-    // Outage arm: the green grid goes down 60 s after a burst of arrivals,
-    // so its whole queue evacuates to the survivor at once.  Replayed on
-    // the uniform matrix and through a network whose outaged-member uplink
-    // is choked to 0.001 GB/s — same evacuations, but now they contend for
-    // one link under max-min fair sharing.
-    let mut cliff =
-        FederationExperimentConfig::standard(vec![GridRegion::Caiso, GridRegion::SouthAfrica], 12, 42);
-    cliff.executors_per_member = 2;
-    cliff.mean_interarrival = 1.0;
-    let congested = cliff.clone().with_network(cliff.congested_uplink(0, 0.001));
-    let outage = RegionOutage::new(0, 60.0, 86_400.0);
-    let strategy = ReliabilityStrategy {
-        router: RouterSpec::RoundRobin,
-        migration: MigrationSpec::Never,
-        spec: SchedulerSpec::Baseline(BaseScheduler::Fifo),
-    };
-    let outage_outputs = vec![
-        run_outage_trial(&cliff, &outage, strategy)
-            .expect("outage trials dispatch no crashed attempts"),
-        run_outage_trial(&congested, &outage, strategy)
-            .expect("outage trials dispatch no crashed attempts"),
-    ];
     println!("\nOutage-evacuation arm — CAISO down from t=60 s, uplink 0.001 GB/s when congested:\n");
-    println!("{}", render(&outage_outputs).render());
+    println!("{}", render(&sweep.outage).render());
     println!(
         "Both runs evacuate the same jobs; only the transfer model differs.  Through the\n\
          choked uplink the simultaneous evacuation flows max-min share 0.001 GB/s, so\n\
          the moves that cost seconds on the uniform matrix now serialise into hours —\n\
          the degradation an outage really causes when every refugee crosses one link."
     );
-    let mut csv = to_csv(&outputs);
-    // Same schema, so the outage rows append under the one header.
-    csv.push_str(to_csv(&outage_outputs).split_once('\n').map(|(_, rest)| rest).unwrap_or(""));
-    let _ = write_results_file("reliability.csv", &csv);
+    let _ = write_results_file("reliability.csv", &sweep.to_csv());
 }

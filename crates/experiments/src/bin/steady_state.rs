@@ -2,36 +2,24 @@
 //! multipliers × {FIFO, PCAPS} × admission {none, bounded-queue}, reported
 //! as windowed queueing-delay percentiles, throughput, and carbon per
 //! executor-hour; writes `results/steady_state.csv` (one row per window).
-use pcaps_carbon::GridRegion;
-use pcaps_experiments::steady_state::{
-    default_specs, render, steady_state_sweep, to_csv, AdmissionSpec, SteadyStateConfig,
-};
+use pcaps_experiments::steady_state::{render, SteadyStateSweep};
 use pcaps_experiments::write_results_file;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let mut config = SteadyStateConfig::standard(GridRegion::Germany, 42);
-    let rates: &[f64] = if quick {
-        config.horizon = 720.0;
-        config.executors = 12;
-        &[1.0, 3.0]
-    } else {
-        &[0.5, 1.0, 2.0, 4.0]
-    };
-    let specs = default_specs();
-    let admissions = [AdmissionSpec::None, AdmissionSpec::Bounded(4 * config.executors)];
-    let outputs = steady_state_sweep(&config, rates, &specs, &admissions);
+    let sweep = SteadyStateSweep::run(quick);
+    let config = &sweep.config;
     println!(
         "Steady-state serving sweep — {} rate multipliers × {} schedulers × {} admission arms\n\
          ({} schedule-second horizon, {}-second windows, diurnal amplitude {})\n",
-        rates.len(),
-        specs.len(),
-        admissions.len(),
+        sweep.rates.len(),
+        sweep.specs.len(),
+        sweep.admissions.len(),
         config.horizon,
         config.window,
         config.amplitude
     );
-    println!("{}", render(&outputs).render());
+    println!("{}", render(&sweep.outputs).render());
     println!(
         "Past saturation the finite-trial story inverts: PCAPS's deferral into green\n\
          windows shows up as standing queueing delay (and without admission control,\n\
@@ -39,5 +27,5 @@ fn main() {
          for finite delay percentiles.  See results/steady_state.csv for the full\n\
          per-window percentile series."
     );
-    let _ = write_results_file("steady_state.csv", &to_csv(&outputs));
+    let _ = write_results_file("steady_state.csv", &sweep.to_csv());
 }

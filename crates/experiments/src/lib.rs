@@ -38,7 +38,8 @@
 //! (binary: `steady_state`, CSV: `results/steady_state.csv`).
 //!
 //! The `repro_all` binary runs everything back to back (pass `--quick` for a
-//! reduced-trial smoke run).
+//! reduced-trial smoke run).  The `repro_check` binary reruns the sweeps
+//! behind the committed CSVs and fails on any drift (see [`repro`]).
 //!
 //! All experiments are deterministic given their seeds; trials differ only in
 //! the seed and the offset into the carbon trace, mirroring the paper's
@@ -61,6 +62,7 @@ pub mod headline;
 pub mod multi_region;
 pub mod per_grid;
 pub mod reliability;
+pub mod repro;
 pub mod runner;
 pub mod steady_state;
 pub mod streaming;
@@ -84,6 +86,12 @@ pub use steady_state::{
 
 /// Directory (relative to the workspace root) where CSV outputs are written.
 pub const RESULTS_DIR: &str = "results";
+
+/// The rows of a CSV without its header line: how a sweep appends a second
+/// arm with the same schema under the first arm's header.
+pub(crate) fn csv_rows(csv: &str) -> &str {
+    csv.split_once('\n').map(|(_, rows)| rows).unwrap_or("")
+}
 
 /// Writes `contents` to `results/<name>` (best effort — experiments still
 /// print to stdout if the directory cannot be created).

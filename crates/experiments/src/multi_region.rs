@@ -18,7 +18,7 @@
 //! policy never collide in the output.
 
 use crate::format::TextTable;
-use crate::runner::SchedulerSpec;
+use crate::runner::{BaseScheduler, SchedulerSpec};
 use pcaps_carbon::{CarbonAccountant, GridRegion, TraceSet};
 use pcaps_cluster::{
     ExecutionMode, Federation, FederationResult, Member, MigrationPolicy, NetworkTopology,
@@ -459,6 +459,76 @@ pub fn multi_region_sweep(
             run_federated_trial_with_migration(config, router, migration, spec)
         })
         .collect()
+}
+
+/// The sweep behind `results/multi_region.csv`, shared by the
+/// `multi_region` binary (which prints it) and `repro_check` (which
+/// compares its CSV with the committed file).
+#[derive(Debug, Clone)]
+pub struct MultiRegionSweep {
+    /// The main arm's configuration.
+    pub config: FederationExperimentConfig,
+    /// The main arm's scheduler specs.
+    pub specs: Vec<SchedulerSpec>,
+    /// The main arm: every router × migration policy × scheduler.
+    pub outputs: Vec<FederatedTrialOutput>,
+    /// The congested-uplink arm: the two-region carbon cliff under
+    /// round-robin routing and FIFO, with the dirty grid's uplink choked to
+    /// 0.01 GB/s, for every migration policy.
+    pub congested: Vec<FederatedTrialOutput>,
+}
+
+impl MultiRegionSweep {
+    /// Runs both arms.  `quick` shrinks the main arm to two regions and 12
+    /// jobs.
+    pub fn run(quick: bool) -> Self {
+        // The full sweep runs 96 jobs on 8 executors per member: enough load
+        // that the single greenest grid cannot absorb everything, so routing
+        // must overflow onto second-best grids — exactly the regime where
+        // placements go stale and live migration earns its keep.  (At a
+        // 48-job/20-executor operating point, Ontario's hydro grid swallows
+        // the whole workload and migration has nothing left to fix.)
+        let (regions, jobs, execs): (Vec<GridRegion>, usize, usize) = if quick {
+            (vec![GridRegion::Caiso, GridRegion::SouthAfrica], 12, 10)
+        } else {
+            (GridRegion::ALL.to_vec(), 96, 8)
+        };
+        let mut config = FederationExperimentConfig::standard(regions, jobs, 42);
+        config.executors_per_member = execs;
+        let specs = vec![
+            SchedulerSpec::Baseline(BaseScheduler::Fifo),
+            SchedulerSpec::Baseline(BaseScheduler::Decima),
+            SchedulerSpec::pcaps_moderate(),
+        ];
+        let outputs = multi_region_sweep(&config, &RouterSpec::ALL, &MigrationSpec::ALL, &specs);
+        // Congested arm: the two-region cliff (round-robin strands half the
+        // jobs on the dirty grid) with that grid's uplink choked to 0.01 GB/s
+        // — a single 6 GB move takes 600 schedule seconds alone, far past
+        // the aware policy's 60 s cap, and max-min sharing makes concurrent
+        // evacuations slower still.
+        let mut cliff = FederationExperimentConfig::standard(
+            vec![GridRegion::Caiso, GridRegion::SouthAfrica],
+            12,
+            42,
+        );
+        cliff.executors_per_member = 4;
+        let congested_config = cliff.clone().with_network(cliff.congested_uplink(1, 0.01));
+        let congested = multi_region_sweep(
+            &congested_config,
+            &[RouterSpec::RoundRobin],
+            &MigrationSpec::ALL,
+            &[SchedulerSpec::Baseline(BaseScheduler::Fifo)],
+        );
+        MultiRegionSweep { config, specs, outputs, congested }
+    }
+
+    /// Both arms as one CSV (the format of `results/multi_region.csv`): the
+    /// congested rows share the schema and append under the one header.
+    pub fn to_csv(&self) -> String {
+        let mut csv = to_csv(&self.outputs);
+        csv.push_str(crate::csv_rows(&to_csv(&self.congested)));
+        csv
+    }
 }
 
 /// Renders the sweep as a text table (one aggregate line per trial).

@@ -294,6 +294,47 @@ pub fn steady_state_sweep(
     out
 }
 
+/// The sweep behind `results/steady_state.csv`, shared by the
+/// `steady_state` binary (which prints it) and `repro_check` (which
+/// compares its CSV with the committed file).
+#[derive(Debug, Clone)]
+pub struct SteadyStateSweep {
+    /// The serving configuration (German grid, seed 42).
+    pub config: SteadyStateConfig,
+    /// Arrival-rate multipliers.
+    pub rates: Vec<f64>,
+    /// Scheduler arms ([`default_specs`]).
+    pub specs: Vec<SchedulerSpec>,
+    /// Admission arms: none, and a queue bounded at `4·K`.
+    pub admissions: Vec<AdmissionSpec>,
+    /// Every rate × scheduler × admission trial.
+    pub outputs: Vec<SteadyTrialOutput>,
+}
+
+impl SteadyStateSweep {
+    /// Runs the sweep.  `quick` shortens the horizon to 720 schedule
+    /// seconds on 12 executors at two rates.
+    pub fn run(quick: bool) -> Self {
+        let mut config = SteadyStateConfig::standard(GridRegion::Germany, 42);
+        let rates = if quick {
+            config.horizon = 720.0;
+            config.executors = 12;
+            vec![1.0, 3.0]
+        } else {
+            vec![0.5, 1.0, 2.0, 4.0]
+        };
+        let specs = default_specs();
+        let admissions = vec![AdmissionSpec::None, AdmissionSpec::Bounded(4 * config.executors)];
+        let outputs = steady_state_sweep(&config, &rates, &specs, &admissions);
+        SteadyStateSweep { config, rates, specs, admissions, outputs }
+    }
+
+    /// The sweep as CSV (the format of `results/steady_state.csv`).
+    pub fn to_csv(&self) -> String {
+        to_csv(&self.outputs)
+    }
+}
+
 /// The sweep's default scheduler arms: FIFO and moderately carbon-aware
 /// PCAPS.
 pub fn default_specs() -> Vec<SchedulerSpec> {

@@ -22,54 +22,75 @@
 //! scores were learned, so a policy with the same preferences (short jobs
 //! first, critical path first) exercises the same carbon filter.
 //!
-//! # Incremental passes
+//! # Factorised softmax
+//!
+//! A dispatchable stage `i` of job `j` scores
+//! `s = w_s·(1 − R_j/N) + w_c·C_j + w_b·b_i`: a job term (remaining work
+//! `R_j` over the max-remaining normaliser `N`, completed-stage fraction
+//! `C_j`) plus a stage term (the stage's bottleneck score `b_i`).  Its
+//! softmax weight `exp((s − ref) / T)` therefore splits exactly into
+//!
+//! ```text
+//! job factor    J_j = exp((w_s·(1 − R_j/N) + w_c·C_j + bmax_j − ref) / T)
+//! stage factor  e_i = exp((w_b·b_i − bmax_j) / T)
+//! ```
+//!
+//! where `bmax_j` is the largest `w_b·b_i` among the job's dispatchable
+//! stages, so `e_i ≤ 1`, and exactly 1 for the job's best stage.  With
+//! `E_j = Σ e_i` over the job's stages, `p_i = J_j·e_i / Σ` where
+//! `Σ = Σ_j J_j·E_j`.
 //!
 //! Every pass (one per `on_event`, `sample` or `distribution_into` call)
-//! must produce the bits a from-scratch computation would: max-remaining
-//! normaliser, one score per dispatchable `(job, stage)` pair, then the
-//! softmax `exp((s − max s) / T) / Σ`.  Most of that is reused between
-//! passes, keyed on three things:
+//! reuses what its inputs allow:
 //!
-//! * **Job version.**  Each job owns a block of per-pair records
-//!   (`(job, stage)`, `w_b · bottleneck[stage]`, score, weight), cached
-//!   under its [`JobProgress::version`].  Equal id and version mean an
-//!   equal dispatchable set and remaining work, so only changed jobs
-//!   rebuild their blocks.
-//! * **Normaliser bits.**  Every score depends on the pass's max-remaining
-//!   normaliser, so when its bits change every pair is rescored; otherwise
-//!   only the rebuilt blocks are.
-//! * **Max-score bits.**  Every weight depends on the max score, so when the
-//!   normaliser's or the max score's bits change every pair is
-//!   re-exponentiated; otherwise only the rebuilt blocks are.
+//! * **Job version.**  Each job's entry (`R_j`, `w_c·C_j`, `bmax_j`, `E_j`
+//!   and `J_j`) is cached under its [`JobProgress::version`].  Equal id and
+//!   version mean an equal dispatchable set and remaining work, so only
+//!   changed jobs rebuild, at O(stages) `exp`s each.  Nothing is stored per
+//!   stage: sampling recomputes the chosen job's few `e_i` with the same
+//!   operations that summed them into `E_j`.
+//! * **Normaliser bits.**  Every job factor depends on `N`, so when its
+//!   bits change every `J_j` is recomputed; otherwise only rebuilt jobs'
+//!   are.
+//! * **Reference score.**  `ref` starts at 0 and is rebased only when the
+//!   largest job factor leaves `[2⁻⁶⁴, 2⁶⁴]`.  It then becomes the largest
+//!   job score, so the largest factor is exactly 1, and every factor is
+//!   recomputed.  No factor overflows and `Σ` never underflows to 0, for
+//!   any `T > 0`.  Scores lie within `±(|w_s| + |w_b| + |w_c|)`, so at the
+//!   default weights (`T = 1`, scores in `[0, 4]`) `ref` never moves.
 //!
-//! The max-score fold and the normalising sum still run over every pair each
-//! pass — the same sequential folds in the same order — so cached and fresh
-//! values are indistinguishable and schedules are bit-identical to a
-//! from-scratch pass.  [`DecimaLike::cache_stats`] counts which regime each
-//! pass took.  The reuse pays off when many jobs are resident, since the
-//! normaliser and the max score then rarely move.  With a handful of jobs
-//! nearly every pass re-weights everything (603 of 645 passes in the
-//! `decima` reference trial), and a pass costs about what a from-scratch
-//! one does.
+//! The folds of `Σ` and `max_j J_j` run over jobs, not stages, so a pass
+//! costs O(resident jobs) plus O(stages) per changed job.  Sampling picks
+//! the first job whose cumulative `J_j·E_j` reaches `r·Σ`, then that job's
+//! first stage whose cumulative `e_i` reaches the remainder `÷ J_j`, and
+//! reports `max p = max_j J_j / Σ`.  That is exact: the best stage's weight
+//! is `J_j·1`, every other is `J_j·e_i ≤ J_j`, and correctly rounded
+//! division by the same `Σ` preserves order, so the argmax stage's relative
+//! importance `p / max p` is exactly 1.
 //!
-//! Sampling never materialises the distribution: it walks the CDF of
-//! `weight / Σ` lazily (the divisions the softmax would make, in its order)
-//! and reports `max p = 1 / Σ`.  That is exact: the argmax pair's weight is
-//! `exp(0 / T) = 1` and every other weight is `exp(≤ 0) ≤ 1`, and correctly
-//! rounded division by the same positive `Σ` preserves order, so the
-//! largest `w / Σ` is `1 / Σ` bit for bit.
+//! The textbook softmax `exp((s − max s) / T) / Σ` ([`softmax`]) is the same
+//! distribution up to rounding: probabilities differ by a few ulps, so a
+//! sample can differ from [`sample_cdf`] over it only when `r` lies within
+//! rounding of a CDF boundary.  `tests/scheduler_state.rs` pins every pass
+//! bit for bit against a from-scratch factorised recomputation and within
+//! `1e-12` relative of the textbook softmax; [`DecimaLike::cache_stats`]
+//! counts the passes, full refactors and `exp`s.
 //!
 //! [`JobProgress::version`]: pcaps_dag::JobProgress::version
+//! [`softmax`]: crate::probabilistic::softmax
+//! [`sample_cdf`]: crate::probabilistic::sample_cdf
 
-use crate::probabilistic::{
-    sample_cdf, ProbabilisticScheduler, SampledStage, StageProbability,
-};
-use pcaps_cluster::{DecisionSink, SchedEvent, Scheduler, SchedulingContext};
+use crate::probabilistic::{ProbabilisticScheduler, SampledStage, StageProbability};
+use pcaps_cluster::{DecisionSink, JobView, SchedEvent, Scheduler, SchedulingContext};
 use pcaps_dag::{JobId, StageId};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::ops::Range;
+
+/// Bounds on the largest job factor between rebases of the reference score
+/// (see the module docs): `2⁻⁶⁴` and `2⁶⁴`.
+const FACTOR_MAX: f64 = 18_446_744_073_709_551_616.0;
+const FACTOR_MIN: f64 = 1.0 / FACTOR_MAX;
 
 /// Feature weights for the Decima-like scoring function.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,71 +117,110 @@ impl Default for DecimaWeights {
     }
 }
 
+impl DecimaWeights {
+    /// Job `j`'s best score `w_s·(1 − R_j/N) + w_c·C_j + bmax_j`.
+    fn job_score(&self, entry: &JobEntry, normaliser: f64) -> f64 {
+        self.short_job * (1.0 - entry.remaining / normaliser)
+            + entry.completion_term
+            + entry.best_bottleneck
+    }
+
+    /// The stage factor `e_i = exp((w_b·b_i − bmax_j) / T)`.
+    fn stage_factor(&self, bottleneck: f64, best_bottleneck: f64) -> f64 {
+        ((self.bottleneck * bottleneck - best_bottleneck) / self.temperature).exp()
+    }
+}
+
 /// Counters of [`DecimaLike`]'s incremental passes (see the module docs):
-/// plain integers, bumped once per pass or per regime.
+/// plain integers, bumped once per pass or per `exp`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecimaCacheStats {
     /// Distribution passes (one per `on_event`, `sample` or
     /// `distribution_into` call).
     pub passes: u64,
-    /// Passes whose max-remaining normaliser changed bits, so every pair
-    /// was rescored (the first pass counts).
-    pub full_rescores: u64,
-    /// Passes that re-exponentiated every pair: every full rescore, plus the
-    /// passes whose max score changed bits.  The remaining
-    /// `passes − full_reweights` passes re-weighted changed jobs only.
-    pub full_reweights: u64,
-    /// `exp` evaluations over all passes.
-    pub pairs_reweighted: u64,
+    /// Passes that recomputed every job factor, because the max-remaining
+    /// normaliser changed bits (the first pass counts) or the reference
+    /// score was rebased.  The other passes recomputed changed jobs' only.
+    pub full_refactors: u64,
+    /// Job-factor (`J_j`) `exp` evaluations over all passes.
+    pub job_exps: u64,
+    /// Stage-factor (`e_i`) `exp` evaluations over all passes: every stage
+    /// of a rebuilt job, plus the stages walked to pick a sample or written
+    /// out by `distribution_into`.
+    pub stage_exps: u64,
 }
 
-/// One job's cached block, revalidated per pass by its
+/// One job's cached entry, revalidated per pass by its
 /// [`JobProgress::version`] stamp: equal id + equal version means the job's
 /// observable progress — remaining work, completed stages, dispatchable
-/// set — has not changed since the block was built.
+/// set — has not changed since the entry was built.
 ///
 /// [`JobProgress::version`]: pcaps_dag::JobProgress::version
 #[derive(Debug, Clone, Copy)]
 struct JobEntry {
     id: JobId,
     version: u64,
-    /// Undispatched work (executor-seconds) — `JobView::remaining_work()`.
+    /// Undispatched work `R_j` (executor-seconds) — `JobView::remaining_work()`.
     remaining: f64,
     /// `w_c · completed stages / total stages`.
     completion_term: f64,
-    /// The job's dispatchable pairs are `start..end` in the pair records
-    /// (empty for a job with no dispatchable stage).
-    start: usize,
-    end: usize,
+    /// `bmax_j`, the largest `w_b · bottleneck` among the dispatchable stages.
+    best_bottleneck: f64,
+    /// `E_j = Σ e_i` over the dispatchable stages in stage order: at least 1
+    /// (the best stage's factor) for a job with work, 0 for one without.
+    stage_sum: f64,
+    /// The job factor `J_j`, or NaN until the pass computes it.
+    factor: f64,
+    /// `Σ J·E` over the entries up to and including this one, as the
+    /// latest pass folded it.
+    cumulative: f64,
 }
 
 impl JobEntry {
-    fn pairs(&self) -> Range<usize> {
-        self.start..self.end
+    /// Builds the entry from scratch: O(stages), one `exp` per dispatchable
+    /// stage, job factor left for [`DecimaLike::fold`].
+    fn build(weights: &DecimaWeights, job: &JobView<'_>, stats: &mut DecimaCacheStats) -> Self {
+        let completion =
+            job.progress.frontier().num_completed() as f64 / job.dag.num_stages() as f64;
+        let mut entry = JobEntry {
+            id: job.id,
+            version: job.progress.version(),
+            remaining: job.remaining_work(),
+            completion_term: weights.completion * completion,
+            best_bottleneck: f64::NEG_INFINITY,
+            stage_sum: 0.0,
+            factor: f64::NAN,
+            cumulative: f64::NAN,
+        };
+        let dispatchable = job.dispatchable_stages();
+        if !dispatchable.is_empty() {
+            // Per-stage features from the DAG structure — cached on the
+            // (shared) DAG, so the graph analysis runs once per job instead
+            // of once per pass.
+            let bottleneck = job.dag.bottleneck_scores();
+            let best = dispatchable
+                .iter()
+                .map(|s| weights.bottleneck * bottleneck[s.index()])
+                .fold(f64::NEG_INFINITY, f64::max);
+            entry.best_bottleneck = best;
+            entry.stage_sum = dispatchable
+                .iter()
+                .map(|s| weights.stage_factor(bottleneck[s.index()], best))
+                .sum();
+            stats.stage_exps += dispatchable.len() as u64;
+        }
+        entry
     }
-}
 
-/// One dispatchable `(job, stage)` pair's cached values.  Pairs are kept in
-/// pair order: jobs in `ctx.jobs()` order, each job's dispatchable stages
-/// ascending.  One record per pair, so moving a run of surviving blocks is
-/// a single copy.
-#[derive(Debug, Clone, Copy)]
-struct Pair {
-    job: JobId,
-    stage: StageId,
-    /// `w_b · bottleneck[stage]`, fixed for the pair's lifetime.
-    bottleneck: f64,
-    /// Raw score `w_s · short-job feature + w_b · bottleneck + w_c · completion`.
-    score: f64,
-    /// Softmax weight `exp((score − max score) / T)`.
-    weight: f64,
+    fn has_work(&self) -> bool {
+        self.stage_sum > 0.0
+    }
 }
 
 /// The Decima-like scheduler.
 ///
-/// Holds a persistent per-job table and per-pair score/weight records (see
-/// the module docs), so a steady-state pass costs O(active jobs) pointer
-/// work, O(pairs) copying and folding, and feature plus `exp` work for
+/// Holds a persistent per-job table of softmax factors (see the module
+/// docs), so a steady-state pass costs O(active jobs) and stage work for
 /// changed jobs only; it performs no heap allocation.  Correctness never
 /// depends on the lossy-advisory `SchedEvent` stream: the table is
 /// reconciled against the authoritative `ctx.jobs()` iteration (arrival
@@ -171,24 +231,19 @@ struct Pair {
 pub struct DecimaLike {
     weights: DecimaWeights,
     rng: ChaCha8Rng,
-    /// Cached per-job blocks, aligned with the previous pass's `ctx.jobs()`
-    /// order.
+    /// Cached per-job entries, aligned with the latest pass's `ctx.jobs()`
+    /// order (entry `i` is `ctx.job_at(i)`).
     table: Vec<JobEntry>,
-    /// Scratch for the table rebuild (swapped with `table` each pass).
+    /// Scratch for the ordered merge (swapped with `table` when membership
+    /// changes).
     scratch: Vec<JobEntry>,
-    /// The previous pass's pairs, scores and weights.
-    pairs: Vec<Pair>,
-    /// Scratch for the pair rebuild (swapped with `pairs` each pass).
-    pair_scratch: Vec<Pair>,
-    /// Table indices of the blocks rebuilt this pass, whose scores and
-    /// weights are still to be computed.
-    rebuilt: Vec<usize>,
-    /// Bits of the previous pass's normaliser and max score (`None` before
-    /// the first pass).
+    /// Bits of the previous pass's normaliser (`None` before the first pass).
     normaliser_bits: Option<u64>,
-    max_score_bits: Option<u64>,
-    /// The previous pass's normalising sum `Σ weight`.
+    /// The reference score `ref` the job factors are taken relative to.
+    reference: f64,
+    /// The latest pass's normalising sum `Σ_j J_j·E_j` and largest `J_j`.
     sum: f64,
+    max_factor: f64,
     /// Jobs with non-empty dispatchable sets, counted during the table
     /// pass so the follow-up `parallelism_limit` call (same event, same
     /// context — see the trait contract) does not rescan.  `None` until
@@ -205,19 +260,30 @@ impl DecimaLike {
     }
 
     /// Creates the scheduler with custom feature weights.
+    ///
+    /// # Panics
+    /// Panics unless every feature weight is finite and the temperature is
+    /// positive and finite: a NaN or infinite weight would make every score,
+    /// and with it the whole distribution, NaN.
     pub fn with_weights(seed: u64, weights: DecimaWeights) -> Self {
-        assert!(weights.temperature > 0.0, "softmax temperature must be positive");
+        let DecimaWeights { short_job, bottleneck, completion, temperature } = weights;
+        assert!(
+            short_job.is_finite() && bottleneck.is_finite() && completion.is_finite(),
+            "Decima feature weights must be finite, got {weights:?}"
+        );
+        assert!(
+            temperature > 0.0 && temperature.is_finite(),
+            "softmax temperature must be positive and finite, got {temperature}"
+        );
         DecimaLike {
             weights,
             rng: ChaCha8Rng::seed_from_u64(seed),
             table: Vec::new(),
             scratch: Vec::new(),
-            pairs: Vec::new(),
-            pair_scratch: Vec::new(),
-            rebuilt: Vec::new(),
             normaliser_bits: None,
-            max_score_bits: None,
+            reference: 0.0,
             sum: 0.0,
+            max_factor: 0.0,
             jobs_with_work: None,
             stats: DecimaCacheStats::default(),
         }
@@ -228,178 +294,188 @@ impl DecimaLike {
         self.stats
     }
 
-    /// Reconciles the job table and the pair records with the current
-    /// context and returns the pass's max-remaining normaliser.
+    /// Reconciles the job table with the current context, leaving it
+    /// aligned with `ctx.jobs()`, and returns the pass's max-remaining
+    /// normaliser.
     ///
-    /// Both the cached table and `ctx.jobs()` list jobs in arrival order,
-    /// and every membership change preserves the relative order of
-    /// survivors (completions and migration departures remove in place,
-    /// compaction retires off the front, arrivals and migrant reattachments
-    /// append) — so one ordered sweep relocates every surviving block.  A
-    /// cached id missing from the context (O(1) slot probe) was removed; a
-    /// context id missing from the cache (or present with a different
-    /// [`JobProgress::version`]) rebuilds its block and is listed in
-    /// `rebuilt`, with scores and weights left for [`DecimaLike::compute`].
-    /// Surviving blocks are copied into the new pair records in contiguous
-    /// runs.  A rebuilt block is produced by the identical calls a
-    /// from-scratch pass would make, so cache hits and misses are
-    /// bit-indistinguishable.
+    /// While no job has arrived or left since the previous pass (the common
+    /// case) the ids line up and entries update in place.  From the first
+    /// mismatch on, an ordered merge takes over.  Both the table and
+    /// `ctx.jobs()` list jobs in arrival order, and every membership change
+    /// preserves the relative order of survivors (completions and migration
+    /// departures remove in place, compaction retires off the front,
+    /// arrivals and migrant reattachments append), so one sweep relocates
+    /// every surviving entry.  A cached id missing from the context (O(1)
+    /// slot probe) was removed.  A context id missing from the cache, or
+    /// present with a different [`JobProgress::version`], rebuilds its
+    /// entry with the calls a from-scratch pass would make.
     ///
     /// The max-remaining fold and the jobs-with-work count ride along in
-    /// the same sweep (the fold is `f64::max` over the same values in the
-    /// same order as a from-scratch scan, hence bit-identical).
+    /// the same sweep.  The fold compares with `>` rather than `f64::max`
+    /// (no value is NaN), which picks the same value without a serial
+    /// dependency through `f64::max`'s NaN handling.
     ///
     /// [`JobProgress::version`]: pcaps_dag::JobProgress::version
     fn refresh(&mut self, ctx: &SchedulingContext<'_>) -> f64 {
-        let DecimaLike { weights, table, scratch, pairs, pair_scratch, rebuilt, .. } = self;
-        scratch.clear();
-        pair_scratch.clear();
-        rebuilt.clear();
+        let DecimaLike { weights, table, scratch, stats, .. } = self;
         let mut max_remaining = 0.0_f64;
         let mut jobs_with_work = 0usize;
-        let mut cursor = 0usize;
-        // Surviving blocks not yet copied: a contiguous range of `pairs`.
-        let mut run = 0..0;
-        let mut next = 0usize;
-        for job in ctx.jobs() {
-            let version = job.progress.version();
-            let mut cached = None;
-            while cursor < table.len() {
-                let entry = table[cursor];
-                if entry.id == job.id {
-                    cursor += 1;
-                    if entry.version == version {
-                        cached = Some(entry);
+        let mut visit = |entry: &JobEntry| {
+            if entry.remaining > max_remaining {
+                max_remaining = entry.remaining;
+            }
+            jobs_with_work += usize::from(entry.has_work());
+        };
+        let mut jobs = ctx.jobs();
+        let mut aligned = 0usize;
+        let mut first_mismatch = None;
+        for job in jobs.by_ref() {
+            match table.get_mut(aligned) {
+                Some(entry) if entry.id == job.id => {
+                    if entry.version != job.progress.version() {
+                        *entry = JobEntry::build(weights, &job, stats);
                     }
+                    visit(entry);
+                    aligned += 1;
+                }
+                _ => {
+                    first_mismatch = Some(job);
                     break;
                 }
-                // Order mismatch: either the cached job left this member
-                // (skip its block) or `job` was inserted ahead of it (a
-                // reattached migrant — stop and recompute).  The slot
-                // table answers membership in O(1).
-                if ctx.job(entry.id).is_some() {
-                    break;
-                }
-                cursor += 1;
             }
-            let entry = match cached {
-                Some(entry) => {
-                    if run.end != entry.start {
-                        pair_scratch.extend_from_slice(&pairs[run]);
-                        run = entry.start..entry.start;
-                    }
-                    run.end = entry.end;
-                    JobEntry { start: next, end: next + entry.pairs().len(), ..entry }
-                }
-                None => {
-                    pair_scratch.extend_from_slice(&pairs[run]);
-                    run = 0..0;
-                    let dispatchable = job.dispatchable_stages();
-                    if !dispatchable.is_empty() {
-                        // Per-stage features from the DAG structure — cached
-                        // on the (shared) DAG, so the graph analysis runs
-                        // once per job instead of once per pass.
-                        let bottleneck = job.dag.bottleneck_scores();
-                        pair_scratch.extend(dispatchable.iter().map(|&stage| Pair {
-                            job: job.id,
-                            stage,
-                            bottleneck: weights.bottleneck * bottleneck[stage.index()],
-                            score: f64::NAN,
-                            weight: f64::NAN,
-                        }));
-                        rebuilt.push(scratch.len());
-                    }
-                    let end = next + dispatchable.len();
-                    let completion = job.progress.frontier().num_completed() as f64
-                        / job.dag.num_stages() as f64;
-                    JobEntry {
-                        id: job.id,
-                        version,
-                        remaining: job.remaining_work(),
-                        completion_term: weights.completion * completion,
-                        start: next,
-                        end,
-                    }
-                }
-            };
-            next = entry.end;
-            if !entry.pairs().is_empty() {
-                jobs_with_work += 1;
-            }
-            max_remaining = f64::max(max_remaining, entry.remaining);
-            scratch.push(entry);
         }
-        pair_scratch.extend_from_slice(&pairs[run]);
-        std::mem::swap(table, scratch);
-        std::mem::swap(pairs, pair_scratch);
+        match first_mismatch {
+            // Only departures off the back (if any).
+            None => table.truncate(aligned),
+            Some(first) => {
+                scratch.clear();
+                scratch.extend_from_slice(&table[..aligned]);
+                let mut cursor = aligned;
+                for job in std::iter::once(first).chain(jobs) {
+                    let version = job.progress.version();
+                    let mut cached = None;
+                    while let Some(&entry) = table.get(cursor) {
+                        if entry.id == job.id {
+                            cursor += 1;
+                            if entry.version == version {
+                                cached = Some(entry);
+                            }
+                            break;
+                        }
+                        // Order mismatch: either the cached job left this
+                        // member (skip its entry) or `job` was inserted ahead
+                        // of it (a reattached migrant — stop and rebuild).
+                        // The slot table answers membership in O(1).
+                        if ctx.job(entry.id).is_some() {
+                            break;
+                        }
+                        cursor += 1;
+                    }
+                    let entry = cached.unwrap_or_else(|| JobEntry::build(weights, &job, stats));
+                    visit(&entry);
+                    scratch.push(entry);
+                }
+                std::mem::swap(table, scratch);
+            }
+        }
         self.jobs_with_work = Some(jobs_with_work);
         max_remaining.max(1e-9)
     }
 
-    /// One distribution pass: reconcile the table, then rescore and
-    /// re-weight as much as the cache keys require (see the module docs),
-    /// and re-sum the weights.  Every value is produced by the float
-    /// operations, in the order, of a from-scratch pass.
+    /// One distribution pass: reconcile the table, recompute the job
+    /// factors the cache keys require (see the module docs), fold `Σ` and
+    /// the largest factor, and rebase the reference score if that factor
+    /// left its bounds.
     fn compute(&mut self, ctx: &SchedulingContext<'_>) {
         let normaliser = self.refresh(ctx);
         self.stats.passes += 1;
-        let DecimaLike { weights, table, pairs, rebuilt, stats, .. } = self;
-        let score = |entry: &JobEntry, pairs: &mut [Pair]| {
-            // Feature 1: jobs with little remaining work score high.
-            let short_job = weights.short_job * (1.0 - (entry.remaining / normaliser));
-            for p in &mut pairs[entry.pairs()] {
-                p.score = short_job + p.bottleneck + entry.completion_term;
-            }
-        };
-        let rescore_all = self.normaliser_bits != Some(normaliser.to_bits());
+        let refactor_all = self.normaliser_bits != Some(normaliser.to_bits());
         self.normaliser_bits = Some(normaliser.to_bits());
-        if rescore_all {
-            stats.full_rescores += 1;
-            for entry in table.iter() {
-                score(entry, pairs);
-            }
-        } else {
-            for &i in rebuilt.iter() {
-                score(&table[i], pairs);
-            }
+        if refactor_all {
+            self.stats.full_refactors += 1;
         }
-
-        let max_score = pairs.iter().map(|p| p.score).fold(f64::NEG_INFINITY, f64::max);
-        let reweight_all = rescore_all || self.max_score_bits != Some(max_score.to_bits());
-        self.max_score_bits = Some(max_score.to_bits());
-        let temperature = weights.temperature;
-        let len = pairs.len();
-        let mut reweight = |range: Range<usize>| {
-            stats.pairs_reweighted += range.len() as u64;
-            for p in &mut pairs[range] {
-                p.weight = ((p.score - max_score) / temperature).exp();
+        self.fold(normaliser, refactor_all);
+        if self.has_work() && !(FACTOR_MIN..=FACTOR_MAX).contains(&self.max_factor) {
+            let weights = self.weights;
+            self.reference = self
+                .table
+                .iter()
+                .filter(|e| e.has_work())
+                .map(|e| weights.job_score(e, normaliser))
+                .fold(f64::NEG_INFINITY, f64::max);
+            if !refactor_all {
+                self.stats.full_refactors += 1;
             }
-        };
-        if reweight_all {
-            stats.full_reweights += 1;
-            reweight(0..len);
-        } else {
-            for &i in rebuilt.iter() {
-                reweight(table[i].pairs());
-            }
+            self.fold(normaliser, true);
         }
-        self.sum = self.pairs.iter().map(|p| p.weight).sum();
     }
 
-    /// The pair the CDF of the latest pass's distribution reaches at `r`:
-    /// a lazy walk over `weight / Σ` (see the module docs for why
-    /// `max_probability = 1 / Σ` is exact).  Only called after a pass that
-    /// found at least one pair.
-    fn pick(&self, r: f64) -> SampledStage {
-        let sum = self.sum;
-        let idx = sample_cdf(self.pairs.iter().map(|p| p.weight / sum), r)
-            .expect("callers check the pass found pairs");
-        let Pair { job, stage, weight, .. } = self.pairs[idx];
+    /// Computes the job factors that are missing (all of them when
+    /// `refactor_all`) and folds `Σ = Σ_j J_j·E_j` and `max_j J_j` over the
+    /// jobs with work, in table order, recording each entry's running sum.
+    fn fold(&mut self, normaliser: f64, refactor_all: bool) {
+        let DecimaLike { weights, table, reference, stats, .. } = self;
+        let mut sum = 0.0;
+        let mut max_factor = 0.0_f64;
+        for entry in table.iter_mut() {
+            if entry.has_work() {
+                if refactor_all || entry.factor.is_nan() {
+                    let exponent =
+                        (weights.job_score(entry, normaliser) - *reference) / weights.temperature;
+                    entry.factor = exponent.exp();
+                    stats.job_exps += 1;
+                }
+                sum += entry.factor * entry.stage_sum;
+                if entry.factor > max_factor {
+                    max_factor = entry.factor;
+                }
+            }
+            entry.cumulative = sum;
+        }
+        self.sum = sum;
+        self.max_factor = max_factor;
+    }
+
+    /// True when the latest pass found at least one dispatchable stage.
+    fn has_work(&self) -> bool {
+        self.jobs_with_work.is_some_and(|n| n > 0)
+    }
+
+    /// The stage the latest pass's distribution reaches at `r` (see the
+    /// module docs).  Only called after a pass that found work.
+    fn pick(&mut self, ctx: &SchedulingContext<'_>, r: f64) -> SampledStage {
+        let target = r * self.sum;
+        // `Σ` is the last running sum and `r < 1`, so some job reaches the
+        // target; the fallback only guards against a caller's `r ≥ 1`.
+        let i = self
+            .table
+            .iter()
+            .position(|e| e.has_work() && target <= e.cumulative)
+            .or_else(|| self.table.iter().rposition(JobEntry::has_work))
+            .expect("callers check the pass found work");
+        let before = if i == 0 { 0.0 } else { self.table[i - 1].cumulative };
+        let entry = self.table[i];
+        let job = ctx.job_at(i);
+        let bottleneck = job.dag.bottleneck_scores();
+        let stage_target = (target - before) / entry.factor;
+        let mut acc = 0.0;
+        let mut chosen = None;
+        for &stage in job.dispatchable_stages() {
+            let factor =
+                self.weights.stage_factor(bottleneck[stage.index()], entry.best_bottleneck);
+            self.stats.stage_exps += 1;
+            acc += factor;
+            chosen = Some((stage, factor));
+            if stage_target <= acc {
+                break;
+            }
+        }
+        let (stage, factor) = chosen.expect("a job with work has a dispatchable stage");
         SampledStage {
-            job,
+            job: entry.id,
             stage,
-            probability: weight / sum,
-            max_probability: 1.0 / sum,
+            probability: entry.factor * factor / self.sum,
+            max_probability: self.max_factor / self.sum,
         }
     }
 
@@ -434,13 +510,21 @@ impl ProbabilisticScheduler for DecimaLike {
 
     fn distribution_into(&mut self, ctx: &SchedulingContext<'_>, out: &mut Vec<StageProbability>) {
         self.compute(ctx);
-        let sum = self.sum;
         out.clear();
-        out.extend(self.pairs.iter().map(|p| StageProbability {
-            job: p.job,
-            stage: p.stage,
-            probability: p.weight / sum,
-        }));
+        let DecimaLike { weights, table, sum, stats, .. } = self;
+        for (i, entry) in table.iter().enumerate().filter(|(_, e)| e.has_work()) {
+            let job = ctx.job_at(i);
+            let bottleneck = job.dag.bottleneck_scores();
+            let stages = job.dispatchable_stages();
+            stats.stage_exps += stages.len() as u64;
+            out.extend(stages.iter().map(|&stage| StageProbability {
+                job: entry.id,
+                stage,
+                probability: entry.factor
+                    * weights.stage_factor(bottleneck[stage.index()], entry.best_bottleneck)
+                    / *sum,
+            }));
+        }
     }
 
     fn sample(
@@ -449,10 +533,10 @@ impl ProbabilisticScheduler for DecimaLike {
         draw: &mut dyn FnMut() -> f64,
     ) -> Option<SampledStage> {
         self.compute(ctx);
-        if self.pairs.is_empty() {
+        if !self.has_work() {
             return None;
         }
-        Some(self.pick(draw()))
+        Some(self.pick(ctx, draw()))
     }
 
     fn parallelism_limit(&self, ctx: &SchedulingContext<'_>, job: JobId, stage: StageId) -> usize {
@@ -472,11 +556,11 @@ impl Scheduler for DecimaLike {
         out: &mut DecisionSink,
     ) {
         self.compute(ctx);
-        if self.pairs.is_empty() {
+        if !self.has_work() {
             return;
         }
         let r: f64 = self.rng.gen_range(0.0..1.0);
-        let chosen = self.pick(r);
+        let chosen = self.pick(ctx, r);
         let limit = self.limit_for(ctx, chosen.job, chosen.stage);
         out.dispatch(chosen.job, chosen.stage, limit);
     }
@@ -652,6 +736,42 @@ mod tests {
         let _ = DecimaLike::with_weights(
             0,
             DecimaWeights { temperature: 0.0, ..DecimaWeights::default() },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "temperature")]
+    fn rejects_infinite_temperature() {
+        let _ = DecimaLike::with_weights(
+            0,
+            DecimaWeights { temperature: f64::INFINITY, ..DecimaWeights::default() },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "feature weights must be finite")]
+    fn rejects_nan_feature_weight() {
+        let _ = DecimaLike::with_weights(
+            0,
+            DecimaWeights { short_job: f64::NAN, ..DecimaWeights::default() },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "feature weights must be finite")]
+    fn rejects_infinite_feature_weight() {
+        let _ = DecimaLike::with_weights(
+            0,
+            DecimaWeights { bottleneck: f64::INFINITY, ..DecimaWeights::default() },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "feature weights must be finite")]
+    fn rejects_negative_infinite_feature_weight() {
+        let _ = DecimaLike::with_weights(
+            0,
+            DecimaWeights { completion: f64::NEG_INFINITY, ..DecimaWeights::default() },
         );
     }
 }

@@ -70,15 +70,19 @@ pub trait ProbabilisticScheduler: Send {
 
     /// Samples one stage from the distribution: `None` when there is no
     /// dispatchable work, otherwise the entry whose CDF first reaches
-    /// `r = draw()` ([`sample_cdf`]) plus the distribution's largest
-    /// probability.  `draw` is called exactly once, and only after the
-    /// distribution is known to be non-empty, so a caller's RNG stream does
-    /// not depend on how the policy samples.
+    /// `r = draw()` plus the distribution's largest probability.  `draw` is
+    /// called exactly once, and only after the distribution is known to be
+    /// non-empty, so a caller's RNG stream does not depend on how the policy
+    /// samples.
     ///
-    /// The result must be what [`ProbabilisticScheduler::distribution`]
-    /// would give for the same context: the entry `sample_cdf` picks from
-    /// its probabilities, with the same probability bits, and the bits of
-    /// their maximum.  Implementations are free not to materialise it.
+    /// The result must agree with [`ProbabilisticScheduler::distribution`]
+    /// for the same context: the sampled entry's probability and the
+    /// largest probability carry the bits that view would hold.  The CDF may
+    /// be walked in any grouping of the same entry order (job by job, then
+    /// stage by stage, say), so the pick may differ from [`sample_cdf`] over
+    /// the materialised probabilities only when `r` lies within rounding of
+    /// a CDF boundary.  Implementations are free not to materialise the
+    /// distribution.
     fn sample(
         &mut self,
         ctx: &SchedulingContext<'_>,
@@ -98,9 +102,10 @@ pub trait ProbabilisticScheduler: Send {
     fn parallelism_limit(&self, ctx: &SchedulingContext<'_>, job: JobId, stage: StageId) -> usize;
 }
 
-/// Normalises a list of non-negative scores into a probability distribution
-/// using a softmax with the given temperature.  Returns an empty vector for
-/// empty input.
+/// The textbook softmax: `exp((s − max s) / T) / Σ` over a list of scores
+/// at the given temperature.  Returns an empty vector for empty input.
+/// `DecimaLike` computes the same distribution in factorised form; this is
+/// the definition its tests check it against.
 pub fn softmax(scores: &[f64], temperature: f64) -> Vec<f64> {
     assert!(temperature > 0.0, "softmax temperature must be positive");
     let max = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
@@ -113,15 +118,15 @@ pub fn softmax(scores: &[f64], temperature: f64) -> Vec<f64> {
 }
 
 /// Walks the CDF of a probability sequence and returns the index at which
-/// the cumulative mass first reaches `r` — the shared sampling step of
-/// [`DecimaLike::on_event`], [`ProbabilisticScheduler::sample`] (PCAPS
-/// Algorithm 1 line 5) and the test oracles (one implementation so they
-/// stay bit-identical: same additions in the same order, same `r <= acc`
-/// comparison, same final-index fallback for `r ≈ 1` under floating-point
-/// rounding).  Returns `None` only for an empty sequence; callers draw `r`
-/// *after* ruling that out so RNG streams are unchanged.
-///
-/// [`DecimaLike::on_event`]: crate::DecimaLike
+/// the cumulative mass first reaches `r`: the textbook sampling step of
+/// PCAPS Algorithm 1 line 5 over a materialised distribution, which test
+/// oracles apply.  The scheduling hot path does not call it.
+/// [`ProbabilisticScheduler::sample`] implementations walk their own CDF
+/// (`DecimaLike`'s goes job by job, then stage by stage), which agrees
+/// with this one except within rounding of a boundary.  Rounding can leave
+/// the cumulative mass just short of `r ≈ 1`; the walk then falls back to
+/// the final index.  Returns `None` only for an empty sequence; callers
+/// draw `r` *after* ruling that out so RNG streams are unchanged.
 pub fn sample_cdf(probs: impl IntoIterator<Item = f64>, r: f64) -> Option<usize> {
     let mut acc = 0.0;
     let mut last = None;

@@ -156,26 +156,27 @@ fn open_loop_serving_matches_the_v1_seed() {
 }
 
 /// `DecimaLike::cache_stats` after the reference `decima` and `pcaps`
-/// trials, pinned next to their fingerprints: how many passes rescored or
-/// re-weighted every pair is deterministic, so a change to the cache keys
-/// shows here even when the schedule does not move.
+/// trials, pinned next to their fingerprints: how many passes recomputed
+/// every job factor, and how many job- and stage-factor `exp`s ran, is
+/// deterministic, so a change to the cache keys shows here even when the
+/// schedule does not move.
 const CACHE_STATS: [(&str, DecimaCacheStats); 2] = [
     (
         "decima",
         DecimaCacheStats {
             passes: 645,
-            full_rescores: 353,
-            full_reweights: 603,
-            pairs_reweighted: 2441,
+            full_refactors: 353,
+            job_exps: 860,
+            stage_exps: 3203,
         },
     ),
     (
         "pcaps",
         DecimaCacheStats {
             passes: 753,
-            full_rescores: 197,
-            full_reweights: 436,
-            pairs_reweighted: 3700,
+            full_refactors: 197,
+            job_exps: 1051,
+            stage_exps: 3810,
         },
     ),
 ];

@@ -1,23 +1,30 @@
-//! Incremental scheduler-state conformance: the persistent
-//! version-stamped score table inside `DecimaLike` (PR 10) must be
-//! *bit-indistinguishable* from a from-scratch recomputation of the
-//! original three-scan algorithm — at every scheduling event, across every
-//! membership churn the engine can produce: plain arrivals and
-//! completions, serve-mode compaction (slot-base shifts retiring jobs off
-//! the front of the active table), and migration detach/reattach (jobs
-//! leaving mid-table and reappearing appended, progress travelling with
-//! them).  The checking schedulers below recompute the distribution and
-//! the fair-share parallelism limit from scratch at every invocation and
-//! compare probabilities bit for bit, so any staleness bug in the table —
-//! a missed version bump, a block survived past a membership change, a
-//! float op reordered — fails loudly with the event time attached.
+//! Incremental scheduler-state conformance: `DecimaLike`'s persistent
+//! version-stamped table of factorised softmax terms (per-job factor and
+//! stage-factor sum, see `crates/schedulers/src/decima.rs`) is checked at
+//! every scheduling event, across every membership churn the engine can
+//! produce: plain arrivals and completions, serve-mode compaction
+//! (slot-base shifts retiring jobs off the front of the active table), and
+//! migration detach/reattach (jobs leaving mid-table and reappearing
+//! appended, progress travelling with them).  Three oracles run per pass:
 //!
-//! The per-pair score/weight cache is checked through the sampling fast
-//! path too: with the same draw, `DecimaLike::sample` must pick the
-//! oracle's `(job, stage)` with the oracle's probability, max-probability
-//! and relative-importance bits, and every run tallies which cache regime
-//! (full rescore, full re-weight, changed jobs only) each pass took, so a
-//! test cannot pass without reaching all three.
+//! * **Cache check, bit-strict.**  A from-scratch factorised recomputation
+//!   (every job factor and stage factor recomputed, the only carried state
+//!   being the reference score and its rebase rule) must give the same
+//!   probability bits, max-probability bits and sampled `(job, stage)`.  A
+//!   missed version bump, a factor survived past a normaliser change, a
+//!   skipped rebase or a reordered float op fails loudly with the event
+//!   time attached.
+//! * **Fidelity to the textbook softmax.**  Every probability is within
+//!   `1e-12` relative of `softmax` over the raw scores (scaled by the
+//!   softmax's conditioning at extreme temperatures), and the argmax
+//!   stage's relative importance is exactly 1.
+//! * **Sampling.**  The sampled pair equals `sample_cdf` over the textbook
+//!   distribution, except when the draw lies within that tolerance of the
+//!   CDF boundary; such draws are counted, and none are expected.
+//!
+//! The fair-share parallelism limit is pinned against a full rescan, and
+//! every run tallies which cache regime (full refactor, changed jobs only)
+//! each pass took, so a test cannot pass without reaching both.
 //!
 //! Pattern of `tests/properties.rs`: seeded ChaCha8-driven cases, no
 //! external proptest dependency, every failure reproducible.
@@ -32,30 +39,24 @@ use pcaps_schedulers::{DecimaCacheStats, DecimaWeights};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-/// Oracle: the distribution rebuilt from scratch with the pre-incremental
-/// algorithm (max-remaining scan, score scan, softmax), exactly the float
-/// operations the score table's fused pass must replicate bit for bit.
-fn oracle_distribution(
-    ctx: &SchedulingContext<'_>,
-    w: DecimaWeights,
-) -> Vec<StageProbability> {
+/// The pair scores of the textbook definition, in pair order (jobs in
+/// `ctx.jobs()` order, each job's dispatchable stages in order).
+fn textbook_scores(ctx: &SchedulingContext<'_>, w: DecimaWeights) -> Vec<(JobId, StageId, f64)> {
     let max_remaining = ctx
         .jobs()
         .map(|j| j.remaining_work())
         .fold(0.0_f64, f64::max)
         .max(1e-9);
-    let mut scored: Vec<(JobId, StageId, f64)> = Vec::new();
+    let mut scored = Vec::new();
     for job in ctx.jobs() {
         let dispatchable = job.dispatchable_stages();
         if dispatchable.is_empty() {
             continue;
         }
-        let remaining = job.remaining_work();
-        let short_job_feature = 1.0 - (remaining / max_remaining);
+        let short_job_feature = 1.0 - (job.remaining_work() / max_remaining);
         let bottleneck = job.dag.bottleneck_scores();
-        let total_stages = job.dag.num_stages() as f64;
-        let completed = job.progress.frontier().num_completed() as f64;
-        let completion_feature = completed / total_stages;
+        let completion_feature =
+            job.progress.frontier().num_completed() as f64 / job.dag.num_stages() as f64;
         for &stage in dispatchable {
             let score = w.short_job * short_job_feature
                 + w.bottleneck * bottleneck[stage.index()]
@@ -63,15 +64,163 @@ fn oracle_distribution(
             scored.push((job.id, stage, score));
         }
     }
-    let probs = softmax(
-        &scored.iter().map(|s| s.2).collect::<Vec<_>>(),
-        w.temperature,
-    );
+    scored
+}
+
+/// Oracle: the textbook distribution, `softmax` over the raw scores.
+fn textbook_distribution(ctx: &SchedulingContext<'_>, w: DecimaWeights) -> Vec<StageProbability> {
+    let scored = textbook_scores(ctx, w);
+    let probs = softmax(&scored.iter().map(|s| s.2).collect::<Vec<_>>(), w.temperature);
     scored
         .iter()
         .zip(probs)
         .map(|(&(job, stage, _), probability)| StageProbability { job, stage, probability })
         .collect()
+}
+
+/// Relative tolerance of the textbook comparison.  Scores carry a few ulps
+/// of rounding, which the softmax amplifies by `|score| / T`; at the scale
+/// of the default weights (`|score| ≤ 4`, `T = 1`) the bound is `1e-12`.
+fn textbook_tolerance(w: DecimaWeights) -> f64 {
+    let span = w.short_job.abs() + w.bottleneck.abs() + w.completion.abs();
+    1e-12 * f64::max(1.0, span / (4.0 * w.temperature))
+}
+
+/// Probabilities below this may be subnormal or 0 in either computation
+/// (the factorised weights sit up to `2⁶⁴` off the textbook's scale), so
+/// they are compared absolutely.
+const ABSOLUTE_FLOOR: f64 = 1e-280;
+
+/// One job of the factorised recomputation.
+struct OracleJob {
+    id: JobId,
+    score: f64,
+    factor: f64,
+    stages: Vec<(StageId, f64)>,
+    stage_sum: f64,
+}
+
+/// Oracle: the factorised distribution recomputed from scratch.  The only
+/// state carried between passes (by [`Oracles`]) is the reference score,
+/// under the rule the module docs of `decima.rs` state: it starts at 0 and
+/// is rebased to the largest job score whenever the largest job factor
+/// leaves `[2⁻⁶⁴, 2⁶⁴]`.
+struct Factorised {
+    jobs: Vec<OracleJob>,
+    sum: f64,
+    max_factor: f64,
+}
+
+impl Factorised {
+    fn compute(
+        ctx: &SchedulingContext<'_>,
+        w: DecimaWeights,
+        reference: &mut f64,
+        rebases: &mut usize,
+    ) -> Self {
+        let normaliser = ctx
+            .jobs()
+            .map(|j| j.remaining_work())
+            .fold(0.0_f64, f64::max)
+            .max(1e-9);
+        let mut jobs = Vec::new();
+        for job in ctx.jobs() {
+            let dispatchable = job.dispatchable_stages();
+            if dispatchable.is_empty() {
+                continue;
+            }
+            let bottleneck = job.dag.bottleneck_scores();
+            let best = dispatchable
+                .iter()
+                .map(|s| w.bottleneck * bottleneck[s.index()])
+                .fold(f64::NEG_INFINITY, f64::max);
+            let stages: Vec<(StageId, f64)> = dispatchable
+                .iter()
+                .map(|&s| {
+                    let e = ((w.bottleneck * bottleneck[s.index()] - best) / w.temperature).exp();
+                    (s, e)
+                })
+                .collect();
+            let completion =
+                job.progress.frontier().num_completed() as f64 / job.dag.num_stages() as f64;
+            let score = w.short_job * (1.0 - job.remaining_work() / normaliser)
+                + w.completion * completion
+                + best;
+            jobs.push(OracleJob {
+                id: job.id,
+                score,
+                factor: f64::NAN,
+                stage_sum: stages.iter().map(|s| s.1).sum(),
+                stages,
+            });
+        }
+        let mut oracle = Factorised { jobs, sum: 0.0, max_factor: 0.0 };
+        oracle.fold(w, *reference);
+        let bounds = 2f64.powi(-64)..=2f64.powi(64);
+        if !oracle.jobs.is_empty() && !bounds.contains(&oracle.max_factor) {
+            *reference = oracle.jobs.iter().map(|j| j.score).fold(f64::NEG_INFINITY, f64::max);
+            *rebases += 1;
+            oracle.fold(w, *reference);
+        }
+        oracle
+    }
+
+    fn fold(&mut self, w: DecimaWeights, reference: f64) {
+        self.sum = 0.0;
+        self.max_factor = 0.0;
+        for job in &mut self.jobs {
+            job.factor = ((job.score - reference) / w.temperature).exp();
+            self.sum += job.factor * job.stage_sum;
+            self.max_factor = self.max_factor.max(job.factor);
+        }
+    }
+
+    fn distribution(&self) -> Vec<StageProbability> {
+        self.jobs
+            .iter()
+            .flat_map(|job| {
+                job.stages.iter().map(|&(stage, e)| StageProbability {
+                    job: job.id,
+                    stage,
+                    probability: job.factor * e / self.sum,
+                })
+            })
+            .collect()
+    }
+
+    /// The first job whose cumulative `J·E` reaches `r·Σ`, then its first
+    /// stage whose cumulative `e` reaches the remainder `÷ J`.
+    fn sample(&self, r: f64) -> SampledStage {
+        let target = r * self.sum;
+        let mut acc = 0.0;
+        let mut chosen = None;
+        for job in &self.jobs {
+            let before = acc;
+            acc += job.factor * job.stage_sum;
+            chosen = Some((job, before));
+            if target <= acc {
+                break;
+            }
+        }
+        let (job, before) = chosen.expect("sampled from an empty distribution");
+        let stage_target = (target - before) / job.factor;
+        let mut acc = 0.0;
+        let mut stage = None;
+        for &(s, e) in &job.stages {
+            acc += e;
+            stage = Some((s, e));
+            if stage_target <= acc {
+                break;
+            }
+        }
+        let (stage, e) = stage.expect("a job with work has a stage");
+        SampledStage {
+            job: job.id,
+            stage,
+            probability: job.factor * e / self.sum,
+            max_probability: self.max_factor / self.sum,
+        }
+    }
 }
 
 /// Oracle: the fair-share parallelism limit recomputed with a full
@@ -90,126 +239,219 @@ fn oracle_limit(ctx: &SchedulingContext<'_>, job: JobId, stage: StageId) -> usiz
     fair_share.min(pending).max(1)
 }
 
-fn assert_matches_oracle(
-    got: &[StageProbability],
-    ctx: &SchedulingContext<'_>,
-    label: &str,
-) {
-    let oracle = oracle_distribution(ctx, DecimaWeights::default());
-    assert_eq!(
-        got.len(),
-        oracle.len(),
-        "{label}: entry count diverged from scratch recomputation at t={}",
-        ctx.time
-    );
-    for (g, o) in got.iter().zip(&oracle) {
-        assert_eq!(
-            (g.job, g.stage),
-            (o.job, o.stage),
-            "{label}: entry order diverged at t={}",
-            ctx.time
-        );
-        assert!(
-            g.probability.to_bits() == o.probability.to_bits(),
-            "{label}: probability of ({}, {}) diverged from scratch \
-             recomputation at t={}: {} vs {}",
-            g.job,
-            g.stage,
-            ctx.time,
-            g.probability,
-            o.probability
-        );
-    }
-}
-
 /// How many passes took each cache regime, classified from the
 /// `cache_stats` delta around a single pass.
 #[derive(Debug, Default)]
 struct Regimes {
-    full_rescore: usize,
-    full_reweight: usize,
+    full_refactor: usize,
     changed_only: usize,
 }
 
 impl Regimes {
     fn record(&mut self, before: DecimaCacheStats, after: DecimaCacheStats) {
-        assert_eq!(after.passes, before.passes + 1, "one sample is one pass");
-        if after.full_rescores > before.full_rescores {
-            self.full_rescore += 1;
-        } else if after.full_reweights > before.full_reweights {
-            self.full_reweight += 1;
+        assert_eq!(after.passes, before.passes + 1, "one call is one pass");
+        if after.full_refactors > before.full_refactors {
+            self.full_refactor += 1;
         } else {
             self.changed_only += 1;
         }
     }
 
     fn add(&mut self, other: &Regimes) {
-        self.full_rescore += other.full_rescore;
-        self.full_reweight += other.full_reweight;
+        self.full_refactor += other.full_refactor;
         self.changed_only += other.changed_only;
     }
 
     fn assert_all_reached(&self, label: &str) {
         assert!(
-            self.full_rescore > 0 && self.full_reweight > 0 && self.changed_only > 0,
+            self.full_refactor > 0 && self.changed_only > 0,
             "{label}: every cache regime must be exercised, got {self:?}"
         );
     }
 }
 
-/// Samples through `DecimaLike::sample` and pins the result against the
-/// oracle: with the same draw `r`, the oracle's `softmax` + `sample_cdf` +
-/// `relative_importance` must give the same `(job, stage)` and the same
-/// probability, max-probability and importance bits.  `draw` must be called
-/// exactly once when a stage is sampled, and never otherwise.
-fn checked_sample(
-    inner: &mut DecimaLike,
-    ctx: &SchedulingContext<'_>,
-    draw: &mut dyn FnMut() -> f64,
-    regimes: &mut Regimes,
-    label: &str,
-) -> Option<SampledStage> {
-    let before = inner.cache_stats();
-    let mut draws = Vec::new();
-    let got = inner.sample(ctx, &mut || {
-        let r = draw();
-        draws.push(r);
-        r
-    });
-    regimes.record(before, inner.cache_stats());
-    let oracle = oracle_distribution(ctx, DecimaWeights::default());
-    let Some(got) = got else {
-        assert!(draws.is_empty(), "{label}: drew without sampling at t={}", ctx.time);
-        assert!(oracle.is_empty(), "{label}: sampled nothing from work at t={}", ctx.time);
-        return None;
-    };
-    assert_eq!(draws.len(), 1, "{label}: one draw per sample at t={}", ctx.time);
-    let idx = sample_cdf(oracle.iter().map(|e| e.probability), draws[0])
-        .expect("the oracle has work whenever the policy sampled");
-    let max = oracle
-        .iter()
-        .map(|e| e.probability)
-        .fold(f64::NEG_INFINITY, f64::max);
-    let bits = |x: f64| x.to_bits();
-    assert_eq!(
-        (got.job, got.stage),
-        (oracle[idx].job, oracle[idx].stage),
-        "{label}: sampled a different pair at t={}",
-        ctx.time
-    );
-    assert_eq!(
-        (bits(got.probability), bits(got.max_probability)),
-        (bits(oracle[idx].probability), bits(max)),
-        "{label}: probability or max-probability bits diverged at t={}",
-        ctx.time
-    );
-    assert_eq!(
-        bits(importance_ratio(got.probability, got.max_probability)),
-        bits(relative_importance(&oracle, idx)),
-        "{label}: relative importance bits diverged at t={}",
-        ctx.time
-    );
-    Some(got)
+/// The per-pass oracles for one `DecimaLike`, with the reference score the
+/// factorised recomputation carries and the tallies the tests assert on.
+struct Oracles {
+    weights: DecimaWeights,
+    reference: f64,
+    rebases: usize,
+    regimes: Regimes,
+    /// Draws within the textbook tolerance of a CDF boundary (none are
+    /// expected).
+    near_boundary: usize,
+}
+
+impl Oracles {
+    fn new(weights: DecimaWeights) -> Self {
+        Oracles {
+            weights,
+            reference: 0.0,
+            rebases: 0,
+            regimes: Regimes::default(),
+            near_boundary: 0,
+        }
+    }
+
+    fn factorised(&mut self, ctx: &SchedulingContext<'_>) -> Factorised {
+        Factorised::compute(ctx, self.weights, &mut self.reference, &mut self.rebases)
+    }
+
+    /// Pins a full distribution pass: bit for bit against the factorised
+    /// recomputation, within tolerance of the textbook softmax, and the
+    /// argmax's relative importance at exactly 1.
+    fn check_distribution(
+        &mut self,
+        inner: &mut DecimaLike,
+        ctx: &SchedulingContext<'_>,
+        label: &str,
+    ) -> Vec<StageProbability> {
+        let before = inner.cache_stats();
+        let mut got = Vec::new();
+        inner.distribution_into(ctx, &mut got);
+        self.regimes.record(before, inner.cache_stats());
+        let oracle = self.factorised(ctx).distribution();
+        assert_eq!(
+            got.len(),
+            oracle.len(),
+            "{label}: entry count diverged from scratch recomputation at t={}",
+            ctx.time
+        );
+        for (g, o) in got.iter().zip(&oracle) {
+            assert_eq!(
+                (g.job, g.stage),
+                (o.job, o.stage),
+                "{label}: entry order diverged at t={}",
+                ctx.time
+            );
+            assert!(
+                g.probability.to_bits() == o.probability.to_bits(),
+                "{label}: probability of ({}, {}) diverged from the factorised \
+                 recomputation at t={}: {} vs {}",
+                g.job,
+                g.stage,
+                ctx.time,
+                g.probability,
+                o.probability
+            );
+        }
+        self.check_textbook(&got, ctx, label);
+        got
+    }
+
+    fn check_textbook(&self, got: &[StageProbability], ctx: &SchedulingContext<'_>, label: &str) {
+        let textbook = textbook_distribution(ctx, self.weights);
+        let tolerance = textbook_tolerance(self.weights);
+        assert_eq!(got.len(), textbook.len(), "{label}: pair count at t={}", ctx.time);
+        for (g, t) in got.iter().zip(&textbook) {
+            assert_eq!((g.job, g.stage), (t.job, t.stage), "{label}: pair order at t={}", ctx.time);
+            let error = (g.probability - t.probability).abs();
+            assert!(
+                error <= tolerance * t.probability + ABSOLUTE_FLOOR,
+                "{label}: probability of ({}, {}) is {} vs the textbook {} at t={}",
+                g.job,
+                g.stage,
+                g.probability,
+                t.probability,
+                ctx.time
+            );
+        }
+        if !got.is_empty() {
+            let argmax = (0..got.len()).fold(0, |best, i| {
+                if got[i].probability > got[best].probability { i } else { best }
+            });
+            assert_eq!(
+                relative_importance(got, argmax),
+                1.0,
+                "{label}: the argmax stage's importance must be exactly 1 at t={}",
+                ctx.time
+            );
+        }
+    }
+
+    /// Samples through `DecimaLike::sample` and pins the result: bit for
+    /// bit against the factorised recomputation's pick with the same draw,
+    /// and against `sample_cdf` over the textbook distribution unless the
+    /// draw lies within tolerance of that CDF boundary.  `draw` must be
+    /// called exactly once when a stage is sampled, and never otherwise.
+    fn checked_sample(
+        &mut self,
+        inner: &mut DecimaLike,
+        ctx: &SchedulingContext<'_>,
+        draw: &mut dyn FnMut() -> f64,
+        label: &str,
+    ) -> Option<SampledStage> {
+        let before = inner.cache_stats();
+        let mut draws = Vec::new();
+        let got = inner.sample(ctx, &mut || {
+            let r = draw();
+            draws.push(r);
+            r
+        });
+        self.regimes.record(before, inner.cache_stats());
+        let oracle = self.factorised(ctx);
+        let Some(got) = got else {
+            assert!(draws.is_empty(), "{label}: drew without sampling at t={}", ctx.time);
+            assert!(oracle.jobs.is_empty(), "{label}: sampled nothing from work at t={}", ctx.time);
+            return None;
+        };
+        assert_eq!(draws.len(), 1, "{label}: one draw per sample at t={}", ctx.time);
+        let r = draws[0];
+        let expected = oracle.sample(r);
+        let bits = |s: &SampledStage| {
+            (s.job, s.stage, s.probability.to_bits(), s.max_probability.to_bits())
+        };
+        assert_eq!(
+            bits(&got),
+            bits(&expected),
+            "{label}: sample diverged from the factorised recomputation at t={}",
+            ctx.time
+        );
+        assert_eq!(
+            importance_ratio(got.probability, got.max_probability).to_bits(),
+            {
+                let dist = oracle.distribution();
+                let idx = dist
+                    .iter()
+                    .position(|e| (e.job, e.stage) == (got.job, got.stage))
+                    .expect("the sampled pair is in the distribution");
+                relative_importance(&dist, idx).to_bits()
+            },
+            "{label}: relative importance bits diverged at t={}",
+            ctx.time
+        );
+
+        let textbook = textbook_distribution(ctx, self.weights);
+        let idx = sample_cdf(textbook.iter().map(|e| e.probability), r)
+            .expect("the textbook has work whenever the policy sampled");
+        let below: f64 = textbook[..idx].iter().map(|e| e.probability).sum();
+        let above = below + textbook[idx].probability;
+        let window = textbook_tolerance(self.weights);
+        if (r - below).abs() <= window || (r - above).abs() <= window {
+            self.near_boundary += 1;
+        } else {
+            assert_eq!(
+                (got.job, got.stage),
+                (textbook[idx].job, textbook[idx].stage),
+                "{label}: sampled a different pair than the textbook CDF with r={r} at t={}",
+                ctx.time
+            );
+        }
+        Some(got)
+    }
+
+    fn merge(&mut self, other: &Oracles) {
+        self.rebases += other.rebases;
+        self.regimes.add(&other.regimes);
+        self.near_boundary += other.near_boundary;
+    }
+
+    fn assert_no_near_boundary_draws(&self, label: &str) {
+        assert_eq!(
+            self.near_boundary, 0,
+            "{label}: draws within rounding of a textbook CDF boundary"
+        );
+    }
 }
 
 /// Which `DecimaLike` entry point a [`CheckingDecima`] drives.
@@ -227,20 +469,24 @@ enum Route {
 /// limit against the from-scratch oracles before making the decision.
 struct CheckingDecima {
     inner: DecimaLike,
+    oracles: Oracles,
     route: Route,
     rng: ChaCha8Rng,
     checks: usize,
-    regimes: Regimes,
 }
 
 impl CheckingDecima {
     fn new(seed: u64, route: Route) -> Self {
+        CheckingDecima::with_weights(seed, route, DecimaWeights::default())
+    }
+
+    fn with_weights(seed: u64, route: Route, weights: DecimaWeights) -> Self {
         CheckingDecima {
-            inner: DecimaLike::new(seed),
+            inner: DecimaLike::with_weights(seed, weights),
+            oracles: Oracles::new(weights),
             route,
             rng: ChaCha8Rng::seed_from_u64(seed ^ 0xD4A3),
             checks: 0,
-            regimes: Regimes::default(),
         }
     }
 
@@ -270,9 +516,7 @@ impl Scheduler for CheckingDecima {
         self.checks += 1;
         match self.route {
             Route::Distribution => {
-                let mut dist = Vec::new();
-                self.inner.distribution_into(ctx, &mut dist);
-                assert_matches_oracle(&dist, ctx, "standalone");
+                let dist = self.oracles.check_distribution(&mut self.inner, ctx, "standalone");
                 for entry in &dist {
                     self.check_limit(ctx, entry.job, entry.stage);
                 }
@@ -282,7 +526,7 @@ impl Scheduler for CheckingDecima {
                 let rng = &mut self.rng;
                 let draw = &mut || rng.gen_range(0.0..1.0);
                 let sampled =
-                    checked_sample(&mut self.inner, ctx, draw, &mut self.regimes, "standalone-sample");
+                    self.oracles.checked_sample(&mut self.inner, ctx, draw, "standalone-sample");
                 if let Some(s) = sampled {
                     let limit = self.check_limit(ctx, s.job, s.stage);
                     out.dispatch(s.job, s.stage, limit);
@@ -299,8 +543,8 @@ impl Scheduler for CheckingDecima {
 /// so it does not disturb the cache under test).
 struct CheckingProbabilistic {
     inner: DecimaLike,
+    oracles: Oracles,
     checks: usize,
-    regimes: Regimes,
 }
 
 impl ProbabilisticScheduler for CheckingProbabilistic {
@@ -313,8 +557,7 @@ impl ProbabilisticScheduler for CheckingProbabilistic {
         ctx: &SchedulingContext<'_>,
         out: &mut Vec<StageProbability>,
     ) {
-        self.inner.distribution_into(ctx, out);
-        assert_matches_oracle(out, ctx, "pcaps-wrapped");
+        *out = self.oracles.check_distribution(&mut self.inner, ctx, "pcaps-wrapped");
     }
 
     fn sample(
@@ -322,7 +565,7 @@ impl ProbabilisticScheduler for CheckingProbabilistic {
         ctx: &SchedulingContext<'_>,
         draw: &mut dyn FnMut() -> f64,
     ) -> Option<SampledStage> {
-        let got = checked_sample(&mut self.inner, ctx, draw, &mut self.regimes, "pcaps-wrapped");
+        let got = self.oracles.checked_sample(&mut self.inner, ctx, draw, "pcaps-wrapped");
         self.distribution_into(ctx, &mut Vec::new());
         self.checks += 1;
         got
@@ -365,39 +608,81 @@ fn random_dag(rng: &mut ChaCha8Rng) -> JobDag {
     b.build().expect("forward-edge DAGs always build")
 }
 
-/// Arrivals and completions on a single cluster: the score table sees jobs
-/// appended at the back and removed in place, across several seeds and
-/// both a flat and a volatile trace.
-#[test]
-fn incremental_scores_match_scratch_on_single_cluster_runs() {
-    let mut regimes = Regimes::default();
+/// A single-cluster TPC-H run: the score table sees jobs appended at the
+/// back and removed in place.
+fn tpch_single_cluster(seed: u64) -> Simulator {
+    let workload: Vec<SubmittedJob> = WorkloadBuilder::new(WorkloadKind::TpchMixed, seed)
+        .jobs(12)
+        .mean_interarrival(25.0)
+        .build()
+        .into_iter()
+        .map(|j| SubmittedJob::at(j.arrival, j.dag))
+        .collect();
+    let trace = SyntheticTraceGenerator::new(GridRegion::Germany, seed).generate_days(30);
+    Simulator::new(ClusterConfig::new(16).with_time_scale(60.0), workload, trace)
+}
+
+/// Runs the standalone checking scheduler through both routes on several
+/// seeds and returns the merged tallies.
+fn check_single_cluster_runs(weights: DecimaWeights, label: &str) -> Oracles {
+    let mut total = Oracles::new(weights);
     for seed in [1u64, 5, 11] {
-        let workload: Vec<SubmittedJob> = WorkloadBuilder::new(WorkloadKind::TpchMixed, seed)
-            .jobs(12)
-            .mean_interarrival(25.0)
-            .build()
-            .into_iter()
-            .map(|j| SubmittedJob::at(j.arrival, j.dag))
-            .collect();
-        let trace = SyntheticTraceGenerator::new(GridRegion::Germany, seed).generate_days(30);
-        let sim = Simulator::new(
-            ClusterConfig::new(16).with_time_scale(60.0),
-            workload,
-            trace,
-        );
+        let sim = tpch_single_cluster(seed);
         for route in [Route::Distribution, Route::Sample] {
-            let mut checker = CheckingDecima::new(seed, route);
+            let mut checker = CheckingDecima::with_weights(seed, route, weights);
             let result = sim.run(&mut checker).expect("run completes");
-            assert!(result.all_jobs_complete(), "seed {seed}, {route:?}");
+            assert!(result.all_jobs_complete(), "{label}: seed {seed}, {route:?}");
             assert!(
                 checker.checks > 50,
-                "seed {seed}, {route:?}: the oracle must actually run ({} checks)",
+                "{label}: seed {seed}, {route:?}: the oracle must actually run ({} checks)",
                 checker.checks
             );
-            regimes.add(&checker.regimes);
+            total.merge(&checker.oracles);
         }
     }
-    regimes.assert_all_reached("single cluster");
+    total.assert_no_near_boundary_draws(label);
+    total
+}
+
+/// Arrivals and completions on a single cluster at the default weights,
+/// across several seeds, through both routes.
+#[test]
+fn incremental_scores_match_scratch_on_single_cluster_runs() {
+    let total = check_single_cluster_runs(DecimaWeights::default(), "single cluster");
+    total.regimes.assert_all_reached("single cluster");
+    assert_eq!(total.rebases, 0, "scores in [0, 4] at T = 1 never rebase the reference");
+}
+
+/// A near-greedy temperature: most textbook probabilities are exactly 0 and
+/// the reference score must follow the best job as it moves, so the rebase
+/// path runs again and again.
+#[test]
+fn factorised_softmax_matches_the_textbook_at_low_temperature() {
+    let weights = DecimaWeights { temperature: 1e-3, ..DecimaWeights::default() };
+    let total = check_single_cluster_runs(weights, "T = 1e-3");
+    total.regimes.assert_all_reached("T = 1e-3");
+    assert!(total.rebases > 10, "T = 1e-3 must rebase the reference, got {}", total.rebases);
+}
+
+/// A near-uniform temperature: every factor sits within rounding of 1.
+#[test]
+fn factorised_softmax_matches_the_textbook_at_high_temperature() {
+    let weights = DecimaWeights { temperature: 1e3, ..DecimaWeights::default() };
+    let total = check_single_cluster_runs(weights, "T = 1e3");
+    total.regimes.assert_all_reached("T = 1e3");
+}
+
+/// Negative feature weights (favour long jobs and off-critical-path
+/// stages): scores go negative, so the reference starts above them.
+#[test]
+fn factorised_softmax_matches_the_textbook_with_negative_weights() {
+    let weights = DecimaWeights {
+        short_job: -2.0,
+        bottleneck: -1.5,
+        ..DecimaWeights::default()
+    };
+    let total = check_single_cluster_runs(weights, "negative weights");
+    total.regimes.assert_all_reached("negative weights");
 }
 
 /// The PCAPS route on a volatile trace (real deferrals + throttled
@@ -419,8 +704,8 @@ fn incremental_scores_match_scratch_through_pcaps() {
     let mut pcaps = Pcaps::new(
         CheckingProbabilistic {
             inner: DecimaLike::new(1),
+            oracles: Oracles::new(DecimaWeights::default()),
             checks: 0,
-            regimes: Regimes::default(),
         },
         PcapsConfig::with_gamma(0.9),
     );
@@ -428,7 +713,8 @@ fn incremental_scores_match_scratch_through_pcaps() {
     assert!(result.all_jobs_complete());
     assert!(pcaps.stats().deferred > 0, "the volatile trace must exercise deferrals");
     assert!(pcaps.inner().checks > 50, "the oracle must actually run");
-    pcaps.inner().regimes.assert_all_reached("pcaps");
+    pcaps.inner().oracles.regimes.assert_all_reached("pcaps");
+    pcaps.inner().oracles.assert_no_near_boundary_draws("pcaps");
 }
 
 /// A fixed-spacing unbounded source, so the serving run stays sub-critical
@@ -504,8 +790,9 @@ fn incremental_scores_match_scratch_across_serve_compaction() {
         );
         // No regime assertion: the run is sub-critical (about one job in
         // the system at a time), so nearly every pass moves the normaliser
-        // and rescores everything.
+        // and recomputes every job factor.
         assert!(checker.checks > 100, "{route:?}: the oracle must actually run");
+        checker.oracles.assert_no_near_boundary_draws("serve compaction");
     }
 }
 
@@ -551,7 +838,7 @@ impl MigrationPolicy for RandomMover {
 fn incremental_scores_match_scratch_across_migrations() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x919);
     let mut total_moves = 0usize;
-    let mut regimes = Regimes::default();
+    let mut total = Oracles::new(DecimaWeights::default());
     for case in 0..8u64 {
         let members = rng.gen_range(2..4usize);
         let njobs = rng.gen_range(4..9usize);
@@ -596,7 +883,7 @@ fn incremental_scores_match_scratch_across_migrations() {
             );
             total_moves += result.num_migrations();
             for s in &schedulers {
-                regimes.add(&s.regimes);
+                total.merge(&s.oracles);
             }
         }
     }
@@ -604,5 +891,6 @@ fn incremental_scores_match_scratch_across_migrations() {
         total_moves > 0,
         "across all cases some migrations must apply, or detach/reattach is never exercised"
     );
-    regimes.assert_all_reached("migrations");
+    total.regimes.assert_all_reached("migrations");
+    total.assert_no_near_boundary_draws("migrations");
 }
