@@ -71,7 +71,12 @@ require_full_suite() {
 # max-remaining normaliser changes, and its cached jobs-with-work count)
 # bit for bit against a from-scratch factorised oracle, and within rounding
 # of the textbook softmax, across arrivals, completions, serve-mode
-# compaction and migration.
+# compaction and migration; tests/properties.rs holds the structural
+# oracles (incremental frontier and task counts under dispatch, finish and
+# failure vs a from-scratch recount, streamed DAGs ≡ generator DAGs bit for
+# bit); tests/determinism.rs pins the run_trial fingerprints to the v1
+# seed's, on the finite and the serving path, and DecimaLike's cache_stats
+# counters.
 require_full_suite migration "migration conformance suite"
 require_full_suite streaming "streaming-equivalence suite"
 require_full_suite faults "fault-injection conformance suite"
@@ -79,6 +84,8 @@ require_full_suite steady_state "steady-state serving suite"
 require_full_suite parallel "execution-mode determinism suite"
 require_full_suite network "network-topology conformance suite"
 require_full_suite scheduler_state "incremental scheduler-state suite"
+require_full_suite properties "property-oracle suite"
+require_full_suite determinism "determinism fingerprint suite"
 
 # Committed results must regenerate from the code: repro_check reruns the
 # multi_region, reliability and steady_state sweeps in full (byte for

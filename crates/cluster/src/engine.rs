@@ -28,7 +28,16 @@
 //!   reference count instead of deep-cloning every stage and task, and
 //!   workload validation happens once in [`Federation::new`], not per run,
 //! * runnable/dispatchable stage sets and remaining-work sums are maintained
-//!   incrementally inside [`pcaps_dag::JobProgress`],
+//!   incrementally inside [`pcaps_dag::JobProgress`], whose packed
+//!   per-stage task counts let a task finish decide stage completion
+//!   without reading the DAG,
+//! * each member's executor pool keeps an idle-executor bitmask, so picking
+//!   an executor for a dispatch visits only the idle ones (O(words + idle),
+//!   not O(executors)) and still returns the executor the full scan would,
+//! * a scheduling pass first checks that some active job has dispatchable
+//!   work and returns before building the carbon view and the
+//!   [`SchedulingContext`] when none has — the common case after a task
+//!   finish whose stage-mates are still running,
 //! * carbon bounds come from each member trace's O(1) range-min/max index,
 //!   and `defer_below` threshold crossings resolve in O(log trace) against
 //!   the requesting member's own index,
@@ -882,6 +891,13 @@ fn member_schedule_pass(
         if member.executors.free_count() == 0 {
             return Ok(());
         }
+        // Most task finishes leave every runnable stage fully dispatched
+        // (the finished task's stage-mates are still running), so test for
+        // work before paying for the carbon view and the context.
+        // `carbon_view` is pure, so the order changes nothing else.
+        if !member.active.iter().any(|j| j.progress.has_dispatchable_work()) {
+            return Ok(());
+        }
         let carbon = member.carbon_view(time);
         let ctx = SchedulingContext::new(
             time,
@@ -895,9 +911,6 @@ fn member_schedule_pass(
         )
         .with_slot_base(member.slot_base)
         .with_outstanding_work(member.outstanding_work);
-        if !ctx.has_dispatchable_work() {
-            return Ok(());
-        }
         let event = match seed {
             EventSeed::JobArrived(id) => match ctx.job(id) {
                 Some(job) => SchedEvent::JobArrived { job },
@@ -3133,6 +3146,51 @@ mod tests {
                 Err(SimError::InvalidJob { job, .. }) => assert_eq!(job, "bad"),
                 other => panic!("expected invalid-job error, got {other:?}"),
             }
+        }
+    }
+
+    /// `Task`'s fields are public, so a duration can bypass `Task::new`'s
+    /// check.  Unvalidated, a NaN duration panics in the event queue and a
+    /// negative one runs to a zero makespan; validation must turn both into
+    /// an invalid job.
+    fn job_with_task_duration(duration: f64) -> pcaps_dag::JobDag {
+        let mut job = chain_job("bad", 2, 2, 1.0);
+        job.stages[1].tasks[1].duration = duration;
+        job
+    }
+
+    fn assert_invalid_duration(result: Result<SimulationResult, SimError>) {
+        match result {
+            Err(SimError::InvalidJob { job, reason }) => {
+                assert_eq!(job, "bad");
+                assert!(reason.contains("task 1 of stage1"), "{reason}");
+            }
+            other => panic!("expected invalid-job error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn invalid_task_duration_is_detected_once_at_construction() {
+        for bad in [f64::NAN, f64::INFINITY, -3.0] {
+            let sim = Simulator::new(
+                ClusterConfig::new(1),
+                vec![SubmittedJob::at(0.0, job_with_task_duration(bad))],
+                flat_trace(),
+            );
+            assert_invalid_duration(sim.run(&mut SimpleFifo::new()));
+        }
+    }
+
+    #[test]
+    fn streamed_invalid_task_duration_is_rejected_on_pull() {
+        for bad in [f64::NAN, f64::INFINITY, -3.0] {
+            let sim = Simulator::streaming(ClusterConfig::new(1), flat_trace());
+            let mut source = vec![
+                SubmittedJob::at(0.0, chain_job("good", 1, 1, 1.0)),
+                SubmittedJob::at(1.0, job_with_task_duration(bad)),
+            ]
+            .into_iter();
+            assert_invalid_duration(sim.run_source(&mut source, &mut SimpleFifo::new()));
         }
     }
 

@@ -53,23 +53,40 @@ impl ExecutorState {
 
 /// A pool of executors with free-list maintenance.
 ///
-/// The busy count is maintained incrementally by [`ExecutorPool::start`] and
-/// [`ExecutorPool::finish`], so [`ExecutorPool::busy_count`] /
-/// [`ExecutorPool::free_count`] are O(1) — they are consulted on every
-/// iteration of the engine's scheduling loop.
+/// The busy count is maintained incrementally by [`ExecutorPool::start`],
+/// [`ExecutorPool::finish`] and [`ExecutorPool::crash`], so
+/// [`ExecutorPool::busy_count`] / [`ExecutorPool::free_count`] are O(1) —
+/// they are consulted on every iteration of the engine's scheduling loop.
+/// The same three calls keep an idle-executor bitmask, so
+/// [`ExecutorPool::pick_free_for`] visits only idle executors.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ExecutorPool {
     states: Vec<ExecutorState>,
+    /// Bit `i % 64` of word `i / 64` is set while executor `i` is idle.
+    free: Vec<u64>,
     busy: usize,
 }
 
 impl ExecutorPool {
     /// Creates a pool of `n` idle executors.
     pub fn new(n: usize) -> Self {
-        ExecutorPool {
+        let mut pool = ExecutorPool {
             states: vec![ExecutorState::idle(); n],
+            free: vec![0; n.div_ceil(64)],
             busy: 0,
+        };
+        for idx in 0..n {
+            pool.set_free(idx);
         }
+        pool
+    }
+
+    fn set_free(&mut self, idx: usize) {
+        self.free[idx / 64] |= 1u64 << (idx % 64);
+    }
+
+    fn clear_free(&mut self, idx: usize) {
+        self.free[idx / 64] &= !(1u64 << (idx % 64));
     }
 
     /// Total number of executors.
@@ -89,18 +106,25 @@ impl ExecutorPool {
 
     /// Number of currently idle executors.  O(1).
     pub fn free_count(&self) -> usize {
+        debug_assert_eq!(
+            self.len() - self.busy,
+            self.free.iter().map(|w| w.count_ones() as usize).sum::<usize>(),
+            "idle count and idle bitmask disagree"
+        );
         self.len() - self.busy
     }
 
     /// Marks executor `idx` busy for `job` starting at `time`.
     pub fn start(&mut self, idx: usize, job: JobId, time: f64) {
         self.states[idx].start(job, time);
+        self.clear_free(idx);
         self.busy += 1;
     }
 
     /// Marks executor `idx` idle after finishing a task.
     pub fn finish(&mut self, idx: usize) {
         self.states[idx].finish();
+        self.set_free(idx);
         self.busy -= 1;
     }
 
@@ -115,6 +139,7 @@ impl ExecutorPool {
     pub fn crash(&mut self, idx: usize) {
         debug_assert!(self.states[idx].is_busy(), "crash of an idle executor reached the pool");
         self.states[idx] = ExecutorState::idle();
+        self.set_free(idx);
         self.busy -= 1;
     }
 
@@ -124,18 +149,20 @@ impl ExecutorPool {
     }
 
     /// Picks an idle executor for `job`, preferring one whose last job was
-    /// `job` (so no movement delay applies).  Returns its index.
+    /// `job` (so no movement delay applies), else the lowest-indexed idle
+    /// one.  Returns its index.  Walks the idle bitmask in index order, so
+    /// it costs O(words + idle executors), not O(executors).
     pub fn pick_free_for(&self, job: JobId) -> Option<usize> {
         let mut fallback = None;
-        for (i, e) in self.states.iter().enumerate() {
-            if e.is_busy() {
-                continue;
-            }
-            if e.last_job == Some(job) {
-                return Some(i);
-            }
-            if fallback.is_none() {
-                fallback = Some(i);
+        for (w, &word) in self.free.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                if self.states[i].last_job == Some(job) {
+                    return Some(i);
+                }
+                fallback.get_or_insert(i);
+                bits &= bits - 1;
             }
         }
         fallback
@@ -203,6 +230,65 @@ mod tests {
     fn iter_enumerates_all() {
         let pool = ExecutorPool::new(4);
         assert_eq!(pool.iter().count(), 4);
+    }
+
+    /// The linear scan `pick_free_for` used before the idle bitmask, kept
+    /// as its oracle.
+    fn pick_by_scan(pool: &ExecutorPool, job: JobId) -> Option<usize> {
+        let mut fallback = None;
+        for (i, e) in pool.iter() {
+            if e.is_busy() {
+                continue;
+            }
+            if e.last_job == Some(job) {
+                return Some(i);
+            }
+            if fallback.is_none() {
+                fallback = Some(i);
+            }
+        }
+        fallback
+    }
+
+    #[test]
+    fn pick_free_for_matches_the_linear_scan() {
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+        let mut rng = ChaCha8Rng::seed_from_u64(0xE7EC);
+        for n in [1, 63, 64, 65, 100, 130] {
+            let mut pool = ExecutorPool::new(n);
+            for step in 0..3_000 {
+                // Phases that mostly start, mostly finish, or mix, so the
+                // walk visits an all-busy pool, an all-idle one and the
+                // word boundaries in between.
+                let p_start = [0.5, 0.9, 0.15][(step / 250) % 3];
+                let (idle, busy): (Vec<usize>, Vec<usize>) =
+                    (0..n).partition(|&i| !pool.get(i).is_busy());
+                if !idle.is_empty() && (busy.is_empty() || rng.gen_range(0.0..1.0) < p_start) {
+                    let idx = idle[rng.gen_range(0..idle.len())];
+                    pool.start(idx, JobId(rng.gen_range(0..6u64)), step as f64);
+                } else {
+                    let idx = busy[rng.gen_range(0..busy.len())];
+                    if rng.gen_range(0..8usize) == 0 {
+                        pool.crash(idx);
+                    } else {
+                        pool.finish(idx);
+                    }
+                }
+                let popcount: usize = pool.free.iter().map(|w| w.count_ones() as usize).sum();
+                let idle_now = pool.iter().filter(|(_, e)| !e.is_busy()).count();
+                assert_eq!(pool.free_count(), popcount, "n {n} step {step}: popcount");
+                assert_eq!(pool.free_count(), idle_now, "n {n} step {step}: idle count");
+                for job in 0..7 {
+                    let job = JobId(job);
+                    assert_eq!(
+                        pool.pick_free_for(job),
+                        pick_by_scan(&pool, job),
+                        "n {n} step {step}: pick for {job}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

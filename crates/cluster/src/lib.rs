@@ -174,8 +174,13 @@
 //!   dispatchable stage sets sorted and up to date in O(children) per
 //!   completion; `dispatchable_stages()` returns a borrowed slice and
 //!   `remaining_work` answers in O(stages) from the DAG's cached duration
-//!   suffix sums.  Any new mutation of task state must go through
-//!   `dispatch_task`/`finish_task` so those sets stay coherent.
+//!   suffix sums.  A task's completion reads no DAG: the stage's packed
+//!   pending/running/finished counts and the retry queue decide whether the
+//!   stage completed (only a stage completion walks its children), and a
+//!   fresh task's index is its stage's running + finished count.  Any new
+//!   mutation of task state must go through
+//!   `dispatch_task`/`fail_task`/`finish_task` so those sets and counts
+//!   stay coherent.
 //! * **Schedulers are incremental too.**  The O(changed) discipline does not
 //!   stop at the engine boundary: policy-side derived state (score tables,
 //!   per-job feature caches, aggregate counts) persists across invocations

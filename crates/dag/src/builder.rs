@@ -99,9 +99,7 @@ impl JobDagBuilder {
             return Err(DagError::EmptyJob);
         }
         for s in &self.stages {
-            if s.tasks.is_empty() {
-                return Err(DagError::EmptyStage { stage: s.id });
-            }
+            s.check_tasks()?;
         }
         let adjacency = Adjacency::from_edges(self.stages.len(), &self.edges)?;
         // Cycle check.
@@ -151,6 +149,22 @@ mod tests {
             .build()
             .unwrap_err();
         assert_eq!(err, DagError::EmptyStage { stage: StageId(0) });
+    }
+
+    #[test]
+    fn rejects_invalid_task_durations() {
+        for bad in [f64::NAN, f64::INFINITY, -3.0] {
+            let err = JobDagBuilder::new("bad")
+                .uniform_stage("a", 2, 1.0)
+                .stage("b", vec![Task::new(1.0), Task { duration: bad, shuffle_bytes: 0 }])
+                .build()
+                .unwrap_err();
+            assert_eq!(
+                err,
+                DagError::InvalidTaskDuration { stage: StageId(1), task: 1 },
+                "duration {bad}"
+            );
+        }
     }
 
     #[test]

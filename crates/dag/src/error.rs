@@ -13,6 +13,22 @@ pub enum DagError {
         /// The offending stage.
         stage: StageId,
     },
+    /// A stage has more tasks than the runtime's `u32` task counts hold.
+    TooManyTasks {
+        /// The offending stage.
+        stage: StageId,
+        /// Its task count.
+        tasks: usize,
+    },
+    /// A task's duration is NaN, infinite or negative.  [`crate::Task::new`]
+    /// rejects such a duration, but [`crate::Task`]'s fields are public, so
+    /// a task built or edited without it can carry one.
+    InvalidTaskDuration {
+        /// The stage holding the task.
+        stage: StageId,
+        /// The task's index within the stage.
+        task: usize,
+    },
     /// An edge references a stage id that does not exist in the job.
     UnknownStage {
         /// The id that was referenced but never defined.
@@ -47,6 +63,12 @@ impl fmt::Display for DagError {
         match self {
             DagError::EmptyJob => write!(f, "job has no stages"),
             DagError::EmptyStage { stage } => write!(f, "{stage} has no tasks"),
+            DagError::TooManyTasks { stage, tasks } => {
+                write!(f, "{stage} has {tasks} tasks, more than {}", u32::MAX)
+            }
+            DagError::InvalidTaskDuration { stage, task } => {
+                write!(f, "task {task} of {stage} has a non-finite or negative duration")
+            }
             DagError::UnknownStage { stage } => {
                 write!(f, "edge references unknown {stage}")
             }
@@ -75,6 +97,8 @@ mod tests {
         let msgs = [
             DagError::EmptyJob.to_string(),
             DagError::EmptyStage { stage: StageId(3) }.to_string(),
+            DagError::TooManyTasks { stage: StageId(3), tasks: 1 << 33 }.to_string(),
+            DagError::InvalidTaskDuration { stage: StageId(3), task: 4 }.to_string(),
             DagError::UnknownStage { stage: StageId(9) }.to_string(),
             DagError::UnknownStageName { name: "x".into() }.to_string(),
             DagError::SelfLoop { stage: StageId(1) }.to_string(),
@@ -87,6 +111,8 @@ mod tests {
         assert!(DagError::EmptyStage { stage: StageId(3) }
             .to_string()
             .contains("stage3"));
+        let bad_task = DagError::InvalidTaskDuration { stage: StageId(3), task: 4 }.to_string();
+        assert!(bad_task.contains("task 4") && bad_task.contains("stage3"), "{bad_task}");
     }
 
     #[test]

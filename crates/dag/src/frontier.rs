@@ -126,16 +126,30 @@ impl Frontier {
     }
 }
 
+/// Task counts of one stage, packed into one 12-byte record so a stage's
+/// bookkeeping is a single cache-line read.  Every task of the stage is in
+/// exactly one of four places, so at all times
+/// `pending + running + finished + (queued retries of the stage) = num_tasks`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+struct StageCounts {
+    /// Fresh tasks not yet dispatched (queued retries are not counted).
+    pending: u32,
+    /// Tasks in flight.
+    running: u32,
+    /// Tasks finished.
+    finished: u32,
+}
+
 /// Task-level progress of one job executing on a cluster.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobProgress {
     frontier: Frontier,
-    /// Tasks of each stage not yet dispatched (count).
-    pending_tasks: Vec<usize>,
-    /// Tasks of each stage currently running (count).
-    running_tasks: Vec<usize>,
-    /// Tasks of each stage already finished (count).
-    finished_tasks: Vec<usize>,
+    /// Per-stage task counts, indexed by stage.  Together with the retry
+    /// queue they decide stage completion and the next fresh task index, so
+    /// neither [`JobProgress::finish_task`] nor the fresh-task branch of
+    /// [`JobProgress::dispatch_task`] reads the stage's task count from the
+    /// DAG (debug builds check both against it).
+    counts: Vec<StageCounts>,
     /// Incrementally maintained set of stages that are runnable *and* still
     /// have undispatched tasks, ascending by stage id.
     dispatchable: Vec<StageId>,
@@ -166,7 +180,17 @@ impl JobProgress {
     /// Creates progress state for a fresh job.
     pub fn new(job: &JobDag) -> Self {
         let frontier = Frontier::new(job);
-        let pending_tasks: Vec<usize> = job.stages.iter().map(|s| s.num_tasks()).collect();
+        let counts: Vec<StageCounts> = job
+            .stages
+            .iter()
+            .map(|s| StageCounts {
+                // Validation rejects a stage of more than `u32::MAX` tasks.
+                pending: u32::try_from(s.num_tasks())
+                    .expect("a stage holds at most u32::MAX tasks"),
+                running: 0,
+                finished: 0,
+            })
+            .collect();
         // Every stage holds at least one task in a validated job, so the
         // initial dispatchable set is exactly the runnable set; the filter
         // only matters for hand-assembled jobs with empty stages.
@@ -174,13 +198,11 @@ impl JobProgress {
             .runnable()
             .iter()
             .copied()
-            .filter(|s| pending_tasks[s.index()] > 0)
+            .filter(|s| counts[s.index()].pending > 0)
             .collect();
         JobProgress {
             frontier,
-            pending_tasks,
-            running_tasks: vec![0; job.num_stages()],
-            finished_tasks: vec![0; job.num_stages()],
+            counts,
             dispatchable,
             retry: Vec::new(),
             retry_work: 0.0,
@@ -220,23 +242,23 @@ impl JobProgress {
         } else {
             self.retry.iter().filter(|&&(s, _)| s == stage).count()
         };
-        self.pending_tasks[stage.index()] + retries
+        self.counts[stage.index()].pending as usize + retries
     }
 
     /// Number of in-flight tasks of `stage`.
     pub fn running_tasks(&self, stage: StageId) -> usize {
-        self.running_tasks[stage.index()]
+        self.counts[stage.index()].running as usize
     }
 
     /// Number of finished tasks of `stage`.
     pub fn finished_tasks(&self, stage: StageId) -> usize {
-        self.finished_tasks[stage.index()]
+        self.counts[stage.index()].finished as usize
     }
 
     /// Total undispatched tasks over all runnable and future stages,
     /// counting failed tasks queued for re-dispatch.
     pub fn total_pending_tasks(&self) -> usize {
-        self.pending_tasks.iter().sum::<usize>() + self.retry.len()
+        self.counts.iter().map(|c| c.pending as usize).sum::<usize>() + self.retry.len()
     }
 
     /// Number of failed tasks currently queued for re-dispatch.
@@ -253,11 +275,11 @@ impl JobProgress {
     pub fn remaining_work(&self, job: &JobDag) -> f64 {
         let (offsets, sums) = job.duration_suffix_sums();
         debug_assert_eq!(job.num_stages() + 1, offsets.len());
-        let fresh: f64 = (0..self.pending_tasks.len())
+        let fresh: f64 = (0..self.counts.len())
             .map(|s| {
                 let offset = offsets[s] as usize;
                 let tasks = (offsets[s + 1] as usize - offset) - 1;
-                let done_or_running = tasks - self.pending_tasks[s];
+                let done_or_running = tasks - self.counts[s].pending as usize;
                 sums[offset + done_or_running]
             })
             .sum();
@@ -288,24 +310,27 @@ impl JobProgress {
                 } else {
                     self.retry_work -= job.stage(stage).tasks[task as usize].duration;
                 }
-                self.running_tasks[stage.index()] += 1;
-                if self.pending_tasks[stage.index()] == 0
-                    && !self.retry.iter().any(|&(s, _)| s == stage)
-                {
+                let counts = &mut self.counts[stage.index()];
+                counts.running += 1;
+                if counts.pending == 0 && !self.retry.iter().any(|&(s, _)| s == stage) {
                     sorted_remove(&mut self.dispatchable, stage);
                 }
                 self.version += 1;
                 return Some(task as usize);
             }
         }
-        if self.pending_tasks[stage.index()] == 0 {
+        let counts = &mut self.counts[stage.index()];
+        if counts.pending == 0 {
             return None;
         }
-        let total = job.stage(stage).num_tasks();
-        let idx = total - self.pending_tasks[stage.index()];
-        self.pending_tasks[stage.index()] -= 1;
-        self.running_tasks[stage.index()] += 1;
-        if self.pending_tasks[stage.index()] == 0 {
+        // Fresh tasks go out in index order, and no retry of this stage is
+        // queued here (the branch above takes those first), so the fresh
+        // tasks handed out so far are exactly the running and finished ones.
+        let idx = (counts.finished + counts.running) as usize;
+        debug_assert_eq!(idx, job.stage(stage).num_tasks() - counts.pending as usize);
+        counts.pending -= 1;
+        counts.running += 1;
+        if counts.pending == 0 {
             // No retry entries can exist for this stage here: the retry
             // branch above consumes them before any fresh task is taken.
             sorted_remove(&mut self.dispatchable, stage);
@@ -324,15 +349,16 @@ impl JobProgress {
     /// # Panics
     /// Panics if no task of `stage` is currently running.
     pub fn fail_task(&mut self, job: &JobDag, stage: StageId, task: usize) {
+        let counts = &mut self.counts[stage.index()];
         assert!(
-            self.running_tasks[stage.index()] > 0,
+            counts.running > 0,
             "fail_task called for {stage} with no running tasks"
         );
         debug_assert!(
             self.frontier.is_runnable(stage),
             "a stage with a running task must be runnable"
         );
-        self.running_tasks[stage.index()] -= 1;
+        counts.running -= 1;
         self.retry.push((stage, task as u32));
         self.retry_work += job.stage(stage).tasks[task].duration;
         sorted_insert(&mut self.dispatchable, stage);
@@ -346,27 +372,38 @@ impl JobProgress {
     /// # Panics
     /// Panics if no task of `stage` is currently running.
     pub fn finish_task(&mut self, job: &JobDag, stage: StageId) -> bool {
+        let counts = &mut self.counts[stage.index()];
         assert!(
-            self.running_tasks[stage.index()] > 0,
+            counts.running > 0,
             "finish_task called for {stage} with no running tasks"
         );
-        self.running_tasks[stage.index()] -= 1;
-        self.finished_tasks[stage.index()] += 1;
+        counts.running -= 1;
+        counts.finished += 1;
         self.version += 1;
-        let total = job.stage(stage).num_tasks();
-        if self.finished_tasks[stage.index()] == total {
-            self.frontier.complete(job, stage);
-            // O(children): any child that just became runnable joins the
-            // dispatchable set if it still has undispatched tasks.
-            for &c in job.adjacency.children(stage) {
-                if self.frontier.is_runnable(c) && self.pending_tasks[c.index()] > 0 {
-                    sorted_insert(&mut self.dispatchable, c);
-                }
-            }
-            true
-        } else {
-            false
+        // Every task is pending, running, finished or queued for retry, so
+        // the stage is complete exactly when none is in the other three
+        // places; the DAG is read only when it is.  The retry queue is empty
+        // on a fault-free run, so its scan costs nothing there.
+        let complete = counts.pending == 0
+            && counts.running == 0
+            && !self.retry.iter().any(|&(s, _)| s == stage);
+        debug_assert_eq!(
+            complete,
+            counts.finished as usize == job.stage(stage).num_tasks(),
+            "{stage}: task counts out of step with the DAG"
+        );
+        if !complete {
+            return false;
         }
+        self.frontier.complete(job, stage);
+        // O(children): any child that just became runnable joins the
+        // dispatchable set if it still has undispatched tasks.
+        for &c in job.adjacency.children(stage) {
+            if self.frontier.is_runnable(c) && self.counts[c.index()].pending > 0 {
+                sorted_insert(&mut self.dispatchable, c);
+            }
+        }
+        true
     }
 
     /// True when every stage of the job has completed.

@@ -184,9 +184,7 @@ impl JobDag {
                 // assembled by hand; surface it as an unknown-stage error.
                 return Err(DagError::UnknownStage { stage: s.id });
             }
-            if s.tasks.is_empty() {
-                return Err(DagError::EmptyStage { stage: s.id });
-            }
+            s.check_tasks()?;
         }
         if self.adjacency.len() != self.stages.len() {
             return Err(DagError::UnknownStage {
@@ -256,6 +254,19 @@ mod tests {
             j.validate(),
             Err(DagError::EmptyStage { stage: StageId(1) })
         );
+    }
+
+    #[test]
+    fn validate_detects_invalid_task_durations() {
+        for bad in [f64::NAN, f64::NEG_INFINITY, -3.0] {
+            let mut j = chain(3, 1.0);
+            j.stages[2].tasks[0].duration = bad;
+            assert_eq!(
+                j.validate(),
+                Err(DagError::InvalidTaskDuration { stage: StageId(2), task: 0 }),
+                "duration {bad}"
+            );
+        }
     }
 
     #[test]

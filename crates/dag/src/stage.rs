@@ -1,5 +1,6 @@
 //! A stage: a set of tasks runnable in parallel once all parent stages finish.
 
+use crate::error::DagError;
 use crate::ids::StageId;
 use crate::task::Task;
 use serde::{Deserialize, Serialize};
@@ -33,6 +34,29 @@ impl Stage {
     /// Number of tasks in the stage.
     pub fn num_tasks(&self) -> usize {
         self.tasks.len()
+    }
+
+    /// Checks the stage's tasks: at least one, at most `u32::MAX` (the
+    /// runtime counts a stage's tasks in `u32`), and every duration finite
+    /// and non-negative.  O(tasks).
+    pub(crate) fn check_tasks(&self) -> Result<(), DagError> {
+        if self.tasks.is_empty() {
+            return Err(DagError::EmptyStage { stage: self.id });
+        }
+        if u32::try_from(self.tasks.len()).is_err() {
+            return Err(DagError::TooManyTasks {
+                stage: self.id,
+                tasks: self.tasks.len(),
+            });
+        }
+        match self
+            .tasks
+            .iter()
+            .position(|t| !(t.duration.is_finite() && t.duration >= 0.0))
+        {
+            Some(task) => Err(DagError::InvalidTaskDuration { stage: self.id, task }),
+            None => Ok(()),
+        }
     }
 
     /// Total executor-seconds of work in the stage (sum of task durations).

@@ -149,7 +149,7 @@ impl AlibabaGenerator {
                 .iter()
                 .map(|j| Task::new(stage_work * j / jitter_sum))
                 .collect();
-            ids.push(builder.add_stage(format!("s{i}"), task_durations));
+            ids.push(builder.add_stage(stage_name(i), task_durations));
         }
 
         // 3. Wire edges: every stage in layer > 0 gets 1–3 parents from
@@ -203,9 +203,39 @@ impl AlibabaGenerator {
     }
 }
 
+/// The name of stage `i`, `"s{i}"`, built by pushing `'s'` and the decimal
+/// digits into a presized `String`: the same bytes as `format!("s{i}")`
+/// without the formatting machinery, which every stage of every generated
+/// job pays for on the streaming hot path.
+fn stage_name(i: usize) -> String {
+    let mut digits = [0u8; 20]; // usize::MAX has 20 decimal digits
+    let mut start = digits.len();
+    let mut n = i;
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    let mut name = String::with_capacity(1 + digits.len() - start);
+    name.push('s');
+    name.extend(digits[start..].iter().map(|&d| char::from(d)));
+    name
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stage_names_match_format() {
+        let wide = [999, 1000, 65_535, u32::MAX as usize, usize::MAX];
+        for i in (0..1_000).chain(wide) {
+            assert_eq!(stage_name(i), format!("s{i}"));
+        }
+    }
 
     #[test]
     fn jobs_are_valid_dags() {

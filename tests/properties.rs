@@ -327,22 +327,6 @@ fn naive_dispatchable(dag: &JobDag, progress: &JobProgress) -> Vec<StageId> {
         .collect()
 }
 
-/// Oracle: remaining undispatched work recomputed task by task.
-fn naive_remaining_work(dag: &JobDag, progress: &JobProgress) -> f64 {
-    dag.stage_ids()
-        .map(|s| {
-            let stage = dag.stage(s);
-            let done_or_running = stage.num_tasks() - progress.pending_tasks(s);
-            stage
-                .tasks
-                .iter()
-                .skip(done_or_running)
-                .map(|t| t.duration)
-                .sum::<f64>()
-        })
-        .sum()
-}
-
 fn assert_sets_match(dag: &JobDag, progress: &JobProgress, case: u64, step: usize) {
     let runnable: Vec<StageId> = progress.frontier().runnable().iter().copied().collect();
     assert_eq!(
@@ -358,55 +342,172 @@ fn assert_sets_match(dag: &JobDag, progress: &JobProgress, case: u64, step: usiz
     );
 }
 
-/// The incremental runnable/dispatchable sets must equal the sets
-/// recomputed from scratch after every dispatch/finish operation of a
-/// randomized execution, and `remaining_work` must match a task-by-task
-/// recomputation bit for bit.
+/// A random execution's own record of every task of one job: which tasks
+/// run, which finished, which failed and wait for re-dispatch (in failure
+/// order), and how many fresh tasks each stage has handed out.
+struct TaskWalk {
+    running: Vec<Vec<usize>>,
+    finished: Vec<Vec<bool>>,
+    retry: Vec<(StageId, usize)>,
+    fresh: Vec<usize>,
+}
+
+impl TaskWalk {
+    fn new(dag: &JobDag) -> Self {
+        TaskWalk {
+            running: vec![Vec::new(); dag.num_stages()],
+            finished: dag.stages.iter().map(|s| vec![false; s.num_tasks()]).collect(),
+            retry: Vec::new(),
+            fresh: vec![0; dag.num_stages()],
+        }
+    }
+
+    /// The task `dispatch_task` must hand out next for `stage`: its oldest
+    /// failed task, else its next fresh one.  Records it as running.
+    fn dispatch(&mut self, stage: StageId) -> usize {
+        let task = match self.retry.iter().position(|&(s, _)| s == stage) {
+            Some(pos) => self.retry.remove(pos).1,
+            None => {
+                self.fresh[stage.index()] += 1;
+                self.fresh[stage.index()] - 1
+            }
+        };
+        self.running[stage.index()].push(task);
+        task
+    }
+
+    /// Remaining undispatched work recomputed task by task: the fresh
+    /// tasks not yet handed out plus the failed ones awaiting re-dispatch.
+    fn remaining_work(&self, dag: &JobDag) -> f64 {
+        let fresh: f64 = dag
+            .stage_ids()
+            .map(|s| {
+                let tasks = &dag.stage(s).tasks;
+                tasks.iter().skip(self.fresh[s.index()]).map(|t| t.duration).sum::<f64>()
+            })
+            .sum();
+        let retried: f64 = self
+            .retry
+            .iter()
+            .map(|&(s, t)| dag.stage(s).tasks[t].duration)
+            .sum();
+        fresh + retried
+    }
+
+    fn assert_matches(&self, dag: &JobDag, progress: &JobProgress, case: u64, step: usize) {
+        assert_sets_match(dag, progress, case, step);
+        for s in dag.stage_ids() {
+            let (pending, running, finished) = (
+                progress.pending_tasks(s),
+                progress.running_tasks(s),
+                progress.finished_tasks(s),
+            );
+            let total = dag.stage(s).num_tasks();
+            assert_eq!(
+                pending + running + finished,
+                total,
+                "case {case} step {step}: {s} counts do not add up to its tasks"
+            );
+            assert_eq!(
+                progress.frontier().is_complete(s),
+                finished == total,
+                "case {case} step {step}: {s} completion out of step with its counts"
+            );
+            let done = self.finished[s.index()].iter().filter(|&&f| f).count();
+            assert_eq!(
+                (running, finished),
+                (self.running[s.index()].len(), done),
+                "case {case} step {step}: {s} counts diverged from the walk"
+            );
+        }
+        assert_eq!(progress.queued_retries(), self.retry.len(), "case {case} step {step}");
+        // Bit for bit while no retry is queued (the fresh part is answered
+        // from suffix sums, exactly); within rounding while one is (the
+        // retry work is kept as a running sum).
+        let expected = self.remaining_work(dag);
+        let got = progress.remaining_work(dag);
+        if self.retry.is_empty() {
+            assert!(
+                got.to_bits() == expected.to_bits(),
+                "case {case} step {step}: remaining_work {got} != oracle {expected}"
+            );
+        } else {
+            assert!(
+                (got - expected).abs() <= 1e-9 * expected.max(1.0),
+                "case {case} step {step}: remaining_work {got} != oracle {expected} with retries"
+            );
+        }
+    }
+}
+
+/// A randomized execution that dispatches, finishes and fails tasks: after
+/// every step the incremental runnable/dispatchable sets must equal the
+/// sets recomputed from scratch, every stage's pending + running +
+/// finished counts must add up to its tasks, a stage must be complete
+/// exactly when all its tasks finished, `dispatch_task` must hand out the
+/// oldest failed task or else the next fresh one (never a running or
+/// finished task), and `remaining_work` must match a task-by-task
+/// recomputation.
 #[test]
 fn incremental_frontier_matches_scratch_recompute() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xF409);
+    let mut failed = 0usize;
     for case in 0..CASES {
         let dag = random_dag(&mut rng);
         let mut progress = JobProgress::new(&dag);
+        let mut walk = TaskWalk::new(&dag);
         let mut step = 0usize;
-        assert_sets_match(&dag, &progress, case, step);
+        walk.assert_matches(&dag, &progress, case, step);
         while !progress.job_complete() {
             step += 1;
             assert!(step < 10_000, "case {case}: execution did not terminate");
             // Collect the possible moves: dispatch one task of a
-            // dispatchable stage, or finish one running task.
-            let dispatchable: Vec<StageId> =
-                progress.dispatchable_stages().iter().copied().collect();
-            let running: Vec<StageId> = dag
+            // dispatchable stage, or finish or fail one running task.
+            let dispatchable: Vec<StageId> = progress.dispatchable_stages().to_vec();
+            let busy: Vec<StageId> = dag
                 .stage_ids()
-                .filter(|&s| progress.running_tasks(s) > 0)
+                .filter(|s| !walk.running[s.index()].is_empty())
                 .collect();
             let do_dispatch = if dispatchable.is_empty() {
                 false
-            } else if running.is_empty() {
+            } else if busy.is_empty() {
                 true
             } else {
                 rng.gen_range(0.0..1.0) < 0.5
             };
             if do_dispatch {
                 let s = dispatchable[rng.gen_range(0..dispatchable.len())];
-                progress.dispatch_task(&dag, s).expect("stage was dispatchable");
+                let task = progress.dispatch_task(&dag, s).expect("stage was dispatchable");
+                assert!(
+                    !walk.finished[s.index()][task] && !walk.running[s.index()].contains(&task),
+                    "case {case} step {step}: {s} handed out task {task}, which is running or finished"
+                );
+                assert_eq!(task, walk.dispatch(s), "case {case} step {step}: {s} task order");
             } else {
-                let s = running[rng.gen_range(0..running.len())];
-                progress.finish_task(&dag, s);
+                let s = busy[rng.gen_range(0..busy.len())];
+                let running = &mut walk.running[s.index()];
+                let task = running.swap_remove(rng.gen_range(0..running.len()));
+                if rng.gen_range(0..4usize) == 0 {
+                    progress.fail_task(&dag, s, task);
+                    walk.retry.push((s, task));
+                    failed += 1;
+                } else {
+                    let stage_done = progress.finish_task(&dag, s);
+                    walk.finished[s.index()][task] = true;
+                    assert_eq!(
+                        stage_done,
+                        walk.finished[s.index()].iter().all(|&f| f),
+                        "case {case} step {step}: finish_task misreported {s}'s completion"
+                    );
+                }
             }
-            assert_sets_match(&dag, &progress, case, step);
-            let expected = naive_remaining_work(&dag, &progress);
-            let got = progress.remaining_work(&dag);
-            assert!(
-                got.to_bits() == expected.to_bits(),
-                "case {case} step {step}: remaining_work {got} != oracle {expected}"
-            );
+            walk.assert_matches(&dag, &progress, case, step);
         }
         assert!(progress.frontier().runnable().is_empty());
         assert!(progress.dispatchable_stages().is_empty());
         assert_eq!(progress.remaining_work(&dag), 0.0);
     }
+    assert!(failed > CASES as usize, "the walk failed only {failed} tasks");
 }
 
 /// `CarbonTrace::bounds` (which may answer from a precomputed range-min/max
