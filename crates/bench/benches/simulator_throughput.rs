@@ -5,8 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pcaps_bench::{bench_config, fed_bench_config, runner};
-use pcaps_cluster::ExecutionMode;
-use pcaps_experiments::alibaba_scale::{run_scale_trial, run_scale_trial_mode, ScaleConfig};
+use pcaps_experiments::alibaba_scale::{run_scale_trial, ScaleConfig};
 use pcaps_experiments::multi_region::{
     run_federated_trial, run_federated_trial_with_migration, MigrationSpec, RouterSpec,
 };
@@ -151,52 +150,6 @@ fn simulator_throughput(c: &mut Criterion) {
             b.iter(|| {
                 criterion::black_box(
                     run_scale_trial(&cfg, 10_000, SchedulerSpec::pcaps_moderate()).makespan,
-                )
-            })
-        },
-    );
-    // The 10k streaming spec again under ExecutionMode::Batched: same-time
-    // event bursts are drained together and each member's scheduler runs
-    // once per burst on a coalesced seed.  The A/B against
-    // alibaba_10k_stream above is the batching speedup on identical work
-    // (schedule-time results are bit-identical between the two).
-    group.bench_function(
-        BenchmarkId::new("10k_jobs_100_exec", "alibaba_10k_batched"),
-        |b| {
-            let cfg = ScaleConfig::standard();
-            b.iter(|| {
-                criterion::black_box(
-                    run_scale_trial_mode(
-                        &cfg,
-                        10_000,
-                        SchedulerSpec::Baseline(BaseScheduler::Fifo),
-                        ExecutionMode::Batched,
-                    )
-                    .makespan,
-                )
-            })
-        },
-    );
-    // The routed federated trial under ExecutionMode::Parallel with two
-    // scoped worker threads: members advance independently inside
-    // conservative time windows and merge at the barrier.  On a
-    // single-vCPU host this measures the window/merge overhead rather
-    // than a speedup; the result is pinned identical to sequential-member
-    // ordering by tests/parallel.rs regardless.
-    group.bench_function(
-        BenchmarkId::new("10_jobs_20_exec", "fed3_par2_pcaps"),
-        |b| {
-            let par_cfg = fed_cfg
-                .clone()
-                .with_execution_mode(ExecutionMode::Parallel { workers: 2 });
-            b.iter(|| {
-                criterion::black_box(
-                    run_federated_trial(
-                        &par_cfg,
-                        RouterSpec::CarbonQueueAware,
-                        SchedulerSpec::pcaps_moderate(),
-                    )
-                    .makespan,
                 )
             })
         },

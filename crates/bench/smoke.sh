@@ -13,7 +13,10 @@
 # the whole smoke run takes well under a minute; drop the variable in the
 # commands below for tighter statistics.  Cross-snapshot comparisons should
 # use each benchmark's `min_ns` — the minimum per-batch mean is robust to
-# one-off scheduler noise, where the overall mean is not.
+# one-off scheduler noise, where the overall mean is not.  The snapshot's
+# `host` object (perfbench's host_metadata: CPU, nproc, rustc, commit,
+# source digest) says which machine and source the numbers come from, so
+# compare snapshots only when it matches.
 set -euo pipefail
 cd "$(dirname "$0")/../.."
 
@@ -56,15 +59,13 @@ require_full_suite() {
 # pipeline bit-for-bit against the materialized path (and the k-way merge
 # against its sort oracle); tests/faults.rs pins the fault layer's
 # do-no-harm guarantee (empty schedule ≡ no schedule, bit for bit), replay
-# determinism under injection, and the hand-computed recovery oracles;
-# tests/steady_state.rs pins the serving mode (snapshot/restore
-# bit-identity across policies and seeds, windowed-percentile oracle,
-# admission conservation, open-loop determinism, bounded residency);
-# tests/parallel.rs pins the execution modes (batched ≡ sequential bit for
-# bit on every spec, parallel results invariant to worker count across
-# schedulers × migration × faults × seeds); tests/network.rs pins the
-# link-level transfer model (flow completions vs the from-scratch max-min
-# oracle, from_matrix ≡ TransferMatrix bit-identity on fed3_migrate_pcaps,
+# determinism under injection (with and without carbon-delta migration),
+# and the hand-computed recovery oracles; tests/steady_state.rs pins the
+# serving mode (snapshot/restore bit-identity across policies and seeds,
+# windowed-percentile oracle, admission conservation, open-loop
+# determinism, bounded residency); tests/network.rs pins the link-level
+# transfer model (flow completions vs the from-scratch max-min oracle,
+# from_matrix ≡ TransferMatrix bit-identity on fed3_migrate_pcaps,
 # drain-then-move replay determinism); tests/scheduler_state.rs pins the
 # incremental probabilistic-scheduler state (DecimaLike's version-stamped
 # table of factorised softmax terms, recomputed in full only when the
@@ -81,7 +82,6 @@ require_full_suite migration "migration conformance suite"
 require_full_suite streaming "streaming-equivalence suite"
 require_full_suite faults "fault-injection conformance suite"
 require_full_suite steady_state "steady-state serving suite"
-require_full_suite parallel "execution-mode determinism suite"
 require_full_suite network "network-topology conformance suite"
 require_full_suite scheduler_state "incremental scheduler-state suite"
 require_full_suite properties "property-oracle suite"
@@ -106,8 +106,13 @@ import json
 import pathlib
 import sys
 
+sys.dont_write_bytecode = True
+sys.path.insert(0, "perfbench")
+from run import host_metadata
+
 tmpdir, out = pathlib.Path(sys.argv[1]), sys.argv[2]
-merged = {}
+# The criterion specs fix their own seeds, so the run has none to record.
+merged = {"host": host_metadata(None)}
 for f in sorted(tmpdir.glob("*.json")):
     with open(f) as fh:
         merged[f.stem] = json.load(fh)

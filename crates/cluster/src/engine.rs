@@ -150,15 +150,6 @@ impl Simulator {
         self
     }
 
-    /// Selects how runs advance the event loop (see
-    /// [`Federation::with_execution_mode`]).  [`ExecutionMode::Parallel`]
-    /// degrades to [`ExecutionMode::Batched`] on a single-member simulator —
-    /// windows need at least two members to decouple.
-    pub fn with_execution_mode(mut self, mode: ExecutionMode) -> Self {
-        self.federation = self.federation.with_execution_mode(mode);
-        self
-    }
-
     /// The jobs known up front: the full workload for a materialized
     /// simulator ([`Simulator::new`]), empty for a streaming one
     /// ([`Simulator::streaming`], where jobs exist only as a run pulls them
@@ -594,9 +585,8 @@ pub(crate) struct Engine<'a> {
     /// `None` otherwise, keeping the matrix path untouched).
     flows: Option<FlowSet>,
     /// Jobs currently draining toward a migration (their `ActiveJob` holds
-    /// the destination).  Like `in_transit`, a conservative window can only
-    /// open at zero: the drain trigger is an engine-level cross-member
-    /// action.
+    /// the destination).  At zero the event path skips the drain trigger's
+    /// per-event lookup, so drain-free runs pay nothing for it.
     draining_jobs: usize,
     /// Reused buffer for flow-arrival (re)scheduling plans.
     flow_plan_buf: Vec<FlowArrivalPlan>,
@@ -653,15 +643,6 @@ pub(crate) struct Engine<'a> {
     /// The run-scoped migration sink (cleared, never reallocated, per
     /// consultation).
     migration_sink: MigrationSink,
-    /// How the event loop advances (see [`ExecutionMode`]).
-    mode: ExecutionMode,
-    /// Jobs currently migrating between members.  A conservative window can
-    /// only open at zero: a queued [`Event::MigrationArrival`] re-registers
-    /// state on another member, which no member-local advance may observe.
-    in_transit: usize,
-    /// Reused buffer for batched-mode `(member, seed)` pairs (cleared per
-    /// burst, never reallocated in the steady state).
-    seed_buf: Vec<(usize, EventSeed)>,
 }
 
 /// A job's migratable remainder: `(remaining executor-seconds of
@@ -692,181 +673,12 @@ enum EventSeed {
     Kick,
 }
 
-/// How the engine advances its event loop.
-///
-/// The default reproduces the historical engine exactly; the other modes
-/// trade bit-identity with it for throughput while staying fully
-/// deterministic in their own right (same seed + same mode ⇒ same result,
-/// and for [`ExecutionMode::Parallel`] the same result for *any* worker
-/// count).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutionMode {
-    /// One queue event at a time, one scheduler invocation per event —
-    /// bit-identical to the pre-batching engine.
-    #[default]
-    Sequential,
-    /// Same-instant queue events are drained together: all side effects
-    /// apply first (in queue order), then each touched member's scheduler
-    /// is invoked once per instant with a coalesced event — equal
-    /// `(job, stage)` task finishes sum their `n`, heterogeneous bursts
-    /// degrade to one `Kick`.  The [`SchedEvent`] stream is advisory
-    /// (lossy) by contract, so policies reading only the context behave
-    /// identically.
-    Batched,
-    /// Batched, plus: between cross-member interaction points, federation
-    /// members advance independently on a `std::thread::scope` worker
-    /// pool, synchronizing at conservative window barriers (next arrival,
-    /// next fault injection, any member's next carbon step, the serve
-    /// horizon, the time limit).  Results are identical for any `workers`
-    /// value, including 1.
-    Parallel {
-        /// Worker threads the member partition is spread across (clamped
-        /// to at least 1; capped by the member count).
-        workers: usize,
-    },
-}
-
-/// Coalesces two same-instant event seeds destined for one member: equal
-/// provenance task finishes sum their counts, anything heterogeneous
-/// degrades to a single advisory `Kick` (the context carries the truth).
-#[inline]
-fn merge_seeds(a: EventSeed, b: EventSeed) -> EventSeed {
-    match (a, b) {
-        (
-            EventSeed::TasksCompleted { job: ja, stage: sa, n: na },
-            EventSeed::TasksCompleted { job: jb, stage: sb, n: nb },
-        ) if ja == jb && sa == sb => EventSeed::TasksCompleted { job: ja, stage: sa, n: na + nb },
-        _ => EventSeed::Kick,
-    }
-}
-
-/// Outcome of one member-scoped queue event (everything except migration
-/// arrivals, which re-register state across members and stay engine-level).
-/// Job completion is *reported*, not applied: the caller owns the global
-/// job table, so the sequential path applies it inline while the windowed
-/// path defers it to the barrier merge.
-enum LocalOutcome {
-    /// A stale finish (crashed executor) — dropped without a pass.
-    Stale,
-    /// A regular event; the member's scheduler is consulted with this seed.
-    Seed(EventSeed),
-    /// The event completed `job`; the caller must mark it settled.
-    Completed {
-        /// The job that finished.
-        job: JobId,
-        /// The seed for the completing member's scheduling pass.
-        seed: EventSeed,
-    },
-}
-
-/// What one member's conservative-window advance produced, merged back into
-/// the engine at the barrier in member-index order.
-struct WindowOutcome {
-    /// Events at or past the barrier, in deterministic local-queue order.
-    leftovers: Vec<(f64, Event)>,
-    /// Jobs that completed inside the window, in completion order.
-    completions: Vec<JobId>,
-    /// The member's local clock after its last in-window event.
-    end_time: f64,
-}
-
-/// Applies one member-scoped queue event to its member's state.  This is
-/// the single implementation behind both paths: the engine's sequential
-/// loop (which then applies the reported completion to the global job table
-/// inline) and the parallel window (which defers it to the barrier merge).
-#[inline]
-fn member_handle_event(
-    member: &mut MemberState<'_>,
-    target: usize,
-    time: f64,
-    event: Event,
-) -> Result<LocalOutcome, SimError> {
-    match event {
-        Event::TaskFinish { member: _, executor, job, stage, epoch } => {
-            // A crash bumps the executor's epoch, so a finish stamped
-            // with an older one belongs to a killed task: the queue's
-            // deterministic analogue of cancelling the event.  Always
-            // equal on fault-free runs.
-            if epoch != member.epochs[executor] {
-                return Ok(LocalOutcome::Stale);
-            }
-            member.executors.finish(executor);
-            member.running[executor] = None;
-            let Some(idx) = member.slot(job) else {
-                return Err(SimError::InvalidAssignment {
-                    reason: format!(
-                        "task of {stage} finished for {job}, which is not active on member {target}"
-                    ),
-                });
-            };
-            let active = &mut member.active[idx];
-            active.busy_executors = active.busy_executors.saturating_sub(1);
-            let stage_done = active.progress.finish_task(&active.dag, stage);
-            let mut completed = None;
-            if stage_done && active.progress.job_complete() {
-                let completion = time;
-                active.completion = Some(completion);
-                let done = member.retire_active(idx);
-                completed = Some(done.id);
-                member.records.push(JobRecord {
-                    id: done.id,
-                    name: done.dag.name.clone(),
-                    arrival: done.arrival,
-                    completion,
-                    first_start: done.first_start.unwrap_or(completion),
-                    executor_seconds: done.executor_seconds,
-                    total_work: done.dag.total_work(),
-                    num_stages: done.dag.num_stages(),
-                });
-                member
-                    .profile
-                    .record_jobs_in_system(time, member.active.len());
-            }
-            member.record_usage_sample(time);
-            let seed = EventSeed::TasksCompleted { job, stage, n: 1 };
-            Ok(match completed {
-                Some(job) => LocalOutcome::Completed { job, seed },
-                None => LocalOutcome::Seed(seed),
-            })
-        }
-        Event::RetryRelease { member: _, job, stage, task } => {
-            // The job cannot have completed (the killed task's stage is
-            // still held open) and cannot have migrated (cooling-down
-            // tasks pin it to this member), so it must be active here —
-            // anything else is an engine bug worth a descriptive error.
-            let Some(idx) = member.slot(job) else {
-                return Err(SimError::InvalidAssignment {
-                    reason: format!(
-                        "retry release of task {task} of {stage} for {job}, which is not \
-                         active on member {target}"
-                    ),
-                });
-            };
-            let active = &mut member.active[idx];
-            active.retrying -= 1;
-            active.progress.fail_task(&active.dag, stage, task);
-            member.retries += 1;
-            member.fault_log.push(FaultRecord {
-                time,
-                member: target,
-                effect: FaultEffect::TaskRetried { job, stage, task },
-            });
-            Ok(LocalOutcome::Seed(EventSeed::Kick))
-        }
-        Event::Wakeup { member: _, token } => Ok(LocalOutcome::Seed(EventSeed::Wakeup(token))),
-        Event::MigrationArrival { .. } | Event::FlowArrival { .. } => {
-            unreachable!("migration and flow arrivals are engine-level (handled before delegation)")
-        }
-    }
-}
-
 /// One member's scheduling pass: consults the policy, resolves control
 /// verbs, applies assignments, and repeats with a `Kick` while dispatches
-/// land.  Shared verbatim between the engine's sequential loop (which
-/// passes the shared event queue and an empty `window_completed`) and the
-/// parallel window (which passes the member's local queue and the jobs
-/// completed so far inside the window, whose global-table settlement is
-/// deferred to the barrier).
+/// land.  A free function rather than an engine method because the
+/// context borrows the member's active table while dispatches push onto
+/// the shared queue and read the global job table: the arguments are that
+/// borrow split.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn member_schedule_pass(
@@ -875,7 +687,6 @@ fn member_schedule_pass(
     time: f64,
     jobs_seen: usize,
     jobs: &JobTable,
-    window_completed: &[JobId],
     events: &mut EventQueue,
     scheduler: &mut dyn Scheduler,
     sink: &mut DecisionSink,
@@ -952,7 +763,6 @@ fn member_schedule_pass(
             time,
             jobs_seen,
             jobs,
-            window_completed,
             events,
             sink.assignments(),
         )?;
@@ -1009,9 +819,7 @@ fn apply_deferrals_for(
 }
 
 /// Applies one member's assignments, returning the number of tasks
-/// actually dispatched.  Task-finish events go to the given queue (the
-/// shared one sequentially, the member's local one inside a window).
-#[allow(clippy::too_many_arguments)]
+/// actually dispatched.  Task-finish events go to the shared queue.
 #[inline]
 fn apply_assignments_for(
     member: &mut MemberState<'_>,
@@ -1019,7 +827,6 @@ fn apply_assignments_for(
     time: f64,
     jobs_seen: usize,
     jobs: &JobTable,
-    window_completed: &[JobId],
     events: &mut EventQueue,
     assignments: &[Assignment],
 ) -> Result<usize, SimError> {
@@ -1037,11 +844,7 @@ fn apply_assignments_for(
                 // stage-count validation retired with the slot).
                 continue;
             };
-            // A job that completed earlier inside the current window is
-            // settled in spirit — its global-table write is merely deferred
-            // to the barrier merge — so it earns the same forgiveness.
-            // Sequential and batched runs pass an empty list here.
-            if slot.settled() || window_completed.contains(&a.job) {
+            if slot.settled() {
                 // An assignment to an already finished (or rejected) job
                 // is a harmless no-op — but an out-of-range stage is
                 // still a scheduler bug and keeps being reported (the
@@ -1157,90 +960,6 @@ fn apply_assignments_for(
     Ok(dispatched)
 }
 
-/// Advances one member independently through every event strictly inside
-/// `[start, window_end)`: its bucket of drained events is replayed through
-/// a member-local queue (so newly produced finishes and wakeups inside the
-/// window are processed in exactly the shared queue's order), same-instant
-/// events are batched like [`ExecutionMode::Batched`], and job completions
-/// are reported — not applied — because the global job table is shared
-/// read-only across the worker pool.  Deterministic given the member's
-/// state and bucket, which is what makes the result independent of the
-/// worker layout.
-#[allow(clippy::too_many_arguments)]
-fn member_window(
-    member: &mut MemberState<'_>,
-    target: usize,
-    start: f64,
-    window_end: f64,
-    events_in: Vec<(f64, Event)>,
-    jobs: &JobTable,
-    jobs_seen: usize,
-    scheduler: &mut dyn Scheduler,
-) -> Result<WindowOutcome, SimError> {
-    let mut local = EventQueue::new();
-    for (t, event) in events_in {
-        local.push(t, event);
-    }
-    let mut completions: Vec<JobId> = Vec::new();
-    let mut time = start;
-    let mut sink = std::mem::take(&mut member.sink);
-    let mut run = || -> Result<(), SimError> {
-        while let Some(t) = local.peek_time() {
-            if t >= window_end {
-                break;
-            }
-            time = t;
-            debug_assert!(
-                member.available,
-                "windows only open while every member is available"
-            );
-            let mut merged: Option<EventSeed> = None;
-            while local.peek_time() == Some(t) {
-                let (_, event) = local.pop().expect("peeked time implies non-empty");
-                match member_handle_event(member, target, t, event)? {
-                    LocalOutcome::Stale => {}
-                    LocalOutcome::Seed(seed) => {
-                        merged = Some(match merged {
-                            Some(m) => merge_seeds(m, seed),
-                            None => seed,
-                        });
-                    }
-                    LocalOutcome::Completed { job, seed } => {
-                        completions.push(job);
-                        merged = Some(match merged {
-                            Some(m) => merge_seeds(m, seed),
-                            None => seed,
-                        });
-                    }
-                }
-            }
-            if let Some(seed) = merged {
-                member_schedule_pass(
-                    member,
-                    target,
-                    t,
-                    jobs_seen,
-                    jobs,
-                    &completions,
-                    &mut local,
-                    scheduler,
-                    &mut sink,
-                    seed,
-                )?;
-            }
-        }
-        Ok(())
-    };
-    let result = run();
-    member.sink = sink;
-    result?;
-    let mut leftovers = Vec::with_capacity(local.len());
-    while let Some(entry) = local.pop() {
-        leftovers.push(entry);
-    }
-    Ok(WindowOutcome { leftovers, completions, end_time: time })
-}
-
 impl<'a> Engine<'a> {
     /// An engine over a federation's materialized workload slice (sorted
     /// and validated by [`Federation::new`]).
@@ -1327,20 +1046,13 @@ impl<'a> Engine<'a> {
             view_buf,
             candidate_buf: Vec::new(),
             migration_sink: MigrationSink::new(),
-            mode: ExecutionMode::Sequential,
-            in_transit: 0,
-            seed_buf: Vec::new(),
         }
-    }
-
-    /// Selects how the event loop advances (see [`ExecutionMode`]).
-    pub(crate) fn set_mode(&mut self, mode: ExecutionMode) {
-        self.mode = mode;
     }
 
     /// Refills the arrival window: pulls the next job from the source,
     /// enforces the ascending-arrival contract, validates the DAG if the
-    /// source is not prevalidated, assigns the job its id and grows the
+    /// source is not prevalidated, checks the data size (O(1), so even
+    /// prevalidated sources get it), assigns the job its id and grows the
     /// per-job tables.  A no-op once the source is drained.
     fn refill_window(&mut self) -> Result<(), SimError> {
         debug_assert!(self.pending.is_none(), "the window holds at most one arrival");
@@ -1372,6 +1084,7 @@ impl<'a> Engine<'a> {
                 });
             }
         }
+        job.check_data_gb()?;
         self.last_arrival = job.arrival;
         let id = JobId(self.jobs_seen as u64);
         self.jobs_seen += 1;
@@ -1532,15 +1245,6 @@ impl<'a> Engine<'a> {
                 }
                 return Ok(true);
             }
-            // Parallel mode: try to advance every member independently up
-            // to the next cross-member interaction point.  Falls through to
-            // one normal sequential iteration whenever a window cannot open
-            // (members coupled, or nothing strictly inside the window).
-            if let ExecutionMode::Parallel { workers } = self.mode {
-                if self.maybe_run_window(stop_at, schedulers, workers.max(1))? {
-                    continue;
-                }
-            }
             // The earliest member carbon step (ties broken by member index,
             // so multi-member runs stay deterministic).
             let mut carbon_member = 0usize;
@@ -1660,224 +1364,14 @@ impl<'a> Engine<'a> {
                 if self.time > self.max_sim_time {
                     return Err(self.time_limit_error());
                 }
-                if self.mode == ExecutionMode::Sequential {
-                    // `None`: the event was recognised as stale (a finish
-                    // whose executor crashed under it) and dropped without
-                    // a pass.
-                    if let Some((target, seed)) = self.handle_event(event)? {
-                        self.schedule_loop(target, &mut *schedulers[target], seed)?;
-                    }
-                } else {
-                    self.handle_event_burst(event, schedulers)?;
+                // `None`: the event was recognised as stale (a finish whose
+                // executor crashed under it, a superseded flow arrival) and
+                // dropped without a pass.
+                if let Some((target, seed)) = self.handle_event(event)? {
+                    self.schedule_loop(target, &mut *schedulers[target], seed)?;
                 }
             }
         }
-    }
-
-    /// Batched queue-event processing ([`ExecutionMode::Batched`] and the
-    /// sequential iterations of [`ExecutionMode::Parallel`]): drains every
-    /// event sharing the head timestamp, applies all side effects first (in
-    /// queue order), then invokes each touched member's scheduler once with
-    /// a coalesced seed, members in first-touched order.
-    fn handle_event_burst(
-        &mut self,
-        first: Event,
-        schedulers: &mut [&mut dyn Scheduler],
-    ) -> Result<(), SimError> {
-        let t = self.time;
-        let mut seeds = std::mem::take(&mut self.seed_buf);
-        seeds.clear();
-        if let Some(pair) = self.handle_event(first)? {
-            seeds.push(pair);
-        }
-        while self.events.peek_time() == Some(t) {
-            let (_, event) = self.events.pop().expect("peeked time implies non-empty");
-            if let Some(pair) = self.handle_event(event)? {
-                seeds.push(pair);
-            }
-        }
-        let mut i = 0;
-        while i < seeds.len() {
-            let (target, mut merged) = seeds[i];
-            // usize::MAX marks a seed already folded into an earlier
-            // member's coalesced invocation.
-            if target != usize::MAX {
-                for later in seeds[i + 1..].iter_mut() {
-                    if later.0 == target {
-                        merged = merge_seeds(merged, later.1);
-                        later.0 = usize::MAX;
-                    }
-                }
-                self.schedule_loop(target, &mut *schedulers[target], merged)?;
-            }
-            i += 1;
-        }
-        self.seed_buf = seeds;
-        Ok(())
-    }
-
-    /// Attempts one conservative time window ([`ExecutionMode::Parallel`]).
-    /// Returns `Ok(true)` when a window ran (the loop re-evaluates from the
-    /// barrier), `Ok(false)` when the engine must take one sequential
-    /// iteration instead.
-    ///
-    /// A window may open only while members are fully decoupled: no
-    /// migration in flight (its arrival re-registers state on another
-    /// member) and every member available (a drained finish on an outaged
-    /// member evacuates cross-member).  The barrier is the earliest instant
-    /// members can interact again — the pending arrival (routing reads
-    /// every member's view), the next fault injection, any member's next
-    /// carbon step (migration policies are consulted there), the serve
-    /// horizon and the time limit.  Only events *strictly* inside the
-    /// window are advanced; the barrier event itself is left queued, so
-    /// every cross-class tie rule (arrivals win ties, faults fire only when
-    /// strictly earliest, carbon loses ties to queue events) is decided by
-    /// the unchanged sequential branches.
-    fn maybe_run_window(
-        &mut self,
-        stop_at: Option<f64>,
-        schedulers: &mut [&mut dyn Scheduler],
-        workers: usize,
-    ) -> Result<bool, SimError> {
-        if self.members.len() < 2 || self.in_transit > 0 || self.draining_jobs > 0 {
-            return Ok(false);
-        }
-        if self.members.iter().any(|m| !m.available) {
-            return Ok(false);
-        }
-        let mut barrier = f64::INFINITY;
-        if let Some(p) = &self.pending {
-            barrier = barrier.min(p.job.arrival);
-        }
-        if let Some(inj) = self.faults.injections().get(self.next_fault) {
-            barrier = barrier.min(inj.time);
-        }
-        for m in &self.members {
-            barrier = barrier.min(m.next_carbon_change);
-        }
-        if let Some(stop) = stop_at {
-            barrier = barrier.min(stop);
-        }
-        barrier = barrier.min(self.max_sim_time);
-        // Progress guard: at least one queue event strictly inside the
-        // window.  Events never predate the clock, so this also implies
-        // the barrier lies strictly ahead of `self.time`.
-        match self.events.peek_time() {
-            Some(t) if t < barrier => {}
-            _ => return Ok(false),
-        }
-        let n = self.members.len();
-        let mut buckets: Vec<Vec<(f64, Event)>> = vec![Vec::new(); n];
-        while let Some(t) = self.events.peek_time() {
-            if t >= barrier {
-                break;
-            }
-            let (t, event) = self.events.pop().expect("peeked time implies non-empty");
-            debug_assert!(
-                !matches!(event, Event::MigrationArrival { .. } | Event::FlowArrival { .. }),
-                "no migration or flow arrivals are queued while in_transit == 0"
-            );
-            buckets[event.member()].push((t, event));
-        }
-        let start = self.time;
-        let jobs = &self.jobs;
-        let jobs_seen = self.jobs_seen;
-        // Worker count 1 runs the exact same windowed algorithm inline —
-        // worker-count invariance holds because the per-member computation
-        // and the member-index merge order below are both layout-blind.
-        let outcomes: Vec<Result<WindowOutcome, SimError>> = if workers <= 1 {
-            self.members
-                .iter_mut()
-                .zip(schedulers.iter_mut())
-                .zip(buckets.iter_mut())
-                .enumerate()
-                .map(|(i, ((m, s), b))| {
-                    member_window(
-                        m,
-                        i,
-                        start,
-                        barrier,
-                        std::mem::take(b),
-                        jobs,
-                        jobs_seen,
-                        &mut **s,
-                    )
-                })
-                .collect()
-        } else {
-            let chunk = n.div_ceil(workers);
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(workers);
-                let mut base = 0usize;
-                for ((ms, ss), bs) in self
-                    .members
-                    .chunks_mut(chunk)
-                    .zip(schedulers.chunks_mut(chunk))
-                    .zip(buckets.chunks_mut(chunk))
-                {
-                    let first = base;
-                    base += ms.len();
-                    handles.push(scope.spawn(move || {
-                        ms.iter_mut()
-                            .zip(ss.iter_mut())
-                            .zip(bs.iter_mut())
-                            .enumerate()
-                            .map(|(k, ((m, s), b))| {
-                                member_window(
-                                    m,
-                                    first + k,
-                                    start,
-                                    barrier,
-                                    std::mem::take(b),
-                                    jobs,
-                                    jobs_seen,
-                                    &mut **s,
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("window worker threads do not panic"))
-                    .collect()
-            })
-        };
-        // Merge at the barrier in member-index order, whatever the worker
-        // layout: completions settle in the global table in index order,
-        // leftover events re-enter the shared queue in index order (fresh
-        // sequence numbers; within-member relative order is preserved
-        // because each leftover list drained from a deterministic local
-        // queue), and the first error by member index wins.
-        let mut first_err: Option<SimError> = None;
-        let mut end = start;
-        for outcome in outcomes {
-            match outcome {
-                Ok(o) => {
-                    end = end.max(o.end_time);
-                    for job in o.completions {
-                        self.jobs
-                            .get_mut(job.index())
-                            .expect("a completing job is resident")
-                            .completed = true;
-                        self.completed_jobs += 1;
-                    }
-                    for (t, event) in o.leftovers {
-                        self.events.push(t, event);
-                    }
-                }
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        self.time = end;
-        Ok(true)
     }
 
     /// Drains the engine's recorded state into a [`FederationResult`].
@@ -2029,121 +1523,189 @@ impl<'a> Engine<'a> {
     /// Applies a queue event's state changes and returns the member to
     /// consult plus the seed of the typed [`SchedEvent`] the scheduling
     /// pass is invoked with, or `None` when the event is stale (a task
-    /// finish whose executor crashed under it) and must be dropped without
-    /// a scheduling pass.  (Workload arrivals are not queue events — see
-    /// [`Engine::admit_arrival`].)
+    /// finish whose executor crashed under it, a superseded flow arrival)
+    /// and must be dropped without a scheduling pass.  (Workload arrivals
+    /// are not queue events — see [`Engine::admit_arrival`].)
     fn handle_event(&mut self, event: Event) -> Result<Option<(usize, EventSeed)>, SimError> {
-        // Migration arrivals re-register state across members and touch the
-        // global job table, so they stay engine-level; every other variant
-        // is member-scoped and shared with the windowed path through
-        // `member_handle_event`.
-        if let Event::MigrationArrival { member: target, job } = event {
-            self.register_migration_arrival(target, job);
-            return Ok(Some((target, EventSeed::JobArrived(job))));
-        }
-        if let Event::FlowArrival { member: target, job, epoch } = event {
-            let topo = self.network.expect("flow arrivals only exist with a network");
-            let mut flows = self.flows.take().expect("network runs carry a flow set");
-            flows.settle(topo, self.time);
-            let Some(flow) = flows.finish(topo, job, epoch) else {
-                // The flow's rate changed after this event was pushed — a
-                // replacement event with the current epoch is queued.
-                self.flows = Some(flows);
-                return Ok(None);
-            };
-            // Finalize the provisional record with the actual arrival and
-            // the transfer-interval carbon integral, then re-solve the
-            // allocation for the surviving flows (the departed flow's
-            // bandwidth is redistributed).
-            let departed = self.migrations[flow.record].departed;
-            let gb = self.migrations[flow.record].gb;
-            let grams =
-                self.transfer_carbon(topo.energy_kwh_per_gb(), gb, flow.from, flow.to, departed, self.time);
-            let record = &mut self.migrations[flow.record];
-            record.arrived = self.time;
-            record.transfer_seconds = self.time - departed;
-            record.transfer_carbon_grams = grams;
-            let mut plans = std::mem::take(&mut self.flow_plan_buf);
-            plans.clear();
-            flows.reallocate(topo, self.time, &mut plans);
-            self.flows = Some(flows);
-            self.apply_flow_plans(&plans);
-            self.flow_plan_buf = plans;
-            self.register_migration_arrival(target, job);
-            return Ok(Some((target, EventSeed::JobArrived(job))));
-        }
-        let target = event.member();
-        // The drain trigger needs the job an event touched even when its
-        // seed does not carry it (a retry release degrades to a `Kick`),
-        // and whether it was draining *before* the event (a completion
-        // retires the `ActiveJob` along with its flag).  Guarded by the
-        // counter so drain-free runs pay nothing here.
-        let touched = match event {
-            Event::TaskFinish { job, .. } | Event::RetryRelease { job, .. } => Some(job),
-            _ => None,
-        };
-        let was_draining = self.draining_jobs > 0
-            && touched.is_some_and(|j| {
-                let m = &self.members[target];
-                m.slot(j).is_some_and(|idx| m.active[idx].draining.is_some())
-            });
-        match member_handle_event(&mut self.members[target], target, self.time, event)? {
-            LocalOutcome::Stale => Ok(None),
-            LocalOutcome::Completed { job, seed } => {
-                // A draining job whose last task completed the whole job
-                // has nothing left to move: the drain dissolves with it.
-                if was_draining {
-                    self.draining_jobs -= 1;
+        let time = self.time;
+        match event {
+            Event::TaskFinish { member: target, executor, job, stage, epoch } => {
+                // A crash bumps the executor's epoch, so a finish stamped
+                // with an older one belongs to a killed task: the queue's
+                // deterministic analogue of cancelling the event.  Always
+                // equal on fault-free runs.
+                if epoch != self.members[target].epochs[executor] {
+                    return Ok(None);
                 }
-                self.jobs
-                    .get_mut(job.index())
-                    .expect("a completing job is resident")
-                    .completed = true;
-                self.completed_jobs += 1;
-                Ok(Some((target, seed)))
-            }
-            LocalOutcome::Seed(seed) => {
-                // Drain-then-move trigger: the moment a draining job's last
-                // running or retrying task resolves, it departs for the
-                // destination its policy chose.  Checked before the outage
-                // evacuation below — a policy-chosen destination outranks
-                // the evacuation heuristic.
-                if was_draining {
-                    let job = touched.expect("was_draining implies a touched job");
-                    let member = &self.members[target];
-                    let idx = member.slot(job).expect("an uncompleted job stays active");
-                    let j = &member.active[idx];
-                    if j.busy_executors == 0 && j.retrying == 0 {
-                        let dest = j.draining.expect("was_draining reads the same flag") as usize;
-                        self.members[target].active[idx].draining = None;
+                // Read before the finish: a completion retires the
+                // `ActiveJob` along with its drain flag.
+                let was_draining = self.is_draining(target, job);
+                let member = &mut self.members[target];
+                member.executors.finish(executor);
+                member.running[executor] = None;
+                let Some(idx) = member.slot(job) else {
+                    return Err(SimError::InvalidAssignment {
+                        reason: format!(
+                            "task of {stage} finished for {job}, which is not active on member {target}"
+                        ),
+                    });
+                };
+                let active = &mut member.active[idx];
+                active.busy_executors = active.busy_executors.saturating_sub(1);
+                let stage_done = active.progress.finish_task(&active.dag, stage);
+                let job_done = stage_done && active.progress.job_complete();
+                if job_done {
+                    active.completion = Some(time);
+                    let done = member.retire_active(idx);
+                    member.records.push(JobRecord {
+                        id: done.id,
+                        name: done.dag.name.clone(),
+                        arrival: done.arrival,
+                        completion: time,
+                        first_start: done.first_start.unwrap_or(time),
+                        executor_seconds: done.executor_seconds,
+                        total_work: done.dag.total_work(),
+                        num_stages: done.dag.num_stages(),
+                    });
+                    member
+                        .profile
+                        .record_jobs_in_system(time, member.active.len());
+                }
+                member.record_usage_sample(time);
+                let seed = EventSeed::TasksCompleted { job, stage, n: 1 };
+                if job_done {
+                    // A draining job whose last task completed the whole job
+                    // has nothing left to move: the drain dissolves with it.
+                    if was_draining {
                         self.draining_jobs -= 1;
-                        self.apply_migration(job, dest, false)?;
-                        return Ok(Some((target, seed)));
                     }
+                    self.jobs
+                        .get_mut(job.index())
+                        .expect("a completing job is resident")
+                        .completed = true;
+                    self.completed_jobs += 1;
+                    return Ok(Some((target, seed)));
+                }
+                // The drain trigger is checked before the outage evacuation
+                // below — a policy-chosen destination outranks the
+                // evacuation heuristic.
+                if was_draining && self.depart_if_drained(target, job)? {
+                    return Ok(Some((target, seed)));
                 }
                 // An outaged member must not strand work it can no longer
                 // dispatch: once a job's running tasks have drained, it is
                 // evacuated exactly like the idle jobs at outage start.
-                // Only a task finish can drain a job (`TasksCompleted` is
-                // produced by nothing else), so the other seeds skip this.
-                if let EventSeed::TasksCompleted { job, .. } = seed {
-                    if !self.members[target].available {
-                        let idle = {
-                            let member = &self.members[target];
-                            let j = &member.active
-                                [member.slot(job).expect("an uncompleted job stays active")];
-                            j.busy_executors == 0 && j.retrying == 0
-                        };
-                        if idle {
-                            if let Some(dest) = self.evacuation_target(target) {
-                                self.apply_migration(job, dest, false)?;
-                            }
+                // Only a task finish can drain a job, so the other events
+                // skip this.
+                if !self.members[target].available {
+                    let idle = {
+                        let member = &self.members[target];
+                        let j = &member.active
+                            [member.slot(job).expect("an uncompleted job stays active")];
+                        j.busy_executors == 0 && j.retrying == 0
+                    };
+                    if idle {
+                        if let Some(dest) = self.evacuation_target(target) {
+                            self.apply_migration(job, dest, false)?;
                         }
                     }
                 }
                 Ok(Some((target, seed)))
             }
+            Event::RetryRelease { member: target, job, stage, task } => {
+                let was_draining = self.is_draining(target, job);
+                // The job cannot have completed (the killed task's stage is
+                // still held open) and cannot have migrated (cooling-down
+                // tasks pin it to this member), so it must be active here —
+                // anything else is an engine bug worth a descriptive error.
+                let member = &mut self.members[target];
+                let Some(idx) = member.slot(job) else {
+                    return Err(SimError::InvalidAssignment {
+                        reason: format!(
+                            "retry release of task {task} of {stage} for {job}, which is not \
+                             active on member {target}"
+                        ),
+                    });
+                };
+                let active = &mut member.active[idx];
+                active.retrying -= 1;
+                active.progress.fail_task(&active.dag, stage, task);
+                member.retries += 1;
+                member.fault_log.push(FaultRecord {
+                    time,
+                    member: target,
+                    effect: FaultEffect::TaskRetried { job, stage, task },
+                });
+                if was_draining {
+                    self.depart_if_drained(target, job)?;
+                }
+                Ok(Some((target, EventSeed::Kick)))
+            }
+            Event::Wakeup { member: target, token } => {
+                Ok(Some((target, EventSeed::Wakeup(token))))
+            }
+            Event::MigrationArrival { member: target, job } => {
+                self.register_migration_arrival(target, job);
+                Ok(Some((target, EventSeed::JobArrived(job))))
+            }
+            Event::FlowArrival { member: target, job, epoch } => {
+                let topo = self.network.expect("flow arrivals only exist with a network");
+                let mut flows = self.flows.take().expect("network runs carry a flow set");
+                flows.settle(topo, time);
+                let Some(flow) = flows.finish(topo, job, epoch) else {
+                    // The flow's rate changed after this event was pushed —
+                    // a replacement event with the current epoch is queued.
+                    self.flows = Some(flows);
+                    return Ok(None);
+                };
+                // Finalize the provisional record with the actual arrival
+                // and the transfer-interval carbon integral, then re-solve
+                // the allocation for the surviving flows (the departed
+                // flow's bandwidth is redistributed).
+                let departed = self.migrations[flow.record].departed;
+                let gb = self.migrations[flow.record].gb;
+                let grams =
+                    self.transfer_carbon(topo.energy_kwh_per_gb(), gb, flow.from, flow.to, departed, time);
+                let record = &mut self.migrations[flow.record];
+                record.arrived = time;
+                record.transfer_seconds = time - departed;
+                record.transfer_carbon_grams = grams;
+                let mut plans = std::mem::take(&mut self.flow_plan_buf);
+                plans.clear();
+                flows.reallocate(topo, time, &mut plans);
+                self.flows = Some(flows);
+                self.apply_flow_plans(&plans);
+                self.flow_plan_buf = plans;
+                self.register_migration_arrival(target, job);
+                Ok(Some((target, EventSeed::JobArrived(job))))
+            }
         }
+    }
+
+    /// Whether `job` is draining toward a migration on member `target`.
+    /// Guarded by the drain counter, so drain-free runs pay one comparison.
+    fn is_draining(&self, target: usize, job: JobId) -> bool {
+        self.draining_jobs > 0 && {
+            let m = &self.members[target];
+            m.slot(job).is_some_and(|idx| m.active[idx].draining.is_some())
+        }
+    }
+
+    /// Drain-then-move trigger: the moment a draining job's last running or
+    /// retrying task resolves, it departs for the destination its policy
+    /// chose.  Returns whether it departed.
+    fn depart_if_drained(&mut self, target: usize, job: JobId) -> Result<bool, SimError> {
+        let member = &self.members[target];
+        let idx = member.slot(job).expect("an uncompleted job stays active");
+        let j = &member.active[idx];
+        if j.busy_executors > 0 || j.retrying > 0 {
+            return Ok(false);
+        }
+        let dest = j.draining.expect("only draining jobs are checked") as usize;
+        self.members[target].active[idx].draining = None;
+        self.draining_jobs -= 1;
+        self.apply_migration(job, dest, false)?;
+        Ok(true)
     }
 
     /// Re-registers a migrated job at its destination member once its
@@ -2158,7 +1720,6 @@ impl<'a> Engine<'a> {
             .in_transit
             .take()
             .expect("migration arrival for a job that is not in transit");
-        self.in_transit -= 1;
         let remaining = state.progress.remaining_work(&state.dag);
         let member = &mut self.members[target];
         // The destination table stays ordered by arrival *at this
@@ -2399,7 +1960,6 @@ impl<'a> Engine<'a> {
             slot.routed = Some(to as u32);
             slot.migrated = true;
             slot.in_transit = Some(state);
-            self.in_transit += 1;
             self.migrations.push(MigrationRecord {
                 job,
                 from: src,
@@ -2443,7 +2003,6 @@ impl<'a> Engine<'a> {
         slot.routed = Some(to as u32);
         slot.migrated = true;
         slot.in_transit = Some(state);
-        self.in_transit += 1;
         self.events.push(arrived, Event::MigrationArrival { member: to, job });
         self.migrations.push(MigrationRecord {
             job,
@@ -2729,7 +2288,6 @@ impl<'a> Engine<'a> {
             self.time,
             self.jobs_seen,
             &self.jobs,
-            &[],
             &mut self.events,
             scheduler,
             &mut sink,
@@ -2769,10 +2327,6 @@ impl<'a> Engine<'a> {
 
     pub(crate) fn rejected_count(&self) -> usize {
         self.jobs_rejected
-    }
-
-    pub(crate) fn rejected_on(&self, member: usize) -> usize {
-        self.members[member].jobs_rejected
     }
 
     /// Jobs currently occupying simulation state: active on some member or
@@ -2904,9 +2458,6 @@ impl<'a> Engine<'a> {
         self.events = snap.events.clone();
         self.pending = snap.pending.clone().map(|(id, job)| PendingArrival { id, job });
         self.jobs = snap.jobs.clone();
-        // The in-flight count is derived state — recompute it from the
-        // restored table rather than trusting a separately serialized copy.
-        self.in_transit = self.jobs.slots.iter().filter(|s| s.in_transit.is_some()).count();
         self.migrations = snap.migrations.clone();
         self.flows = snap.flows.clone();
         for (m, s) in self.members.iter_mut().zip(&snap.members) {
@@ -2933,8 +2484,8 @@ impl<'a> Engine<'a> {
             m.retries = s.retries;
             m.fault_log = s.fault_log.clone();
         }
-        // Like `in_transit`, the drain count is derived state — recompute it
-        // from the restored active tables (the flags travel with the jobs).
+        // The drain count is derived state — recompute it from the restored
+        // active tables (the flags travel with the jobs).
         self.draining_jobs = self
             .members
             .iter()
@@ -3391,7 +2942,6 @@ mod tests {
             engine.time,
             engine.jobs_seen,
             &engine.jobs,
-            &[],
             &mut engine.events,
             &[Assignment::new(JobId(0), StageId(0), 1)],
         )

@@ -89,8 +89,7 @@ pub enum Event {
 
 impl Event {
     /// The member cluster this event belongs to.  Every event variant is
-    /// member-scoped — this is what lets the parallel execution mode bucket
-    /// a drained window's events per member without inspecting payloads.
+    /// member-scoped.
     pub fn member(&self) -> usize {
         match *self {
             Event::TaskFinish { member, .. }
@@ -172,16 +171,6 @@ impl EventQueue {
     pub fn pop(&mut self) -> Option<(f64, Event)> {
         self.heap.pop().map(|s| (s.time, s.event))
     }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -215,8 +204,6 @@ mod tests {
         assert_eq!(q.peek_time(), None);
         q.push(7.0, Event::Wakeup { member: 0, token: WakeupToken(0) });
         assert_eq!(q.peek_time(), Some(7.0));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
     }
 
     #[test]

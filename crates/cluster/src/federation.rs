@@ -50,7 +50,7 @@
 //! [`StaticRouter`]: crate::routing::StaticRouter
 
 use crate::config::ClusterConfig;
-use crate::engine::{Engine, ExecutionMode};
+use crate::engine::Engine;
 use crate::error::SimError;
 use crate::faults::{FaultContext, FaultPlan, FaultSchedule, RetryPolicy};
 use crate::job_state::SubmittedJob;
@@ -111,17 +111,14 @@ pub struct Federation {
     /// How crashed tasks are retried.  Irrelevant (never consulted) under an
     /// empty fault schedule.
     retry: RetryPolicy,
-    /// How runs advance the event loop.  Defaults to
-    /// [`ExecutionMode::Sequential`], which is bit-identical to the
-    /// pre-batching engine.
-    execution: ExecutionMode,
 }
 
 impl Federation {
     /// Creates a federation.  The workload is sorted by arrival time; job
     /// ids are assigned in arrival order *across the whole federation* (a
     /// job's id is its index in the global workload, whichever member it is
-    /// later routed to).  Every job DAG is validated here, once.
+    /// later routed to).  Every job DAG and data size is validated here,
+    /// once.
     ///
     /// # Panics
     /// Panics if `members` is empty.
@@ -129,10 +126,14 @@ impl Federation {
         assert!(!members.is_empty(), "federation must have at least one member cluster");
         workload.sort_by(|a, b| a.arrival.total_cmp(&b.arrival));
         let invalid = workload.iter().find_map(|job| {
-            job.dag.validate().err().map(|e| SimError::InvalidJob {
-                job: job.dag.name.clone(),
-                reason: e.to_string(),
-            })
+            job.dag
+                .validate()
+                .map_err(|e| SimError::InvalidJob {
+                    job: job.dag.name.clone(),
+                    reason: e.to_string(),
+                })
+                .and_then(|()| job.check_data_gb())
+                .err()
         });
         let transfer = TransferMatrix::zero(members.len());
         Federation {
@@ -143,7 +144,6 @@ impl Federation {
             invalid,
             faults: FaultSchedule::none(),
             retry: RetryPolicy::default(),
-            execution: ExecutionMode::Sequential,
         }
     }
 
@@ -282,20 +282,6 @@ impl Federation {
         self
     }
 
-    /// Selects how runs advance the event loop (see [`ExecutionMode`]).
-    /// The default, [`ExecutionMode::Sequential`], is bit-identical to the
-    /// pre-batching engine; the other modes are deterministic in their own
-    /// right (same seed + same mode ⇒ same result, any worker count).
-    pub fn with_execution_mode(mut self, mode: ExecutionMode) -> Self {
-        self.execution = mode;
-        self
-    }
-
-    /// The execution mode runs use (see [`Federation::with_execution_mode`]).
-    pub fn execution_mode(&self) -> ExecutionMode {
-        self.execution
-    }
-
     /// The fault schedule every run replays (empty by default).
     pub fn fault_schedule(&self) -> &FaultSchedule {
         &self.faults
@@ -360,7 +346,6 @@ impl Federation {
             &self.faults,
             self.retry,
         );
-        engine.set_mode(self.execution);
         engine.run(router, migration, schedulers)
     }
 
@@ -416,7 +401,6 @@ impl Federation {
             &self.faults,
             self.retry,
         );
-        engine.set_mode(self.execution);
         engine.run(router, migration, schedulers)
     }
 }

@@ -1,5 +1,6 @@
 //! Workload submission and per-job runtime state / completion records.
 
+use crate::error::SimError;
 use pcaps_dag::{JobDag, JobId, JobProgress, StageId};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -52,6 +53,23 @@ impl SubmittedJob {
         assert!(gb >= 0.0 && gb.is_finite(), "data size must be non-negative and finite");
         self.data_gb = gb;
         self
+    }
+
+    /// Rejects a data size that [`SubmittedJob::with_data_gb`] would have
+    /// refused.  The field is public, so a struct literal can bypass that
+    /// assert.  A NaN or infinite size has no finite transfer time, and a
+    /// negative one would arrive before it departed.
+    pub(crate) fn check_data_gb(&self) -> Result<(), SimError> {
+        if self.data_gb >= 0.0 && self.data_gb.is_finite() {
+            return Ok(());
+        }
+        Err(SimError::InvalidJob {
+            job: self.dag.name.clone(),
+            reason: format!(
+                "data size must be non-negative and finite, got {} GB",
+                self.data_gb
+            ),
+        })
     }
 }
 

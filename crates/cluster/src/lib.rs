@@ -136,27 +136,12 @@
 //!   [`EngineSnapshot`]s capture the full dynamic state for bit-identical
 //!   stop/restore across sessions.  New engine features must keep the
 //!   horizon check side-effect-free and the snapshot exhaustive.
-//! * **Batched + parallel execution.**  The event loop's advance strategy
-//!   is a run-scoped [`ExecutionMode`].  The default (`Sequential`) is
-//!   bit-identical to the historical engine.  `Batched` drains every queue
-//!   event sharing the head timestamp before consulting schedulers, then
-//!   invokes each touched member once per instant with a coalesced event
-//!   (equal `(job, stage)` finishes sum their `n`; heterogeneous bursts
-//!   degrade to one `Kick`) — sound because the [`SchedEvent`] stream is
-//!   advisory by contract.  `Parallel { workers }` additionally advances
-//!   members independently on scoped worker threads between cross-member
-//!   interaction points: a conservative window barrier is the earliest of
-//!   the pending arrival, the next fault injection, any member's next
-//!   carbon step, the serve horizon and the time limit, and a window opens
-//!   only while members are decoupled (no migration in flight, everyone
-//!   available).  Per-member work inside a window goes through the same
-//!   member-scoped free functions as the sequential path, local results
-//!   merge at the barrier in member-index order, and events *at* the
-//!   barrier stay queued for the unchanged sequential branches — so the
-//!   result is deterministic and identical for any worker count (pinned by
-//!   `tests/parallel.rs`), though not bit-identical to `Sequential`.
-//!   Schedulers are `Send` for this reason; new policies must keep their
-//!   state plain data.
+//! * **One event loop.**  Each iteration takes the earliest of the next
+//!   fault injection, carbon step, arrival and queue event, applies it,
+//!   and runs at most one member's scheduling pass, on the caller's
+//!   thread.  Same-instant events are never coalesced, so each one reaches
+//!   its member's scheduler as its own typed [`SchedEvent`].  Sweeps get
+//!   their parallelism from independent trials, not from inside a run.
 //! * **Typed events, engine-managed timers.**  Policies learn *why* they run
 //!   from [`SchedEvent`] and resume from deferral through engine-scheduled
 //!   wakeups: `defer_until` enqueues a timer event at an exact instant
@@ -188,10 +173,10 @@
 //!   version — equal job id + equal version means equal observable progress,
 //!   so a cached entry is reused bit for bit and only mutated jobs are
 //!   recomputed.  Revalidation keys off engine-owned state, never off the
-//!   [`SchedEvent`] stream: events are advisory (batched mode coalesces
-//!   them, wakeups are suppressed, migrations arrive as plain `JobArrived`),
-//!   so a policy that trusted event delivery for cache invalidation would
-//!   silently go stale.  Aggregates a policy needs every event (e.g. total
+//!   [`SchedEvent`] stream: events are advisory (wakeups are suppressed,
+//!   migrations arrive as plain `JobArrived`, a departing job sends its
+//!   former member no event), so a policy that trusted event delivery for
+//!   cache invalidation would silently go stale.  Aggregates a policy needs every event (e.g. total
 //!   outstanding work) come from the engine's incrementally maintained
 //!   counters via [`SchedulingContext`] accessors rather than per-event
 //!   folds over the job table.  Derived values that depend on *every* job
@@ -283,7 +268,7 @@ pub mod source;
 
 pub use admission::{AdmissionDecision, AdmissionPolicy, BoundedQueue};
 pub use config::{ClusterConfig, ProfileMode};
-pub use engine::{EngineSnapshot, ExecutionMode, Simulator};
+pub use engine::{EngineSnapshot, Simulator};
 pub use serve::ServeSession;
 pub use error::{PartialRunSummary, SimError};
 pub use faults::{

@@ -527,13 +527,7 @@ impl DecisionSink {
 /// Implementations must be deterministic given their own internal RNG state;
 /// the engine itself introduces no randomness.  Recording no decision idles
 /// the free executors until the next scheduling event.
-///
-/// `Send` is a supertrait so [`ExecutionMode::Parallel`] can hand each
-/// member's scheduler to a scoped worker thread; policies are plain data
-/// (their RNGs included), so this costs implementations nothing.
-///
-/// [`ExecutionMode::Parallel`]: crate::ExecutionMode
-pub trait Scheduler: Send {
+pub trait Scheduler {
     /// Human-readable policy name used in result tables.
     fn name(&self) -> &str;
 

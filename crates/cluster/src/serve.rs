@@ -130,7 +130,6 @@ impl<'a> ServeSession<'a> {
             fed.retry_policy(),
         );
         engine.enable_compaction();
-        engine.set_mode(fed.execution_mode());
         let members = fed.members().len();
         Ok(ServeSession {
             engine,
@@ -232,11 +231,6 @@ impl<'a> ServeSession<'a> {
     /// Jobs turned away by admission policies, over the whole session.
     pub fn jobs_rejected(&self) -> usize {
         self.engine.rejected_count()
-    }
-
-    /// Jobs turned away while routed to `member`.
-    pub fn jobs_rejected_on(&self, member: usize) -> usize {
-        self.engine.rejected_on(member)
     }
 
     /// Jobs currently occupying simulation state (active on a member or in

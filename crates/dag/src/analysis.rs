@@ -1,5 +1,5 @@
 //! Graph measures used by schedulers: critical path, bottom/top levels,
-//! work, width, and bottleneck scores.
+//! work, and bottleneck scores.
 //!
 //! These quantities feed the Decima-like probabilistic scheduler (which turns
 //! them into stage scores) and the analytical results of the paper (which
@@ -146,31 +146,6 @@ pub fn stage_levels(job: &JobDag) -> StageLevels {
     }
 }
 
-/// Maximum "width" of the DAG: the largest number of stages that can run
-/// simultaneously (largest antichain approximated by level-slicing on top
-/// levels).  Schedulers use it to estimate how much parallelism a job can
-/// actually exploit.
-pub fn approximate_width(job: &JobDag) -> usize {
-    let levels = stage_levels(job);
-    // Count stages whose [top, top+critical) intervals overlap at each stage
-    // start point; the maximum count over those points is a lower bound on
-    // the true width and exact for level-structured DAGs.
-    let mut max_width = 1usize;
-    for s in job.stage_ids() {
-        let start = levels.top_level[s.index()];
-        let count = job
-            .stage_ids()
-            .filter(|&o| {
-                let os = levels.top_level[o.index()];
-                let oe = os + job.stage(o).critical_duration();
-                os <= start && start < oe || (os == start)
-            })
-            .count();
-        max_width = max_width.max(count);
-    }
-    max_width
-}
-
 /// A normalised bottleneck score per stage: bottom level divided by the
 /// critical-path length.  A score of 1.0 means the stage lies on the critical
 /// path at its very start; values near 0 indicate stages whose delay barely
@@ -285,17 +260,5 @@ mod tests {
         // Many executors: bound is the critical path.
         assert!((makespan_lower_bound(&job, 1000) - 35.0).abs() < 1e-12);
         assert_eq!(makespan_lower_bound(&job, 0), f64::INFINITY);
-    }
-
-    #[test]
-    fn width_of_fanout() {
-        let mut b = JobDagBuilder::new("fan");
-        let root = b.add_stage("root", vec![Task::new(1.0)]);
-        for i in 0..6 {
-            let c = b.add_stage(format!("c{i}"), vec![Task::new(1.0)]);
-            b = b.edge(root, c).unwrap();
-        }
-        let job = b.build().unwrap();
-        assert!(approximate_width(&job) >= 6);
     }
 }

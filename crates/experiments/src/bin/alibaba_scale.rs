@@ -16,19 +16,15 @@ fn main() {
         config.executors,
         config.region.code(),
     );
-    // Sequential and batched run back to back per cell: the paired
-    // wall-time rows are an interleaved same-box A/B of the execution
-    // modes on identical (bit-for-bit) schedules.
     let rows = scale_sweep(&config);
     println!(
-        "{:<14} {:>10} {:>8} {:>14} {:>10} {:>12} {:>10} {:>10}",
-        "scheduler", "mode", "jobs", "peak_resident", "wall_s", "makespan_s", "tasks", "avg_jct_s"
+        "{:<14} {:>8} {:>14} {:>10} {:>12} {:>10} {:>10}",
+        "scheduler", "jobs", "peak_resident", "wall_s", "makespan_s", "tasks", "avg_jct_s"
     );
     for row in &rows {
         println!(
-            "{:<14} {:>10} {:>8} {:>14} {:>10.2} {:>12.0} {:>10} {:>10.1}",
+            "{:<14} {:>8} {:>14} {:>10.2} {:>12.0} {:>10} {:>10.1}",
             row.scheduler,
-            row.mode,
             row.jobs,
             row.peak_resident_jobs,
             row.wall_seconds,

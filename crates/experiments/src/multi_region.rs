@@ -21,8 +21,8 @@ use crate::format::TextTable;
 use crate::runner::{BaseScheduler, SchedulerSpec};
 use pcaps_carbon::{CarbonAccountant, GridRegion, TraceSet};
 use pcaps_cluster::{
-    ExecutionMode, Federation, FederationResult, Member, MigrationPolicy, NetworkTopology,
-    NeverMigrate, Router, Scheduler, TransferMatrix,
+    Federation, FederationResult, Member, MigrationPolicy, NetworkTopology, NeverMigrate, Router,
+    Scheduler, TransferMatrix,
 };
 use pcaps_cluster::{ClusterConfig, SubmittedJob};
 use pcaps_metrics::ExperimentSummary;
@@ -61,12 +61,6 @@ pub struct FederationExperimentConfig {
     /// Network energy per GB migrated (kWh/GB), used to attribute transfer
     /// carbon at the endpoint-mean intensity.
     pub transfer_energy_kwh_per_gb: f64,
-    /// How trials advance the engine's event loop (defaults to
-    /// [`ExecutionMode::Sequential`], the bit-identical historical path).
-    /// Not serialized: it changes throughput, not results, so persisted
-    /// configs always re-run in the default mode.
-    #[serde(skip)]
-    pub execution: ExecutionMode,
     /// Optional link-level network model attached to every trial's
     /// federation: migration delays then come from max-min fair sharing of
     /// the topology's links instead of the fixed matrix rates.  `None` (the
@@ -95,7 +89,6 @@ impl FederationExperimentConfig {
             trace_offset_hours: 0,
             transfer_seconds_per_gb: 1.0,
             transfer_energy_kwh_per_gb: 0.05,
-            execution: ExecutionMode::Sequential,
             network: None,
         }
     }
@@ -116,22 +109,9 @@ impl FederationExperimentConfig {
         NetworkTopology::from_matrix(&self.transfer_matrix()).with_uplink(member, gb_per_s)
     }
 
-    /// Selects the engine execution mode trials run under (see
-    /// [`ExecutionMode`]).
-    pub fn with_execution_mode(mut self, mode: ExecutionMode) -> Self {
-        self.execution = mode;
-        self
-    }
-
     /// Sets the trace offset (hours into every member's trace).
     pub fn with_offset(mut self, hours: usize) -> Self {
         self.trace_offset_hours = hours;
-        self
-    }
-
-    /// Sets the executors per member cluster.
-    pub fn with_executors_per_member(mut self, executors: usize) -> Self {
-        self.executors_per_member = executors;
         self
     }
 
@@ -181,8 +161,7 @@ impl FederationExperimentConfig {
             })
             .collect();
         let federation = Federation::new(members, self.workload_stream())
-            .with_transfer_matrix(self.transfer_matrix())
-            .with_execution_mode(self.execution);
+            .with_transfer_matrix(self.transfer_matrix());
         match &self.network {
             Some(network) => federation.with_network(network.clone()),
             None => federation,

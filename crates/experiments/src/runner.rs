@@ -82,12 +82,6 @@ impl ExperimentConfig {
         self
     }
 
-    /// Sets the workload kind.
-    pub fn with_workload(mut self, workload: WorkloadKind) -> Self {
-        self.workload = workload;
-        self
-    }
-
     /// Enables per-invocation scheduler latency sampling for the trial.
     pub fn with_invocation_sampling(mut self, enabled: bool) -> Self {
         self.record_invocations = enabled;

@@ -40,13 +40,7 @@ pub struct SampledStage {
 /// A scheduler that exposes a probability distribution over runnable stages
 /// (Definition 4.1) plus a per-stage parallelism limit, the two signals PCAPS
 /// consumes.
-///
-/// `Send` mirrors the supertrait on [`Scheduler`] (whose parallel execution
-/// mode hands policies to worker threads): PCAPS wraps a probabilistic
-/// scheduler, so the wrapper is only `Send` if the inner policy is.
-///
-/// [`Scheduler`]: pcaps_cluster::Scheduler
-pub trait ProbabilisticScheduler: Send {
+pub trait ProbabilisticScheduler {
     /// Human-readable policy name.
     fn name(&self) -> &str;
 

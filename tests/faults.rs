@@ -2,8 +2,9 @@
 //!
 //! * an empty fault schedule is *exactly* the fault-free engine — attaching
 //!   `FaultSchedule::none()` leaves every fingerprint bit-identical,
-//! * faulted runs are deterministic: the same schedule, schedulers and seeds
-//!   replay the same fingerprints, fault logs, and waste accounting,
+//! * faulted runs are deterministic: the same schedule, schedulers, seeds
+//!   and migration policy replay the same fingerprints, fault logs, waste
+//!   accounting and migration log,
 //! * hand-computed oracles pin the recovery semantics: crash → backoff →
 //!   re-dispatch timing, retry exhaustion at the policy bound, outage
 //!   drain-and-evacuate over the priced migration path, and the frozen
@@ -16,7 +17,7 @@ use carbon_aware_dag_sched::cluster::schedulers::SimpleFifo;
 use carbon_aware_dag_sched::cluster::SimError;
 use carbon_aware_dag_sched::dag::JobId;
 use carbon_aware_dag_sched::prelude::*;
-use pcaps_experiments::multi_region::FederationExperimentConfig;
+use pcaps_experiments::multi_region::{FederationExperimentConfig, MigrationSpec};
 use pcaps_experiments::runner::{BaseScheduler, SchedulerSpec};
 
 /// FNV-1a over the schedule-defining outputs of a run — identical to the
@@ -94,6 +95,7 @@ fn run_round_robin(
     fed: &Federation,
     spec: &SchedulerSpec,
     seed: u64,
+    migration: MigrationSpec,
 ) -> Result<FederationResult, SimError> {
     let mut schedulers: Vec<Box<dyn Scheduler>> = fed
         .members()
@@ -106,7 +108,7 @@ fn run_round_robin(
         refs.push(&mut **s);
     }
     let mut router = RoundRobinRouter::new();
-    fed.run(&mut router, &mut refs)
+    fed.run_with_migration(&mut router, migration.build().as_mut(), &mut refs)
 }
 
 #[test]
@@ -120,11 +122,17 @@ fn an_empty_fault_schedule_is_bit_identical_to_no_schedule_at_all() {
         SchedulerSpec::Baseline(BaseScheduler::Fifo),
         SchedulerSpec::Pcaps { gamma: 0.5 },
     ] {
-        let plain = fault_digest(&run_round_robin(&config.federation_instance(), &spec, 7));
+        let plain = fault_digest(&run_round_robin(
+            &config.federation_instance(),
+            &spec,
+            7,
+            MigrationSpec::Never,
+        ));
         let empty = fault_digest(&run_round_robin(
             &config.federation_instance().with_fault_schedule(FaultSchedule::none()),
             &spec,
             7,
+            MigrationSpec::Never,
         ));
         assert_eq!(plain, empty, "an empty schedule must not perturb {}", spec.label());
         assert!(plain.contains("faults=[]"), "no-fault runs log no faults");
@@ -142,6 +150,7 @@ fn faulted_runs_replay_bit_identically() {
         FaultInjection { time: 5_000.0, member: 2, kind: FaultKind::CarbonDropoutEnd },
         crash(4_100.0, 2, 1),
     ]);
+    let mut poisson_migrations = 0;
     for seed in [1u64, 7, 42] {
         let config = FederationExperimentConfig::standard(
             vec![GridRegion::Caiso, GridRegion::Germany, GridRegion::SouthAfrica],
@@ -165,27 +174,36 @@ fn faulted_runs_replay_bit_identically() {
                 SchedulerSpec::Baseline(BaseScheduler::Fifo),
                 SchedulerSpec::Pcaps { gamma: 0.5 },
             ] {
-                let run = || {
-                    let fed = config
-                        .federation_instance()
-                        .with_fault_schedule(schedule.clone())
-                        .with_retry_policy(RetryPolicy {
-                            max_attempts: 10,
-                            ..RetryPolicy::default()
-                        });
-                    run_round_robin(&fed, &spec, seed)
-                };
-                let first = fault_digest(&run());
-                let second = fault_digest(&run());
-                assert_eq!(
-                    first,
-                    second,
-                    "plan {plan_name} × {} × seed {seed} must replay identically",
-                    spec.label()
-                );
+                for migration in [MigrationSpec::Never, MigrationSpec::CarbonDelta] {
+                    let run = || {
+                        let fed = config
+                            .federation_instance()
+                            .with_fault_schedule(schedule.clone())
+                            .with_retry_policy(RetryPolicy {
+                                max_attempts: 10,
+                                ..RetryPolicy::default()
+                            });
+                        run_round_robin(&fed, &spec, seed, migration)
+                    };
+                    let first = run();
+                    let second = run();
+                    if plan_name == "poisson" && migration == MigrationSpec::CarbonDelta {
+                        poisson_migrations += first.as_ref().map_or(0, |r| r.num_migrations());
+                    }
+                    assert_eq!(
+                        fault_digest(&first),
+                        fault_digest(&second),
+                        "plan {plan_name} × {} × {} × seed {seed} must replay identically",
+                        spec.label(),
+                        migration.label()
+                    );
+                }
             }
         }
     }
+    // The migrating arm proves nothing unless policy moves actually
+    // interleave with the Poisson crashes.
+    assert!(poisson_migrations > 0, "the carbon-delta arm never migrated");
 }
 
 #[test]

@@ -304,12 +304,11 @@ fn always_greenest() -> CarbonDeltaMigrator {
 /// [0, 4000]; job 1 queues.  At the hour-1 cliff the policy ships job 1 to
 /// the now-green B.
 fn cliff_federation(transfer: TransferMatrix) -> Federation {
-    let job = |name: &str| {
-        JobDagBuilder::new(name)
-            .stage("s", vec![Task::new(4000.0)])
-            .build()
-            .unwrap()
-    };
+    Federation::new(cliff_members(), cliff_jobs()).with_transfer_matrix(transfer)
+}
+
+/// The cliff fixture's members.
+fn cliff_members() -> Vec<Member> {
     let trace_a = {
         let mut v = vec![100.0];
         v.extend(std::iter::repeat(500.0).take(47));
@@ -321,26 +320,39 @@ fn cliff_federation(transfer: TransferMatrix) -> Federation {
         CarbonTrace::hourly("B", v)
     };
     let config = ClusterConfig::new(1).with_move_delay(0.0).with_time_scale(1.0);
-    Federation::new(
-        vec![
-            Member::new("A", config.clone(), trace_a),
-            Member::new("B", config, trace_b),
-        ],
-        vec![
-            SubmittedJob::at(0.0, job("j0")).with_data_gb(7.2),
-            SubmittedJob::at(0.0, job("j1")).with_data_gb(7.2),
-        ],
-    )
-    .with_transfer_matrix(transfer)
+    vec![
+        Member::new("A", config.clone(), trace_a),
+        Member::new("B", config, trace_b),
+    ]
+}
+
+/// The cliff fixture's workload: two 4000 s single-task jobs of 7.2 GB.
+fn cliff_jobs() -> Vec<SubmittedJob> {
+    let job = |name: &str| {
+        JobDagBuilder::new(name)
+            .stage("s", vec![Task::new(4000.0)])
+            .build()
+            .unwrap()
+    };
+    vec![
+        SubmittedJob::at(0.0, job("j0")).with_data_gb(7.2),
+        SubmittedJob::at(0.0, job("j1")).with_data_gb(7.2),
+    ]
 }
 
 fn run_cliff(fed: &Federation, policy: &mut dyn MigrationPolicy) -> FederationResult {
+    try_run_cliff(fed, policy).unwrap()
+}
+
+fn try_run_cliff(
+    fed: &Federation,
+    policy: &mut dyn MigrationPolicy,
+) -> Result<FederationResult, SimError> {
     let mut a = SparkStandaloneFifo::new();
     let mut b = SparkStandaloneFifo::new();
     let mut router = StaticRouter::new(0);
     let mut schedulers: [&mut dyn Scheduler; 2] = [&mut a, &mut b];
     fed.run_with_migration(&mut router, policy, &mut schedulers)
-        .unwrap()
 }
 
 fn cliff_carbon(fed: &Federation, result: &FederationResult) -> f64 {
@@ -418,6 +430,59 @@ fn nonzero_transfer_matrix_visibly_prices_the_migration() {
         (100.0 * 3600.0 + 500.0 * 400.0 + 100.0 * 4000.0) / 3600.0 + 108.0;
     let got = cliff_carbon(&fed, &result);
     assert!((got - expected).abs() < 1e-6, "got {got}, expected {expected}");
+}
+
+/// `SubmittedJob::data_gb` is a public field, so a struct literal can
+/// bypass `with_data_gb`'s check.  Unvalidated, migrating the cliff's job 1
+/// with a NaN size panics in the event queue, an infinite one never
+/// finishes integrating the transfer's carbon, and a negative one arrives
+/// before it departed (turning the clock back); validation must turn each
+/// into an invalid job.
+const MALFORMED_DATA_SIZES: [f64; 3] = [f64::NAN, f64::INFINITY, -7.2];
+
+fn cliff_jobs_with_data_gb(gb: f64) -> Vec<SubmittedJob> {
+    let mut jobs = cliff_jobs();
+    jobs[1].data_gb = gb;
+    jobs
+}
+
+fn assert_invalid_data_size(result: Result<FederationResult, SimError>) {
+    match result {
+        Err(SimError::InvalidJob { job, reason }) => {
+            assert_eq!(job, "j1");
+            assert!(reason.contains("data size"), "{reason}");
+        }
+        other => panic!("expected invalid-job error, got {other:?}"),
+    }
+}
+
+#[test]
+fn malformed_data_size_is_detected_once_at_construction() {
+    for bad in MALFORMED_DATA_SIZES {
+        let fed = Federation::new(cliff_members(), cliff_jobs_with_data_gb(bad))
+            .with_transfer_matrix(TransferMatrix::uniform(2, 1.0));
+        assert_invalid_data_size(try_run_cliff(&fed, &mut always_greenest()));
+    }
+}
+
+#[test]
+fn streamed_malformed_data_size_is_rejected_on_pull() {
+    let fed = Federation::streaming(cliff_members())
+        .with_transfer_matrix(TransferMatrix::uniform(2, 1.0));
+    for bad in MALFORMED_DATA_SIZES {
+        // A prevalidated source promises DAG validity only: the size is
+        // still checked on every pull.
+        let mut source = MaterializedJobs::new(cliff_jobs_with_data_gb(bad)).unwrap();
+        let mut a = SparkStandaloneFifo::new();
+        let mut b = SparkStandaloneFifo::new();
+        let mut schedulers: [&mut dyn Scheduler; 2] = [&mut a, &mut b];
+        assert_invalid_data_size(fed.run_source_with_migration(
+            &mut source,
+            &mut StaticRouter::new(0),
+            &mut always_greenest(),
+            &mut schedulers,
+        ));
+    }
 }
 
 /// A policy that emits one fixed verb at every consultation — the driver
