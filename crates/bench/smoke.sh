@@ -37,6 +37,10 @@ fi
 # allows (they are deliberate API subsets) and are thereby exempt.
 export RUSTFLAGS="${RUSTFLAGS:-} -Dwarnings"
 cargo build --release --all-targets
+# Clippy over every target of the default members, warnings denied (the
+# criterion shim carries a crate-level clippy allow for the same reason as
+# its rustc allows).  `cargo fmt` is not gated.
+cargo clippy --all-targets -- -D warnings
 cargo test -q
 
 # Conformance suites that must run in full: a filter, an ignore attribute
@@ -62,11 +66,14 @@ require_full_suite() {
 # determinism under injection (with and without carbon-delta migration),
 # and the hand-computed recovery oracles; tests/steady_state.rs pins the
 # serving mode (snapshot/restore bit-identity across policies and seeds,
+# and on a federation with flows, drains, crashes, an outage and a carbon
+# dropout in flight; restore rejecting a differently shaped federation;
 # windowed-percentile oracle, admission conservation, open-loop
 # determinism, bounded residency); tests/network.rs pins the link-level
 # transfer model (flow completions vs the from-scratch max-min oracle,
-# from_matrix ≡ TransferMatrix bit-identity on fed3_migrate_pcaps,
-# drain-then-move replay determinism); tests/scheduler_state.rs pins the
+# fed3_migrate_pcaps replaying its recorded fingerprints and migration-log
+# hash whether the matrix is attached by with_transfer_matrix or by
+# with_network(from_matrix), drain-then-move replay determinism); tests/scheduler_state.rs pins the
 # incremental probabilistic-scheduler state (DecimaLike's version-stamped
 # table of factorised softmax terms, recomputed in full only when the
 # max-remaining normaliser changes, and its cached jobs-with-work count)

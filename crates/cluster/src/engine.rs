@@ -53,6 +53,15 @@
 //!   scheduling event) is opt-in via
 //!   [`ClusterConfig::with_invocation_sampling`].
 //!
+//! ## State layout
+//!
+//! An `Engine` is three things: the borrowed [`Federation`] (members'
+//! static configuration and traces, the workload, the network topology,
+//! the fault schedule), scratch buffers that are cleared before every use,
+//! and one `RunState` holding every field a run changes.  A serve-mode
+//! [`EngineSnapshot`] is that state's `Clone`, so a field added to the run
+//! state is captured by construction.
+//!
 //! [`Federation`]: crate::federation::Federation
 //! [`Federation::new`]: crate::federation::Federation::new
 
@@ -67,7 +76,7 @@ use crate::faults::{
 };
 use crate::federation::{Federation, Member};
 use crate::job_state::{ActiveJob, JobRecord, SubmittedJob};
-use crate::network::{FlowArrivalPlan, FlowSet, NetworkTopology};
+use crate::network::{FlowArrivalPlan, FlowSet};
 use crate::source::ArrivalSource;
 use crate::profile::{ExecutorSegment, UsageProfile};
 use crate::result::{
@@ -75,7 +84,7 @@ use crate::result::{
 };
 use crate::routing::{
     MemberView, MigrationCandidate, MigrationContext, MigrationPolicy, MigrationSink, Router,
-    RoutingContext, StaticRouter, TransferMatrix,
+    RoutingContext, StaticRouter,
 };
 use crate::scheduler_api::{
     Assignment, CarbonView, DecisionSink, DeferRequest, SchedEvent, Scheduler, SchedulingContext,
@@ -216,12 +225,37 @@ struct RunningTask {
     finish_time: f64,
 }
 
-/// Mutable state of one member cluster during a run.
-struct MemberState<'a> {
-    label: &'a str,
-    config: &'a ClusterConfig,
-    carbon: &'a CarbonTrace,
+impl Member {
+    /// Converts a schedule time to this member's carbon-trace time.
+    fn carbon_time(&self, t: f64) -> f64 {
+        t * self.config.time_scale
+    }
 
+    /// The member's carbon step expressed in schedule time.
+    fn carbon_step_schedule(&self) -> f64 {
+        self.carbon.step / self.config.time_scale
+    }
+
+    /// Mean intensity of the member's trace over the schedule-time interval
+    /// `[t0, t1]` (converted to its carbon time), degenerating to the
+    /// instantaneous intensity for a zero-duration interval.
+    fn mean_intensity(&self, t0: f64, t1: f64) -> f64 {
+        let ct0 = self.carbon_time(t0);
+        let ct1 = self.carbon_time(t1);
+        if ct1 > ct0 {
+            self.carbon.integrate(ct0, ct1) / (ct1 - ct0)
+        } else {
+            self.carbon.intensity(ct0)
+        }
+    }
+}
+
+/// Mutable state of one member cluster during a run.  The member's static
+/// description (label, configuration, carbon trace) stays on the
+/// federation's [`Member`], passed alongside as `spec` where both are
+/// needed, so this state borrows nothing and its `Clone` is a snapshot.
+#[derive(Debug, Clone)]
+struct MemberState {
     executors: ExecutorPool,
     /// Arrived, incomplete jobs routed to this member, in arrival
     /// (= ascending id) order.  This is the table the scheduling context
@@ -254,15 +288,13 @@ struct MemberState<'a> {
     /// job's remaining work).  Exposed to routers and migration policies as
     /// [`MemberView::outstanding_work`].
     outstanding_work: f64,
-    /// The member's carbon step expressed in schedule time.
-    carbon_step_schedule: f64,
     /// Next carbon-intensity change of this member, in schedule time.
     next_carbon_change: f64,
     /// Intensity in effect as of the member's last carbon step (the `prev`
     /// of its next [`SchedEvent::CarbonChanged`]).
     current_intensity: f64,
     /// The member's run-scoped decision sink (cleared, never reallocated,
-    /// per invocation; token counter is member-scoped).
+    /// per invocation; its token counter is member-scoped run state).
     sink: DecisionSink,
 
     // --- Fault-layer state (all inert on fault-free runs) ---
@@ -295,14 +327,11 @@ struct MemberState<'a> {
     fault_log: Vec<FaultRecord>,
 }
 
-impl<'a> MemberState<'a> {
-    fn new(member: &'a Member, jobs_hint: usize) -> Self {
-        let carbon_step_schedule = member.carbon.step / member.config.time_scale;
+impl MemberState {
+    fn new(spec: &Member, jobs_hint: usize) -> Self {
+        let executors = spec.config.num_executors;
         MemberState {
-            label: &member.label,
-            config: &member.config,
-            carbon: &member.carbon,
-            executors: ExecutorPool::new(member.config.num_executors),
+            executors: ExecutorPool::new(executors),
             active: Vec::with_capacity(jobs_hint.min(1024)),
             slots: Vec::with_capacity(jobs_hint.min(1024)),
             slot_base: 0,
@@ -313,12 +342,11 @@ impl<'a> MemberState<'a> {
             tasks_dispatched: 0,
             routed_jobs: 0,
             outstanding_work: 0.0,
-            carbon_step_schedule,
-            next_carbon_change: carbon_step_schedule,
-            current_intensity: member.carbon.intensity(0.0),
+            next_carbon_change: spec.carbon_step_schedule(),
+            current_intensity: spec.carbon.intensity(0.0),
             sink: DecisionSink::new(),
-            running: vec![None; member.config.num_executors],
-            epochs: vec![0; member.config.num_executors],
+            running: vec![None; executors],
+            epochs: vec![0; executors],
             available: true,
             frozen_intensity: None,
             wasted_seconds: 0.0,
@@ -328,12 +356,7 @@ impl<'a> MemberState<'a> {
         }
     }
 
-    /// Converts a schedule time to this member's carbon-trace time.
-    fn carbon_time(&self, t: f64) -> f64 {
-        t * self.config.time_scale
-    }
-
-    fn carbon_view(&self, time: f64) -> CarbonView {
+    fn carbon_view(&self, spec: &Member, time: f64) -> CarbonView {
         // During a signal dropout the member's view is frozen at the
         // last-known intensity with the staleness flag set; schedulers and
         // routers decide on stale data while the engine's accounting (and
@@ -342,23 +365,39 @@ impl<'a> MemberState<'a> {
         if let Some(frozen) = self.frozen_intensity {
             return CarbonView::stale_at(frozen);
         }
-        let ct = self.carbon_time(time);
-        let intensity = self.carbon.intensity(ct);
-        let (lower_bound, upper_bound) = self.carbon.bounds(ct, self.config.forecast_horizon);
+        let ct = spec.carbon_time(time);
+        let intensity = spec.carbon.intensity(ct);
+        let (lower_bound, upper_bound) = spec.carbon.bounds(ct, spec.config.forecast_horizon);
         CarbonView::new(intensity, lower_bound, upper_bound)
     }
 
     /// The router's snapshot of this member.
-    fn view(&self, member: usize, time: f64) -> MemberView {
+    fn view(&self, spec: &Member, member: usize, time: f64) -> MemberView {
         MemberView {
             member,
-            carbon: self.carbon_view(time),
+            carbon: self.carbon_view(spec, time),
             queue_depth: self.active.len(),
             outstanding_work: self.outstanding_work,
-            total_executors: self.config.num_executors,
+            total_executors: spec.config.num_executors,
             free_executors: self.executors.free_count(),
             available: self.available,
         }
+    }
+
+    /// The scheduling context over this member's active table.
+    fn context(&self, spec: &Member, time: f64) -> SchedulingContext<'_> {
+        SchedulingContext::new(
+            time,
+            self.carbon_view(spec, time),
+            spec.config.num_executors,
+            self.executors.free_count(),
+            self.executors.busy_count(),
+            spec.config.job_cap(),
+            &self.active,
+            Some(&self.slots),
+        )
+        .with_slot_base(self.slot_base)
+        .with_outstanding_work(self.outstanding_work)
     }
 
     /// Index of `job` in `active`, if it is active on this member.  Ids
@@ -401,8 +440,8 @@ impl<'a> MemberState<'a> {
 
     /// Records a busy-executor sample unless the profile mode omits the
     /// usage series.
-    fn record_usage_sample(&mut self, time: f64) {
-        if self.config.profile_mode == ProfileMode::Full {
+    fn record_usage_sample(&mut self, spec: &Member, time: f64) {
+        if spec.config.profile_mode == ProfileMode::Full {
             self.profile.record_usage(time, self.executors.busy_count());
         }
     }
@@ -467,6 +506,7 @@ impl EngineSource<'_> {
 
 /// The next arrival, pulled from the source but not yet admitted — the
 /// engine's entire lookahead window.
+#[derive(Debug, Clone)]
 struct PendingArrival {
     id: JobId,
     job: SubmittedJob,
@@ -540,7 +580,7 @@ impl JobTable {
 
     /// The slot for `id`, or `None` if the id was retired by compaction.
     /// Ids never pushed panic on the callers' index arithmetic by design —
-    /// every caller bound-checks against `jobs_seen` first.
+    /// every caller bound-checks against [`JobTable::seen`] first.
     fn get(&self, id: usize) -> Option<&JobSlot> {
         self.slots.get(id.checked_sub(self.base)?)
     }
@@ -553,6 +593,13 @@ impl JobTable {
     /// Resident (non-retired) slots — what serve-mode memory is bounded by.
     fn resident(&self) -> usize {
         self.slots.len()
+    }
+
+    /// Jobs pulled from the source so far: every pull pushes one slot and
+    /// compaction only moves slots into `base`, so the next pull is
+    /// assigned `JobId(seen())`.
+    fn seen(&self) -> usize {
+        self.base + self.slots.len()
     }
 
     /// Pops settled, non-transit slots off the front and returns the new
@@ -570,44 +617,26 @@ impl JobTable {
     }
 }
 
-/// Mutable state of one federated run.
-pub(crate) struct Engine<'a> {
-    members: Vec<MemberState<'a>>,
-    /// Cross-region transfer costs charged on migration (the fixed per-GB
-    /// pricing used when no network topology is attached).
-    transfer: &'a TransferMatrix,
-    /// Link-level network topology, when the federation attached one:
-    /// transfers over pairs that cross capacitated links become max-min
-    /// fair-shared flows in `flows`; uncontended pairs keep the exact
-    /// matrix arithmetic.
-    network: Option<&'a NetworkTopology>,
-    /// In-flight transfer flows (allocated only when a network is attached;
-    /// `None` otherwise, keeping the matrix path untouched).
-    flows: Option<FlowSet>,
-    /// Jobs currently draining toward a migration (their `ActiveJob` holds
-    /// the destination).  At zero the event path skips the drain trigger's
-    /// per-event lookup, so drain-free runs pay nothing for it.
-    draining_jobs: usize,
-    /// Reused buffer for flow-arrival (re)scheduling plans.
-    flow_plan_buf: Vec<FlowArrivalPlan>,
-
+/// Everything one run changes.  A serve-mode [`EngineSnapshot`] is this
+/// struct's `Clone` and a restore is one assignment of it, so a field added
+/// here is captured by construction.  The rest of the engine is the
+/// read-only federation, the arrival source (which a restore re-attaches
+/// at the snapshot's pull position) and scratch buffers cleared before
+/// every use.
+#[derive(Debug, Clone)]
+struct RunState {
     time: f64,
     events: EventQueue,
-    /// Where arrivals come from (pulled through `pending`, never preloaded).
-    source: EngineSource<'a>,
     /// The one-job arrival lookahead window.  `None` once the source is
     /// drained — the window is refilled eagerly after every admission, so
     /// an empty window means exhaustion, never "not pulled yet".
     pending: Option<PendingArrival>,
-    /// Jobs pulled from the source so far; the next pull is assigned
-    /// `JobId(jobs_seen)`.  Every per-job table below is indexed by id and
-    /// grows to exactly this length.
-    jobs_seen: usize,
     /// Latest arrival time pulled, for enforcing the source's
     /// ascending-arrival contract.
     last_arrival: f64,
     /// Per-job bookkeeping (routing, settlement, migration, transit state),
-    /// indexed by id with a serve-mode retirement base.
+    /// indexed by id with a serve-mode retirement base; its length is the
+    /// number of jobs pulled so far ([`JobTable::seen`]).
     jobs: JobTable,
     completed_jobs: usize,
     /// Arrivals turned away by the run's [`AdmissionPolicy`] (counted per
@@ -617,23 +646,44 @@ pub(crate) struct Engine<'a> {
     /// True once [`Engine::preflight`] ran — serve sessions call it once
     /// and keep stepping the same engine.
     primed: bool,
+    /// Every migration applied so far, in application order.
+    migrations: Vec<MigrationRecord>,
+    /// Cursor into the federation's fault schedule: the next injection to
+    /// fire.  The no-fault hot path costs exactly one exhaustion check per
+    /// loop iteration.
+    next_fault: usize,
+    /// In-flight transfer flows over the federation's network topology
+    /// (always empty when no pair crosses a capacitated link).
+    flows: FlowSet,
+    /// Jobs currently draining toward a migration (their `ActiveJob` holds
+    /// the destination).  At zero the event path skips the drain trigger's
+    /// per-event lookup, so drain-free runs pay nothing for it.
+    draining_jobs: usize,
+    members: Vec<MemberState>,
+}
+
+/// One federated run: the federation it runs, where its arrivals come from,
+/// its [`RunState`], and scratch buffers.
+pub(crate) struct Engine<'a> {
+    /// Members' static configuration and carbon traces, the materialized
+    /// workload, the network topology, the fault schedule and the retry
+    /// policy — everything a run reads but never changes.
+    fed: &'a Federation,
+    /// Where arrivals come from (pulled through `state.pending`, never
+    /// preloaded).
+    source: EngineSource<'a>,
     /// Serve-mode flag: retire settled front slots of the job table (and
     /// every member's slot prefix) as arrivals come in.  Finite runs leave
     /// this off, so their per-job tables are bit-identical to the
     /// pre-compaction engine.
     compact: bool,
-    /// Every migration applied so far, in application order.
-    migrations: Vec<MigrationRecord>,
     /// The binding time limit: the smallest `max_sim_time` of any member.
     max_sim_time: f64,
-    /// The materialised fault schedule (empty by default), consumed through
-    /// `next_fault`.
-    faults: &'a FaultSchedule,
-    /// Cursor into `faults`: the next injection to fire.  The no-fault hot
-    /// path costs exactly one exhaustion check per loop iteration.
-    next_fault: usize,
-    /// How crashed tasks are retried.
-    retry: RetryPolicy,
+    state: RunState,
+
+    // --- Scratch buffers, cleared before every use (never snapshotted) ---
+    /// Reused buffer for flow-arrival (re)scheduling plans.
+    flow_plan_buf: Vec<FlowArrivalPlan>,
     /// Reused buffer for the per-arrival [`RoutingContext`] and the
     /// per-carbon-step [`MigrationContext`] — cleared and refilled per
     /// decision, never reallocated in the steady state.
@@ -682,10 +732,10 @@ enum EventSeed {
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn member_schedule_pass(
-    member: &mut MemberState<'_>,
+    spec: &Member,
+    member: &mut MemberState,
     target: usize,
     time: f64,
-    jobs_seen: usize,
     jobs: &JobTable,
     events: &mut EventQueue,
     scheduler: &mut dyn Scheduler,
@@ -709,19 +759,7 @@ fn member_schedule_pass(
         if !member.active.iter().any(|j| j.progress.has_dispatchable_work()) {
             return Ok(());
         }
-        let carbon = member.carbon_view(time);
-        let ctx = SchedulingContext::new(
-            time,
-            carbon,
-            member.config.num_executors,
-            member.executors.free_count(),
-            member.executors.busy_count(),
-            member.config.job_cap(),
-            &member.active,
-            Some(&member.slots),
-        )
-        .with_slot_base(member.slot_base)
-        .with_outstanding_work(member.outstanding_work);
+        let ctx = member.context(spec, time);
         let event = match seed {
             EventSeed::JobArrived(id) => match ctx.job(id) {
                 Some(job) => SchedEvent::JobArrived { job },
@@ -740,7 +778,7 @@ fn member_schedule_pass(
             EventSeed::Kick => SchedEvent::Kick,
         };
         sink.clear();
-        if member.config.sample_invocation_latency {
+        if spec.config.sample_invocation_latency {
             let queue_length = ctx.queue_length();
             let started = Instant::now();
             scheduler.on_event(event, &ctx, sink);
@@ -753,19 +791,12 @@ fn member_schedule_pass(
         } else {
             scheduler.on_event(event, &ctx, sink);
         }
-        apply_deferrals_for(member, target, time, events, sink.deferrals());
+        apply_deferrals_for(spec, target, time, events, sink.deferrals());
         if sink.assignments().is_empty() {
             return Ok(());
         }
-        let dispatched = apply_assignments_for(
-            member,
-            target,
-            time,
-            jobs_seen,
-            jobs,
-            events,
-            sink.assignments(),
-        )?;
+        let dispatched =
+            apply_assignments_for(spec, member, target, time, jobs, events, sink.assignments())?;
         if dispatched == 0 {
             return Ok(());
         }
@@ -781,7 +812,7 @@ fn member_schedule_pass(
 /// range-min index).
 #[inline]
 fn apply_deferrals_for(
-    member: &MemberState<'_>,
+    spec: &Member,
     target: usize,
     time: f64,
     events: &mut EventQueue,
@@ -799,9 +830,9 @@ fn apply_deferrals_for(
             DeferRequest::Below { intensity, token } => {
                 // Search strictly future steps — if the current step
                 // already qualified the policy would not be deferring.
-                let from = member.carbon.next_change(member.carbon_time(time));
-                if let Some(ct) = member.carbon.next_time_at_or_below(from, intensity) {
-                    let at = ct / member.config.time_scale;
+                let from = spec.carbon.next_change(spec.carbon_time(time));
+                if let Some(ct) = spec.carbon.next_time_at_or_below(from, intensity) {
+                    let at = ct / spec.config.time_scale;
                     // Same future-time guard as the Until arm: when the
                     // carbon→schedule conversion is inexact in f64, a
                     // wakeup popped just below a step boundary can
@@ -822,17 +853,17 @@ fn apply_deferrals_for(
 /// actually dispatched.  Task-finish events go to the shared queue.
 #[inline]
 fn apply_assignments_for(
-    member: &mut MemberState<'_>,
+    spec: &Member,
+    member: &mut MemberState,
     target: usize,
     time: f64,
-    jobs_seen: usize,
     jobs: &JobTable,
     events: &mut EventQueue,
     assignments: &[Assignment],
 ) -> Result<usize, SimError> {
     let mut dispatched = 0;
     for a in assignments {
-        if a.job.index() >= jobs_seen {
+        if a.job.index() >= jobs.seen() {
             return Err(SimError::InvalidAssignment {
                 reason: format!("unknown job {}", a.job),
             });
@@ -894,7 +925,7 @@ fn apply_assignments_for(
         if a.executors == 0 {
             continue;
         }
-        let cap_room = member
+        let cap_room = spec
             .config
             .job_cap()
             .saturating_sub(member.active[idx].busy_executors);
@@ -913,7 +944,7 @@ fn apply_assignments_for(
             };
             let task = active.dag.stage(a.stage).tasks[task_idx];
             let move_delay = if member.executors.get(exec_idx).needs_move_delay(a.job) {
-                member.config.executor_move_delay
+                spec.config.executor_move_delay
             } else {
                 0.0
             };
@@ -941,7 +972,7 @@ fn apply_assignments_for(
                     epoch: member.epochs[exec_idx],
                 },
             );
-            if member.config.profile_mode == ProfileMode::Full {
+            if spec.config.profile_mode == ProfileMode::Full {
                 member.profile.record_segment(ExecutorSegment {
                     executor: exec_idx,
                     job: a.job,
@@ -955,95 +986,53 @@ fn apply_assignments_for(
         }
     }
     if dispatched > 0 {
-        member.record_usage_sample(time);
+        member.record_usage_sample(spec, time);
     }
     Ok(dispatched)
 }
 
 impl<'a> Engine<'a> {
-    /// An engine over a federation's materialized workload slice (sorted
-    /// and validated by [`Federation::new`]).
-    pub(crate) fn from_slice(
-        members: &'a [Member],
-        workload: &'a [SubmittedJob],
-        transfer: &'a TransferMatrix,
-        network: Option<&'a NetworkTopology>,
-        faults: &'a FaultSchedule,
-        retry: RetryPolicy,
-    ) -> Self {
-        Engine::with_source(
-            members,
-            EngineSource::Slice { jobs: workload, next: 0 },
-            transfer,
-            network,
-            faults,
-            retry,
-        )
+    /// An engine over the federation's materialized workload (sorted and
+    /// validated by [`Federation::new`]).
+    pub(crate) fn new(fed: &'a Federation) -> Self {
+        Engine::with_source(fed, EngineSource::Slice { jobs: fed.workload(), next: 0 })
     }
 
-    /// An engine pulling its workload from an external source.
-    pub(crate) fn from_source(
-        members: &'a [Member],
-        source: &'a mut dyn ArrivalSource,
-        transfer: &'a TransferMatrix,
-        network: Option<&'a NetworkTopology>,
-        faults: &'a FaultSchedule,
-        retry: RetryPolicy,
-    ) -> Self {
+    /// An engine over the federation's members pulling its workload from an
+    /// external source.
+    pub(crate) fn from_source(fed: &'a Federation, source: &'a mut dyn ArrivalSource) -> Self {
         let validate = !source.prevalidated();
-        Engine::with_source(
-            members,
-            EngineSource::Dyn { source, validate },
-            transfer,
-            network,
-            faults,
-            retry,
-        )
+        Engine::with_source(fed, EngineSource::Dyn { source, validate })
     }
 
-    fn with_source(
-        members: &'a [Member],
-        source: EngineSource<'a>,
-        transfer: &'a TransferMatrix,
-        network: Option<&'a NetworkTopology>,
-        faults: &'a FaultSchedule,
-        retry: RetryPolicy,
-    ) -> Self {
+    fn with_source(fed: &'a Federation, source: EngineSource<'a>) -> Self {
         let jobs_hint = source.remaining_hint();
-        let member_states: Vec<MemberState<'a>> = members
-            .iter()
-            .map(|m| MemberState::new(m, jobs_hint))
-            .collect();
-        let max_sim_time = member_states
-            .iter()
-            .map(|m| m.config.max_sim_time)
-            .fold(f64::INFINITY, f64::min);
-        let view_buf = Vec::with_capacity(member_states.len());
-        let table_hint = jobs_hint.min(1024);
+        let members = fed.members();
         Engine {
-            members: member_states,
-            transfer,
-            network,
-            flows: network.map(FlowSet::new),
-            draining_jobs: 0,
-            flow_plan_buf: Vec::new(),
-            time: 0.0,
-            events: EventQueue::new(),
+            fed,
             source,
-            pending: None,
-            jobs_seen: 0,
-            last_arrival: 0.0,
-            jobs: JobTable::with_capacity(table_hint),
-            completed_jobs: 0,
-            jobs_rejected: 0,
-            primed: false,
             compact: false,
-            migrations: Vec::new(),
-            max_sim_time,
-            faults,
-            next_fault: 0,
-            retry,
-            view_buf,
+            max_sim_time: members
+                .iter()
+                .map(|m| m.config.max_sim_time)
+                .fold(f64::INFINITY, f64::min),
+            state: RunState {
+                time: 0.0,
+                events: EventQueue::new(),
+                pending: None,
+                last_arrival: 0.0,
+                jobs: JobTable::with_capacity(jobs_hint.min(1024)),
+                completed_jobs: 0,
+                jobs_rejected: 0,
+                primed: false,
+                migrations: Vec::new(),
+                next_fault: 0,
+                flows: FlowSet::new(fed.network()),
+                draining_jobs: 0,
+                members: members.iter().map(|m| MemberState::new(m, jobs_hint)).collect(),
+            },
+            flow_plan_buf: Vec::new(),
+            view_buf: Vec::with_capacity(members.len()),
             candidate_buf: Vec::new(),
             migration_sink: MigrationSink::new(),
         }
@@ -1054,26 +1043,28 @@ impl<'a> Engine<'a> {
     /// source is not prevalidated, checks the data size (O(1), so even
     /// prevalidated sources get it), assigns the job its id and grows the
     /// per-job tables.  A no-op once the source is drained.
+    // `!(a >= b)` rather than `a < b`: a NaN arrival must also fail.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
     fn refill_window(&mut self) -> Result<(), SimError> {
-        debug_assert!(self.pending.is_none(), "the window holds at most one arrival");
+        let st = &mut self.state;
+        debug_assert!(st.pending.is_none(), "the window holds at most one arrival");
         // Serve-mode compaction rides the arrival cadence: settled front
         // slots retire here, once per pull, so resident bookkeeping stays
         // O(jobs in system + 1) however many jobs the source has produced.
         if self.compact {
-            let base = self.jobs.compact();
-            for m in &mut self.members {
+            let base = st.jobs.compact();
+            for m in &mut st.members {
                 m.compact_slots(base);
             }
         }
         let Some(job) = self.source.pull() else {
             return Ok(());
         };
-        // `!(a >= b)` rather than `a < b`: a NaN arrival must also fail.
-        if !(job.arrival >= self.last_arrival) {
+        if !(job.arrival >= st.last_arrival) {
             return Err(SimError::OutOfOrderArrival {
                 job: job.dag.name.clone(),
                 arrival: job.arrival,
-                previous: self.last_arrival,
+                previous: st.last_arrival,
             });
         }
         if self.source.validate_pulls() {
@@ -1085,11 +1076,10 @@ impl<'a> Engine<'a> {
             }
         }
         job.check_data_gb()?;
-        self.last_arrival = job.arrival;
-        let id = JobId(self.jobs_seen as u64);
-        self.jobs_seen += 1;
-        self.jobs.push(job.dag.num_stages() as u32);
-        self.pending = Some(PendingArrival { id, job });
+        st.last_arrival = job.arrival;
+        let id = JobId(st.jobs.seen() as u64);
+        st.jobs.push(job.dag.num_stages() as u32);
+        st.pending = Some(PendingArrival { id, job });
         Ok(())
     }
 
@@ -1098,7 +1088,8 @@ impl<'a> Engine<'a> {
     /// saturating add keeps unbounded sources (which hint `usize::MAX`)
     /// from overflowing.
     fn incomplete_jobs(&self) -> usize {
-        (self.jobs_seen - self.completed_jobs - self.jobs_rejected)
+        let st = &self.state;
+        (st.jobs.seen() - st.completed_jobs - st.jobs_rejected)
             .saturating_add(self.source.remaining_hint())
     }
 
@@ -1107,11 +1098,12 @@ impl<'a> Engine<'a> {
     /// of discarding it.  Cold path (the run is aborting): cloning each
     /// member's trace into an accountant is fine here.
     fn time_limit_error(&self) -> SimError {
+        let st = &self.state;
         let mut completed_jobs = Vec::new();
         let mut incomplete_jobs = Vec::new();
-        for id in 0..self.jobs_seen {
+        for id in 0..st.jobs.seen() {
             // A retired id (serve-mode compaction) is settled by definition.
-            let settled = self.jobs.get(id).map_or(true, JobSlot::settled);
+            let settled = st.jobs.get(id).is_none_or(JobSlot::settled);
             if settled {
                 completed_jobs.push(JobId(id as u64));
             } else {
@@ -1120,7 +1112,7 @@ impl<'a> Engine<'a> {
         }
         let mut elapsed_executor_seconds = 0.0;
         let mut accrued_carbon_grams = 0.0;
-        for m in &self.members {
+        for (m, spec) in st.members.iter().zip(self.fed.members()) {
             for r in &m.records {
                 elapsed_executor_seconds += r.executor_seconds;
             }
@@ -1130,12 +1122,12 @@ impl<'a> Engine<'a> {
             // Usage is empty under ProfileMode::Light, in which case the
             // carbon figure degrades to 0 (documented on PartialRunSummary).
             if !m.profile.usage.is_empty() {
-                let accountant = CarbonAccountant::new(m.carbon.clone())
-                    .with_time_scale(m.config.time_scale);
-                accrued_carbon_grams += accountant.footprint_grams(&m.profile.usage, self.time);
+                let accountant = CarbonAccountant::new(spec.carbon.clone())
+                    .with_time_scale(spec.config.time_scale);
+                accrued_carbon_grams += accountant.footprint_grams(&m.profile.usage, st.time);
             }
         }
-        for j in self.jobs.slots.iter().filter_map(|s| s.in_transit.as_ref()) {
+        for j in st.jobs.slots.iter().filter_map(|s| s.in_transit.as_ref()) {
             elapsed_executor_seconds += j.executor_seconds;
         }
         SimError::TimeLimitExceeded {
@@ -1166,25 +1158,26 @@ impl<'a> Engine<'a> {
     /// federation's shape and primes the arrival window.  Idempotent — a
     /// serve session calls it once and keeps stepping the same engine.
     pub(crate) fn preflight(&mut self) -> Result<(), SimError> {
-        if self.primed {
+        if self.state.primed {
             return Ok(());
         }
         // A fault schedule naming a member or executor the federation does
         // not have is a configuration error, reported before any simulation
         // state exists.
-        for inj in self.faults.injections() {
-            if inj.member >= self.members.len() {
+        let members = self.fed.members();
+        for inj in self.fed.fault_schedule().injections() {
+            if inj.member >= members.len() {
                 return Err(SimError::InvalidFault {
                     reason: format!(
                         "injection at t={} targets member {}, but the federation has {} member(s)",
                         inj.time,
                         inj.member,
-                        self.members.len()
+                        members.len()
                     ),
                 });
             }
             if let FaultKind::ExecutorCrash { executor } = inj.kind {
-                let pool = self.members[inj.member].config.num_executors;
+                let pool = members[inj.member].config.num_executors;
                 if executor >= pool {
                     return Err(SimError::InvalidFault {
                         reason: format!(
@@ -1199,10 +1192,10 @@ impl<'a> Engine<'a> {
         // an empty workload (the materialized entry points report this
         // before the engine is even built).
         self.refill_window()?;
-        if self.pending.is_none() && self.jobs_seen == 0 {
+        if self.state.pending.is_none() && self.state.jobs.seen() == 0 {
             return Err(SimError::EmptyWorkload);
         }
-        self.primed = true;
+        self.state.primed = true;
         Ok(())
     }
 
@@ -1230,26 +1223,26 @@ impl<'a> Engine<'a> {
         // Single-member federations (and declared-inert policies) skip the
         // migration layer entirely, so the single-cluster `Simulator` and
         // plain routed runs pay nothing for it.
-        let consult_migrations = self.members.len() >= 2 && !migration.never_migrates();
+        let consult_migrations = self.state.members.len() >= 2 && !migration.never_migrates();
+        let faults = self.fed.fault_schedule().injections();
         loop {
+            let st = &mut self.state;
             // Settlement is the sole drain condition: a non-empty arrival
             // window or pending task finishes imply unsettled jobs, and
             // stray wakeups for times past the last completion must not
             // keep the clock running.  (The window is refilled eagerly, so
             // `pending == None` means the source is drained.)
-            if self.pending.is_none()
-                && self.completed_jobs + self.jobs_rejected == self.jobs_seen
-            {
+            if st.pending.is_none() && st.completed_jobs + st.jobs_rejected == st.jobs.seen() {
                 if let Some(stop) = stop_at {
-                    self.time = self.time.max(stop);
+                    st.time = st.time.max(stop);
                 }
                 return Ok(true);
             }
             // The earliest member carbon step (ties broken by member index,
             // so multi-member runs stay deterministic).
             let mut carbon_member = 0usize;
-            let mut carbon_time = self.members[0].next_carbon_change;
-            for (i, m) in self.members.iter().enumerate().skip(1) {
+            let mut carbon_time = st.members[0].next_carbon_change;
+            for (i, m) in st.members.iter().enumerate().skip(1) {
                 if m.next_carbon_change < carbon_time {
                     carbon_member = i;
                     carbon_time = m.next_carbon_change;
@@ -1260,8 +1253,8 @@ impl<'a> Engine<'a> {
             // workload was enqueued before any runtime event, so on equal
             // times the queue's insertion-order tie-break always chose the
             // arrival; the window preserves that ordering exactly.
-            let arrival_time = self.pending.as_ref().map(|p| p.job.arrival);
-            let (next_time, next_is_arrival) = match (arrival_time, self.events.peek_time()) {
+            let arrival_time = st.pending.as_ref().map(|p| p.job.arrival);
+            let (next_time, next_is_arrival) = match (arrival_time, st.events.peek_time()) {
                 (Some(a), Some(q)) => (Some(a.min(q)), a <= q),
                 (Some(a), None) => (Some(a), true),
                 (None, q) => (q, false),
@@ -1276,10 +1269,8 @@ impl<'a> Engine<'a> {
             // what keeps `FaultSchedule::none()` runs bit-identical (the
             // cursor is exhausted, so this is one `Option` comparison).
             // Same-time faults fire one per iteration in schedule order.
-            let fault_fires = match self.faults.injections().get(self.next_fault) {
-                Some(inj) => {
-                    inj.time < carbon_time && next_time.map_or(true, |ht| inj.time < ht)
-                }
+            let fault_fires = match faults.get(st.next_fault) {
+                Some(inj) => inj.time < carbon_time && next_time.is_none_or(|ht| inj.time < ht),
                 None => false,
             };
             // The horizon gate: peek at the firing branch's time *before*
@@ -1291,38 +1282,38 @@ impl<'a> Engine<'a> {
             // loop.
             if let Some(stop) = stop_at {
                 let next = if fault_fires {
-                    self.faults.injections()[self.next_fault].time.max(self.time)
+                    faults[st.next_fault].time.max(st.time)
                 } else if wake_on_carbon {
                     carbon_time
                 } else {
                     next_time.expect("no carbon wake implies a pending event or arrival")
                 };
                 if next > stop {
-                    self.time = self.time.max(stop);
+                    st.time = st.time.max(stop);
                     return Ok(false);
                 }
             }
             if fault_fires {
-                let inj = self.faults.injections()[self.next_fault];
-                self.next_fault += 1;
+                let inj = faults[st.next_fault];
+                st.next_fault += 1;
                 // A fault scheduled before the current instant (possible
                 // when the plan's horizon outruns a quiet schedule) fires
                 // now rather than turning the clock back.
-                self.time = self.time.max(inj.time);
-                if self.time > self.max_sim_time {
+                st.time = st.time.max(inj.time);
+                if st.time > self.max_sim_time {
                     return Err(self.time_limit_error());
                 }
                 self.apply_fault(inj, schedulers)?;
             } else if wake_on_carbon {
-                self.time = carbon_time;
-                let member = &mut self.members[carbon_member];
-                member.next_carbon_change += member.carbon_step_schedule;
-                if self.time > self.max_sim_time {
+                st.time = carbon_time;
+                let spec = &self.fed.members()[carbon_member];
+                let member = &mut st.members[carbon_member];
+                member.next_carbon_change += spec.carbon_step_schedule();
+                if st.time > self.max_sim_time {
                     return Err(self.time_limit_error());
                 }
-                let member = &mut self.members[carbon_member];
                 let prev = member.current_intensity;
-                let now = member.carbon.intensity(member.carbon_time(self.time));
+                let now = spec.carbon.intensity(spec.carbon_time(st.time));
                 member.current_intensity = now;
                 // During a signal dropout the scheduler must not observe the
                 // real step — it is told "nothing changed" at the frozen
@@ -1343,9 +1334,9 @@ impl<'a> Engine<'a> {
                     EventSeed::CarbonChanged { prev: seen_prev, now: seen_now },
                 )?;
             } else if next_is_arrival {
-                let arrival = self.pending.take().expect("next_is_arrival implies a window");
-                self.time = arrival.job.arrival;
-                if self.time > self.max_sim_time {
+                let arrival = st.pending.take().expect("next_is_arrival implies a window");
+                st.time = arrival.job.arrival;
+                if st.time > self.max_sim_time {
                     return Err(self.time_limit_error());
                 }
                 let admitted = self.admit_arrival(arrival, router, admission.as_deref_mut())?;
@@ -1359,9 +1350,9 @@ impl<'a> Engine<'a> {
                     self.schedule_loop(target, &mut *schedulers[target], seed)?;
                 }
             } else {
-                let (t, event) = self.events.pop().expect("peeked time implies non-empty");
-                self.time = t;
-                if self.time > self.max_sim_time {
+                let (t, event) = st.events.pop().expect("peeked time implies non-empty");
+                st.time = t;
+                if st.time > self.max_sim_time {
                     return Err(self.time_limit_error());
                 }
                 // `None`: the event was recognised as stale (a finish whose
@@ -1383,13 +1374,14 @@ impl<'a> Engine<'a> {
         migration_name: &str,
         scheduler_names: &[String],
     ) -> FederationResult {
-        let mut members_out = Vec::with_capacity(self.members.len());
-        for (i, m) in self.members.iter_mut().enumerate() {
+        let st = &mut self.state;
+        let mut members_out = Vec::with_capacity(st.members.len());
+        for (i, (m, spec)) in st.members.iter_mut().zip(self.fed.members()).enumerate() {
             let makespan = m.records.iter().map(|r| r.completion).fold(0.0_f64, f64::max);
             m.records.sort_by_key(|r| r.id);
             members_out.push(MemberResult {
                 member: i,
-                label: m.label.to_string(),
+                label: spec.label.clone(),
                 result: SimulationResult {
                     scheduler: scheduler_names[i].clone(),
                     jobs: std::mem::take(&mut m.records),
@@ -1410,18 +1402,26 @@ impl<'a> Engine<'a> {
             .iter()
             .map(|m| m.result.makespan)
             .fold(0.0_f64, f64::max);
-        let links = match (self.network, &self.flows) {
-            (Some(topo), Some(flows)) => flows.utilization(topo),
-            _ => Vec::new(),
-        };
         FederationResult {
             router: router_name.to_string(),
             migration_policy: migration_name.to_string(),
             members: members_out,
-            migrations: std::mem::take(&mut self.migrations),
-            links,
+            migrations: std::mem::take(&mut st.migrations),
+            links: st.flows.utilization(self.fed.network()),
             makespan,
         }
+    }
+
+    /// Fills the reused view buffer with every member's router snapshot and
+    /// hands it out; callers put it back when their context is done.
+    fn take_views(&mut self) -> Vec<MemberView> {
+        let mut views = std::mem::take(&mut self.view_buf);
+        views.clear();
+        let st = &self.state;
+        for (i, (m, spec)) in st.members.iter().zip(self.fed.members()).enumerate() {
+            views.push(m.view(spec, i, st.time));
+        }
+        views
     }
 
     /// Consults the router for the arriving job, validating the returned
@@ -1432,20 +1432,13 @@ impl<'a> Engine<'a> {
         id: JobId,
         job: &SubmittedJob,
     ) -> Result<usize, SimError> {
-        let mut views = std::mem::take(&mut self.view_buf);
-        views.clear();
-        for (i, m) in self.members.iter().enumerate() {
-            views.push(m.view(i, self.time));
-        }
-        let ctx = RoutingContext::new(self.time, &views);
+        let views = self.take_views();
+        let ctx = RoutingContext::new(self.state.time, &views);
         let target = router.route(id, job, &ctx);
         self.view_buf = views;
-        if target >= self.members.len() {
-            return Err(SimError::InvalidRoute {
-                job: id.to_string(),
-                member: target,
-                members: self.members.len(),
-            });
+        let members = self.state.members.len();
+        if target >= members {
+            return Err(SimError::InvalidRoute { job: id.to_string(), member: target, members });
         }
         Ok(target)
     }
@@ -1473,50 +1466,43 @@ impl<'a> Engine<'a> {
             // The policy sees the same per-member views the router saw
             // (rebuilt: routing may have consumed the buffer's content, the
             // state is unchanged).
-            let mut views = std::mem::take(&mut self.view_buf);
-            views.clear();
-            for (i, m) in self.members.iter().enumerate() {
-                views.push(m.view(i, self.time));
-            }
-            let ctx = RoutingContext::new(self.time, &views);
+            let views = self.take_views();
+            let ctx = RoutingContext::new(self.state.time, &views);
             let decision = policy.admit(&job, target, &ctx);
             self.view_buf = views;
             match decision {
                 AdmissionDecision::Accept => {}
                 AdmissionDecision::Reject => {
-                    let slot = self.jobs.get_mut(id.index()).expect("window jobs are resident");
+                    let st = &mut self.state;
+                    let slot = st.jobs.get_mut(id.index()).expect("window jobs are resident");
                     slot.routed = Some(target as u32);
                     slot.rejected = true;
-                    self.jobs_rejected += 1;
-                    self.members[target].jobs_rejected += 1;
+                    st.jobs_rejected += 1;
+                    st.members[target].jobs_rejected += 1;
                     return Ok(None);
                 }
                 AdmissionDecision::ShedTo(member) => {
-                    if member >= self.members.len() {
-                        return Err(SimError::InvalidRoute {
-                            job: id.to_string(),
-                            member,
-                            members: self.members.len(),
-                        });
+                    let members = self.state.members.len();
+                    if member >= members {
+                        return Err(SimError::InvalidRoute { job: id.to_string(), member, members });
                     }
                     target = member;
                 }
             }
         }
-        self.jobs.get_mut(id.index()).expect("window jobs are resident").routed =
+        let st = &mut self.state;
+        st.jobs.get_mut(id.index()).expect("window jobs are resident").routed =
             Some(target as u32);
-        let member = &mut self.members[target];
+        let member = &mut st.members[target];
         debug_assert!(
-            member.active.last().map_or(true, |last| last.id < id),
+            member.active.last().is_none_or(|last| last.id < id),
             "arrivals must come in ascending id order"
         );
         let active = ActiveJob::from_submitted(id, job);
         member.outstanding_work += active.dag.total_work();
         member.register_active(active);
         member.routed_jobs += 1;
-        member
-            .profile
-            .record_jobs_in_system(self.time, member.active.len());
+        member.profile.record_jobs_in_system(st.time, member.active.len());
         Ok(Some((target, EventSeed::JobArrived(id))))
     }
 
@@ -1527,20 +1513,22 @@ impl<'a> Engine<'a> {
     /// and must be dropped without a scheduling pass.  (Workload arrivals
     /// are not queue events — see [`Engine::admit_arrival`].)
     fn handle_event(&mut self, event: Event) -> Result<Option<(usize, EventSeed)>, SimError> {
-        let time = self.time;
+        let time = self.state.time;
         match event {
             Event::TaskFinish { member: target, executor, job, stage, epoch } => {
                 // A crash bumps the executor's epoch, so a finish stamped
                 // with an older one belongs to a killed task: the queue's
                 // deterministic analogue of cancelling the event.  Always
                 // equal on fault-free runs.
-                if epoch != self.members[target].epochs[executor] {
+                if epoch != self.state.members[target].epochs[executor] {
                     return Ok(None);
                 }
                 // Read before the finish: a completion retires the
                 // `ActiveJob` along with its drain flag.
                 let was_draining = self.is_draining(target, job);
-                let member = &mut self.members[target];
+                let spec = &self.fed.members()[target];
+                let st = &mut self.state;
+                let member = &mut st.members[target];
                 member.executors.finish(executor);
                 member.running[executor] = None;
                 let Some(idx) = member.slot(job) else {
@@ -1567,23 +1555,19 @@ impl<'a> Engine<'a> {
                         total_work: done.dag.total_work(),
                         num_stages: done.dag.num_stages(),
                     });
-                    member
-                        .profile
-                        .record_jobs_in_system(time, member.active.len());
+                    member.profile.record_jobs_in_system(time, member.active.len());
                 }
-                member.record_usage_sample(time);
+                member.record_usage_sample(spec, time);
                 let seed = EventSeed::TasksCompleted { job, stage, n: 1 };
                 if job_done {
                     // A draining job whose last task completed the whole job
                     // has nothing left to move: the drain dissolves with it.
                     if was_draining {
-                        self.draining_jobs -= 1;
+                        st.draining_jobs -= 1;
                     }
-                    self.jobs
-                        .get_mut(job.index())
-                        .expect("a completing job is resident")
-                        .completed = true;
-                    self.completed_jobs += 1;
+                    st.jobs.get_mut(job.index()).expect("a completing job is resident").completed =
+                        true;
+                    st.completed_jobs += 1;
                     return Ok(Some((target, seed)));
                 }
                 // The drain trigger is checked before the outage evacuation
@@ -1597,14 +1581,11 @@ impl<'a> Engine<'a> {
                 // evacuated exactly like the idle jobs at outage start.
                 // Only a task finish can drain a job, so the other events
                 // skip this.
-                if !self.members[target].available {
-                    let idle = {
-                        let member = &self.members[target];
-                        let j = &member.active
-                            [member.slot(job).expect("an uncompleted job stays active")];
-                        j.busy_executors == 0 && j.retrying == 0
-                    };
-                    if idle {
+                let member = &self.state.members[target];
+                if !member.available {
+                    let idx = member.slot(job).expect("an uncompleted job stays active");
+                    let j = &member.active[idx];
+                    if j.busy_executors == 0 && j.retrying == 0 {
                         if let Some(dest) = self.evacuation_target(target) {
                             self.apply_migration(job, dest, false)?;
                         }
@@ -1618,7 +1599,7 @@ impl<'a> Engine<'a> {
                 // still held open) and cannot have migrated (cooling-down
                 // tasks pin it to this member), so it must be active here —
                 // anything else is an engine bug worth a descriptive error.
-                let member = &mut self.members[target];
+                let member = &mut self.state.members[target];
                 let Some(idx) = member.slot(job) else {
                     return Err(SimError::InvalidAssignment {
                         reason: format!(
@@ -1649,33 +1630,25 @@ impl<'a> Engine<'a> {
                 Ok(Some((target, EventSeed::JobArrived(job))))
             }
             Event::FlowArrival { member: target, job, epoch } => {
-                let topo = self.network.expect("flow arrivals only exist with a network");
-                let mut flows = self.flows.take().expect("network runs carry a flow set");
-                flows.settle(topo, time);
-                let Some(flow) = flows.finish(topo, job, epoch) else {
+                let topo = self.fed.network();
+                self.state.flows.settle(topo, time);
+                let Some(flow) = self.state.flows.finish(topo, job, epoch) else {
                     // The flow's rate changed after this event was pushed —
                     // a replacement event with the current epoch is queued.
-                    self.flows = Some(flows);
                     return Ok(None);
                 };
                 // Finalize the provisional record with the actual arrival
                 // and the transfer-interval carbon integral, then re-solve
                 // the allocation for the surviving flows (the departed
                 // flow's bandwidth is redistributed).
-                let departed = self.migrations[flow.record].departed;
-                let gb = self.migrations[flow.record].gb;
+                let record = self.state.migrations[flow.record];
                 let grams =
-                    self.transfer_carbon(topo.energy_kwh_per_gb(), gb, flow.from, flow.to, departed, time);
-                let record = &mut self.migrations[flow.record];
+                    self.transfer_carbon(record.gb, flow.from, flow.to, record.departed, time);
+                let record = &mut self.state.migrations[flow.record];
                 record.arrived = time;
-                record.transfer_seconds = time - departed;
+                record.transfer_seconds = time - record.departed;
                 record.transfer_carbon_grams = grams;
-                let mut plans = std::mem::take(&mut self.flow_plan_buf);
-                plans.clear();
-                flows.reallocate(topo, time, &mut plans);
-                self.flows = Some(flows);
-                self.apply_flow_plans(&plans);
-                self.flow_plan_buf = plans;
+                self.reallocate_flows();
                 self.register_migration_arrival(target, job);
                 Ok(Some((target, EventSeed::JobArrived(job))))
             }
@@ -1685,8 +1658,8 @@ impl<'a> Engine<'a> {
     /// Whether `job` is draining toward a migration on member `target`.
     /// Guarded by the drain counter, so drain-free runs pay one comparison.
     fn is_draining(&self, target: usize, job: JobId) -> bool {
-        self.draining_jobs > 0 && {
-            let m = &self.members[target];
+        self.state.draining_jobs > 0 && {
+            let m = &self.state.members[target];
             m.slot(job).is_some_and(|idx| m.active[idx].draining.is_some())
         }
     }
@@ -1695,15 +1668,15 @@ impl<'a> Engine<'a> {
     /// retrying task resolves, it departs for the destination its policy
     /// chose.  Returns whether it departed.
     fn depart_if_drained(&mut self, target: usize, job: JobId) -> Result<bool, SimError> {
-        let member = &self.members[target];
+        let st = &mut self.state;
+        let member = &mut st.members[target];
         let idx = member.slot(job).expect("an uncompleted job stays active");
-        let j = &member.active[idx];
+        let j = &mut member.active[idx];
         if j.busy_executors > 0 || j.retrying > 0 {
             return Ok(false);
         }
-        let dest = j.draining.expect("only draining jobs are checked") as usize;
-        self.members[target].active[idx].draining = None;
-        self.draining_jobs -= 1;
+        let dest = j.draining.take().expect("only draining jobs are checked") as usize;
+        st.draining_jobs -= 1;
         self.apply_migration(job, dest, false)?;
         Ok(true)
     }
@@ -1713,7 +1686,8 @@ impl<'a> Engine<'a> {
     /// [`Event::MigrationArrival`] and the flow-priced
     /// [`Event::FlowArrival`] paths.
     fn register_migration_arrival(&mut self, target: usize, job: JobId) {
-        let state = self
+        let st = &mut self.state;
+        let state = st
             .jobs
             .get_mut(job.index())
             .expect("in-transit jobs are never retired")
@@ -1721,7 +1695,7 @@ impl<'a> Engine<'a> {
             .take()
             .expect("migration arrival for a job that is not in transit");
         let remaining = state.progress.remaining_work(&state.dag);
-        let member = &mut self.members[target];
+        let member = &mut st.members[target];
         // The destination table stays ordered by arrival *at this
         // member* — a migrated job joins the back of the queue like
         // a fresh arrival would, whatever its global id.  If the
@@ -1731,23 +1705,7 @@ impl<'a> Engine<'a> {
         member.register_active(state);
         member.routed_jobs += 1;
         member.outstanding_work += remaining;
-        member
-            .profile
-            .record_jobs_in_system(self.time, member.active.len());
-    }
-
-    /// Mean intensity of member `m`'s trace over the schedule-time interval
-    /// `[t0, t1]` (converted to the member's carbon time), degenerating to
-    /// the instantaneous intensity for a zero-duration interval.
-    fn mean_intensity(&self, m: usize, t0: f64, t1: f64) -> f64 {
-        let member = &self.members[m];
-        let ct0 = member.carbon_time(t0);
-        let ct1 = member.carbon_time(t1);
-        if ct1 > ct0 {
-            member.carbon.integrate(ct0, ct1) / (ct1 - ct0)
-        } else {
-            member.carbon.intensity(ct0)
-        }
+        member.profile.record_jobs_in_system(st.time, member.active.len());
     }
 
     /// Carbon attributed to a transfer of `gb` gigabytes `from → to` over
@@ -1756,39 +1714,34 @@ impl<'a> Engine<'a> {
     /// attribution each).  Integrating — rather than sampling the departure
     /// instant — is what prices a transfer that spans carbon steps against
     /// every step it crosses.
-    fn transfer_carbon(
-        &self,
-        energy_kwh_per_gb: f64,
-        gb: f64,
-        from: usize,
-        to: usize,
-        departed: f64,
-        arrived: f64,
-    ) -> f64 {
-        let avg_src = self.mean_intensity(from, departed, arrived);
-        let avg_dst = self.mean_intensity(to, departed, arrived);
-        gb * energy_kwh_per_gb * 0.5 * (avg_src + avg_dst)
+    fn transfer_carbon(&self, gb: f64, from: usize, to: usize, departed: f64, arrived: f64) -> f64 {
+        let members = self.fed.members();
+        let avg_src = members[from].mean_intensity(departed, arrived);
+        let avg_dst = members[to].mean_intensity(departed, arrived);
+        gb * self.fed.network().energy_kwh_per_gb() * 0.5 * (avg_src + avg_dst)
     }
 
-    /// Turns flow-reallocation plans into queue events and keeps each
-    /// affected flow's provisional migration record current (best-estimate
-    /// arrival, so a serve-mode assemble with flows still in flight reports
-    /// estimates rather than placeholders).
-    fn apply_flow_plans(&mut self, plans: &[FlowArrivalPlan]) {
-        let topo = self.network.expect("flow plans only exist with a network");
-        for p in plans {
-            self.events
+    /// Re-solves the max-min allocation of the (settled) flow set, turns
+    /// each changed flow's new arrival estimate into a queue event, and
+    /// keeps that flow's provisional migration record current
+    /// (best-estimate arrival, so a serve-mode assemble with flows still in
+    /// flight reports estimates rather than placeholders).
+    fn reallocate_flows(&mut self) {
+        let mut plans = std::mem::take(&mut self.flow_plan_buf);
+        plans.clear();
+        self.state.flows.reallocate(self.fed.network(), self.state.time, &mut plans);
+        for p in &plans {
+            self.state
+                .events
                 .push(p.at, Event::FlowArrival { member: p.to, job: p.job, epoch: p.epoch });
-            let (from, to, gb, departed) = {
-                let r = &self.migrations[p.record];
-                (r.from, r.to, r.gb, r.departed)
-            };
-            let grams = self.transfer_carbon(topo.energy_kwh_per_gb(), gb, from, to, departed, p.at);
-            let r = &mut self.migrations[p.record];
+            let r = self.state.migrations[p.record];
+            let grams = self.transfer_carbon(r.gb, r.from, r.to, r.departed, p.at);
+            let r = &mut self.state.migrations[p.record];
             r.arrived = p.at;
-            r.transfer_seconds = p.at - departed;
+            r.transfer_seconds = p.at - r.departed;
             r.transfer_carbon_grams = grams;
         }
+        self.flow_plan_buf = plans;
     }
 
     /// Where an outaged member's idle jobs go: the available member with the
@@ -1796,14 +1749,14 @@ impl<'a> Engine<'a> {
     /// ties to the lowest index.  `None` when every other member is also
     /// down — the job then stays where it is until an outage ends.
     fn evacuation_target(&self, from: usize) -> Option<usize> {
-        self.members
+        self.state
+            .members
             .iter()
+            .zip(self.fed.members())
             .enumerate()
-            .filter(|(i, m)| *i != from && m.available)
-            .min_by(|(_, a), (_, b)| {
-                let backlog = |m: &MemberState<'_>| m.outstanding_work / m.config.num_executors as f64;
-                backlog(a).total_cmp(&backlog(b))
-            })
+            .filter(|(i, (m, _))| *i != from && m.available)
+            .map(|(i, (m, spec))| (i, m.outstanding_work / spec.config.num_executors as f64))
+            .min_by(|(_, a), (_, b)| a.total_cmp(b))
             .map(|(i, _)| i)
     }
 
@@ -1818,17 +1771,13 @@ impl<'a> Engine<'a> {
         changed: usize,
         policy: &mut dyn MigrationPolicy,
     ) -> Result<(), SimError> {
-        if self.members[changed].active.is_empty() {
+        if self.state.members[changed].active.is_empty() {
             return Ok(());
         }
-        let mut views = std::mem::take(&mut self.view_buf);
-        views.clear();
-        for (i, m) in self.members.iter().enumerate() {
-            views.push(m.view(i, self.time));
-        }
+        let views = self.take_views();
         let mut candidates = std::mem::take(&mut self.candidate_buf);
         candidates.clear();
-        for job in &self.members[changed].active {
+        for job in &self.state.members[changed].active {
             let (remaining_work, remaining_gb) = remaining_state(job);
             candidates.push(MigrationCandidate {
                 job: job.id,
@@ -1841,10 +1790,13 @@ impl<'a> Engine<'a> {
         }
         let mut sink = std::mem::take(&mut self.migration_sink);
         sink.clear();
-        let mut ctx = MigrationContext::new(self.time, changed, &views, self.transfer);
-        if let (Some(topo), Some(flows)) = (self.network, &self.flows) {
-            ctx = ctx.with_network(topo, flows);
-        }
+        let ctx = MigrationContext::new(
+            self.state.time,
+            changed,
+            &views,
+            self.fed.network(),
+            &self.state.flows,
+        );
         policy.on_carbon_change(&ctx, &candidates, &mut sink);
         self.view_buf = views;
         self.candidate_buf = candidates;
@@ -1860,13 +1812,14 @@ impl<'a> Engine<'a> {
     }
 
     /// Validates and applies one migration verb: detaches the job from its
-    /// source member, charges the transfer delay (fixed, from the
-    /// [`TransferMatrix`] or an uncontended topology pair; fair-shared, as a
-    /// network flow, when the pair crosses modeled links) and the
-    /// interval-integrated transfer carbon, and enqueues the arrival event
-    /// that re-registers it at the destination.  With `drain` set, a busy
-    /// or retrying job is flagged instead of rejected: it stops dispatching
-    /// and departs when its last task resolves.  Both members' incremental
+    /// source member, charges the transfer over the federation's network
+    /// topology (a fixed delay when the pair crosses no capacitated link,
+    /// as every pair of a matrix-built topology does, or a max-min
+    /// fair-shared flow when it does) plus the interval-integrated transfer
+    /// carbon, and schedules the arrival that re-registers it at the
+    /// destination.  With `drain` set, a busy or retrying job is flagged
+    /// instead of rejected: it stops dispatching and departs when its last
+    /// task resolves.  Both members' incremental
     /// counters (queue depth, outstanding work) are fixed up in O(changed)
     /// — the slot reindex on the source is O(its active jobs), the same
     /// cost class as the completion path.
@@ -1875,12 +1828,13 @@ impl<'a> Engine<'a> {
             job: job.to_string(),
             reason,
         };
-        if job.index() >= self.jobs_seen {
+        let st = &mut self.state;
+        if job.index() >= st.jobs.seen() {
             return Err(invalid("the job does not exist in the workload".into()));
         }
         // A retired id (serve-mode compaction) is settled history — moving
         // it is a no-op, exactly like a completed job below.
-        let Some(slot) = self.jobs.get(job.index()) else {
+        let Some(slot) = st.jobs.get(job.index()) else {
             return Ok(());
         };
         // A settled job is history — moving it is a no-op, exactly like a
@@ -1888,10 +1842,10 @@ impl<'a> Engine<'a> {
         if slot.settled() {
             return Ok(());
         }
-        if to >= self.members.len() {
+        if to >= st.members.len() {
             return Err(invalid(format!(
                 "member {to} does not exist (the federation has {} members)",
-                self.members.len()
+                st.members.len()
             )));
         }
         if slot.in_transit.is_some() {
@@ -1903,112 +1857,89 @@ impl<'a> Engine<'a> {
         if src == to {
             return Ok(());
         }
-        let idx = self.members[src]
+        let idx = st.members[src]
             .slot(job)
             .expect("an incomplete, routed, non-transit job is active on its member");
-        if self.members[src].active[idx].busy_executors > 0
-            || self.members[src].active[idx].retrying > 0
-        {
+        let a = &mut st.members[src].active[idx];
+        if a.busy_executors > 0 || a.retrying > 0 {
             if drain {
                 // Drain-then-move: flag the job instead of moving it.  It
                 // dispatches nothing from here on and departs for `to` when
                 // its last running or retrying task resolves.  A later
                 // drain verb overwrites the destination (last one wins).
-                let a = &mut self.members[src].active[idx];
                 if a.draining.is_none() {
-                    self.draining_jobs += 1;
+                    st.draining_jobs += 1;
                 }
                 a.draining = Some(to as u32);
                 return Ok(());
             }
-            if self.members[src].active[idx].busy_executors > 0 {
+            if a.busy_executors > 0 {
                 return Err(invalid(format!(
                     "the job still has {} running task(s) on member {src}; drain them first",
-                    self.members[src].active[idx].busy_executors
+                    a.busy_executors
                 )));
             }
             return Err(invalid(format!(
                 "the job has {} task(s) in retry backoff on member {src}; they must release first",
-                self.members[src].active[idx].retrying
+                a.retrying
             )));
         }
         // An idle job moves immediately, whether the verb was a migrate or a
         // drain.  Any pending drain flag dissolves into this move.
-        if self.members[src].active[idx].draining.take().is_some() {
-            self.draining_jobs -= 1;
+        if a.draining.take().is_some() {
+            st.draining_jobs -= 1;
         }
 
         // Detach from the source and fix its incremental counters.  The
         // remaining work/GB here match what the candidate reported — both
         // sites go through `remaining_state`.
-        let state = self.members[src].retire_active(idx);
+        let member = &mut st.members[src];
+        let state = member.retire_active(idx);
         let (remaining_work, gb) = remaining_state(&state);
-        let member = &mut self.members[src];
         member.outstanding_work -= remaining_work;
         member.routed_jobs -= 1;
-        member
-            .profile
-            .record_jobs_in_system(self.time, member.active.len());
+        member.profile.record_jobs_in_system(st.time, member.active.len());
+        let slot = st.jobs.get_mut(job.index()).expect("checked resident above");
+        slot.routed = Some(to as u32);
+        slot.migrated = true;
+        slot.in_transit = Some(state);
+        let departed = st.time;
 
-        if let Some(topo) = self.network.filter(|t| !t.path(src, to).is_empty()) {
+        let topo = self.fed.network();
+        if !topo.path(src, to).is_empty() {
             // The pair crosses modeled links: the transfer becomes a flow
             // whose arrival is decided by max-min fair sharing with every
             // other flow in flight.  Its migration record is provisional
             // (best-estimate arrival and carbon) until the flow delivers.
-            let record = self.migrations.len();
-            let slot = self.jobs.get_mut(job.index()).expect("checked resident above");
-            slot.routed = Some(to as u32);
-            slot.migrated = true;
-            slot.in_transit = Some(state);
-            self.migrations.push(MigrationRecord {
+            let record = st.migrations.len();
+            st.migrations.push(MigrationRecord {
                 job,
                 from: src,
                 to,
-                departed: self.time,
-                arrived: self.time,
+                departed,
+                arrived: departed,
                 gb,
                 transfer_seconds: 0.0,
                 transfer_carbon_grams: 0.0,
             });
-            let mut flows = self.flows.take().expect("network runs carry a flow set");
-            flows.settle(topo, self.time);
-            flows.begin(job, src, to, gb, record);
-            let mut plans = std::mem::take(&mut self.flow_plan_buf);
-            plans.clear();
-            flows.reallocate(topo, self.time, &mut plans);
-            self.flows = Some(flows);
-            self.apply_flow_plans(&plans);
-            self.flow_plan_buf = plans;
+            st.flows.settle(topo, departed);
+            st.flows.begin(job, src, to, gb, record);
+            self.reallocate_flows();
             return Ok(());
         }
 
-        // Fixed-delay path: the matrix, or a topology pair that crosses no
-        // modeled link.  The delay is known at departure; the carbon
+        // Uncontended pair: the delay is known at departure; the carbon
         // integrates each endpoint's trace over the transfer interval.
-        let (transfer_seconds, energy_kwh_per_gb) = match self.network {
-            Some(topo) => (
-                gb * topo.seconds_per_gb(src, to) + topo.latency(src, to),
-                topo.energy_kwh_per_gb(),
-            ),
-            None => (
-                self.transfer.transfer_seconds(src, to, gb),
-                self.transfer.energy_kwh_per_gb(),
-            ),
-        };
-        let arrived = self.time + transfer_seconds;
-        let transfer_carbon_grams =
-            self.transfer_carbon(energy_kwh_per_gb, gb, src, to, self.time, arrived);
-
-        let slot = self.jobs.get_mut(job.index()).expect("checked resident above");
-        slot.routed = Some(to as u32);
-        slot.migrated = true;
-        slot.in_transit = Some(state);
-        self.events.push(arrived, Event::MigrationArrival { member: to, job });
-        self.migrations.push(MigrationRecord {
+        let transfer_seconds = gb * topo.seconds_per_gb(src, to) + topo.latency(src, to);
+        let arrived = departed + transfer_seconds;
+        let transfer_carbon_grams = self.transfer_carbon(gb, src, to, departed, arrived);
+        let st = &mut self.state;
+        st.events.push(arrived, Event::MigrationArrival { member: to, job });
+        st.migrations.push(MigrationRecord {
             job,
             from: src,
             to,
-            departed: self.time,
+            departed,
             arrived,
             gb,
             transfer_seconds,
@@ -2048,8 +1979,11 @@ impl<'a> Engine<'a> {
         exec: usize,
         schedulers: &mut [&mut dyn Scheduler],
     ) -> Result<(), SimError> {
-        let time = self.time;
-        let member = &mut self.members[target];
+        let spec = &self.fed.members()[target];
+        let retry = self.fed.retry_policy();
+        let st = &mut self.state;
+        let time = st.time;
+        let member = &mut st.members[target];
         let Some(rt) = member.running[exec].take() else {
             member.fault_log.push(FaultRecord {
                 time,
@@ -2077,7 +2011,7 @@ impl<'a> Engine<'a> {
         // retry's own dispatch will charge it again.
         active.executor_seconds -= rt.duration;
         let attempts = active.record_failure(rt.stage, rt.task);
-        let exhausted = attempts >= self.retry.max_attempts;
+        let exhausted = attempts >= retry.max_attempts;
         let job_name = if exhausted { active.dag.name.clone() } else { String::new() };
         if !exhausted {
             active.retrying += 1;
@@ -2088,7 +2022,7 @@ impl<'a> Engine<'a> {
         member.tasks_failed += 1;
         // Truncate the open profile segment at the crash instant so the
         // usage series stays an honest record of executor-busy time.
-        if member.config.profile_mode == ProfileMode::Full {
+        if spec.config.profile_mode == ProfileMode::Full {
             for seg in member.profile.segments.iter_mut().rev() {
                 if seg.executor == exec && seg.job == rt.job && seg.end == rt.finish_time {
                     seg.end = time;
@@ -2096,7 +2030,7 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        member.record_usage_sample(time);
+        member.record_usage_sample(spec, time);
         if exhausted {
             return Err(SimError::RetriesExhausted {
                 job: job_name,
@@ -2119,9 +2053,8 @@ impl<'a> Engine<'a> {
                 }),
             },
         });
-        let backoff = self.retry.backoff_after(attempts);
-        self.events.push(
-            time + backoff,
+        st.events.push(
+            time + retry.backoff_after(attempts),
             Event::RetryRelease { member: target, job: rt.job, stage: rt.stage, task: rt.task },
         );
         // The crash freed an executor, so other work may dispatch right now;
@@ -2143,13 +2076,14 @@ impl<'a> Engine<'a> {
         target: usize,
         schedulers: &mut [&mut dyn Scheduler],
     ) -> Result<(), SimError> {
-        if !self.members[target].available {
+        let member = &mut self.state.members[target];
+        if !member.available {
             return Ok(());
         }
-        self.members[target].available = false;
+        member.available = false;
         // All evacuees go to the same member, chosen once against the
         // backlog at outage start — one decision, deterministic order.
-        let evacuees: Vec<JobId> = self.members[target]
+        let evacuees: Vec<JobId> = member
             .active
             .iter()
             .filter(|j| j.busy_executors == 0 && j.retrying == 0)
@@ -2162,8 +2096,9 @@ impl<'a> Engine<'a> {
                 evacuated += 1;
             }
         }
-        self.members[target].fault_log.push(FaultRecord {
-            time: self.time,
+        let time = self.state.time;
+        self.state.members[target].fault_log.push(FaultRecord {
+            time,
             member: target,
             effect: FaultEffect::OutageStarted { evacuated },
         });
@@ -2179,12 +2114,14 @@ impl<'a> Engine<'a> {
         target: usize,
         schedulers: &mut [&mut dyn Scheduler],
     ) -> Result<(), SimError> {
-        if self.members[target].available {
+        let time = self.state.time;
+        let member = &mut self.state.members[target];
+        if member.available {
             return Ok(());
         }
-        self.members[target].available = true;
-        self.members[target].fault_log.push(FaultRecord {
-            time: self.time,
+        member.available = true;
+        member.fault_log.push(FaultRecord {
+            time,
             member: target,
             effect: FaultEffect::OutageEnded,
         });
@@ -2197,14 +2134,16 @@ impl<'a> Engine<'a> {
     /// went silent.  No scheduling pass: nothing observable changed yet (the
     /// view goes stale from the next consultation on).
     fn apply_dropout_start(&mut self, target: usize) -> Result<(), SimError> {
-        let member = &mut self.members[target];
+        let spec = &self.fed.members()[target];
+        let time = self.state.time;
+        let member = &mut self.state.members[target];
         if member.frozen_intensity.is_some() {
             return Ok(());
         }
-        let frozen = member.carbon.intensity(member.carbon_time(self.time));
+        let frozen = spec.carbon.intensity(spec.carbon_time(time));
         member.frozen_intensity = Some(frozen);
         member.fault_log.push(FaultRecord {
-            time: self.time,
+            time,
             member: target,
             effect: FaultEffect::DropoutStarted { frozen_intensity: frozen },
         });
@@ -2220,13 +2159,15 @@ impl<'a> Engine<'a> {
         target: usize,
         schedulers: &mut [&mut dyn Scheduler],
     ) -> Result<(), SimError> {
-        let member = &mut self.members[target];
+        let spec = &self.fed.members()[target];
+        let time = self.state.time;
+        let member = &mut self.state.members[target];
         let Some(frozen) = member.frozen_intensity.take() else {
             return Ok(());
         };
-        let now = member.carbon.intensity(member.carbon_time(self.time));
+        let now = spec.carbon.intensity(spec.carbon_time(time));
         member.fault_log.push(FaultRecord {
-            time: self.time,
+            time,
             member: target,
             effect: FaultEffect::DropoutEnded,
         });
@@ -2248,24 +2189,13 @@ impl<'a> Engine<'a> {
         scheduler: &mut dyn Scheduler,
         available: bool,
     ) {
-        let mut sink = std::mem::take(&mut self.members[target].sink);
+        let member = &mut self.state.members[target];
+        let mut sink = std::mem::take(&mut member.sink);
         sink.clear();
-        let member = &self.members[target];
-        let ctx = SchedulingContext::new(
-            self.time,
-            member.carbon_view(self.time),
-            member.config.num_executors,
-            member.executors.free_count(),
-            member.executors.busy_count(),
-            member.config.job_cap(),
-            &member.active,
-            Some(&member.slots),
-        )
-        .with_slot_base(member.slot_base)
-        .with_outstanding_work(member.outstanding_work);
+        let ctx = member.context(&self.fed.members()[target], self.state.time);
         scheduler.on_event(SchedEvent::MemberAvailability { available }, &ctx, &mut sink);
         sink.clear();
-        self.members[target].sink = sink;
+        self.state.members[target].sink = sink;
     }
 
     /// Repeatedly invokes one member's scheduler until it defers, produces
@@ -2281,19 +2211,21 @@ impl<'a> Engine<'a> {
         // The member's sink is moved out for the duration of the loop so the
         // scheduler can write into it while the member (whose active table
         // the context borrows) stays immutably borrowed.
-        let mut sink = std::mem::take(&mut self.members[target].sink);
+        let st = &mut self.state;
+        let member = &mut st.members[target];
+        let mut sink = std::mem::take(&mut member.sink);
         let result = member_schedule_pass(
-            &mut self.members[target],
+            &self.fed.members()[target],
+            member,
             target,
-            self.time,
-            self.jobs_seen,
-            &self.jobs,
-            &mut self.events,
+            st.time,
+            &st.jobs,
+            &mut st.events,
             scheduler,
             &mut sink,
             seed,
         );
-        self.members[target].sink = sink;
+        st.members[target].sink = sink;
         result
     }
 
@@ -2308,39 +2240,39 @@ impl<'a> Engine<'a> {
 
     /// The engine clock (schedule seconds).
     pub(crate) fn now(&self) -> f64 {
-        self.time
+        self.state.time
     }
 
     pub(crate) fn num_members(&self) -> usize {
-        self.members.len()
+        self.state.members.len()
     }
 
     /// Jobs pulled from the source so far (including the one in the
     /// lookahead window, if any).
     pub(crate) fn jobs_seen_count(&self) -> usize {
-        self.jobs_seen
+        self.state.jobs.seen()
     }
 
     pub(crate) fn completed_count(&self) -> usize {
-        self.completed_jobs
+        self.state.completed_jobs
     }
 
     pub(crate) fn rejected_count(&self) -> usize {
-        self.jobs_rejected
+        self.state.jobs_rejected
     }
 
     /// Jobs currently occupying simulation state: active on some member or
     /// migrating between members.
     pub(crate) fn resident_jobs(&self) -> usize {
-        let active: usize = self.members.iter().map(|m| m.active.len()).sum();
-        let transit = self.jobs.slots.iter().filter(|s| s.in_transit.is_some()).count();
+        let active: usize = self.state.members.iter().map(|m| m.active.len()).sum();
+        let transit = self.state.jobs.slots.iter().filter(|s| s.in_transit.is_some()).count();
         active + transit
     }
 
     /// Resident per-job bookkeeping slots — what serve-mode compaction
     /// bounds (the long-run residency assertion pins this).
     pub(crate) fn resident_table_len(&self) -> usize {
-        self.jobs.resident()
+        self.state.jobs.resident()
     }
 
     /// Takes every member's accumulated completion records (merged, ordered
@@ -2349,7 +2281,7 @@ impl<'a> Engine<'a> {
     /// bounded by the drain cadence, never by total jobs seen.
     pub(crate) fn drain_completions(&mut self) -> Vec<JobRecord> {
         let mut out = Vec::new();
-        for m in &mut self.members {
+        for m in &mut self.state.members {
             out.append(&mut m.records);
             m.profile = UsageProfile::new();
             m.invocations.clear();
@@ -2358,146 +2290,75 @@ impl<'a> Engine<'a> {
         out
     }
 
-    /// Captures the engine's full dynamic state.  Together with a source
-    /// re-attached at the same pull position (see [`Engine::restore`]) and
-    /// equivalently-warmed policy objects, the snapshot continues
-    /// bit-identically to a run that never stopped: every field that feeds
-    /// the event loop — clock, event queue with its sequence counter, the
-    /// arrival window, per-job and per-member tables, the fault cursor —
-    /// is copied; the scratch buffers (views, candidates, migration sink)
-    /// are not, because they are cleared before every use.
+    /// Captures the run state.  Together with a source re-attached at the
+    /// same pull position (see [`Engine::restore`]) and equivalently-warmed
+    /// policy objects, the snapshot continues bit-identically to a run that
+    /// never stopped.
     pub(crate) fn snapshot(&self) -> EngineSnapshot {
-        EngineSnapshot {
-            time: self.time,
-            jobs_seen: self.jobs_seen,
-            last_arrival: self.last_arrival,
-            completed_jobs: self.completed_jobs,
-            jobs_rejected: self.jobs_rejected,
-            next_fault: self.next_fault,
-            events: self.events.clone(),
-            pending: self.pending.as_ref().map(|p| (p.id, p.job.clone())),
-            jobs: self.jobs.clone(),
-            migrations: self.migrations.clone(),
-            flows: self.flows.clone(),
-            members: self
-                .members
-                .iter()
-                .map(|m| MemberSnapshot {
-                    executors: m.executors.clone(),
-                    active: m.active.clone(),
-                    slots: m.slots.clone(),
-                    slot_base: m.slot_base,
-                    jobs_rejected: m.jobs_rejected,
-                    profile: m.profile.clone(),
-                    records: m.records.clone(),
-                    invocations: m.invocations.clone(),
-                    tasks_dispatched: m.tasks_dispatched,
-                    routed_jobs: m.routed_jobs,
-                    outstanding_work: m.outstanding_work,
-                    next_carbon_change: m.next_carbon_change,
-                    current_intensity: m.current_intensity,
-                    sink: m.sink.clone(),
-                    running: m.running.clone(),
-                    epochs: m.epochs.clone(),
-                    available: m.available,
-                    frozen_intensity: m.frozen_intensity,
-                    wasted_seconds: m.wasted_seconds,
-                    tasks_failed: m.tasks_failed,
-                    retries: m.retries,
-                    fault_log: m.fault_log.clone(),
-                })
-                .collect(),
-        }
+        EngineSnapshot { state: self.state.clone() }
     }
 
     /// Installs a snapshot into this engine, re-attaching the source.
     ///
-    /// The snapshot is RNG-free: it does not capture the source.  Instead,
-    /// the engine discards pulls from its *own* (freshly constructed,
-    /// deterministic) source until it reaches the snapshot's pull position —
-    /// the discarded jobs are exactly the ones the snapshotted run already
-    /// consumed, and the snapshot's lookahead window carries the last pull's
-    /// content.  A session that has already pulled past the snapshot cannot
-    /// rewind its source and is rejected.
+    /// The snapshot must come from a federation of the same shape: the
+    /// same member count, executor pools of the same sizes, and a network
+    /// with the same number of links (its in-flight flows live on them).
+    /// It is RNG-free: it does not capture the source.  Instead, the engine
+    /// discards pulls from its *own* (freshly constructed, deterministic)
+    /// source until it reaches the snapshot's pull position — the discarded
+    /// jobs are exactly the ones the snapshotted run already consumed, and
+    /// the snapshot's lookahead window carries the last pull's content.  A
+    /// session that has already pulled past the snapshot cannot rewind its
+    /// source and is rejected.
     pub(crate) fn restore(&mut self, snap: &EngineSnapshot) -> Result<(), SimError> {
-        if snap.members.len() != self.members.len() {
-            return Err(SimError::SnapshotMismatch {
-                reason: format!(
-                    "the snapshot covers {} member(s), this federation has {}",
-                    snap.members.len(),
-                    self.members.len()
-                ),
-            });
+        let mismatch = |reason: String| Err(SimError::SnapshotMismatch { reason });
+        let members = self.fed.members();
+        if snap.state.members.len() != members.len() {
+            return mismatch(format!(
+                "the snapshot covers {} member(s), this federation has {}",
+                snap.state.members.len(),
+                members.len()
+            ));
         }
-        if self.jobs_seen > snap.jobs_seen {
-            return Err(SimError::SnapshotMismatch {
-                reason: format!(
-                    "this session has pulled {} job(s), past the snapshot's {} — restore \
-                     onto a fresh session over a fresh source",
-                    self.jobs_seen, snap.jobs_seen
-                ),
-            });
-        }
-        for _ in self.jobs_seen..snap.jobs_seen {
-            if self.source.pull().is_none() {
-                return Err(SimError::SnapshotMismatch {
-                    reason: format!(
-                        "the source drained before reaching the snapshot's position \
-                         ({} jobs pulled)",
-                        snap.jobs_seen
-                    ),
-                });
+        for (i, (m, spec)) in snap.state.members.iter().zip(members).enumerate() {
+            if m.executors.len() != spec.config.num_executors {
+                return mismatch(format!(
+                    "the snapshot's member {i} has {} executor(s), this federation's has {}",
+                    m.executors.len(),
+                    spec.config.num_executors
+                ));
             }
         }
-        self.time = snap.time;
-        self.jobs_seen = snap.jobs_seen;
-        self.last_arrival = snap.last_arrival;
-        self.completed_jobs = snap.completed_jobs;
-        self.jobs_rejected = snap.jobs_rejected;
-        self.next_fault = snap.next_fault;
-        self.events = snap.events.clone();
-        self.pending = snap.pending.clone().map(|(id, job)| PendingArrival { id, job });
-        self.jobs = snap.jobs.clone();
-        self.migrations = snap.migrations.clone();
-        self.flows = snap.flows.clone();
-        for (m, s) in self.members.iter_mut().zip(&snap.members) {
-            m.executors = s.executors.clone();
-            m.active = s.active.clone();
-            m.slots = s.slots.clone();
-            m.slot_base = s.slot_base;
-            m.jobs_rejected = s.jobs_rejected;
-            m.profile = s.profile.clone();
-            m.records = s.records.clone();
-            m.invocations = s.invocations.clone();
-            m.tasks_dispatched = s.tasks_dispatched;
-            m.routed_jobs = s.routed_jobs;
-            m.outstanding_work = s.outstanding_work;
-            m.next_carbon_change = s.next_carbon_change;
-            m.current_intensity = s.current_intensity;
-            m.sink = s.sink.clone();
-            m.running = s.running.clone();
-            m.epochs = s.epochs.clone();
-            m.available = s.available;
-            m.frozen_intensity = s.frozen_intensity;
-            m.wasted_seconds = s.wasted_seconds;
-            m.tasks_failed = s.tasks_failed;
-            m.retries = s.retries;
-            m.fault_log = s.fault_log.clone();
+        let links = self.fed.network().num_links();
+        if snap.state.flows.num_links() != links {
+            return mismatch(format!(
+                "the snapshot's network has {} link(s), this federation's has {links}",
+                snap.state.flows.num_links()
+            ));
         }
-        // The drain count is derived state — recompute it from the restored
-        // active tables (the flags travel with the jobs).
-        self.draining_jobs = self
-            .members
-            .iter()
-            .map(|m| m.active.iter().filter(|j| j.draining.is_some()).count())
-            .sum();
-        self.primed = true;
+        let (seen, target) = (self.state.jobs.seen(), snap.jobs_seen());
+        if seen > target {
+            return mismatch(format!(
+                "this session has pulled {seen} job(s), past the snapshot's {target} — restore \
+                 onto a fresh session over a fresh source"
+            ));
+        }
+        for _ in seen..target {
+            if self.source.pull().is_none() {
+                return mismatch(format!(
+                    "the source drained before reaching the snapshot's position ({target} jobs \
+                     pulled)"
+                ));
+            }
+        }
+        self.state = snap.state.clone();
         Ok(())
     }
 }
 
 /// A point-in-time copy of a serving engine's full dynamic state, produced
-/// by [`ServeSession::snapshot`] and installed by [`ServeSession::restore`].
+/// by [`ServeSession::snapshot`] and installed by [`ServeSession::restore`]:
+/// the engine's run state, cloned whole.
 ///
 /// The snapshot is *RNG-free and source-free*: arrival sources and policy
 /// objects (schedulers, routers, admission) live outside the engine and
@@ -2510,63 +2371,26 @@ impl<'a> Engine<'a> {
 /// [`ServeSession::restore`]: crate::serve::ServeSession::restore
 #[derive(Debug, Clone)]
 pub struct EngineSnapshot {
-    time: f64,
-    jobs_seen: usize,
-    last_arrival: f64,
-    completed_jobs: usize,
-    jobs_rejected: usize,
-    next_fault: usize,
-    events: EventQueue,
-    pending: Option<(JobId, SubmittedJob)>,
-    jobs: JobTable,
-    migrations: Vec<MigrationRecord>,
-    flows: Option<FlowSet>,
-    members: Vec<MemberSnapshot>,
+    state: RunState,
 }
 
 impl EngineSnapshot {
     /// The schedule time the snapshot was taken at.
     pub fn time(&self) -> f64 {
-        self.time
+        self.state.time
     }
 
     /// Jobs the snapshotted run had pulled from its source (the pull
     /// position a restore re-attaches at).
     pub fn jobs_seen(&self) -> usize {
-        self.jobs_seen
+        self.state.jobs.seen()
     }
-}
-
-/// One member's share of an [`EngineSnapshot`].
-#[derive(Debug, Clone)]
-struct MemberSnapshot {
-    executors: ExecutorPool,
-    active: Vec<ActiveJob>,
-    slots: Vec<Option<u32>>,
-    slot_base: usize,
-    jobs_rejected: usize,
-    profile: UsageProfile,
-    records: Vec<JobRecord>,
-    invocations: Vec<InvocationSample>,
-    tasks_dispatched: usize,
-    routed_jobs: usize,
-    outstanding_work: f64,
-    next_carbon_change: f64,
-    current_intensity: f64,
-    sink: DecisionSink,
-    running: Vec<Option<RunningTask>>,
-    epochs: Vec<u64>,
-    available: bool,
-    frozen_intensity: Option<f64>,
-    wasted_seconds: f64,
-    tasks_failed: usize,
-    retries: usize,
-    fault_log: Vec<FaultRecord>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::NetworkTopology;
     use crate::schedulers::SimpleFifo;
     use pcaps_dag::{JobDagBuilder, StageId, Task};
 
@@ -2919,30 +2743,24 @@ mod tests {
             ],
             vec![SubmittedJob::at(0.0, chain_job("j", 1, 2, 5.0))],
         );
-        let mut engine = Engine::from_slice(
-            fed.members(),
-            fed.workload(),
-            fed.transfer(),
-            fed.network(),
-            fed.fault_schedule(),
-            fed.retry_policy(),
-        );
+        let mut engine = Engine::new(&fed);
         let mut router = ToOne;
         engine.refill_window().unwrap();
-        let arrival = engine.pending.take().expect("one job in the workload");
+        let arrival = engine.state.pending.take().expect("one job in the workload");
         let (target, _) = engine
             .admit_arrival(arrival, &mut router, None)
             .unwrap()
             .expect("no admission policy, so the job is admitted");
         assert_eq!(target, 1, "the router placed the job on member 1");
         // Member 0 now tries to dispatch member 1's job.
+        let st = &mut engine.state;
         let err = apply_assignments_for(
-            &mut engine.members[0],
+            &fed.members()[0],
+            &mut st.members[0],
             0,
-            engine.time,
-            engine.jobs_seen,
-            &engine.jobs,
-            &mut engine.events,
+            st.time,
+            &st.jobs,
+            &mut st.events,
             &[Assignment::new(JobId(0), StageId(0), 1)],
         )
         .unwrap_err();
@@ -3121,7 +2939,7 @@ mod tests {
         // the re-request is dropped and the next regular carbon step
         // dispatches.
         let mut values = vec![500.0; 29];
-        values.extend(std::iter::repeat(100.0).take(50));
+        values.extend(std::iter::repeat_n(100.0, 50));
         let trace = CarbonTrace::hourly("rounding", values);
         let job = chain_job("j", 1, 1, 5.0);
         let config = ClusterConfig::new(1).with_move_delay(0.0).with_time_scale(11.0);
@@ -3153,7 +2971,7 @@ mod tests {
         // Hourly trace: 500 for three hours, then 100.  A ceiling of 250
         // must hold all work until exactly t = 3 * 3600.
         let mut values = vec![500.0, 500.0, 500.0];
-        values.extend(std::iter::repeat(100.0).take(50));
+        values.extend(std::iter::repeat_n(100.0, 50));
         let trace = CarbonTrace::hourly("cliff", values);
         let job = chain_job("j", 1, 2, 5.0);
         let config = ClusterConfig::new(2).with_move_delay(0.0).with_time_scale(1.0);
@@ -3308,7 +3126,9 @@ mod tests {
                 SubmittedJob::at(0.0, chain_job("b", 1, 1, 4000.0)).with_data_gb(1.0),
             ],
         )
-        .with_transfer_matrix(TransferMatrix::uniform(2, 10.0).with_energy_per_gb(0.1));
+        .with_network(
+            NetworkTopology::new(2).with_seconds_per_gb(0, 1, 10.0).with_energy_per_gb(0.1),
+        );
         let mut a = SimpleFifo::new();
         let mut b = SimpleFifo::new();
         let mut policy = MoveIdleTo { to: 1 };
@@ -3426,7 +3246,7 @@ mod tests {
         // hour 3.
         let cliff = |dirty_hours: usize| {
             let mut values = vec![500.0; dirty_hours];
-            values.extend(std::iter::repeat(100.0).take(50));
+            values.extend(std::iter::repeat_n(100.0, 50));
             CarbonTrace::hourly("cliff", values)
         };
         let config = ClusterConfig::new(2).with_move_delay(0.0).with_time_scale(1.0);

@@ -108,8 +108,9 @@ pub enum SimError {
     },
     /// A serve-session snapshot cannot be installed: the engine shape or
     /// source position does not line up with what the snapshot captured
-    /// (different member count, a source that drained before reaching the
-    /// snapshot's pull position, or a session that already pulled past it).
+    /// (a different member count, executor-pool size or network link count,
+    /// a source that drained before reaching the snapshot's pull position,
+    /// or a session that already pulled past it).
     SnapshotMismatch {
         /// Explanation of what was wrong.
         reason: String,

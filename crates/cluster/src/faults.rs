@@ -244,6 +244,9 @@ impl FaultPlan for PoissonCrashes {
         "poisson-crashes"
     }
 
+    // `!(t < horizon)` rather than `t >= horizon`: a NaN horizon or crash
+    // time must end generation instead of looping forever.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
     fn schedule(&self, ctx: &FaultContext) -> Result<FaultSchedule, SimError> {
         // An open-ended crash process needs a real stopping point.  The
         // engine's default `max_sim_time` is a no-limit sentinel, not a

@@ -93,14 +93,12 @@ impl Member {
 pub struct Federation {
     members: Vec<Member>,
     workload: Vec<SubmittedJob>,
-    /// Cross-region transfer costs charged when jobs migrate between
-    /// members.  Defaults to [`TransferMatrix::zero`] (free movement).
-    transfer: TransferMatrix,
-    /// Optional link-level network model.  When attached, migration delays
-    /// come from max-min fair sharing of the topology's links instead of the
-    /// fixed per-pair matrix rates (see [`NetworkTopology`]); `None` keeps
-    /// the matrix path bit for bit.
-    network: Option<NetworkTopology>,
+    /// The transfer model migrations are priced by: fixed per-pair delays
+    /// for pairs that cross no capacitated link, max-min fair-shared flows
+    /// for pairs that do (see [`NetworkTopology`]).  Defaults to
+    /// [`NetworkTopology::new`], under which every move is free and
+    /// instantaneous.
+    network: NetworkTopology,
     /// First workload validation failure, if any — detected once at
     /// construction and reported by every [`Federation::run`] call.
     invalid: Option<SimError>,
@@ -135,12 +133,11 @@ impl Federation {
                 .and_then(|()| job.check_data_gb())
                 .err()
         });
-        let transfer = TransferMatrix::zero(members.len());
+        let network = NetworkTopology::new(members.len());
         Federation {
             members,
             workload,
-            transfer,
-            network: None,
+            network,
             invalid,
             faults: FaultSchedule::none(),
             retry: RetryPolicy::default(),
@@ -159,50 +156,39 @@ impl Federation {
         Federation::new(members, Vec::new())
     }
 
-    /// Sets the cross-region transfer cost matrix (see [`TransferMatrix`]
-    /// for units).  Only migrations pay these costs — initial routing at
-    /// arrival stays free, because the job's input is assumed to be uploaded
-    /// to wherever the router placed it.
+    /// Prices migrations with a fixed per-pair cost matrix (see
+    /// [`TransferMatrix`] for units): shorthand for
+    /// [`Federation::with_network`] over
+    /// [`NetworkTopology::from_matrix`], the link-free topology that
+    /// carries the matrix's per-GB latencies and energy figure.  Only
+    /// migrations pay these costs — initial routing at arrival stays free,
+    /// because the job's input is assumed to be uploaded to wherever the
+    /// router placed it.
     ///
-    /// A matrix whose dimension differs from the member count poisons the
-    /// federation like an invalid fault plan: the builder chain stays
-    /// infallible and the first run reports a descriptive
-    /// [`SimError::InvalidTopology`].
-    pub fn with_transfer_matrix(mut self, transfer: TransferMatrix) -> Self {
-        if transfer.num_members() != self.members.len() {
-            if self.invalid.is_none() {
-                self.invalid = Some(SimError::InvalidTopology {
-                    reason: format!(
-                        "the transfer matrix covers {} member(s), this federation has {}",
-                        transfer.num_members(),
-                        self.members.len()
-                    ),
-                });
-            }
-            return self;
-        }
-        self.transfer = transfer;
-        self
+    /// This and [`Federation::with_network`] set the same transfer model,
+    /// so the last call wins.
+    pub fn with_transfer_matrix(self, transfer: TransferMatrix) -> Self {
+        self.with_network(NetworkTopology::from_matrix(&transfer))
     }
 
-    /// Attaches a link-level network model: migration delays are then
-    /// decided by max-min fair sharing among all transfers in flight over
-    /// the topology's links, and transfer carbon uses the topology's energy
-    /// figure.  Pairs whose [`NetworkTopology::path`] crosses no modeled
-    /// link keep the fixed per-pair delay (so
-    /// [`NetworkTopology::from_matrix`] reproduces the matrix path bit for
-    /// bit), and the matrix set via [`Federation::with_transfer_matrix`] is
-    /// no longer consulted for pricing — only for policy-side estimates on
-    /// runs without the network attached.
+    /// Sets the federation's transfer model to a link-level network:
+    /// transfers over pairs whose [`NetworkTopology::path`] crosses modeled
+    /// links are max-min fair-shared among every transfer in flight, pairs
+    /// that cross none keep their fixed per-pair delay, and transfer carbon
+    /// uses the topology's energy figure.  This and
+    /// [`Federation::with_transfer_matrix`] set the same transfer model, so
+    /// the last call wins.
     ///
-    /// A topology whose dimension differs from the member count poisons the
-    /// federation: the first run reports [`SimError::InvalidTopology`].
+    /// A topology (or matrix) whose dimension differs from the member count
+    /// poisons the federation like an invalid fault plan: the builder chain
+    /// stays infallible and the first run reports a descriptive
+    /// [`SimError::InvalidTopology`].
     pub fn with_network(mut self, network: NetworkTopology) -> Self {
         if network.num_members() != self.members.len() {
             if self.invalid.is_none() {
                 self.invalid = Some(SimError::InvalidTopology {
                     reason: format!(
-                        "the network topology covers {} member(s), this federation has {}",
+                        "the transfer model covers {} member(s), this federation has {}",
                         network.num_members(),
                         self.members.len()
                     ),
@@ -210,14 +196,14 @@ impl Federation {
             }
             return self;
         }
-        self.network = Some(network);
+        self.network = network;
         self
     }
 
-    /// The attached network topology, if any (see
+    /// The transfer model migrations are priced by (see
     /// [`Federation::with_network`]).
-    pub fn network(&self) -> Option<&NetworkTopology> {
-        self.network.as_ref()
+    pub fn network(&self) -> &NetworkTopology {
+        &self.network
     }
 
     /// The member clusters, in member-index order.
@@ -230,11 +216,6 @@ impl Federation {
     /// only while a [`Federation::run_source`] run pulls them.
     pub fn workload(&self) -> &[SubmittedJob] {
         &self.workload
-    }
-
-    /// The cross-region transfer cost matrix.
-    pub fn transfer(&self) -> &TransferMatrix {
-        &self.transfer
     }
 
     /// Materializes `plan` against this federation's topology and attaches
@@ -317,7 +298,7 @@ impl Federation {
     /// policy, and one scheduler per member.  The migration policy is
     /// consulted on every member's carbon step (federations of two or more
     /// members only) and may move idle jobs between members, paying the
-    /// federation's [`TransferMatrix`] costs.
+    /// transfer costs of the federation's network topology.
     ///
     /// # Panics
     /// Panics if `schedulers.len()` differs from the number of members.
@@ -338,15 +319,7 @@ impl Federation {
         if let Some(e) = &self.invalid {
             return Err(e.clone());
         }
-        let mut engine = Engine::from_slice(
-            &self.members,
-            &self.workload,
-            &self.transfer,
-            self.network.as_ref(),
-            &self.faults,
-            self.retry,
-        );
-        engine.run(router, migration, schedulers)
+        Engine::new(self).run(router, migration, schedulers)
     }
 
     /// Runs the federation to completion, pulling the workload from
@@ -393,15 +366,7 @@ impl Federation {
         if let Some(e) = &self.invalid {
             return Err(e.clone());
         }
-        let mut engine = Engine::from_source(
-            &self.members,
-            source,
-            &self.transfer,
-            self.network.as_ref(),
-            &self.faults,
-            self.retry,
-        );
-        engine.run(router, migration, schedulers)
+        Engine::from_source(self, source).run(router, migration, schedulers)
     }
 }
 
@@ -571,6 +536,35 @@ mod tests {
             run_fed(&streaming, &mut ParityRouter).unwrap_err(),
             SimError::EmptyWorkload
         );
+    }
+
+    /// A transfer model sized for another member count poisons the
+    /// federation, whichever builder attached it, and every entry point
+    /// reports it naming both counts.
+    #[test]
+    fn mismatched_transfer_model_is_reported_by_every_entry_point() {
+        let workload = vec![SubmittedJob::at(0.0, job("j", 1, 1.0))];
+        let base = two_member_fed(workload.clone());
+        for fed in [
+            base.clone().with_transfer_matrix(TransferMatrix::uniform(3, 1.0)),
+            base.clone().with_network(NetworkTopology::new(3)),
+        ] {
+            let check = |result: Result<(), SimError>| match result {
+                Err(SimError::InvalidTopology { reason }) => {
+                    assert!(reason.contains("3 member(s)") && reason.contains("has 2"), "{reason}")
+                }
+                other => panic!("expected InvalidTopology, got {other:?}"),
+            };
+            check(run_fed(&fed, &mut StaticRouter::new(0)).map(drop));
+            let mut a = SimpleFifo::new();
+            let mut b = SimpleFifo::new();
+            let mut schedulers: [&mut dyn Scheduler; 2] = [&mut a, &mut b];
+            let mut source = crate::source::MaterializedJobs::new(workload.clone()).unwrap();
+            let mut router = StaticRouter::new(0);
+            check(fed.run_source(&mut source, &mut router, &mut schedulers).map(drop));
+            let mut source = crate::source::MaterializedJobs::new(workload.clone()).unwrap();
+            check(fed.serve(&mut source).map(drop));
+        }
     }
 
     /// The routing context the router sees must reflect each member's

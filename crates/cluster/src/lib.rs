@@ -24,8 +24,8 @@
 //! carbon trace (one grid region each) and scheduler instance, under one
 //! shared deterministic event loop.  A [`Router`] places each arriving job
 //! on a member, and a [`MigrationPolicy`] may later *move* it — paying the
-//! cross-region transfer costs of the federation's [`TransferMatrix`] — when
-//! a member's grid turns dirty after placement.  The single-cluster
+//! cross-region transfer costs of the federation's [`NetworkTopology`] —
+//! when a member's grid turns dirty after placement.  The single-cluster
 //! [`Simulator`] is a thin wrapper around a one-member federation and
 //! reproduces the pre-federation engine bit for bit.
 //!
@@ -79,17 +79,19 @@
 //!   entirely via [`NeverMigrate`] and reproduce the pre-migration engine
 //!   bit for bit) and may move jobs between members — *idle* jobs
 //!   immediately, busy ones via a drain verb that stops their dispatching
-//!   and moves them when the last running task resolves.  A move is priced
-//!   by the federation's [`TransferMatrix`] (fixed per-pair rates: the job
-//!   spends `remaining_gb × seconds_per_gb(from, to)` schedule seconds in
-//!   transit on no member, the cross-region analogue of the in-cluster
-//!   executor-move delay) or, when a [`NetworkTopology`] is attached, by
-//!   max-min fair sharing of the topology's links among every transfer in
-//!   flight — concurrent transfers over a congested link slow each other
-//!   down, and the engine recomputes the allocation as a deterministic
-//!   event whenever a flow starts or finishes.  Either way the transfer
-//!   carbon integrates each endpoint's trace over the whole in-transit
-//!   interval (`remaining_gb × energy_kwh_per_gb × ½(avg_from + avg_to)`
+//!   and moves them when the last running task resolves.  One transfer
+//!   model prices a move, the federation's [`NetworkTopology`]: a pair that
+//!   crosses no capacitated link pays a fixed delay (the job spends
+//!   `remaining_gb × seconds_per_gb(from, to) + latency(from, to)` schedule
+//!   seconds in transit on no member, the cross-region analogue of the
+//!   in-cluster executor-move delay; a [`TransferMatrix`] is exactly this
+//!   case and enters as [`NetworkTopology::from_matrix`]), and a pair that
+//!   crosses capacitated links becomes a flow, max-min fair-shared with
+//!   every transfer in flight — concurrent transfers over a congested link
+//!   slow each other down, and the engine recomputes the allocation as a
+//!   deterministic event whenever a flow starts or finishes.  Either way
+//!   the transfer carbon integrates each endpoint's trace over the whole
+//!   in-transit interval (`remaining_gb × energy_kwh_per_gb × ½(avg_from + avg_to)`
 //!   grams, logged in the [`FederationResult::migrations`] records), so a
 //!   transfer that spans carbon steps is priced against every step it
 //!   crosses, not the departure instant.  Applying a move re-registers
@@ -132,10 +134,12 @@
 //!   the slot maps carry a compaction base so id lookups stay O(1)), an
 //!   [`AdmissionPolicy`] consulted once per arrival keeps queues bounded
 //!   under overload (`accepted + rejected == arrivals`, counted per
-//!   member in [`SimulationResult::jobs_rejected`]), and
-//!   [`EngineSnapshot`]s capture the full dynamic state for bit-identical
+//!   member in [`SimulationResult::jobs_rejected`]), and an
+//!   [`EngineSnapshot`] — the `Clone` of the engine's one run-state struct,
+//!   which holds every field a run changes — gives bit-identical
 //!   stop/restore across sessions.  New engine features must keep the
-//!   horizon check side-effect-free and the snapshot exhaustive.
+//!   horizon check side-effect-free and put every field a run changes in
+//!   the run state, where the snapshot captures it by construction.
 //! * **One event loop.**  Each iteration takes the earliest of the next
 //!   fault injection, carbon step, arrival and queue event, applies it,
 //!   and runs at most one member's scheduling pass, on the caller's

@@ -1,9 +1,10 @@
 //! Link-level inter-region network model for federated migrations.
 //!
-//! The [`TransferMatrix`] prices every migration with a fixed per-GB scalar,
+//! A [`TransferMatrix`] prices every migration with a fixed per-GB scalar,
 //! so ten simultaneous transfers over the same backbone each move as fast as
 //! one would — placement policies can never observe congestion.  This module
-//! adds the physical layer underneath: a [`NetworkTopology`] describes
+//! is the federation's one transfer model, with the physical layer the
+//! matrix lacks: a [`NetworkTopology`] describes
 //! capacitated links (per-member uplinks/downlinks plus optional dedicated
 //! pair links), fixed propagation latencies and the network energy per GB;
 //! a [`FlowSet`] tracks the transfer flows currently in flight and shares
@@ -29,13 +30,14 @@
 //! not yet elapsed holds **no** bandwidth: it is excluded from the
 //! allocation and its queued arrival event stays valid.
 //!
-//! ## Back-compat: the degenerate uncontended topology
+//! ## How a matrix enters: the degenerate uncontended topology
 //!
-//! [`NetworkTopology::from_matrix`] carries a [`TransferMatrix`] over
-//! unchanged: every pair keeps its per-GB latency as an *uncontended* rate
-//! (no shared links, so flows never interact) and the engine prices such
-//! pairs through exactly the matrix arithmetic (`gb × seconds_per_gb`),
-//! which keeps schedules bit-identical to the matrix path.
+//! [`NetworkTopology::from_matrix`] is how a [`TransferMatrix`] enters a
+//! federation: every pair keeps its per-GB latency as an *uncontended*
+//! rate (no capacitated links, so flows never interact) and the engine
+//! prices each such pair at a fixed delay, `gb × seconds_per_gb + latency`
+//! with zero latency.  The default topology, [`NetworkTopology::new`], is
+//! the free matrix's: `from_matrix(&TransferMatrix::zero(n))`.
 //!
 //! [`TransferMatrix`]: crate::routing::TransferMatrix
 
@@ -133,7 +135,7 @@ impl NetworkTopology {
     /// The degenerate uncontended topology equivalent to `matrix`: every
     /// pair keeps its per-GB latency and the energy scalar carries over; no
     /// capacitated links exist, so concurrent flows never interact and the
-    /// engine prices every pair through the exact matrix arithmetic.
+    /// engine prices every pair at its fixed `gb × seconds_per_gb` delay.
     pub fn from_matrix(matrix: &TransferMatrix) -> Self {
         let n = matrix.num_members();
         let mut topo = NetworkTopology::new(n);
@@ -497,6 +499,12 @@ impl FlowSet {
             link_busy: vec![0.0; topology.num_links()],
             pair_buf: Vec::new(),
         }
+    }
+
+    /// Number of links the set was sized for (its topology's
+    /// [`NetworkTopology::num_links`]).
+    pub(crate) fn num_links(&self) -> usize {
+        self.link_gb.len()
     }
 
     /// Flows currently in flight (including latency tails).

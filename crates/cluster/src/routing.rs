@@ -19,20 +19,18 @@
 //! (`remaining_gb` — the job's [`SubmittedJob::data_gb`] scaled by its
 //! fraction of undispatched work, modelling in-flight DAG state rather than
 //! a full re-upload) crosses the federation's network, during which the job
-//! runs nowhere.  Two layers can price that crossing:
+//! runs nowhere.  One model prices that crossing, the federation's
+//! [`NetworkTopology`] (see the `network` module):
 //!
-//! * the [`TransferMatrix`] charges a **fixed** per-GB latency:
-//!   `remaining_gb × seconds_per_gb(from, to)` schedule seconds (the
-//!   cross-region analogue of the in-cluster
+//! * a pair that crosses no capacitated link pays a **fixed** delay,
+//!   `remaining_gb × seconds_per_gb(from, to) + latency(from, to)` schedule
+//!   seconds (the cross-region analogue of the in-cluster
 //!   [`ClusterConfig::executor_move_delay`]), independent of how many other
-//!   transfers are in flight;
-//! * a [`NetworkTopology`] (see the `network` module) additionally routes
-//!   each transfer as a *flow* over capacitated links, sharing every link's
-//!   bandwidth **max-min fairly** among the concurrent flows, so the delay
-//!   of a transfer depends on the contention it meets.  Pairs crossing no
-//!   capacitated link fall back to the exact matrix arithmetic, which keeps
-//!   [`NetworkTopology::from_matrix`] runs bit-identical to the matrix
-//!   path.
+//!   transfers are in flight.  A [`TransferMatrix`] describes exactly this
+//!   case and enters a federation as [`NetworkTopology::from_matrix`];
+//! * a pair that crosses capacitated links becomes a *flow* that shares
+//!   every link's bandwidth **max-min fairly** with the concurrent flows, so
+//!   the delay of a transfer depends on the contention it meets.
 //!
 //! The transfer's **carbon** is priced against both endpoint grids, half
 //! each: the energy `remaining_gb × energy_kwh_per_gb` is charged at
@@ -191,7 +189,9 @@ impl Router for StaticRouter {
     }
 }
 
-/// Pairwise cross-region transfer costs of a federation.
+/// Pairwise cross-region transfer costs: a builder for the link-free
+/// [`NetworkTopology`] that [`NetworkTopology::from_matrix`] (and so
+/// [`Federation::with_transfer_matrix`]) turns it into.
 ///
 /// The matrix prices the link from every member to every other member in
 /// **schedule seconds per gigabyte** — the time a migrating job spends in
@@ -206,10 +206,11 @@ impl Router for StaticRouter {
 ///   60× time scale, 1 schedule second is 1 carbon minute, so a per-GB
 ///   latency of 2.0 means a 10 GB job spends 20 carbon-minutes on the wire.
 /// * `energy_kwh_per_gb` — kWh drawn by the network path per GB moved;
-///   the engine charges `gb × energy × ½(c_from + c_to)` grams at the
-///   migration instant.
+///   a migration is charged `gb × energy × ½(c̄_from + c̄_to)` grams, each
+///   `c̄` the endpoint's mean intensity over the transfer interval.
 ///
 /// [`energy_kwh_per_gb`]: TransferMatrix::energy_kwh_per_gb
+/// [`Federation::with_transfer_matrix`]: crate::federation::Federation::with_transfer_matrix
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransferMatrix {
     /// Row-major `n × n` per-GB latencies (schedule seconds per GB).
@@ -298,23 +299,6 @@ impl TransferMatrix {
     pub fn energy_kwh_per_gb(&self) -> f64 {
         self.energy_kwh_per_gb
     }
-
-    /// Transfer delay (schedule seconds) for moving `gb` gigabytes over the
-    /// link `from → to`.
-    pub fn transfer_seconds(&self, from: usize, to: usize, gb: f64) -> f64 {
-        gb * self.seconds_per_gb(from, to)
-    }
-
-    /// Carbon (grams CO₂eq) attributed to moving `gb` gigabytes between
-    /// grids at `c_from` and `c_to` g/kWh: the network path touches both
-    /// regions, so its energy is priced at the endpoint mean.  The engine
-    /// charges migrations through this formula with each endpoint's **mean
-    /// intensity over the transfer interval** (see the module docs); a
-    /// policy's profitability estimate calls it with the instantaneous
-    /// intensities, which is exact for transfers that cross no carbon step.
-    pub fn transfer_carbon_grams(&self, gb: f64, c_from: f64, c_to: f64) -> f64 {
-        gb * self.energy_kwh_per_gb * 0.5 * (c_from + c_to)
-    }
 }
 
 /// One job a [`MigrationPolicy`] may consider moving: a snapshot of its
@@ -360,7 +344,7 @@ impl MigrationCandidate {
 
 /// Everything a migration policy can see when consulted: the carbon step
 /// that triggered it, one [`MemberView`] per member, and the federation's
-/// transfer costs.
+/// transfer model with the transfers currently in flight over it.
 #[derive(Debug)]
 pub struct MigrationContext<'a> {
     /// Current schedule time (seconds).
@@ -369,28 +353,21 @@ pub struct MigrationContext<'a> {
     /// offered candidates live on).
     pub member: usize,
     members: &'a [MemberView],
-    transfer: &'a TransferMatrix,
-    network: Option<(&'a NetworkTopology, &'a FlowSet)>,
+    network: &'a NetworkTopology,
+    flows: &'a FlowSet,
 }
 
 impl<'a> MigrationContext<'a> {
-    /// Builds a context over per-member views (ordered by member index).
+    /// Builds a context over per-member views (ordered by member index),
+    /// the federation's network topology and its in-flight flow set.
     pub fn new(
         time: f64,
         member: usize,
         members: &'a [MemberView],
-        transfer: &'a TransferMatrix,
+        network: &'a NetworkTopology,
+        flows: &'a FlowSet,
     ) -> Self {
-        MigrationContext { time, member, members, transfer, network: None }
-    }
-
-    /// Attaches the federation's network topology and the current in-flight
-    /// flow set, making [`estimated_transfer_seconds`] contention-aware.
-    ///
-    /// [`estimated_transfer_seconds`]: MigrationContext::estimated_transfer_seconds
-    pub fn with_network(mut self, topology: &'a NetworkTopology, flows: &'a FlowSet) -> Self {
-        self.network = Some((topology, flows));
-        self
+        MigrationContext { time, member, members, network, flows }
     }
 
     /// The member views, ordered by member index.
@@ -403,37 +380,24 @@ impl<'a> MigrationContext<'a> {
         self.members.len()
     }
 
-    /// The federation's transfer cost matrix.
-    pub fn transfer(&self) -> &'a TransferMatrix {
-        self.transfer
-    }
-
-    /// The federation's network topology, if one is attached.
-    pub fn network(&self) -> Option<&'a NetworkTopology> {
-        self.network.map(|(t, _)| t)
-    }
-
     /// Estimated transfer delay (schedule seconds) of moving `gb` gigabytes
-    /// `from → to` *right now*.  With a network attached this is
-    /// contention-aware: the max-min share a new flow would get against the
-    /// transfers currently in flight, held constant (a lower bound on
-    /// interference — rates can drop further if more flows start).  Without
-    /// one it is the fixed [`TransferMatrix::transfer_seconds`].
+    /// `from → to` *right now*: the pair's fixed delay when it crosses no
+    /// capacitated link, otherwise the max-min share a new flow would get
+    /// against the transfers currently in flight, held constant (a lower
+    /// bound on interference — rates can drop further if more flows start).
     pub fn estimated_transfer_seconds(&self, from: usize, to: usize, gb: f64) -> f64 {
-        match self.network {
-            Some((topo, flows)) => flows.estimate_seconds(topo, from, to, gb),
-            None => self.transfer.transfer_seconds(from, to, gb),
-        }
+        self.flows.estimate_seconds(self.network, from, to, gb)
     }
 
     /// Estimated transfer carbon (grams) of moving `gb` gigabytes between
-    /// grids at `c_from` and `c_to` g/kWh, using whichever pricing layer is
-    /// attached (the formula is the same; only the energy scalar differs).
+    /// grids at `c_from` and `c_to` g/kWh: the network energy priced at the
+    /// endpoint mean.  The engine charges a migration through the same
+    /// formula with each endpoint's *mean intensity over the transfer
+    /// interval* (see the module docs); called with instantaneous
+    /// intensities, as policies do, it is exact for a transfer that crosses
+    /// no carbon step.
     pub fn estimated_transfer_carbon_grams(&self, gb: f64, c_from: f64, c_to: f64) -> f64 {
-        match self.network {
-            Some((topo, _)) => gb * topo.energy_kwh_per_gb() * 0.5 * (c_from + c_to),
-            None => self.transfer.transfer_carbon_grams(gb, c_from, c_to),
-        }
+        gb * self.network.energy_kwh_per_gb() * 0.5 * (c_from + c_to)
     }
 }
 
@@ -505,9 +469,9 @@ impl MigrationSink {
 /// candidate at all; the engine validates each verb — migrating a completed
 /// job is a no-op (historical semantics, matching stale assignments), every
 /// other invalid verb aborts the run with [`SimError::InvalidMigration`] —
-/// then charges the transfer delay and carbon from the federation's
-/// [`TransferMatrix`] (or its [`NetworkTopology`], when one is attached)
-/// and re-registers the job under the destination member.
+/// then charges the transfer delay and carbon over the federation's
+/// [`NetworkTopology`] and re-registers the job under the destination
+/// member.
 ///
 /// Implementations must be deterministic given their own internal state; the
 /// engine introduces no randomness.
@@ -630,11 +594,6 @@ mod tests {
             }
         }
         assert_eq!(u.energy_kwh_per_gb(), 0.05);
-        assert!((u.transfer_seconds(0, 1, 4.0) - 10.0).abs() < 1e-12);
-        assert_eq!(u.transfer_seconds(1, 1, 4.0), 0.0);
-        // 4 GB × 0.05 kWh/GB priced at the endpoint mean (300 g/kWh).
-        assert!((u.transfer_carbon_grams(4.0, 500.0, 100.0) - 60.0).abs() < 1e-12);
-        assert_eq!(z.transfer_carbon_grams(4.0, 500.0, 100.0), 0.0);
     }
 
     #[test]
@@ -678,35 +637,27 @@ mod tests {
     #[test]
     fn migration_context_exposes_members_and_transfer() {
         let views = [view(0, 400.0, 0.0), view(1, 100.0, 0.0)];
-        let transfer = TransferMatrix::uniform(2, 3.0);
-        let ctx = MigrationContext::new(7.0, 0, &views, &transfer);
+        let topo =
+            NetworkTopology::from_matrix(&TransferMatrix::uniform(2, 3.0).with_energy_per_gb(0.05));
+        let flows = FlowSet::new(&topo);
+        let ctx = MigrationContext::new(7.0, 0, &views, &topo, &flows);
         assert_eq!(ctx.num_members(), 2);
         assert_eq!(ctx.member, 0);
         assert_eq!(ctx.time, 7.0);
         assert_eq!(ctx.members()[1].member, 1);
-        assert_eq!(ctx.transfer().seconds_per_gb(0, 1), 3.0);
-        // Without a network the estimators delegate to the matrix exactly.
-        assert!(ctx.network().is_none());
-        assert_eq!(
-            ctx.estimated_transfer_seconds(0, 1, 4.0),
-            transfer.transfer_seconds(0, 1, 4.0)
-        );
-        assert_eq!(
-            ctx.estimated_transfer_carbon_grams(4.0, 500.0, 100.0),
-            transfer.transfer_carbon_grams(4.0, 500.0, 100.0)
-        );
+        // A matrix-built topology prices each pair at its fixed per-GB rate.
+        assert_eq!(ctx.estimated_transfer_seconds(0, 1, 4.0), 12.0);
+        assert_eq!(ctx.estimated_transfer_seconds(1, 1, 4.0), 0.0);
+        // 4 GB × 0.05 kWh/GB priced at the endpoint mean (300 g/kWh).
+        assert!((ctx.estimated_transfer_carbon_grams(4.0, 500.0, 100.0) - 60.0).abs() < 1e-12);
     }
 
     #[test]
     fn migration_context_estimates_through_an_attached_network() {
         let views = [view(0, 400.0, 0.0), view(1, 100.0, 0.0)];
-        let transfer = TransferMatrix::zero(2);
-        let topo = crate::network::NetworkTopology::new(2)
-            .with_uplink(0, 2.0)
-            .with_energy_per_gb(0.1);
-        let flows = crate::network::FlowSet::new(&topo);
-        let ctx = MigrationContext::new(0.0, 0, &views, &transfer).with_network(&topo, &flows);
-        assert!(ctx.network().is_some());
+        let topo = NetworkTopology::new(2).with_uplink(0, 2.0).with_energy_per_gb(0.1);
+        let flows = FlowSet::new(&topo);
+        let ctx = MigrationContext::new(0.0, 0, &views, &topo, &flows);
         // 10 GB over an idle 2 GB/s uplink.
         assert!((ctx.estimated_transfer_seconds(0, 1, 10.0) - 5.0).abs() < 1e-12);
         // Carbon prices through the topology's energy scalar.
@@ -736,8 +687,9 @@ mod tests {
         assert_eq!(policy.name(), "never-migrate");
         assert!(policy.never_migrates());
         let views = [view(0, 500.0, 0.0), view(1, 100.0, 0.0)];
-        let transfer = TransferMatrix::zero(2);
-        let ctx = MigrationContext::new(0.0, 0, &views, &transfer);
+        let topo = NetworkTopology::new(2);
+        let flows = FlowSet::new(&topo);
+        let ctx = MigrationContext::new(0.0, 0, &views, &topo, &flows);
         let mut sink = MigrationSink::new();
         policy.on_carbon_change(&ctx, &[], &mut sink);
         assert!(sink.is_empty());

@@ -195,6 +195,10 @@ impl<'a> SchedulingContext<'a> {
     /// `slots`, if provided, must map every active job's id to its index in
     /// `active`; the engine maintains this table incrementally.  Pass `None`
     /// when assembling a context by hand (tests, custom harnesses).
+    // Public constructor used by the engine and by hand-built contexts in
+    // tests: every argument is one observable of the member, so the flat
+    // list is the API, not an accident.
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         time: f64,
         carbon: CarbonView,

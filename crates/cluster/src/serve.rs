@@ -28,13 +28,16 @@
 //!   front of the engine's per-job tables, so resident state scales with
 //!   jobs *in the system*, not jobs *ever seen*.  Recorded state (completion
 //!   records, usage samples) is bounded by the caller's drain cadence.
-//! * **Snapshot/restore.**  [`ServeSession::snapshot`] captures the full
-//!   dynamic state as an [`EngineSnapshot`]; [`ServeSession::restore`]
-//!   installs it into a fresh session over a fresh (deterministic) source,
-//!   after which the continuation is bit-identical to a run that never
-//!   stopped.  Policy objects live outside the engine: callers warm them
-//!   equivalently (drive a twin session to the snapshot's horizon, or use
-//!   stateless policies).
+//! * **Snapshot/restore.**  [`ServeSession::snapshot`] clones the engine's
+//!   run state — one struct holding every field a run changes, so nothing
+//!   can be left out — into an [`EngineSnapshot`];
+//!   [`ServeSession::restore`] checks that the snapshot fits the session's
+//!   federation (member count, executor pools, network links), re-attaches
+//!   a fresh (deterministic) source at the snapshot's pull position and
+//!   assigns the state back, after which the continuation is bit-identical
+//!   to a run that never stopped.  Policy objects live outside the engine:
+//!   callers warm them equivalently (drive a twin session to the snapshot's
+//!   horizon, or use stateless policies).
 //!
 //! Overload is handled at the arrival window: an [`AdmissionPolicy`]
 //! (e.g. [`BoundedQueue`](crate::admission::BoundedQueue)) may reject
@@ -121,14 +124,7 @@ impl<'a> ServeSession<'a> {
         if let Some(e) = fed.invalid() {
             return Err(e.clone());
         }
-        let mut engine = Engine::from_source(
-            fed.members(),
-            source,
-            fed.transfer(),
-            fed.network(),
-            fed.fault_schedule(),
-            fed.retry_policy(),
-        );
+        let mut engine = Engine::from_source(fed, source);
         engine.enable_compaction();
         let members = fed.members().len();
         Ok(ServeSession {
@@ -266,6 +262,11 @@ impl<'a> ServeSession<'a> {
     /// deterministic stream; the session must not have pulled past the
     /// snapshot).  After a successful restore the session continues
     /// bit-identically to the run the snapshot was taken from.
+    ///
+    /// Reports [`SimError::SnapshotMismatch`] when the snapshot comes from a
+    /// differently shaped federation (member count, any member's executor
+    /// count, or the network's link count) or when the source cannot reach
+    /// the snapshot's pull position.
     pub fn restore(&mut self, snap: &EngineSnapshot) -> Result<(), SimError> {
         self.engine.restore(snap)
     }

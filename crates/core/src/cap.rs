@@ -347,7 +347,7 @@ mod tests {
                     return;
                 }
                 for job in ctx.jobs() {
-                    for &stage in job.dispatchable_stages() {
+                    if let Some(&stage) = job.dispatchable_stages().first() {
                         out.dispatch(job.id, stage, ctx.free_executors);
                         return;
                     }

@@ -177,7 +177,7 @@ mod tests {
         for c in (100..=500).step_by(10) {
             let q = t.quota(c as f64);
             assert!(q <= last, "quota must not increase with carbon");
-            assert!(q >= 10 && q <= 50);
+            assert!((10..=50).contains(&q));
             last = q;
         }
     }

@@ -399,7 +399,7 @@ mod tests {
         // is admitted).  Use a two-level trace where the high level persists
         // long enough that the guarantee has to kick in.
         let mut values = vec![100.0];
-        values.extend(std::iter::repeat(700.0).take(5000));
+        values.extend(std::iter::repeat_n(700.0, 5000));
         let trace = CarbonTrace::hourly("cliff", values);
         let sim = simulator(trace, 13, 5, 8);
         let mut pcaps = Pcaps::new(DecimaLike::new(4), PcapsConfig::with_gamma(1.0));

@@ -27,6 +27,10 @@ pub struct GridRow {
 ///
 /// `prototype` selects the prototype cluster configuration (Fig. 10) versus
 /// the simulator configuration (Fig. 14).
+// Public experiment entry point: one argument per sweep axis, kept flat
+// rather than bundled into a config struct its few callers would only
+// build once.
+#[allow(clippy::too_many_arguments)]
 pub fn per_grid(
     regions: &[GridRegion],
     specs: &[SchedulerSpec],

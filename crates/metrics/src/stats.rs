@@ -123,12 +123,14 @@ pub fn polyfit(points: &[(f64, f64)], degree: usize) -> Vec<f64> {
             diag.abs() > 1e-12,
             "singular normal equations: points may be degenerate"
         );
-        for row in (col + 1)..n {
-            let factor = ata[row][col] / diag;
-            for k in col..n {
-                ata[row][k] -= factor * ata[col][k];
+        let (pivot_rows, rows_below) = ata.split_at_mut(col + 1);
+        let pivot_row = &pivot_rows[col];
+        for (i, row) in rows_below.iter_mut().enumerate() {
+            let factor = row[col] / diag;
+            for (cell, &p) in row[col..].iter_mut().zip(&pivot_row[col..]) {
+                *cell -= factor * p;
             }
-            aty[row] -= factor * aty[col];
+            aty[col + 1 + i] -= factor * aty[col];
         }
     }
     let mut coeffs = vec![0.0_f64; n];

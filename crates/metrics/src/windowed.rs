@@ -111,7 +111,7 @@ impl WindowedMetrics {
     /// `completion` order.
     pub fn record_completion(&mut self, event: CompletionEvent) {
         debug_assert!(
-            self.events.back().map_or(true, |last| event.completion >= last.completion),
+            self.events.back().is_none_or(|last| event.completion >= last.completion),
             "completions must be recorded in non-decreasing time order"
         );
         self.events.push_back(event);
@@ -130,7 +130,7 @@ impl WindowedMetrics {
     /// admitted-but-incomplete jobs at `now`.
     pub fn sample(&mut self, now: f64, jobs_in_system: usize) -> SteadyStateSample {
         let window_start = now - self.window;
-        while self.events.front().map_or(false, |e| e.completion < window_start) {
+        while self.events.front().is_some_and(|e| e.completion < window_start) {
             self.events.pop_front();
         }
         let delays: Vec<f64> = self.events.iter().map(|e| e.queue_delay).collect();

@@ -21,9 +21,11 @@
 //! A [`MigrationPolicy`] sits *beside* the router and may revise its
 //! placements after the fact: it is consulted on every member's carbon step
 //! with that member's idle jobs as candidates, and each move it emits pays
-//! the federation's [`TransferMatrix`] costs (per-GB transfer delay in
-//! schedule seconds plus per-GB network energy priced at the endpoint-mean
-//! intensity — see the `TransferMatrix` docs for units).  Two built-ins:
+//! the transfer costs of the federation's network topology (a fixed per-GB
+//! delay on pairs that cross no capacitated link — every pair of a
+//! topology built from a `TransferMatrix` — or a fair-shared flow on pairs
+//! that do, plus per-GB network energy priced at the endpoint-mean
+//! intensity; see the `TransferMatrix` docs for units).  Two built-ins:
 //!
 //! * [`pcaps_cluster::NeverMigrate`] (re-exported by `pcaps-cluster`) —
 //!   placement is final; the baseline,
@@ -42,10 +44,11 @@
 //!   Two opt-in extensions: [`with_drain`] also moves *busy* jobs by
 //!   drain-then-move (they stop dispatching and depart when their running
 //!   tasks finish), and [`with_max_transfer_seconds`] skips moves whose
-//!   estimated transfer delay — contention-aware when the federation has a
-//!   [`NetworkTopology`](pcaps_cluster::NetworkTopology) attached — exceeds
-//!   a cap, so a green grid behind a congested link stops attracting work
-//!   whose green window would close mid-transfer.
+//!   estimated transfer delay — contention-aware on pairs that cross the
+//!   capacitated links of the federation's
+//!   [`NetworkTopology`](pcaps_cluster::NetworkTopology) — exceeds a cap, so
+//!   a green grid behind a congested link stops attracting work whose green
+//!   window would close mid-transfer.
 //!
 //! All policies are deterministic and allocation-free per decision (a single
 //! pass over the member views / candidates; the migrator's per-job cooldown
@@ -77,7 +80,7 @@ fn argmin_by(members: &[MemberView], mut score: impl FnMut(&MemberView) -> f64) 
             continue;
         }
         let s = score(m);
-        if best.map_or(true, |(_, b)| s.total_cmp(&b).is_lt()) {
+        if best.is_none_or(|(_, b)| s.total_cmp(&b).is_lt()) {
             best = Some((i, s));
         }
     }
@@ -286,8 +289,8 @@ impl Router for CarbonQueueAwareRouter {
 /// same convention the carbon accountant uses (`time_scale` carbon-seconds
 /// per schedule second, `executor_power_kw` kilowatts per busy executor), so
 /// the comparison against the transfer carbon — computed from the
-/// federation's `TransferMatrix` exactly as the engine will charge it — is
-/// apples to apples.
+/// federation's network energy figure exactly as the engine will charge it
+/// — is apples to apples.
 #[derive(Debug, Clone)]
 pub struct CarbonDeltaMigrator {
     /// Per-executor power draw (kW) used to convert remaining work into
@@ -669,6 +672,7 @@ mod tests {
     mod migrator {
         use super::*;
         use pcaps_cluster::routing::TransferMatrix;
+        use pcaps_cluster::{FlowSet, NetworkTopology};
 
         fn candidate(job: u64, remaining_work: f64, remaining_gb: f64, busy: usize) -> MigrationCandidate {
             MigrationCandidate {
@@ -689,7 +693,9 @@ mod tests {
             transfer: &TransferMatrix,
             candidates: &[MigrationCandidate],
         ) -> Vec<(u64, usize)> {
-            let ctx = MigrationContext::new(time, member, views, transfer);
+            let topo = NetworkTopology::from_matrix(transfer);
+            let flows = FlowSet::new(&topo);
+            let ctx = MigrationContext::new(time, member, views, &topo, &flows);
             let mut sink = MigrationSink::new();
             policy.on_carbon_change(&ctx, candidates, &mut sink);
             sink.moves().iter().map(|m| (m.job.0, m.to)).collect()
@@ -821,7 +827,9 @@ mod tests {
                 .is_empty());
             // With drain it gets a drain verb toward the greenest member...
             let mut draining = CarbonDeltaMigrator::new().with_drain();
-            let ctx = MigrationContext::new(0.0, 0, &views, &transfer);
+            let topo = NetworkTopology::from_matrix(&transfer);
+            let flows = FlowSet::new(&topo);
+            let ctx = MigrationContext::new(0.0, 0, &views, &topo, &flows);
             let mut sink = MigrationSink::new();
             draining.on_carbon_change(&ctx, std::slice::from_ref(&busy), &mut sink);
             assert_eq!(sink.moves().len(), 1);

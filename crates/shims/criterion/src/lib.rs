@@ -19,8 +19,10 @@
 
 // Shims are deliberate API subsets of the real crates; the smoke gate
 // builds the workspace with RUSTFLAGS=-Dwarnings and shims are exempt
-// (subset evolution routinely leaves dead code behind).
+// (subset evolution routinely leaves dead code behind).  The same holds for
+// clippy, whose gate runs with -Dwarnings too.
 #![allow(dead_code, unused_imports, unused_variables, unused_macros)]
+#![allow(clippy::all)]
 
 use std::time::Instant;
 

@@ -311,12 +311,12 @@ fn cliff_federation(transfer: TransferMatrix) -> Federation {
 fn cliff_members() -> Vec<Member> {
     let trace_a = {
         let mut v = vec![100.0];
-        v.extend(std::iter::repeat(500.0).take(47));
+        v.extend(std::iter::repeat_n(500.0, 47));
         CarbonTrace::hourly("A", v)
     };
     let trace_b = {
         let mut v = vec![500.0];
-        v.extend(std::iter::repeat(100.0).take(47));
+        v.extend(std::iter::repeat_n(100.0, 47));
         CarbonTrace::hourly("B", v)
     };
     let config = ClusterConfig::new(1).with_move_delay(0.0).with_time_scale(1.0);

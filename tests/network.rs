@@ -1,8 +1,9 @@
 //! Network-topology conformance suite.
 //!
-//! The link-level network model replaces the uniform `TransferMatrix`
-//! arithmetic with max-min fair-shared flows, so it is pinned from three
-//! directions:
+//! The link-level network model is a federation's one transfer model:
+//! pairs that cross capacitated links become max-min fair-shared flows, and
+//! a `TransferMatrix` enters as its link-free special case.  It is pinned
+//! from three directions:
 //!
 //! 1. **Fluid-model correctness** — driving a [`FlowSet`] through the
 //!    engine's own `settle`/`begin`/`finish`/`reallocate` protocol over
@@ -10,10 +11,11 @@
 //!    times of an independent from-scratch fluid simulation built directly
 //!    on [`NetworkTopology::fair_share_rates`], plus a hand-computed
 //!    latency-tail case.
-//! 2. **Do-no-harm** — a [`NetworkTopology::from_matrix`] topology has no
-//!    capacitated links, so every transfer takes the engine's fixed-delay
-//!    path and the `fed3_migrate_pcaps` federation replays the plain
-//!    `TransferMatrix` run bit for bit (fingerprints and migration logs).
+//! 2. **Matrix pricing, by value** — a `TransferMatrix` enters a federation
+//!    as the link-free [`NetworkTopology::from_matrix`] topology, whichever
+//!    builder attaches it, and both routes replay the `fed3_migrate_pcaps`
+//!    per-member fingerprints and migration-log hash recorded when the
+//!    engine still priced matrices through a branch of its own.
 //! 3. **Determinism** — drain-then-move trials over a capacitated network
 //!    replay bit-identically across {FIFO, PCAPS} × 3 seeds.
 
@@ -308,35 +310,59 @@ fn run_fed3(config: &FederationExperimentConfig) -> FederationResult {
         .expect("the fed3 bench config always completes")
 }
 
-/// (2) Do-no-harm: wrapping the transfer matrix in a link-free
-/// `NetworkTopology` must leave the `fed3_migrate_pcaps` run bit-identical —
-/// same per-member fingerprints, same migration log to the bit.
+/// `fed3_migrate_pcaps`'s per-member fingerprints, recorded while the
+/// engine still priced a bare `TransferMatrix` through a branch of its own.
+const FED3_MIGRATE_PCAPS_FINGERPRINTS: [u64; 3] =
+    [0xa526c979ee822164, 0xb17291d3cb345f93, 0x81d23fd7003c2305];
+/// [`migration_log_hash`] of the same run.
+const FED3_MIGRATE_PCAPS_MIGRATION_LOG: u64 = 0xd662d9fc86cd03e2;
+
+/// FNV-1a over the bits of every migration record, in log order.
+fn migration_log_hash(migrations: &[MigrationRecord]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |v: u64| {
+        for b in v.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for m in migrations {
+        mix(m.job.0);
+        mix(m.from as u64);
+        mix(m.to as u64);
+        mix(m.departed.to_bits());
+        mix(m.arrived.to_bits());
+        mix(m.gb.to_bits());
+        mix(m.transfer_seconds.to_bits());
+        mix(m.transfer_carbon_grams.to_bits());
+    }
+    h
+}
+
+/// (2) Matrix pricing, pinned by value: both ways a matrix enters a
+/// federation — `with_transfer_matrix`, and `with_network` over
+/// `NetworkTopology::from_matrix` — replay the `fed3_migrate_pcaps`
+/// fingerprints and migration log recorded before the two routes shared
+/// one code path.
 #[test]
 fn from_matrix_topology_replays_the_fed3_migrate_pcaps_fingerprints() {
     let cfg = fed3_config();
     let wrapped =
         cfg.clone().with_network(NetworkTopology::from_matrix(&cfg.transfer_matrix()));
-    let matrix = run_fed3(&cfg);
-    let network = run_fed3(&wrapped);
-    assert!(
-        !matrix.migrations.is_empty(),
-        "fed3_migrate_pcaps must actually migrate, or this pin proves nothing"
-    );
-    for (i, (a, b)) in matrix.members.iter().zip(&network.members).enumerate() {
-        assert_eq!(
-            fingerprint(&a.result),
-            fingerprint(&b.result),
-            "member {i}: the empty topology changed the schedule"
+    for (route, cfg) in [("with_transfer_matrix", &cfg), ("with_network(from_matrix)", &wrapped)] {
+        let result = run_fed3(cfg);
+        assert!(
+            !result.migrations.is_empty(),
+            "fed3_migrate_pcaps must actually migrate, or this pin proves nothing"
         );
-    }
-    assert_eq!(matrix.makespan.to_bits(), network.makespan.to_bits());
-    assert_eq!(matrix.migrations.len(), network.migrations.len());
-    for (a, b) in matrix.migrations.iter().zip(&network.migrations) {
-        assert_eq!(a.job, b.job);
-        assert_eq!((a.from, a.to), (b.from, b.to));
-        assert_eq!(a.departed.to_bits(), b.departed.to_bits());
-        assert_eq!(a.arrived.to_bits(), b.arrived.to_bits());
-        assert_eq!(a.transfer_carbon_grams.to_bits(), b.transfer_carbon_grams.to_bits());
+        let fingerprints: Vec<u64> =
+            result.members.iter().map(|m| fingerprint(&m.result)).collect();
+        assert_eq!(fingerprints, FED3_MIGRATE_PCAPS_FINGERPRINTS, "{route}: the schedule moved");
+        assert_eq!(
+            migration_log_hash(&result.migrations),
+            FED3_MIGRATE_PCAPS_MIGRATION_LOG,
+            "{route}: the migration log moved"
+        );
     }
 }
 

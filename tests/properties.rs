@@ -328,13 +328,13 @@ fn naive_dispatchable(dag: &JobDag, progress: &JobProgress) -> Vec<StageId> {
 }
 
 fn assert_sets_match(dag: &JobDag, progress: &JobProgress, case: u64, step: usize) {
-    let runnable: Vec<StageId> = progress.frontier().runnable().iter().copied().collect();
+    let runnable: Vec<StageId> = progress.frontier().runnable().to_vec();
     assert_eq!(
         runnable,
         naive_runnable(dag, progress),
         "case {case} step {step}: incremental runnable set diverged"
     );
-    let dispatchable: Vec<StageId> = progress.dispatchable_stages().iter().copied().collect();
+    let dispatchable: Vec<StageId> = progress.dispatchable_stages().to_vec();
     assert_eq!(
         dispatchable,
         naive_dispatchable(dag, progress),
@@ -554,7 +554,7 @@ fn frontier_execution_always_terminates() {
         while !progress.job_complete() {
             rounds += 1;
             assert!(rounds <= dag.num_stages(), "case {case}: progress stalled");
-            let stages: Vec<StageId> = progress.dispatchable_stages().iter().copied().collect();
+            let stages: Vec<StageId> = progress.dispatchable_stages().to_vec();
             assert!(
                 !stages.is_empty(),
                 "case {case}: incomplete job must have runnable stages"

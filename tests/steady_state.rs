@@ -1,11 +1,14 @@
 //! Steady-state serving mode, end to end: snapshot/restore continuations
-//! are bit-identical to uninterrupted runs across policies and seeds,
-//! windowed percentiles match a from-scratch sort over a recorded window,
-//! bounded-queue admission conserves arrivals, the open-loop sample series
-//! is deterministic, and long-run resident state is bounded by jobs in
-//! system — never by total jobs seen.
+//! are bit-identical to uninterrupted runs across policies and seeds, on
+//! one cluster and on a federation with flows, drains, crashes, an outage
+//! and a carbon dropout in flight; restoring into a differently shaped
+//! federation is refused; windowed percentiles match a from-scratch sort
+//! over a recorded window, bounded-queue admission conserves arrivals, the
+//! open-loop sample series is deterministic, and long-run resident state is
+//! bounded by jobs in system — never by total jobs seen.
 
 use carbon_aware_dag_sched::prelude::*;
+use pcaps_cluster::SimError;
 use pcaps_experiments::steady_state::{
     run_steady_trial, AdmissionSpec, SteadyStateConfig,
 };
@@ -96,6 +99,227 @@ fn snapshot_restore_continuation_is_bit_identical() {
                 continued.members[0].result.tasks_dispatched
             );
         }
+    }
+}
+
+/// Horizon of the federated continuation scenario (schedule seconds).
+const FED_END: f64 = 1_800.0;
+/// Member 1's region outage, `[start, end)`.
+const OUTAGE: (f64, f64) = (420.0, 780.0);
+/// Member 2's carbon-signal dropout, `[start, end)`.
+const DROPOUT: (f64, f64) = (960.0, 1_380.0);
+
+/// Three grids behind thin uplinks, with Poisson crashes on every member,
+/// one outage window and one carbon-signal dropout window: a federated
+/// serving run with every kind of in-flight state a snapshot must carry
+/// (flows on capacitated links, drains, crashed tasks in retry backoff, an
+/// outaged member, a frozen carbon view).
+fn churn_federation() -> Federation {
+    let regions = [GridRegion::Caiso, GridRegion::Germany, GridRegion::SouthAfrica];
+    let members: Vec<Member> = regions
+        .iter()
+        .zip(TraceSet::for_regions(&regions, 7, 72).into_traces())
+        .map(|(r, t)| Member::new(r.code(), ClusterConfig::new(4).with_time_scale(60.0), t))
+        .collect();
+    let network = (0..regions.len()).fold(
+        NetworkTopology::from_matrix(&TransferMatrix::uniform(3, 1.0).with_energy_per_gb(0.05)),
+        |net, m| net.with_uplink(m, 0.25),
+    );
+    let crashes = PoissonCrashes::new(0xC4A5, 60.0)
+        .schedule(&pcaps_cluster::FaultContext { executors: vec![4; 3], horizon: FED_END })
+        .unwrap();
+    let mut injections = crashes.injections().to_vec();
+    injections.extend([
+        FaultInjection { time: OUTAGE.0, member: 1, kind: FaultKind::RegionOutageStart },
+        FaultInjection { time: OUTAGE.1, member: 1, kind: FaultKind::RegionOutageEnd },
+        FaultInjection { time: DROPOUT.0, member: 2, kind: FaultKind::CarbonDropoutStart },
+        FaultInjection { time: DROPOUT.1, member: 2, kind: FaultKind::CarbonDropoutEnd },
+    ]);
+    Federation::streaming(members)
+        .with_network(network)
+        .with_fault_schedule(FaultSchedule::new(injections))
+        .with_retry_policy(RetryPolicy { max_attempts: 64, ..RetryPolicy::default() })
+}
+
+fn churn_source() -> StreamSource<pcaps_workloads::UnboundedStream> {
+    StreamSource::new(
+        WorkloadBuilder::new(WorkloadKind::TpchMixed, 31)
+            .stream_unbounded(PoissonArrivals::new(30.0, 31 ^ 0xA11CE)),
+    )
+}
+
+/// One federated run's policy objects: a carbon+queue-aware router, a
+/// drain-then-move carbon-delta migrator (its cooldown table is state a
+/// continuation inherits), and FIFO, PCAPS, FIFO on the three members.
+struct ChurnPolicies {
+    router: CarbonQueueAwareRouter,
+    migration: CarbonDeltaMigrator,
+    schedulers: Vec<Box<dyn Scheduler>>,
+}
+
+impl ChurnPolicies {
+    fn new() -> Self {
+        ChurnPolicies {
+            router: CarbonQueueAwareRouter::new(),
+            migration: CarbonDeltaMigrator::new().with_drain(),
+            schedulers: [BaseScheduler::Fifo, BaseScheduler::Decima, BaseScheduler::Fifo]
+                .into_iter()
+                .map(|base| build_scheduler(base, 31))
+                .collect(),
+        }
+    }
+
+    fn advance(&mut self, session: &mut ServeSession<'_>, horizon: f64) {
+        let mut s: Vec<&mut dyn Scheduler> = Vec::with_capacity(self.schedulers.len());
+        for scheduler in self.schedulers.iter_mut() {
+            s.push(&mut **scheduler);
+        }
+        session
+            .run_until_with_migration(horizon, &mut self.router, &mut self.migration, &mut s, None)
+            .unwrap();
+    }
+}
+
+/// `Debug` prints every `f64` in its shortest round-trip form, so two
+/// values print alike exactly when their bits agree.
+fn bits<T: std::fmt::Debug>(value: &T) -> String {
+    format!("{value:?}")
+}
+
+/// A federated serving run restored from a snapshot continues bit for bit,
+/// whatever is in flight at the snapshot: a transfer on a capacitated
+/// uplink, a crashed task waiting out its backoff, an open outage window, a
+/// frozen carbon view.  For each instant a prefix session (fresh policies)
+/// runs to it and is snapshotted; a fresh session over a fresh source
+/// restores the snapshot and runs on with the prefix's warmed policies.
+#[test]
+fn federated_snapshot_restore_continuation_is_bit_identical() {
+    let fed = churn_federation();
+    let mut source = churn_source();
+    let mut session = fed.serve(&mut source).unwrap();
+    ChurnPolicies::new().advance(&mut session, FED_END);
+    let reference = session.finish();
+
+    // Snapshot instants: a fixed spread, plus the midpoint of the first
+    // flow-priced transfer and of the first crash-to-retry backoff the
+    // uninterrupted run logged.
+    let mut instants = vec![300.0, 600.0, 1_100.0, 1_500.0];
+    let transfer = reference
+        .migrations
+        .iter()
+        .find(|m| m.arrived > m.departed)
+        .map(|m| (m.departed, m.arrived));
+    let backoff = reference.members.iter().find_map(|m| {
+        m.result.faults.iter().enumerate().find_map(|(i, f)| {
+            let FaultEffect::ExecutorCrashed { victim: Some(v), .. } = f.effect else {
+                return None;
+            };
+            m.result.faults[i..].iter().find_map(|r| match r.effect {
+                FaultEffect::TaskRetried { job, stage, task }
+                    if (job, stage, task) == (v.job, v.stage, v.task) =>
+                {
+                    Some((f.time, r.time))
+                }
+                _ => None,
+            })
+        })
+    });
+    instants.extend(transfer.into_iter().chain(backoff).map(|(a, b)| 0.5 * (a + b)));
+    let inside = |(start, end): (f64, f64)| instants.iter().any(|&t| start <= t && t < end);
+    assert!(
+        reference.migrations.iter().any(|m| inside((m.departed, m.arrived))),
+        "no snapshot instant falls inside a transfer"
+    );
+    assert!(backoff.is_some_and(inside), "no snapshot instant falls inside a retry backoff");
+    assert!(inside(OUTAGE), "no snapshot instant falls inside the outage");
+    assert!(inside(DROPOUT), "no snapshot instant falls inside the dropout");
+
+    for &at in &instants {
+        let mut prefix_source = churn_source();
+        let mut prefix = fed.serve(&mut prefix_source).unwrap();
+        let mut warmed = ChurnPolicies::new();
+        warmed.advance(&mut prefix, at);
+        let snap = prefix.snapshot();
+
+        let mut cont_source = churn_source();
+        let mut cont = fed.serve(&mut cont_source).unwrap();
+        cont.restore(&snap).unwrap();
+        warmed.advance(&mut cont, FED_END);
+        let continued = cont.finish();
+
+        for (i, (r, c)) in reference.members.iter().zip(&continued.members).enumerate() {
+            let (r, c) = (&r.result, &c.result);
+            assert_eq!(bits(&r.jobs), bits(&c.jobs), "t={at}, member {i}: jobs diverged");
+            assert_eq!(r.tasks_dispatched, c.tasks_dispatched, "t={at}, member {i}");
+            assert_eq!(
+                r.wasted_seconds.to_bits(),
+                c.wasted_seconds.to_bits(),
+                "t={at}, member {i}"
+            );
+            assert_eq!(r.tasks_failed, c.tasks_failed, "t={at}, member {i}");
+            assert_eq!(r.retries, c.retries, "t={at}, member {i}");
+            assert_eq!(bits(&r.faults), bits(&c.faults), "t={at}, member {i}: fault logs diverged");
+        }
+        assert_eq!(bits(&reference.migrations), bits(&continued.migrations), "t={at}");
+        assert_eq!(bits(&reference.links), bits(&continued.links), "t={at}");
+    }
+}
+
+/// A snapshot's flow set belongs to its federation's links: restoring one
+/// taken mid-transfer over a capacitated uplink into a federation without
+/// those links must fail up front, not when the flow's arrival fires.
+#[test]
+fn restore_rejects_a_snapshot_whose_links_the_federation_lacks() {
+    const AT: f64 = 200.0;
+    let fed = churn_federation();
+    let mut source = churn_source();
+    let mut session = fed.serve(&mut source).unwrap();
+    let mut policies = ChurnPolicies::new();
+    policies.advance(&mut session, AT);
+    let snap = session.snapshot();
+    policies.advance(&mut session, FED_END);
+    assert!(
+        session.finish().migrations.iter().any(|m| m.departed <= AT && AT < m.arrived),
+        "the snapshot must hold a transfer in flight"
+    );
+
+    let bare = Federation::streaming(fed.members().to_vec());
+    let mut bare_source = churn_source();
+    let mut restored = bare.serve(&mut bare_source).unwrap();
+    match restored.restore(&snap) {
+        Err(SimError::SnapshotMismatch { reason }) => {
+            assert!(reason.contains("3 link(s)") && reason.contains("has 0"), "{reason}")
+        }
+        other => panic!("expected SnapshotMismatch, got {other:?}"),
+    }
+}
+
+/// A snapshot's executor pools belong to its members: restoring a
+/// 16-executor cluster's snapshot into a 2-executor one must fail, not keep
+/// dispatching on the snapshot's 16 executors.
+#[test]
+fn restore_rejects_a_snapshot_from_a_different_executor_count() {
+    let mut source = serving_source(11);
+    let big = serving_sim(11);
+    let mut session = big.serve(&mut source).unwrap();
+    let mut fifo = SparkStandaloneFifo::new();
+    {
+        let mut s: [&mut dyn Scheduler; 1] = [&mut fifo];
+        session.run_until(200.0, &mut StaticRouter::new(0), &mut s, None).unwrap();
+    }
+    let snap = session.snapshot();
+
+    let small = Simulator::streaming(
+        ClusterConfig::new(2).with_time_scale(60.0),
+        big.carbon().clone(),
+    );
+    let mut small_source = serving_source(11);
+    let mut restored = small.serve(&mut small_source).unwrap();
+    match restored.restore(&snap) {
+        Err(SimError::SnapshotMismatch { reason }) => {
+            assert!(reason.contains("16 executor(s)") && reason.contains("has 2"), "{reason}")
+        }
+        other => panic!("expected SnapshotMismatch, got {other:?}"),
     }
 }
 
