@@ -1,11 +1,9 @@
-//! Ablations of the PCAPS design choices the paper leaves open (how
-//! strongly to scale parallelism, which bounds `L`/`U` to threshold
-//! against), reported as Criterion benchmarks so that both the runtime cost
-//! and (via the printed carbon/ECT summaries below each run) the quality
-//! impact of each choice is visible.
+//! Ablations of the PCAPS design choices the paper leaves open, reported as
+//! Criterion benchmarks so that both the runtime cost and (via the printed
+//! carbon/ECT summaries below each run) the quality impact of each choice
+//! is visible.
 //!
 //! * parallelism scaling on/off (§5.1),
-//! * 48-hour lookahead bounds vs static whole-trace bounds,
 //! * carbon-awareness level γ.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -58,30 +56,5 @@ fn ablation_parallelism_and_gamma(c: &mut Criterion) {
     group.finish();
 }
 
-fn ablation_forecast(c: &mut Criterion) {
-    use pcaps_carbon::forecast::{BoundsForecaster, ForecastMode};
-    let cfg = bench_config(8, 16);
-    let trace = cfg.trace();
-    let mut group = c.benchmark_group("ablation_forecast");
-    for (label, mode) in [
-        ("lookahead_48h", ForecastMode::Lookahead { horizon_seconds: 48.0 * 3600.0 }),
-        ("lookahead_12h", ForecastMode::Lookahead { horizon_seconds: 12.0 * 3600.0 }),
-        ("static_bounds", ForecastMode::Static),
-    ] {
-        let forecaster = BoundsForecaster::with_mode(trace.clone(), mode);
-        group.bench_with_input(BenchmarkId::new("bounds_query", label), &forecaster, |b, f| {
-            b.iter(|| {
-                let mut acc = 0.0;
-                for h in 0..168 {
-                    let (l, u) = f.bounds_at(h as f64 * 3600.0);
-                    acc += u - l;
-                }
-                criterion::black_box(acc)
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, ablation_parallelism_and_gamma, ablation_forecast);
+criterion_group!(benches, ablation_parallelism_and_gamma);
 criterion_main!(benches);

@@ -41,6 +41,10 @@ cargo build --release --all-targets
 # criterion shim carries a crate-level clippy allow for the same reason as
 # its rustc allows).  `cargo fmt` is not gated.
 cargo clippy --all-targets -- -D warnings
+# Rustdoc over the default members, warnings denied: a doc link to a
+# deleted or private name, or a citation like `[48]` read as a link, fails
+# here, where neither the compiler nor clippy looks.
+RUSTDOCFLAGS="${RUSTDOCFLAGS:-} -D warnings" cargo doc --no-deps
 cargo test -q
 
 # Conformance suites that must run in full: a filter, an ignore attribute

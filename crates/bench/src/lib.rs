@@ -1,13 +1,13 @@
 //! # pcaps-bench — Criterion benchmarks for the PCAPS reproduction
 //!
 //! The benchmark targets mirror the paper's performance evaluation and
-//! ablate the reproduction's own design choices (the parallelism scaling
-//! and the 48-hour lookahead, which the paper specifies loosely enough that
-//! their effect should be measured, not assumed):
+//! ablate the reproduction's own design choices (the parallelism scaling,
+//! which the paper specifies loosely enough that its effect should be
+//! measured, not assumed):
 //!
-//! * `scheduler_latency` — Fig. 20: per-invocation scheduling latency of
-//!   FIFO, CAP-FIFO, the Decima-like scheduler and PCAPS as the number of
-//!   outstanding jobs grows,
+//! * `scheduler_latency` — Fig. 20's configurations: the cost of one whole
+//!   trial of FIFO, CAP-FIFO, the Decima-like scheduler and PCAPS as the
+//!   number of outstanding jobs grows,
 //! * `threshold_and_ksearch` — cost of evaluating Ψγ and of building /
 //!   querying the CAP k-search threshold set,
 //! * `dag_ops` — critical-path / bottom-level / bottleneck analysis on
@@ -17,7 +17,7 @@
 //! * `simulator_throughput` — end-to-end simulation speed per scheduler for
 //!   a standard experiment batch (what determines how long Tables 2/3 take),
 //! * `ablations` — PCAPS design ablations (parallelism scaling on/off,
-//!   48-hour lookahead vs static bounds).
+//!   carbon-awareness level γ).
 //!
 //! Run everything with `cargo bench --workspace`.
 

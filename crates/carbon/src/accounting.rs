@@ -13,7 +13,7 @@
 //! absolute numbers; every result in the paper is reported *relative* to a
 //! baseline, so the choice does not affect reported reductions.
 
-use crate::trace::{CarbonSignal, CarbonTrace};
+use crate::trace::CarbonTrace;
 use serde::{Deserialize, Serialize};
 
 /// One step of an executor-usage profile: `busy` executors were active from

@@ -6,7 +6,10 @@
 //! experiment harness need:
 //!
 //! * [`CarbonTrace`] — an hourly (or arbitrary-step) piecewise-constant
-//!   signal with deterministic indexing,
+//!   signal with deterministic indexing, answering the lookahead bounds
+//!   `L` and `U` that threshold-based algorithms rely on in O(1)
+//!   ([`CarbonTrace::bounds`]; the engine asks for a 48-hour window by
+//!   default),
 //! * [`GridRegion`] — the six power grids evaluated in the paper (PJM,
 //!   CAISO, Ontario, Germany, New South Wales, South Africa) together with
 //!   their published summary statistics (Table 1),
@@ -15,8 +18,6 @@
 //!   shape (this substitutes for the proprietary Electricity Maps history:
 //!   the schedulers react only to those statistics and to the diurnal
 //!   shape, never to calendar dates),
-//! * [`forecast`] — the 48-hour lookahead used to derive the bounds `L` and
-//!   `U` that threshold-based algorithms rely on,
 //! * [`multi`] — aligned multi-region trace sets for federated (multi-grid)
 //!   simulations,
 //! * [`accounting`] — ex-post carbon footprint accounting over executor
@@ -25,7 +26,7 @@
 //! ## Example
 //!
 //! ```
-//! use pcaps_carbon::{GridRegion, synth::SyntheticTraceGenerator, CarbonSignal};
+//! use pcaps_carbon::{GridRegion, synth::SyntheticTraceGenerator};
 //!
 //! let trace = SyntheticTraceGenerator::new(GridRegion::Caiso, 42).generate_days(30);
 //! let c_now = trace.intensity(3600.0 * 12.0);
@@ -38,7 +39,6 @@
 #![warn(missing_docs)]
 
 pub mod accounting;
-pub mod forecast;
 pub mod io;
 pub mod multi;
 pub mod regions;
@@ -47,9 +47,8 @@ pub mod synth;
 pub mod trace;
 
 pub use accounting::{CarbonAccountant, UsageSample};
-pub use forecast::BoundsForecaster;
 pub use io::{load_csv, parse_csv, CsvOptions, TraceIoError};
 pub use multi::TraceSet;
 pub use regions::{GridRegion, GridStats};
 pub use stats::TraceStats;
-pub use trace::{CarbonSignal, CarbonTrace};
+pub use trace::CarbonTrace;

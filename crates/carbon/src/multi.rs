@@ -101,7 +101,6 @@ impl TraceSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::CarbonSignal;
 
     #[test]
     fn for_regions_is_aligned_and_labelled() {

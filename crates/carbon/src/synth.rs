@@ -154,7 +154,6 @@ pub fn calibration_error(trace: &CarbonTrace, target: GridStats) -> (f64, f64) {
 mod tests {
     use super::*;
     use crate::stats::TraceStats;
-    use crate::trace::CarbonSignal;
 
     #[test]
     fn deterministic_given_seed() {

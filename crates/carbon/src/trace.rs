@@ -3,17 +3,6 @@
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
-/// Anything that can report a carbon intensity at a point in time and bounds
-/// over a window.  Implemented by [`CarbonTrace`] and by forecast wrappers.
-pub trait CarbonSignal {
-    /// Carbon intensity (gCO₂eq/kWh) at time `t` seconds.
-    fn intensity(&self, t: f64) -> f64;
-
-    /// Minimum and maximum intensity over the window `[t, t + horizon]`.
-    /// These are the `L` and `U` bounds used by threshold-based algorithms.
-    fn bounds(&self, t: f64, horizon: f64) -> (f64, f64);
-}
-
 /// A piecewise-constant carbon intensity trace.
 ///
 /// The value reported for any time inside `[start + i*step, start + (i+1)*step)`
@@ -29,7 +18,7 @@ pub struct CarbonTrace {
     pub step: f64,
     /// Reported intensities in gCO₂eq/kWh.
     ///
-    /// Do not mutate after construction: [`CarbonSignal::bounds`] answers
+    /// Do not mutate after construction: [`CarbonTrace::bounds`] answers
     /// from a range-min/max index built over these values on first query,
     /// so in-place mutation serves stale bounds silently.  Derive changed
     /// traces through the constructors or [`CarbonTrace::window`] instead.
@@ -37,7 +26,7 @@ pub struct CarbonTrace {
     /// Optional human-readable label (e.g., the grid code).
     pub label: String,
     /// Lazily built sparse-table range-min/max index answering
-    /// [`CarbonSignal::bounds`] in O(1) per query.  Derived from `values`;
+    /// [`CarbonTrace::bounds`] in O(1) per query.  Derived from `values`;
     /// excluded from `Clone`/`PartialEq` (it is a cache, rebuilt on demand).
     #[serde(skip)]
     bounds_index: OnceLock<RangeIndex>,
@@ -172,6 +161,26 @@ impl CarbonTrace {
         idx % self.values.len()
     }
 
+    /// Carbon intensity (gCO₂eq/kWh) at time `t` seconds.
+    pub fn intensity(&self, t: f64) -> f64 {
+        self.values[self.index_at(t)]
+    }
+
+    /// Minimum and maximum intensity over the window `[t, t + horizon]`.
+    /// These are the `L` and `U` bounds used by threshold-based algorithms.
+    pub fn bounds(&self, t: f64, horizon: f64) -> (f64, f64) {
+        assert!(horizon >= 0.0, "lookahead horizon must be non-negative");
+        let first = self.index_at(t);
+        let steps = (horizon / self.step).ceil() as usize + 1;
+        let steps = steps.min(self.values.len());
+        // O(1) per query from the sparse table (built once per trace on
+        // first use).  The window covers exactly the `steps` wrapped values
+        // a linear scan would visit, so results are bit-identical.
+        self.bounds_index
+            .get_or_init(|| RangeIndex::build(&self.values))
+            .query(first, steps)
+    }
+
     /// The time at which the value currently in effect at `t` changes.
     pub fn next_change(&self, t: f64) -> f64 {
         let rel = (t - self.start).max(0.0);
@@ -211,7 +220,7 @@ impl CarbonTrace {
     /// Returns `None` if no value of the (periodic) trace qualifies.
     ///
     /// Answered in O(log len) via a binary search over the same range-min
-    /// index that serves [`CarbonSignal::bounds`], so schedulers may resolve
+    /// index that serves [`CarbonTrace::bounds`], so schedulers may resolve
     /// threshold crossings on the hot path without a linear trace walk.
     pub fn next_time_at_or_below(&self, from: f64, threshold: f64) -> Option<f64> {
         let first = self.index_at(from);
@@ -256,25 +265,6 @@ impl CarbonTrace {
             t = seg_end;
         }
         total
-    }
-}
-
-impl CarbonSignal for CarbonTrace {
-    fn intensity(&self, t: f64) -> f64 {
-        self.values[self.index_at(t)]
-    }
-
-    fn bounds(&self, t: f64, horizon: f64) -> (f64, f64) {
-        assert!(horizon >= 0.0, "lookahead horizon must be non-negative");
-        let first = self.index_at(t);
-        let steps = (horizon / self.step).ceil() as usize + 1;
-        let steps = steps.min(self.values.len());
-        // O(1) per query from the sparse table (built once per trace on
-        // first use).  The window covers exactly the `steps` wrapped values
-        // a linear scan would visit, so results are bit-identical.
-        self.bounds_index
-            .get_or_init(|| RangeIndex::build(&self.values))
-            .query(first, steps)
     }
 }
 

@@ -63,14 +63,6 @@ pub struct ClusterConfig {
     /// defers work forever, in which case the run errors out rather than
     /// looping.
     pub max_sim_time: f64,
-    /// Whether the engine records a wall-clock [`InvocationSample`] for every
-    /// scheduler invocation (one `Instant::now` syscall pair plus a heap push
-    /// per scheduling event).  Off by default so throughput-oriented runs pay
-    /// nothing; the latency experiments (Fig. 20) and the
-    /// `scheduler_latency` bench switch it on.
-    ///
-    /// [`InvocationSample`]: crate::result::InvocationSample
-    pub sample_invocation_latency: bool,
     /// Profile recording granularity (default [`ProfileMode::Full`]);
     /// trace-scale streaming runs use [`ProfileMode::Light`] so recorded
     /// state never grows with the task count.
@@ -90,7 +82,6 @@ impl ClusterConfig {
             time_scale: 60.0,
             forecast_horizon: 48.0 * 3600.0,
             max_sim_time: NO_TIME_LIMIT,
-            sample_invocation_latency: false,
             profile_mode: ProfileMode::Full,
         }
     }
@@ -141,12 +132,6 @@ impl ClusterConfig {
     pub fn with_max_sim_time(mut self, max: f64) -> Self {
         assert!(max > 0.0, "max sim time must be positive");
         self.max_sim_time = max;
-        self
-    }
-
-    /// Enables or disables per-invocation latency sampling (off by default).
-    pub fn with_invocation_sampling(mut self, enabled: bool) -> Self {
-        self.sample_invocation_latency = enabled;
         self
     }
 

@@ -1,6 +1,6 @@
 //! The discrete-event simulation engine (federated).
 //!
-//! One [`Engine`] drives every member cluster of a [`Federation`] from a
+//! One `Engine` drives every member cluster of a [`Federation`] from a
 //! single shared event queue, so multi-region runs are exactly as
 //! deterministic as single-cluster runs.  The single-cluster [`Simulator`]
 //! is a thin wrapper over a one-member federation.
@@ -49,18 +49,19 @@
 //!   applying a migration fixes both members' counters in O(changed) — the
 //!   source slot reindex costs what a completion does, and nothing is
 //!   rescanned,
-//! * per-invocation latency sampling (a syscall plus a heap push per
-//!   scheduling event) is opt-in via
-//!   [`ClusterConfig::with_invocation_sampling`].
+//! * a scheduler call is one virtual call and nothing else: the engine
+//!   reads no wall clock, so timing a policy is a forwarding [`Scheduler`]
+//!   outside the engine.
 //!
 //! ## State layout
 //!
-//! An `Engine` is three things: the borrowed [`Federation`] (members'
-//! static configuration and traces, the workload, the network topology,
-//! the fault schedule), scratch buffers that are cleared before every use,
-//! and one `RunState` holding every field a run changes.  A serve-mode
-//! [`EngineSnapshot`] is that state's `Clone`, so a field added to the run
-//! state is captured by construction.
+//! An `Engine` is four things: the borrowed [`Federation`] (members'
+//! static configuration and traces, the network topology, the fault
+//! schedule), the run's one [`ArrivalSource`] (a materialized run pulls
+//! from a clone of the federation's workload), scratch buffers that are
+//! cleared before every use, and one `RunState` holding every field a run
+//! changes.  A serve-mode [`EngineSnapshot`] is that state's `Clone`, so a
+//! field added to the run state is captured by construction.
 //!
 //! [`Federation`]: crate::federation::Federation
 //! [`Federation::new`]: crate::federation::Federation::new
@@ -79,9 +80,7 @@ use crate::job_state::{ActiveJob, JobRecord, SubmittedJob};
 use crate::network::{FlowArrivalPlan, FlowSet};
 use crate::source::ArrivalSource;
 use crate::profile::{ExecutorSegment, UsageProfile};
-use crate::result::{
-    FederationResult, InvocationSample, MemberResult, MigrationRecord, SimulationResult,
-};
+use crate::result::{FederationResult, MemberResult, MigrationRecord, SimulationResult};
 use crate::routing::{
     MemberView, MigrationCandidate, MigrationContext, MigrationPolicy, MigrationSink, Router,
     RoutingContext, StaticRouter,
@@ -90,10 +89,9 @@ use crate::scheduler_api::{
     Assignment, CarbonView, DecisionSink, DeferRequest, SchedEvent, Scheduler, SchedulingContext,
     WakeupToken,
 };
-use pcaps_carbon::{CarbonAccountant, CarbonSignal, CarbonTrace};
+use pcaps_carbon::{CarbonAccountant, CarbonTrace};
 use pcaps_dag::{JobId, StageId};
 use std::collections::VecDeque;
-use std::time::Instant;
 
 /// A configured single-cluster simulation, ready to be run against a
 /// scheduling policy.
@@ -276,7 +274,6 @@ struct MemberState {
     jobs_rejected: usize,
     profile: UsageProfile,
     records: Vec<JobRecord>,
-    invocations: Vec<InvocationSample>,
     tasks_dispatched: usize,
     /// Jobs this member currently owns or has completed: incremented by
     /// routing and migration arrivals, decremented by migration departures.
@@ -338,7 +335,6 @@ impl MemberState {
             jobs_rejected: 0,
             profile: UsageProfile::new(),
             records: Vec::new(),
-            invocations: Vec::new(),
             tasks_dispatched: 0,
             routed_jobs: 0,
             outstanding_work: 0.0,
@@ -457,50 +453,6 @@ impl MemberState {
             self.slots[job.id.index() - self.slot_base] = Some(i as u32);
         }
         done
-    }
-}
-
-/// The engine's intake: either a borrow of a federation's materialized,
-/// construction-validated workload, or an external pull-based source.  Both
-/// are consumed through the same one-job lookahead window, which is what
-/// keeps materialized runs bit-identical to the pre-streaming engine while
-/// lazy runs never materialize more than the window.
-enum EngineSource<'a> {
-    /// A materialized workload slice (sorted and validated by
-    /// [`Federation::new`]); pulling clones the next element — an `Arc`
-    /// bump, not a DAG copy.
-    Slice { jobs: &'a [SubmittedJob], next: usize },
-    /// An external source; DAGs are validated per pull unless the source
-    /// declares itself prevalidated.
-    Dyn { source: &'a mut dyn ArrivalSource, validate: bool },
-}
-
-impl EngineSource<'_> {
-    fn pull(&mut self) -> Option<SubmittedJob> {
-        match self {
-            EngineSource::Slice { jobs, next } => {
-                let job = jobs.get(*next)?.clone();
-                *next += 1;
-                Some(job)
-            }
-            EngineSource::Dyn { source, .. } => source.next_job(),
-        }
-    }
-
-    /// Whether pulled DAGs still need validation.
-    fn validate_pulls(&self) -> bool {
-        match self {
-            EngineSource::Slice { .. } => false,
-            EngineSource::Dyn { validate, .. } => *validate,
-        }
-    }
-
-    /// Lower bound on the jobs not yet pulled (exact for slices).
-    fn remaining_hint(&self) -> usize {
-        match self {
-            EngineSource::Slice { jobs, next } => jobs.len() - next,
-            EngineSource::Dyn { source, .. } => source.size_hint().0,
-        }
     }
 }
 
@@ -665,13 +617,17 @@ struct RunState {
 /// One federated run: the federation it runs, where its arrivals come from,
 /// its [`RunState`], and scratch buffers.
 pub(crate) struct Engine<'a> {
-    /// Members' static configuration and carbon traces, the materialized
-    /// workload, the network topology, the fault schedule and the retry
-    /// policy — everything a run reads but never changes.
+    /// Members' static configuration and carbon traces, the network
+    /// topology, the fault schedule and the retry policy — everything a run
+    /// reads but never changes.
     fed: &'a Federation,
     /// Where arrivals come from (pulled through `state.pending`, never
-    /// preloaded).
-    source: EngineSource<'a>,
+    /// preloaded): an external source, or a clone of the federation's
+    /// materialized workload.
+    source: &'a mut dyn ArrivalSource,
+    /// Whether pulled DAGs still need validation (false for a
+    /// [prevalidated](ArrivalSource::prevalidated) source).
+    validate_pulls: bool,
     /// Serve-mode flag: retire settled front slots of the job table (and
     /// every member's slot prefix) as arrivals come in.  Finite runs leave
     /// this off, so their per-job tables are bit-identical to the
@@ -778,19 +734,7 @@ fn member_schedule_pass(
             EventSeed::Kick => SchedEvent::Kick,
         };
         sink.clear();
-        if spec.config.sample_invocation_latency {
-            let queue_length = ctx.queue_length();
-            let started = Instant::now();
-            scheduler.on_event(event, &ctx, sink);
-            let latency_seconds = started.elapsed().as_secs_f64();
-            member.invocations.push(InvocationSample {
-                time,
-                queue_length,
-                latency_seconds,
-            });
-        } else {
-            scheduler.on_event(event, &ctx, sink);
-        }
+        scheduler.on_event(event, &ctx, sink);
         apply_deferrals_for(spec, target, time, events, sink.deferrals());
         if sink.assignments().is_empty() {
             return Ok(());
@@ -992,25 +936,17 @@ fn apply_assignments_for(
 }
 
 impl<'a> Engine<'a> {
-    /// An engine over the federation's materialized workload (sorted and
-    /// validated by [`Federation::new`]).
-    pub(crate) fn new(fed: &'a Federation) -> Self {
-        Engine::with_source(fed, EngineSource::Slice { jobs: fed.workload(), next: 0 })
-    }
-
-    /// An engine over the federation's members pulling its workload from an
-    /// external source.
+    /// An engine over the federation's members pulling its workload from
+    /// `source` — the only intake: a materialized run passes a clone of the
+    /// federation's workload.
     pub(crate) fn from_source(fed: &'a Federation, source: &'a mut dyn ArrivalSource) -> Self {
-        let validate = !source.prevalidated();
-        Engine::with_source(fed, EngineSource::Dyn { source, validate })
-    }
-
-    fn with_source(fed: &'a Federation, source: EngineSource<'a>) -> Self {
-        let jobs_hint = source.remaining_hint();
+        let jobs_hint = source.size_hint().0;
+        let validate_pulls = !source.prevalidated();
         let members = fed.members();
         Engine {
             fed,
             source,
+            validate_pulls,
             compact: false,
             max_sim_time: members
                 .iter()
@@ -1057,7 +993,7 @@ impl<'a> Engine<'a> {
                 m.compact_slots(base);
             }
         }
-        let Some(job) = self.source.pull() else {
+        let Some(job) = self.source.next_job() else {
             return Ok(());
         };
         if !(job.arrival >= st.last_arrival) {
@@ -1067,7 +1003,7 @@ impl<'a> Engine<'a> {
                 previous: st.last_arrival,
             });
         }
-        if self.source.validate_pulls() {
+        if self.validate_pulls {
             if let Err(e) = job.dag.validate() {
                 return Err(SimError::InvalidJob {
                     job: job.dag.name.clone(),
@@ -1090,7 +1026,7 @@ impl<'a> Engine<'a> {
     fn incomplete_jobs(&self) -> usize {
         let st = &self.state;
         (st.jobs.seen() - st.completed_jobs - st.jobs_rejected)
-            .saturating_add(self.source.remaining_hint())
+            .saturating_add(self.source.size_hint().0)
     }
 
     /// Builds the time-limit error together with a partial summary of what
@@ -1387,7 +1323,6 @@ impl<'a> Engine<'a> {
                     jobs: std::mem::take(&mut m.records),
                     profile: std::mem::take(&mut m.profile),
                     makespan,
-                    invocations: std::mem::take(&mut m.invocations),
                     tasks_dispatched: m.tasks_dispatched,
                     jobs_submitted: m.routed_jobs,
                     jobs_rejected: m.jobs_rejected,
@@ -2276,15 +2211,14 @@ impl<'a> Engine<'a> {
     }
 
     /// Takes every member's accumulated completion records (merged, ordered
-    /// by completion time then id) and clears the per-window recorded state
-    /// (profile series, invocation samples) so an open-loop run's memory is
-    /// bounded by the drain cadence, never by total jobs seen.
+    /// by completion time then id) and clears the per-window profile series,
+    /// so an open-loop run's memory is bounded by the drain cadence, never
+    /// by total jobs seen.
     pub(crate) fn drain_completions(&mut self) -> Vec<JobRecord> {
         let mut out = Vec::new();
         for m in &mut self.state.members {
             out.append(&mut m.records);
             m.profile = UsageProfile::new();
-            m.invocations.clear();
         }
         out.sort_by(|a, b| a.completion.total_cmp(&b.completion).then(a.id.cmp(&b.id)));
         out
@@ -2344,7 +2278,7 @@ impl<'a> Engine<'a> {
             ));
         }
         for _ in seen..target {
-            if self.source.pull().is_none() {
+            if self.source.next_job().is_none() {
                 return mismatch(format!(
                     "the source drained before reaching the snapshot's position ({target} jobs \
                      pulled)"
@@ -2577,33 +2511,6 @@ mod tests {
         let result = sim.run(&mut SimpleFifo::new()).unwrap();
         assert!((result.jobs[0].executor_seconds - 24.0).abs() < 1e-9);
         assert_eq!(result.jobs[0].num_stages, 2);
-        assert!(result.mean_invocation_latency() >= 0.0);
-    }
-
-    #[test]
-    fn invocation_sampling_is_opt_in() {
-        let job = chain_job("j", 2, 3, 4.0);
-        let run_with = |sampling: bool| {
-            let config = ClusterConfig::new(3)
-                .with_move_delay(0.0)
-                .with_time_scale(1.0)
-                .with_invocation_sampling(sampling);
-            let sim = Simulator::new(
-                config,
-                vec![SubmittedJob::at(0.0, job.clone())],
-                flat_trace(),
-            );
-            sim.run(&mut SimpleFifo::new()).unwrap()
-        };
-        let silent = run_with(false);
-        assert!(silent.invocations.is_empty(), "sampling off must record nothing");
-        assert_eq!(silent.mean_invocation_latency(), 0.0);
-        let sampled = run_with(true);
-        assert!(!sampled.invocations.is_empty(), "sampling on must record invocations");
-        assert!(sampled.invocations.iter().all(|s| s.latency_seconds >= 0.0));
-        // Sampling must not change the schedule itself.
-        assert_eq!(silent.makespan, sampled.makespan);
-        assert_eq!(silent.tasks_dispatched, sampled.tasks_dispatched);
     }
 
     #[test]
@@ -2743,7 +2650,8 @@ mod tests {
             ],
             vec![SubmittedJob::at(0.0, chain_job("j", 1, 2, 5.0))],
         );
-        let mut engine = Engine::new(&fed);
+        let mut source = fed.workload().to_vec().into_iter();
+        let mut engine = Engine::from_source(&fed, &mut source);
         let mut router = ToOne;
         engine.refill_window().unwrap();
         let arrival = engine.state.pending.take().expect("one job in the workload");

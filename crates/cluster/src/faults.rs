@@ -146,53 +146,11 @@ impl FaultContext {
 /// own fields (seeds included) and `ctx` — never on wall-clock time or
 /// global state — so the same plan replays the same failure history.
 pub trait FaultPlan {
-    /// Human-readable plan name used in result tables and logs.
-    fn name(&self) -> &str;
-
     /// Materialises the plan into a time-sorted schedule for a federation
     /// of shape `ctx`, or a descriptive [`SimError::InvalidFault`] when the
     /// context cannot support the plan (e.g. an open-ended Poisson process
     /// against a federation with no real horizon).
     fn schedule(&self, ctx: &FaultContext) -> Result<FaultSchedule, SimError>;
-}
-
-/// The no-op plan: a perfect world.  Equivalent to [`FaultSchedule::none`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoFaults;
-
-impl FaultPlan for NoFaults {
-    fn name(&self) -> &str {
-        "no-faults"
-    }
-
-    fn schedule(&self, _ctx: &FaultContext) -> Result<FaultSchedule, SimError> {
-        Ok(FaultSchedule::none())
-    }
-}
-
-/// A hand-written fault list — the plan form of [`FaultSchedule::new`],
-/// useful for oracle tests and reproducing a specific incident.
-#[derive(Debug, Clone, Default)]
-pub struct ScriptedFaults {
-    /// The injections (any order; materialisation sorts by time).
-    pub injections: Vec<FaultInjection>,
-}
-
-impl ScriptedFaults {
-    /// Wraps a hand-written injection list.
-    pub fn new(injections: Vec<FaultInjection>) -> Self {
-        ScriptedFaults { injections }
-    }
-}
-
-impl FaultPlan for ScriptedFaults {
-    fn name(&self) -> &str {
-        "scripted"
-    }
-
-    fn schedule(&self, _ctx: &FaultContext) -> Result<FaultSchedule, SimError> {
-        Ok(FaultSchedule::new(self.injections.clone()))
-    }
 }
 
 /// Seeded Poisson executor-crash process: each member draws independent
@@ -240,10 +198,6 @@ impl PoissonCrashes {
 }
 
 impl FaultPlan for PoissonCrashes {
-    fn name(&self) -> &str {
-        "poisson-crashes"
-    }
-
     // `!(t < horizon)` rather than `t >= horizon`: a NaN horizon or crash
     // time must end generation instead of looping forever.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
@@ -326,10 +280,6 @@ impl RegionOutage {
 }
 
 impl FaultPlan for RegionOutage {
-    fn name(&self) -> &str {
-        "region-outage"
-    }
-
     fn schedule(&self, _ctx: &FaultContext) -> Result<FaultSchedule, SimError> {
         Ok(FaultSchedule::new(vec![
             FaultInjection {
@@ -369,10 +319,6 @@ impl CarbonSignalDropout {
 }
 
 impl FaultPlan for CarbonSignalDropout {
-    fn name(&self) -> &str {
-        "carbon-dropout"
-    }
-
     fn schedule(&self, _ctx: &FaultContext) -> Result<FaultSchedule, SimError> {
         Ok(FaultSchedule::new(vec![
             FaultInjection {
@@ -504,8 +450,6 @@ mod tests {
         assert!(FaultSchedule::none().is_empty());
         assert_eq!(FaultSchedule::none(), FaultSchedule::default());
         assert_eq!(FaultSchedule::none().len(), 0);
-        assert!(NoFaults.schedule(&ctx(vec![4], 100.0)).unwrap().is_empty());
-        assert_eq!(NoFaults.name(), "no-faults");
     }
 
     #[test]
@@ -531,14 +475,6 @@ mod tests {
             member: 0,
             kind: FaultKind::RegionOutageStart,
         }]);
-    }
-
-    #[test]
-    fn scripted_plan_materialises_its_list() {
-        let inj = FaultInjection { time: 3.0, member: 0, kind: FaultKind::CarbonDropoutStart };
-        let plan = ScriptedFaults::new(vec![inj]);
-        assert_eq!(plan.name(), "scripted");
-        assert_eq!(plan.schedule(&ctx(vec![2], 10.0)).unwrap().injections(), &[inj]);
     }
 
     #[test]
@@ -627,8 +563,6 @@ mod tests {
         assert_eq!(d.len(), 2);
         assert_eq!(d.injections()[0].kind, FaultKind::CarbonDropoutStart);
         assert_eq!(d.injections()[1].kind, FaultKind::CarbonDropoutEnd);
-        assert_eq!(RegionOutage::new(1, 10.0, 20.0).name(), "region-outage");
-        assert_eq!(CarbonSignalDropout::new(0, 5.0, 6.0).name(), "carbon-dropout");
     }
 
     #[test]

@@ -58,7 +58,7 @@ use crate::network::NetworkTopology;
 use crate::result::FederationResult;
 use crate::routing::{MigrationPolicy, NeverMigrate, Router, TransferMatrix};
 use crate::scheduler_api::Scheduler;
-use crate::source::ArrivalSource;
+use crate::source::{ArrivalSource, MaterializedJobs};
 use pcaps_carbon::CarbonTrace;
 
 /// One member cluster of a federation: a label (usually the grid region
@@ -92,7 +92,9 @@ impl Member {
 #[derive(Debug, Clone)]
 pub struct Federation {
     members: Vec<Member>,
-    workload: Vec<SubmittedJob>,
+    /// The materialized workload, sorted and validated once by
+    /// [`Federation::new`]; every materialized run pulls from a clone.
+    workload: MaterializedJobs,
     /// The transfer model migrations are priced by: fixed per-pair delays
     /// for pairs that cross no capacitated link, max-min fair-shared flows
     /// for pairs that do (see [`NetworkTopology`]).  Defaults to
@@ -136,7 +138,7 @@ impl Federation {
         let network = NetworkTopology::new(members.len());
         Federation {
             members,
-            workload,
+            workload: MaterializedJobs::presorted(workload),
             network,
             invalid,
             faults: FaultSchedule::none(),
@@ -215,7 +217,7 @@ impl Federation {
     /// Empty for a [`Federation::streaming`] federation, whose jobs exist
     /// only while a [`Federation::run_source`] run pulls them.
     pub fn workload(&self) -> &[SubmittedJob] {
-        &self.workload
+        self.workload.as_slice()
     }
 
     /// Materializes `plan` against this federation's topology and attaches
@@ -300,6 +302,10 @@ impl Federation {
     /// members only) and may move idle jobs between members, paying the
     /// transfer costs of the federation's network topology.
     ///
+    /// This is [`Federation::run_source_with_migration`] over a clone of
+    /// the materialized workload, which is prevalidated, so the engine
+    /// skips per-pull DAG validation.
+    ///
     /// # Panics
     /// Panics if `schedulers.len()` differs from the number of members.
     pub fn run_with_migration(
@@ -313,13 +319,11 @@ impl Federation {
             self.members.len(),
             "a federation needs exactly one scheduler per member cluster"
         );
-        if self.workload.is_empty() {
+        if self.workload.remaining() == 0 {
             return Err(SimError::EmptyWorkload);
         }
-        if let Some(e) = &self.invalid {
-            return Err(e.clone());
-        }
-        Engine::new(self).run(router, migration, schedulers)
+        let mut source = self.workload.clone();
+        self.run_source_with_migration(&mut source, router, migration, schedulers)
     }
 
     /// Runs the federation to completion, pulling the workload from
@@ -491,12 +495,27 @@ mod tests {
     fn empty_workload_is_error() {
         let fed = two_member_fed(vec![]);
         assert_eq!(run_fed(&fed, &mut ParityRouter).unwrap_err(), SimError::EmptyWorkload);
+        // An empty workload is reported before a construction-time poison.
+        let poisoned = fed.with_network(NetworkTopology::new(3));
+        assert_eq!(run_fed(&poisoned, &mut ParityRouter).unwrap_err(), SimError::EmptyWorkload);
     }
 
     #[test]
     #[should_panic(expected = "one scheduler per member")]
     fn scheduler_count_must_match_members() {
         let fed = two_member_fed(vec![SubmittedJob::at(0.0, job("j", 1, 1.0))]);
+        let mut only = SimpleFifo::new();
+        let mut schedulers: [&mut dyn Scheduler; 1] = [&mut only];
+        let _ = fed.run(&mut StaticRouter::new(0), &mut schedulers);
+    }
+
+    /// The scheduler count is checked before the workload: an empty
+    /// federation with the wrong count panics rather than reporting
+    /// `EmptyWorkload`.
+    #[test]
+    #[should_panic(expected = "one scheduler per member")]
+    fn scheduler_count_is_checked_before_the_workload() {
+        let fed = two_member_fed(vec![]);
         let mut only = SimpleFifo::new();
         let mut schedulers: [&mut dyn Scheduler; 1] = [&mut only];
         let _ = fed.run(&mut StaticRouter::new(0), &mut schedulers);

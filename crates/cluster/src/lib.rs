@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates PCAPS and CAP in two environments: a 100-node Spark on
 //! Kubernetes prototype and a high-fidelity simulator of Spark's standalone
-//! mode (Mao et al. [48]).  This crate implements the latter from scratch and
+//! mode (Mao et al. \[48\]).  This crate implements the latter from scratch and
 //! exposes enough configuration (per-job executor caps, executor-movement
 //! delays, time scaling) to emulate the prototype's behaviour as well — see
 //! Appendix A.1.2 of the paper for how the two environments differ.
@@ -29,9 +29,9 @@
 //! [`Simulator`] is a thin wrapper around a one-member federation and
 //! reproduces the pre-federation engine bit for bit.
 //!
-//! The engine records per-member executor-usage profiles, per-job records
-//! and (optionally) scheduler-invocation latencies, from which the metrics
-//! crate derives the carbon footprint (ex post facto, §5.2), JCT, and ECT.
+//! The engine records per-member executor-usage profiles and per-job
+//! records, from which the metrics crate derives the carbon footprint (ex
+//! post facto, §5.2), JCT, and ECT.
 //!
 //! ## Incremental-engine architecture (federated, v2 scheduler API)
 //!
@@ -42,10 +42,11 @@
 //! preserve these invariants:
 //!
 //! * **Streaming intake.**  The workload is *pulled*, never preloaded: the
-//!   engine draws arrivals from an [`ArrivalSource`] through a one-job
-//!   lookahead window that the event loop interleaves with the queue by
-//!   time (arrivals win ties — the ordering that enqueueing the whole
-//!   workload up front used to guarantee via insertion order, so
+//!   engine draws arrivals from one [`ArrivalSource`] (a materialized run
+//!   pulls from a clone of the federation's [`MaterializedJobs`]) through a
+//!   one-job lookahead window that the event loop interleaves with the
+//!   queue by time (arrivals win ties — the ordering that enqueueing the
+//!   whole workload up front used to guarantee via insertion order, so
 //!   materialized runs are bit-identical to the pre-streaming engine).
 //!   The "arrivals come in ascending id order" invariant lives in the
 //!   source contract: ids are assigned in pull order and the engine rejects
@@ -216,9 +217,11 @@
 //!   seen intensity with [`CarbonView::stale`] set.  Recovery bookkeeping is
 //!   O(affected member), allocation-free on the no-fault path, and fully
 //!   deterministic: same schedule, same seeds, same run.
-//! * **Opt-in instrumentation.**  Wall-clock invocation sampling costs a
-//!   syscall plus a heap push per event and is disabled unless
-//!   [`ClusterConfig::with_invocation_sampling`] turns it on (per member).
+//! * **No wall clock.**  The engine keeps only simulated time and reads no
+//!   host clock, so a run is a pure function of its inputs.  Harnesses that
+//!   time a policy (the Fig. 20 latency experiment, the benchmark's
+//!   per-layer split) wrap it in a forwarding [`Scheduler`] outside the
+//!   engine.
 //!
 //! ## Example
 //!
@@ -277,8 +280,7 @@ pub use serve::ServeSession;
 pub use error::{PartialRunSummary, SimError};
 pub use faults::{
     CarbonSignalDropout, CrashVictim, FaultContext, FaultEffect, FaultInjection, FaultKind,
-    FaultPlan, FaultRecord, FaultSchedule, NoFaults, PoissonCrashes, RegionOutage, RetryPolicy,
-    ScriptedFaults,
+    FaultPlan, FaultRecord, FaultSchedule, PoissonCrashes, RegionOutage, RetryPolicy,
 };
 pub use federation::{Federation, Member};
 pub use job_state::{JobRecord, SubmittedJob};

@@ -428,9 +428,9 @@ pub struct TransferFlow {
     pub from: usize,
     /// Destination member.
     pub to: usize,
-    /// Gigabytes still to deliver.  At or below [`EPS_GB`] the flow is in
-    /// its latency tail: delivered, holding no bandwidth, waiting for its
-    /// queued arrival event.
+    /// Gigabytes still to deliver.  At or below 1e-9 GB (`EPS_GB`) the flow
+    /// is in its latency tail: delivered, holding no bandwidth, waiting for
+    /// its queued arrival event.
     pub remaining_gb: f64,
     /// Current allocated rate (GB per schedule second); 0 in the tail.
     pub rate: f64,

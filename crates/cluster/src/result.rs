@@ -6,17 +6,6 @@ use crate::profile::UsageProfile;
 use pcaps_dag::JobId;
 use serde::{Deserialize, Serialize};
 
-/// One scheduler-invocation latency sample (used to reproduce Fig. 20).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct InvocationSample {
-    /// Schedule time at which the scheduler was invoked.
-    pub time: f64,
-    /// Number of active jobs at the time of the invocation.
-    pub queue_length: usize,
-    /// Wall-clock latency of the invocation in seconds.
-    pub latency_seconds: f64,
-}
-
 /// Everything recorded during one simulation run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimulationResult {
@@ -29,8 +18,6 @@ pub struct SimulationResult {
     /// Schedule time at which the last job completed (end-to-end completion
     /// time measured from time 0).
     pub makespan: f64,
-    /// Scheduler invocation latency samples.
-    pub invocations: Vec<InvocationSample>,
     /// Total number of tasks dispatched.
     pub tasks_dispatched: usize,
     /// Number of jobs submitted in the workload.
@@ -96,18 +83,6 @@ impl SimulationResult {
             return 1.0;
         }
         useful / spent
-    }
-
-    /// Mean scheduler invocation latency in seconds (0 if never invoked).
-    pub fn mean_invocation_latency(&self) -> f64 {
-        if self.invocations.is_empty() {
-            return 0.0;
-        }
-        self.invocations
-            .iter()
-            .map(|s| s.latency_seconds)
-            .sum::<f64>()
-            / self.invocations.len() as f64
     }
 }
 
@@ -321,10 +296,6 @@ mod tests {
             jobs: vec![record(0, 0.0, 10.0), record(1, 5.0, 25.0)],
             profile: UsageProfile::new(),
             makespan: 25.0,
-            invocations: vec![
-                InvocationSample { time: 0.0, queue_length: 1, latency_seconds: 2e-6 },
-                InvocationSample { time: 5.0, queue_length: 2, latency_seconds: 4e-6 },
-            ],
             tasks_dispatched: 4,
             jobs_submitted: 2,
             jobs_rejected: 0,
@@ -342,7 +313,6 @@ mod tests {
         assert_eq!(r.ect(), 25.0);
         assert!((r.average_jct() - 15.0).abs() < 1e-12);
         assert!((r.total_executor_seconds() - 20.0).abs() < 1e-12);
-        assert!((r.mean_invocation_latency() - 3e-6).abs() < 1e-12);
     }
 
     #[test]
@@ -459,8 +429,6 @@ mod tests {
     fn empty_jobs_give_zero_jct() {
         let mut r = result();
         r.jobs.clear();
-        r.invocations.clear();
         assert_eq!(r.average_jct(), 0.0);
-        assert_eq!(r.mean_invocation_latency(), 0.0);
     }
 }

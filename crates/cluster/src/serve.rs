@@ -10,12 +10,11 @@
 //!
 //! A [`ServeSession`] is the serving counterpart of a run: it owns a live
 //! engine over a federation and an arrival source and advances it in
-//! caller-controlled slices of simulated time ([`ServeSession::run_until`],
-//! [`ServeSession::run_for`]), returning control at the horizon with all
-//! state intact.  Between slices the caller can sample metrics, drain
-//! completion records into windowed accumulators
-//! ([`ServeSession::drain_completions`]), swap admission policies, or
-//! [`snapshot`](ServeSession::snapshot) the engine.
+//! caller-controlled slices of simulated time ([`ServeSession::run_until`]),
+//! returning control at the horizon with all state intact.  Between slices
+//! the caller can sample metrics, drain completion records into windowed
+//! accumulators ([`ServeSession::drain_completions`]), swap admission
+//! policies, or [`snapshot`](ServeSession::snapshot) the engine.
 //!
 //! Three properties make the mode usable for long-running studies:
 //!
@@ -183,26 +182,6 @@ impl<'a> ServeSession<'a> {
             .step_until(Some(horizon), router, migration, schedulers, admission)
     }
 
-    /// Advances the session by `duration` schedule seconds from the current
-    /// clock: `run_until(time() + duration)`.
-    ///
-    /// # Panics
-    /// Panics if `duration` is negative or not finite (also panics via
-    /// [`ServeSession::run_until`]'s own checks).
-    pub fn run_for(
-        &mut self,
-        duration: f64,
-        router: &mut dyn Router,
-        schedulers: &mut [&mut dyn Scheduler],
-        admission: Option<&mut dyn AdmissionPolicy>,
-    ) -> Result<bool, SimError> {
-        assert!(
-            duration.is_finite() && duration >= 0.0,
-            "serving duration must be finite and non-negative, got {duration}"
-        );
-        self.run_until(self.time() + duration, router, schedulers, admission)
-    }
-
     /// The engine clock (schedule seconds).
     pub fn time(&self) -> f64 {
         self.engine.now()
@@ -244,10 +223,10 @@ impl<'a> ServeSession<'a> {
 
     /// Takes every completion record accumulated since the last drain
     /// (merged across members, ordered by completion time then job id) and
-    /// clears the per-window recorded state (usage-profile series,
-    /// invocation samples).  Draining regularly is what keeps an unbounded
-    /// session's memory bounded; records not drained before
-    /// [`ServeSession::finish`] appear in the final result instead.
+    /// clears the per-window usage-profile series.  Draining regularly is
+    /// what keeps an unbounded session's memory bounded; records not
+    /// drained before [`ServeSession::finish`] appear in the final result
+    /// instead.
     pub fn drain_completions(&mut self) -> Vec<JobRecord> {
         self.engine.drain_completions()
     }
@@ -312,21 +291,6 @@ impl Federation {
         session.run_until(horizon, router, schedulers, admission)?;
         Ok(session.finish())
     }
-
-    /// One-shot open-loop run for a fixed duration of schedule time
-    /// (equivalent to [`Federation::run_until`] from time 0).
-    pub fn run_for(
-        &self,
-        source: &mut dyn ArrivalSource,
-        duration: f64,
-        router: &mut dyn Router,
-        schedulers: &mut [&mut dyn Scheduler],
-        admission: Option<&mut dyn AdmissionPolicy>,
-    ) -> Result<FederationResult, SimError> {
-        let mut session = self.serve(source)?;
-        session.run_for(duration, router, schedulers, admission)?;
-        Ok(session.finish())
-    }
 }
 
 impl Simulator {
@@ -355,17 +319,6 @@ impl Simulator {
             self.federation()
                 .run_until(source, horizon, &mut router, &mut schedulers, admission)?;
         Ok(result.into_single())
-    }
-
-    /// One-shot single-cluster open-loop run for a fixed duration.
-    pub fn run_for(
-        &self,
-        source: &mut dyn ArrivalSource,
-        duration: f64,
-        scheduler: &mut dyn Scheduler,
-        admission: Option<&mut dyn AdmissionPolicy>,
-    ) -> Result<SimulationResult, SimError> {
-        self.run_until(source, duration, scheduler, admission)
     }
 }
 

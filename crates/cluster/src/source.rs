@@ -1,11 +1,9 @@
 //! Pull-based workload intake for the engine.
 //!
-//! The engine historically borrowed a fully materialized
-//! `&[SubmittedJob]` and enqueued every arrival up front — memory and
-//! startup cost proportional to the whole workload.  An [`ArrivalSource`]
-//! is the streaming replacement: the engine pulls jobs through a one-job
-//! arrival window, so a 100k-job trace-scale run holds only the window plus
-//! the currently active jobs.
+//! An [`ArrivalSource`] is the engine's only intake: the engine pulls jobs
+//! through a one-job arrival window instead of enqueueing every arrival up
+//! front, so a 100k-job trace-scale run holds only the window plus the
+//! currently active jobs.
 //!
 //! ## The source contract
 //!
@@ -25,14 +23,15 @@
 //! Any `Iterator<Item = SubmittedJob>` is a source (the iterator author
 //! vouches for the ordering); [`MaterializedJobs`] wraps an existing
 //! workload vector, sorting and pre-validating it so the engine can skip
-//! the per-pull DAG validation — this is the adapter [`Federation::run`]
-//! itself uses internally, which is why materialized runs are bit-identical
-//! to the pre-streaming engine.
+//! the per-pull DAG validation.  It is also how a [`Federation`] stores its
+//! workload: [`Federation::run`] pulls from a clone of it, so every run
+//! enters the engine through this one trait.
 //!
 //! The workload-generation side of this interface lives in
 //! `pcaps_workloads::source` (`JobSource`, yielding generator-level
 //! `ArrivingJob`s); `pcaps_experiments::streaming` bridges the two.
 //!
+//! [`Federation`]: crate::federation::Federation
 //! [`Federation::run`]: crate::federation::Federation::run
 //! [`SimError::OutOfOrderArrival`]: crate::error::SimError::OutOfOrderArrival
 
@@ -102,12 +101,26 @@ impl MaterializedJobs {
                 });
             }
         }
-        Ok(MaterializedJobs { jobs: jobs.into_iter() })
+        Ok(MaterializedJobs::presorted(jobs))
+    }
+
+    /// Wraps a workload the caller has already sorted by arrival and
+    /// validated ([`Federation::new`] does both, and records the first
+    /// failure itself).
+    ///
+    /// [`Federation::new`]: crate::federation::Federation::new
+    pub(crate) fn presorted(jobs: Vec<SubmittedJob>) -> Self {
+        MaterializedJobs { jobs: jobs.into_iter() }
     }
 
     /// Number of jobs left in the source.
     pub fn remaining(&self) -> usize {
         self.jobs.len()
+    }
+
+    /// The jobs left in the source, in pull order.
+    pub(crate) fn as_slice(&self) -> &[SubmittedJob] {
+        self.jobs.as_slice()
     }
 }
 

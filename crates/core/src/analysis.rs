@@ -246,7 +246,6 @@ mod tests {
             jobs: Vec::new(),
             profile,
             makespan,
-            invocations: Vec::new(),
             tasks_dispatched: 0,
             jobs_submitted: 0,
             jobs_rejected: 0,

@@ -9,8 +9,8 @@ use serde::{Deserialize, Serialize};
 ///
 /// All tasks in a stage are independent of each other and may run in
 /// parallel on distinct executors; the stage completes when every task has
-/// completed.  Precedence constraints are recorded on the [`JobDag`]
-/// (see [`crate::job::JobDag`]), not on the stage itself.
+/// completed.  Precedence constraints are recorded on the
+/// [`JobDag`](crate::job::JobDag), not on the stage itself.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Stage {
     /// Identifier of this stage within its job.

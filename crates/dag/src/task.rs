@@ -3,7 +3,7 @@
 //! In Spark terms a task processes one partition of a stage's input data on a
 //! single executor core.  For scheduling purposes the only properties that
 //! matter are its *duration* (how long one executor is busy running it) and,
-//! for fidelity with the simulator of Mao et al. [48], an optional *data
+//! for fidelity with the simulator of Mao et al. \[48\], an optional *data
 //! shuffle size* that contributes to the executor-movement delay when an
 //! executor switches jobs.
 

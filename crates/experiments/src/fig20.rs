@@ -5,15 +5,85 @@
 //! the microsecond range regardless of queue length; the Decima-like policy
 //! and PCAPS recompute per-stage scores, so their latency grows with the
 //! number of outstanding jobs, with PCAPS adding a small constant overhead
-//! over Decima.  The Criterion benchmark `scheduler_latency` measures the
-//! same quantity with statistical rigour; this module produces the summary
-//! table from inside the simulator (latencies recorded at every invocation
-//! of a real run).
+//! over Decima.
+//!
+//! The engine reads no wall clock, so this module times each policy from
+//! outside: the policy runs wrapped in a [`LatencyProbe`], a forwarding
+//! [`Scheduler`] that records the queue length every call saw and the host
+//! time the call took.  The probe decides nothing, so the Jobs and Max
+//! queue columns are deterministic and only the latency column is host
+//! time.  The Criterion benchmark `scheduler_latency` times whole trials of
+//! the same configurations.
 
 use crate::format::TextTable;
-use crate::runner::{run_trial, BaseScheduler, ExperimentConfig, SchedulerSpec};
+use crate::runner::{BaseScheduler, ExperimentConfig, SchedulerSpec};
 use pcaps_carbon::GridRegion;
-use pcaps_metrics::mean;
+use pcaps_cluster::{DecisionSink, SchedEvent, Scheduler, SchedulingContext, SimulationResult};
+use std::time::Instant;
+
+/// A forwarding [`Scheduler`] that times every call into the policy it
+/// wraps.  It forwards each call unchanged, so a run through the probe
+/// makes exactly the bare policy's decisions.
+pub struct LatencyProbe {
+    inner: Box<dyn Scheduler>,
+    /// `(queue length, latency in seconds)` of every call, in call order:
+    /// the active jobs the call saw and the host time it took.
+    pub samples: Vec<(usize, f64)>,
+}
+
+impl LatencyProbe {
+    /// Wraps `inner`.
+    pub fn new(inner: Box<dyn Scheduler>) -> Self {
+        LatencyProbe { inner, samples: Vec::new() }
+    }
+
+    /// Mean call latency in seconds (0 before the first call).
+    pub fn mean_latency(&self) -> f64 {
+        if self.samples.is_empty() {
+            return 0.0;
+        }
+        self.samples.iter().map(|&(_, s)| s).sum::<f64>() / self.samples.len() as f64
+    }
+
+    /// The longest queue any call saw (0 before the first call).
+    pub fn max_queue(&self) -> usize {
+        self.samples.iter().map(|&(q, _)| q).max().unwrap_or(0)
+    }
+}
+
+impl Scheduler for LatencyProbe {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn on_event(
+        &mut self,
+        event: SchedEvent<'_>,
+        ctx: &SchedulingContext<'_>,
+        out: &mut DecisionSink,
+    ) {
+        let queue_length = ctx.queue_length();
+        let started = Instant::now();
+        self.inner.on_event(event, ctx, out);
+        self.samples.push((queue_length, started.elapsed().as_secs_f64()));
+    }
+}
+
+/// Runs one trial of `spec` under `config` with the policy wrapped in a
+/// [`LatencyProbe`].  The simulator and the scheduler seed are
+/// [`run_trial`](crate::runner::run_trial)'s, so the result is that
+/// trial's result.
+pub fn probed_trial(
+    config: &ExperimentConfig,
+    spec: SchedulerSpec,
+) -> (SimulationResult, LatencyProbe) {
+    let sim = config.simulator_instance();
+    let mut probe = LatencyProbe::new(spec.build(config.seed ^ 0x5EED, sim.carbon(), 60.0));
+    let result = sim
+        .run(&mut probe)
+        .expect("experiment simulations are constructed to always complete");
+    (result, probe)
+}
 
 /// Mean invocation latency (microseconds) for one scheduler at one queue
 /// length.
@@ -44,29 +114,13 @@ pub fn run(job_counts: &[usize], executors: usize, seed: u64) -> Vec<LatencyPoin
         cfg.executors = executors;
         // Submit everything at once so the queue actually holds `jobs` jobs.
         cfg.mean_interarrival = 0.001;
-        // Latency is the quantity under measurement here; sampling is off by
-        // default everywhere else.
-        cfg.record_invocations = true;
         for (label, spec) in specs {
-            let trial = run_trial(&cfg, spec);
-            let latencies: Vec<f64> = trial
-                .result
-                .invocations
-                .iter()
-                .map(|s| s.latency_seconds * 1e6)
-                .collect();
-            let max_queue = trial
-                .result
-                .invocations
-                .iter()
-                .map(|s| s.queue_length)
-                .max()
-                .unwrap_or(0);
+            let (_, probe) = probed_trial(&cfg, spec);
             out.push(LatencyPoint {
                 scheduler: label.to_string(),
                 jobs,
-                mean_latency_us: mean(&latencies),
-                max_queue,
+                mean_latency_us: probe.mean_latency() * 1e6,
+                max_queue: probe.max_queue(),
             });
         }
     }
@@ -90,6 +144,7 @@ pub fn render(points: &[LatencyPoint]) -> TextTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_trial;
 
     #[test]
     fn latency_is_small_and_grows_with_queue_for_ml_schedulers() {
@@ -114,5 +169,23 @@ mod tests {
             .unwrap();
         assert!(decima_large.max_queue >= decima_small.max_queue);
         assert!(!render(&points).is_empty());
+    }
+
+    /// The probe records every call and changes no decision: a probed trial
+    /// schedules exactly like the bare one.
+    #[test]
+    fn probed_trials_schedule_like_bare_trials() {
+        let mut cfg = ExperimentConfig::simulator(GridRegion::Germany, 6, 5);
+        cfg.executors = 8;
+        let fifo = SchedulerSpec::Baseline(BaseScheduler::Fifo);
+        for spec in [fifo, SchedulerSpec::pcaps_moderate()] {
+            let bare = run_trial(&cfg, spec).result;
+            let (probed, probe) = probed_trial(&cfg, spec);
+            assert_eq!(probed.jobs, bare.jobs, "{}", spec.label());
+            assert_eq!(probed.makespan.to_bits(), bare.makespan.to_bits(), "{}", spec.label());
+            assert_eq!(probed.tasks_dispatched, bare.tasks_dispatched, "{}", spec.label());
+            assert!(!probe.samples.is_empty(), "{} was never called", spec.label());
+            assert!(probe.samples.iter().all(|&(queue, latency)| queue >= 1 && latency >= 0.0));
+        }
     }
 }

@@ -36,11 +36,6 @@ pub struct ExperimentConfig {
     /// Offset (hours) into the trace at which the trial starts — the paper
     /// starts each trial at a uniformly random time in the trace.
     pub trace_offset_hours: usize,
-    /// Whether the simulator records per-invocation scheduler latency
-    /// samples (`ClusterConfig::sample_invocation_latency`).  Off by default
-    /// so throughput-focused experiments pay no sampling overhead; the
-    /// latency experiment (Fig. 20) switches it on.
-    pub record_invocations: bool,
 }
 
 impl ExperimentConfig {
@@ -57,7 +52,6 @@ impl ExperimentConfig {
             seed,
             trace_days: 28,
             trace_offset_hours: 0,
-            record_invocations: false,
         }
     }
 
@@ -79,12 +73,6 @@ impl ExperimentConfig {
     /// Sets the mean inter-arrival time.
     pub fn with_interarrival(mut self, seconds: f64) -> Self {
         self.mean_interarrival = seconds;
-        self
-    }
-
-    /// Enables per-invocation scheduler latency sampling for the trial.
-    pub fn with_invocation_sampling(mut self, enabled: bool) -> Self {
-        self.record_invocations = enabled;
         self
     }
 
@@ -110,7 +98,6 @@ impl ExperimentConfig {
         ClusterConfig::new(self.executors)
             .with_per_job_cap(self.per_job_cap)
             .with_time_scale(60.0)
-            .with_invocation_sampling(self.record_invocations)
     }
 
     /// Builds the simulator (workload + cluster + trace) for this config.
@@ -268,7 +255,7 @@ impl SchedulerSpec {
 pub struct TrialOutput {
     /// Which scheduler produced this trial.
     pub spec: SchedulerSpec,
-    /// The raw simulation result (profiles, per-job records, latencies).
+    /// The raw simulation result (profiles, per-job records).
     pub result: SimulationResult,
     /// Absolute metrics of the run.
     pub summary: ExperimentSummary,

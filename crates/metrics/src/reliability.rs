@@ -101,7 +101,6 @@ mod tests {
             }],
             profile: UsageProfile::new(),
             makespan: 130.0,
-            invocations: vec![],
             tasks_dispatched: 2,
             jobs_submitted: 1,
             jobs_rejected: 0,

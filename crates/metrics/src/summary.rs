@@ -18,13 +18,6 @@ pub struct ExperimentSummary {
     pub avg_jct: f64,
     /// Number of jobs completed.
     pub jobs: usize,
-    /// Mean scheduler invocation latency (seconds of wall-clock time).
-    ///
-    /// Latency sampling is opt-in
-    /// (`pcaps_cluster::ClusterConfig::with_invocation_sampling`); runs
-    /// without it — the default, so throughput runs pay no sampling cost —
-    /// report `0.0` here.  The Fig. 20 latency experiment enables it.
-    pub mean_invocation_latency: f64,
 }
 
 impl ExperimentSummary {
@@ -36,7 +29,6 @@ impl ExperimentSummary {
             ect: result.ect(),
             avg_jct: result.average_jct(),
             jobs: result.jobs.len(),
-            mean_invocation_latency: result.mean_invocation_latency(),
         }
     }
 
@@ -110,7 +102,6 @@ mod tests {
             ect,
             avg_jct: jct,
             jobs: 10,
-            mean_invocation_latency: 1e-6,
         }
     }
 

@@ -1,6 +1,6 @@
 //! A Decima-like probabilistic scheduler.
 //!
-//! The paper's ML baseline is Decima [48], a GNN + reinforcement-learning
+//! The paper's ML baseline is Decima \[48\], a GNN + reinforcement-learning
 //! scheduler trained for 20 000 epochs.  Training a GNN is outside the scope
 //! of this reproduction, but PCAPS does not need the GNN — it needs the
 //! *interface* Decima exposes (a probability distribution over runnable

@@ -1,6 +1,6 @@
 //! GreenHadoop adaptation (Appendix A.1.1 of the paper).
 //!
-//! GreenHadoop [24] targets data centres with on-site renewables: it predicts
+//! GreenHadoop \[24\] targets data centres with on-site renewables: it predicts
 //! the availability of "green" (renewable) energy and schedules MapReduce
 //! work to match it, subject to deadlines.  The paper adapts it to DAG
 //! scheduling as follows (Appendix A.1.1):
@@ -24,7 +24,7 @@
 //! qualitative behaviour (follow the renewables) without requiring a
 //! generation-mix breakdown.
 
-use pcaps_carbon::{CarbonSignal, CarbonTrace};
+use pcaps_carbon::CarbonTrace;
 use pcaps_cluster::{DecisionSink, SchedEvent, Scheduler, SchedulingContext};
 
 /// The GreenHadoop-style carbon-aware FIFO scheduler.

@@ -131,7 +131,7 @@ impl DiurnalArrivals {
         self.mean_interarrival
     }
 
-    /// Instantaneous arrival rate at time `t` (arrivals per second).
+    /// The instantaneous arrival rate at time `t` (arrivals per second).
     pub fn rate_at(&self, t: f64) -> f64 {
         let base = 1.0 / self.mean_interarrival;
         let phase = 2.0 * std::f64::consts::PI * (t - self.peak_offset) / self.period;

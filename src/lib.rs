@@ -5,8 +5,8 @@
 //! can depend on a single package.
 //!
 //! * [`dag`] — job DAG model (stages, tasks, precedence, critical path),
-//! * [`carbon`] — carbon intensity traces, grid models, forecasting,
-//!   accounting,
+//! * [`carbon`] — carbon intensity traces and their lookahead bounds,
+//!   grid models, accounting,
 //! * [`workloads`] — TPC-H and Alibaba-style workload generators,
 //! * [`cluster`] — the discrete-event Spark-like cluster simulator, and the
 //!   federation core that drives N member clusters (one grid each) under a
@@ -61,16 +61,16 @@ pub use pcaps_workloads as workloads;
 /// Commonly used types, re-exported for convenience.
 pub mod prelude {
     pub use pcaps_carbon::synth::SyntheticTraceGenerator;
-    pub use pcaps_carbon::{CarbonAccountant, CarbonSignal, CarbonTrace, GridRegion, TraceSet};
+    pub use pcaps_carbon::{CarbonAccountant, CarbonTrace, GridRegion, TraceSet};
     pub use pcaps_cluster::{
         AdmissionDecision, AdmissionPolicy, ArrivalSource, Assignment, BoundedQueue,
         CarbonSignalDropout, ClusterConfig, CrashVictim, DecisionSink, EngineSnapshot,
         FaultEffect, FaultInjection, FaultKind, FaultPlan, FaultRecord, FaultSchedule, Federation,
         FederationResult, MaterializedJobs, Member, MemberResult, MemberView, Migration,
         MigrationCandidate, MigrationContext, MigrationPolicy, MigrationRecord, MigrationSink,
-        NeverMigrate, NoFaults, PartialRunSummary, PoissonCrashes, ProfileMode, RegionOutage,
+        NeverMigrate, PartialRunSummary, PoissonCrashes, ProfileMode, RegionOutage,
         RetryPolicy, Router, RoutingContext, SchedEvent, Scheduler, SchedulingContext,
-        FlowSet, NetworkLink, NetworkTopology, ScriptedFaults, ServeSession, SimulationResult,
+        FlowSet, NetworkLink, NetworkTopology, ServeSession, SimulationResult,
         Simulator, StaticRouter, SubmittedJob, TransferFlow, TransferMatrix, WakeupToken,
     };
     pub use pcaps_core::{Cap, CapConfig, Pcaps, PcapsConfig};

@@ -4,6 +4,7 @@
 
 use carbon_aware_dag_sched::prelude::*;
 use pcaps_core::analysis;
+use pcaps_experiments::fig20::LatencyProbe;
 use pcaps_metrics::footprint::{job_footprints, total_footprint};
 
 fn tpch_workload(seed: u64, jobs: usize) -> Vec<SubmittedJob> {
@@ -158,11 +159,15 @@ fn alibaba_workload_runs_through_the_whole_stack() {
     );
     let accountant = CarbonAccountant::new(trace).with_time_scale(60.0);
 
-    let mut pcaps = Pcaps::new(DecimaLike::new(1), PcapsConfig::moderate());
+    let mut pcaps = LatencyProbe::new(Box::new(Pcaps::new(
+        DecimaLike::new(1),
+        PcapsConfig::moderate(),
+    )));
     let result = sim.run(&mut pcaps).unwrap();
     assert!(result.all_jobs_complete());
     let summary = ExperimentSummary::of(&result, &accountant);
     assert!(summary.carbon_grams > 0.0);
     assert!(summary.avg_jct > 0.0);
-    assert!(summary.mean_invocation_latency < 0.05, "sub-50ms scheduling decisions");
+    assert!(!pcaps.samples.is_empty(), "the probe times every scheduler call");
+    assert!(pcaps.mean_latency() < 0.05, "sub-50ms scheduling decisions");
 }
