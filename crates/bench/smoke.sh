@@ -46,6 +46,11 @@ cargo clippy --all-targets -- -D warnings
 # here, where neither the compiler nor clippy looks.
 RUSTDOCFLAGS="${RUSTDOCFLAGS:-} -D warnings" cargo doc --no-deps
 cargo test -q
+# Every example runs to completion: the build above compiles them, but
+# only running one shows it still works end to end.
+for example in examples/*.rs; do
+    cargo run --release -q --example "$(basename "$example" .rs)"
+done
 
 # Conformance suites that must run in full: a filter, an ignore attribute
 # or a compile-time gate that silently skipped one would let its guarantees
@@ -77,7 +82,8 @@ require_full_suite() {
 # transfer model (flow completions vs the from-scratch max-min oracle,
 # fed3_migrate_pcaps replaying its recorded fingerprints and migration-log
 # hash whether the matrix is attached by with_transfer_matrix or by
-# with_network(from_matrix), drain-then-move replay determinism); tests/scheduler_state.rs pins the
+# with_network(from_matrix), drain-then-move replay determinism, and a
+# superseded flow arrival never outliving the run); tests/scheduler_state.rs pins the
 # incremental probabilistic-scheduler state (DecimaLike's version-stamped
 # table of factorised softmax terms, recomputed in full only when the
 # max-remaining normaliser changes, and its cached jobs-with-work count)

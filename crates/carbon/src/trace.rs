@@ -213,43 +213,6 @@ impl CarbonTrace {
         CarbonTrace::new(self.label.clone(), 0.0, self.step, values)
     }
 
-    /// Earliest time `>= from` at which the trace's intensity is at or
-    /// below `threshold`: `from` itself if the value in effect at `from`
-    /// already qualifies, otherwise the start of the first qualifying step
-    /// (step boundaries are where a piecewise-constant trace can change).
-    /// Returns `None` if no value of the (periodic) trace qualifies.
-    ///
-    /// Answered in O(log len) via a binary search over the same range-min
-    /// index that serves [`CarbonTrace::bounds`], so schedulers may resolve
-    /// threshold crossings on the hot path without a linear trace walk.
-    pub fn next_time_at_or_below(&self, from: f64, threshold: f64) -> Option<f64> {
-        let first = self.index_at(from);
-        if self.values[first] <= threshold {
-            return Some(from);
-        }
-        let n = self.values.len();
-        let index = self
-            .bounds_index
-            .get_or_init(|| RangeIndex::build(&self.values));
-        if index.query(first, n).0 > threshold {
-            return None;
-        }
-        // Smallest window length whose minimum qualifies; its last step is
-        // the first qualifying one.  `lo >= 2` because window length 1 (the
-        // current step) was ruled out above.
-        let (mut lo, mut hi) = (2usize, n);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if index.query(first, mid).0 <= threshold {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        // The qualifying step starts `lo - 1` steps after the current one.
-        Some(self.next_change(from) + (lo - 2) as f64 * self.step)
-    }
-
     /// Integrates the intensity over `[t0, t1]`, returning
     /// gCO₂eq/kWh · seconds.  Used by the accounting module.
     pub fn integrate(&self, t0: f64, t1: f64) -> f64 {
@@ -320,52 +283,6 @@ mod tests {
         // Looking ahead the full trace sees everything.
         let (l, u) = t.bounds(0.0, 24.0 * 3600.0);
         assert_eq!((l, u), (50.0, 300.0));
-    }
-
-    #[test]
-    fn next_time_at_or_below_finds_first_crossing() {
-        let t = trace(); // [100, 200, 300, 50] hourly
-        // Already at or below: returns the query time itself.
-        assert_eq!(t.next_time_at_or_below(0.0, 100.0), Some(0.0));
-        assert_eq!(t.next_time_at_or_below(1800.0, 150.0), Some(1800.0));
-        // From hour 1 (200), the first value <= 150 is hour 3 (50).
-        assert_eq!(t.next_time_at_or_below(3600.0, 150.0), Some(3.0 * 3600.0));
-        // From mid-hour 1, same target step.
-        assert_eq!(t.next_time_at_or_below(5400.0, 150.0), Some(3.0 * 3600.0));
-        // From hour 2 (300), hour 3's 50 is the first value at or below 100.
-        assert_eq!(t.next_time_at_or_below(2.0 * 3600.0, 100.0), Some(3.0 * 3600.0));
-        // From the wrapped hour 0 (t = 4 h, value 100), a threshold of 60 is
-        // first met at the wrapped hour 3 — absolute time 7 h.
-        assert_eq!(t.next_time_at_or_below(4.0 * 3600.0, 60.0), Some(7.0 * 3600.0));
-        // Threshold below the trace minimum: never.
-        assert_eq!(t.next_time_at_or_below(0.0, 10.0), None);
-    }
-
-    #[test]
-    fn next_time_at_or_below_matches_linear_scan() {
-        let values = vec![400.0, 380.0, 250.0, 310.0, 90.0, 120.0, 500.0];
-        let t = CarbonTrace::hourly("scan", values.clone());
-        for from_step in 0..14 {
-            let from = from_step as f64 * 1800.0; // half-step offsets too
-            for threshold in [50.0, 95.0, 130.0, 260.0, 390.0, 600.0] {
-                // Naive: walk step starts from `from` until a value
-                // qualifies or a full period was scanned.
-                let mut expected = None;
-                let mut cursor = from;
-                for _ in 0..=values.len() {
-                    if t.intensity(cursor) <= threshold {
-                        expected = Some(cursor);
-                        break;
-                    }
-                    cursor = t.next_change(cursor);
-                }
-                assert_eq!(
-                    t.next_time_at_or_below(from, threshold),
-                    expected,
-                    "from {from}, threshold {threshold}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -39,8 +39,6 @@
 //!   [`SchedulingContext`] when none has — the common case after a task
 //!   finish whose stage-mates are still running,
 //! * carbon bounds come from each member trace's O(1) range-min/max index,
-//!   and `defer_below` threshold crossings resolve in O(log trace) against
-//!   the requesting member's own index,
 //! * routing decisions see per-member queue depth and outstanding work that
 //!   are maintained incrementally (O(1) per arrival/dispatch), and the
 //!   [`MemberView`] buffer handed to the router is reused across arrivals,
@@ -86,8 +84,7 @@ use crate::routing::{
     RoutingContext, StaticRouter,
 };
 use crate::scheduler_api::{
-    Assignment, CarbonView, DecisionSink, DeferRequest, SchedEvent, Scheduler, SchedulingContext,
-    WakeupToken,
+    Assignment, CarbonView, DecisionSink, SchedEvent, Scheduler, SchedulingContext,
 };
 use pcaps_carbon::{CarbonAccountant, CarbonTrace};
 use pcaps_dag::{JobId, StageId};
@@ -291,7 +288,7 @@ struct MemberState {
     /// of its next [`SchedEvent::CarbonChanged`]).
     current_intensity: f64,
     /// The member's run-scoped decision sink (cleared, never reallocated,
-    /// per invocation; its token counter is member-scoped run state).
+    /// per invocation).
     sink: DecisionSink,
 
     // --- Fault-layer state (all inert on fault-free runs) ---
@@ -355,9 +352,8 @@ impl MemberState {
     fn carbon_view(&self, spec: &Member, time: f64) -> CarbonView {
         // During a signal dropout the member's view is frozen at the
         // last-known intensity with the staleness flag set; schedulers and
-        // routers decide on stale data while the engine's accounting (and
-        // `defer_below` resolution, which models grid-side infrastructure)
-        // keeps using the real trace.
+        // routers decide on stale data while the engine's accounting keeps
+        // using the real trace.
         if let Some(frozen) = self.frozen_intensity {
             return CarbonView::stale_at(frozen);
         }
@@ -675,16 +671,14 @@ enum EventSeed {
     TasksCompleted { job: JobId, stage: StageId, n: usize },
     TasksFailed { job: JobId, stage: StageId, n: usize },
     CarbonChanged { prev: f64, now: f64 },
-    Wakeup(WakeupToken),
     Kick,
 }
 
-/// One member's scheduling pass: consults the policy, resolves control
-/// verbs, applies assignments, and repeats with a `Kick` while dispatches
-/// land.  A free function rather than an engine method because the
-/// context borrows the member's active table while dispatches push onto
-/// the shared queue and read the global job table: the arguments are that
-/// borrow split.
+/// One member's scheduling pass: consults the policy, applies its
+/// assignments, and repeats with a `Kick` while dispatches land.  A free
+/// function rather than an engine method because the context borrows the
+/// member's active table while dispatches push onto the shared queue and
+/// read the global job table: the arguments are that borrow split.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn member_schedule_pass(
@@ -730,12 +724,10 @@ fn member_schedule_pass(
                 SchedEvent::TasksFailed { job, stage, n }
             }
             EventSeed::CarbonChanged { prev, now } => SchedEvent::CarbonChanged { prev, now },
-            EventSeed::Wakeup(token) => SchedEvent::Wakeup { token },
             EventSeed::Kick => SchedEvent::Kick,
         };
         sink.clear();
         scheduler.on_event(event, &ctx, sink);
-        apply_deferrals_for(spec, target, time, events, sink.deferrals());
         if sink.assignments().is_empty() {
             return Ok(());
         }
@@ -745,51 +737,6 @@ fn member_schedule_pass(
             return Ok(());
         }
         seed = EventSeed::Kick;
-    }
-}
-
-/// Resolves one member's control verbs into real events on the given
-/// queue: `defer_until` becomes a timer wakeup at the requested instant
-/// (which may pierce the carbon-step granularity), `defer_below` becomes
-/// a wakeup at the first future step of *that member's* carbon trace at
-/// or below the threshold (resolved in O(log trace) against the trace's
-/// range-min index).
-#[inline]
-fn apply_deferrals_for(
-    spec: &Member,
-    target: usize,
-    time: f64,
-    events: &mut EventQueue,
-    deferrals: &[DeferRequest],
-) {
-    for request in deferrals {
-        match *request {
-            DeferRequest::Until { time: at, token } => {
-                // Requests at or before the current instant are dropped:
-                // the policy is being invoked right now.
-                if at > time {
-                    events.push(at, Event::Wakeup { member: target, token });
-                }
-            }
-            DeferRequest::Below { intensity, token } => {
-                // Search strictly future steps — if the current step
-                // already qualified the policy would not be deferring.
-                let from = spec.carbon.next_change(spec.carbon_time(time));
-                if let Some(ct) = spec.carbon.next_time_at_or_below(from, intensity) {
-                    let at = ct / spec.config.time_scale;
-                    // Same future-time guard as the Until arm: when the
-                    // carbon→schedule conversion is inexact in f64, a
-                    // wakeup popped just below a step boundary can
-                    // resolve its re-request back to the current
-                    // instant; re-pushing it would freeze the clock.
-                    // Dropping it is safe — the next regular carbon-step
-                    // event re-invokes the policy anyway.
-                    if at > time {
-                        events.push(at, Event::Wakeup { member: target, token });
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -975,12 +922,11 @@ impl<'a> Engine<'a> {
     }
 
     /// Refills the arrival window: pulls the next job from the source,
-    /// enforces the ascending-arrival contract, validates the DAG if the
-    /// source is not prevalidated, checks the data size (O(1), so even
-    /// prevalidated sources get it), assigns the job its id and grows the
-    /// per-job tables.  A no-op once the source is drained.
-    // `!(a >= b)` rather than `a < b`: a NaN arrival must also fail.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    /// checks that its arrival time is finite and non-negative, enforces
+    /// the ascending-arrival contract, validates the DAG if the source is
+    /// not prevalidated, checks the data size (O(1), so even prevalidated
+    /// sources get it), assigns the job its id and grows the per-job
+    /// tables.  A no-op once the source is drained.
     fn refill_window(&mut self) -> Result<(), SimError> {
         let st = &mut self.state;
         debug_assert!(st.pending.is_none(), "the window holds at most one arrival");
@@ -996,7 +942,8 @@ impl<'a> Engine<'a> {
         let Some(job) = self.source.next_job() else {
             return Ok(());
         };
-        if !(job.arrival >= st.last_arrival) {
+        job.check_arrival()?;
+        if job.arrival < st.last_arrival {
             return Err(SimError::OutOfOrderArrival {
                 job: job.dag.name.clone(),
                 arrival: job.arrival,
@@ -1164,10 +1111,11 @@ impl<'a> Engine<'a> {
         loop {
             let st = &mut self.state;
             // Settlement is the sole drain condition: a non-empty arrival
-            // window or pending task finishes imply unsettled jobs, and
-            // stray wakeups for times past the last completion must not
-            // keep the clock running.  (The window is refilled eagerly, so
-            // `pending == None` means the source is drained.)
+            // window or pending task finishes imply unsettled jobs, and a
+            // superseded flow arrival still queued past the last
+            // completion must not keep the clock running.  (The window is
+            // refilled eagerly, so `pending == None` means the source is
+            // drained.)
             if st.pending.is_none() && st.completed_jobs + st.jobs_rejected == st.jobs.seen() {
                 if let Some(stop) = stop_at {
                     st.time = st.time.max(stop);
@@ -1556,9 +1504,6 @@ impl<'a> Engine<'a> {
                     self.depart_if_drained(target, job)?;
                 }
                 Ok(Some((target, EventSeed::Kick)))
-            }
-            Event::Wakeup { member: target, token } => {
-                Ok(Some((target, EventSeed::Wakeup(token))))
             }
             Event::MigrationArrival { member: target, job } => {
                 self.register_migration_arrival(target, job);
@@ -2116,8 +2061,8 @@ impl<'a> Engine<'a> {
     /// Delivers the advisory [`SchedEvent::MemberAvailability`] event to one
     /// member's scheduler.  Anything the scheduler emits in response is
     /// discarded: a member going down cannot dispatch, and a member coming
-    /// back up is immediately re-consulted through the regular
-    /// (verb-honouring) scheduling pass that follows.
+    /// back up is immediately re-consulted through the regular scheduling
+    /// pass that follows.
     fn deliver_availability(
         &mut self,
         target: usize,
@@ -2680,222 +2625,6 @@ mod tests {
         }
     }
 
-    /// A policy that defers everything until a fixed time using the
-    /// `defer_until` verb, then dispatches FIFO on (and after) the wakeup.
-    struct SleepUntil {
-        at: f64,
-        requested: Option<crate::scheduler_api::WakeupToken>,
-        wakeups: Vec<f64>,
-    }
-    impl SleepUntil {
-        fn new(at: f64) -> Self {
-            SleepUntil { at, requested: None, wakeups: Vec::new() }
-        }
-    }
-    impl Scheduler for SleepUntil {
-        fn name(&self) -> &str {
-            "sleep-until"
-        }
-        fn on_event(
-            &mut self,
-            event: SchedEvent<'_>,
-            ctx: &SchedulingContext<'_>,
-            out: &mut DecisionSink,
-        ) {
-            if let SchedEvent::Wakeup { token } = event {
-                assert_eq!(Some(token), self.requested, "token must round-trip");
-                self.wakeups.push(ctx.time);
-            }
-            if self.requested.is_none() {
-                self.requested = Some(out.defer_until(self.at));
-                return;
-            }
-            if ctx.time < self.at {
-                return;
-            }
-            let mut fifo = crate::schedulers::SimpleFifo::new();
-            fifo.on_event(SchedEvent::Kick, ctx, out);
-        }
-    }
-
-    #[test]
-    fn defer_until_wakes_at_the_exact_requested_time() {
-        // 1234.56 s sits strictly inside the first carbon step (3600 s), so
-        // delivery at exactly that time proves timer wakeups pierce the
-        // carbon-step granularity.
-        let wake_at = 1234.56;
-        let job = chain_job("j", 1, 2, 5.0);
-        let config = ClusterConfig::new(2).with_move_delay(0.0).with_time_scale(1.0);
-        let sim = Simulator::new(config, vec![SubmittedJob::at(0.0, job)], flat_trace());
-        let mut policy = SleepUntil::new(wake_at);
-        let result = sim.run(&mut policy).unwrap();
-        assert_eq!(policy.wakeups, vec![wake_at], "exactly one wakeup, bit-exact time");
-        assert!(result.all_jobs_complete());
-        assert!((result.makespan - (wake_at + 5.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn past_wakeup_requests_are_dropped() {
-        // Asking to wake at t <= now must not enqueue anything (it would
-        // re-fire at the current instant forever).
-        struct PastSleeper {
-            fifo: crate::schedulers::SimpleFifo,
-            saw_wakeup: bool,
-        }
-        impl Scheduler for PastSleeper {
-            fn name(&self) -> &str {
-                "past-sleeper"
-            }
-            fn on_event(
-                &mut self,
-                event: SchedEvent<'_>,
-                ctx: &SchedulingContext<'_>,
-                out: &mut DecisionSink,
-            ) {
-                if matches!(event, SchedEvent::Wakeup { .. }) {
-                    self.saw_wakeup = true;
-                }
-                out.defer_until(ctx.time); // dropped by the engine
-                out.defer_until(ctx.time - 10.0); // dropped by the engine
-                self.fifo.on_event(event, ctx, out);
-            }
-        }
-        let job = chain_job("j", 2, 2, 5.0);
-        let config = ClusterConfig::new(2).with_move_delay(0.0).with_time_scale(1.0);
-        let sim = Simulator::new(config, vec![SubmittedJob::at(0.0, job)], flat_trace());
-        let mut policy = PastSleeper { fifo: crate::schedulers::SimpleFifo::new(), saw_wakeup: false };
-        let result = sim.run(&mut policy).unwrap();
-        assert!(result.all_jobs_complete());
-        assert!(!policy.saw_wakeup, "past requests must never fire");
-    }
-
-    #[test]
-    fn stray_wakeups_after_completion_do_not_stall_or_error() {
-        // The policy requests a wakeup far past the end of the workload; the
-        // run must end at job completion, ignore the stray event, and not
-        // trip the time limit.
-        struct EagerThenSleepy {
-            fifo: crate::schedulers::SimpleFifo,
-        }
-        impl Scheduler for EagerThenSleepy {
-            fn name(&self) -> &str {
-                "eager-then-sleepy"
-            }
-            fn on_event(
-                &mut self,
-                event: SchedEvent<'_>,
-                ctx: &SchedulingContext<'_>,
-                out: &mut DecisionSink,
-            ) {
-                out.defer_until(1.0e9);
-                self.fifo.on_event(event, ctx, out);
-            }
-        }
-        let job = chain_job("j", 1, 2, 5.0);
-        let config = ClusterConfig::new(2)
-            .with_move_delay(0.0)
-            .with_time_scale(1.0)
-            .with_max_sim_time(10_000.0);
-        let sim = Simulator::new(config, vec![SubmittedJob::at(0.0, job)], flat_trace());
-        let result = sim.run(&mut EagerThenSleepy { fifo: crate::schedulers::SimpleFifo::new() }).unwrap();
-        assert!(result.all_jobs_complete());
-        assert!((result.makespan - 5.0).abs() < 1e-9);
-    }
-
-    /// A policy driving `defer_below`: while the intensity is above its
-    /// ceiling it defers (requesting a threshold wakeup once), and it
-    /// dispatches as soon as the intensity is acceptable.
-    struct CarbonCeiling {
-        ceiling: f64,
-        fifo: crate::schedulers::SimpleFifo,
-        wakeup_times: Vec<f64>,
-        pending: bool,
-    }
-    impl Scheduler for CarbonCeiling {
-        fn name(&self) -> &str {
-            "carbon-ceiling"
-        }
-        fn on_event(
-            &mut self,
-            event: SchedEvent<'_>,
-            ctx: &SchedulingContext<'_>,
-            out: &mut DecisionSink,
-        ) {
-            if matches!(event, SchedEvent::Wakeup { .. }) {
-                self.wakeup_times.push(ctx.time);
-                self.pending = false;
-            }
-            if ctx.carbon.intensity > self.ceiling {
-                if !self.pending {
-                    out.defer_below(self.ceiling);
-                    self.pending = true;
-                }
-                return;
-            }
-            self.fifo.on_event(event, ctx, out);
-        }
-    }
-
-    #[test]
-    fn defer_below_survives_inexact_time_scale_rounding() {
-        // time_scale = 11: the clean boundary at carbon time 104 400 s
-        // (hour 29) maps to schedule time t = 104400/11, and t * 11 rounds
-        // back DOWN to 104 399.999… — so the wakeup pops while the trace
-        // still reads the dirty hour 28 and the policy re-defers.  Without
-        // the future-time guard in `apply_deferrals` the re-request would
-        // resolve to the same instant and freeze the clock forever; with it
-        // the re-request is dropped and the next regular carbon step
-        // dispatches.
-        let mut values = vec![500.0; 29];
-        values.extend(std::iter::repeat_n(100.0, 50));
-        let trace = CarbonTrace::hourly("rounding", values);
-        let job = chain_job("j", 1, 1, 5.0);
-        let config = ClusterConfig::new(1).with_move_delay(0.0).with_time_scale(11.0);
-        let sim = Simulator::new(config, vec![SubmittedJob::at(0.0, job)], trace);
-        let mut policy = CarbonCeiling {
-            ceiling: 250.0,
-            fifo: crate::schedulers::SimpleFifo::new(),
-            wakeup_times: Vec::new(),
-            pending: false,
-        };
-        let result = sim.run(&mut policy).unwrap();
-        assert!(result.all_jobs_complete());
-        assert!(!policy.wakeup_times.is_empty(), "the threshold wakeup must fire");
-        // Work starts no earlier than the clean boundary (within the
-        // one-ULP slack the conversion introduces) and no later than the
-        // following carbon step.
-        let boundary = 29.0 * 3600.0 / 11.0;
-        let step = 3600.0 / 11.0;
-        assert!(
-            result.makespan >= boundary - 1e-6 && result.makespan <= boundary + step + 5.0 + 1e-6,
-            "makespan {} outside the expected window around {}",
-            result.makespan,
-            boundary
-        );
-    }
-
-    #[test]
-    fn defer_below_wakes_at_the_first_qualifying_carbon_step() {
-        // Hourly trace: 500 for three hours, then 100.  A ceiling of 250
-        // must hold all work until exactly t = 3 * 3600.
-        let mut values = vec![500.0, 500.0, 500.0];
-        values.extend(std::iter::repeat_n(100.0, 50));
-        let trace = CarbonTrace::hourly("cliff", values);
-        let job = chain_job("j", 1, 2, 5.0);
-        let config = ClusterConfig::new(2).with_move_delay(0.0).with_time_scale(1.0);
-        let sim = Simulator::new(config, vec![SubmittedJob::at(0.0, job)], trace);
-        let mut policy = CarbonCeiling {
-            ceiling: 250.0,
-            fifo: crate::schedulers::SimpleFifo::new(),
-            wakeup_times: Vec::new(),
-            pending: false,
-        };
-        let result = sim.run(&mut policy).unwrap();
-        assert_eq!(policy.wakeup_times, vec![3.0 * 3600.0]);
-        assert!(result.all_jobs_complete());
-        assert!((result.makespan - (3.0 * 3600.0 + 5.0)).abs() < 1e-9);
-    }
-
     #[test]
     fn streaming_run_matches_the_materialized_run() {
         let workload = vec![
@@ -3131,64 +2860,5 @@ mod tests {
         assert_eq!(ids(1), vec![1], "the migrated job finishes on B");
         // Job 2 dispatched at its arrival despite the stale verbs alongside.
         assert!((result.members[0].result.makespan - 9000.0).abs() < 1e-9);
-    }
-
-    /// Two members with different traces: each member's `defer_below` must
-    /// resolve against *its own* trace, and `defer_until` wakeups must be
-    /// delivered only to the member that requested them.
-    #[test]
-    fn wakeup_verbs_resolve_against_the_requesting_members_trace() {
-        use crate::federation::{Federation, Member};
-        use crate::routing::{Router, RoutingContext};
-
-        struct ByParity;
-        impl Router for ByParity {
-            fn name(&self) -> &str {
-                "parity"
-            }
-            fn route(&mut self, id: JobId, _: &SubmittedJob, _: &RoutingContext<'_>) -> usize {
-                (id.0 % 2) as usize
-            }
-        }
-        // Member A's trace drops below the ceiling at hour 5, member B's at
-        // hour 3.
-        let cliff = |dirty_hours: usize| {
-            let mut values = vec![500.0; dirty_hours];
-            values.extend(std::iter::repeat_n(100.0, 50));
-            CarbonTrace::hourly("cliff", values)
-        };
-        let config = ClusterConfig::new(2).with_move_delay(0.0).with_time_scale(1.0);
-        let fed = Federation::new(
-            vec![
-                Member::new("A", config.clone(), cliff(5)),
-                Member::new("B", config, cliff(3)),
-            ],
-            vec![
-                SubmittedJob::at(0.0, chain_job("j0", 1, 2, 5.0)),
-                SubmittedJob::at(0.0, chain_job("j1", 1, 2, 5.0)),
-            ],
-        );
-        let mut a = CarbonCeiling {
-            ceiling: 250.0,
-            fifo: crate::schedulers::SimpleFifo::new(),
-            wakeup_times: Vec::new(),
-            pending: false,
-        };
-        let mut b = CarbonCeiling {
-            ceiling: 250.0,
-            fifo: crate::schedulers::SimpleFifo::new(),
-            wakeup_times: Vec::new(),
-            pending: false,
-        };
-        let result = {
-            let mut schedulers: [&mut dyn Scheduler; 2] = [&mut a, &mut b];
-            fed.run(&mut ByParity, &mut schedulers).unwrap()
-        };
-        assert!(result.all_jobs_complete());
-        assert_eq!(a.wakeup_times, vec![5.0 * 3600.0], "member A wakes on its own cliff");
-        assert_eq!(b.wakeup_times, vec![3.0 * 3600.0], "member B wakes on its own cliff");
-        assert!((result.members[0].result.makespan - (5.0 * 3600.0 + 5.0)).abs() < 1e-9);
-        assert!((result.members[1].result.makespan - (3.0 * 3600.0 + 5.0)).abs() < 1e-9);
-        assert!((result.makespan - (5.0 * 3600.0 + 5.0)).abs() < 1e-9);
     }
 }

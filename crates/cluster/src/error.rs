@@ -33,7 +33,8 @@ pub struct PartialRunSummary {
 pub enum SimError {
     /// The workload list is empty — there is nothing to simulate.
     EmptyWorkload,
-    /// A submitted job failed DAG validation.
+    /// A submitted job failed validation: its DAG, arrival time or data
+    /// size is malformed.
     InvalidJob {
         /// Name of the offending job.
         job: String,

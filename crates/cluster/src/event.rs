@@ -4,21 +4,19 @@
 //! sequence number so the simulation is fully deterministic regardless of
 //! floating-point equality of timestamps.
 
-use crate::scheduler_api::WakeupToken;
 use pcaps_dag::{JobId, StageId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// A simulator event.
 ///
-/// Events carry a *member cluster* dimension: task finishes and wakeups
-/// belong to the federation member whose executors / scheduler they concern,
-/// so one shared event queue can drive any number of member clusters
-/// deterministically.  Workload arrivals are *not* queue events: the engine
-/// pulls them from its [`ArrivalSource`] through a one-job lookahead window
-/// and interleaves them with the queue by time (arrivals win ties, which is
-/// what enqueueing the whole workload up front used to guarantee via
-/// insertion order).
+/// Events carry a *member cluster* dimension: each belongs to the
+/// federation member whose executors or jobs it concerns, so one shared
+/// event queue can drive any number of member clusters deterministically.
+/// Workload arrivals are *not* queue events: the engine pulls them from its
+/// [`ArrivalSource`] through a one-job lookahead window and interleaves them
+/// with the queue by time (arrivals win ties, which is what enqueueing the
+/// whole workload up front used to guarantee via insertion order).
 ///
 /// [`ArrivalSource`]: crate::source::ArrivalSource
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,14 +49,6 @@ pub enum Event {
         stage: StageId,
         /// The task's index within the stage.
         task: usize,
-    },
-    /// A scheduler-requested wakeup (timer or carbon-threshold crossing)
-    /// fires; the token is echoed back to the member's policy.
-    Wakeup {
-        /// Member cluster whose scheduler requested the wakeup.
-        member: usize,
-        /// Token identifying the deferral request that scheduled this event.
-        token: WakeupToken,
     },
     /// A migrating job finishes its cross-region transfer and arrives at its
     /// destination member (the job was detached from its source when the
@@ -94,7 +84,6 @@ impl Event {
         match *self {
             Event::TaskFinish { member, .. }
             | Event::RetryRelease { member, .. }
-            | Event::Wakeup { member, .. }
             | Event::MigrationArrival { member, .. }
             | Event::FlowArrival { member, .. } => member,
         }
@@ -180,9 +169,9 @@ mod tests {
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.push(5.0, Event::Wakeup { member: 0, token: WakeupToken(1) });
-        q.push(1.0, Event::Wakeup { member: 0, token: WakeupToken(0) });
-        q.push(3.0, Event::Wakeup { member: 0, token: WakeupToken(2) });
+        q.push(5.0, Event::MigrationArrival { member: 0, job: JobId(1) });
+        q.push(1.0, Event::MigrationArrival { member: 0, job: JobId(0) });
+        q.push(3.0, Event::MigrationArrival { member: 0, job: JobId(2) });
         let order: Vec<f64> = std::iter::from_fn(|| q.pop().map(|(t, _)| t)).collect();
         assert_eq!(order, vec![1.0, 3.0, 5.0]);
     }
@@ -190,19 +179,19 @@ mod tests {
     #[test]
     fn ties_broken_by_insertion_order() {
         let mut q = EventQueue::new();
-        q.push(2.0, Event::Wakeup { member: 0, token: WakeupToken(10) });
-        q.push(2.0, Event::Wakeup { member: 0, token: WakeupToken(20) });
+        q.push(2.0, Event::MigrationArrival { member: 0, job: JobId(10) });
+        q.push(2.0, Event::MigrationArrival { member: 0, job: JobId(20) });
         let first = q.pop().unwrap().1;
         let second = q.pop().unwrap().1;
-        assert_eq!(first, Event::Wakeup { member: 0, token: WakeupToken(10) });
-        assert_eq!(second, Event::Wakeup { member: 0, token: WakeupToken(20) });
+        assert_eq!(first, Event::MigrationArrival { member: 0, job: JobId(10) });
+        assert_eq!(second, Event::MigrationArrival { member: 0, job: JobId(20) });
     }
 
     #[test]
     fn peek_does_not_remove() {
         let mut q = EventQueue::new();
         assert_eq!(q.peek_time(), None);
-        q.push(7.0, Event::Wakeup { member: 0, token: WakeupToken(0) });
+        q.push(7.0, Event::MigrationArrival { member: 0, job: JobId(0) });
         assert_eq!(q.peek_time(), Some(7.0));
     }
 
@@ -210,21 +199,7 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn rejects_nan_time() {
         let mut q = EventQueue::new();
-        q.push(f64::NAN, Event::Wakeup { member: 0, token: WakeupToken(0) });
-    }
-
-    #[test]
-    fn wakeup_events_carry_member_and_token() {
-        let mut q = EventQueue::new();
-        q.push(4.0, Event::Wakeup { member: 2, token: WakeupToken(7) });
-        match q.pop().unwrap() {
-            (t, Event::Wakeup { member, token }) => {
-                assert_eq!(t, 4.0);
-                assert_eq!(member, 2);
-                assert_eq!(token, WakeupToken(7));
-            }
-            other => panic!("wrong event: {other:?}"),
-        }
+        q.push(f64::NAN, Event::MigrationArrival { member: 0, job: JobId(0) });
     }
 
     #[test]

@@ -363,7 +363,38 @@ impl RetryPolicy {
     /// Backoff (schedule seconds) after the `failures`-th failure of a task
     /// (1-based): `backoff_base × backoff_factor^(failures−1)`.
     pub fn backoff_after(&self, failures: u32) -> f64 {
-        self.backoff_base * self.backoff_factor.powi(failures.saturating_sub(1) as i32)
+        let exponent = i32::try_from(failures.saturating_sub(1)).unwrap_or(i32::MAX);
+        self.backoff_base * self.backoff_factor.powi(exponent)
+    }
+
+    /// Rejects a policy whose backoff cannot be scheduled.  The fields are
+    /// public, so nothing else stops a NaN or infinite backoff from reaching
+    /// the event queue (which panics on it) or a negative one from turning
+    /// the clock back.  With a finite, non-negative base and factor the
+    /// backoff is monotone in the failure count, so the last one a run can
+    /// schedule — failure `max_attempts` aborts instead — bounds them all.
+    pub(crate) fn check(&self) -> Result<(), SimError> {
+        let invalid = |reason: String| Err(SimError::InvalidFault { reason });
+        for (name, value) in [
+            ("backoff_base", self.backoff_base),
+            ("backoff_factor", self.backoff_factor),
+        ] {
+            if !value.is_finite() || value < 0.0 {
+                return invalid(format!(
+                    "retry policy {name} must be finite and non-negative, got {value}"
+                ));
+            }
+        }
+        let failures = self.max_attempts.saturating_sub(1);
+        let last = self.backoff_after(failures);
+        if !last.is_finite() {
+            return invalid(format!(
+                "retry policy backoff_factor {} gives a backoff of {last} s after {failures} \
+                 failure(s) (max_attempts {})",
+                self.backoff_factor, self.max_attempts
+            ));
+        }
+        Ok(())
     }
 }
 

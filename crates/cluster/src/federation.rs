@@ -117,8 +117,8 @@ impl Federation {
     /// Creates a federation.  The workload is sorted by arrival time; job
     /// ids are assigned in arrival order *across the whole federation* (a
     /// job's id is its index in the global workload, whichever member it is
-    /// later routed to).  Every job DAG and data size is validated here,
-    /// once.
+    /// later routed to).  Every job's arrival time, DAG and data size is
+    /// validated here, once.
     ///
     /// # Panics
     /// Panics if `members` is empty.
@@ -126,11 +126,12 @@ impl Federation {
         assert!(!members.is_empty(), "federation must have at least one member cluster");
         workload.sort_by(|a, b| a.arrival.total_cmp(&b.arrival));
         let invalid = workload.iter().find_map(|job| {
-            job.dag
-                .validate()
-                .map_err(|e| SimError::InvalidJob {
-                    job: job.dag.name.clone(),
-                    reason: e.to_string(),
+            job.check_arrival()
+                .and_then(|()| {
+                    job.dag.validate().map_err(|e| SimError::InvalidJob {
+                        job: job.dag.name.clone(),
+                        reason: e.to_string(),
+                    })
                 })
                 .and_then(|()| job.check_data_gb())
                 .err()
@@ -260,7 +261,16 @@ impl Federation {
     }
 
     /// Sets the retry policy applied when an executor crash kills a task.
+    ///
+    /// A policy whose backoff is NaN, infinite or negative poisons the
+    /// federation like an invalid fault plan: the first run reports a
+    /// [`SimError::InvalidFault`] naming the field.
     pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
+        if let Err(e) = retry.check() {
+            if self.invalid.is_none() {
+                self.invalid = Some(e);
+            }
+        }
         self.retry = retry;
         self
     }

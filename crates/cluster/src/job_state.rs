@@ -55,6 +55,24 @@ impl SubmittedJob {
         self
     }
 
+    /// Rejects an arrival time that [`SubmittedJob::at`] would have
+    /// refused.  The field is public, so a struct literal can bypass that
+    /// assert.  A NaN arrival has no place in the arrival order, a negative
+    /// one precedes the start of the schedule, and an infinite one never
+    /// comes.
+    pub(crate) fn check_arrival(&self) -> Result<(), SimError> {
+        if self.arrival.is_finite() && self.arrival >= 0.0 {
+            return Ok(());
+        }
+        Err(SimError::InvalidJob {
+            job: self.dag.name.clone(),
+            reason: format!(
+                "arrival time must be finite and non-negative, got {} s",
+                self.arrival
+            ),
+        })
+    }
+
     /// Rejects a data size that [`SubmittedJob::with_data_gb`] would have
     /// refused.  The field is public, so a struct literal can bypass that
     /// assert.  A NaN or infinite size has no finite transfer time, and a

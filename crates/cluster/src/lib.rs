@@ -10,14 +10,13 @@
 //! The simulator is event driven.  Jobs arrive over time; each job is a
 //! [`pcaps_dag::JobDag`] of stages; each stage consists of tasks that run on
 //! executors.  A *scheduling event* occurs whenever a job arrives, a task
-//! finishes (freeing an executor), the carbon intensity changes — exactly
-//! the event set of Algorithm 1 — or a scheduler-requested wakeup fires.
-//! At each scheduling event the engine invokes the [`Scheduler`] with a
-//! typed [`SchedEvent`] and a [`DecisionSink`]; the policy writes
-//! [`Assignment`]s into the sink, or writes nothing to idle the free
-//! executors, or asks to be woken later ([`DecisionSink::defer_until`] /
-//! [`DecisionSink::defer_below`]) — which is how carbon-aware deferral is
-//! expressed as a first-class scheduled event instead of a passive wait.
+//! finishes (freeing an executor) or the carbon intensity changes — exactly
+//! the event set of Algorithm 1 — and at the engine's own retry, fault and
+//! migration events.  At each scheduling event the engine invokes the
+//! [`Scheduler`] with a typed [`SchedEvent`] and a [`DecisionSink`]; the
+//! policy writes [`Assignment`]s into the sink, or writes nothing to idle
+//! the free executors until the next scheduling event — which is how
+//! carbon-aware policies defer work.
 //!
 //! Since the federation refactor the engine natively drives a
 //! [`Federation`]: N member clusters, each with its own executor pool,
@@ -102,16 +101,12 @@
 //!   costs what a completion does; nothing linear in the federation, trace
 //!   or total jobs is rescanned.  One consultation costs O(members + the
 //!   stepped member's active jobs), with the view/candidate buffers and the
-//!   [`MigrationSink`] engine-owned and reused.  Deferral wakeups remain
-//!   member-scoped and advisory: after a job migrates away, a wakeup its
-//!   old member requested still fires *there* (and is suppressed like any
-//!   wakeup when that member has nothing to decide); the new owner is
-//!   instead re-invoked with a `JobArrived` event when the transfer
-//!   completes.  Stale *assignments* to a job that migrated away are
-//!   forgiven as no-ops, exactly like completed-job staleness — the former
-//!   owner's scheduler had no event through which to learn the job left —
-//!   while cross-member assignments to never-migrated jobs stay hard
-//!   errors.
+//!   [`MigrationSink`] engine-owned and reused.  The new owner is
+//!   re-invoked with a `JobArrived` event when the transfer completes.
+//!   Stale *assignments* to a job that migrated away are forgiven as
+//!   no-ops, exactly like completed-job staleness — the former owner's
+//!   scheduler had no event through which to learn the job left — while
+//!   cross-member assignments to never-migrated jobs stay hard errors.
 //! * **Active-job index.**  Each member maintains its arrived-incomplete job
 //!   table (`active`, ordered by arrival, plus the global-id → slot map)
 //!   across events; arrivals push, completions remove.  A
@@ -147,13 +142,11 @@
 //!   thread.  Same-instant events are never coalesced, so each one reaches
 //!   its member's scheduler as its own typed [`SchedEvent`].  Sweeps get
 //!   their parallelism from independent trials, not from inside a run.
-//! * **Typed events, engine-managed timers.**  Policies learn *why* they run
-//!   from [`SchedEvent`] and resume from deferral through engine-scheduled
-//!   wakeups: `defer_until` enqueues a timer event at an exact instant
-//!   (piercing the carbon-step granularity) and `defer_below` resolves the
-//!   threshold crossing against *the requesting member's* trace range-min
-//!   index in O(log trace) — never by linear forecast walks in the event
-//!   loop.  Wakeup events carry their member and are delivered only to it.
+//! * **Typed events, one way to defer.**  Policies learn *why* they run
+//!   from [`SchedEvent`].  A policy defers by writing nothing, and the
+//!   engine consults it again at its member's next arrival, task finish or
+//!   failure, or carbon step, so the queue holds no policy-requested
+//!   timers.
 //! * **Shared DAGs.**  Workloads hold `Arc<JobDag>`; activating a job bumps
 //!   a reference count (no deep clone), and [`Federation::new`] validates
 //!   every DAG exactly once.  DAGs are immutable once submitted — caches
@@ -178,10 +171,11 @@
 //!   version — equal job id + equal version means equal observable progress,
 //!   so a cached entry is reused bit for bit and only mutated jobs are
 //!   recomputed.  Revalidation keys off engine-owned state, never off the
-//!   [`SchedEvent`] stream: events are advisory (wakeups are suppressed,
-//!   migrations arrive as plain `JobArrived`, a departing job sends its
-//!   former member no event), so a policy that trusted event delivery for
-//!   cache invalidation would silently go stale.  Aggregates a policy needs every event (e.g. total
+//!   [`SchedEvent`] stream: events are advisory (they are suppressed while
+//!   the member has nothing to decide, migrations arrive as plain
+//!   `JobArrived`, a departing job sends its former member no event), so a
+//!   policy that trusted event delivery for cache invalidation would
+//!   silently go stale.  Aggregates a policy needs every event (e.g. total
 //!   outstanding work) come from the engine's incrementally maintained
 //!   counters via [`SchedulingContext`] accessors rather than per-event
 //!   folds over the job table.  Derived values that depend on *every* job
@@ -293,6 +287,5 @@ pub use routing::{
 };
 pub use source::{ArrivalSource, MaterializedJobs};
 pub use scheduler_api::{
-    Assignment, CarbonView, DecisionSink, DeferRequest, JobView, SchedEvent, Scheduler,
-    SchedulingContext, WakeupToken,
+    Assignment, CarbonView, DecisionSink, JobView, SchedEvent, Scheduler, SchedulingContext,
 };

@@ -4,32 +4,16 @@
 //! At every *scheduling event* the engine builds a [`SchedulingContext`]
 //! describing the cluster and invokes [`Scheduler::on_event`] with a typed
 //! [`SchedEvent`] saying *why* the policy is being consulted (a job arrived,
-//! tasks completed, the carbon intensity changed, a requested wakeup fired,
-//! or the engine is re-invoking after applying assignments) and an
-//! engine-owned [`DecisionSink`] to write decisions into.  Writing nothing
-//! means "idle the free executors until the next event" — this is how
-//! carbon-aware policies defer work (Algorithm 1, line 10).
+//! tasks completed or failed, the carbon intensity changed, the member's
+//! availability changed, or the engine is re-invoking after applying
+//! assignments) and an engine-owned [`DecisionSink`] to write
+//! [`Assignment`]s into.
 //!
-//! Beyond [`Assignment`]s, the sink accepts two *control verbs* that turn
-//! passive deferral into scheduled resumption:
-//!
-//! * [`DecisionSink::defer_until`] — ask the engine to enqueue a
-//!   [`SchedEvent::Wakeup`] at an exact future time.  Timer wakeups pierce
-//!   the carbon-step granularity: a policy can resume at 13:41:07, not just
-//!   at the next hourly carbon boundary.
-//! * [`DecisionSink::defer_below`] — ask to be woken the first time the
-//!   carbon intensity drops to or below a threshold.  The engine resolves
-//!   the crossing against the carbon trace (O(log trace) via its range-min
-//!   index) and enqueues the wakeup at that instant, so a deferring policy
-//!   is not re-invoked to rescan the world at every intermediate event.
-//!
-//! Both verbs return a [`WakeupToken`] that is echoed back in the matching
-//! [`SchedEvent::Wakeup`].  Wakeups are *advisory*: they are delivered only
-//! if there are free executors and dispatchable work at the fire time (when
-//! there is nothing to decide the engine does not consult policies at all),
-//! and wrapper schedulers (CAP) may re-issue an inner policy's verbs under
-//! fresh tokens, so a policy must treat an unrecognised token as a generic
-//! "conditions may have changed" nudge rather than an error.
+//! A policy defers by writing nothing: the free executors idle until the
+//! next scheduling event (Algorithm 1, line 10).  The engine consults the
+//! policy again at the next job arrival, task finish or failure, or carbon
+//! step, so a policy holding work back for a cleaner hour is consulted at
+//! every carbon step while it waits, with no timer to request.
 //!
 //! The engine keeps re-invoking the scheduler (with [`SchedEvent::Kick`])
 //! while it keeps producing applicable assignments and free executors
@@ -48,8 +32,8 @@
 //!   and [`JobView::dispatchable_stages`] borrows the incrementally
 //!   maintained set from [`pcaps_dag::JobProgress`],
 //! * the [`DecisionSink`] is owned by the engine and *reused* across
-//!   invocations: its buffers are cleared, not dropped, so once their
-//!   capacity has warmed up a decision costs zero allocations,
+//!   invocations: its buffer is cleared, not dropped, so once its capacity
+//!   has warmed up a decision costs zero allocations,
 //! * [`SchedEvent`] is a `Copy` view assembled from borrows.
 //!
 //! Schedulers that need scratch space (to sort or score stages) keep
@@ -331,16 +315,6 @@ impl Assignment {
     }
 }
 
-/// Identifies a wakeup requested through [`DecisionSink::defer_until`] or
-/// [`DecisionSink::defer_below`]; echoed back in [`SchedEvent::Wakeup`].
-///
-/// Tokens are unique within one simulation run.  They identify *which*
-/// request fired; policies holding several outstanding wakeups can tell
-/// them apart, and policies holding none should treat any token as a
-/// generic nudge (wrappers may re-issue inner verbs under fresh tokens).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct WakeupToken(pub u64);
-
 /// Why the scheduler is being invoked: a typed view of the triggering
 /// event.
 ///
@@ -384,12 +358,6 @@ pub enum SchedEvent<'a> {
         /// Intensity in effect from now on.
         now: f64,
     },
-    /// A wakeup requested via [`DecisionSink::defer_until`] or
-    /// [`DecisionSink::defer_below`] fired.
-    Wakeup {
-        /// The token the verb returned when the wakeup was requested.
-        token: WakeupToken,
-    },
     /// `n` task(s) of `stage` of `job` were lost to an executor crash and
     /// will be re-dispatched after their retry backoff.  Advisory, like the
     /// rest of the stream: delivered only when the member still has
@@ -415,39 +383,16 @@ pub enum SchedEvent<'a> {
     Kick,
 }
 
-/// A control verb recorded in a [`DecisionSink`], to be resolved by the
-/// engine into a real timer/threshold event on the event queue.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DeferRequest {
-    /// Wake the policy at an exact schedule time.
-    Until {
-        /// Absolute schedule time (seconds) at which to fire.
-        time: f64,
-        /// Token echoed back in the wakeup event.
-        token: WakeupToken,
-    },
-    /// Wake the policy the first time the carbon intensity is at or below
-    /// `intensity`.
-    Below {
-        /// Intensity threshold (gCO₂eq/kWh).
-        intensity: f64,
-        /// Token echoed back in the wakeup event.
-        token: WakeupToken,
-    },
-}
-
 /// The engine-owned, reused buffer a scheduler writes its decisions into.
 ///
 /// One sink lives for a whole simulation run; the engine clears it before
-/// every invocation (keeping capacity and the token counter), so pushing
-/// decisions allocates nothing in the steady state.  Wrapper schedulers that
-/// need to inspect an inner policy's decisions before forwarding them own a
-/// private sink of their own (see `Cap` in `pcaps-core`).
+/// every invocation (keeping capacity), so pushing decisions allocates
+/// nothing in the steady state.  Wrapper schedulers that need to inspect an
+/// inner policy's decisions before forwarding them own a private sink of
+/// their own (see `Cap` in `pcaps-core`).
 #[derive(Debug, Clone, Default)]
 pub struct DecisionSink {
     assignments: Vec<Assignment>,
-    deferrals: Vec<DeferRequest>,
-    next_token: u64,
 }
 
 impl DecisionSink {
@@ -467,62 +412,15 @@ impl DecisionSink {
         self.assign(Assignment::new(job, stage, executors));
     }
 
-    /// Asks the engine to fire a [`SchedEvent::Wakeup`] at the absolute
-    /// schedule time `time`.  Requests at or before the current instant are
-    /// dropped by the engine (the policy is being invoked *now*).
-    ///
-    /// # Panics
-    /// Panics if `time` is not finite.
-    pub fn defer_until(&mut self, time: f64) -> WakeupToken {
-        assert!(time.is_finite(), "wakeup time must be finite, got {time}");
-        let token = self.issue_token();
-        self.deferrals.push(DeferRequest::Until { time, token });
-        token
-    }
-
-    /// Asks the engine to fire a [`SchedEvent::Wakeup`] at the first future
-    /// carbon step whose intensity is at or below `intensity`.  If the trace
-    /// never goes that low, no wakeup is scheduled (the regular carbon-step
-    /// events still occur).
-    ///
-    /// # Panics
-    /// Panics if `intensity` is not finite.
-    pub fn defer_below(&mut self, intensity: f64) -> WakeupToken {
-        assert!(
-            intensity.is_finite(),
-            "intensity threshold must be finite, got {intensity}"
-        );
-        let token = self.issue_token();
-        self.deferrals.push(DeferRequest::Below { intensity, token });
-        token
-    }
-
     /// The assignments recorded since the last [`DecisionSink::clear`].
     pub fn assignments(&self) -> &[Assignment] {
         &self.assignments
     }
 
-    /// The control verbs recorded since the last [`DecisionSink::clear`].
-    pub fn deferrals(&self) -> &[DeferRequest] {
-        &self.deferrals
-    }
-
-    /// True if neither assignments nor deferrals were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.assignments.is_empty() && self.deferrals.is_empty()
-    }
-
-    /// Clears the recorded decisions while keeping buffer capacity and the
-    /// token counter — called by the engine before every invocation.
+    /// Clears the recorded assignments while keeping buffer capacity —
+    /// called by the engine before every invocation.
     pub fn clear(&mut self) {
         self.assignments.clear();
-        self.deferrals.clear();
-    }
-
-    fn issue_token(&mut self) -> WakeupToken {
-        let token = WakeupToken(self.next_token);
-        self.next_token += 1;
-        token
     }
 }
 
@@ -674,40 +572,18 @@ mod tests {
     #[test]
     fn sink_records_and_clears() {
         let mut sink = DecisionSink::new();
-        assert!(sink.is_empty());
+        assert!(sink.assignments().is_empty());
         sink.dispatch(JobId(0), StageId(1), 2);
         sink.assign(Assignment::new(JobId(1), StageId(0), 1));
-        let t0 = sink.defer_until(10.0);
-        let t1 = sink.defer_below(250.0);
-        assert_ne!(t0, t1, "tokens must be unique");
-        assert_eq!(sink.assignments().len(), 2);
         assert_eq!(
-            sink.deferrals(),
+            sink.assignments(),
             &[
-                DeferRequest::Until { time: 10.0, token: t0 },
-                DeferRequest::Below { intensity: 250.0, token: t1 },
+                Assignment::new(JobId(0), StageId(1), 2),
+                Assignment::new(JobId(1), StageId(0), 1),
             ]
         );
-        assert!(!sink.is_empty());
         sink.clear();
-        assert!(sink.is_empty());
-        // Tokens keep counting after a clear — they are run-scoped.
-        let t2 = sink.defer_until(20.0);
-        assert!(t2.0 > t1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "finite")]
-    fn sink_rejects_nan_wakeup_time() {
-        let mut sink = DecisionSink::new();
-        let _ = sink.defer_until(f64::NAN);
-    }
-
-    #[test]
-    #[should_panic(expected = "finite")]
-    fn sink_rejects_nan_threshold() {
-        let mut sink = DecisionSink::new();
-        let _ = sink.defer_below(f64::INFINITY);
+        assert!(sink.assignments().is_empty());
     }
 
     /// A slot table carried with a non-zero base (serve-mode compaction)

@@ -12,7 +12,9 @@
 //!   engine's historical "arrivals come in ascending id order" invariant
 //!   now lives: job ids are assigned in pull order, so a sorted source
 //!   *is* the invariant.  The engine verifies it on every pull and aborts
-//!   with [`SimError::OutOfOrderArrival`] on violation.
+//!   with [`SimError::OutOfOrderArrival`] on violation.  Each arrival must
+//!   also be finite and non-negative; the engine checks that first and
+//!   aborts with [`SimError::InvalidJob`] otherwise.
 //! * **Bounded lookahead.**  The engine pulls at most one job beyond the
 //!   simulation clock, so a lazy source never materializes more than O(1)
 //!   jobs.
@@ -34,6 +36,7 @@
 //! [`Federation`]: crate::federation::Federation
 //! [`Federation::run`]: crate::federation::Federation::run
 //! [`SimError::OutOfOrderArrival`]: crate::error::SimError::OutOfOrderArrival
+//! [`SimError::InvalidJob`]: crate::error::SimError::InvalidJob
 
 use crate::error::SimError;
 use crate::job_state::SubmittedJob;

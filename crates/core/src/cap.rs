@@ -1,9 +1,7 @@
 //! CAP: Carbon-Aware Provisioning (§4.2).
 
 use crate::ksearch::KSearchThresholds;
-use pcaps_cluster::{
-    Assignment, DecisionSink, DeferRequest, SchedEvent, Scheduler, SchedulingContext, WakeupToken,
-};
+use pcaps_cluster::{Assignment, DecisionSink, SchedEvent, Scheduler, SchedulingContext};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of CAP.
@@ -70,13 +68,6 @@ pub struct Cap<S> {
     /// inspect and rescale its decisions before forwarding them.  Reused
     /// across invocations — allocation-free in the steady state.
     inner_sink: DecisionSink,
-    /// Outer (engine) wakeup token → the inner-sink token the wrapped
-    /// policy holds for the same deferral, so delivered wakeups are
-    /// translated back before forwarding and the inner policy's
-    /// token-matching keeps working under the wrapper.  Entries are removed
-    /// on delivery; undelivered ones are bounded by the number of forwarded
-    /// verbs.
-    token_map: Vec<(WakeupToken, WakeupToken)>,
 }
 
 impl<S: Scheduler> Cap<S> {
@@ -93,7 +84,6 @@ impl<S: Scheduler> Cap<S> {
             },
             name,
             inner_sink: DecisionSink::new(),
-            token_map: Vec::new(),
         }
     }
 
@@ -145,21 +135,6 @@ impl<S: Scheduler> Scheduler for Cap<S> {
         ctx: &SchedulingContext<'_>,
         out: &mut DecisionSink,
     ) {
-        // Wakeups carry the engine's (outer) token; translate back to the
-        // inner-sink token the wrapped policy received from its deferral
-        // verb, so its token-matching still works under the wrapper.
-        let event = match event {
-            SchedEvent::Wakeup { token } => {
-                match self.token_map.iter().position(|(outer, _)| *outer == token) {
-                    Some(i) => {
-                        let (_, inner) = self.token_map.swap_remove(i);
-                        SchedEvent::Wakeup { token: inner }
-                    }
-                    None => event,
-                }
-            }
-            other => other,
-        };
         let quota = self.quota(ctx);
         if ctx.busy_executors >= quota {
             // Quota reached: no new assignments (running tasks are never
@@ -170,16 +145,6 @@ impl<S: Scheduler> Scheduler for Cap<S> {
         let mut allowance = quota - ctx.busy_executors;
         self.inner_sink.clear();
         self.inner.on_event(event, ctx, &mut self.inner_sink);
-        // Deferral verbs pass through un-rescaled, re-issued on the outer
-        // sink; the resulting outer token is recorded against the inner one
-        // for translation at delivery time.
-        for i in 0..self.inner_sink.deferrals().len() {
-            let (outer, inner) = match self.inner_sink.deferrals()[i] {
-                DeferRequest::Until { time, token } => (out.defer_until(time), token),
-                DeferRequest::Below { intensity, token } => (out.defer_below(intensity), token),
-            };
-            self.token_map.push((outer, inner));
-        }
         if self.inner_sink.assignments().is_empty() {
             return;
         }
@@ -307,139 +272,6 @@ mod tests {
             .run(&mut Cap::new(SparkStandaloneFifo::new(), CapConfig::with_minimum_quota(16)))
             .unwrap();
         assert!((baseline.makespan - capped.makespan).abs() < 1e-9);
-    }
-
-    #[test]
-    fn wakeup_tokens_round_trip_through_the_wrapper() {
-        use pcaps_cluster::{DecisionSink, SchedEvent, WakeupToken};
-        use pcaps_dag::{JobDagBuilder, Task};
-
-        /// Defers everything until a fixed time and insists the wakeup it
-        /// gets back carries exactly the token its own verb returned.
-        struct TokenMatcher {
-            at: f64,
-            token: Option<WakeupToken>,
-            matched: bool,
-        }
-        impl Scheduler for TokenMatcher {
-            fn name(&self) -> &str {
-                "token-matcher"
-            }
-            fn on_event(
-                &mut self,
-                event: SchedEvent<'_>,
-                ctx: &SchedulingContext<'_>,
-                out: &mut DecisionSink,
-            ) {
-                if let SchedEvent::Wakeup { token } = event {
-                    assert_eq!(
-                        Some(token),
-                        self.token,
-                        "the wrapper must hand back the inner token"
-                    );
-                    self.matched = true;
-                }
-                if self.token.is_none() {
-                    self.token = Some(out.defer_until(self.at));
-                    return;
-                }
-                if ctx.time < self.at {
-                    return;
-                }
-                for job in ctx.jobs() {
-                    if let Some(&stage) = job.dispatchable_stages().first() {
-                        out.dispatch(job.id, stage, ctx.free_executors);
-                        return;
-                    }
-                }
-            }
-        }
-
-        let job = JobDagBuilder::new("j")
-            .stage("only", vec![Task::new(5.0); 2])
-            .build()
-            .unwrap();
-        let config = ClusterConfig::new(2).with_move_delay(0.0).with_time_scale(1.0);
-        let sim = Simulator::new(
-            config,
-            vec![SubmittedJob::at(0.0, job)],
-            CarbonTrace::constant("flat", 100.0, 1000),
-        );
-        // Quota never binds on a flat trace, so CAP only wraps and forwards.
-        let mut cap = Cap::new(
-            TokenMatcher { at: 123.456, token: None, matched: false },
-            CapConfig::with_minimum_quota(2),
-        );
-        let result = sim.run(&mut cap).unwrap();
-        assert!(result.all_jobs_complete());
-        assert!(cap.inner().matched, "the translated wakeup must be delivered");
-        assert!((result.makespan - (123.456 + 5.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn wakeup_token_translation_survives_desynced_counters() {
-        use pcaps_cluster::job_state::ActiveJob;
-        use pcaps_cluster::{CarbonView, DecisionSink, SchedEvent, WakeupToken};
-        use pcaps_dag::{JobDagBuilder, JobId, Task};
-        use std::sync::Arc;
-
-        struct Rememberer {
-            token: Option<WakeupToken>,
-            received: Option<WakeupToken>,
-        }
-        impl Scheduler for Rememberer {
-            fn name(&self) -> &str {
-                "rememberer"
-            }
-            fn on_event(
-                &mut self,
-                event: SchedEvent<'_>,
-                _ctx: &SchedulingContext<'_>,
-                out: &mut DecisionSink,
-            ) {
-                if let SchedEvent::Wakeup { token } = event {
-                    self.received = Some(token);
-                    return;
-                }
-                if self.token.is_none() {
-                    self.token = Some(out.defer_until(50.0));
-                }
-            }
-        }
-
-        let dag = Arc::new(
-            JobDagBuilder::new("j")
-                .stage("only", vec![Task::new(5.0)])
-                .build()
-                .unwrap(),
-        );
-        let active = vec![ActiveJob::new(JobId(0), dag, 0.0)];
-        let ctx = SchedulingContext::new(0.0, CarbonView::flat(100.0), 2, 2, 0, 2, &active, None);
-
-        let mut cap = Cap::new(
-            Rememberer { token: None, received: None },
-            CapConfig::with_minimum_quota(2),
-        );
-        // Desync the counters: the engine-side sink has already issued two
-        // tokens for other requests, so the outer token CAP forwards under
-        // is numerically different from the inner token the policy holds.
-        let mut engine_sink = DecisionSink::new();
-        let _burned0 = engine_sink.defer_until(1.0);
-        let _burned1 = engine_sink.defer_until(2.0);
-        engine_sink.clear();
-
-        cap.on_event(SchedEvent::Kick, &ctx, &mut engine_sink);
-        let inner_token = cap.inner().token.expect("inner policy deferred");
-        let outer_token = match engine_sink.deferrals() {
-            [pcaps_cluster::DeferRequest::Until { token, .. }] => *token,
-            other => panic!("expected one forwarded deferral, got {other:?}"),
-        };
-        assert_ne!(outer_token, inner_token, "counters must be desynced for this test");
-
-        // Deliver the engine's wakeup: the policy must see its own token.
-        let mut sink2 = DecisionSink::new();
-        cap.on_event(SchedEvent::Wakeup { token: outer_token }, &ctx, &mut sink2);
-        assert_eq!(cap.inner().received, Some(inner_token));
     }
 
     #[test]

@@ -24,13 +24,6 @@ pub struct PcapsConfig {
     /// (`P′ = ⌈P · exp(5γ(L−c)/(U−L))⌉`).  Enabled by default; the
     /// `ablation_parallelism` bench turns it off.
     pub scale_parallelism: bool,
-    /// Whether a deferral also requests an engine wakeup at the first
-    /// carbon step clean enough to admit the sampled stage
-    /// ([`DecisionSink::defer_below`] with threshold Ψγ(r)).  Off by
-    /// default: wakeups add events to the schedule, so enabling them
-    /// changes (usually shortens) deferral tails relative to the plain
-    /// Algorithm 1 event set.
-    pub threshold_wakeups: bool,
 }
 
 impl PcapsConfig {
@@ -41,7 +34,6 @@ impl PcapsConfig {
             gamma,
             seed: 0,
             scale_parallelism: true,
-            threshold_wakeups: false,
         }
     }
 
@@ -68,15 +60,6 @@ impl PcapsConfig {
         self.scale_parallelism = false;
         self
     }
-
-    /// Enables threshold wakeups: every deferral also asks the engine to
-    /// wake PCAPS the moment the carbon intensity drops to the level at
-    /// which the deferred stage would have been admitted, instead of
-    /// waiting for the next task completion or carbon step.
-    pub fn with_threshold_wakeups(mut self) -> Self {
-        self.threshold_wakeups = true;
-        self
-    }
 }
 
 /// Statistics PCAPS keeps about its own decisions, used by the analysis
@@ -93,11 +76,6 @@ pub struct PcapsStats {
     /// Total executor-seconds of work deferred (sum of the expected work of
     /// deferred stages at the moment of deferral).
     pub deferred_work: f64,
-    /// Number of `defer_below` wakeups requested (only non-zero when
-    /// [`PcapsConfig::threshold_wakeups`] is enabled).
-    pub wakeups_requested: u64,
-    /// Number of engine wakeup events received back.
-    pub wakeups_received: u64,
 }
 
 impl PcapsStats {
@@ -136,13 +114,6 @@ pub struct Pcaps<PB> {
     /// next event, which is what "send task v to an available machine ...
     /// else idle" prescribes).
     last_decision_time: Option<f64>,
-    /// Threshold of the outstanding `defer_below` request, if any.  One
-    /// request per dirty spell is enough — without this, every deferral of
-    /// the spell would push a redundant wakeup at the same clean step.  A
-    /// later deferral re-requests only if its stage is admissible at a
-    /// *dirtier* intensity (higher Ψγ(r)), i.e. would wake strictly
-    /// earlier.  Cleared when a wakeup arrives.
-    pending_wakeup_below: Option<f64>,
 }
 
 impl<PB: ProbabilisticScheduler> Pcaps<PB> {
@@ -156,7 +127,6 @@ impl<PB: ProbabilisticScheduler> Pcaps<PB> {
             stats: PcapsStats::default(),
             name,
             last_decision_time: None,
-            pending_wakeup_below: None,
         }
     }
 
@@ -183,26 +153,10 @@ impl<PB: ProbabilisticScheduler> Scheduler for Pcaps<PB> {
 
     fn on_event(
         &mut self,
-        event: SchedEvent<'_>,
+        _event: SchedEvent<'_>,
         ctx: &SchedulingContext<'_>,
         out: &mut DecisionSink,
     ) {
-        if let SchedEvent::Wakeup { .. } = event {
-            self.stats.wakeups_received += 1;
-            self.pending_wakeup_below = None;
-        }
-        // Wakeup delivery is advisory (the engine skips invocations with no
-        // free executors or no dispatchable work, and wrappers may throttle
-        // events away), so a pending request must not outlive its own
-        // crossing: once the intensity is at or below the pending target —
-        // observed through *any* event — the request is moot and the next
-        // dirty spell must be free to re-arm.
-        if self
-            .pending_wakeup_below
-            .is_some_and(|pending| ctx.carbon.intensity <= pending)
-        {
-            self.pending_wakeup_below = None;
-        }
         let threshold = ThresholdFn::new(
             self.config.gamma,
             ctx.carbon.lower_bound,
@@ -243,21 +197,6 @@ impl<PB: ProbabilisticScheduler> Scheduler for Pcaps<PB> {
                 let pending = job.progress.pending_tasks(chosen.stage);
                 self.stats.deferred_work +=
                     stage.mean_task_duration() * pending.min(ctx.free_executors) as f64;
-            }
-            if self.config.threshold_wakeups {
-                // Ψγ(r) is exactly the intensity at which the sampled stage
-                // becomes admissible — ask to be woken the moment the grid
-                // is that clean instead of rediscovering it on a later
-                // event.  One outstanding request per spell: re-request
-                // only for a stage admissible at a dirtier intensity (an
-                // earlier wakeup), so dirty spells don't flood the event
-                // queue with duplicates.
-                let target = threshold.evaluate(importance);
-                if self.pending_wakeup_below.is_none_or(|pending| target > pending) {
-                    self.stats.wakeups_requested += 1;
-                    self.pending_wakeup_below = Some(target);
-                    out.defer_below(target);
-                }
             }
             return;
         }
@@ -405,67 +344,6 @@ mod tests {
         let mut pcaps = Pcaps::new(DecimaLike::new(4), PcapsConfig::with_gamma(1.0));
         let result = sim.run(&mut pcaps).unwrap();
         assert!(result.all_jobs_complete(), "progress guarantee must prevent livelock");
-    }
-
-    #[test]
-    fn threshold_wakeups_fire_and_preserve_completion() {
-        // Volatile trace with long dirty spells: with threshold wakeups on,
-        // every deferral asks the engine for a defer_below event, and at
-        // least some of those wakeups fire (the trace does get clean).
-        let mut values = Vec::new();
-        for i in 0..2000 {
-            values.push(if i % 24 < 12 { 800.0 } else { 50.0 });
-        }
-        let trace = CarbonTrace::hourly("alternating", values);
-        let sim = simulator(trace, 9, 15, 20);
-        let mut pcaps = Pcaps::new(
-            DecimaLike::new(1),
-            PcapsConfig::with_gamma(0.9).with_threshold_wakeups(),
-        );
-        let result = sim.run(&mut pcaps).unwrap();
-        assert!(result.all_jobs_complete());
-        let stats = pcaps.stats();
-        assert!(stats.deferred > 0, "volatile trace must defer");
-        assert!(
-            stats.wakeups_requested > 0,
-            "deferrals must request threshold wakeups"
-        );
-        assert!(
-            stats.wakeups_requested <= stats.deferred,
-            "at most one outstanding request per deferral spell"
-        );
-        assert!(
-            stats.wakeups_received > 0,
-            "the engine must deliver threshold wakeups"
-        );
-    }
-
-    #[test]
-    fn threshold_wakeups_do_not_slow_the_schedule() {
-        // Wakeups only add scheduling opportunities at cleaner instants, so
-        // the carbon-aware run must not finish meaningfully later than the
-        // plain deferral run.
-        let mut values = Vec::new();
-        for i in 0..2000 {
-            values.push(if i % 24 < 12 { 800.0 } else { 50.0 });
-        }
-        let trace = CarbonTrace::hourly("alternating", values);
-        let plain = simulator(trace.clone(), 9, 15, 20)
-            .run(&mut Pcaps::new(DecimaLike::new(1), PcapsConfig::with_gamma(0.9)))
-            .unwrap();
-        let woken = simulator(trace, 9, 15, 20)
-            .run(&mut Pcaps::new(
-                DecimaLike::new(1),
-                PcapsConfig::with_gamma(0.9).with_threshold_wakeups(),
-            ))
-            .unwrap();
-        assert!(woken.all_jobs_complete());
-        assert!(
-            woken.ect() <= plain.ect() * 1.05,
-            "threshold wakeups should not stretch the schedule: {} vs {}",
-            woken.ect(),
-            plain.ect()
-        );
     }
 
     #[test]

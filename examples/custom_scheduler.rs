@@ -4,9 +4,9 @@
 //! * `on_event` + `DecisionSink` — decisions are pushed into an
 //!   engine-owned sink instead of returned in a fresh `Vec`, so the hot
 //!   path stays allocation-free,
-//! * `defer_below` — instead of idling and being re-consulted at every
-//!   event while carbon is dirty, the policy asks the engine to wake it
-//!   the moment the intensity drops to its ceiling.
+//! * deferral by writing nothing — above its carbon ceiling the policy
+//!   writes no decision, the free executors idle, and the next carbon step
+//!   (or arrival, or task finish) consults the policy again.
 //!
 //! The same policy is then wrapped with CAP — no changes to the policy
 //! itself, exactly the "wrapper for any carbon-agnostic scheduler" use case
@@ -20,21 +20,10 @@ use pcaps_cluster::{DecisionSink, SchedEvent, SchedulingContext};
 /// A toy carbon-ceiling policy: dispatch the job with the most remaining
 /// work first ("largest job first" — somebody's in-house policy), but only
 /// while the carbon intensity is at or below a fixed ceiling.  Above the
-/// ceiling it defers and uses `defer_below` to resume exactly at the next
-/// clean-enough carbon step.
+/// ceiling it writes nothing, and the next carbon step consults it again.
 struct ThriftyLargestJobFirst {
     /// Maximum carbon intensity (gCO₂eq/kWh) at which new work starts.
     ceiling: f64,
-    /// Whether a threshold wakeup is already outstanding (one is enough).
-    wakeup_pending: bool,
-    /// How many engine wakeups the policy received back.
-    wakeups_received: usize,
-}
-
-impl ThriftyLargestJobFirst {
-    fn new(ceiling: f64) -> Self {
-        ThriftyLargestJobFirst { ceiling, wakeup_pending: false, wakeups_received: 0 }
-    }
 }
 
 impl Scheduler for ThriftyLargestJobFirst {
@@ -44,32 +33,15 @@ impl Scheduler for ThriftyLargestJobFirst {
 
     fn on_event(
         &mut self,
-        event: SchedEvent<'_>,
+        _event: SchedEvent<'_>,
         ctx: &SchedulingContext<'_>,
         out: &mut DecisionSink,
     ) {
-        if let SchedEvent::Wakeup { .. } = event {
-            self.wakeup_pending = false;
-            self.wakeups_received += 1;
-        }
-        // Wakeups are advisory (see the scheduler_api docs): one can be
-        // swallowed if it fires while the cluster is saturated.  Re-arm as
-        // soon as a clean intensity is observed through any event, so a
-        // lost wakeup never disarms deferral for the rest of the run.
-        if self.wakeup_pending && ctx.carbon.intensity <= self.ceiling {
-            self.wakeup_pending = false;
-        }
-        // Dirty grid: defer, and (once per spell) ask to be woken at the
-        // first carbon step at or below the ceiling.  Writing nothing idles
-        // the free executors; the wakeup resumes the policy at the crossing
-        // without rescanning on every intermediate event.  Progress needs
-        // the ceiling strictly above the trace minimum — then a qualifying
-        // step always exists and the engine always schedules the wakeup.
+        // Dirty grid: write nothing.  The free executors idle, and while
+        // work waits the engine consults the policy again at every carbon
+        // step.  Progress needs the ceiling strictly above the trace
+        // minimum, so that a clean-enough step always comes.
         if ctx.carbon.intensity > self.ceiling {
-            if !self.wakeup_pending {
-                out.defer_below(self.ceiling);
-                self.wakeup_pending = true;
-            }
             return;
         }
         // Clean grid: largest remaining work first.
@@ -109,14 +81,15 @@ fn main() {
     let accountant = CarbonAccountant::new(trace).with_time_scale(60.0);
 
     // Plain custom policy.
-    let mut plain_policy = ThriftyLargestJobFirst::new(ceiling);
-    let plain = sim.run(&mut plain_policy).expect("plain run");
+    let plain = sim
+        .run(&mut ThriftyLargestJobFirst { ceiling })
+        .expect("plain run");
     let plain_summary = ExperimentSummary::of(&plain, &accountant);
 
     // The same policy wrapped with CAP — one line of integration; CAP
-    // forwards the typed events and the defer_below verbs transparently.
+    // forwards the typed events transparently.
     let mut capped = Cap::new(
-        ThriftyLargestJobFirst::new(ceiling),
+        ThriftyLargestJobFirst { ceiling },
         CapConfig::with_minimum_quota(4),
     );
     let capped_run = sim.run(&mut capped).expect("capped run");
@@ -124,10 +97,9 @@ fn main() {
 
     let rel = capped_summary.normalized_to(&plain_summary);
     println!(
-        "custom policy:            {:.1} kg CO2eq, ECT {:.0} s ({} threshold wakeups)",
+        "custom policy:            {:.1} kg CO2eq, ECT {:.0} s",
         plain_summary.carbon_grams / 1000.0,
-        plain_summary.ect,
-        plain_policy.wakeups_received
+        plain_summary.ect
     );
     println!(
         "custom policy + CAP(B=4): {:.1} kg CO2eq, ECT {:.0} s",

@@ -71,7 +71,7 @@ pub mod prelude {
         NeverMigrate, PartialRunSummary, PoissonCrashes, ProfileMode, RegionOutage,
         RetryPolicy, Router, RoutingContext, SchedEvent, Scheduler, SchedulingContext,
         FlowSet, NetworkLink, NetworkTopology, ServeSession, SimulationResult,
-        Simulator, StaticRouter, SubmittedJob, TransferFlow, TransferMatrix, WakeupToken,
+        Simulator, StaticRouter, SubmittedJob, TransferFlow, TransferMatrix,
     };
     pub use pcaps_core::{Cap, CapConfig, Pcaps, PcapsConfig};
     pub use pcaps_dag::{JobDag, JobDagBuilder, StageId, Task};

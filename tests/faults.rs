@@ -286,6 +286,44 @@ fn retry_exhaustion_aborts_with_the_policy_count() {
     }
 }
 
+/// `RetryPolicy`'s fields are public and `with_retry_policy` takes them as
+/// given, so a malformed policy must fail the run with `InvalidFault`
+/// naming the field: not panic in the event queue (NaN or infinite
+/// backoff), and not release the retry before the crash (a negative
+/// backoff would let one 50.5 s task that crashes at t=20 finish at 60.5).
+/// A zero backoff is legal and re-dispatches at the crash instant.
+#[test]
+fn malformed_retry_policies_are_rejected_naming_the_field() {
+    let policy = |backoff_base, backoff_factor| RetryPolicy {
+        max_attempts: 3,
+        backoff_base,
+        backoff_factor,
+    };
+    let run = |retry: RetryPolicy| {
+        one_executor_sim(50.5, FaultSchedule::new(vec![crash(20.0, 0, 0)]))
+            .with_retry_policy(retry)
+            .run(&mut SimpleFifo::new())
+    };
+    let overflowing = RetryPolicy { max_attempts: 4, backoff_base: 1.0, backoff_factor: 1e200 };
+    for (retry, field) in [
+        (policy(f64::NAN, 2.0), "backoff_base"),
+        (policy(f64::INFINITY, 2.0), "backoff_base"),
+        (policy(-10.0, 2.0), "backoff_base"),
+        (policy(5.0, f64::NAN), "backoff_factor"),
+        (policy(5.0, -2.0), "backoff_factor"),
+        (overflowing, "backoff_factor"),
+    ] {
+        match run(retry) {
+            Err(SimError::InvalidFault { reason }) => {
+                assert!(reason.contains(field), "{retry:?}: {reason}")
+            }
+            other => panic!("{retry:?}: expected InvalidFault, got {other:?}"),
+        }
+    }
+    let result = run(policy(0.0, 0.0)).expect("a zero backoff is legal");
+    assert!((result.makespan - 70.5).abs() < 1e-9, "got {}", result.makespan);
+}
+
 #[test]
 fn fault_schedules_are_validated_against_the_topology() {
     let bad_member = one_executor_sim(

@@ -4,12 +4,8 @@
 //!   reproduces the legacy single-cluster `Simulator` fingerprints bit for
 //!   bit for all seven scheduler specs of the experiment harness,
 //! * routing is deterministic — the same seed yields the same per-cluster
-//!   job sets run after run, for every built-in router,
-//! * scheduler wakeup verbs are delivered to the member that requested them
-//!   (see also the engine's unit test resolving `defer_below` against the
-//!   requesting member's own trace).
+//!   job sets run after run, for every built-in router.
 
-use carbon_aware_dag_sched::dag::JobId;
 use carbon_aware_dag_sched::prelude::*;
 use pcaps_experiments::multi_region::{
     run_federated_trial, FederationExperimentConfig, RouterSpec,
@@ -186,102 +182,4 @@ fn per_member_job_sets_replay_bit_identically() {
             assert_eq!(all, (0..12).collect::<Vec<u64>>());
         }
     }
-}
-
-/// `defer_until` wakeups fire only on the member whose scheduler requested
-/// them, at the exact requested time — even when another member is busy at
-/// that instant.
-#[test]
-fn timer_wakeups_are_delivered_to_the_requesting_member() {
-    struct SleepThenFifo {
-        at: f64,
-        requested: bool,
-        wakeups: Vec<f64>,
-    }
-    impl Scheduler for SleepThenFifo {
-        fn name(&self) -> &str {
-            "sleep-then-fifo"
-        }
-        fn on_event(
-            &mut self,
-            event: SchedEvent<'_>,
-            ctx: &SchedulingContext<'_>,
-            out: &mut DecisionSink,
-        ) {
-            if let SchedEvent::Wakeup { .. } = event {
-                self.wakeups.push(ctx.time);
-            }
-            if !self.requested {
-                self.requested = true;
-                out.defer_until(self.at);
-                return;
-            }
-            if ctx.time < self.at {
-                return;
-            }
-            for (job, stage) in ctx.dispatchable_iter() {
-                out.dispatch(job, stage, 1);
-            }
-        }
-    }
-    struct EagerFifo {
-        wakeups: usize,
-    }
-    impl Scheduler for EagerFifo {
-        fn name(&self) -> &str {
-            "eager-fifo"
-        }
-        fn on_event(
-            &mut self,
-            event: SchedEvent<'_>,
-            ctx: &SchedulingContext<'_>,
-            out: &mut DecisionSink,
-        ) {
-            if matches!(event, SchedEvent::Wakeup { .. }) {
-                self.wakeups += 1;
-            }
-            for (job, stage) in ctx.dispatchable_iter() {
-                out.dispatch(job, stage, 1);
-            }
-        }
-    }
-    struct ByParity;
-    impl Router for ByParity {
-        fn name(&self) -> &str {
-            "parity"
-        }
-        fn route(&mut self, id: JobId, _job: &SubmittedJob, _ctx: &RoutingContext<'_>) -> usize {
-            (id.0 % 2) as usize
-        }
-    }
-    let job = |name: &str| {
-        JobDagBuilder::new(name)
-            .stage("s", vec![Task::new(5.0); 2])
-            .build()
-            .unwrap()
-    };
-    let config = ClusterConfig::new(2).with_move_delay(0.0).with_time_scale(1.0);
-    let federation = Federation::new(
-        vec![
-            Member::new("A", config.clone(), CarbonTrace::constant("A", 100.0, 48)),
-            Member::new("B", config, CarbonTrace::constant("B", 100.0, 48)),
-        ],
-        vec![
-            SubmittedJob::at(0.0, job("j0")),
-            SubmittedJob::at(0.0, job("j1")),
-        ],
-    );
-    let wake_at = 987.654; // strictly inside the first carbon step
-    let mut sleeper = SleepThenFifo { at: wake_at, requested: false, wakeups: Vec::new() };
-    let mut eager = EagerFifo { wakeups: 0 };
-    let result = {
-        let mut schedulers: [&mut dyn Scheduler; 2] = [&mut sleeper, &mut eager];
-        federation.run(&mut ByParity, &mut schedulers).unwrap()
-    };
-    assert!(result.all_jobs_complete());
-    assert_eq!(sleeper.wakeups, vec![wake_at], "member A wakes exactly once, bit-exact");
-    assert_eq!(eager.wakeups, 0, "member B must never see member A's wakeup");
-    // Member A's job ran only after the wakeup; member B's ran immediately.
-    assert!((result.members[0].result.makespan - (wake_at + 5.0)).abs() < 1e-9);
-    assert!((result.members[1].result.makespan - 5.0).abs() < 1e-9);
 }

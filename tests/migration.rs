@@ -17,12 +17,8 @@
 //!    integral predicts, with a zero and a non-zero [`TransferMatrix`].
 //!
 //! Plus the negative paths: migrating a completed job is a no-op
-//! (historical semantics), an out-of-range destination aborts with the
-//! descriptive [`SimError::InvalidMigration`], and a deferral wakeup
-//! requested before a migration stays with the *requesting* member — whose
-//! engine suppresses it when nothing is left to decide there — while the
-//! new owner is re-invoked by the migration arrival itself (the documented
-//! semantics; see the cluster crate's architecture note).
+//! (historical semantics), and an out-of-range destination or a job with a
+//! running task aborts with the descriptive [`SimError::InvalidMigration`].
 
 use carbon_aware_dag_sched::prelude::*;
 use pcaps_cluster::SimError;
@@ -630,116 +626,6 @@ fn migrating_a_running_job_is_an_error() {
         }
         other => panic!("expected InvalidMigration, got {other:?}"),
     }
-}
-
-/// Negative path / documented semantics: a `defer_until` wakeup requested
-/// by a member *before* one of its jobs migrates away stays with the
-/// requesting member.  When that member has nothing left to decide at the
-/// fire time, the engine suppresses the delivery entirely (wakeups are
-/// advisory), and the destination member is instead re-invoked by the
-/// migration arrival — so the job completes under its new owner long before
-/// the stale timer would have fired.
-#[test]
-fn wakeups_requested_before_a_migration_stay_with_the_requesting_member() {
-    struct SleepyA {
-        requested: bool,
-        wakeups: usize,
-    }
-    impl Scheduler for SleepyA {
-        fn name(&self) -> &str {
-            "sleepy-a"
-        }
-        fn on_event(
-            &mut self,
-            event: SchedEvent<'_>,
-            _ctx: &SchedulingContext<'_>,
-            out: &mut DecisionSink,
-        ) {
-            if matches!(event, SchedEvent::Wakeup { .. }) {
-                self.wakeups += 1;
-            }
-            if !self.requested {
-                self.requested = true;
-                // Sleep far past the migration: A never dispatches anything.
-                out.defer_until(50_000.0);
-            }
-        }
-    }
-    struct EagerB {
-        wakeups: usize,
-        fifo: SparkStandaloneFifo,
-    }
-    impl Scheduler for EagerB {
-        fn name(&self) -> &str {
-            "eager-b"
-        }
-        fn on_event(
-            &mut self,
-            event: SchedEvent<'_>,
-            ctx: &SchedulingContext<'_>,
-            out: &mut DecisionSink,
-        ) {
-            if matches!(event, SchedEvent::Wakeup { .. }) {
-                self.wakeups += 1;
-            }
-            self.fifo.on_event(event, ctx, out);
-        }
-    }
-    let job = |name: &str, dur: f64| {
-        JobDagBuilder::new(name)
-            .stage("s", vec![Task::new(dur)])
-            .build()
-            .unwrap()
-    };
-    let config_a = ClusterConfig::new(1).with_move_delay(0.0).with_time_scale(1.0);
-    // B gets a second executor so the migrated job can start immediately
-    // while the keeper occupies the first.
-    let config_b = ClusterConfig::new(2).with_move_delay(0.0).with_time_scale(1.0);
-    let fed = Federation::new(
-        vec![
-            Member::new("A", config_a, CarbonTrace::constant("A", 500.0, 48)),
-            Member::new("B", config_b, CarbonTrace::constant("B", 100.0, 48)),
-        ],
-        // Job 0 lands on A (whose scheduler only sleeps); job 1 keeps B busy
-        // past the stale wakeup at t=50 000 so the run is still alive then.
-        vec![
-            SubmittedJob::at(0.0, job("j0", 100.0)),
-            SubmittedJob::at(0.0, job("keeper", 60_000.0)),
-        ],
-    );
-    struct ByParity;
-    impl Router for ByParity {
-        fn name(&self) -> &str {
-            "parity"
-        }
-        fn route(&mut self, id: pcaps_dag::JobId, _: &SubmittedJob, _: &RoutingContext<'_>) -> usize {
-            (id.0 % 2) as usize
-        }
-    }
-    let mut a = SleepyA { requested: false, wakeups: 0 };
-    let mut b = EagerB { wakeups: 0, fifo: SparkStandaloneFifo::new() };
-    // B is strictly greener, so the aggressive migrator moves A's idle job 0
-    // to B at the first carbon step (t=3600).
-    let mut policy = always_greenest();
-    let result = {
-        let mut schedulers: [&mut dyn Scheduler; 2] = [&mut a, &mut b];
-        fed.run_with_migration(&mut ByParity, &mut policy, &mut schedulers)
-            .unwrap()
-    };
-    assert!(result.all_jobs_complete());
-    assert_eq!(result.num_migrations(), 1, "job 0 must have moved to B");
-    assert_eq!(result.migrations[0].job.0, 0);
-    // Job 0 completed on B shortly after the migration — driven by the
-    // migration-arrival event, not by the stale timer.
-    let b_ids: Vec<u64> = result.members[1].result.jobs.iter().map(|j| j.id.0).collect();
-    assert!(b_ids.contains(&0));
-    let j0 = result.members[1].result.jobs.iter().find(|j| j.id.0 == 0).unwrap();
-    assert!((j0.completion - 3700.0).abs() < 1e-9, "B ran job 0 right after its arrival");
-    // The wakeup was never forwarded to B…
-    assert_eq!(b.wakeups, 0, "the new owner must not receive the old member's wakeup");
-    // …and A, left with nothing to decide at t=50 000, never saw it either:
-    // member-scoped, advisory, effectively cancelled.
-    assert_eq!(a.wakeups, 0, "the suppressed wakeup must not reach the idle source");
 }
 
 /// Migration composes with the experiment harness end to end: the CSV the

@@ -3,7 +3,7 @@
 //! The link-level network model is a federation's one transfer model:
 //! pairs that cross capacitated links become max-min fair-shared flows, and
 //! a `TransferMatrix` enters as its link-free special case.  It is pinned
-//! from three directions:
+//! from four directions:
 //!
 //! 1. **Fluid-model correctness** — driving a [`FlowSet`] through the
 //!    engine's own `settle`/`begin`/`finish`/`reallocate` protocol over
@@ -18,9 +18,12 @@
 //!    engine still priced matrices through a branch of its own.
 //! 3. **Determinism** — drain-then-move trials over a capacitated network
 //!    replay bit-identically across {FIFO, PCAPS} × 3 seeds.
+//! 4. **Settlement ends the run** — a superseded flow arrival still queued
+//!    after the last job completes neither keeps the clock running nor
+//!    trips the time limit.
 
 use carbon_aware_dag_sched::prelude::*;
-use pcaps_cluster::{FlowArrivalPlan, FlowSet, NetworkTopology};
+use pcaps_cluster::{DecisionSink, FlowArrivalPlan, FlowSet, NetworkTopology};
 use pcaps_dag::JobId;
 use pcaps_experiments::multi_region::{
     run_federated_trial_with_migration, FederationExperimentConfig, MigrationSpec, RouterSpec,
@@ -416,4 +419,74 @@ fn drain_then_move_trials_replay_bit_identically() {
         saw_moves,
         "at least one seed must migrate through the network, or this suite proves nothing"
     );
+}
+
+/// A scheduler that never dispatches, so its member's jobs stay idle (and
+/// migratable) until a migration policy moves them.
+struct Idle;
+
+impl Scheduler for Idle {
+    fn name(&self) -> &str {
+        "idle"
+    }
+    fn on_event(&mut self, _: SchedEvent<'_>, _: &SchedulingContext<'_>, _: &mut DecisionSink) {}
+}
+
+/// Moves every migratable candidate to one member.
+struct MoveAllTo(usize);
+
+impl MigrationPolicy for MoveAllTo {
+    fn name(&self) -> &str {
+        "move-all"
+    }
+    fn on_carbon_change(
+        &mut self,
+        _ctx: &MigrationContext<'_>,
+        candidates: &[MigrationCandidate],
+        out: &mut MigrationSink,
+    ) {
+        for c in candidates.iter().filter(|c| c.migratable()) {
+            out.migrate(c.job, self.0);
+        }
+    }
+}
+
+/// (4) At t=3600 two idle jobs (1 GB and 10 GB) leave A over its one shared
+/// 1 GB/s uplink at 0.5 GB/s each.  The small job lands at 3602; the big
+/// one's rate then doubles, so its 9 GB left land at 3611, superseding the
+/// arrival still queued for 3620.  Its 1 s task finishes at 3612, and the
+/// run must end there: the limit of 3615 falls before the stale event.
+#[test]
+fn a_superseded_flow_arrival_does_not_outlive_the_run() {
+    let job = |name: &str, gb: f64| {
+        let dag = JobDagBuilder::new(name)
+            .stage("s", vec![Task::new(1.0)])
+            .build()
+            .unwrap();
+        SubmittedJob::at(0.0, dag).with_data_gb(gb)
+    };
+    let config = ClusterConfig::new(1)
+        .with_move_delay(0.0)
+        .with_time_scale(1.0)
+        .with_max_sim_time(3615.0);
+    let fed = Federation::new(
+        vec![
+            Member::new("A", config.clone(), CarbonTrace::constant("A", 100.0, 48)),
+            Member::new("B", config, CarbonTrace::constant("B", 100.0, 48)),
+        ],
+        vec![job("small", 1.0), job("big", 10.0)],
+    )
+    .with_network(NetworkTopology::new(2).with_uplink(0, 1.0));
+    let mut a = Idle;
+    let mut b = SparkStandaloneFifo::new();
+    let mut schedulers: [&mut dyn Scheduler; 2] = [&mut a, &mut b];
+    let result = fed
+        .run_with_migration(&mut StaticRouter::new(0), &mut MoveAllTo(1), &mut schedulers)
+        .expect("the run ends when the last job completes");
+    let arrivals: Vec<f64> = result.migrations.iter().map(|m| m.arrived).collect();
+    assert_eq!(arrivals.len(), 2, "both jobs migrate");
+    assert!((arrivals[0] - 3602.0).abs() < 1e-9, "got {arrivals:?}");
+    assert!((arrivals[1] - 3611.0).abs() < 1e-9, "got {arrivals:?}");
+    assert!(result.all_jobs_complete());
+    assert!((result.makespan - 3612.0).abs() < 1e-9, "got {}", result.makespan);
 }

@@ -1,18 +1,8 @@
-//! Properties of the v2 scheduler API: engine-managed wakeup timers fire
-//! exactly once at the exact requested instant (piercing the carbon-step
-//! granularity), deterministically across randomized cases, and the typed
-//! event stream the engine delivers is coherent with the simulation state.
-//!
-//! Driven by a seeded ChaCha8 generator (no external proptest dependency is
-//! available offline), so every failure is reproducible from the printed
-//! case seed.
+//! Properties of the v2 scheduler API: the typed event stream the engine
+//! delivers is coherent with the simulation state.
 
 use carbon_aware_dag_sched::prelude::*;
 use pcaps_cluster::{DecisionSink, SchedulingContext};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
-
-const CASES: u64 = 48;
 
 fn wide_job(name: &str, tasks: usize, dur: f64) -> JobDag {
     JobDagBuilder::new(name)
@@ -21,193 +11,10 @@ fn wide_job(name: &str, tasks: usize, dur: f64) -> JobDag {
         .unwrap()
 }
 
-/// Defers all work until a fixed schedule time via `defer_until`, then
-/// dispatches FIFO.  Records every wakeup it receives.
-struct SleepUntil {
-    at: f64,
-    token: Option<WakeupToken>,
-    wakeup_times: Vec<f64>,
-}
-
-impl SleepUntil {
-    fn new(at: f64) -> Self {
-        SleepUntil { at, token: None, wakeup_times: Vec::new() }
-    }
-}
-
-impl Scheduler for SleepUntil {
-    fn name(&self) -> &str {
-        "sleep-until"
-    }
-
-    fn on_event(
-        &mut self,
-        event: SchedEvent<'_>,
-        ctx: &SchedulingContext<'_>,
-        out: &mut DecisionSink,
-    ) {
-        if let SchedEvent::Wakeup { token } = event {
-            assert_eq!(Some(token), self.token, "wakeup token must round-trip");
-            self.wakeup_times.push(ctx.time);
-        }
-        if self.token.is_none() {
-            self.token = Some(out.defer_until(self.at));
-            return;
-        }
-        if ctx.time < self.at {
-            return; // intermediate events (carbon steps, arrivals): keep sleeping
-        }
-        let mut free = ctx.free_executors;
-        for job in ctx.jobs() {
-            for &stage in job.dispatchable_stages() {
-                if free == 0 {
-                    return;
-                }
-                let want = job.progress.pending_tasks(stage).min(free);
-                if want > 0 {
-                    out.dispatch(job.id, stage, want);
-                    free -= want;
-                }
-            }
-        }
-    }
-}
-
-/// A `defer_until` policy fires exactly once, at the exact (bitwise)
-/// requested time — even when that time sits strictly between carbon
-/// steps — across randomized workloads, cluster sizes, and wake times.
-#[test]
-fn wakeup_timer_fires_exactly_once_at_the_requested_time() {
-    let mut rng = ChaCha8Rng::seed_from_u64(0x7A3E_57E9);
-    for case in 0..CASES {
-        let executors = rng.gen_range(1..8usize);
-        let tasks = rng.gen_range(1..12usize);
-        let dur = rng.gen_range(0.5..30.0f64);
-        // Wake times deliberately avoid the hourly carbon-step grid almost
-        // surely (continuous draw) and span several steps.
-        let wake_at = rng.gen_range(1.0..4.0 * 3600.0f64);
-        let run = || {
-            let config = ClusterConfig::new(executors)
-                .with_move_delay(0.0)
-                .with_time_scale(1.0);
-            let sim = Simulator::new(
-                config,
-                vec![SubmittedJob::at(0.0, wide_job("j", tasks, dur))],
-                CarbonTrace::constant("flat", 300.0, 26_304),
-            );
-            let mut policy = SleepUntil::new(wake_at);
-            let result = sim.run(&mut policy).expect("run completes");
-            (policy.wakeup_times.clone(), result.makespan)
-        };
-        let (wakeups, makespan) = run();
-        assert_eq!(
-            wakeups,
-            vec![wake_at],
-            "case {case}: exactly one wakeup at the exact requested time"
-        );
-        // No work starts before the wakeup, so the makespan is the wake
-        // time plus the (single-stage) workload's span on the cluster.
-        let waves = tasks.div_ceil(executors) as f64;
-        assert!(
-            (makespan - (wake_at + waves * dur)).abs() < 1e-9,
-            "case {case}: work must start exactly at the wakeup"
-        );
-        // Determinism: the same case reproduces bit-identically.
-        let (wakeups2, makespan2) = run();
-        assert_eq!(wakeups, wakeups2, "case {case}: wakeups must be deterministic");
-        assert_eq!(
-            makespan.to_bits(),
-            makespan2.to_bits(),
-            "case {case}: makespan must be bit-identical across reruns"
-        );
-    }
-}
-
-/// `defer_below` wakes at exactly the first carbon step at or below the
-/// threshold, matching a naive linear walk of the trace.
-#[test]
-fn defer_below_matches_naive_trace_walk() {
-    struct BelowOnce {
-        threshold: f64,
-        asked: bool,
-        wakeup_times: Vec<f64>,
-    }
-    impl Scheduler for BelowOnce {
-        fn name(&self) -> &str {
-            "below-once"
-        }
-        fn on_event(
-            &mut self,
-            event: SchedEvent<'_>,
-            ctx: &SchedulingContext<'_>,
-            out: &mut DecisionSink,
-        ) {
-            if let SchedEvent::Wakeup { .. } = event {
-                self.wakeup_times.push(ctx.time);
-            }
-            if !self.asked {
-                self.asked = true;
-                out.defer_below(self.threshold);
-                return;
-            }
-            if self.wakeup_times.is_empty() {
-                return; // still waiting for the crossing
-            }
-            let mut free = ctx.free_executors;
-            for job in ctx.jobs() {
-                for &stage in job.dispatchable_stages() {
-                    if free == 0 {
-                        return;
-                    }
-                    let want = job.progress.pending_tasks(stage).min(free);
-                    if want > 0 {
-                        out.dispatch(job.id, stage, want);
-                        free -= want;
-                    }
-                }
-            }
-        }
-    }
-
-    let mut rng = ChaCha8Rng::seed_from_u64(0xBE10);
-    for case in 0..CASES {
-        let len = rng.gen_range(6..48usize);
-        let values: Vec<f64> = (0..len).map(|_| rng.gen_range(100.0..900.0)).collect();
-        // A threshold strictly between the trace's min and its first value,
-        // so the policy always defers at t = 0 and always crosses later.
-        let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
-        if values[0] <= lo + 1.0 {
-            continue; // first step already clean: nothing to defer
-        }
-        let threshold = rng.gen_range(lo..values[0]);
-        // Naive expectation: first step index >= 1 whose value qualifies.
-        let expected_step = (1..len).find(|&i| values[i] <= threshold);
-        let Some(expected_step) = expected_step else { continue };
-        let expected_time = expected_step as f64 * 3600.0;
-
-        let trace = CarbonTrace::hourly("prop", values.clone());
-        let config = ClusterConfig::new(2).with_move_delay(0.0).with_time_scale(1.0);
-        let sim = Simulator::new(
-            config,
-            vec![SubmittedJob::at(0.0, wide_job("j", 2, 5.0))],
-            trace,
-        );
-        let mut policy = BelowOnce { threshold, asked: false, wakeup_times: Vec::new() };
-        let result = sim.run(&mut policy).expect("run completes");
-        assert!(result.all_jobs_complete(), "case {case}");
-        assert_eq!(
-            policy.wakeup_times,
-            vec![expected_time],
-            "case {case}: wakeup must land on the first qualifying step \
-             (threshold {threshold}, values {values:?})"
-        );
-    }
-}
-
 /// The typed event stream is coherent: the first event is the arrival of
 /// job 0, every TasksCompleted matches a real dispatch, carbon events step
-/// between adjacent trace values, and a policy that never uses verbs never
-/// sees a wakeup.
+/// between adjacent trace values, and a fault-free run delivers no fault
+/// events.
 #[test]
 fn typed_event_stream_is_coherent() {
     #[derive(Default)]
@@ -216,7 +23,6 @@ fn typed_event_stream_is_coherent() {
         completions: usize,
         carbon_changes: usize,
         kicks: usize,
-        wakeups: usize,
         first_event_checked: bool,
     }
     impl Scheduler for EventAudit {
@@ -246,7 +52,6 @@ fn typed_event_stream_is_coherent() {
                     self.carbon_changes += 1;
                 }
                 SchedEvent::Kick => self.kicks += 1,
-                SchedEvent::Wakeup { .. } => self.wakeups += 1,
                 SchedEvent::TasksFailed { .. } | SchedEvent::MemberAvailability { .. } => {
                     panic!("fault events cannot fire on a fault-free run")
                 }
@@ -275,5 +80,4 @@ fn typed_event_stream_is_coherent() {
     assert!(audit.arrivals >= 1, "at least the first arrival is observed");
     assert!(audit.completions > 0, "task completions must be delivered typed");
     assert!(audit.kicks > 0, "same-instant re-invocations must be kicks");
-    assert_eq!(audit.wakeups, 0, "no verbs used, so no wakeups may fire");
 }

@@ -9,12 +9,14 @@
 //!    reproduces the historical flatten-then-stable-sort on random streams,
 //! 3. **bounded residency** — a streaming run's peak resident job count
 //!    stays far below the workload size,
-//! 4. **contract enforcement** — out-of-order sources abort with a
-//!    descriptive error instead of silently corrupting the schedule.
+//! 4. **contract enforcement** — out-of-order sources and malformed
+//!    arrival times abort with a descriptive error instead of silently
+//!    corrupting the schedule.
 //!
 //! `crates/bench/smoke.sh` fails if this suite does not run in full (no
 //! filters, no ignores), the same gate the migration suite has.
 
+use carbon_aware_dag_sched::cluster::SimError;
 use carbon_aware_dag_sched::prelude::*;
 use pcaps_experiments::runner::{run_trial, BaseScheduler, ExperimentConfig, SchedulerSpec};
 use pcaps_experiments::streaming::{run_streamed_trial, StreamSource};
@@ -273,4 +275,42 @@ fn out_of_order_sources_abort_with_a_descriptive_error() {
     let msg = err.to_string();
     assert!(msg.contains("backwards"), "error must name the job: {msg}");
     assert!(msg.contains("non-decreasing"), "error must state the contract: {msg}");
+}
+
+/// (4) Contract enforcement: `arrival` is a public field, so a struct
+/// literal can bypass `SubmittedJob::at`'s assert.  A NaN, negative or
+/// infinite arrival is an `InvalidJob` naming the job through both intakes:
+/// at construction for a materialized workload, and on the pull for a
+/// stream.
+#[test]
+fn malformed_arrival_times_are_invalid_jobs_through_both_intakes() {
+    let config = ClusterConfig::new(2).with_time_scale(1.0);
+    let trace = CarbonTrace::constant("flat", 100.0, 48);
+    let workload = |arrival: f64| {
+        let dag = JobDagBuilder::new("bad")
+            .stage("s", vec![Task::new(1.0)])
+            .build()
+            .unwrap();
+        vec![SubmittedJob { arrival, ..SubmittedJob::at(0.0, dag) }]
+    };
+    fn assert_invalid(intake: &str, arrival: f64, result: Result<SimulationResult, SimError>) {
+        match result {
+            Err(SimError::InvalidJob { job, reason }) => {
+                assert_eq!(job, "bad", "{intake}, arrival {arrival}");
+                assert!(reason.contains("arrival"), "{intake}, arrival {arrival}: {reason}");
+            }
+            other => panic!("{intake}, arrival {arrival}: expected InvalidJob, got {other:?}"),
+        }
+    }
+    for bad in [f64::NAN, -5.0, f64::INFINITY] {
+        let materialized = Simulator::new(config.clone(), workload(bad), trace.clone());
+        assert_invalid("materialized", bad, materialized.run(&mut SparkStandaloneFifo::new()));
+        let streaming = Simulator::streaming(config.clone(), trace.clone());
+        let mut source = workload(bad).into_iter();
+        assert_invalid(
+            "streamed",
+            bad,
+            streaming.run_source(&mut source, &mut SparkStandaloneFifo::new()),
+        );
+    }
 }
