@@ -51,6 +51,13 @@ cargo test -q
 for example in examples/*.rs; do
     cargo run --release -q --example "$(basename "$example" .rs)"
 done
+# The repository benchmark (perfbench/) is a package of its own that builds
+# these crates by path and pins their dependency lists in its own lockfile:
+# build it and run its self-test, locked and offline, into the target
+# directory perfbench/run.py uses, so a change to a type or function it
+# imports, or a new edge between workspace crates, fails here.
+CARGO_TARGET_DIR=.bench_build \
+    cargo test --release --locked --offline -q --manifest-path perfbench/Cargo.toml
 
 # Conformance suites that must run in full: a filter, an ignore attribute
 # or a compile-time gate that silently skipped one would let its guarantees
@@ -69,8 +76,8 @@ require_full_suite() {
 }
 # tests/migration.rs pins the engine's never-migrate fingerprints and the
 # cross-member accounting; tests/streaming.rs pins the pull-based intake
-# pipeline bit-for-bit against the materialized path (and the k-way merge
-# against its sort oracle); tests/faults.rs pins the fault layer's
+# pipeline bit-for-bit against the materialized path, on one cluster and on
+# a two-member federation; tests/faults.rs pins the fault layer's
 # do-no-harm guarantee (empty schedule ≡ no schedule, bit for bit), replay
 # determinism under injection (with and without carbon-delta migration),
 # and the hand-computed recovery oracles; tests/steady_state.rs pins the

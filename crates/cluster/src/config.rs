@@ -146,6 +146,35 @@ impl ClusterConfig {
     pub fn job_cap(&self) -> usize {
         self.per_job_executor_cap.unwrap_or(self.num_executors)
     }
+
+    /// Rejects a configuration the builder methods would have refused,
+    /// naming the field.  The fields are public, so a struct literal can
+    /// bypass their asserts: no executors or a zero cap never finishes a
+    /// job, a NaN or negative delay breaks the event order, a zero or NaN
+    /// time scale freezes the carbon clock, a NaN horizon has no bounds,
+    /// and a NaN time limit never trips.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        let delay = self.executor_move_delay;
+        let failure = if self.num_executors == 0 {
+            "num_executors must be at least 1, got 0".to_string()
+        } else if self.per_job_executor_cap == Some(0) {
+            "per_job_executor_cap must be positive, got Some(0)".to_string()
+        } else if !(delay >= 0.0 && delay.is_finite()) {
+            format!("executor_move_delay must be non-negative and finite, got {delay}")
+        } else if !(self.time_scale > 0.0 && self.time_scale.is_finite()) {
+            format!("time_scale must be positive and finite, got {}", self.time_scale)
+        } else if !(self.forecast_horizon > 0.0 && self.forecast_horizon.is_finite()) {
+            format!(
+                "forecast_horizon must be positive and finite, got {}",
+                self.forecast_horizon
+            )
+        } else if self.max_sim_time.is_nan() || self.max_sim_time <= 0.0 {
+            format!("max_sim_time must be positive, got {}", self.max_sim_time)
+        } else {
+            return Ok(());
+        };
+        Err(failure)
+    }
 }
 
 #[cfg(test)]

@@ -74,7 +74,7 @@ use crate::faults::{
     RetryPolicy,
 };
 use crate::federation::{Federation, Member};
-use crate::job_state::{ActiveJob, JobRecord, SubmittedJob};
+use crate::job_state::{check_arrival, check_data_gb, ActiveJob, JobRecord, SubmittedJob};
 use crate::network::{FlowArrivalPlan, FlowSet};
 use crate::source::ArrivalSource;
 use crate::profile::{ExecutorSegment, UsageProfile};
@@ -107,8 +107,9 @@ pub struct Simulator {
 
 impl Simulator {
     /// Creates a simulator.  The workload is sorted by arrival time; job ids
-    /// are assigned in arrival order.  Every job DAG is validated here, once
-    /// — [`Simulator::run`] reports the failure without re-walking the DAGs.
+    /// are assigned in arrival order.  The configuration and every job are
+    /// validated here, once — [`Simulator::run`] reports the failure without
+    /// re-walking the DAGs.
     pub fn new(config: ClusterConfig, workload: Vec<SubmittedJob>, carbon: CarbonTrace) -> Self {
         let label = carbon.label.clone();
         Simulator {
@@ -386,10 +387,10 @@ impl MemberState {
             self.executors.busy_count(),
             spec.config.job_cap(),
             &self.active,
-            Some(&self.slots),
+            &self.slots,
+            self.slot_base,
+            self.outstanding_work,
         )
-        .with_slot_base(self.slot_base)
-        .with_outstanding_work(self.outstanding_work)
     }
 
     /// Index of `job` in `active`, if it is active on this member.  Ids
@@ -942,7 +943,7 @@ impl<'a> Engine<'a> {
         let Some(job) = self.source.next_job() else {
             return Ok(());
         };
-        job.check_arrival()?;
+        check_arrival(&job)?;
         if job.arrival < st.last_arrival {
             return Err(SimError::OutOfOrderArrival {
                 job: job.dag.name.clone(),
@@ -958,7 +959,7 @@ impl<'a> Engine<'a> {
                 });
             }
         }
-        job.check_data_gb()?;
+        check_data_gb(&job)?;
         st.last_arrival = job.arrival;
         let id = JobId(st.jobs.seen() as u64);
         st.jobs.push(job.dag.num_stages() as u32);

@@ -99,6 +99,16 @@ pub enum SimError {
         /// Explanation of what was wrong.
         reason: String,
     },
+    /// A member's [`ClusterConfig`](crate::config::ClusterConfig) holds a
+    /// value its builder methods refuse (its fields are public, so a struct
+    /// literal can bypass them).  Reported by every run entry point, like
+    /// [`SimError::InvalidJob`] found at construction.
+    InvalidConfig {
+        /// Label of the offending member.
+        member: String,
+        /// Which field is malformed, and its value.
+        reason: String,
+    },
     /// A transfer matrix or network topology does not fit the federation it
     /// was attached to (wrong member dimension), so its pair lookups would
     /// misprice or panic deep inside the engine.  Reported on the first
@@ -165,6 +175,9 @@ impl fmt::Display for SimError {
             SimError::InvalidFault { reason } => {
                 write!(f, "fault schedule is invalid for this federation: {reason}")
             }
+            SimError::InvalidConfig { member, reason } => {
+                write!(f, "member {member:?} has an invalid cluster configuration: {reason}")
+            }
             SimError::InvalidTopology { reason } => {
                 write!(f, "transfer topology is invalid for this federation: {reason}")
             }
@@ -227,6 +240,12 @@ mod tests {
             reason: "injection targets member 5 of a 2-member federation".into(),
         };
         assert!(fault.to_string().contains("member 5"));
+        let config = SimError::InvalidConfig {
+            member: "DE".into(),
+            reason: "time_scale must be positive and finite, got 0".into(),
+        };
+        assert!(config.to_string().contains("\"DE\""));
+        assert!(config.to_string().contains("time_scale"));
         let topology = SimError::InvalidTopology {
             reason: "the transfer matrix covers 4 member(s), this federation has 3".into(),
         };

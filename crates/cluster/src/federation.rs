@@ -53,7 +53,7 @@ use crate::config::ClusterConfig;
 use crate::engine::Engine;
 use crate::error::SimError;
 use crate::faults::{FaultContext, FaultPlan, FaultSchedule, RetryPolicy};
-use crate::job_state::SubmittedJob;
+use crate::job_state::{check_arrival, check_data_gb, SubmittedJob};
 use crate::network::NetworkTopology;
 use crate::result::FederationResult;
 use crate::routing::{MigrationPolicy, NeverMigrate, Router, TransferMatrix};
@@ -117,25 +117,33 @@ impl Federation {
     /// Creates a federation.  The workload is sorted by arrival time; job
     /// ids are assigned in arrival order *across the whole federation* (a
     /// job's id is its index in the global workload, whichever member it is
-    /// later routed to).  Every job's arrival time, DAG and data size is
-    /// validated here, once.
+    /// later routed to).  Every member's configuration, and every job's
+    /// arrival time, DAG and data size, is validated here, once; the first
+    /// failure is reported by every run.
     ///
     /// # Panics
     /// Panics if `members` is empty.
     pub fn new(members: Vec<Member>, mut workload: Vec<SubmittedJob>) -> Self {
         assert!(!members.is_empty(), "federation must have at least one member cluster");
         workload.sort_by(|a, b| a.arrival.total_cmp(&b.arrival));
-        let invalid = workload.iter().find_map(|job| {
-            job.check_arrival()
+        let invalid_job = workload.iter().find_map(|job| {
+            check_arrival(job)
                 .and_then(|()| {
                     job.dag.validate().map_err(|e| SimError::InvalidJob {
                         job: job.dag.name.clone(),
                         reason: e.to_string(),
                     })
                 })
-                .and_then(|()| job.check_data_gb())
+                .and_then(|()| check_data_gb(job))
                 .err()
         });
+        let invalid = members
+            .iter()
+            .find_map(|m| {
+                let reason = m.config.check().err()?;
+                Some(SimError::InvalidConfig { member: m.label.clone(), reason })
+            })
+            .or(invalid_job);
         let network = NetworkTopology::new(members.len());
         Federation {
             members,
@@ -285,8 +293,9 @@ impl Federation {
         self.retry
     }
 
-    /// The construction-time poison (invalid workload or fault plan), if
-    /// any, reported by every run entry point including the serving mode.
+    /// The construction-time poison (invalid configuration, workload or
+    /// fault plan), if any, reported by every run entry point including the
+    /// serving mode.
     pub(crate) fn invalid(&self) -> Option<&SimError> {
         self.invalid.as_ref()
     }

@@ -1,94 +1,47 @@
-//! Workload submission and per-job runtime state / completion records.
+//! Per-job runtime state and completion records.
+//!
+//! The submitted form of a job, [`SubmittedJob`], lives in `pcaps_dag` —
+//! workload generators yield it and the engine pulls it, so both sides
+//! share one type — and is re-exported here at its historical path.
 
 use crate::error::SimError;
 use pcaps_dag::{JobDag, JobId, JobProgress, StageId};
+pub use pcaps_dag::{SubmittedJob, DEFAULT_DATA_GB_PER_WORK_SECOND};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Default job data footprint per executor-second of work, in GB: 0.01 GB/s
-/// models a compute-heavy analytics job (100 executor-seconds of work per
-/// gigabyte of input).  Used by [`SubmittedJob::at`] when no explicit size
-/// is given; override with [`SubmittedJob::with_data_gb`].
-pub const DEFAULT_DATA_GB_PER_WORK_SECOND: f64 = 0.01;
-
-/// A job together with its arrival time — one element of the workload handed
-/// to the simulator.
-///
-/// The DAG is held behind an [`Arc`] so that activating a job (and running
-/// the same workload repeatedly under different schedulers) shares the
-/// stage/task tables instead of deep-cloning them per run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SubmittedJob {
-    /// Arrival time (schedule seconds).
-    pub arrival: f64,
-    /// The job DAG (shared, immutable).
-    pub dag: Arc<JobDag>,
-    /// Size of the job's input data set in gigabytes — what a cross-region
-    /// migration has to move (scaled down by the fraction of work already
-    /// done; see the `TransferMatrix` docs in the routing module).  Defaults
-    /// to [`DEFAULT_DATA_GB_PER_WORK_SECOND`] × the DAG's total work.
-    pub data_gb: f64,
+/// Rejects an arrival time that [`SubmittedJob::at`] would have refused.
+/// The field is public, so a struct literal can bypass that assert.  A NaN
+/// arrival has no place in the arrival order, a negative one precedes the
+/// start of the schedule, and an infinite one never comes.
+pub(crate) fn check_arrival(job: &SubmittedJob) -> Result<(), SimError> {
+    if job.arrival.is_finite() && job.arrival >= 0.0 {
+        return Ok(());
+    }
+    Err(SimError::InvalidJob {
+        job: job.dag.name.clone(),
+        reason: format!(
+            "arrival time must be finite and non-negative, got {} s",
+            job.arrival
+        ),
+    })
 }
 
-impl SubmittedJob {
-    /// Submits `dag` at time `arrival`.  Accepts an owned [`JobDag`] or an
-    /// already shared `Arc<JobDag>`.  The data size defaults to
-    /// [`DEFAULT_DATA_GB_PER_WORK_SECOND`] × total work; override it with
-    /// [`SubmittedJob::with_data_gb`].
-    pub fn at(arrival: f64, dag: impl Into<Arc<JobDag>>) -> Self {
-        assert!(
-            arrival.is_finite() && arrival >= 0.0,
-            "arrival time must be finite and non-negative"
-        );
-        let dag = dag.into();
-        let data_gb = dag.total_work() * DEFAULT_DATA_GB_PER_WORK_SECOND;
-        SubmittedJob { arrival, dag, data_gb }
+/// Rejects a data size that [`SubmittedJob::with_data_gb`] would have
+/// refused.  The field is public, so a struct literal can bypass that
+/// assert.  A NaN or infinite size has no finite transfer time, and a
+/// negative one would arrive before it departed.
+pub(crate) fn check_data_gb(job: &SubmittedJob) -> Result<(), SimError> {
+    if job.data_gb >= 0.0 && job.data_gb.is_finite() {
+        return Ok(());
     }
-
-    /// Overrides the job's input data size (GB).
-    ///
-    /// # Panics
-    /// Panics if `gb` is negative or not finite.
-    pub fn with_data_gb(mut self, gb: f64) -> Self {
-        assert!(gb >= 0.0 && gb.is_finite(), "data size must be non-negative and finite");
-        self.data_gb = gb;
-        self
-    }
-
-    /// Rejects an arrival time that [`SubmittedJob::at`] would have
-    /// refused.  The field is public, so a struct literal can bypass that
-    /// assert.  A NaN arrival has no place in the arrival order, a negative
-    /// one precedes the start of the schedule, and an infinite one never
-    /// comes.
-    pub(crate) fn check_arrival(&self) -> Result<(), SimError> {
-        if self.arrival.is_finite() && self.arrival >= 0.0 {
-            return Ok(());
-        }
-        Err(SimError::InvalidJob {
-            job: self.dag.name.clone(),
-            reason: format!(
-                "arrival time must be finite and non-negative, got {} s",
-                self.arrival
-            ),
-        })
-    }
-
-    /// Rejects a data size that [`SubmittedJob::with_data_gb`] would have
-    /// refused.  The field is public, so a struct literal can bypass that
-    /// assert.  A NaN or infinite size has no finite transfer time, and a
-    /// negative one would arrive before it departed.
-    pub(crate) fn check_data_gb(&self) -> Result<(), SimError> {
-        if self.data_gb >= 0.0 && self.data_gb.is_finite() {
-            return Ok(());
-        }
-        Err(SimError::InvalidJob {
-            job: self.dag.name.clone(),
-            reason: format!(
-                "data size must be non-negative and finite, got {} GB",
-                self.data_gb
-            ),
-        })
-    }
+    Err(SimError::InvalidJob {
+        job: job.dag.name.clone(),
+        reason: format!(
+            "data size must be non-negative and finite, got {} GB",
+            job.data_gb
+        ),
+    })
 }
 
 /// Runtime state of a job once it has arrived at the cluster.

@@ -156,32 +156,28 @@ pub struct SchedulingContext<'a> {
     /// Active jobs, ordered by arrival time (FIFO order).
     active: &'a [ActiveJob],
     /// `slots[id - slot_base] = index into `active``, for O(1) lookup by job
-    /// id.  `None` for contexts assembled outside the engine (lookup falls
-    /// back to a linear scan).
-    slots: Option<&'a [Option<u32>]>,
+    /// id.
+    slots: &'a [Option<u32>],
     /// Id of the first job the slot table still covers.  Open-loop serving
     /// runs compact retired jobs off the front of the engine's tables; the
     /// base keeps id lookups O(1) without the table growing with every job
-    /// ever seen.  Always 0 for finite runs and hand-built contexts.
+    /// ever seen.  Always 0 for finite runs.
     slot_base: usize,
     /// Engine-maintained total of owned-but-undispatched task work
     /// (executor-seconds) across the active jobs — the same incremental
     /// counter routers and migration policies see as
-    /// `MemberView::outstanding_work`.  `None` for hand-built contexts;
-    /// [`SchedulingContext::outstanding_work`] then falls back to a
-    /// per-job fold.
-    outstanding_work: Option<f64>,
+    /// `MemberView::outstanding_work`.
+    outstanding_work: f64,
 }
 
 impl<'a> SchedulingContext<'a> {
     /// Builds a context over a slice of active jobs (ordered by arrival).
     ///
-    /// `slots`, if provided, must map every active job's id to its index in
-    /// `active`; the engine maintains this table incrementally.  Pass `None`
-    /// when assembling a context by hand (tests, custom harnesses).
-    // Public constructor used by the engine and by hand-built contexts in
-    // tests: every argument is one observable of the member, so the flat
-    // list is the API, not an accident.
+    /// `slots[id - slot_base]` must hold every active job's index in
+    /// `active`, and `outstanding_work` the member's undispatched task
+    /// work; the engine maintains both incrementally.
+    // Every argument is one observable of the member, so the flat list is
+    // the API, not an accident.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         time: f64,
@@ -191,7 +187,9 @@ impl<'a> SchedulingContext<'a> {
         busy_executors: usize,
         per_job_cap: usize,
         active: &'a [ActiveJob],
-        slots: Option<&'a [Option<u32>]>,
+        slots: &'a [Option<u32>],
+        slot_base: usize,
+        outstanding_work: f64,
     ) -> Self {
         SchedulingContext {
             time,
@@ -202,41 +200,20 @@ impl<'a> SchedulingContext<'a> {
             per_job_cap,
             active,
             slots,
-            slot_base: 0,
-            outstanding_work: None,
+            slot_base,
+            outstanding_work,
         }
     }
 
-    /// Sets the id offset of the slot table (see the `slot_base` field).
-    /// The engine threads its compaction base through here; hand-built
-    /// contexts can ignore it.
-    pub fn with_slot_base(mut self, base: usize) -> Self {
-        self.slot_base = base;
-        self
-    }
-
-    /// Supplies the engine's incrementally maintained outstanding-work
-    /// aggregate (see the `outstanding_work` field).  Hand-built contexts
-    /// can skip this; the accessor falls back to a fold.
-    pub fn with_outstanding_work(mut self, work: f64) -> Self {
-        self.outstanding_work = Some(work);
-        self
-    }
-
     /// Total undispatched task work (executor-seconds) across the active
-    /// jobs.  O(1) for engine-built contexts — answered from the same
-    /// incremental per-member counter that routing and migration consult —
-    /// and an O(jobs × stages) remaining-work fold for hand-built ones.
-    ///
-    /// The two forms can differ in the last bits (the counter accumulates
-    /// arrival/dispatch/migration deltas over the run; the fold re-sums per
-    /// call) and, on faulted runs, by tasks sitting in retry backoff (the
-    /// counter excludes work that cannot be dispatched yet; the fold
-    /// includes it) — callers comparing against a recomputation should use
+    /// jobs, in O(1): the same incremental per-member counter that routing
+    /// and migration consult.  It accumulates arrival, dispatch and
+    /// migration deltas over the run and excludes tasks sitting in retry
+    /// backoff, so it can differ from a per-job remaining-work fold in the
+    /// last bits and on faulted runs; compare against a recomputation with
     /// a tolerance, not bit equality.
     pub fn outstanding_work(&self) -> f64 {
         self.outstanding_work
-            .unwrap_or_else(|| self.jobs().map(|j| j.remaining_work()).sum())
     }
 
     /// Iterates over the active jobs in arrival (FIFO) order.  Views are
@@ -270,20 +247,11 @@ impl<'a> SchedulingContext<'a> {
         self.active.iter().any(|j| j.progress.has_dispatchable_work())
     }
 
-    /// Looks up the view for a job id.  O(1) for engine-built contexts.
+    /// Looks up the view for a job id in O(1).
     pub fn job(&self, id: JobId) -> Option<JobView<'a>> {
-        match self.slots {
-            Some(slots) => {
-                let idx = id.index().checked_sub(self.slot_base)?;
-                let slot = *slots.get(idx)?;
-                slot.map(|i| JobView::of(&self.active[i as usize]))
-            }
-            None => self
-                .active
-                .iter()
-                .find(|j| j.id == id)
-                .map(JobView::of),
-        }
+        let idx = id.index().checked_sub(self.slot_base)?;
+        let slot = (*self.slots.get(idx)?)?;
+        Some(JobView::of(&self.active[slot as usize]))
     }
 
     /// Number of active (incomplete) jobs — the "queue length" reported by
@@ -463,6 +431,7 @@ mod tests {
     fn context_dispatchable_lists_ready_stages() {
         let dag = Arc::new(make_dag());
         let active = vec![ActiveJob::new(JobId(0), dag, 0.0)];
+        let slots = vec![Some(0u32)];
         let ctx = SchedulingContext::new(
             0.0,
             CarbonView::flat(300.0),
@@ -471,7 +440,9 @@ mod tests {
             0,
             4,
             &active,
-            None,
+            &slots,
+            0,
+            4.0,
         );
         assert!(ctx.has_dispatchable_work());
         let pairs: Vec<_> = ctx.dispatchable_iter().collect();
@@ -482,27 +453,6 @@ mod tests {
         assert!(ctx.job(JobId(0)).is_some());
         assert!(ctx.job(JobId(9)).is_none());
         assert!((ctx.job(JobId(0)).unwrap().remaining_work() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn context_is_usable_without_a_slot_table() {
-        let dag = Arc::new(make_dag());
-        let active = vec![ActiveJob::new(JobId(0), dag, 0.0)];
-        let ctx = SchedulingContext::new(
-            0.0,
-            CarbonView::flat(300.0),
-            4,
-            4,
-            0,
-            4,
-            &active,
-            None,
-        );
-        assert!(ctx.has_dispatchable_work());
-        assert_eq!(
-            ctx.dispatchable_iter().collect::<Vec<_>>(),
-            vec![(JobId(0), StageId(0))]
-        );
     }
 
     #[test]
@@ -522,7 +472,9 @@ mod tests {
             0,
             4,
             &active,
-            Some(&slots),
+            &slots,
+            0,
+            0.0,
         );
         assert_eq!(ctx.job(JobId(1)).unwrap().arrival, 1.0);
         assert_eq!(ctx.job(JobId(3)).unwrap().arrival, 3.0);
@@ -602,9 +554,10 @@ mod tests {
             0,
             4,
             &active,
-            Some(&slots),
-        )
-        .with_slot_base(100);
+            &slots,
+            100,
+            0.0,
+        );
         assert_eq!(ctx.job(JobId(101)).unwrap().arrival, 1.0);
         assert!(ctx.job(JobId(100)).is_none(), "retired slot");
         assert!(ctx.job(JobId(7)).is_none(), "below the base");

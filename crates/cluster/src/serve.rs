@@ -266,8 +266,8 @@ impl<'a> ServeSession<'a> {
 impl Federation {
     /// Opens an open-arrival serving session over this federation, pulling
     /// arrivals from `source` (see the [module docs](crate::serve)).
-    /// Reports the federation's construction-time poison (invalid fault
-    /// plan), if any.
+    /// Reports the federation's construction-time poison (invalid
+    /// configuration, workload or fault plan), if any.
     pub fn serve<'a>(
         &'a self,
         source: &'a mut dyn ArrivalSource,

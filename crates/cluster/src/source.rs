@@ -29,9 +29,10 @@
 //! workload: [`Federation::run`] pulls from a clone of it, so every run
 //! enters the engine through this one trait.
 //!
-//! The workload-generation side of this interface lives in
-//! `pcaps_workloads::source` (`JobSource`, yielding generator-level
-//! `ArrivingJob`s); `pcaps_experiments::streaming` bridges the two.
+//! Workload generators yield the same [`SubmittedJob`] type, which lives in
+//! `pcaps_dag`, so a `pcaps_workloads` stream is a source as it is;
+//! `pcaps_experiments::streaming::StreamSource` wraps one to tell the
+//! engine that its DAGs are already validated.
 //!
 //! [`Federation`]: crate::federation::Federation
 //! [`Federation::run`]: crate::federation::Federation::run

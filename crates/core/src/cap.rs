@@ -182,9 +182,6 @@ mod tests {
         WorkloadBuilder::new(WorkloadKind::TpchMixed, seed)
             .jobs(jobs)
             .build()
-            .into_iter()
-            .map(|j| SubmittedJob::at(j.arrival, j.dag))
-            .collect()
     }
 
     fn simulator(trace: CarbonTrace, seed: u64, jobs: usize, executors: usize) -> Simulator {

@@ -17,7 +17,9 @@
 //! * [`frontier`] — incremental tracking of which stages are runnable as
 //!   upstream stages complete,
 //! * [`JobState`](frontier::JobProgress) style progress helpers used by the
-//!   simulator.
+//!   simulator,
+//! * [`SubmittedJob`] — a job with its arrival time, the one job type that
+//!   workload generators yield and the simulator consumes.
 //!
 //! All durations are in (simulated) seconds and carried as `f64`.  The model
 //! is deliberately free of any scheduling or carbon logic so that baselines
@@ -56,6 +58,7 @@ pub mod graph;
 pub mod ids;
 pub mod job;
 pub mod stage;
+pub mod submitted;
 pub mod task;
 
 pub use builder::JobDagBuilder;
@@ -65,6 +68,7 @@ pub use graph::Adjacency;
 pub use ids::{JobId, StageId, TaskId};
 pub use job::JobDag;
 pub use stage::Stage;
+pub use submitted::{SubmittedJob, DEFAULT_DATA_GB_PER_WORK_SECOND};
 pub use task::Task;
 
 /// Result alias used throughout the crate.

@@ -133,9 +133,6 @@ impl FederationExperimentConfig {
             .jobs(self.num_jobs)
             .mean_interarrival(self.mean_interarrival)
             .build()
-            .into_iter()
-            .map(|j| SubmittedJob::at(j.arrival, j.dag))
-            .collect()
     }
 
     /// The cross-region transfer matrix this config describes (uniform

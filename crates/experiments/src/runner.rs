@@ -3,7 +3,7 @@
 
 use pcaps_carbon::synth::SyntheticTraceGenerator;
 use pcaps_carbon::{CarbonAccountant, CarbonTrace, GridRegion};
-use pcaps_cluster::{ClusterConfig, Scheduler, SimulationResult, Simulator, SubmittedJob};
+use pcaps_cluster::{ClusterConfig, Scheduler, SimulationResult, Simulator};
 use pcaps_core::{Cap, CapConfig, Pcaps, PcapsConfig};
 use pcaps_metrics::ExperimentSummary;
 use pcaps_schedulers::{
@@ -102,13 +102,7 @@ impl ExperimentConfig {
 
     /// Builds the simulator (workload + cluster + trace) for this config.
     pub fn simulator_instance(&self) -> Simulator {
-        let workload: Vec<SubmittedJob> = self
-            .workload_builder()
-            .build()
-            .into_iter()
-            .map(|j| SubmittedJob::at(j.arrival, j.dag))
-            .collect();
-        Simulator::new(self.cluster_config(), workload, self.trace())
+        Simulator::new(self.cluster_config(), self.workload_builder().build(), self.trace())
     }
 
     /// The carbon accountant matching this configuration's trace and time

@@ -1,49 +1,54 @@
-//! Streaming workload intake for experiments: the bridge from
-//! workload-level job sources to the cluster engine, plus the streamed twin
-//! of [`run_trial`].
+//! Streaming workload intake for experiments: the bridge from workload
+//! generator streams to the cluster engine, plus the streamed twin of
+//! [`run_trial`].
 //!
-//! The two halves of the streaming pipeline live in different crates on
-//! purpose: `pcaps_workloads::source::JobSource` yields generator-level
-//! [`ArrivingJob`]s (a DAG plus an arrival time — no simulator types), and
-//! `pcaps_cluster::source::ArrivalSource` is what the engine pulls
-//! [`SubmittedJob`]s from.  [`StreamSource`] adapts the former to the
-//! latter, converting each job as it is pulled — never materializing the
-//! stream — exactly the way the materialized harness converts a built
-//! workload up front.
+//! Generators and engine share one job type, [`SubmittedJob`]: a
+//! [`WorkloadStream`] yields exactly what the engine's [`ArrivalSource`]
+//! pulls.  [`StreamSource`] forwards such a stream to the engine and tells
+//! it that every DAG is already valid, so the engine skips its per-pull
+//! `validate()` call.  Only generator streams ([`GeneratedStream`]) can be
+//! wrapped; any other iterator of jobs is a source on its own, which the
+//! engine validates on every pull.
 //!
 //! [`run_trial`]: crate::runner::run_trial
-//! [`ArrivingJob`]: pcaps_workloads::ArrivingJob
+//! [`WorkloadStream`]: pcaps_workloads::WorkloadStream
 
 use crate::runner::{ExperimentConfig, SchedulerSpec, TrialOutput};
 use pcaps_cluster::source::ArrivalSource;
 use pcaps_cluster::{Simulator, SubmittedJob};
 use pcaps_metrics::ExperimentSummary;
-use pcaps_workloads::JobSource;
+use pcaps_workloads::GeneratedStream;
 
-/// Adapts a workload-level [`JobSource`] into the engine-level
-/// [`ArrivalSource`]: each pulled [`ArrivingJob`] becomes a
-/// [`SubmittedJob`] via [`SubmittedJob::at`] (the same conversion the
-/// materialized harness applies to a built workload, so streamed and
-/// materialized trials see identical jobs).
+/// A generator stream as an engine [`ArrivalSource`] whose jobs skip the
+/// engine's per-pull DAG validation: the generators built every DAG
+/// through `JobDagBuilder::build`, which validates, and the stream yields
+/// the jobs untouched.
 ///
-/// [`ArrivingJob`]: pcaps_workloads::ArrivingJob
+/// Only [`GeneratedStream`]s can be wrapped, so the claim holds by type.
+/// An iterator of jobs edited after generation is not one:
+///
+/// ```compile_fail
+/// use pcaps_experiments::streaming::StreamSource;
+/// use pcaps_workloads::{WorkloadBuilder, WorkloadKind};
+///
+/// let jobs = WorkloadBuilder::new(WorkloadKind::TpchMixed, 1).jobs(3).build();
+/// let _ = StreamSource::new(jobs.into_iter());
+/// ```
 #[derive(Debug)]
 pub struct StreamSource<S> {
     inner: S,
 }
 
-impl<S: JobSource> StreamSource<S> {
-    /// Wraps a workload source.
+impl<S: GeneratedStream> StreamSource<S> {
+    /// Wraps a generator stream.
     pub fn new(inner: S) -> Self {
         StreamSource { inner }
     }
 }
 
-impl<S: JobSource> ArrivalSource for StreamSource<S> {
+impl<S: GeneratedStream> ArrivalSource for StreamSource<S> {
     fn next_job(&mut self) -> Option<SubmittedJob> {
-        self.inner
-            .next_job()
-            .map(|job| SubmittedJob::at(job.arrival, job.dag))
+        self.inner.next()
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -51,8 +56,6 @@ impl<S: JobSource> ArrivalSource for StreamSource<S> {
     }
 
     fn prevalidated(&self) -> bool {
-        // Workload generators build every DAG through `JobDagBuilder::build`,
-        // which already validates; the engine can skip its per-pull revalidation.
         true
     }
 }
@@ -115,15 +118,11 @@ mod tests {
             .workload_builder();
         let mut source = StreamSource::new(builder.stream());
         assert_eq!(ArrivalSource::size_hint(&source), (5, Some(5)));
-        let materialized: Vec<SubmittedJob> = builder
-            .build()
-            .into_iter()
-            .map(|j| SubmittedJob::at(j.arrival, j.dag))
-            .collect();
+        assert!(source.prevalidated());
         let mut pulled = Vec::new();
         while let Some(j) = source.next_job() {
             pulled.push(j);
         }
-        assert_eq!(pulled, materialized);
+        assert_eq!(pulled, builder.build());
     }
 }

@@ -580,10 +580,7 @@ mod tests {
         let workload = WorkloadBuilder::new(WorkloadKind::TpchMixed, seed)
             .jobs(jobs)
             .mean_interarrival(interarrival)
-            .build()
-            .into_iter()
-            .map(|j| SubmittedJob::at(j.arrival, j.dag))
-            .collect();
+            .build();
         let config = ClusterConfig::new(executors).with_time_scale(60.0);
         Simulator::new(config, workload, CarbonTrace::constant("flat", 300.0, 26_304))
     }

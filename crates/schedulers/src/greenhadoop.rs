@@ -168,16 +168,13 @@ mod tests {
     use crate::fifo::SparkStandaloneFifo;
     use pcaps_carbon::synth::SyntheticTraceGenerator;
     use pcaps_carbon::GridRegion;
-    use pcaps_cluster::{ClusterConfig, Simulator, SubmittedJob};
+    use pcaps_cluster::{ClusterConfig, Simulator};
     use pcaps_workloads::{WorkloadBuilder, WorkloadKind};
 
     fn sim(trace: CarbonTrace, jobs: usize, executors: usize, seed: u64) -> Simulator {
         let workload = WorkloadBuilder::new(WorkloadKind::TpchMixed, seed)
             .jobs(jobs)
-            .build()
-            .into_iter()
-            .map(|j| SubmittedJob::at(j.arrival, j.dag))
-            .collect();
+            .build();
         let config = ClusterConfig::new(executors).with_time_scale(60.0);
         Simulator::new(config, workload, trace)
     }

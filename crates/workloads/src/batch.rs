@@ -2,26 +2,13 @@
 
 use crate::alibaba::AlibabaGenerator;
 use crate::arrivals::{ArrivalProcess, PoissonArrivals};
-use crate::source::{JobSource, MaterializedSource, MergedSource};
 use crate::tpch::{TpchQuery, TpchScale};
-use pcaps_dag::JobDag;
+use pcaps_dag::{JobDag, SubmittedJob};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-
-/// A job together with its arrival time, as produced by the workload builder.
-/// (The cluster crate has an identical `SubmittedJob`; keeping a separate
-/// type here avoids a dependency from workload generation to the simulator.)
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ArrivingJob {
-    /// Arrival time in schedule seconds.
-    pub arrival: f64,
-    /// The job DAG (already duration-scaled if the builder was configured to
-    /// scale).
-    pub dag: JobDag,
-}
 
 /// Which trace jobs are sampled from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -37,11 +24,11 @@ pub enum WorkloadKind {
 
 /// Builder for experiment workloads.
 ///
-/// A built workload is a single *arrival stream*: it can feed one cluster
-/// directly, or a whole federation — multi-region placement happens at the
-/// consumer (the routing layer), not here.  Streams from several builders
-/// (e.g. one per tenant, mixing TPC-H and Alibaba jobs) combine with
-/// [`merge_streams`].
+/// A built workload is a single *arrival stream* of [`SubmittedJob`]s, the
+/// job type the simulator consumes: it can feed one cluster directly, or a
+/// whole federation — multi-region placement happens at the consumer (the
+/// routing layer), not here.  Each job's data size is the
+/// [`SubmittedJob::at`] default.
 ///
 /// ```
 /// use pcaps_workloads::{WorkloadBuilder, WorkloadKind};
@@ -125,17 +112,16 @@ impl WorkloadBuilder {
     /// Generates the workload, fully materialized.  Equivalent to
     /// `self.stream().collect()` — the streaming form builds each DAG only
     /// when pulled and is what trace-scale runs should use.
-    pub fn build(&self) -> Vec<ArrivingJob> {
+    pub fn build(&self) -> Vec<SubmittedJob> {
         self.stream().collect()
     }
 
-    /// Returns the lazy form of [`WorkloadBuilder::build`]: a pull-based
-    /// [`JobSource`] that samples each job's arrival time and DAG when the
-    /// job is pulled, holding no materialized workload.  Collecting the
-    /// stream is bit-identical to `build()` (the arrival process and the
-    /// DAG sampler consume independent RNG streams, so interleaving their
-    /// draws changes nothing) — pinned by tests here and in
-    /// `tests/streaming.rs`.
+    /// Returns the lazy form of [`WorkloadBuilder::build`]: an iterator
+    /// that samples each job's arrival time and DAG when the job is pulled,
+    /// holding no materialized workload.  Collecting the stream is
+    /// bit-identical to `build()` (the arrival process and the DAG sampler
+    /// consume independent RNG streams, so interleaving their draws changes
+    /// nothing) — pinned by tests here and in `tests/streaming.rs`.
     pub fn stream(&self) -> WorkloadStream {
         WorkloadStream {
             sampler: self.sampler(),
@@ -230,9 +216,9 @@ impl JobSampler {
 /// The lazy twin of a built workload: jobs are sampled one at a time as the
 /// stream is pulled (see [`WorkloadBuilder::stream`]).
 ///
-/// `WorkloadStream` implements [`Iterator`], which makes it a [`JobSource`]
-/// through the blanket impl — arrivals are non-decreasing by construction
-/// (the arrival process is monotone), satisfying the source contract.
+/// Arrivals are non-decreasing by construction (the arrival process is
+/// monotone), so the stream satisfies the simulator's source contract as
+/// it is; it is a [`GeneratedStream`].
 pub struct WorkloadStream {
     sampler: JobSampler,
     arrivals: Box<dyn ArrivalProcess>,
@@ -253,9 +239,9 @@ impl std::fmt::Debug for WorkloadStream {
 }
 
 impl Iterator for WorkloadStream {
-    type Item = ArrivingJob;
+    type Item = SubmittedJob;
 
-    fn next(&mut self) -> Option<ArrivingJob> {
+    fn next(&mut self) -> Option<SubmittedJob> {
         if self.remaining == 0 {
             return None;
         }
@@ -265,7 +251,7 @@ impl Iterator for WorkloadStream {
         } else {
             self.arrivals.next_arrival()
         };
-        Some(ArrivingJob { arrival, dag: self.sampler.next_dag() })
+        Some(SubmittedJob::at(arrival, self.sampler.next_dag()))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -277,10 +263,10 @@ impl Iterator for WorkloadStream {
 /// [`WorkloadBuilder::stream_unbounded`]): every pull samples the next gap
 /// from the arrival process and the next DAG from the workload kind, forever.
 ///
-/// Like [`WorkloadStream`] it implements [`Iterator`] and is therefore a
-/// [`JobSource`] through the blanket impl, with the infinite-iterator size
-/// hint `(usize::MAX, None)`.  Consumers must bound their own pulls — the
-/// engine's open-loop serving mode does so with a time horizon.
+/// Like [`WorkloadStream`] it is a [`GeneratedStream`], with the
+/// infinite-iterator size hint `(usize::MAX, None)`.  Consumers must bound
+/// their own pulls — the engine's open-loop serving mode does so with a
+/// time horizon.
 pub struct UnboundedStream {
     sampler: JobSampler,
     arrivals: Box<dyn ArrivalProcess>,
@@ -296,11 +282,11 @@ impl std::fmt::Debug for UnboundedStream {
 }
 
 impl Iterator for UnboundedStream {
-    type Item = ArrivingJob;
+    type Item = SubmittedJob;
 
-    fn next(&mut self) -> Option<ArrivingJob> {
+    fn next(&mut self) -> Option<SubmittedJob> {
         let arrival = self.arrivals.next_arrival();
-        Some(ArrivingJob { arrival, dag: self.sampler.next_dag() })
+        Some(SubmittedJob::at(arrival, self.sampler.next_dag()))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -308,27 +294,21 @@ impl Iterator for UnboundedStream {
     }
 }
 
-/// Merges several independently generated arrival streams into one, sorted
-/// by arrival time (stable: ties keep the input-stream order, so merges are
-/// deterministic).  This is how multi-tenant federated workloads are
-/// assembled — each tenant keeps its own seed/kind/arrival process, and the
-/// federation consumes the combined stream.
-///
-/// Implemented as a k-way [`MergedSource`] over per-stream
-/// [`MaterializedSource`]s (each input is stable-sorted on wrap), which is
-/// equivalent to the historical stable-sort-of-the-concatenation for any
-/// input — the property test in `tests/streaming.rs` pins the two against
-/// each other on random streams.  Fully lazy multi-tenant intake should use
-/// [`MergedSource`] directly over [`WorkloadStream`]s instead of
-/// materializing per-tenant vectors first.
-pub fn merge_streams(streams: Vec<Vec<ArrivingJob>>) -> Vec<ArrivingJob> {
-    let mut merged =
-        MergedSource::new(streams.into_iter().map(MaterializedSource::new).collect::<Vec<_>>());
-    let mut out = Vec::with_capacity(JobSource::size_hint(&merged).0);
-    while let Some(job) = merged.next_job() {
-        out.push(job);
-    }
-    out
+/// A stream whose jobs come straight from a [`WorkloadBuilder`]: every DAG
+/// was built, and thereby validated, by the generators, and arrivals are
+/// non-decreasing.  Sealed — only [`WorkloadStream`] and
+/// [`UnboundedStream`] implement it — so a consumer may skip revalidating
+/// what such a stream yields; any other iterator of jobs, including an
+/// adapter over one of these streams, is not a `GeneratedStream`.
+pub trait GeneratedStream: Iterator<Item = SubmittedJob> + sealed::Sealed {}
+
+impl GeneratedStream for WorkloadStream {}
+impl GeneratedStream for UnboundedStream {}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::WorkloadStream {}
+    impl Sealed for super::UnboundedStream {}
 }
 
 #[cfg(test)]
@@ -436,7 +416,7 @@ mod tests {
             WorkloadKind::Alibaba,
         ] {
             let builder = WorkloadBuilder::new(kind, 77).jobs(15).mean_interarrival(12.0);
-            let lazy: Vec<ArrivingJob> = builder.stream().collect();
+            let lazy: Vec<SubmittedJob> = builder.stream().collect();
             // Rebuild by hand the way `build()` used to (all arrivals first,
             // then all DAGs) to prove interleaving the RNG streams changes
             // nothing.
@@ -466,7 +446,7 @@ mod tests {
     fn stream_with_custom_arrivals_respects_the_process() {
         use crate::arrivals::DiurnalArrivals;
         let builder = WorkloadBuilder::new(WorkloadKind::TpchMixed, 9).jobs(50);
-        let jobs: Vec<ArrivingJob> = builder
+        let jobs: Vec<SubmittedJob> = builder
             .stream_with_arrivals(DiurnalArrivals::new(30.0, 0.5, 1440.0, 9))
             .collect();
         assert_eq!(jobs.len(), 50);
@@ -486,10 +466,10 @@ mod tests {
     fn unbounded_prefix_matches_the_bounded_stream() {
         use crate::arrivals::DiurnalArrivals;
         let builder = WorkloadBuilder::new(WorkloadKind::TpchMixed, 21).jobs(40);
-        let bounded: Vec<ArrivingJob> = builder
+        let bounded: Vec<SubmittedJob> = builder
             .stream_with_arrivals(DiurnalArrivals::new(30.0, 0.5, 1440.0, 21))
             .collect();
-        let unbounded: Vec<ArrivingJob> = builder
+        let unbounded: Vec<SubmittedJob> = builder
             .stream_unbounded(DiurnalArrivals::new(30.0, 0.5, 1440.0, 21))
             .take(40)
             .collect();
@@ -508,20 +488,5 @@ mod tests {
             assert!(job.arrival >= last, "arrivals must be non-decreasing");
             last = job.arrival;
         }
-    }
-
-    #[test]
-    fn merge_streams_sorts_by_arrival_and_is_stable() {
-        let tenant_a = WorkloadBuilder::new(WorkloadKind::TpchMixed, 1).jobs(10).build();
-        let tenant_b = WorkloadBuilder::new(WorkloadKind::Alibaba, 2).jobs(10).build();
-        let merged = merge_streams(vec![tenant_a.clone(), tenant_b.clone()]);
-        assert_eq!(merged.len(), 20);
-        for pair in merged.windows(2) {
-            assert!(pair[0].arrival <= pair[1].arrival, "merged stream must be sorted");
-        }
-        // Both tenants start at t=0; stability keeps tenant A's job first.
-        assert_eq!(merged[0], tenant_a[0]);
-        // Merging is deterministic.
-        assert_eq!(merged, merge_streams(vec![tenant_a, tenant_b]));
     }
 }

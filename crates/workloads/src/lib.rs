@@ -25,17 +25,17 @@
 //! The [`batch`] module assembles experiment workloads: `n` jobs sampled from
 //! a trace with Poisson inter-arrival times, optionally time-scaled so that
 //! one hour of carbon time corresponds to one minute of schedule time.  A
-//! built workload is a single arrival stream — it can feed one cluster or a
-//! whole federation (placement is the routing layer's job); multi-tenant
-//! streams combine with [`merge_streams`].
+//! built workload is a single arrival stream of [`pcaps_dag::SubmittedJob`]s
+//! — the job type the simulator consumes — and can feed one cluster or a
+//! whole federation (placement is the routing layer's job).
 //!
-//! Workloads come in two forms: **materialized** (`Vec<ArrivingJob>`, fine
-//! for paper-sized batches) and **streaming** — the [`source`] module's
-//! pull-based [`JobSource`] trait, whose implementations build each job's
-//! DAG only when it is pulled ([`WorkloadBuilder::stream`],
-//! [`MergedSource`], arrival-process-driven streams).  Streaming intake is
-//! what makes Alibaba-trace-sized runs (50k–100k jobs) possible without
-//! up-front memory proportional to the whole trace.
+//! Workloads come in two forms: **materialized**
+//! ([`WorkloadBuilder::build`], a `Vec<SubmittedJob>`, fine for paper-sized
+//! batches) and **streaming** ([`WorkloadBuilder::stream`] and its
+//! custom-arrival and unbounded variants), iterators that build each job's
+//! DAG only when it is pulled.  Streaming intake is what makes
+//! Alibaba-trace-sized runs (50k–100k jobs) possible without up-front
+//! memory proportional to the whole trace.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,15 +43,13 @@
 pub mod alibaba;
 pub mod arrivals;
 pub mod batch;
-pub mod source;
 pub mod tpch;
 
 pub use alibaba::AlibabaGenerator;
 pub use arrivals::{ArrivalProcess, DiurnalArrivals, PoissonArrivals};
 pub use batch::{
-    merge_streams, ArrivingJob, UnboundedStream, WorkloadBuilder, WorkloadKind, WorkloadStream,
+    GeneratedStream, UnboundedStream, WorkloadBuilder, WorkloadKind, WorkloadStream,
 };
-pub use source::{JobSource, MaterializedSource, MergedSource};
 pub use tpch::{TpchQuery, TpchScale};
 
 /// The paper's experiment time scaling: job durations are divided by 60 so

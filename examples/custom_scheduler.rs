@@ -70,10 +70,7 @@ fn main() {
     let trace = SyntheticTraceGenerator::new(GridRegion::Nsw, 3).generate_days(14);
     let workload: Vec<SubmittedJob> = WorkloadBuilder::new(WorkloadKind::TpchMixed, 3)
         .jobs(10)
-        .build()
-        .into_iter()
-        .map(|j| SubmittedJob::at(j.arrival, j.dag))
-        .collect();
+        .build();
     // A fairly strict ceiling (25% into the trace's range) so the short
     // demo workload actually hits dirty periods and defers.
     let ceiling = trace.min() + 0.25 * (trace.max() - trace.min());

@@ -13,9 +13,6 @@ fn main() {
         WorkloadBuilder::new(WorkloadKind::TpchMixed, seed)
             .jobs(12)
             .build()
-            .into_iter()
-            .map(|j| SubmittedJob::at(j.arrival, j.dag))
-            .collect()
     };
 
     println!(
@@ -55,10 +52,7 @@ fn main() {
     println!("\nFederated placement: 48 jobs over 6 grids x 4 executors, PCAPS per member");
     let fed_workload: Vec<SubmittedJob> = WorkloadBuilder::new(WorkloadKind::TpchMixed, 5)
         .jobs(48)
-        .build()
-        .into_iter()
-        .map(|j| SubmittedJob::at(j.arrival, j.dag))
-        .collect();
+        .build();
     let traces = TraceSet::for_regions(&GridRegion::ALL, 5, 14 * 24);
     let accountants: Vec<CarbonAccountant> = traces
         .traces()

@@ -18,10 +18,7 @@ fn main() {
     let workload: Vec<SubmittedJob> = WorkloadBuilder::new(WorkloadKind::Alibaba, 11)
         .jobs(20)
         .mean_interarrival(120.0)
-        .build()
-        .into_iter()
-        .map(|j| SubmittedJob::at(j.arrival, j.dag))
-        .collect();
+        .build();
     let total_work: f64 = workload.iter().map(|j| j.dag.total_work()).sum();
     let stages: usize = workload.iter().map(|j| j.dag.num_stages()).sum();
     println!(

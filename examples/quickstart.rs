@@ -10,10 +10,7 @@ fn main() {
     let workload: Vec<SubmittedJob> = WorkloadBuilder::new(WorkloadKind::TpchMixed, 7)
         .jobs(10)
         .mean_interarrival(30.0)
-        .build()
-        .into_iter()
-        .map(|j| SubmittedJob::at(j.arrival, j.dag))
-        .collect();
+        .build();
     println!(
         "workload: {} jobs, {:.0} executor-seconds of total work",
         workload.len(),

@@ -28,10 +28,7 @@
 //! // A tiny workload on a 8-executor cluster in the German grid.
 //! let workload: Vec<SubmittedJob> = WorkloadBuilder::new(WorkloadKind::TpchMixed, 1)
 //!     .jobs(4)
-//!     .build()
-//!     .into_iter()
-//!     .map(|j| SubmittedJob::at(j.arrival, j.dag))
-//!     .collect();
+//!     .build();
 //! let trace = SyntheticTraceGenerator::new(GridRegion::Germany, 1).generate_days(7);
 //! let sim = Simulator::new(ClusterConfig::new(8), workload, trace.clone());
 //!
@@ -82,8 +79,7 @@ pub mod prelude {
         WeightedFair,
     };
     pub use pcaps_workloads::{
-        merge_streams, ArrivalProcess, DiurnalArrivals, JobSource, MaterializedSource,
-        MergedSource, PoissonArrivals, TpchQuery, TpchScale, WorkloadBuilder, WorkloadKind,
-        WorkloadStream,
+        ArrivalProcess, DiurnalArrivals, PoissonArrivals, TpchQuery, TpchScale, WorkloadBuilder,
+        WorkloadKind, WorkloadStream,
     };
 }

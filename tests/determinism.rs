@@ -15,10 +15,7 @@ fn run_pipeline(seed: u64) -> (f64, f64, f64) {
     let trace = SyntheticTraceGenerator::new(GridRegion::Caiso, seed).generate_days(14);
     let workload: Vec<SubmittedJob> = WorkloadBuilder::new(WorkloadKind::TpchMixed, seed)
         .jobs(10)
-        .build()
-        .into_iter()
-        .map(|j| SubmittedJob::at(j.arrival, j.dag))
-        .collect();
+        .build();
     let sim = Simulator::new(ClusterConfig::new(16), workload, trace.clone());
     let accountant = CarbonAccountant::new(trace).with_time_scale(60.0);
     let mut pcaps = Pcaps::new(DecimaLike::new(seed), PcapsConfig::moderate().with_seed(seed));
@@ -217,10 +214,7 @@ fn simulator_reruns_are_independent() {
     let trace = SyntheticTraceGenerator::new(GridRegion::Germany, 9).generate_days(10);
     let workload: Vec<SubmittedJob> = WorkloadBuilder::new(WorkloadKind::TpchMixed, 9)
         .jobs(8)
-        .build()
-        .into_iter()
-        .map(|j| SubmittedJob::at(j.arrival, j.dag))
-        .collect();
+        .build();
     let sim = Simulator::new(ClusterConfig::new(12), workload, trace);
     let first = sim.run(&mut SparkStandaloneFifo::new()).unwrap();
     let _interleaved = sim.run(&mut WeightedFair::new()).unwrap();

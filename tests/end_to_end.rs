@@ -11,9 +11,6 @@ fn tpch_workload(seed: u64, jobs: usize) -> Vec<SubmittedJob> {
     WorkloadBuilder::new(WorkloadKind::TpchMixed, seed)
         .jobs(jobs)
         .build()
-        .into_iter()
-        .map(|j| SubmittedJob::at(j.arrival, j.dag))
-        .collect()
 }
 
 fn de_trace(seed: u64) -> CarbonTrace {
@@ -148,10 +145,7 @@ fn alibaba_workload_runs_through_the_whole_stack() {
     let workload: Vec<SubmittedJob> = WorkloadBuilder::new(WorkloadKind::Alibaba, 2)
         .jobs(8)
         .mean_interarrival(60.0)
-        .build()
-        .into_iter()
-        .map(|j| SubmittedJob::at(j.arrival, j.dag))
-        .collect();
+        .build();
     let sim = Simulator::new(
         ClusterConfig::new(32).with_per_job_cap(Some(8)),
         workload,

@@ -4,13 +4,18 @@
 //!   reproduces the legacy single-cluster `Simulator` fingerprints bit for
 //!   bit for all seven scheduler specs of the experiment harness,
 //! * routing is deterministic — the same seed yields the same per-cluster
-//!   job sets run after run, for every built-in router.
+//!   job sets run after run, for every built-in router,
+//! * a malformed member `ClusterConfig` (public fields bypass the builder
+//!   asserts) is a `SimError::InvalidConfig` naming the member and the
+//!   field through every run entry point.
 
+use carbon_aware_dag_sched::cluster::SimError;
 use carbon_aware_dag_sched::prelude::*;
 use pcaps_experiments::multi_region::{
     run_federated_trial, FederationExperimentConfig, RouterSpec,
 };
 use pcaps_experiments::runner::{BaseScheduler, ExperimentConfig, SchedulerSpec};
+use pcaps_experiments::streaming::StreamSource;
 
 /// FNV-1a over the schedule-defining outputs of a run — identical to the
 /// fingerprint in `tests/determinism.rs`.
@@ -66,10 +71,7 @@ fn single_member_federation_matches_legacy_simulator_fingerprints() {
         let workload: Vec<SubmittedJob> = WorkloadBuilder::new(cfg.workload, cfg.seed)
             .jobs(cfg.num_jobs)
             .mean_interarrival(cfg.mean_interarrival)
-            .build()
-            .into_iter()
-            .map(|j| SubmittedJob::at(j.arrival, j.dag))
-            .collect();
+            .build();
         let trace = cfg.trace();
         let cluster = ClusterConfig::new(cfg.executors)
             .with_per_job_cap(cfg.per_job_cap)
@@ -141,10 +143,7 @@ fn per_member_job_sets_replay_bit_identically() {
     let run_once = |router_spec: RouterSpec, seed: u64| {
         let workload: Vec<SubmittedJob> = WorkloadBuilder::new(WorkloadKind::TpchMixed, seed)
             .jobs(12)
-            .build()
-            .into_iter()
-            .map(|j| SubmittedJob::at(j.arrival, j.dag))
-            .collect();
+            .build();
         let traces = TraceSet::for_regions(&regions, seed, 7 * 24);
         let members = regions
             .iter()
@@ -181,5 +180,60 @@ fn per_member_job_sets_replay_bit_identically() {
             all.sort_unstable();
             assert_eq!(all, (0..12).collect::<Vec<u64>>());
         }
+    }
+}
+
+/// Every field a builder method asserts on, set by struct literal to a
+/// value that method refuses.  At construction each is an `InvalidConfig`
+/// naming the member's label and the field, and every run entry point
+/// reports it: materialized, streamed and served runs, and a second member
+/// of a federation whose first member is valid.
+#[test]
+fn malformed_cluster_configs_are_rejected_naming_the_member_and_field() {
+    let base = ClusterConfig::new(4).with_time_scale(60.0);
+    let cases: [(&str, ClusterConfig); 8] = [
+        ("time_scale", ClusterConfig { time_scale: 0.0, ..base.clone() }),
+        ("time_scale", ClusterConfig { time_scale: f64::NAN, ..base.clone() }),
+        ("executor_move_delay", ClusterConfig { executor_move_delay: f64::NAN, ..base.clone() }),
+        ("executor_move_delay", ClusterConfig { executor_move_delay: -1000.0, ..base.clone() }),
+        ("num_executors", ClusterConfig { num_executors: 0, ..base.clone() }),
+        ("per_job_executor_cap", ClusterConfig { per_job_executor_cap: Some(0), ..base.clone() }),
+        ("forecast_horizon", ClusterConfig { forecast_horizon: f64::NAN, ..base.clone() }),
+        ("max_sim_time", ClusterConfig { max_sim_time: f64::NAN, ..base.clone() }),
+    ];
+    let builder = WorkloadBuilder::new(WorkloadKind::TpchMixed, 3).jobs(3);
+    let trace = || SyntheticTraceGenerator::new(GridRegion::Germany, 3).generate_days(7);
+    let expect = |entry: &str, field: &str, label: &str, got: Result<(), SimError>| match got {
+        Err(SimError::InvalidConfig { member, reason }) => {
+            assert_eq!(member, label, "{entry}, {field}");
+            assert!(reason.contains(field), "{entry}, {field}: {reason}");
+        }
+        other => panic!("{entry}, {field}: expected InvalidConfig, got {other:?}"),
+    };
+    for (field, config) in cases {
+        let sim = Simulator::new(config.clone(), builder.build(), trace());
+        let run = sim.run(&mut SparkStandaloneFifo::new()).map(drop);
+        expect("Simulator::run", field, "DE", run);
+
+        let sim = Simulator::streaming(config.clone(), trace());
+        let mut source = StreamSource::new(builder.stream());
+        let run = sim.run_source(&mut source, &mut SparkStandaloneFifo::new()).map(drop);
+        expect("Simulator::run_source", field, "DE", run);
+        let mut source = StreamSource::new(builder.stream());
+        let served = sim.serve(&mut source).map(drop);
+        expect("Simulator::serve", field, "DE", served);
+
+        let fed = Federation::new(
+            vec![
+                Member::new("A", base.clone(), trace()),
+                Member::new("B", config, trace()),
+            ],
+            builder.build(),
+        );
+        let mut a = SparkStandaloneFifo::new();
+        let mut b = SparkStandaloneFifo::new();
+        let mut schedulers: [&mut dyn Scheduler; 2] = [&mut a, &mut b];
+        let run = fed.run(&mut RoundRobinRouter::new(), &mut schedulers).map(drop);
+        expect("Federation::run", field, "B", run);
     }
 }

@@ -99,10 +99,7 @@ fn never_migrate_federation_fingerprints_match_the_pre_migration_constants() {
         let workload: Vec<SubmittedJob> = WorkloadBuilder::new(cfg.workload, cfg.seed)
             .jobs(cfg.num_jobs)
             .mean_interarrival(cfg.mean_interarrival)
-            .build()
-            .into_iter()
-            .map(|j| SubmittedJob::at(j.arrival, j.dag))
-            .collect();
+            .build();
         let trace = cfg.trace();
         let cluster = ClusterConfig::new(cfg.executors)
             .with_per_job_cap(cfg.per_job_cap)
@@ -137,10 +134,7 @@ fn three_member_federation(seed: u64, executors: usize) -> Federation {
     let regions = [GridRegion::Caiso, GridRegion::Ontario, GridRegion::SouthAfrica];
     let workload: Vec<SubmittedJob> = WorkloadBuilder::new(WorkloadKind::TpchMixed, seed)
         .jobs(12)
-        .build()
-        .into_iter()
-        .map(|j| SubmittedJob::at(j.arrival, j.dag))
-        .collect();
+        .build();
     let traces = TraceSet::for_regions(&regions, seed, 7 * 24);
     let members = regions
         .iter()

@@ -614,10 +614,7 @@ fn tpch_single_cluster(seed: u64) -> Simulator {
     let workload: Vec<SubmittedJob> = WorkloadBuilder::new(WorkloadKind::TpchMixed, seed)
         .jobs(12)
         .mean_interarrival(25.0)
-        .build()
-        .into_iter()
-        .map(|j| SubmittedJob::at(j.arrival, j.dag))
-        .collect();
+        .build();
     let trace = SyntheticTraceGenerator::new(GridRegion::Germany, seed).generate_days(30);
     Simulator::new(ClusterConfig::new(16).with_time_scale(60.0), workload, trace)
 }
@@ -696,10 +693,7 @@ fn incremental_scores_match_scratch_through_pcaps() {
     let trace = CarbonTrace::hourly("alternating", values);
     let workload: Vec<SubmittedJob> = WorkloadBuilder::new(WorkloadKind::TpchMixed, 9)
         .jobs(15)
-        .build()
-        .into_iter()
-        .map(|j| SubmittedJob::at(j.arrival, j.dag))
-        .collect();
+        .build();
     let sim = Simulator::new(ClusterConfig::new(20).with_time_scale(60.0), workload, trace);
     let mut pcaps = Pcaps::new(
         CheckingProbabilistic {

@@ -375,10 +375,7 @@ fn bounded_queue_admission_conserves_arrivals() {
     let workload: Vec<SubmittedJob> = WorkloadBuilder::new(WorkloadKind::TpchMixed, 3)
         .jobs(JOBS)
         .mean_interarrival(10.0)
-        .build()
-        .into_iter()
-        .map(|j| SubmittedJob::at(j.arrival, j.dag))
-        .collect();
+        .build();
     let sim = Simulator::streaming(ClusterConfig::new(4).with_time_scale(60.0), trace);
     let mut source = MaterializedJobs::new(workload).unwrap();
     let mut fifo = SparkStandaloneFifo::new();

@@ -2,14 +2,14 @@
 //!
 //! Pins the guarantees of the pull-based workload pipeline:
 //!
-//! 1. **Streaming ≡ materialized** — a lazy Alibaba (and TPC-H) source and
+//! 1. **Streaming ≡ materialized** — a lazy Alibaba (and TPC-H) stream and
 //!    its `.collect()`-ed materialized twin produce bit-identical
-//!    `run_trial` fingerprints across seeds and schedulers,
-//! 2. **k-way merge ≡ sort oracle** — `merge_streams`'s stable k-way merge
-//!    reproduces the historical flatten-then-stable-sort on random streams,
-//! 3. **bounded residency** — a streaming run's peak resident job count
+//!    `run_trial` fingerprints across seeds and schedulers, and a lazy
+//!    stream pulled through a two-member federation reproduces
+//!    `Federation::new` over the built workload,
+//! 2. **bounded residency** — a streaming run's peak resident job count
 //!    stays far below the workload size,
-//! 4. **contract enforcement** — out-of-order sources and malformed
+//! 3. **contract enforcement** — out-of-order sources and malformed
 //!    arrival times abort with a descriptive error instead of silently
 //!    corrupting the schedule.
 //!
@@ -20,9 +20,6 @@ use carbon_aware_dag_sched::cluster::SimError;
 use carbon_aware_dag_sched::prelude::*;
 use pcaps_experiments::runner::{run_trial, BaseScheduler, ExperimentConfig, SchedulerSpec};
 use pcaps_experiments::streaming::{run_streamed_trial, StreamSource};
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 /// FNV-1a over the schedule-defining outputs of a run — the same
 /// fingerprint `tests/determinism.rs` pins the scheduler API against.
@@ -112,56 +109,13 @@ fn lazy_stream_collects_to_its_materialized_twin() {
     }
 }
 
-/// (2) `merge_streams` satellite: the stable k-way merge must reproduce the
-/// historical flatten-then-stable-sort oracle on random streams — including
-/// *unsorted* inputs (each input is stable-sorted on wrap, which commutes
-/// with the oracle's global stable sort) and duplicate arrival times.
+/// (1) Across members: a lazy stream pulled through a two-member streaming
+/// federation equals the built workload handed to `Federation::new`.
 #[test]
-fn k_way_merge_matches_the_sort_based_oracle_on_random_streams() {
-    let dag = |name: &str| {
-        JobDagBuilder::new(name)
-            .stage("s", vec![Task::new(1.0)])
-            .build()
-            .unwrap()
-    };
-    for seed in 0_u64..20 {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let num_streams = rng.gen_range(1..5usize);
-        let streams: Vec<Vec<pcaps_workloads::ArrivingJob>> = (0..num_streams)
-            .map(|s| {
-                let len = rng.gen_range(0..12usize);
-                (0..len)
-                    .map(|i| pcaps_workloads::ArrivingJob {
-                        // Coarse integer-ish times force plenty of ties.
-                        arrival: rng.gen_range(0..6u32) as f64,
-                        dag: dag(&format!("t{s}-j{i}")),
-                    })
-                    .collect()
-            })
-            .collect();
-
-        // Oracle: per-stream stable sort (the per-source contract), then
-        // flatten + global stable sort — the pre-streaming implementation.
-        let mut oracle: Vec<pcaps_workloads::ArrivingJob> = streams
-            .iter()
-            .cloned()
-            .flat_map(|mut s| {
-                s.sort_by(|a, b| a.arrival.total_cmp(&b.arrival));
-                s
-            })
-            .collect();
-        oracle.sort_by(|a, b| a.arrival.total_cmp(&b.arrival));
-
-        assert_eq!(merge_streams(streams), oracle, "seed {seed}");
-    }
-}
-
-/// Merging lazy sources end-to-end: a two-tenant merged stream fed through
-/// a streaming federation equals the materialized merge fed through the
-/// classic constructor.
-#[test]
-fn merged_lazy_streams_drive_a_federation_identically() {
-    let tenant = |kind, seed| WorkloadBuilder::new(kind, seed).jobs(8).mean_interarrival(40.0);
+fn a_lazy_stream_drives_a_two_member_federation_identically() {
+    let builder = WorkloadBuilder::new(WorkloadKind::Alibaba, 2)
+        .jobs(16)
+        .mean_interarrival(20.0);
     let members = || {
         vec![
             Member::new(
@@ -187,33 +141,19 @@ fn merged_lazy_streams_drive_a_federation_identically() {
         }
     };
 
-    // Materialized path: merge built vectors, hand them to Federation::new.
-    let merged = merge_streams(vec![
-        tenant(WorkloadKind::TpchMixed, 1).build(),
-        tenant(WorkloadKind::Alibaba, 2).build(),
-    ]);
-    let materialized_fed = Federation::new(
-        members(),
-        merged.into_iter().map(|j| SubmittedJob::at(j.arrival, j.dag)).collect(),
-    );
-    let expected = run(&materialized_fed, None);
-
-    // Streaming path: merge the lazy streams, pull through the engine.
-    let streaming_fed = Federation::streaming(members());
-    let mut source = StreamSource::new(MergedSource::new(vec![
-        tenant(WorkloadKind::TpchMixed, 1).stream(),
-        tenant(WorkloadKind::Alibaba, 2).stream(),
-    ]));
-    let got = run(&streaming_fed, Some(&mut source));
+    let expected = run(&Federation::new(members(), builder.build()), None);
+    let mut source = StreamSource::new(builder.stream());
+    let got = run(&Federation::streaming(members()), Some(&mut source));
 
     assert_eq!(got.makespan, expected.makespan);
     assert_eq!(got.jobs_submitted(), expected.jobs_submitted());
     for (g, e) in got.members.iter().zip(&expected.members) {
+        assert!(!e.result.jobs.is_empty(), "member {} ran no jobs", e.label);
         assert_eq!(g.result.jobs, e.result.jobs, "member {} diverged", e.label);
     }
 }
 
-/// (3) The scale guarantee: a streaming run's peak resident job count is
+/// (2) The scale guarantee: a streaming run's peak resident job count is
 /// bounded by the system's concurrency, not the workload length.
 #[test]
 fn streaming_keeps_peak_resident_jobs_far_below_the_workload() {
@@ -250,7 +190,7 @@ fn streaming_keeps_peak_resident_jobs_far_below_the_workload() {
     assert!(result.profile.segments.is_empty());
 }
 
-/// (4) Contract enforcement: an unsorted source aborts with
+/// (3) Contract enforcement: an unsorted source aborts with
 /// `OutOfOrderArrival` naming the offending job.
 #[test]
 fn out_of_order_sources_abort_with_a_descriptive_error() {
@@ -277,7 +217,7 @@ fn out_of_order_sources_abort_with_a_descriptive_error() {
     assert!(msg.contains("non-decreasing"), "error must state the contract: {msg}");
 }
 
-/// (4) Contract enforcement: `arrival` is a public field, so a struct
+/// (3) Contract enforcement: `arrival` is a public field, so a struct
 /// literal can bypass `SubmittedJob::at`'s assert.  A NaN, negative or
 /// infinite arrival is an `InvalidJob` naming the job through both intakes:
 /// at construction for a materialized workload, and on the pull for a
