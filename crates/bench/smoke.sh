@@ -80,12 +80,12 @@ require_full_suite() {
 # a two-member federation; tests/faults.rs pins the fault layer's
 # do-no-harm guarantee (empty schedule ≡ no schedule, bit for bit), replay
 # determinism under injection (with and without carbon-delta migration),
-# and the hand-computed recovery oracles; tests/steady_state.rs pins the
-# serving mode (snapshot/restore bit-identity across policies and seeds,
-# and on a federation with flows, drains, crashes, an outage and a carbon
-# dropout in flight; restore rejecting a differently shaped federation;
-# windowed-percentile oracle, admission conservation, open-loop
-# determinism, bounded residency); tests/network.rs pins the link-level
+# and the hand-computed recovery oracles (dispatch at an outage's end
+# included); tests/steady_state.rs pins the serving mode (snapshot/restore
+# bit-identity across policies and seeds, and on a federation with flows,
+# drains, crashes and an outage in flight; restore rejecting a differently
+# shaped federation; windowed-percentile oracle, admission conservation,
+# open-loop determinism, bounded residency); tests/network.rs pins the link-level
 # transfer model (flow completions vs the from-scratch max-min oracle,
 # fed3_migrate_pcaps replaying its recorded fingerprints and migration-log
 # hash whether the matrix is attached by with_transfer_matrix or by

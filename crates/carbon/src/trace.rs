@@ -171,7 +171,8 @@ impl CarbonTrace {
     pub fn bounds(&self, t: f64, horizon: f64) -> (f64, f64) {
         assert!(horizon >= 0.0, "lookahead horizon must be non-negative");
         let first = self.index_at(t);
-        let steps = (horizon / self.step).ceil() as usize + 1;
+        // The cast saturates, so a huge horizon must not overflow the `+ 1`.
+        let steps = ((horizon / self.step).ceil() as usize).saturating_add(1);
         let steps = steps.min(self.values.len());
         // O(1) per query from the sparse table (built once per trace on
         // first use).  The window covers exactly the `steps` wrapped values
@@ -283,6 +284,13 @@ mod tests {
         // Looking ahead the full trace sees everything.
         let (l, u) = t.bounds(0.0, 24.0 * 3600.0);
         assert_eq!((l, u), (50.0, 300.0));
+    }
+
+    #[test]
+    fn bounds_over_a_huge_horizon_cover_the_whole_trace() {
+        let t = trace();
+        assert_eq!(t.bounds(0.0, 1e300), (t.min(), t.max()));
+        assert_eq!(t.bounds(2.5 * 3600.0, f64::INFINITY), (50.0, 300.0));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! without bound.  An [`AdmissionPolicy`] is consulted once per arrival,
 //! *after* routing: it sees the job, the member the router chose, and the
 //! same per-member [`RoutingContext`] the router saw, and decides to accept
-//! the job, reject it outright, or shed it to a different member.
+//! the job or reject it outright.
 //!
 //! Rejections are first-class accounting, not errors: the engine counts
 //! them per member ([`SimulationResult::jobs_rejected`]) and the serving
@@ -29,10 +29,6 @@ pub enum AdmissionDecision {
     /// Turn the job away: it is never activated anywhere, and is counted on
     /// the routed member's rejection counter.
     Reject,
-    /// Admit the job, but on this member instead of the router's choice
-    /// (load shedding across the federation).  An out-of-range member index
-    /// aborts the run with a descriptive error, like a bad route.
-    ShedTo(usize),
 }
 
 /// A policy consulted once per arrival, after routing (see the module

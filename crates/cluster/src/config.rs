@@ -8,25 +8,27 @@ use serde::{Deserialize, Serialize};
 /// horizon at or beyond this sentinel as unset and demand an explicit one.
 pub const NO_TIME_LIMIT: f64 = 1.0e9;
 
+/// Lookahead horizon (carbon-trace seconds) of the forecast bounds `L` and
+/// `U` every carbon view carries: 48 hours.
+pub const FORECAST_HORIZON: f64 = 48.0 * 3600.0;
+
 /// How much of the run's activity the engine records in its
 /// [`UsageProfile`].
 ///
 /// [`Full`](ProfileMode::Full) recording grows with the number of *tasks*
-/// (one executor segment per task, one usage sample per dispatch/finish
-/// instant), which is exactly what a trace-scale streaming run must not
-/// accumulate: a 100k-job Alibaba workload dispatches millions of tasks.
-/// [`Light`](ProfileMode::Light) keeps only the jobs-in-system step
-/// function — O(arrivals + completions) samples, enough for the
-/// peak-resident-jobs accounting of the scale experiments — and skips the
-/// usage/segment series (so carbon accounting, which integrates the usage
-/// profile, is unavailable).
+/// (one usage sample per dispatch/finish instant), which is exactly what a
+/// trace-scale streaming run must not accumulate: a 100k-job Alibaba
+/// workload dispatches millions of tasks.  [`Light`](ProfileMode::Light)
+/// keeps only the jobs-in-system step function — O(arrivals + completions)
+/// samples, enough for the peak-resident-jobs accounting of the scale
+/// experiments — and skips the usage series (so carbon accounting, which
+/// integrates the usage profile, is unavailable).
 ///
 /// [`UsageProfile`]: crate::profile::UsageProfile
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ProfileMode {
-    /// Record everything: usage step function, per-task executor segments,
-    /// jobs-in-system (the default; required for carbon accounting and the
-    /// usage figures).
+    /// Record both series: the usage step function and jobs-in-system (the
+    /// default; required for carbon accounting and the usage figures).
     Full,
     /// Record only the jobs-in-system series; memory stays
     /// O(active + completed jobs), never O(tasks).
@@ -56,12 +58,10 @@ pub struct ClusterConfig {
     /// corresponds to 1 hour of carbon time, i.e. a scale of 60.  A scale of
     /// 1.0 means schedule time and carbon time coincide.
     pub time_scale: f64,
-    /// Lookahead horizon (carbon-trace seconds) used to compute the bounds
-    /// `L` and `U` exposed to schedulers.  Defaults to 48 hours.
-    pub forecast_horizon: f64,
-    /// Hard ceiling on simulated schedule time; exceeded only if a scheduler
-    /// defers work forever, in which case the run errors out rather than
-    /// looping.
+    /// Hard ceiling on simulated schedule time: a run still incomplete past
+    /// it errors out rather than looping.  Possible causes are a policy that
+    /// never dispatches, an outage that never ends, or a task or move delay
+    /// that ends past the limit.
     pub max_sim_time: f64,
     /// Profile recording granularity (default [`ProfileMode::Full`]);
     /// trace-scale streaming runs use [`ProfileMode::Light`] so recorded
@@ -71,8 +71,8 @@ pub struct ClusterConfig {
 
 impl ClusterConfig {
     /// A cluster of `num_executors` executors with paper-default parameters:
-    /// no per-job cap, a small executor-move delay, time scale 60 (1 schedule
-    /// minute = 1 carbon hour) and a 48-hour forecast.
+    /// no per-job cap, a small executor-move delay and time scale 60 (1
+    /// schedule minute = 1 carbon hour).
     pub fn new(num_executors: usize) -> Self {
         assert!(num_executors > 0, "cluster must have at least one executor");
         ClusterConfig {
@@ -80,22 +80,9 @@ impl ClusterConfig {
             per_job_executor_cap: None,
             executor_move_delay: 0.5,
             time_scale: 60.0,
-            forecast_horizon: 48.0 * 3600.0,
             max_sim_time: NO_TIME_LIMIT,
             profile_mode: ProfileMode::Full,
         }
-    }
-
-    /// The paper's simulator configuration: 100 executors, Spark standalone
-    /// FIFO semantics (no per-job cap).
-    pub fn paper_simulator() -> Self {
-        ClusterConfig::new(100)
-    }
-
-    /// The paper's prototype configuration: 100 executors with a 25-executor
-    /// per-job cap (Spark-on-Kubernetes default behaviour).
-    pub fn paper_prototype() -> Self {
-        ClusterConfig::new(100).with_per_job_cap(Some(25))
     }
 
     /// Sets the per-job executor cap.
@@ -118,13 +105,6 @@ impl ClusterConfig {
     pub fn with_time_scale(mut self, scale: f64) -> Self {
         assert!(scale > 0.0 && scale.is_finite(), "time scale must be positive");
         self.time_scale = scale;
-        self
-    }
-
-    /// Sets the forecast lookahead horizon (carbon-trace seconds).
-    pub fn with_forecast_horizon(mut self, horizon: f64) -> Self {
-        assert!(horizon > 0.0 && horizon.is_finite(), "horizon must be positive");
-        self.forecast_horizon = horizon;
         self
     }
 
@@ -151,8 +131,8 @@ impl ClusterConfig {
     /// naming the field.  The fields are public, so a struct literal can
     /// bypass their asserts: no executors or a zero cap never finishes a
     /// job, a NaN or negative delay breaks the event order, a zero or NaN
-    /// time scale freezes the carbon clock, a NaN horizon has no bounds,
-    /// and a NaN time limit never trips.
+    /// time scale freezes the carbon clock, and a NaN time limit never
+    /// trips.
     pub(crate) fn check(&self) -> Result<(), String> {
         let delay = self.executor_move_delay;
         let failure = if self.num_executors == 0 {
@@ -163,11 +143,6 @@ impl ClusterConfig {
             format!("executor_move_delay must be non-negative and finite, got {delay}")
         } else if !(self.time_scale > 0.0 && self.time_scale.is_finite()) {
             format!("time_scale must be positive and finite, got {}", self.time_scale)
-        } else if !(self.forecast_horizon > 0.0 && self.forecast_horizon.is_finite()) {
-            format!(
-                "forecast_horizon must be positive and finite, got {}",
-                self.forecast_horizon
-            )
         } else if self.max_sim_time.is_nan() || self.max_sim_time <= 0.0 {
             format!("max_sim_time must be positive, got {}", self.max_sim_time)
         } else {
@@ -191,27 +166,15 @@ mod tests {
     }
 
     #[test]
-    fn paper_configs() {
-        let sim = ClusterConfig::paper_simulator();
-        assert_eq!(sim.num_executors, 100);
-        assert_eq!(sim.per_job_executor_cap, None);
-        let proto = ClusterConfig::paper_prototype();
-        assert_eq!(proto.per_job_executor_cap, Some(25));
-        assert_eq!(proto.job_cap(), 25);
-    }
-
-    #[test]
     fn builder_setters() {
         let c = ClusterConfig::new(5)
             .with_per_job_cap(Some(2))
             .with_move_delay(1.5)
             .with_time_scale(1.0)
-            .with_forecast_horizon(3600.0)
             .with_max_sim_time(100.0);
         assert_eq!(c.job_cap(), 2);
         assert_eq!(c.executor_move_delay, 1.5);
         assert_eq!(c.time_scale, 1.0);
-        assert_eq!(c.forecast_horizon, 3600.0);
         assert_eq!(c.max_sim_time, 100.0);
     }
 

@@ -65,7 +65,7 @@
 //! [`Federation::new`]: crate::federation::Federation::new
 
 use crate::admission::{AdmissionDecision, AdmissionPolicy};
-use crate::config::{ClusterConfig, ProfileMode};
+use crate::config::{ClusterConfig, ProfileMode, FORECAST_HORIZON};
 use crate::error::{PartialRunSummary, SimError};
 use crate::event::{Event, EventQueue};
 use crate::executor::ExecutorPool;
@@ -77,7 +77,7 @@ use crate::federation::{Federation, Member};
 use crate::job_state::{check_arrival, check_data_gb, ActiveJob, JobRecord, SubmittedJob};
 use crate::network::{FlowArrivalPlan, FlowSet};
 use crate::source::ArrivalSource;
-use crate::profile::{ExecutorSegment, UsageProfile};
+use crate::profile::UsageProfile;
 use crate::result::{FederationResult, MemberResult, MigrationRecord, SimulationResult};
 use crate::routing::{
     MemberView, MigrationCandidate, MigrationContext, MigrationPolicy, MigrationSink, Router,
@@ -216,9 +216,6 @@ struct RunningTask {
     /// The task's duration (excluding move delay), for undoing the
     /// dispatch-time pre-charge of `executor_seconds`.
     duration: f64,
-    /// The pending finish event's time, for truncating the open profile
-    /// segment on a crash.
-    finish_time: f64,
 }
 
 impl Member {
@@ -230,6 +227,15 @@ impl Member {
     /// The member's carbon step expressed in schedule time.
     fn carbon_step_schedule(&self) -> f64 {
         self.carbon.step / self.config.time_scale
+    }
+
+    /// The carbon signal at schedule time `time`: the trace's intensity and
+    /// its bounds over the next [`FORECAST_HORIZON`].
+    fn carbon_view(&self, time: f64) -> CarbonView {
+        let ct = self.carbon_time(time);
+        let intensity = self.carbon.intensity(ct);
+        let (lower_bound, upper_bound) = self.carbon.bounds(ct, FORECAST_HORIZON);
+        CarbonView::new(intensity, lower_bound, upper_bound)
     }
 
     /// Mean intensity of the member's trace over the schedule-time interval
@@ -306,11 +312,6 @@ struct MemberState {
     /// tasks drain, and routers/migration policies see
     /// [`MemberView::available`] `== false`.
     available: bool,
-    /// `Some(intensity)` while a carbon-signal dropout is open: the
-    /// member's [`CarbonView`] freezes there with the staleness flag set.
-    /// The engine's own accounting keeps using the real trace — the dropout
-    /// degrades what *schedulers* see, not physical ground truth.
-    frozen_intensity: Option<f64>,
     /// Executor-seconds of work lost to crashes (dispatch-to-crash,
     /// move delay included).
     wasted_seconds: f64,
@@ -342,7 +343,6 @@ impl MemberState {
             running: vec![None; executors],
             epochs: vec![0; executors],
             available: true,
-            frozen_intensity: None,
             wasted_seconds: 0.0,
             tasks_failed: 0,
             retries: 0,
@@ -350,25 +350,11 @@ impl MemberState {
         }
     }
 
-    fn carbon_view(&self, spec: &Member, time: f64) -> CarbonView {
-        // During a signal dropout the member's view is frozen at the
-        // last-known intensity with the staleness flag set; schedulers and
-        // routers decide on stale data while the engine's accounting keeps
-        // using the real trace.
-        if let Some(frozen) = self.frozen_intensity {
-            return CarbonView::stale_at(frozen);
-        }
-        let ct = spec.carbon_time(time);
-        let intensity = spec.carbon.intensity(ct);
-        let (lower_bound, upper_bound) = spec.carbon.bounds(ct, spec.config.forecast_horizon);
-        CarbonView::new(intensity, lower_bound, upper_bound)
-    }
-
     /// The router's snapshot of this member.
     fn view(&self, spec: &Member, member: usize, time: f64) -> MemberView {
         MemberView {
             member,
-            carbon: self.carbon_view(spec, time),
+            carbon: spec.carbon_view(time),
             queue_depth: self.active.len(),
             outstanding_work: self.outstanding_work,
             total_executors: spec.config.num_executors,
@@ -381,7 +367,7 @@ impl MemberState {
     fn context(&self, spec: &Member, time: f64) -> SchedulingContext<'_> {
         SchedulingContext::new(
             time,
-            self.carbon_view(spec, time),
+            spec.carbon_view(time),
             spec.config.num_executors,
             self.executors.free_count(),
             self.executors.busy_count(),
@@ -852,7 +838,6 @@ fn apply_assignments_for(
                 task: task_idx,
                 started: time,
                 duration: task.duration,
-                finish_time,
             });
             events.push(
                 finish_time,
@@ -864,15 +849,6 @@ fn apply_assignments_for(
                     epoch: member.epochs[exec_idx],
                 },
             );
-            if spec.config.profile_mode == ProfileMode::Full {
-                member.profile.record_segment(ExecutorSegment {
-                    executor: exec_idx,
-                    job: a.job,
-                    stage: a.stage,
-                    start: time,
-                    end: finish_time,
-                });
-            }
             dispatched += 1;
             member.tasks_dispatched += 1;
         }
@@ -1200,13 +1176,6 @@ impl<'a> Engine<'a> {
                 let prev = member.current_intensity;
                 let now = spec.carbon.intensity(spec.carbon_time(st.time));
                 member.current_intensity = now;
-                // During a signal dropout the scheduler must not observe the
-                // real step — it is told "nothing changed" at the frozen
-                // intensity while the engine's ground truth keeps advancing.
-                let (seen_prev, seen_now) = match member.frozen_intensity {
-                    Some(frozen) => (frozen, frozen),
-                    None => (prev, now),
-                };
                 // Migration first, scheduling second: a member whose grid
                 // just turned dirty ships its idle jobs away *before* its
                 // scheduler gets a chance to pin them down with dispatches.
@@ -1216,7 +1185,7 @@ impl<'a> Engine<'a> {
                 self.schedule_loop(
                     carbon_member,
                     &mut *schedulers[carbon_member],
-                    EventSeed::CarbonChanged { prev: seen_prev, now: seen_now },
+                    EventSeed::CarbonChanged { prev, now },
                 )?;
             } else if next_is_arrival {
                 let arrival = st.pending.take().expect("next_is_arrival implies a window");
@@ -1345,7 +1314,7 @@ impl<'a> Engine<'a> {
         admission: Option<&mut (dyn AdmissionPolicy + '_)>,
     ) -> Result<Option<(usize, EventSeed)>, SimError> {
         let PendingArrival { id, job } = arrival;
-        let mut target = self.route(router, id, &job)?;
+        let target = self.route(router, id, &job)?;
         if let Some(policy) = admission {
             // The policy sees the same per-member views the router saw
             // (rebuilt: routing may have consumed the buffer's content, the
@@ -1364,13 +1333,6 @@ impl<'a> Engine<'a> {
                     st.jobs_rejected += 1;
                     st.members[target].jobs_rejected += 1;
                     return Ok(None);
-                }
-                AdmissionDecision::ShedTo(member) => {
-                    let members = self.state.members.len();
-                    if member >= members {
-                        return Err(SimError::InvalidRoute { job: id.to_string(), member, members });
-                    }
-                    target = member;
                 }
             }
         }
@@ -1840,10 +1802,8 @@ impl<'a> Engine<'a> {
             FaultKind::ExecutorCrash { executor } => {
                 self.apply_crash(inj.member, executor, schedulers)
             }
-            FaultKind::RegionOutageStart => self.apply_outage_start(inj.member, schedulers),
+            FaultKind::RegionOutageStart => self.apply_outage_start(inj.member),
             FaultKind::RegionOutageEnd => self.apply_outage_end(inj.member, schedulers),
-            FaultKind::CarbonDropoutStart => self.apply_dropout_start(inj.member),
-            FaultKind::CarbonDropoutEnd => self.apply_dropout_end(inj.member, schedulers),
         }
     }
 
@@ -1901,16 +1861,6 @@ impl<'a> Engine<'a> {
         let wasted = time - rt.started;
         member.wasted_seconds += wasted;
         member.tasks_failed += 1;
-        // Truncate the open profile segment at the crash instant so the
-        // usage series stays an honest record of executor-busy time.
-        if spec.config.profile_mode == ProfileMode::Full {
-            for seg in member.profile.segments.iter_mut().rev() {
-                if seg.executor == exec && seg.job == rt.job && seg.end == rt.finish_time {
-                    seg.end = time;
-                    break;
-                }
-            }
-        }
         member.record_usage_sample(spec, time);
         if exhausted {
             return Err(SimError::RetriesExhausted {
@@ -1947,16 +1897,12 @@ impl<'a> Engine<'a> {
         )
     }
 
-    /// Takes member `target` down: dispatching stops (running tasks drain),
-    /// idle jobs are evacuated to the least-loaded available member over the
-    /// transfer-priced migration path, and the member's scheduler is told
-    /// (advisorily) that it went unavailable.  Idempotent: a start inside an
-    /// already open window is a no-op.
-    fn apply_outage_start(
-        &mut self,
-        target: usize,
-        schedulers: &mut [&mut dyn Scheduler],
-    ) -> Result<(), SimError> {
+    /// Takes member `target` down: dispatching stops (running tasks drain)
+    /// and idle jobs are evacuated to the least-loaded available member over
+    /// the transfer-priced migration path.  The member's scheduler is not
+    /// consulted: an unavailable member cannot dispatch.  Idempotent: a
+    /// start inside an already open window is a no-op.
+    fn apply_outage_start(&mut self, target: usize) -> Result<(), SimError> {
         let member = &mut self.state.members[target];
         if !member.available {
             return Ok(());
@@ -1983,7 +1929,6 @@ impl<'a> Engine<'a> {
             member: target,
             effect: FaultEffect::OutageStarted { evacuated },
         });
-        self.deliver_availability(target, &mut *schedulers[target], false);
         Ok(())
     }
 
@@ -2006,77 +1951,7 @@ impl<'a> Engine<'a> {
             member: target,
             effect: FaultEffect::OutageEnded,
         });
-        self.deliver_availability(target, &mut *schedulers[target], true);
         self.schedule_loop(target, &mut *schedulers[target], EventSeed::Kick)
-    }
-
-    /// Freezes member `target`'s carbon view at the intensity the trace
-    /// reads right now — the last value the member "saw" before the signal
-    /// went silent.  No scheduling pass: nothing observable changed yet (the
-    /// view goes stale from the next consultation on).
-    fn apply_dropout_start(&mut self, target: usize) -> Result<(), SimError> {
-        let spec = &self.fed.members()[target];
-        let time = self.state.time;
-        let member = &mut self.state.members[target];
-        if member.frozen_intensity.is_some() {
-            return Ok(());
-        }
-        let frozen = spec.carbon.intensity(spec.carbon_time(time));
-        member.frozen_intensity = Some(frozen);
-        member.fault_log.push(FaultRecord {
-            time,
-            member: target,
-            effect: FaultEffect::DropoutStarted { frozen_intensity: frozen },
-        });
-        Ok(())
-    }
-
-    /// Thaws member `target`'s carbon view and re-invokes its scheduler with
-    /// a `CarbonChanged` from the frozen intensity to the live one — the
-    /// moment the signal returns is exactly a carbon step from the
-    /// scheduler's point of view.
-    fn apply_dropout_end(
-        &mut self,
-        target: usize,
-        schedulers: &mut [&mut dyn Scheduler],
-    ) -> Result<(), SimError> {
-        let spec = &self.fed.members()[target];
-        let time = self.state.time;
-        let member = &mut self.state.members[target];
-        let Some(frozen) = member.frozen_intensity.take() else {
-            return Ok(());
-        };
-        let now = spec.carbon.intensity(spec.carbon_time(time));
-        member.fault_log.push(FaultRecord {
-            time,
-            member: target,
-            effect: FaultEffect::DropoutEnded,
-        });
-        self.schedule_loop(
-            target,
-            &mut *schedulers[target],
-            EventSeed::CarbonChanged { prev: frozen, now },
-        )
-    }
-
-    /// Delivers the advisory [`SchedEvent::MemberAvailability`] event to one
-    /// member's scheduler.  Anything the scheduler emits in response is
-    /// discarded: a member going down cannot dispatch, and a member coming
-    /// back up is immediately re-consulted through the regular scheduling
-    /// pass that follows.
-    fn deliver_availability(
-        &mut self,
-        target: usize,
-        scheduler: &mut dyn Scheduler,
-        available: bool,
-    ) {
-        let member = &mut self.state.members[target];
-        let mut sink = std::mem::take(&mut member.sink);
-        sink.clear();
-        let ctx = member.context(&self.fed.members()[target], self.state.time);
-        scheduler.on_event(SchedEvent::MemberAvailability { available }, &ctx, &mut sink);
-        sink.clear();
-        self.state.members[target].sink = sink;
     }
 
     /// Repeatedly invokes one member's scheduler until it defers, produces
@@ -2466,7 +2341,8 @@ mod tests {
         let sim = Simulator::new(config, vec![SubmittedJob::at(0.0, job)], flat_trace());
         let result = sim.run(&mut SimpleFifo::new()).unwrap();
         assert!(!result.profile.usage.is_empty());
-        assert_eq!(result.profile.segments.len(), 4);
+        // Four 5 s tasks on four executors: 20 executor-seconds of area.
+        assert!((result.profile.average_utilization(5.0) * 5.0 - 20.0).abs() < 1e-9);
         // At time just after 0 all four executors are busy.
         assert_eq!(result.profile.busy_at(0.1), 4.0);
         // After completion nobody is busy.
@@ -2715,9 +2591,7 @@ mod tests {
         assert_eq!(full.tasks_dispatched, light.tasks_dispatched);
         assert_eq!(full.jobs, light.jobs);
         assert!(!full.profile.usage.is_empty());
-        assert!(!full.profile.segments.is_empty());
         assert!(light.profile.usage.is_empty(), "light mode must skip usage samples");
-        assert!(light.profile.segments.is_empty(), "light mode must skip segments");
         // Jobs-in-system is what the scale experiments need — always kept.
         assert_eq!(full.profile.jobs_in_system, light.profile.jobs_in_system);
     }

@@ -41,10 +41,11 @@ pub enum SimError {
         /// The validation failure message.
         reason: String,
     },
-    /// The simulation exceeded `max_sim_time` without completing all jobs —
-    /// almost always a scheduler that defers outstanding work indefinitely,
-    /// or an outage window that never ends.  `partial` summarises what the
-    /// run had accomplished so sweeps can report instead of aborting.
+    /// The simulation exceeded `max_sim_time` without completing all jobs.
+    /// Possible causes are a policy that never dispatches, an outage that
+    /// never ends, or a task or executor-move delay that ends past the
+    /// limit.  `partial` summarises what the run had accomplished so sweeps
+    /// can report instead of aborting.
     TimeLimitExceeded {
         /// The configured limit (schedule seconds).
         limit: f64,
@@ -152,8 +153,9 @@ impl fmt::Display for SimError {
             SimError::TimeLimitExceeded { limit, incomplete_jobs, partial } => write!(
                 f,
                 "simulation exceeded the time limit of {limit} s with {incomplete_jobs} incomplete job(s) \
-                 ({} completed, {:.1} executor-seconds dispatched); \
-                 the scheduler appears to defer work indefinitely",
+                 ({} completed, {:.1} executor-seconds dispatched); possible causes: a policy that \
+                 never dispatches, an outage that never ends, or a task or move delay that ends \
+                 past the limit",
                 partial.completed_jobs.len(),
                 partial.elapsed_executor_seconds,
             ),
@@ -214,6 +216,27 @@ mod tests {
         assert!(limited.to_string().contains("3 incomplete"));
         assert!(limited.to_string().contains("2 completed"));
         assert!(limited.to_string().contains("42.5 executor-seconds"));
+        // A move delay past the limit: the policy dispatched everything at
+        // once, so the message lists causes instead of blaming it.
+        let delayed = SimError::TimeLimitExceeded {
+            limit: 1e9,
+            incomplete_jobs: 3,
+            partial: Box::new(PartialRunSummary {
+                completed_jobs: vec![],
+                incomplete_jobs: vec![JobId(0), JobId(1), JobId(2)],
+                elapsed_executor_seconds: 9.2,
+                accrued_carbon_grams: 0.0,
+            }),
+        }
+        .to_string();
+        assert!(
+            delayed.contains("0 completed, 9.2 executor-seconds dispatched"),
+            "{delayed}"
+        );
+        for cause in ["never dispatches", "outage that never ends", "move delay"] {
+            assert!(delayed.contains(cause), "{cause}: {delayed}");
+        }
+        assert!(!delayed.contains("appears to defer"), "{delayed}");
         assert!(SimError::InvalidJob { job: "x".into(), reason: "cycle".into() }
             .to_string()
             .contains("cycle"));

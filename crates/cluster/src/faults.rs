@@ -2,8 +2,7 @@
 //! injections become first-class events in the engine's deterministic queue.
 //!
 //! A [`FaultPlan`] describes *what should go wrong* during a run — executor
-//! crashes, whole-member outages, carbon-signal dropouts — without touching
-//! the engine.  Plans are materialised **once**, before the run starts, into
+//! crashes and whole-member outages — without touching the engine.  Plans are materialised **once**, before the run starts, into
 //! a time-sorted [`FaultSchedule`]; the engine then merges that schedule
 //! into its event loop with a single cursor, so the no-fault path costs one
 //! `Option` comparison per iteration and stays bit-identical to the
@@ -20,13 +19,10 @@
 //! note): crashed tasks are retried under a [`RetryPolicy`] with bounded
 //! attempts and exponential backoff in schedule-time; an outaged member
 //! stops dispatching, drains its running tasks, and has its idle jobs
-//! evacuated over the federation's transfer-priced migration path; a
-//! dropout freezes the member's [`CarbonView`] at the last-known intensity
-//! with [`CarbonView::stale`] set.  Everything that happened is logged as
-//! [`FaultRecord`]s on the member's [`SimulationResult`].
+//! evacuated over the federation's transfer-priced migration path.
+//! Everything that happened is logged as [`FaultRecord`]s on the member's
+//! [`SimulationResult`].
 //!
-//! [`CarbonView`]: crate::scheduler_api::CarbonView
-//! [`CarbonView::stale`]: crate::scheduler_api::CarbonView::stale
 //! [`SimulationResult`]: crate::result::SimulationResult
 
 use crate::config::NO_TIME_LIMIT;
@@ -52,14 +48,6 @@ pub enum FaultKind {
     RegionOutageStart,
     /// The member resumes dispatching.
     RegionOutageEnd,
-    /// The member's carbon signal goes silent: its [`CarbonView`] freezes
-    /// at the last-known intensity with the staleness flag set.
-    ///
-    /// [`CarbonView`]: crate::scheduler_api::CarbonView
-    CarbonDropoutStart,
-    /// The carbon signal returns; the member's scheduler is re-invoked
-    /// with a `CarbonChanged` event from the frozen to the live intensity.
-    CarbonDropoutEnd,
 }
 
 /// One scheduled injection: at `time`, do `kind` to `member`.
@@ -292,49 +280,6 @@ impl FaultPlan for RegionOutage {
     }
 }
 
-/// A windowed carbon-signal dropout: `member`'s carbon view freezes at the
-/// last-known intensity over `[start, end)` with the staleness flag set.
-#[derive(Debug, Clone, Copy)]
-pub struct CarbonSignalDropout {
-    /// The member whose signal drops out.
-    pub member: usize,
-    /// Dropout start (schedule seconds).
-    pub start: f64,
-    /// Dropout end (schedule seconds).
-    pub end: f64,
-}
-
-impl CarbonSignalDropout {
-    /// A dropout on `member` over `[start, end)`.
-    ///
-    /// # Panics
-    /// Panics unless `0 ≤ start < end` and both are finite.
-    pub fn new(member: usize, start: f64, end: f64) -> Self {
-        assert!(
-            start.is_finite() && end.is_finite() && start >= 0.0 && start < end,
-            "dropout window must satisfy 0 <= start < end"
-        );
-        CarbonSignalDropout { member, start, end }
-    }
-}
-
-impl FaultPlan for CarbonSignalDropout {
-    fn schedule(&self, _ctx: &FaultContext) -> Result<FaultSchedule, SimError> {
-        Ok(FaultSchedule::new(vec![
-            FaultInjection {
-                time: self.start,
-                member: self.member,
-                kind: FaultKind::CarbonDropoutStart,
-            },
-            FaultInjection {
-                time: self.end,
-                member: self.member,
-                kind: FaultKind::CarbonDropoutEnd,
-            },
-        ]))
-    }
-}
-
 /// How crashed tasks are retried: bounded attempts with exponential backoff
 /// in schedule-time.  Attempt `k` (1-based failure count) releases the task
 /// for re-dispatch `backoff_base × backoff_factor^(k−1)` schedule seconds
@@ -446,14 +391,6 @@ pub enum FaultEffect {
     },
     /// The member came back up.
     OutageEnded,
-    /// The member's carbon signal went silent; its view froze at
-    /// `frozen_intensity`.
-    DropoutStarted {
-        /// The last-known intensity the view froze at (g CO₂eq/kWh).
-        frozen_intensity: f64,
-    },
-    /// The member's carbon signal returned.
-    DropoutEnded,
 }
 
 /// One entry of a member's fault log: at `time`, on `member`, `effect`
@@ -590,10 +527,6 @@ mod tests {
         assert_eq!(o.injections()[0].kind, FaultKind::RegionOutageStart);
         assert_eq!(o.injections()[1].kind, FaultKind::RegionOutageEnd);
         assert_eq!((o.injections()[0].time, o.injections()[1].time), (10.0, 20.0));
-        let d = CarbonSignalDropout::new(0, 5.0, 6.0).schedule(&ctx(vec![2], 100.0)).unwrap();
-        assert_eq!(d.len(), 2);
-        assert_eq!(d.injections()[0].kind, FaultKind::CarbonDropoutStart);
-        assert_eq!(d.injections()[1].kind, FaultKind::CarbonDropoutEnd);
     }
 
     #[test]

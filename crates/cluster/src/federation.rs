@@ -49,7 +49,7 @@
 //! [`Simulator`]: crate::engine::Simulator
 //! [`StaticRouter`]: crate::routing::StaticRouter
 
-use crate::config::ClusterConfig;
+use crate::config::{ClusterConfig, NO_TIME_LIMIT};
 use crate::engine::Engine;
 use crate::error::SimError;
 use crate::faults::{FaultContext, FaultPlan, FaultSchedule, RetryPolicy};
@@ -78,6 +78,26 @@ impl Member {
     /// Creates a member cluster.
     pub fn new(label: impl Into<String>, config: ClusterConfig, carbon: CarbonTrace) -> Self {
         Member { label: label.into(), config, carbon }
+    }
+
+    /// Rejects a member the engine cannot run, naming the field: a
+    /// malformed configuration, or a time scale so large that the carbon
+    /// step, in schedule seconds, no longer advances the clock at the time
+    /// limit.  Such a run would step the carbon clock in place forever
+    /// instead of tripping the limit.  The limit is capped at
+    /// [`NO_TIME_LIMIT`], because an infinite limit absorbs every step.
+    fn check(&self) -> Result<(), String> {
+        self.config.check()?;
+        let step = self.carbon.step / self.config.time_scale;
+        let limit = self.config.max_sim_time.min(NO_TIME_LIMIT);
+        if limit + step == limit {
+            return Err(format!(
+                "time_scale {} turns the {} s carbon step into {step} s of schedule time, \
+                 too small to advance the clock at the time limit of {limit} s",
+                self.config.time_scale, self.carbon.step
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -140,7 +160,7 @@ impl Federation {
         let invalid = members
             .iter()
             .find_map(|m| {
-                let reason = m.config.check().err()?;
+                let reason = m.check().err()?;
                 Some(SimError::InvalidConfig { member: m.label.clone(), reason })
             })
             .or(invalid_job);

@@ -206,9 +206,8 @@
 //!   pop — no queue surgery), books the dispatch-to-crash interval as wasted
 //!   work, and re-releases the task after the [`RetryPolicy`] backoff; a
 //!   region outage stops a member's dispatching, drains its running tasks,
-//!   and evacuates its idle jobs over the priced migration path; a
-//!   carbon-signal dropout freezes the member's [`CarbonView`] at the last
-//!   seen intensity with [`CarbonView::stale`] set.  Recovery bookkeeping is
+//!   and evacuates its idle jobs over the priced migration path, and its
+//!   end consults the member's scheduler again.  Recovery bookkeeping is
 //!   O(affected member), allocation-free on the no-fault path, and fully
 //!   deterministic: same schedule, same seeds, same run.
 //! * **No wall clock.**  The engine keeps only simulated time and reads no
@@ -244,7 +243,6 @@
 //! [`FaultPlan`]: faults::FaultPlan
 //! [`FaultSchedule`]: faults::FaultSchedule
 //! [`RetryPolicy`]: faults::RetryPolicy
-//! [`CarbonView::stale`]: scheduler_api::CarbonView::stale
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -273,13 +271,13 @@ pub use engine::{EngineSnapshot, Simulator};
 pub use serve::ServeSession;
 pub use error::{PartialRunSummary, SimError};
 pub use faults::{
-    CarbonSignalDropout, CrashVictim, FaultContext, FaultEffect, FaultInjection, FaultKind,
-    FaultPlan, FaultRecord, FaultSchedule, PoissonCrashes, RegionOutage, RetryPolicy,
+    CrashVictim, FaultContext, FaultEffect, FaultInjection, FaultKind, FaultPlan, FaultRecord,
+    FaultSchedule, PoissonCrashes, RegionOutage, RetryPolicy,
 };
 pub use federation::{Federation, Member};
 pub use job_state::{JobRecord, SubmittedJob};
 pub use network::{FlowArrivalPlan, FlowSet, NetworkLink, NetworkTopology, TransferFlow};
-pub use profile::{ExecutorSegment, UsageProfile};
+pub use profile::UsageProfile;
 pub use result::{FederationResult, LinkUtilization, MemberResult, MigrationRecord, SimulationResult};
 pub use routing::{
     MemberView, Migration, MigrationCandidate, MigrationContext, MigrationPolicy, MigrationSink,

@@ -1,32 +1,14 @@
 //! Recording what the cluster did over time.
 //!
-//! Three time series are collected during a run:
+//! Two time series are collected during a run:
 //!
 //! * the **usage profile** — number of busy executors as a step function of
-//!   time, consumed by the carbon accountant and by Fig. 15,
-//! * **executor segments** — per-executor intervals annotated with the job
-//!   served, which is exactly what Fig. 6 visualises,
+//!   time, consumed by the carbon accountant and plotted by Figs. 6 and 15,
 //! * **jobs in system** — how many jobs have arrived but not yet completed,
 //!   the right-hand panel of Fig. 15.
 
 use pcaps_carbon::UsageSample;
-use pcaps_dag::{JobId, StageId};
 use serde::{Deserialize, Serialize};
-
-/// One interval during which an executor ran a task.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ExecutorSegment {
-    /// Executor index.
-    pub executor: usize,
-    /// Job served.
-    pub job: JobId,
-    /// Stage served.
-    pub stage: StageId,
-    /// Interval start (schedule seconds).
-    pub start: f64,
-    /// Interval end (schedule seconds).
-    pub end: f64,
-}
 
 /// Time-stamped count used for the jobs-in-system series.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -42,8 +24,6 @@ pub struct CountSample {
 pub struct UsageProfile {
     /// Busy-executor step function.
     pub usage: Vec<UsageSample>,
-    /// Per-executor busy intervals (one entry per completed task).
-    pub segments: Vec<ExecutorSegment>,
     /// Jobs-in-system step function.
     pub jobs_in_system: Vec<CountSample>,
 }
@@ -68,12 +48,6 @@ impl UsageProfile {
             time,
             busy: busy as f64,
         });
-    }
-
-    /// Records a completed task interval on an executor.
-    pub fn record_segment(&mut self, seg: ExecutorSegment) {
-        debug_assert!(seg.end >= seg.start, "segment must have non-negative length");
-        self.segments.push(seg);
     }
 
     /// Records a change in the number of jobs in the system.
@@ -185,20 +159,6 @@ mod tests {
         p.record_jobs_in_system(3.0, 1);
         assert_eq!(p.jobs_in_system.len(), 2);
         assert_eq!(p.jobs_in_system[0].count, 2);
-    }
-
-    #[test]
-    fn segments_recorded() {
-        let mut p = UsageProfile::new();
-        p.record_segment(ExecutorSegment {
-            executor: 0,
-            job: JobId(1),
-            stage: StageId(0),
-            start: 1.0,
-            end: 4.0,
-        });
-        assert_eq!(p.segments.len(), 1);
-        assert_eq!(p.segments[0].job, JobId(1));
     }
 
     #[test]

@@ -43,8 +43,8 @@ pub struct SimulationResult {
     /// cooldowns at the end of the run (0 when the run completes).
     pub retries: usize,
     /// What the fault layer actually did to this member, in event order:
-    /// crashes (with their victims), outage windows, carbon-signal dropout
-    /// windows, retry releases.  Empty on fault-free runs.
+    /// crashes (with their victims), outage windows and retry releases.
+    /// Empty on fault-free runs.
     pub faults: Vec<FaultRecord>,
 }
 

@@ -4,10 +4,11 @@
 //! At every *scheduling event* the engine builds a [`SchedulingContext`]
 //! describing the cluster and invokes [`Scheduler::on_event`] with a typed
 //! [`SchedEvent`] saying *why* the policy is being consulted (a job arrived,
-//! tasks completed or failed, the carbon intensity changed, the member's
-//! availability changed, or the engine is re-invoking after applying
-//! assignments) and an engine-owned [`DecisionSink`] to write
-//! [`Assignment`]s into.
+//! tasks completed or failed, the carbon intensity changed, or the engine is
+//! re-invoking after applying assignments) and an engine-owned
+//! [`DecisionSink`] to write [`Assignment`]s into.  The engine applies what
+//! the policy writes at every consultation; it never consults a policy only
+//! to discard the answer.
 //!
 //! A policy defers by writing nothing: the free executors idle until the
 //! next scheduling event (Algorithm 1, line 10).  The engine consults the
@@ -54,12 +55,6 @@ pub struct CarbonView {
     pub lower_bound: f64,
     /// Forecast upper bound `U` over the lookahead window.
     pub upper_bound: f64,
-    /// True if the carbon signal has dropped out and this view is frozen at
-    /// the last-known intensity (with `L = c = U`, since no forecast is
-    /// available either).  Carbon-aware policies may fall back to
-    /// carbon-agnostic behaviour while the signal is stale; ignoring the
-    /// flag degrades gracefully to scheduling against the frozen value.
-    pub stale: bool,
 }
 
 impl CarbonView {
@@ -75,24 +70,13 @@ impl CarbonView {
             "carbon view bounds must contain the intensity: \
              L={lower_bound}, c={intensity}, U={upper_bound}"
         );
-        CarbonView {
-            intensity,
-            lower_bound,
-            upper_bound,
-            stale: false,
-        }
+        CarbonView { intensity, lower_bound, upper_bound }
     }
 
     /// A carbon view for a grid with no variability (L = U = c); useful in
     /// tests and for carbon-agnostic runs.
     pub fn flat(intensity: f64) -> Self {
         CarbonView::new(intensity, intensity, intensity)
-    }
-
-    /// The view of a member whose carbon signal has dropped out: frozen
-    /// flat at the last-known `intensity` with [`CarbonView::stale`] set.
-    pub fn stale_at(intensity: f64) -> Self {
-        CarbonView { intensity, lower_bound: intensity, upper_bound: intensity, stale: true }
     }
 }
 
@@ -338,16 +322,9 @@ pub enum SchedEvent<'a> {
         /// How many tasks were lost in this event.
         n: usize,
     },
-    /// This member's availability changed: `false` when a region outage
-    /// starts (the member stops dispatching and drains), `true` when it
-    /// ends.  Advisory and lossy — a policy that needs exact availability
-    /// must reconcile against the context like any other derived state.
-    MemberAvailability {
-        /// Whether the member is dispatching from now on.
-        available: bool,
-    },
     /// The engine is re-invoking the policy at the same instant after
-    /// applying its previous assignments, because free executors remain.
+    /// applying its previous assignments, because free executors remain,
+    /// or consulting a member whose outage just ended.
     Kick,
 }
 
@@ -488,14 +465,6 @@ mod tests {
         let c = CarbonView::flat(123.0);
         assert_eq!(c.intensity, 123.0);
         assert_eq!(c.lower_bound, c.upper_bound);
-        assert!(!c.stale, "live views are not stale");
-    }
-
-    #[test]
-    fn stale_carbon_view_is_frozen_flat() {
-        let c = CarbonView::stale_at(321.0);
-        assert!(c.stale);
-        assert_eq!((c.intensity, c.lower_bound, c.upper_bound), (321.0, 321.0, 321.0));
     }
 
     #[test]

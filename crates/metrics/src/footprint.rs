@@ -5,29 +5,10 @@
 
 use pcaps_carbon::CarbonAccountant;
 use pcaps_cluster::SimulationResult;
-use pcaps_dag::JobId;
-use std::collections::BTreeMap;
 
 /// Total carbon footprint of a run, in grams of CO₂-equivalent.
 pub fn total_footprint(result: &SimulationResult, accountant: &CarbonAccountant) -> f64 {
     accountant.footprint_grams(&result.profile.usage, result.makespan)
-}
-
-/// Per-job carbon footprints in grams, keyed by job id.
-///
-/// Each executor-busy segment is attributed to the job it served, so the
-/// per-job numbers sum to the total footprint (up to the idle gaps that
-/// belong to no job).
-pub fn job_footprints(
-    result: &SimulationResult,
-    accountant: &CarbonAccountant,
-) -> BTreeMap<JobId, f64> {
-    let mut map: BTreeMap<JobId, f64> = BTreeMap::new();
-    for seg in &result.profile.segments {
-        let grams = accountant.footprint_interval_grams(1.0, seg.start, seg.end);
-        *map.entry(seg.job).or_insert(0.0) += grams;
-    }
-    map
 }
 
 #[cfg(test)]
@@ -69,20 +50,6 @@ mod tests {
         // → 80/3600 h × 360 g = 8 g.
         let total = total_footprint(&result, &accountant());
         assert!((total - 8.0).abs() < 1e-6, "got {total}");
-    }
-
-    #[test]
-    fn per_job_footprints_sum_to_total() {
-        let result = run();
-        let acct = accountant();
-        let per_job = job_footprints(&result, &acct);
-        assert_eq!(per_job.len(), 2);
-        let sum: f64 = per_job.values().sum();
-        let total = total_footprint(&result, &acct);
-        assert!((sum - total).abs() < 1e-6);
-        // Both jobs are identical, so their footprints match.
-        let vals: Vec<f64> = per_job.values().copied().collect();
-        assert!((vals[0] - vals[1]).abs() < 1e-6);
     }
 
     #[test]

@@ -10,17 +10,16 @@
 //!   batch as a fraction of the baseline's (the system-throughput metric the
 //!   carbon-aware schedulers are designed to protect).
 //!
-//! [`footprint`] computes absolute and per-job carbon footprints from
-//! simulation results, [`summary`] turns a result into an
-//! [`ExperimentSummary`] and normalises it against a baseline, [`stats`]
-//! provides the small statistical toolbox the figures need (means, standard
-//! deviations, percentiles, polynomial fits for the trade-off curves of
-//! Fig. 13), [`reliability`] prices fault-injected runs: wasted work,
-//! wasted carbon, retries and goodput, and [`windowed`] provides the
-//! steady-state observability layer — ring-buffer windows over completion
-//! events emitting periodic [`SteadyStateSample`]s (queueing-delay
-//! percentiles, carbon per job-hour, sustained throughput) for open-arrival
-//! serving runs that never produce an end-of-run summary.
+//! [`footprint`] computes a run's carbon footprint from its usage profile,
+//! [`summary`] turns a result into an [`ExperimentSummary`] and normalises
+//! it against a baseline, [`stats`] provides the small statistical toolbox
+//! the figures need (means, standard deviations, percentiles, polynomial
+//! fits for the trade-off curves of Fig. 13), [`reliability`] prices
+//! fault-injected runs: wasted work, wasted carbon, retries and goodput, and
+//! [`windowed`] provides the steady-state observability layer — ring-buffer
+//! windows over completion events emitting periodic [`SteadyStateSample`]s
+//! (queueing-delay percentiles, carbon per job-hour, sustained throughput)
+//! for open-arrival serving runs that never produce an end-of-run summary.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,7 +30,7 @@ pub mod stats;
 pub mod summary;
 pub mod windowed;
 
-pub use footprint::{job_footprints, total_footprint};
+pub use footprint::total_footprint;
 pub use reliability::ReliabilitySummary;
 pub use stats::{mean, percentile, polyfit, std_dev, Series};
 pub use summary::{ExperimentSummary, NormalizedSummary};

@@ -25,6 +25,7 @@
 //! generation-mix breakdown.
 
 use pcaps_carbon::CarbonTrace;
+use pcaps_cluster::config::FORECAST_HORIZON;
 use pcaps_cluster::{DecisionSink, SchedEvent, Scheduler, SchedulingContext};
 
 /// The GreenHadoop-style carbon-aware FIFO scheduler.
@@ -37,8 +38,6 @@ pub struct GreenHadoop {
     /// Carbon-awareness parameter θ ∈ [0, 1]: 0 = brown window only
     /// (carbon-agnostic), 1 = green window only (fully carbon-aware).
     theta: f64,
-    /// Forecast horizon (carbon seconds) used to bound the windows.
-    horizon: f64,
 }
 
 impl GreenHadoop {
@@ -55,7 +54,6 @@ impl GreenHadoop {
             trace,
             time_scale,
             theta,
-            horizon: 48.0 * 3600.0,
         }
     }
 
@@ -83,14 +81,14 @@ impl GreenHadoop {
             return ctx.total_executors;
         }
         let ct_now = ctx.time * self.time_scale;
-        let (lower, upper) = self.trace.bounds(ct_now, self.horizon);
+        let (lower, upper) = self.trace.bounds(ct_now, FORECAST_HORIZON);
 
         // Walk future carbon steps accumulating green capacity to find the
         // green window, bounded by the forecast horizon.
         let step = self.trace.step;
         let mut green_window = 0.0;
         let mut green_accum = 0.0;
-        let max_steps = (self.horizon / step).ceil() as usize;
+        let max_steps = (FORECAST_HORIZON / step).ceil() as usize;
         for i in 0..max_steps {
             let ct = ct_now + i as f64 * step;
             let green_cap = self.green_fraction(ct, lower, upper) * k;

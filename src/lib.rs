@@ -61,7 +61,7 @@ pub mod prelude {
     pub use pcaps_carbon::{CarbonAccountant, CarbonTrace, GridRegion, TraceSet};
     pub use pcaps_cluster::{
         AdmissionDecision, AdmissionPolicy, ArrivalSource, Assignment, BoundedQueue,
-        CarbonSignalDropout, ClusterConfig, CrashVictim, DecisionSink, EngineSnapshot,
+        ClusterConfig, CrashVictim, DecisionSink, EngineSnapshot,
         FaultEffect, FaultInjection, FaultKind, FaultPlan, FaultRecord, FaultSchedule, Federation,
         FederationResult, MaterializedJobs, Member, MemberResult, MemberView, Migration,
         MigrationCandidate, MigrationContext, MigrationPolicy, MigrationRecord, MigrationSink,

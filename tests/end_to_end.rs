@@ -5,7 +5,7 @@
 use carbon_aware_dag_sched::prelude::*;
 use pcaps_core::analysis;
 use pcaps_experiments::fig20::LatencyProbe;
-use pcaps_metrics::footprint::{job_footprints, total_footprint};
+use pcaps_metrics::footprint::total_footprint;
 
 fn tpch_workload(seed: u64, jobs: usize) -> Vec<SubmittedJob> {
     WorkloadBuilder::new(WorkloadKind::TpchMixed, seed)
@@ -20,7 +20,9 @@ fn de_trace(seed: u64) -> CarbonTrace {
 #[test]
 fn every_scheduler_completes_the_same_workload() {
     let trace = de_trace(1);
-    let sim = Simulator::new(ClusterConfig::new(24), tpch_workload(1, 12), trace.clone());
+    let config = ClusterConfig::new(24);
+    let move_delay = config.executor_move_delay;
+    let sim = Simulator::new(config, tpch_workload(1, 12), trace.clone());
     let accountant = CarbonAccountant::new(trace).with_time_scale(60.0);
 
     let mut schedulers: Vec<(&str, Box<dyn Scheduler>)> = vec![
@@ -54,13 +56,20 @@ fn every_scheduler_completes_the_same_workload() {
             result.total_executor_seconds(),
             total_work
         );
-        // The footprint is positive and the per-job attribution adds up.
-        let total = total_footprint(&result, &accountant);
-        let per_job: f64 = job_footprints(&result, &accountant).values().sum();
-        assert!(total > 0.0, "{name}: footprint must be positive");
+        // The usage series the footprint integrates conserves that work:
+        // its busy-executor area is the work run plus at most one move
+        // delay per dispatched task.
+        let work = result.total_executor_seconds();
+        let area = result.profile.average_utilization(result.makespan) * result.makespan;
+        let max_moves = result.tasks_dispatched as f64 * move_delay;
         assert!(
-            (total - per_job).abs() / total < 1e-6,
-            "{name}: per-job footprints must sum to the total"
+            area >= work * (1.0 - 1e-9) && area <= (work + max_moves) * (1.0 + 1e-9),
+            "{name}: busy area {area:.3}s outside [{work:.3}, {:.3}]",
+            work + max_moves
+        );
+        assert!(
+            total_footprint(&result, &accountant) > 0.0,
+            "{name}: footprint must be positive"
         );
         // ECT is at least the makespan lower bound of the largest job.
         assert!(result.ect() > 0.0);

@@ -7,8 +7,8 @@
 //!   accounting and migration log,
 //! * hand-computed oracles pin the recovery semantics: crash → backoff →
 //!   re-dispatch timing, retry exhaustion at the policy bound, outage
-//!   drain-and-evacuate over the priced migration path, and the frozen
-//!   carbon view during a signal dropout,
+//!   drain-and-evacuate over the priced migration path, and dispatch at the
+//!   instant an outage ends,
 //! * conservation: under random crashes every completed job still charges
 //!   exactly its DAG's work, job ids partition across members, and retries
 //!   balance failures once the run completes.
@@ -146,8 +146,6 @@ fn faulted_runs_replay_bit_identically() {
         crash(2_300.0, 0, 3),
         FaultInjection { time: 1_500.0, member: 1, kind: FaultKind::RegionOutageStart },
         FaultInjection { time: 3_500.0, member: 1, kind: FaultKind::RegionOutageEnd },
-        FaultInjection { time: 1_000.0, member: 2, kind: FaultKind::CarbonDropoutStart },
-        FaultInjection { time: 5_000.0, member: 2, kind: FaultKind::CarbonDropoutEnd },
         crash(4_100.0, 2, 1),
     ]);
     let mut poisson_migrations = 0;
@@ -344,32 +342,6 @@ fn fault_schedules_are_validated_against_the_topology() {
     ));
 }
 
-/// A FIFO that additionally records every advisory availability event it is
-/// delivered.
-struct AvailabilityAudit {
-    seen: Vec<(f64, bool)>,
-}
-
-impl Scheduler for AvailabilityAudit {
-    fn name(&self) -> &str {
-        "availability-audit"
-    }
-    fn on_event(
-        &mut self,
-        event: SchedEvent<'_>,
-        ctx: &SchedulingContext<'_>,
-        out: &mut DecisionSink,
-    ) {
-        if let SchedEvent::MemberAvailability { available } = event {
-            self.seen.push((ctx.time, available));
-            return;
-        }
-        if let Some((job, stage)) = ctx.dispatchable_iter().next() {
-            out.dispatch(job, stage, 1);
-        }
-    }
-}
-
 #[test]
 fn an_outage_drains_running_work_and_evacuates_idle_jobs() {
     // Two one-executor members.  Both 4 000 s single-task jobs are routed to
@@ -392,9 +364,9 @@ fn an_outage_drains_running_work_and_evacuates_idle_jobs() {
     // Ends at 4 050, before the last finish event at 4 110, so both edges
     // fire inside the run.
     .with_fault_plan(&RegionOutage::new(0, 100.0, 4_050.0));
-    let mut audit = AvailabilityAudit { seen: Vec::new() };
-    let mut fifo = SimpleFifo::new();
-    let mut schedulers: [&mut dyn Scheduler; 2] = [&mut audit, &mut fifo];
+    let mut a = SimpleFifo::new();
+    let mut b = SimpleFifo::new();
+    let mut schedulers: [&mut dyn Scheduler; 2] = [&mut a, &mut b];
     let result = fed.run(&mut StaticRouter::new(0), &mut schedulers).unwrap();
 
     assert!(result.all_jobs_complete());
@@ -416,7 +388,7 @@ fn an_outage_drains_running_work_and_evacuates_idle_jobs() {
     assert!((result.members[1].result.jobs[0].completion - 4_110.0).abs() < 1e-9);
     // Nothing crashed — an outage wastes no executor-seconds.
     assert_eq!(result.wasted_seconds(), 0.0);
-    // The ledger on member 0 and the advisory events its scheduler saw.
+    // The ledger on member 0 records both edges of the window.
     let log = &result.members[0].result.faults;
     assert!(
         log.iter()
@@ -424,101 +396,44 @@ fn an_outage_drains_running_work_and_evacuates_idle_jobs() {
         "outage start with one evacuee, got {log:?}"
     );
     assert!(log.iter().any(|r| matches!(r.effect, FaultEffect::OutageEnded)));
-    assert_eq!(
-        audit.seen,
-        vec![(100.0, false), (4_050.0, true)],
-        "the member's scheduler observes both edges of the outage window"
-    );
-}
-
-/// Records the carbon view (intensity + staleness) at every scheduling
-/// event; defers dispatch while the view is stale.
-struct StaleAudit {
-    arrivals: Vec<(f64, f64, bool)>,
-    carbon_changes: Vec<(f64, f64, f64)>,
-}
-
-impl Scheduler for StaleAudit {
-    fn name(&self) -> &str {
-        "stale-audit"
-    }
-    fn on_event(
-        &mut self,
-        event: SchedEvent<'_>,
-        ctx: &SchedulingContext<'_>,
-        out: &mut DecisionSink,
-    ) {
-        match event {
-            SchedEvent::JobArrived { job } => {
-                self.arrivals.push((ctx.time, ctx.carbon.intensity, ctx.carbon.stale));
-                let _ = job;
-            }
-            SchedEvent::CarbonChanged { prev, now } => {
-                self.carbon_changes.push((ctx.time, prev, now));
-            }
-            _ => {}
-        }
-        if ctx.carbon.stale {
-            // Don't trust a silent signal: hold new work until it returns.
-            return;
-        }
-        if let Some((job, stage)) = ctx.dispatchable_iter().next() {
-            out.dispatch(job, stage, 1);
-        }
-    }
 }
 
 #[test]
-fn a_carbon_dropout_freezes_the_view_and_replays_the_step_on_recovery() {
-    // Hourly trace 100 → 500 → 900 → 100 …, dropout over [4000, 8000).
-    // Job A occupies executor 0 for the whole run; job B arrives at 7500,
-    // *inside* the dropout, when the live intensity is already 900 — but the
-    // member's view froze at 500 (the hour-1 value seen at 4000).
-    let trace = CarbonTrace::hourly(
-        "stepped",
-        vec![100.0, 500.0, 900.0, 100.0, 100.0, 100.0, 100.0, 100.0],
-    );
-    let config = ClusterConfig::new(2).with_move_delay(0.0).with_time_scale(1.0);
+fn a_member_back_from_an_outage_dispatches_at_the_outage_end() {
+    // One member, 500 g/kWh except for one 100 g hour a day (hour 0).  Both
+    // jobs arrive at 200 s and 300 s, inside the outage [100, 7 300), and
+    // queue.  The outage end consults PCAPS(γ = 0.5) with no executor busy,
+    // so it dispatches at once although 500 g throttles it; throttled to one
+    // task per event, the jobs' 16 tasks of 50 s then run back to back until
+    // 8 100 s.  An engine that spent the policy's one decision per instant
+    // on a consult whose answer it dropped would idle until the next carbon
+    // step at 10 800 s.
+    let mut day = [500.0; 24];
+    day[0] = 100.0;
+    let trace = CarbonTrace::hourly("one green hour a day", day.repeat(10));
+    let job = |name: &str| {
+        JobDagBuilder::new(name)
+            .stage("map", vec![Task::new(50.0); 6])
+            .stage("reduce", vec![Task::new(50.0); 2])
+            .edge_by_name("map", "reduce")
+            .unwrap()
+            .build()
+            .unwrap()
+    };
+    let config = ClusterConfig::new(4).with_move_delay(0.0).with_time_scale(1.0);
     let sim = Simulator::new(
         config,
-        vec![
-            SubmittedJob::at(0.0, single_task_job("a", 10_000.0)),
-            SubmittedJob::at(7_500.0, single_task_job("b", 500.0)),
-        ],
-        trace,
+        vec![SubmittedJob::at(200.0, job("j0")), SubmittedJob::at(300.0, job("j1"))],
+        trace.clone(),
     )
-    .with_fault_plan(&CarbonSignalDropout::new(0, 4_000.0, 8_000.0));
-    let mut audit = StaleAudit { arrivals: Vec::new(), carbon_changes: Vec::new() };
-    let result = sim.run(&mut audit).unwrap();
+    .with_fault_plan(&RegionOutage::new(0, 100.0, 7_300.0));
+    let mut pcaps = SchedulerSpec::pcaps_moderate().build(7, &trace, 1.0);
+    let result = sim.run(pcaps.as_mut()).unwrap();
 
     assert!(result.all_jobs_complete());
-    assert!((result.makespan - 10_000.0).abs() < 1e-9);
-    // Arrival A before the dropout: live view.  Arrival B inside it: frozen
-    // at 500 and flagged stale, although the live trace reads 900.
-    assert_eq!(audit.arrivals.len(), 2);
-    assert_eq!(audit.arrivals[0], (0.0, 100.0, false));
-    assert_eq!(audit.arrivals[1], (7_500.0, 500.0, true));
-    // Recovery replays the suppressed step as one CarbonChanged from the
-    // frozen value to the live one.
-    assert!(
-        audit.carbon_changes.contains(&(8_000.0, 500.0, 900.0)),
-        "got {:?}",
-        audit.carbon_changes
-    );
-    // The ledger records both edges with the frozen intensity.
-    let frozen: Vec<_> = result
-        .faults
-        .iter()
-        .filter_map(|r| match r.effect {
-            FaultEffect::DropoutStarted { frozen_intensity } => Some((r.time, frozen_intensity)),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(frozen, vec![(4_000.0, 500.0)]);
-    assert!(result
-        .faults
-        .iter()
-        .any(|r| r.time == 8_000.0 && matches!(r.effect, FaultEffect::DropoutEnded)));
+    let first_start = result.jobs.iter().map(|j| j.first_start).fold(f64::INFINITY, f64::min);
+    assert_eq!(first_start, 7_300.0, "the first task starts when the outage ends");
+    assert_eq!(result.makespan, 8_100.0);
 }
 
 #[test]

@@ -184,21 +184,23 @@ fn per_member_job_sets_replay_bit_identically() {
 }
 
 /// Every field a builder method asserts on, set by struct literal to a
-/// value that method refuses.  At construction each is an `InvalidConfig`
-/// naming the member's label and the field, and every run entry point
-/// reports it: materialized, streamed and served runs, and a second member
-/// of a federation whose first member is valid.
+/// value that method refuses, plus a time scale the builder accepts but
+/// whose carbon step vanishes at the time limit.  At construction each is
+/// an `InvalidConfig` naming the member's label and the field, and every
+/// run entry point reports it: materialized, streamed and served runs, and
+/// a second member of a federation whose first member is valid.
 #[test]
 fn malformed_cluster_configs_are_rejected_naming_the_member_and_field() {
     let base = ClusterConfig::new(4).with_time_scale(60.0);
     let cases: [(&str, ClusterConfig); 8] = [
         ("time_scale", ClusterConfig { time_scale: 0.0, ..base.clone() }),
         ("time_scale", ClusterConfig { time_scale: f64::NAN, ..base.clone() }),
+        // Finite, but the carbon step it leaves cannot move the clock.
+        ("time_scale", ClusterConfig { time_scale: 1e300, ..base.clone() }),
         ("executor_move_delay", ClusterConfig { executor_move_delay: f64::NAN, ..base.clone() }),
         ("executor_move_delay", ClusterConfig { executor_move_delay: -1000.0, ..base.clone() }),
         ("num_executors", ClusterConfig { num_executors: 0, ..base.clone() }),
         ("per_job_executor_cap", ClusterConfig { per_job_executor_cap: Some(0), ..base.clone() }),
-        ("forecast_horizon", ClusterConfig { forecast_horizon: f64::NAN, ..base.clone() }),
         ("max_sim_time", ClusterConfig { max_sim_time: f64::NAN, ..base.clone() }),
     ];
     let builder = WorkloadBuilder::new(WorkloadKind::TpchMixed, 3).jobs(3);

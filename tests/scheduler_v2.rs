@@ -52,7 +52,7 @@ fn typed_event_stream_is_coherent() {
                     self.carbon_changes += 1;
                 }
                 SchedEvent::Kick => self.kicks += 1,
-                SchedEvent::TasksFailed { .. } | SchedEvent::MemberAvailability { .. } => {
+                SchedEvent::TasksFailed { .. } => {
                     panic!("fault events cannot fire on a fault-free run")
                 }
             }

@@ -1,7 +1,7 @@
 //! Steady-state serving mode, end to end: snapshot/restore continuations
 //! are bit-identical to uninterrupted runs across policies and seeds, on
-//! one cluster and on a federation with flows, drains, crashes, an outage
-//! and a carbon dropout in flight; restoring into a differently shaped
+//! one cluster and on a federation with flows, drains, crashes and an
+//! outage in flight; restoring into a differently shaped
 //! federation is refused; windowed percentiles match a from-scratch sort
 //! over a recorded window, bounded-queue admission conserves arrivals, the
 //! open-loop sample series is deterministic, and long-run resident state is
@@ -106,14 +106,11 @@ fn snapshot_restore_continuation_is_bit_identical() {
 const FED_END: f64 = 1_800.0;
 /// Member 1's region outage, `[start, end)`.
 const OUTAGE: (f64, f64) = (420.0, 780.0);
-/// Member 2's carbon-signal dropout, `[start, end)`.
-const DROPOUT: (f64, f64) = (960.0, 1_380.0);
 
-/// Three grids behind thin uplinks, with Poisson crashes on every member,
-/// one outage window and one carbon-signal dropout window: a federated
-/// serving run with every kind of in-flight state a snapshot must carry
-/// (flows on capacitated links, drains, crashed tasks in retry backoff, an
-/// outaged member, a frozen carbon view).
+/// Three grids behind thin uplinks, with Poisson crashes on every member
+/// and one outage window: a federated serving run with every kind of
+/// in-flight state a snapshot must carry (flows on capacitated links,
+/// drains, crashed tasks in retry backoff, an outaged member).
 fn churn_federation() -> Federation {
     let regions = [GridRegion::Caiso, GridRegion::Germany, GridRegion::SouthAfrica];
     let members: Vec<Member> = regions
@@ -132,8 +129,6 @@ fn churn_federation() -> Federation {
     injections.extend([
         FaultInjection { time: OUTAGE.0, member: 1, kind: FaultKind::RegionOutageStart },
         FaultInjection { time: OUTAGE.1, member: 1, kind: FaultKind::RegionOutageEnd },
-        FaultInjection { time: DROPOUT.0, member: 2, kind: FaultKind::CarbonDropoutStart },
-        FaultInjection { time: DROPOUT.1, member: 2, kind: FaultKind::CarbonDropoutEnd },
     ]);
     Federation::streaming(members)
         .with_network(network)
@@ -188,10 +183,10 @@ fn bits<T: std::fmt::Debug>(value: &T) -> String {
 
 /// A federated serving run restored from a snapshot continues bit for bit,
 /// whatever is in flight at the snapshot: a transfer on a capacitated
-/// uplink, a crashed task waiting out its backoff, an open outage window, a
-/// frozen carbon view.  For each instant a prefix session (fresh policies)
-/// runs to it and is snapshotted; a fresh session over a fresh source
-/// restores the snapshot and runs on with the prefix's warmed policies.
+/// uplink, a crashed task waiting out its backoff, an open outage window.
+/// For each instant a prefix session (fresh policies) runs to it and is
+/// snapshotted; a fresh session over a fresh source restores the snapshot
+/// and runs on with the prefix's warmed policies.
 #[test]
 fn federated_snapshot_restore_continuation_is_bit_identical() {
     let fed = churn_federation();
@@ -232,7 +227,6 @@ fn federated_snapshot_restore_continuation_is_bit_identical() {
     );
     assert!(backoff.is_some_and(inside), "no snapshot instant falls inside a retry backoff");
     assert!(inside(OUTAGE), "no snapshot instant falls inside the outage");
-    assert!(inside(DROPOUT), "no snapshot instant falls inside the dropout");
 
     for &at in &instants {
         let mut prefix_source = churn_source();

@@ -185,9 +185,8 @@ fn streaming_keeps_peak_resident_jobs_far_below_the_workload() {
         peak * 5 < jobs,
         "peak resident jobs ({peak}) must stay far below the workload size ({jobs})"
     );
-    // Light mode really did keep per-task series empty.
+    // Light mode really did keep the per-task series empty.
     assert!(result.profile.usage.is_empty());
-    assert!(result.profile.segments.is_empty());
 }
 
 /// (3) Contract enforcement: an unsorted source aborts with
