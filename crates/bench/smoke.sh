@@ -91,12 +91,14 @@ require_full_suite() {
 # hash whether the matrix is attached by with_transfer_matrix or by
 # with_network(from_matrix), drain-then-move replay determinism, and a
 # superseded flow arrival never outliving the run); tests/scheduler_state.rs pins the
-# incremental probabilistic-scheduler state (DecimaLike's version-stamped
-# table of factorised softmax terms, recomputed in full only when the
-# max-remaining normaliser changes, and its cached jobs-with-work count)
-# bit for bit against a from-scratch factorised oracle, and within rounding
-# of the textbook softmax, across arrivals, completions, serve-mode
-# compaction and migration; tests/properties.rs holds the structural
+# incremental probabilistic-scheduler state (DecimaLike's stamped table of
+# factorised softmax terms, refreshed through the engine's change journal
+# or reconciled in full, recomputed in full only when the max-remaining
+# normaliser changes, and its cached jobs-with-work count) bit for bit
+# against a from-scratch factorised oracle, and within rounding of the
+# textbook softmax, across arrivals, completions, serve-mode compaction,
+# migration and journal cursors carried into another run or a restored
+# session, with both refresh paths reached in every case; tests/properties.rs holds the structural
 # oracles (incremental frontier and task counts under dispatch, finish and
 # failure vs a from-scratch recount, streamed DAGs ≡ generator DAGs bit for
 # bit); tests/determinism.rs pins the run_trial fingerprints to the v1

@@ -61,7 +61,8 @@ pub struct ClusterConfig {
     /// Hard ceiling on simulated schedule time: a run still incomplete past
     /// it errors out rather than looping.  Possible causes are a policy that
     /// never dispatches, an outage that never ends, or a task or move delay
-    /// that ends past the limit.
+    /// that ends past the limit.  Must be finite: an infinite ceiling never
+    /// trips, so such a run would step the carbon clock forever.
     pub max_sim_time: f64,
     /// Profile recording granularity (default [`ProfileMode::Full`]);
     /// trace-scale streaming runs use [`ProfileMode::Light`] so recorded
@@ -109,8 +110,11 @@ impl ClusterConfig {
     }
 
     /// Sets the maximum simulated schedule time.
+    ///
+    /// # Panics
+    /// Panics unless `max` is positive and finite.
     pub fn with_max_sim_time(mut self, max: f64) -> Self {
-        assert!(max > 0.0, "max sim time must be positive");
+        assert!(max > 0.0 && max.is_finite(), "max sim time must be positive and finite");
         self.max_sim_time = max;
         self
     }
@@ -131,8 +135,8 @@ impl ClusterConfig {
     /// naming the field.  The fields are public, so a struct literal can
     /// bypass their asserts: no executors or a zero cap never finishes a
     /// job, a NaN or negative delay breaks the event order, a zero or NaN
-    /// time scale freezes the carbon clock, and a NaN time limit never
-    /// trips.
+    /// time scale freezes the carbon clock, and a NaN or infinite time
+    /// limit never trips.
     pub(crate) fn check(&self) -> Result<(), String> {
         let delay = self.executor_move_delay;
         let failure = if self.num_executors == 0 {
@@ -143,8 +147,8 @@ impl ClusterConfig {
             format!("executor_move_delay must be non-negative and finite, got {delay}")
         } else if !(self.time_scale > 0.0 && self.time_scale.is_finite()) {
             format!("time_scale must be positive and finite, got {}", self.time_scale)
-        } else if self.max_sim_time.is_nan() || self.max_sim_time <= 0.0 {
-            format!("max_sim_time must be positive, got {}", self.max_sim_time)
+        } else if !(self.max_sim_time > 0.0 && self.max_sim_time.is_finite()) {
+            format!("max_sim_time must be positive and finite, got {}", self.max_sim_time)
         } else {
             return Ok(());
         };
@@ -189,4 +193,11 @@ mod tests {
     fn zero_cap_rejected() {
         let _ = ClusterConfig::new(1).with_per_job_cap(Some(0));
     }
+
+    #[test]
+    #[should_panic(expected = "max sim time must be positive and finite")]
+    fn infinite_time_limit_rejected() {
+        let _ = ClusterConfig::new(1).with_max_sim_time(f64::INFINITY);
+    }
+
 }

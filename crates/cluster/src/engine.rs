@@ -38,6 +38,10 @@
 //!   work and returns before building the carbon view and the
 //!   [`SchedulingContext`] when none has — the common case after a task
 //!   finish whose stage-mates are still running,
+//! * each member journals the active-table index of every job whose
+//!   progress it mutates (every such mutation goes through
+//!   `MemberState::job_mut`), so a policy revalidates only the jobs that
+//!   moved ([`SchedulingContext::changes_since`]),
 //! * carbon bounds come from each member trace's O(1) range-min/max index,
 //! * routing decisions see per-member queue depth and outstanding work that
 //!   are maintained incrementally (O(1) per arrival/dispatch), and the
@@ -89,6 +93,7 @@ use crate::scheduler_api::{
 use pcaps_carbon::{CarbonAccountant, CarbonTrace};
 use pcaps_dag::{JobId, StageId};
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A configured single-cluster simulation, ready to be run against a
 /// scheduling policy.
@@ -252,6 +257,52 @@ impl Member {
     }
 }
 
+/// Source of change-journal run stamps, shared by every member of every
+/// run in the process, so no two runs (or restored timelines) share one.
+/// It starts at 1: stamp 0 marks a context without a journal.
+static NEXT_RUN_STAMP: AtomicU64 = AtomicU64::new(1);
+
+/// A member's change journal: the active-table indices of the jobs whose
+/// progress the engine mutated during the current generation, in mutation
+/// order.  A scheduling context exposes it through
+/// [`SchedulingContext::changes_since`].
+#[derive(Debug, Clone)]
+struct ChangeJournal {
+    /// Identifies this member's run and timeline: drawn when the run state
+    /// is built and again when a snapshot is restored.
+    run: u64,
+    /// Counts resets within the run.
+    generation: u64,
+    entries: Vec<u32>,
+}
+
+impl ChangeJournal {
+    fn new() -> Self {
+        ChangeJournal {
+            run: NEXT_RUN_STAMP.fetch_add(1, Ordering::Relaxed),
+            generation: 0,
+            entries: Vec::new(),
+        }
+    }
+
+    /// Starts a new generation: no cursor taken before matches it.
+    fn reset(&mut self) {
+        self.generation += 1;
+        self.entries.clear();
+    }
+
+    /// Records a mutation of the job at `idx` in a table of `active` jobs.
+    /// A journal holding four entries per active job starts a new
+    /// generation instead of growing.  A repeat of the latest entry is
+    /// kept: a cursor may have been taken between the two.
+    fn record(&mut self, idx: usize, active: usize) {
+        if self.entries.len() >= 4 * active {
+            self.reset();
+        }
+        self.entries.push(idx as u32);
+    }
+}
+
 /// Mutable state of one member cluster during a run.  The member's static
 /// description (label, configuration, carbon trace) stays on the
 /// federation's [`Member`], passed alongside as `spec` where both are
@@ -264,6 +315,10 @@ struct MemberState {
     /// borrows; arrival pushes to the back, completion removes in place — no
     /// per-invocation rebuild.
     active: Vec<ActiveJob>,
+    /// Indices into `active` of the jobs whose progress changed, for the
+    /// scheduler's next pass (see [`MemberState::job_mut`]).  Reset
+    /// whenever `active` gains or loses a job.
+    journal: ChangeJournal,
     /// `slots[id - slot_base]` is the job's index in `active` (`None`: not
     /// arrived, not routed here, or already complete — the engine's global
     /// job table disambiguates).  Grows as jobs are seen (streaming intake
@@ -329,6 +384,7 @@ impl MemberState {
         MemberState {
             executors: ExecutorPool::new(executors),
             active: Vec::with_capacity(jobs_hint.min(1024)),
+            journal: ChangeJournal::new(),
             slots: Vec::with_capacity(jobs_hint.min(1024)),
             slot_base: 0,
             jobs_rejected: 0,
@@ -377,6 +433,15 @@ impl MemberState {
             self.slot_base,
             self.outstanding_work,
         )
+        .with_journal(self.journal.run, self.journal.generation, &self.journal.entries)
+    }
+
+    /// The active job at `idx`, borrowed to mutate its progress.  Every
+    /// dispatch, task finish and retry release goes through here, so the
+    /// change journal records the job before its progress moves.
+    fn job_mut(&mut self, idx: usize) -> &mut ActiveJob {
+        self.journal.record(idx, self.active.len());
+        &mut self.active[idx]
     }
 
     /// Index of `job` in `active`, if it is active on this member.  Ids
@@ -402,6 +467,7 @@ impl MemberState {
         }
         self.slots[idx] = Some(self.active.len() as u32);
         self.active.push(job);
+        self.journal.reset();
     }
 
     /// Drops slot entries for ids retired by engine compaction (all `None`
@@ -435,6 +501,7 @@ impl MemberState {
         for (i, job) in self.active.iter().enumerate().skip(idx) {
             self.slots[job.id.index() - self.slot_base] = Some(i as u32);
         }
+        self.journal.reset();
         done
     }
 }
@@ -471,8 +538,9 @@ struct JobSlot {
     stage_count: u32,
     /// Detached runtime state of a job currently migrating between members
     /// (on no member's active table); its [`Event::MigrationArrival`]
-    /// re-registers it.
-    in_transit: Option<ActiveJob>,
+    /// re-registers it.  Boxed: a finite run keeps one slot per job it has
+    /// seen, and few of them are ever in transit.
+    in_transit: Option<Box<ActiveJob>>,
 }
 
 impl JobSlot {
@@ -553,8 +621,9 @@ impl JobTable {
 }
 
 /// Everything one run changes.  A serve-mode [`EngineSnapshot`] is this
-/// struct's `Clone` and a restore is one assignment of it, so a field added
-/// here is captured by construction.  The rest of the engine is the
+/// struct's `Clone` and a restore is one assignment of it (plus a fresh
+/// change-journal run stamp per member), so a field added here is captured
+/// by construction.  The rest of the engine is the
 /// read-only federation, the arrival source (which a restore re-attaches
 /// at the snapshot's pull position) and scratch buffers cleared before
 /// every use.
@@ -816,21 +885,21 @@ fn apply_assignments_for(
             let Some(exec_idx) = member.executors.pick_free_for(a.job) else {
                 break;
             };
-            let active = &mut member.active[idx];
-            let Some(task_idx) = active.progress.dispatch_task(&active.dag, a.stage) else {
-                break;
-            };
-            let task = active.dag.stage(a.stage).tasks[task_idx];
             let move_delay = if member.executors.get(exec_idx).needs_move_delay(a.job) {
                 spec.config.executor_move_delay
             } else {
                 0.0
             };
-            let finish_time = time + move_delay + task.duration;
-            member.executors.start(exec_idx, a.job, time);
+            let active = member.job_mut(idx);
+            let Some(task_idx) = active.progress.dispatch_task(&active.dag, a.stage) else {
+                break;
+            };
+            let task = active.dag.stage(a.stage).tasks[task_idx];
             active.first_start.get_or_insert(time);
             active.busy_executors += 1;
             active.executor_seconds += task.duration;
+            let finish_time = time + move_delay + task.duration;
+            member.executors.start(exec_idx, a.job, time);
             member.outstanding_work -= task.duration;
             member.running[exec_idx] = Some(RunningTask {
                 job: a.job,
@@ -1384,7 +1453,7 @@ impl<'a> Engine<'a> {
                         ),
                     });
                 };
-                let active = &mut member.active[idx];
+                let active = member.job_mut(idx);
                 active.busy_executors = active.busy_executors.saturating_sub(1);
                 let stage_done = active.progress.finish_task(&active.dag, stage);
                 let job_done = stage_done && active.progress.job_complete();
@@ -1454,7 +1523,7 @@ impl<'a> Engine<'a> {
                         ),
                     });
                 };
-                let active = &mut member.active[idx];
+                let active = member.job_mut(idx);
                 active.retrying -= 1;
                 active.progress.fail_task(&active.dag, stage, task);
                 member.retries += 1;
@@ -1536,6 +1605,7 @@ impl<'a> Engine<'a> {
             .expect("in-transit jobs are never retired")
             .in_transit
             .take()
+            .map(|state| *state)
             .expect("migration arrival for a job that is not in transit");
         let remaining = state.progress.remaining_work(&state.dag);
         let member = &mut st.members[target];
@@ -1745,7 +1815,7 @@ impl<'a> Engine<'a> {
         let slot = st.jobs.get_mut(job.index()).expect("checked resident above");
         slot.routed = Some(to as u32);
         slot.migrated = true;
-        slot.in_transit = Some(state);
+        slot.in_transit = Some(Box::new(state));
         let departed = st.time;
 
         let topo = self.fed.network();
@@ -2064,7 +2134,10 @@ impl<'a> Engine<'a> {
     /// jobs are exactly the ones the snapshotted run already consumed, and
     /// the snapshot's lookahead window carries the last pull's content.  A
     /// session that has already pulled past the snapshot cannot rewind its
-    /// source and is rejected.
+    /// source and is rejected.  Every member's change journal takes a fresh
+    /// run stamp: the restored state is a new timeline, so a journal cursor
+    /// a policy took on any other timeline is never honored, and the
+    /// policy's first pass reconciles.
     pub(crate) fn restore(&mut self, snap: &EngineSnapshot) -> Result<(), SimError> {
         let mismatch = |reason: String| Err(SimError::SnapshotMismatch { reason });
         let members = self.fed.members();
@@ -2107,6 +2180,12 @@ impl<'a> Engine<'a> {
             }
         }
         self.state = snap.state.clone();
+        // The restored state is a new timeline: a cursor a policy took in
+        // the snapshotted run after the snapshot must not be honored here,
+        // and a fresh run stamp makes policies drop what they cached.
+        for m in &mut self.state.members {
+            m.journal = ChangeJournal::new();
+        }
         Ok(())
     }
 }

@@ -114,6 +114,20 @@
 //!   allocates nothing, and [`SchedulingContext::jobs`] materialises
 //!   [`JobView`]s on the fly.  Schedulers must not assume views outlive the
 //!   invocation.
+//! * **Change journal.**  Each member's run state also journals the
+//!   active-table index of every job whose `JobProgress` it mutates.
+//!   Dispatches, task finishes and retry releases all reach a job's
+//!   progress through one member-state method that appends first, so no
+//!   mutation site can skip the journal.  The journal starts a new
+//!   generation whenever a job joins or leaves the table and when it grows
+//!   past four entries per active job, so it stays O(active jobs) and a
+//!   snapshot captures it by construction.  Its run stamp comes from a
+//!   process-wide counter and is redrawn on a restore, so a cursor from
+//!   another run or timeline never matches.
+//!   [`SchedulingContext::changes_since`] exposes it: a policy with
+//!   per-job caches revalidates only the jobs that moved (`DecimaLike`
+//!   does), and reconciles against the whole table when the answer is
+//!   `None`.
 //! * **Push-based decisions.**  Each member owns one [`DecisionSink`] per
 //!   run; the engine clears (never drops) its buffers between invocations.
 //!   Policies that need scratch buffers (sorting, scoring) must own and
@@ -156,8 +170,8 @@
 //! * **Incremental frontier sets.**  `JobProgress` keeps the runnable and
 //!   dispatchable stage sets sorted and up to date in O(children) per
 //!   completion; `dispatchable_stages()` returns a borrowed slice and
-//!   `remaining_work` answers in O(stages) from the DAG's cached duration
-//!   suffix sums.  A task's completion reads no DAG: the stage's packed
+//!   `remaining_work` answers in O(stages with fresh pending tasks) from
+//!   the DAG's cached duration suffix sums and a pending-stage bitset.  A task's completion reads no DAG: the stage's packed
 //!   pending/running/finished counts and the retry queue decide whether the
 //!   stage completed (only a stage completion walks its children), and a
 //!   fresh task's index is its stage's running + finished count.  Any new
@@ -166,12 +180,14 @@
 //!   stay coherent.
 //! * **Schedulers are incremental too.**  The O(changed) discipline does not
 //!   stop at the engine boundary: policy-side derived state (score tables,
-//!   per-job feature caches, aggregate counts) persists across invocations
-//!   and is revalidated per event against `JobProgress`'s monotonic mutation
-//!   version — equal job id + equal version means equal observable progress,
-//!   so a cached entry is reused bit for bit and only mutated jobs are
-//!   recomputed.  Revalidation keys off engine-owned state, never off the
-//!   [`SchedEvent`] stream: events are advisory (they are suppressed while
+//!   per-job feature caches, aggregate counts) persists across invocations.
+//!   Which jobs to revisit comes from the member's change journal
+//!   ([`SchedulingContext::changes_since`]); whether a revisited entry is
+//!   still good comes from `JobProgress::pending_version` (bumped by
+//!   dispatch and failure) plus the completed-stage count — equal job id
+//!   and equal stamps mean equal observable progress, so a cached entry is
+//!   reused bit for bit and only mutated jobs are recomputed.  Revalidation
+//!   keys off engine-owned state, never off the [`SchedEvent`] stream: events are advisory (they are suppressed while
 //!   the member has nothing to decide, migrations arrive as plain
 //!   `JobArrived`, a departing job sends its former member no event), so a
 //!   policy that trusted event delivery for cache invalidation would
@@ -181,16 +197,18 @@
 //!   folds over the job table.  Derived values that depend on *every* job
 //!   are cached under the bits of the global input they were computed
 //!   from.  `DecimaLike` factorises its softmax into a per-job factor and a
-//!   per-job sum of stage factors, keys each job's entry by job version,
-//!   and recomputes every job factor only when the max-remaining
-//!   normaliser's bits change (or its overflow guard rebases the
-//!   reference score).  Nothing is stored or folded per stage: the sum and
-//!   the max probability are folds over jobs, and sampling walks the jobs,
-//!   then the chosen job's stages.  `tests/scheduler_state.rs` pins it bit
-//!   for bit against a from-scratch factorised recomputation, and within
-//!   rounding of the textbook softmax, across arrivals, completions,
-//!   serve-mode compaction and migration, through both the distribution
-//!   and the sampling paths.
+//!   per-job sum of stage factors, keys each job's entry by those stamps,
+//!   revisits only the journaled jobs, and recomputes every job factor only
+//!   when the max-remaining normaliser's bits change (or its overflow
+//!   guard rebases the reference score).  Nothing is stored or folded per
+//!   stage: the sum and the max probability are folds over jobs, resumed
+//!   at the first changed job, and sampling binary-searches the jobs'
+//!   running sums, then walks the chosen job's stages.
+//!   `tests/scheduler_state.rs` pins it bit for bit against a from-scratch
+//!   factorised recomputation, and within rounding of the textbook
+//!   softmax, across arrivals, completions, serve-mode compaction,
+//!   migration and restored sessions, through both the distribution and
+//!   the sampling paths and both refresh paths.
 //! * **O(1) carbon bounds.**  Per-event `CarbonView`s (for scheduling and
 //!   routing alike) are served by each trace's sparse-table index; linear
 //!   walks over the forecast horizon belong in trace construction, never in
@@ -285,5 +303,6 @@ pub use routing::{
 };
 pub use source::{ArrivalSource, MaterializedJobs};
 pub use scheduler_api::{
-    Assignment, CarbonView, DecisionSink, JobView, SchedEvent, Scheduler, SchedulingContext,
+    Assignment, CarbonView, ChangeCursor, DecisionSink, JobView, SchedEvent, Scheduler,
+    SchedulingContext,
 };

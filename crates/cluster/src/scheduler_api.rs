@@ -35,7 +35,16 @@
 //! * the [`DecisionSink`] is owned by the engine and *reused* across
 //!   invocations: its buffer is cleared, not dropped, so once its capacity
 //!   has warmed up a decision costs zero allocations,
-//! * [`SchedEvent`] is a `Copy` view assembled from borrows.
+//! * [`SchedEvent`] is a `Copy` view assembled from borrows,
+//! * the engine journals which jobs' progress it mutated, so a policy that
+//!   caches per-job values revalidates only those:
+//!   [`SchedulingContext::changes_since`] hands back the active-table
+//!   indices touched since a [`ChangeCursor`] the policy kept from its
+//!   previous pass, or `None` when it cannot vouch for them (a job joined
+//!   or left the table, the journal overflowed, or the cursor comes from
+//!   another context).  On `None` the policy reconciles against
+//!   [`SchedulingContext::jobs`].  The journal is authoritative; the
+//!   advisory [`SchedEvent`] stream is never a substitute for it.
 //!
 //! Schedulers that need scratch space (to sort or score stages) keep
 //! policy-owned buffers.  (The v1 `LegacyScheduler` trait — return a fresh
@@ -152,6 +161,30 @@ pub struct SchedulingContext<'a> {
     /// counter routers and migration policies see as
     /// `MemberView::outstanding_work`.
     outstanding_work: f64,
+    /// The member's change journal: its run stamp (0: no journal, as for
+    /// a hand-built context), its generation within the run, and its
+    /// entries so far in that generation.
+    journal_run: u64,
+    generation: u64,
+    changes: &'a [u32],
+}
+
+/// A position in a member's change journal, taken by
+/// [`SchedulingContext::cursor`] and handed back to
+/// [`SchedulingContext::changes_since`] at a later pass.
+///
+/// A cursor names the member's run, a journal generation within it and a
+/// position in that generation.  The engine starts a new generation
+/// whenever a job joins or leaves the member's active table and when the
+/// journal outgrows a small multiple of that table.  Run stamps come from
+/// one process-wide counter, and a restored snapshot draws a fresh one, so
+/// a cursor from another member, another run or another timeline never
+/// matches ([`SchedulingContext::same_run`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChangeCursor {
+    run: u64,
+    generation: u64,
+    position: usize,
 }
 
 impl<'a> SchedulingContext<'a> {
@@ -186,7 +219,60 @@ impl<'a> SchedulingContext<'a> {
             slots,
             slot_base,
             outstanding_work,
+            journal_run: 0,
+            generation: 0,
+            changes: &[],
         }
+    }
+
+    /// Attaches the member's change journal: its run stamp (never 0), its
+    /// current generation and the active-table indices recorded in it so
+    /// far.
+    pub(crate) fn with_journal(mut self, run: u64, generation: u64, changes: &'a [u32]) -> Self {
+        debug_assert_ne!(run, 0, "run stamp 0 means no journal");
+        self.journal_run = run;
+        self.generation = generation;
+        self.changes = changes;
+        self
+    }
+
+    /// This context's position in its member's change journal.  Keep it
+    /// and pass it to [`SchedulingContext::changes_since`] at the next pass.
+    pub fn cursor(&self) -> ChangeCursor {
+        ChangeCursor {
+            run: self.journal_run,
+            generation: self.generation,
+            position: self.changes.len(),
+        }
+    }
+
+    /// True when `cursor` was taken on this member in this run and
+    /// timeline, even if the journal can no longer list what changed since:
+    /// job ids then still name the same jobs, so per-job caches may be
+    /// reconciled by their stamps.  False for a cursor from another member,
+    /// run or restored timeline (whose caches describe other progress under
+    /// the same ids), and always for a hand-built context.
+    pub fn same_run(&self, cursor: ChangeCursor) -> bool {
+        self.journal_run != 0 && cursor.run == self.journal_run
+    }
+
+    /// The active-table indices ([`SchedulingContext::job_at`] positions)
+    /// of the jobs whose [`JobProgress`] the engine mutated since `cursor`
+    /// was taken, in mutation order and possibly repeated; a job absent
+    /// from the slice has the progress it had then.  Every dispatch, task
+    /// finish and retry release is journaled.
+    ///
+    /// `Some` also promises that no job joined or left the active table in
+    /// between, so index `i` still names the job it named then.  `None`
+    /// means the caller must reconcile against [`SchedulingContext::jobs`]:
+    /// the table's roster changed, the journal overflowed, or the cursor
+    /// was taken in another generation, member, run or timeline.  A
+    /// hand-built context has no journal and always answers `None`.
+    pub fn changes_since(&self, cursor: ChangeCursor) -> Option<&'a [u32]> {
+        if !self.same_run(cursor) || cursor.generation != self.generation {
+            return None;
+        }
+        self.changes.get(cursor.position..)
     }
 
     /// Total undispatched task work (executor-seconds) across the active
@@ -505,6 +591,32 @@ mod tests {
         );
         sink.clear();
         assert!(sink.assignments().is_empty());
+    }
+
+    #[test]
+    fn change_cursors_match_only_their_own_run_and_generation() {
+        let dag = Arc::new(make_dag());
+        let active = vec![ActiveJob::new(JobId(0), dag.clone(), 0.0), ActiveJob::new(JobId(1), dag, 0.0)];
+        let slots = vec![Some(0u32), Some(1u32)];
+        let ctx = |run, generation, changes| {
+            SchedulingContext::new(0.0, CarbonView::flat(1.0), 4, 4, 0, 4, &active, &slots, 0, 0.0)
+                .with_journal(run, generation, changes)
+        };
+        let hand_built =
+            SchedulingContext::new(0.0, CarbonView::flat(1.0), 4, 4, 0, 4, &active, &slots, 0, 0.0);
+        assert_eq!(hand_built.changes_since(hand_built.cursor()), None, "no journal");
+        assert!(!hand_built.same_run(hand_built.cursor()));
+
+        let taken = ctx(7, 2, &[1]).cursor();
+        let later = ctx(7, 2, &[1, 0, 1]);
+        assert!(later.same_run(taken));
+        assert_eq!(later.changes_since(taken), Some(&[0, 1][..]));
+        assert_eq!(later.changes_since(later.cursor()), Some(&[][..]));
+        assert_eq!(ctx(7, 3, &[0]).changes_since(taken), None, "a newer generation");
+        assert!(ctx(7, 3, &[0]).same_run(taken));
+        assert_eq!(ctx(8, 2, &[1, 0, 1]).changes_since(taken), None, "another run");
+        assert!(!ctx(8, 2, &[1, 0, 1]).same_run(taken));
+        assert_eq!(hand_built.changes_since(taken), None);
     }
 
     /// A slot table carried with a non-zero base (serve-mode compaction)

@@ -20,7 +20,9 @@
 //! built around (see `pcaps-cluster`'s crate docs); schedulers must treat
 //! the returned slices as snapshots that are invalidated by any mutating
 //! call.  Both sets are kept sorted by ascending [`StageId`], matching the
-//! order the previous full-rescan implementation produced.
+//! order the previous full-rescan implementation produced.  A bitset of the
+//! stages that still have fresh pending tasks lets
+//! [`JobProgress::remaining_work`] skip fully dispatched stages.
 
 use crate::ids::StageId;
 use crate::job::JobDag;
@@ -161,19 +163,15 @@ pub struct JobProgress {
     /// `remaining_work` stays O(stages); clamped back to exactly 0.0 when
     /// the queue empties so fault-free arithmetic is untouched).
     retry_work: f64,
-    /// Monotonic mutation counter, bumped by every state change a scheduler
-    /// can observe ([`JobProgress::dispatch_task`],
-    /// [`JobProgress::fail_task`], [`JobProgress::finish_task`]).  Policies
-    /// cache derived per-job values (remaining work, completion fraction)
-    /// keyed by this version and revalidate in O(1) per event instead of
-    /// recomputing O(stages) features for untouched jobs.  The version
-    /// travels with the progress through migration detach/reattach and
-    /// snapshot/restore; equal versions for the same job id imply equal
-    /// observable state *within one timeline* — a caller that restores an
-    /// engine to an earlier snapshot must pair it with equivalently-warmed
-    /// scheduler state (the documented snapshot contract), or versions from
-    /// the abandoned future could alias.
-    version: u64,
+    /// Bitset of the stages whose `pending` count is non-zero (bit `s % 64`
+    /// of word `s / 64`).  `pending` never grows — a failed task joins the
+    /// retry queue instead — so a bit is only ever cleared, by the fresh
+    /// dispatch that takes a stage's last fresh task.
+    pending_stages: Vec<u64>,
+    /// Monotonic counter bumped by every dispatch and every failure — the
+    /// only mutations that change which tasks are undispatched (see
+    /// [`JobProgress::pending_version`]).
+    pending_version: u64,
 }
 
 impl JobProgress {
@@ -200,20 +198,54 @@ impl JobProgress {
             .copied()
             .filter(|s| counts[s.index()].pending > 0)
             .collect();
+        let mut pending_stages = vec![0u64; counts.len().div_ceil(64)];
+        for (s, c) in counts.iter().enumerate() {
+            if c.pending > 0 {
+                pending_stages[s / 64] |= 1 << (s % 64);
+            }
+        }
         JobProgress {
             frontier,
             counts,
             dispatchable,
             retry: Vec::new(),
             retry_work: 0.0,
-            version: 0,
+            pending_stages,
+            pending_version: 0,
         }
     }
 
-    /// The monotonic mutation version (see the `version` field): bumped by
-    /// every successful dispatch, failure, or finish.  O(1).
-    pub fn version(&self) -> u64 {
-        self.version
+    /// A monotonic counter bumped by every successful dispatch and every
+    /// failure, and by nothing else.  Those are the only mutations that
+    /// change the undispatched work: a finish moves a task from running to
+    /// finished, and changes what a scheduler sees only when it completes a
+    /// stage, which [`Frontier::num_completed`] counts.  So for one job
+    /// within one timeline, an equal pending version means bit-equal
+    /// [`JobProgress::remaining_work`], and an equal pending version plus
+    /// an equal completed-stage count mean the same dispatchable set too.
+    /// Policies key per-job caches by the pair and revalidate in O(1).
+    ///
+    /// The counter travels with the progress through migration and
+    /// snapshot/restore.  A caller that restores an engine to an earlier
+    /// snapshot must pair it with equivalently warmed scheduler state (the
+    /// snapshot contract), or counters from the abandoned future could
+    /// alias.  O(1).
+    pub fn pending_version(&self) -> u64 {
+        self.pending_version
+    }
+
+    /// Ids (as indices) of the stages with fresh pending tasks, ascending.
+    fn pending_stage_indices(&self) -> impl Iterator<Item = usize> + '_ {
+        self.pending_stages.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    w * 64 + b
+                })
+            })
+        })
     }
 
     /// Structural frontier (completed stages / runnable set).
@@ -269,13 +301,20 @@ impl JobProgress {
     /// Remaining work (executor-seconds) of undispatched tasks, an input to
     /// Decima-style scoring and GreenHadoop window sizing.
     ///
-    /// O(num_stages): answered from the DAG's cached per-stage duration
-    /// suffix sums ([`JobDag::duration_suffix_sums`]) instead of walking
-    /// every task.  Bit-identical to a direct task-by-task recomputation.
+    /// O(stages with fresh pending tasks): answered from the DAG's cached
+    /// per-stage duration suffix sums ([`JobDag::duration_suffix_sums`])
+    /// instead of walking every task, and folded only over the stages in
+    /// the pending bitset.  Bit-identical to a direct task-by-task
+    /// recomputation over every stage: a stage with no fresh pending task
+    /// would add its empty suffix sum, which `f64`'s `Sum` makes `-0.0`,
+    /// and `x + -0.0` is `x` bit for bit.  The fold is a `.sum()` over the
+    /// kept terms, so it starts from the same neutral element and a job
+    /// with nothing pending still yields `-0.0`.
     pub fn remaining_work(&self, job: &JobDag) -> f64 {
         let (offsets, sums) = job.duration_suffix_sums();
         debug_assert_eq!(job.num_stages() + 1, offsets.len());
-        let fresh: f64 = (0..self.counts.len())
+        let fresh: f64 = self
+            .pending_stage_indices()
             .map(|s| {
                 let offset = offsets[s] as usize;
                 let tasks = (offsets[s + 1] as usize - offset) - 1;
@@ -315,7 +354,7 @@ impl JobProgress {
                 if counts.pending == 0 && !self.retry.iter().any(|&(s, _)| s == stage) {
                     sorted_remove(&mut self.dispatchable, stage);
                 }
-                self.version += 1;
+                self.pending_version += 1;
                 return Some(task as usize);
             }
         }
@@ -334,8 +373,9 @@ impl JobProgress {
             // No retry entries can exist for this stage here: the retry
             // branch above consumes them before any fresh task is taken.
             sorted_remove(&mut self.dispatchable, stage);
+            self.pending_stages[stage.index() / 64] &= !(1 << (stage.index() % 64));
         }
-        self.version += 1;
+        self.pending_version += 1;
         Some(idx)
     }
 
@@ -362,7 +402,7 @@ impl JobProgress {
         self.retry.push((stage, task as u32));
         self.retry_work += job.stage(stage).tasks[task].duration;
         sorted_insert(&mut self.dispatchable, stage);
-        self.version += 1;
+        self.pending_version += 1;
     }
 
     /// Marks one running task of `stage` as finished.  Returns `true` if this
@@ -379,7 +419,6 @@ impl JobProgress {
         );
         counts.running -= 1;
         counts.finished += 1;
-        self.version += 1;
         // Every task is pending, running, finished or queued for retry, so
         // the stage is complete exactly when none is in the other three
         // places; the DAG is read only when it is.  The retry queue is empty
@@ -550,6 +589,110 @@ mod tests {
             }
         }
         assert_eq!(p.remaining_work(&job), 0.0);
+    }
+
+    /// The reference `remaining_work`: a fold over every stage, fully
+    /// dispatched ones adding their empty suffix sum.
+    fn all_stage_remaining_work(p: &JobProgress, job: &JobDag) -> f64 {
+        let (offsets, sums) = job.duration_suffix_sums();
+        let fresh: f64 = (0..p.counts.len())
+            .map(|s| {
+                let offset = offsets[s] as usize;
+                let tasks = (offsets[s + 1] as usize - offset) - 1;
+                sums[offset + tasks - p.counts[s].pending as usize]
+            })
+            .sum();
+        if p.retry_work != 0.0 {
+            fresh + p.retry_work
+        } else {
+            fresh
+        }
+    }
+
+    /// The bitset holds exactly the stages whose fresh pending count is
+    /// non-zero, and `remaining_work` equals the all-stage fold bit for bit.
+    fn assert_pending_state(p: &JobProgress, job: &JobDag, step: &str) {
+        let from_bits: Vec<usize> = p.pending_stage_indices().collect();
+        let from_counts: Vec<usize> =
+            (0..p.counts.len()).filter(|&s| p.counts[s].pending > 0).collect();
+        assert_eq!(from_bits, from_counts, "pending bitset after {step}");
+        assert_eq!(
+            p.remaining_work(job).to_bits(),
+            all_stage_remaining_work(p, job).to_bits(),
+            "remaining work after {step}"
+        );
+    }
+
+    #[test]
+    fn pending_bitset_and_remaining_work_track_dispatch_failure_and_finish() {
+        // 70 independent stages, so the bitset spans two words and every
+        // stage is dispatchable at once; durations that do not add exactly
+        // make any change in summation order visible in the bits.
+        let mut builder = JobDagBuilder::new("wide");
+        for i in 0..70 {
+            let tasks = (0..1 + i % 3).map(|k| Task::new(0.1 + 0.37 * (i * 3 + k) as f64));
+            builder.add_stage(format!("s{i}"), tasks.collect());
+        }
+        let job = builder.build().unwrap();
+        let mut p = JobProgress::new(&job);
+        assert_pending_state(&p, &job, "creation");
+        // Exhaust the stages out of id order.  Every third stage loses its
+        // last task to a failure whose retry stays queued while the later
+        // stages drain; every third finishes one task.
+        let mut queued = Vec::new();
+        for k in 0..70u32 {
+            let stage = StageId((k * 37) % 70);
+            let mut last = None;
+            while let Some(task) = p.dispatch_task(&job, stage) {
+                assert_pending_state(&p, &job, &format!("dispatching {stage}"));
+                last = Some(task);
+            }
+            if k % 3 == 0 {
+                p.fail_task(&job, stage, last.expect("every stage has a task"));
+                queued.push(stage);
+                assert_pending_state(&p, &job, &format!("failing {stage}"));
+            } else if k % 3 == 1 {
+                p.finish_task(&job, stage);
+                assert_pending_state(&p, &job, &format!("finishing {stage}"));
+            }
+        }
+        assert!(p.pending_stage_indices().next().is_none());
+        assert_eq!(p.queued_retries(), queued.len());
+        assert!(p.remaining_work(&job) > 0.0, "queued retries still count");
+        for stage in queued {
+            p.dispatch_task(&job, stage).expect("the retry is dispatchable");
+            assert_pending_state(&p, &job, &format!("re-dispatching {stage}"));
+        }
+        assert_eq!(p.remaining_work(&job).to_bits(), (-0.0f64).to_bits());
+        // Drain everything still running: finishes move no pending bit.
+        for s in job.stage_ids() {
+            while p.running_tasks(s) > 0 {
+                p.finish_task(&job, s);
+                assert_pending_state(&p, &job, &format!("finishing {s}"));
+            }
+        }
+        assert!(p.job_complete());
+    }
+
+    #[test]
+    fn pending_version_moves_with_dispatch_and_failure_only() {
+        let job = diamond();
+        let mut p = JobProgress::new(&job);
+        assert_eq!(p.pending_version(), 0);
+        p.dispatch_task(&job, StageId(0)).unwrap();
+        p.dispatch_task(&job, StageId(0)).unwrap();
+        assert_eq!(p.pending_version(), 2);
+        assert_eq!(p.dispatch_task(&job, StageId(0)), None);
+        assert_eq!(p.pending_version(), 2, "a refused dispatch changes nothing");
+        p.fail_task(&job, StageId(0), 1);
+        assert_eq!(p.pending_version(), 3);
+        assert!(!p.finish_task(&job, StageId(0)));
+        assert_eq!(p.pending_version(), 3, "a finish leaves the pending work alone");
+        p.dispatch_task(&job, StageId(0)).unwrap();
+        assert_eq!(p.pending_version(), 4, "a retry dispatch counts");
+        assert!(p.finish_task(&job, StageId(0)));
+        assert_eq!(p.pending_version(), 4, "a stage completion shows in num_completed");
+        assert_eq!(p.frontier().num_completed(), 1);
     }
 
     #[test]

@@ -40,18 +40,35 @@
 //! `E_j = Σ e_i` over the job's stages, `p_i = J_j·e_i / Σ` where
 //! `Σ = Σ_j J_j·E_j`.
 //!
+//! # Incremental passes
+//!
 //! Every pass (one per `on_event`, `sample` or `distribution_into` call)
 //! reuses what its inputs allow:
 //!
-//! * **Job version.**  Each job's entry (`R_j`, `w_c·C_j`, `bmax_j`, `E_j`
-//!   and `J_j`) is cached under its [`JobProgress::version`].  Equal id and
-//!   version mean an equal dispatchable set and remaining work, so only
-//!   changed jobs rebuild, at O(stages) `exp`s each.  Nothing is stored per
-//!   stage: sampling recomputes the chosen job's few `e_i` with the same
+//! * **Change journal.**  The table of per-job entries is aligned with
+//!   `ctx.jobs()`.  A pass asks the context which jobs the engine mutated
+//!   since the previous pass ([`SchedulingContext::changes_since`]) and
+//!   revisits only those.  When the context cannot say (the first pass, a
+//!   job joined or left the table, the journal overflowed, or the previous
+//!   pass saw another run), the pass reconciles instead: one ordered merge
+//!   of the table against every active job.
+//! * **Job stamps.**  Each entry (`R_j`, `w_c·C_j`, `bmax_j`, `E_j` and
+//!   `J_j`) is stamped with its job's [`JobProgress::pending_version`] and
+//!   completed-stage count.  An entry whose stamps still match is current,
+//!   whatever else the job did (a task finish that completes no stage
+//!   changes neither).  A changed completed count alone rebuilds the stage
+//!   terms, at O(dispatchable stages) `exp`s, and keeps `R_j`; a changed
+//!   pending version recomputes `R_j` too.  Nothing is stored per stage:
+//!   sampling recomputes the chosen job's few `e_i` with the same
 //!   operations that summed them into `E_j`.
-//! * **Normaliser bits.**  Every job factor depends on `N`, so when its
-//!   bits change every `J_j` is recomputed; otherwise only rebuilt jobs'
-//!   are.
+//! * **Normaliser bits.**  `N` is the largest `R_j`, kept across passes
+//!   and rescanned from the table only when the entry holding it shrinks.
+//!   Every job factor depends on `N`, so when its bits change every `J_j`
+//!   is recomputed; otherwise only rebuilt jobs' are.
+//! * **Fold suffix.**  Each entry keeps the running `Σ J·E` and running
+//!   `max J` up to and including itself.  The fold restarts at the first
+//!   entry whose terms changed, from its predecessor's running values, so
+//!   the prefix keeps its bits and the fold stays the sequential one.
 //! * **Reference score.**  `ref` starts at 0 and is rebased only when the
 //!   largest job factor leaves `[2⁻⁶⁴, 2⁶⁴]`.  It then becomes the largest
 //!   job score, so the largest factor is exactly 1, and every factor is
@@ -59,14 +76,17 @@
 //!   any `T > 0`.  Scores lie within `±(|w_s| + |w_b| + |w_c|)`, so at the
 //!   default weights (`T = 1`, scores in `[0, 4]`) `ref` never moves.
 //!
-//! The folds of `Σ` and `max_j J_j` run over jobs, not stages, so a pass
-//! costs O(resident jobs) plus O(stages) per changed job.  Sampling picks
-//! the first job whose cumulative `J_j·E_j` reaches `r·Σ`, then that job's
-//! first stage whose cumulative `e_i` reaches the remainder `÷ J_j`, and
-//! reports `max p = max_j J_j / Σ`.  That is exact: the best stage's weight
-//! is `J_j·1`, every other is `J_j·e_i ≤ J_j`, and correctly rounded
-//! division by the same `Σ` preserves order, so the argmax stage's relative
-//! importance `p / max p` is exactly 1.
+//! A journal-driven pass therefore costs O(changed jobs) plus O(stages)
+//! per rebuilt job, plus the fold from the first changed entry to the end
+//! of the table, plus O(log jobs) to sample; a rescan of the normaliser or
+//! a reconcile costs O(resident jobs).  Sampling binary-searches the
+//! non-decreasing running sums for the first job whose `Σ J·E` reaches
+//! `r·Σ`, then walks that job's stages for the first whose cumulative
+//! `e_i` reaches the remainder `÷ J_j`, and reports `max p = max_j J_j / Σ`.
+//! That is exact: the best stage's weight is `J_j·1`, every other is
+//! `J_j·e_i ≤ J_j`, and correctly rounded division by the same `Σ`
+//! preserves order, so the argmax stage's relative importance `p / max p`
+//! is exactly 1.
 //!
 //! The textbook softmax `exp((s − max s) / T) / Σ` ([`softmax`]) is the same
 //! distribution up to rounding: probabilities differ by a few ulps, so a
@@ -74,14 +94,19 @@
 //! rounding of a CDF boundary.  `tests/scheduler_state.rs` pins every pass
 //! bit for bit against a from-scratch factorised recomputation and within
 //! `1e-12` relative of the textbook softmax; [`DecimaLike::cache_stats`]
-//! counts the passes, full refactors and `exp`s.
+//! counts the passes of each kind, full refactors and `exp`s.  Debug builds
+//! also check, after every journal-driven pass, that every entry the pass
+//! did not revisit is still current, so a mutation the engine failed to
+//! journal fails the test suite.
 //!
-//! [`JobProgress::version`]: pcaps_dag::JobProgress::version
+//! [`JobProgress::pending_version`]: pcaps_dag::JobProgress::pending_version
 //! [`softmax`]: crate::probabilistic::softmax
 //! [`sample_cdf`]: crate::probabilistic::sample_cdf
 
 use crate::probabilistic::{ProbabilisticScheduler, SampledStage, StageProbability};
-use pcaps_cluster::{DecisionSink, JobView, SchedEvent, Scheduler, SchedulingContext};
+use pcaps_cluster::{
+    ChangeCursor, DecisionSink, JobView, SchedEvent, Scheduler, SchedulingContext,
+};
 use pcaps_dag::{JobId, StageId};
 use rand::Rng;
 use rand::SeedableRng;
@@ -136,7 +161,7 @@ impl DecimaWeights {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecimaCacheStats {
     /// Distribution passes (one per `on_event`, `sample` or
-    /// `distribution_into` call).
+    /// `distribution_into` call): `journal_passes + reconciles`.
     pub passes: u64,
     /// Passes that recomputed every job factor, because the max-remaining
     /// normaliser changed bits (the first pass counts) or the reference
@@ -144,22 +169,32 @@ pub struct DecimaCacheStats {
     pub full_refactors: u64,
     /// Job-factor (`J_j`) `exp` evaluations over all passes.
     pub job_exps: u64,
-    /// Stage-factor (`e_i`) `exp` evaluations over all passes: every stage
-    /// of a rebuilt job, plus the stages walked to pick a sample or written
-    /// out by `distribution_into`.
+    /// Stage-factor (`e_i`) `exp` evaluations over all passes: every
+    /// dispatchable stage of a rebuilt job, plus the stages walked to pick
+    /// a sample or written out by `distribution_into`.
     pub stage_exps: u64,
+    /// Passes that revisited only the jobs the engine's change journal
+    /// named.
+    pub journal_passes: u64,
+    /// Passes that reconciled the table against every active job: the
+    /// first pass, and every pass after a job joined or left the table,
+    /// the journal overflowed, or the previous pass saw another context.
+    pub reconciles: u64,
 }
 
-/// One job's cached entry, revalidated per pass by its
-/// [`JobProgress::version`] stamp: equal id + equal version means the job's
-/// observable progress — remaining work, completed stages, dispatchable
-/// set — has not changed since the entry was built.
+/// One job's cached entry, stamped with the job's
+/// [`JobProgress::pending_version`] and completed-stage count: while both
+/// match, the job's remaining work, completed stages and dispatchable set
+/// are what the entry was built from.
 ///
-/// [`JobProgress::version`]: pcaps_dag::JobProgress::version
+/// [`JobProgress::pending_version`]: pcaps_dag::JobProgress::pending_version
 #[derive(Debug, Clone, Copy)]
 struct JobEntry {
     id: JobId,
-    version: u64,
+    /// The pending version `remaining` was computed at.
+    pending_version: u64,
+    /// The completed-stage count the stage terms were computed at.
+    completed: usize,
     /// Undispatched work `R_j` (executor-seconds) — `JobView::remaining_work()`.
     remaining: f64,
     /// `w_c · completed stages / total stages`.
@@ -169,28 +204,39 @@ struct JobEntry {
     /// `E_j = Σ e_i` over the dispatchable stages in stage order: at least 1
     /// (the best stage's factor) for a job with work, 0 for one without.
     stage_sum: f64,
-    /// The job factor `J_j`, or NaN until the pass computes it.
+    /// The job factor `J_j`, or NaN until a fold computes it.
     factor: f64,
     /// `Σ J·E` over the entries up to and including this one, as the
-    /// latest pass folded it.
+    /// latest fold left it.
     cumulative: f64,
+    /// The largest `J_j` among the entries with work up to and including
+    /// this one (0 if none), as the latest fold left it.
+    cumulative_max: f64,
 }
 
 impl JobEntry {
-    /// Builds the entry from scratch: O(stages), one `exp` per dispatchable
-    /// stage, job factor left for [`DecimaLike::fold`].
-    fn build(weights: &DecimaWeights, job: &JobView<'_>, stats: &mut DecimaCacheStats) -> Self {
-        let completion =
-            job.progress.frontier().num_completed() as f64 / job.dag.num_stages() as f64;
+    /// Builds the entry from scratch around a known remaining work `R_j`:
+    /// O(stages), one `exp` per dispatchable stage, job factor left for
+    /// [`DecimaLike::fold`].
+    fn build(
+        weights: &DecimaWeights,
+        job: &JobView<'_>,
+        remaining: f64,
+        stats: &mut DecimaCacheStats,
+    ) -> Self {
+        let completed = job.progress.frontier().num_completed();
+        let completion = completed as f64 / job.dag.num_stages() as f64;
         let mut entry = JobEntry {
             id: job.id,
-            version: job.progress.version(),
-            remaining: job.remaining_work(),
+            pending_version: job.progress.pending_version(),
+            completed,
+            remaining,
             completion_term: weights.completion * completion,
             best_bottleneck: f64::NEG_INFINITY,
             stage_sum: 0.0,
             factor: f64::NAN,
             cumulative: f64::NAN,
+            cumulative_max: f64::NAN,
         };
         let dispatchable = job.dispatchable_stages();
         if !dispatchable.is_empty() {
@@ -212,21 +258,58 @@ impl JobEntry {
         entry
     }
 
+    /// True while both stamps match `job`'s progress (same id assumed).
+    fn is_current(&self, job: &JobView<'_>) -> bool {
+        self.pending_version == job.progress.pending_version()
+            && self.completed == job.progress.frontier().num_completed()
+    }
+
+    /// Brings the entry up to date with `job` (same id): nothing if it is
+    /// current, otherwise a rebuild that keeps `R_j` unless a dispatch or
+    /// failure moved the pending version.  Returns whether it rebuilt.
+    fn refresh(
+        &mut self,
+        weights: &DecimaWeights,
+        job: &JobView<'_>,
+        stats: &mut DecimaCacheStats,
+    ) -> bool {
+        if self.is_current(job) {
+            return false;
+        }
+        let remaining = if self.pending_version == job.progress.pending_version() {
+            self.remaining
+        } else {
+            job.remaining_work()
+        };
+        *self = JobEntry::build(weights, job, remaining, stats);
+        true
+    }
+
     fn has_work(&self) -> bool {
         self.stage_sum > 0.0
     }
 }
 
+/// The largest `R_j` in the table, folded from `0.0` with `>` (no value is
+/// NaN), which picks the same value as `f64::max` without a serial
+/// dependency through its NaN handling.
+fn max_remaining(table: &[JobEntry]) -> f64 {
+    table
+        .iter()
+        .fold(0.0, |max, e| if e.remaining > max { e.remaining } else { max })
+}
+
 /// The Decima-like scheduler.
 ///
 /// Holds a persistent per-job table of softmax factors (see the module
-/// docs), so a steady-state pass costs O(active jobs) and stage work for
-/// changed jobs only; it performs no heap allocation.  Correctness never
-/// depends on the lossy-advisory `SchedEvent` stream: the table is
-/// reconciled against the authoritative `ctx.jobs()` iteration (arrival
-/// order) on every pass, which absorbs arrivals, completions, serve-mode
-/// compaction's front retirement and slot-base shifts, and migration
-/// detach/reattach uniformly.
+/// docs), so a steady-state pass costs O(changed jobs) plus stage work for
+/// rebuilt jobs and the fold suffix; it performs no heap allocation.
+/// Correctness never depends on the advisory `SchedEvent` stream: which
+/// jobs to revisit comes from the engine's change journal, and whenever
+/// the journal cannot vouch for the table it is reconciled against the
+/// authoritative `ctx.jobs()` iteration (arrival order), which absorbs
+/// arrivals, completions, serve-mode compaction's front retirement and
+/// slot-base shifts, and migration detach/reattach uniformly.
 #[derive(Debug, Clone)]
 pub struct DecimaLike {
     weights: DecimaWeights,
@@ -237,6 +320,11 @@ pub struct DecimaLike {
     /// Scratch for the ordered merge (swapped with `table` when membership
     /// changes).
     scratch: Vec<JobEntry>,
+    /// The change-journal position of the latest pass (`None` before the
+    /// first).
+    cursor: Option<ChangeCursor>,
+    /// The largest `R_j` in the table (at least `0.0`), kept across passes.
+    max_remaining: f64,
     /// Bits of the previous pass's normaliser (`None` before the first pass).
     normaliser_bits: Option<u64>,
     /// The reference score `ref` the job factors are taken relative to.
@@ -244,10 +332,10 @@ pub struct DecimaLike {
     /// The latest pass's normalising sum `Σ_j J_j·E_j` and largest `J_j`.
     sum: f64,
     max_factor: f64,
-    /// Jobs with non-empty dispatchable sets, counted during the table
-    /// pass so the follow-up `parallelism_limit` call (same event, same
-    /// context — see the trait contract) does not rescan.  `None` until
-    /// the first distribution pass.
+    /// Jobs with non-empty dispatchable sets, kept across passes so the
+    /// follow-up `parallelism_limit` call (same event, same context — see
+    /// the trait contract) does not rescan.  `None` until the first
+    /// distribution pass.
     jobs_with_work: Option<usize>,
     stats: DecimaCacheStats,
 }
@@ -280,6 +368,8 @@ impl DecimaLike {
             rng: ChaCha8Rng::seed_from_u64(seed),
             table: Vec::new(),
             scratch: Vec::new(),
+            cursor: None,
+            max_remaining: 0.0,
             normaliser_bits: None,
             reference: 0.0,
             sum: 0.0,
@@ -294,46 +384,119 @@ impl DecimaLike {
         self.stats
     }
 
-    /// Reconciles the job table with the current context, leaving it
-    /// aligned with `ctx.jobs()`, and returns the pass's max-remaining
-    /// normaliser.
+    /// Brings the job table up to date with the context, leaving it
+    /// aligned with `ctx.jobs()`, the max-remaining fold and the
+    /// jobs-with-work count current, and returns the index of the first
+    /// entry whose terms changed (the table length if none did).
+    fn refresh(&mut self, ctx: &SchedulingContext<'_>) -> usize {
+        let cursor = self.cursor.replace(ctx.cursor());
+        let Some(changes) = cursor.and_then(|cursor| ctx.changes_since(cursor)) else {
+            if !cursor.is_some_and(|cursor| ctx.same_run(cursor)) {
+                // Entries from another run or timeline describe other
+                // progress under the same job ids: start over.
+                self.table.clear();
+            }
+            self.stats.reconciles += 1;
+            return self.reconcile(ctx);
+        };
+        self.stats.journal_passes += 1;
+        let first = self.refresh_changed(ctx, changes);
+        #[cfg(debug_assertions)]
+        self.assert_current(ctx);
+        first
+    }
+
+    /// The journal path: revisits the entries at the journaled indices
+    /// only.  The journal promises the roster is unchanged since the
+    /// previous pass, so entry `i` still belongs to `ctx.job_at(i)`.  A
+    /// rebuilt entry may raise the normaliser in O(1); only when the entry
+    /// holding it shrinks is the table rescanned.
+    fn refresh_changed(&mut self, ctx: &SchedulingContext<'_>, changes: &[u32]) -> usize {
+        let DecimaLike { weights, table, max_remaining: max, stats, .. } = self;
+        let mut jobs_with_work = self.jobs_with_work.expect("a journal pass follows a reconcile");
+        let mut first = table.len();
+        let mut rescan = false;
+        for &i in changes {
+            let i = i as usize;
+            let job = ctx.job_at(i);
+            let entry = &mut table[i];
+            debug_assert_eq!(entry.id, job.id, "the journal promised an unchanged roster");
+            let (old_remaining, had_work) = (entry.remaining, entry.has_work());
+            if !entry.refresh(weights, &job, stats) {
+                continue;
+            }
+            first = first.min(i);
+            jobs_with_work = jobs_with_work - usize::from(had_work) + usize::from(entry.has_work());
+            if entry.remaining > *max {
+                *max = entry.remaining;
+            } else if entry.remaining < old_remaining && old_remaining == *max {
+                rescan = true;
+            }
+        }
+        if rescan {
+            *max = max_remaining(table);
+        }
+        self.jobs_with_work = Some(jobs_with_work);
+        first
+    }
+
+    /// Debug check after a journal-driven pass: every entry, revisited or
+    /// not, describes its job's current progress, and the kept normaliser
+    /// and jobs-with-work count equal a from-scratch fold.  An entry the
+    /// pass did not revisit is stale exactly when the engine mutated its
+    /// job without journaling it.
+    #[cfg(debug_assertions)]
+    fn assert_current(&self, ctx: &SchedulingContext<'_>) {
+        assert_eq!(self.table.len(), ctx.queue_length(), "the journal hid a roster change");
+        for (i, (entry, job)) in self.table.iter().zip(ctx.jobs()).enumerate() {
+            assert!(
+                entry.id == job.id && entry.is_current(&job),
+                "entry {i} ({}) is stale after a journal-driven pass at t={}: the engine \
+                 mutated {}'s progress without journaling it",
+                entry.id,
+                ctx.time,
+                job.id
+            );
+        }
+        assert_eq!(self.max_remaining.to_bits(), max_remaining(&self.table).to_bits());
+        let with_work = self.table.iter().filter(|e| e.has_work()).count();
+        assert_eq!(self.jobs_with_work, Some(with_work));
+    }
+
+    /// The reconcile path: one sweep of the table against `ctx.jobs()`.
     ///
-    /// While no job has arrived or left since the previous pass (the common
-    /// case) the ids line up and entries update in place.  From the first
-    /// mismatch on, an ordered merge takes over.  Both the table and
-    /// `ctx.jobs()` list jobs in arrival order, and every membership change
-    /// preserves the relative order of survivors (completions and migration
-    /// departures remove in place, compaction retires off the front,
-    /// arrivals and migrant reattachments append), so one sweep relocates
-    /// every surviving entry.  A cached id missing from the context (O(1)
-    /// slot probe) was removed.  A context id missing from the cache, or
-    /// present with a different [`JobProgress::version`], rebuilds its
-    /// entry with the calls a from-scratch pass would make.
+    /// While no job has arrived or left since the previous pass the ids
+    /// line up and entries update in place.  From the first mismatch on,
+    /// an ordered merge takes over.  Both the table and `ctx.jobs()` list
+    /// jobs in arrival order, and every membership change preserves the
+    /// relative order of survivors (completions and migration departures
+    /// remove in place, compaction retires off the front, arrivals and
+    /// migrant reattachments append), so one sweep relocates every
+    /// surviving entry.  A cached id missing from the context (O(1) slot
+    /// probe) was removed.  A context id missing from the cache gets a new
+    /// entry; a cached one is refreshed against its stamps.
     ///
     /// The max-remaining fold and the jobs-with-work count ride along in
-    /// the same sweep.  The fold compares with `>` rather than `f64::max`
-    /// (no value is NaN), which picks the same value without a serial
-    /// dependency through `f64::max`'s NaN handling.
-    ///
-    /// [`JobProgress::version`]: pcaps_dag::JobProgress::version
-    fn refresh(&mut self, ctx: &SchedulingContext<'_>) -> f64 {
+    /// the same sweep.
+    fn reconcile(&mut self, ctx: &SchedulingContext<'_>) -> usize {
         let DecimaLike { weights, table, scratch, stats, .. } = self;
-        let mut max_remaining = 0.0_f64;
+        let mut max = 0.0_f64;
         let mut jobs_with_work = 0usize;
         let mut visit = |entry: &JobEntry| {
-            if entry.remaining > max_remaining {
-                max_remaining = entry.remaining;
+            if entry.remaining > max {
+                max = entry.remaining;
             }
             jobs_with_work += usize::from(entry.has_work());
         };
         let mut jobs = ctx.jobs();
+        let mut first = usize::MAX;
         let mut aligned = 0usize;
         let mut first_mismatch = None;
         for job in jobs.by_ref() {
             match table.get_mut(aligned) {
                 Some(entry) if entry.id == job.id => {
-                    if entry.version != job.progress.version() {
-                        *entry = JobEntry::build(weights, &job, stats);
+                    if entry.refresh(weights, &job, stats) {
+                        first = first.min(aligned);
                     }
                     visit(entry);
                     aligned += 1;
@@ -347,19 +510,17 @@ impl DecimaLike {
         match first_mismatch {
             // Only departures off the back (if any).
             None => table.truncate(aligned),
-            Some(first) => {
+            Some(first_new) => {
+                first = first.min(aligned);
                 scratch.clear();
                 scratch.extend_from_slice(&table[..aligned]);
                 let mut cursor = aligned;
-                for job in std::iter::once(first).chain(jobs) {
-                    let version = job.progress.version();
+                for job in std::iter::once(first_new).chain(jobs) {
                     let mut cached = None;
                     while let Some(&entry) = table.get(cursor) {
                         if entry.id == job.id {
                             cursor += 1;
-                            if entry.version == version {
-                                cached = Some(entry);
-                            }
+                            cached = Some(entry);
                             break;
                         }
                         // Order mismatch: either the cached job left this
@@ -371,30 +532,38 @@ impl DecimaLike {
                         }
                         cursor += 1;
                     }
-                    let entry = cached.unwrap_or_else(|| JobEntry::build(weights, &job, stats));
+                    let entry = match cached {
+                        Some(mut entry) => {
+                            entry.refresh(weights, &job, stats);
+                            entry
+                        }
+                        None => JobEntry::build(weights, &job, job.remaining_work(), stats),
+                    };
                     visit(&entry);
                     scratch.push(entry);
                 }
                 std::mem::swap(table, scratch);
             }
         }
+        self.max_remaining = max;
         self.jobs_with_work = Some(jobs_with_work);
-        max_remaining.max(1e-9)
+        first.min(self.table.len())
     }
 
-    /// One distribution pass: reconcile the table, recompute the job
-    /// factors the cache keys require (see the module docs), fold `Σ` and
-    /// the largest factor, and rebase the reference score if that factor
-    /// left its bounds.
+    /// One distribution pass: bring the table up to date, recompute the
+    /// job factors the cache keys require (see the module docs), fold `Σ`
+    /// and the largest factor from the first changed entry, and rebase the
+    /// reference score if that factor left its bounds.
     fn compute(&mut self, ctx: &SchedulingContext<'_>) {
-        let normaliser = self.refresh(ctx);
+        let first_changed = self.refresh(ctx);
+        let normaliser = self.max_remaining.max(1e-9);
         self.stats.passes += 1;
         let refactor_all = self.normaliser_bits != Some(normaliser.to_bits());
         self.normaliser_bits = Some(normaliser.to_bits());
         if refactor_all {
             self.stats.full_refactors += 1;
         }
-        self.fold(normaliser, refactor_all);
+        self.fold(normaliser, refactor_all, first_changed);
         if self.has_work() && !(FACTOR_MIN..=FACTOR_MAX).contains(&self.max_factor) {
             let weights = self.weights;
             self.reference = self
@@ -406,18 +575,24 @@ impl DecimaLike {
             if !refactor_all {
                 self.stats.full_refactors += 1;
             }
-            self.fold(normaliser, true);
+            self.fold(normaliser, true, 0);
         }
     }
 
     /// Computes the job factors that are missing (all of them when
     /// `refactor_all`) and folds `Σ = Σ_j J_j·E_j` and `max_j J_j` over the
-    /// jobs with work, in table order, recording each entry's running sum.
-    fn fold(&mut self, normaliser: f64, refactor_all: bool) {
+    /// jobs with work, in table order, recording each entry's running
+    /// values.  Entries before `from` (0 when `refactor_all`) are unchanged
+    /// since the previous fold, so it resumes from `from - 1`'s running
+    /// values, which carry the bits a fold from the start would reach.
+    fn fold(&mut self, normaliser: f64, refactor_all: bool, from: usize) {
         let DecimaLike { weights, table, reference, stats, .. } = self;
-        let mut sum = 0.0;
-        let mut max_factor = 0.0_f64;
-        for entry in table.iter_mut() {
+        let from = if refactor_all { 0 } else { from };
+        let (mut sum, mut max_factor) = match from.checked_sub(1) {
+            Some(prev) => (table[prev].cumulative, table[prev].cumulative_max),
+            None => (0.0, 0.0_f64),
+        };
+        for entry in &mut table[from..] {
             if entry.has_work() {
                 if refactor_all || entry.factor.is_nan() {
                     let exponent =
@@ -431,6 +606,7 @@ impl DecimaLike {
                 }
             }
             entry.cumulative = sum;
+            entry.cumulative_max = max_factor;
         }
         self.sum = sum;
         self.max_factor = max_factor;
@@ -445,12 +621,17 @@ impl DecimaLike {
     /// module docs).  Only called after a pass that found work.
     fn pick(&mut self, ctx: &SchedulingContext<'_>, r: f64) -> SampledStage {
         let target = r * self.sum;
-        // `Σ` is the last running sum and `r < 1`, so some job reaches the
-        // target; the fallback only guards against a caller's `r ≥ 1`.
-        let i = self
-            .table
+        // The running sums never decrease, so the first job with work whose
+        // running sum reaches the target is the first with work at or after
+        // the partition point (an entry without work repeats its
+        // predecessor's sum, so it can only sit there when the target is
+        // 0).  `Σ` is the last running sum and `r < 1`, so some job reaches
+        // the target; the fallback only guards against a caller's `r ≥ 1`.
+        let start = self.table.partition_point(|e| e.cumulative < target);
+        let i = self.table[start..]
             .iter()
-            .position(|e| e.has_work() && target <= e.cumulative)
+            .position(JobEntry::has_work)
+            .map(|k| start + k)
             .or_else(|| self.table.iter().rposition(JobEntry::has_work))
             .expect("callers check the pass found work");
         let before = if i == 0 { 0.0 } else { self.table[i - 1].cumulative };

@@ -154,17 +154,21 @@ fn open_loop_serving_matches_the_v1_seed() {
 
 /// `DecimaLike::cache_stats` after the reference `decima` and `pcaps`
 /// trials, pinned next to their fingerprints: how many passes recomputed
-/// every job factor, and how many job- and stage-factor `exp`s ran, is
-/// deterministic, so a change to the cache keys shows here even when the
-/// schedule does not move.
+/// every job factor, how many job- and stage-factor `exp`s ran, and how
+/// many passes read the engine's change journal rather than reconciling
+/// against every job, is deterministic, so a change to the cache keys or
+/// to the journal's resets shows here even when the schedule does not
+/// move.
 const CACHE_STATS: [(&str, DecimaCacheStats); 2] = [
     (
         "decima",
         DecimaCacheStats {
             passes: 645,
             full_refactors: 353,
-            job_exps: 860,
-            stage_exps: 3203,
+            job_exps: 771,
+            stage_exps: 2926,
+            journal_passes: 459,
+            reconciles: 186,
         },
     ),
     (
@@ -172,8 +176,10 @@ const CACHE_STATS: [(&str, DecimaCacheStats); 2] = [
         DecimaCacheStats {
             passes: 753,
             full_refactors: 197,
-            job_exps: 1051,
-            stage_exps: 3810,
+            job_exps: 868,
+            stage_exps: 3335,
+            journal_passes: 610,
+            reconciles: 143,
         },
     ),
 ];

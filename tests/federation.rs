@@ -192,7 +192,7 @@ fn per_member_job_sets_replay_bit_identically() {
 #[test]
 fn malformed_cluster_configs_are_rejected_naming_the_member_and_field() {
     let base = ClusterConfig::new(4).with_time_scale(60.0);
-    let cases: [(&str, ClusterConfig); 8] = [
+    let cases: [(&str, ClusterConfig); 9] = [
         ("time_scale", ClusterConfig { time_scale: 0.0, ..base.clone() }),
         ("time_scale", ClusterConfig { time_scale: f64::NAN, ..base.clone() }),
         // Finite, but the carbon step it leaves cannot move the clock.
@@ -202,6 +202,9 @@ fn malformed_cluster_configs_are_rejected_naming_the_member_and_field() {
         ("num_executors", ClusterConfig { num_executors: 0, ..base.clone() }),
         ("per_job_executor_cap", ClusterConfig { per_job_executor_cap: Some(0), ..base.clone() }),
         ("max_sim_time", ClusterConfig { max_sim_time: f64::NAN, ..base.clone() }),
+        // Never trips: a policy that never dispatches would step the
+        // carbon clock forever.
+        ("max_sim_time", ClusterConfig { max_sim_time: f64::INFINITY, ..base.clone() }),
     ];
     let builder = WorkloadBuilder::new(WorkloadKind::TpchMixed, 3).jobs(3);
     let trace = || SyntheticTraceGenerator::new(GridRegion::Germany, 3).generate_days(7);

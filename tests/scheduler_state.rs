@@ -1,19 +1,22 @@
 //! Incremental scheduler-state conformance: `DecimaLike`'s persistent
-//! version-stamped table of factorised softmax terms (per-job factor and
-//! stage-factor sum, see `crates/schedulers/src/decima.rs`) is checked at
-//! every scheduling event, across every membership churn the engine can
-//! produce: plain arrivals and completions, serve-mode compaction
-//! (slot-base shifts retiring jobs off the front of the active table), and
-//! migration detach/reattach (jobs leaving mid-table and reappearing
-//! appended, progress travelling with them).  Three oracles run per pass:
+//! stamped table of factorised softmax terms (per-job factor and
+//! stage-factor sum, see `crates/schedulers/src/decima.rs`), refreshed
+//! through the engine's change journal, is checked at every scheduling
+//! event, across every membership churn the engine can produce: plain
+//! arrivals and completions, serve-mode compaction (slot-base shifts
+//! retiring jobs off the front of the active table), migration
+//! detach/reattach (jobs leaving mid-table and reappearing appended,
+//! progress travelling with them), and cursors carried into another run or
+//! a restored timeline.  Three oracles run per pass:
 //!
 //! * **Cache check, bit-strict.**  A from-scratch factorised recomputation
 //!   (every job factor and stage factor recomputed, the only carried state
 //!   being the reference score and its rebase rule) must give the same
 //!   probability bits, max-probability bits and sampled `(job, stage)`.  A
-//!   missed version bump, a factor survived past a normaliser change, a
-//!   skipped rebase or a reordered float op fails loudly with the event
-//!   time attached.
+//!   missed journal entry, a stale stamp, a factor survived past a
+//!   normaliser change, a skipped rebase, a fold resumed from the wrong
+//!   entry or a reordered float op fails loudly with the event time
+//!   attached.
 //! * **Fidelity to the textbook softmax.**  Every probability is within
 //!   `1e-12` relative of `softmax` over the raw scores (scaled by the
 //!   softmax's conditioning at extreme temperatures), and the argmax
@@ -24,7 +27,8 @@
 //!
 //! The fair-share parallelism limit is pinned against a full rescan, and
 //! every run tallies which cache regime (full refactor, changed jobs only)
-//! each pass took, so a test cannot pass without reaching both.
+//! and which refresh path (the journal, a full reconcile) each pass took,
+//! so a test cannot pass without reaching both of each.
 //!
 //! Pattern of `tests/properties.rs`: seeded ChaCha8-driven cases, no
 //! external proptest dependency, every failure reproducible.
@@ -239,12 +243,16 @@ fn oracle_limit(ctx: &SchedulingContext<'_>, job: JobId, stage: StageId) -> usiz
     fair_share.min(pending).max(1)
 }
 
-/// How many passes took each cache regime, classified from the
-/// `cache_stats` delta around a single pass.
-#[derive(Debug, Default)]
+/// How many passes took each cache regime and each refresh path,
+/// classified from the `cache_stats` delta around a single pass.
+#[derive(Default, Clone)]
 struct Regimes {
     full_refactor: usize,
     changed_only: usize,
+    journal: usize,
+    reconcile: usize,
+    /// Per pass, in order: whether it refreshed through the journal.
+    journal_log: Vec<bool>,
 }
 
 impl Regimes {
@@ -255,23 +263,47 @@ impl Regimes {
         } else {
             self.changed_only += 1;
         }
+        let journal = after.journal_passes - before.journal_passes;
+        let reconcile = after.reconciles - before.reconciles;
+        assert_eq!(journal + reconcile, 1, "a pass reads the journal or reconciles");
+        self.journal += journal as usize;
+        self.reconcile += reconcile as usize;
+        self.journal_log.push(journal == 1);
     }
 
     fn add(&mut self, other: &Regimes) {
         self.full_refactor += other.full_refactor;
         self.changed_only += other.changed_only;
+        self.journal += other.journal;
+        self.reconcile += other.reconcile;
+        self.journal_log.extend_from_slice(&other.journal_log);
     }
 
     fn assert_all_reached(&self, label: &str) {
         assert!(
             self.full_refactor > 0 && self.changed_only > 0,
-            "{label}: every cache regime must be exercised, got {self:?}"
+            "{label}: every cache regime must be exercised, got {} full refactors and {} \
+             changed-only passes",
+            self.full_refactor,
+            self.changed_only
+        );
+    }
+
+    /// Both refresh paths ran: the journal-driven one and the reconcile.
+    fn assert_both_paths(&self, label: &str) {
+        assert!(
+            self.journal > 0 && self.reconcile > 0,
+            "{label}: both refresh paths must be exercised, got {} journal passes and {} \
+             reconciles",
+            self.journal,
+            self.reconcile
         );
     }
 }
 
 /// The per-pass oracles for one `DecimaLike`, with the reference score the
 /// factorised recomputation carries and the tallies the tests assert on.
+#[derive(Clone)]
 struct Oracles {
     weights: DecimaWeights,
     reference: f64,
@@ -467,6 +499,7 @@ enum Route {
 /// A standalone Decima wrapper that, at every invocation, pins the
 /// incremental distribution (or sample) and the cached-count parallelism
 /// limit against the from-scratch oracles before making the decision.
+#[derive(Clone)]
 struct CheckingDecima {
     inner: DecimaLike,
     oracles: Oracles,
@@ -638,6 +671,7 @@ fn check_single_cluster_runs(weights: DecimaWeights, label: &str) -> Oracles {
         }
     }
     total.assert_no_near_boundary_draws(label);
+    total.regimes.assert_both_paths(label);
     total
 }
 
@@ -708,11 +742,13 @@ fn incremental_scores_match_scratch_through_pcaps() {
     assert!(pcaps.stats().deferred > 0, "the volatile trace must exercise deferrals");
     assert!(pcaps.inner().checks > 50, "the oracle must actually run");
     pcaps.inner().oracles.regimes.assert_all_reached("pcaps");
+    pcaps.inner().oracles.regimes.assert_both_paths("pcaps");
     pcaps.inner().oracles.assert_no_near_boundary_draws("pcaps");
 }
 
 /// A fixed-spacing unbounded source, so the serving run stays sub-critical
 /// and compaction genuinely retires jobs off the front of the table.
+#[derive(Clone)]
 struct Trickle {
     spacing: f64,
     next_arrival: f64,
@@ -784,9 +820,99 @@ fn incremental_scores_match_scratch_across_serve_compaction() {
         );
         // No regime assertion: the run is sub-critical (about one job in
         // the system at a time), so nearly every pass moves the normaliser
-        // and recomputes every job factor.
+        // and recomputes every job factor.  Both refresh paths still run:
+        // every arrival and completion forces a reconcile, and the
+        // re-invocations between them read the journal.
         assert!(checker.checks > 100, "{route:?}: the oracle must actually run");
+        checker.oracles.regimes.assert_both_paths("serve compaction");
         checker.oracles.assert_no_near_boundary_draws("serve compaction");
+    }
+}
+
+/// A journal cursor is honored only in the context it was taken from.  A
+/// `DecimaLike` reused for a second, different run, and serve sessions
+/// restored from a snapshot under a fresh policy or under one warmed to
+/// that snapshot, must reconcile on their first pass and keep matching
+/// the oracles bit for bit throughout; the warmed restore must also
+/// continue exactly as the snapshotted session did.
+#[test]
+fn journal_cursors_are_never_carried_across_runs_or_timelines() {
+    // One job on one executor: the last pass is the arrival's, so the
+    // cursor it leaves (first generation, nothing journaled yet) is where
+    // the next run's first pass stands too.  Only the run stamp tells the
+    // two apart, and the two jobs share an id and fresh-job stamps, so an
+    // entry carried over would pass for current.
+    let lone_job = |stages: usize| {
+        let mut builder = JobDagBuilder::new(format!("lone-{stages}"));
+        for i in 0..stages {
+            builder.add_stage(format!("s{i}"), vec![Task::new(1.0 + i as f64)]);
+        }
+        let dag = builder.build().expect("independent stages always build");
+        let config = ClusterConfig::new(1).with_move_delay(0.0).with_time_scale(1.0);
+        Simulator::new(
+            config,
+            vec![SubmittedJob::at(0.0, dag)],
+            CarbonTrace::constant("flat", 300.0, 1000),
+        )
+    };
+    let mut reused = CheckingDecima::new(7, Route::Sample);
+    let runs = [lone_job(1), lone_job(3), tpch_single_cluster(1), tpch_single_cluster(5)];
+    for (run, sim) in runs.iter().enumerate() {
+        let first = reused.oracles.regimes.journal_log.len();
+        let result = sim.run(&mut reused).expect("run completes");
+        assert!(result.all_jobs_complete(), "run {run}");
+        assert!(
+            !reused.oracles.regimes.journal_log[first],
+            "run {run}: the first pass of a new run must reconcile"
+        );
+    }
+    reused.oracles.regimes.assert_both_paths("reused instance");
+    reused.oracles.assert_no_near_boundary_draws("reused instance");
+
+    let trace = CarbonTrace::constant("flat", 300.0, 26_304);
+    let sim = Simulator::streaming(ClusterConfig::new(4).with_time_scale(1.0), trace);
+    let trickle = Trickle {
+        spacing: 6.0,
+        next_arrival: 0.0,
+        issued: 0,
+        rng: ChaCha8Rng::seed_from_u64(0xC0FFEE),
+    };
+    let mut router = StaticRouter::new(0);
+    let mut run = |session: &mut ServeSession<'_>, policy: &mut CheckingDecima, until: f64| {
+        let mut s: [&mut dyn Scheduler; 1] = [policy];
+        session.run_until(until, &mut router, &mut s, None).expect("the slice runs");
+    };
+    let mut source = trickle.clone();
+    let mut original = sim.serve(&mut source).unwrap();
+    let mut policy = CheckingDecima::new(3, Route::Sample);
+    run(&mut original, &mut policy, 600.0);
+    let snapshot = original.snapshot();
+    let warmed = policy.clone();
+    run(&mut original, &mut policy, 1200.0);
+    let expected = original.finish();
+    policy.oracles.regimes.assert_both_paths("snapshotted session");
+
+    for (label, mut restored_policy) in
+        [("fresh policy", CheckingDecima::new(3, Route::Sample)), ("warmed policy", warmed)]
+    {
+        let mut source = trickle.clone();
+        let mut session = sim.serve(&mut source).unwrap();
+        session.restore(&snapshot).unwrap();
+        let first = restored_policy.oracles.regimes.journal_log.len();
+        run(&mut session, &mut restored_policy, 1200.0);
+        assert!(
+            !restored_policy.oracles.regimes.journal_log[first],
+            "{label}: the first pass after a restore must reconcile"
+        );
+        restored_policy.oracles.regimes.assert_both_paths(label);
+        restored_policy.oracles.assert_no_near_boundary_draws(label);
+        let got = session.finish();
+        if label == "warmed policy" {
+            assert_eq!(
+                got.members[0].result.jobs, expected.members[0].result.jobs,
+                "the warmed restore must continue exactly as the snapshotted session"
+            );
+        }
     }
 }
 
@@ -886,5 +1012,6 @@ fn incremental_scores_match_scratch_across_migrations() {
         "across all cases some migrations must apply, or detach/reattach is never exercised"
     );
     total.regimes.assert_all_reached("migrations");
+    total.regimes.assert_both_paths("migrations");
     total.assert_no_near_boundary_draws("migrations");
 }
