@@ -85,12 +85,15 @@ require_full_suite() {
 # bit-identity across policies and seeds, and on a federation with flows,
 # drains, crashes and an outage in flight; restore rejecting a differently
 # shaped federation; windowed-percentile oracle, admission conservation,
-# open-loop determinism, bounded residency); tests/network.rs pins the link-level
-# transfer model (flow completions vs the from-scratch max-min oracle,
-# fed3_migrate_pcaps replaying its recorded fingerprints and migration-log
-# hash whether the matrix is attached by with_transfer_matrix or by
-# with_network(from_matrix), drain-then-move replay determinism, and a
-# superseded flow arrival never outliving the run); tests/scheduler_state.rs pins the
+# open-loop determinism, bounded residency); tests/network.rs pins the
+# uplink transfer model (flow completions over uplink-only topologies vs the
+# from-scratch max-min oracle, federations where only some members have an
+# uplink pricing each migration by its source — the fixed per-GB delay bit
+# for bit, or the oracle's arrival — fed3_migrate_pcaps replaying its
+# recorded fingerprints and migration-log hash whether the matrix is
+# attached by with_transfer_matrix or by with_network(from_matrix),
+# drain-then-move replay determinism, and a superseded flow arrival never
+# outliving the run); tests/scheduler_state.rs pins the
 # incremental probabilistic-scheduler state (DecimaLike's stamped table of
 # factorised softmax terms, refreshed through the engine's change journal
 # or reconciled in full, recomputed in full only when the max-remaining
@@ -99,9 +102,10 @@ require_full_suite() {
 # textbook softmax, across arrivals, completions, serve-mode compaction,
 # migration and journal cursors carried into another run or a restored
 # session, with both refresh paths reached in every case; tests/properties.rs holds the structural
-# oracles (incremental frontier and task counts under dispatch, finish and
-# failure vs a from-scratch recount, streamed DAGs ≡ generator DAGs bit for
-# bit); tests/determinism.rs pins the run_trial fingerprints to the v1
+# oracles (the missing-parent is_runnable test, the incremental dispatchable
+# set and task counts under dispatch, finish and failure vs a from-scratch
+# recount, streamed DAGs ≡ generator DAGs bit for bit);
+# tests/determinism.rs pins the run_trial fingerprints to the v1
 # seed's, on the finite and the serving path, and DecimaLike's cache_stats
 # counters.
 require_full_suite migration "migration conformance suite"

@@ -21,31 +21,21 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::f64::consts::PI;
 
+/// Hour-to-hour autocorrelation of the AR(1) noise term (closer to 1 means
+/// smoother noise).
+const AR_COEFFICIENT: f64 = 0.92;
+
 /// Deterministic synthetic trace generator for one grid region.
 #[derive(Debug, Clone)]
 pub struct SyntheticTraceGenerator {
     region: GridRegion,
     seed: u64,
-    /// Autocorrelation of the AR(1) noise process (per hour).
-    ar_coefficient: f64,
 }
 
 impl SyntheticTraceGenerator {
     /// Creates a generator for `region` with the given random seed.
     pub fn new(region: GridRegion, seed: u64) -> Self {
-        SyntheticTraceGenerator {
-            region,
-            seed,
-            ar_coefficient: 0.92,
-        }
-    }
-
-    /// Overrides the AR(1) hour-to-hour autocorrelation of the noise term
-    /// (default 0.92; closer to 1 means smoother noise).
-    pub fn with_ar_coefficient(mut self, rho: f64) -> Self {
-        assert!((0.0..1.0).contains(&rho), "AR coefficient must be in [0, 1)");
-        self.ar_coefficient = rho;
-        self
+        SyntheticTraceGenerator { region, seed }
     }
 
     /// The region this generator models.
@@ -68,7 +58,7 @@ impl SyntheticTraceGenerator {
         // 1. Build the raw shape signal: diurnal + seasonal + AR(1) noise.
         let mut raw = Vec::with_capacity(hours);
         let mut noise_state = 0.0_f64;
-        let noise_innovation_scale = (1.0 - self.ar_coefficient * self.ar_coefficient).sqrt();
+        let noise_innovation_scale = (1.0 - AR_COEFFICIENT * AR_COEFFICIENT).sqrt();
         for h in 0..hours {
             let hour_of_day = (h % 24) as f64;
             let day_of_year = ((h / 24) % 365) as f64;
@@ -79,8 +69,7 @@ impl SyntheticTraceGenerator {
             let seasonal = (2.0 * PI * (day_of_year - 15.0) / 365.0).cos();
             // AR(1) noise with unit stationary variance.
             let innovation: f64 = rng.gen_range(-1.0..1.0) * 1.732; // uniform, var ≈ 1
-            noise_state =
-                self.ar_coefficient * noise_state + noise_innovation_scale * innovation;
+            noise_state = AR_COEFFICIENT * noise_state + noise_innovation_scale * innovation;
             let value = shape.diurnal_weight * diurnal
                 + shape.seasonal_weight * seasonal
                 + shape.noise_weight * noise_state;
@@ -243,11 +232,5 @@ mod tests {
             assert_eq!(t.len(), 48);
             assert!(t.intensity(0.0) > 0.0);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "AR coefficient")]
-    fn rejects_bad_ar_coefficient() {
-        let _ = SyntheticTraceGenerator::new(GridRegion::Pjm, 0).with_ar_coefficient(1.5);
     }
 }

@@ -106,24 +106,46 @@ impl CarbonTrace {
     /// Creates a trace from raw values.
     ///
     /// # Panics
-    /// Panics if `values` is empty, `step <= 0`, or any value is negative or
-    /// non-finite — traces are static experiment inputs, so malformed data is
-    /// a programming error.
+    /// Panics if the trace fails [`CarbonTrace::check`]: `values` is empty,
+    /// `step` is not positive and finite, `start` is not finite, or any value
+    /// is negative or non-finite — traces are static experiment inputs, so
+    /// malformed data is a programming error.
     pub fn new(label: impl Into<String>, start: f64, step: f64, values: Vec<f64>) -> Self {
-        assert!(!values.is_empty(), "carbon trace must contain at least one value");
-        assert!(step > 0.0 && step.is_finite(), "trace step must be positive");
-        for (i, v) in values.iter().enumerate() {
-            assert!(
-                v.is_finite() && *v >= 0.0,
-                "carbon intensity at index {i} must be finite and non-negative, got {v}"
-            );
-        }
-        CarbonTrace {
+        let trace = CarbonTrace {
             start,
             step,
             values,
             label: label.into(),
             bounds_index: OnceLock::new(),
+        };
+        if let Err(reason) = trace.check() {
+            panic!("malformed carbon trace: {reason}");
+        }
+        trace
+    }
+
+    /// Rejects a trace that [`CarbonTrace::new`] would have refused, naming
+    /// the field.  The fields are public, so a trace edited after
+    /// construction reaches its users unchecked: an empty trace has no
+    /// value to report, a step that is not positive and finite never
+    /// advances to the next value, and a non-finite start reads every
+    /// instant as the first value.
+    pub fn check(&self) -> Result<(), String> {
+        if !self.start.is_finite() {
+            return Err(format!("start must be finite, got {}", self.start));
+        }
+        if !(self.step > 0.0 && self.step.is_finite()) {
+            return Err(format!("step must be positive and finite, got {}", self.step));
+        }
+        if self.values.is_empty() {
+            return Err("values must contain at least one value".to_string());
+        }
+        match self.values.iter().position(|v| !(v.is_finite() && *v >= 0.0)) {
+            Some(i) => Err(format!(
+                "values[{i}] must be finite and non-negative, got {}",
+                self.values[i]
+            )),
+            None => Ok(()),
         }
     }
 

@@ -657,7 +657,7 @@ struct RunState {
     /// loop iteration.
     next_fault: usize,
     /// In-flight transfer flows over the federation's network topology
-    /// (always empty when no pair crosses a capacitated link).
+    /// (always empty when no member has an uplink).
     flows: FlowSet,
     /// Jobs currently draining toward a migration (their `ActiveJob` holds
     /// the destination).  At zero the event path skips the drain trigger's
@@ -899,7 +899,7 @@ fn apply_assignments_for(
             active.busy_executors += 1;
             active.executor_seconds += task.duration;
             let finish_time = time + move_delay + task.duration;
-            member.executors.start(exec_idx, a.job, time);
+            member.executors.start(exec_idx, a.job);
             member.outstanding_work -= task.duration;
             member.running[exec_idx] = Some(RunningTask {
                 job: a.job,
@@ -1458,7 +1458,6 @@ impl<'a> Engine<'a> {
                 let stage_done = active.progress.finish_task(&active.dag, stage);
                 let job_done = stage_done && active.progress.job_complete();
                 if job_done {
-                    active.completion = Some(time);
                     let done = member.retire_active(idx);
                     member.records.push(JobRecord {
                         id: done.id,
@@ -1726,9 +1725,9 @@ impl<'a> Engine<'a> {
 
     /// Validates and applies one migration verb: detaches the job from its
     /// source member, charges the transfer over the federation's network
-    /// topology (a fixed delay when the pair crosses no capacitated link,
-    /// as every pair of a matrix-built topology does, or a max-min
-    /// fair-shared flow when it does) plus the interval-integrated transfer
+    /// topology (a fixed delay when the source member has no uplink, as no
+    /// member of a matrix-built topology does, or a max-min fair-shared flow
+    /// over its uplink when it has one) plus the interval-integrated transfer
     /// carbon, and schedules the arrival that re-registers it at the
     /// destination.  With `drain` set, a busy or retrying job is flagged
     /// instead of rejected: it stops dispatching and departs when its last
@@ -1819,10 +1818,10 @@ impl<'a> Engine<'a> {
         let departed = st.time;
 
         let topo = self.fed.network();
-        if !topo.path(src, to).is_empty() {
-            // The pair crosses modeled links: the transfer becomes a flow
-            // whose arrival is decided by max-min fair sharing with every
-            // other flow in flight.  Its migration record is provisional
+        if topo.uplink(src).is_some() {
+            // The source has an uplink: the transfer becomes a flow whose
+            // arrival is decided by max-min fair sharing with every other
+            // flow in flight.  Its migration record is provisional
             // (best-estimate arrival and carbon) until the flow delivers.
             let record = st.migrations.len();
             st.migrations.push(MigrationRecord {
@@ -1843,7 +1842,7 @@ impl<'a> Engine<'a> {
 
         // Uncontended pair: the delay is known at departure; the carbon
         // integrates each endpoint's trace over the transfer interval.
-        let transfer_seconds = gb * topo.seconds_per_gb(src, to) + topo.latency(src, to);
+        let transfer_seconds = gb * topo.seconds_per_gb(src, to);
         let arrived = departed + transfer_seconds;
         let transfer_carbon_grams = self.transfer_carbon(gb, src, to, departed, arrived);
         let st = &mut self.state;
@@ -2224,7 +2223,7 @@ impl EngineSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::NetworkTopology;
+    use crate::routing::TransferMatrix;
     use crate::schedulers::SimpleFifo;
     use pcaps_dag::{JobDagBuilder, StageId, Task};
 
@@ -2717,9 +2716,7 @@ mod tests {
                 SubmittedJob::at(0.0, chain_job("b", 1, 1, 4000.0)).with_data_gb(1.0),
             ],
         )
-        .with_network(
-            NetworkTopology::new(2).with_seconds_per_gb(0, 1, 10.0).with_energy_per_gb(0.1),
-        );
+        .with_transfer_matrix(TransferMatrix::uniform(2, 10.0).with_energy_per_gb(0.1));
         let mut a = SimpleFifo::new();
         let mut b = SimpleFifo::new();
         let mut policy = MoveIdleTo { to: 1 };

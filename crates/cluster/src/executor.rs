@@ -11,8 +11,6 @@ pub struct ExecutorState {
     /// Last job the executor ran a task for — used to decide whether an
     /// executor-movement delay applies when it picks up new work.
     pub last_job: Option<JobId>,
-    /// Time at which the executor last became busy (for bookkeeping).
-    pub busy_since: Option<f64>,
 }
 
 impl ExecutorState {
@@ -21,7 +19,6 @@ impl ExecutorState {
         ExecutorState {
             current_job: None,
             last_job: None,
-            busy_since: None,
         }
     }
 
@@ -30,18 +27,16 @@ impl ExecutorState {
         self.current_job.is_some()
     }
 
-    /// Marks the executor busy for `job` starting at `time`.
-    pub fn start(&mut self, job: JobId, time: f64) {
+    /// Marks the executor busy for `job`.
+    pub fn start(&mut self, job: JobId) {
         debug_assert!(!self.is_busy(), "executor double-booked");
         self.current_job = Some(job);
-        self.busy_since = Some(time);
     }
 
     /// Marks the executor idle after finishing a task.
     pub fn finish(&mut self) {
         debug_assert!(self.is_busy(), "idle executor cannot finish a task");
         self.last_job = self.current_job.take();
-        self.busy_since = None;
     }
 
     /// Whether picking up a task of `job` requires a movement delay (the
@@ -114,9 +109,9 @@ impl ExecutorPool {
         self.len() - self.busy
     }
 
-    /// Marks executor `idx` busy for `job` starting at `time`.
-    pub fn start(&mut self, idx: usize, job: JobId, time: f64) {
-        self.states[idx].start(job, time);
+    /// Marks executor `idx` busy for `job`.
+    pub fn start(&mut self, idx: usize, job: JobId) {
+        self.states[idx].start(job);
         self.clear_free(idx);
         self.busy += 1;
     }
@@ -183,9 +178,8 @@ mod tests {
         let mut e = ExecutorState::idle();
         assert!(!e.is_busy());
         assert!(e.needs_move_delay(JobId(0)));
-        e.start(JobId(0), 5.0);
+        e.start(JobId(0));
         assert!(e.is_busy());
-        assert_eq!(e.busy_since, Some(5.0));
         e.finish();
         assert!(!e.is_busy());
         assert_eq!(e.last_job, Some(JobId(0)));
@@ -198,7 +192,7 @@ mod tests {
         let mut pool = ExecutorPool::new(3);
         assert_eq!(pool.len(), 3);
         assert_eq!(pool.free_count(), 3);
-        pool.start(1, JobId(0), 0.0);
+        pool.start(1, JobId(0));
         assert_eq!(pool.busy_count(), 1);
         assert_eq!(pool.free_count(), 2);
         pool.finish(1);
@@ -211,7 +205,7 @@ mod tests {
     fn pick_prefers_warm_executor() {
         let mut pool = ExecutorPool::new(3);
         // Executor 2 previously ran job 7.
-        pool.start(2, JobId(7), 0.0);
+        pool.start(2, JobId(7));
         pool.finish(2);
         assert_eq!(pool.pick_free_for(JobId(7)), Some(2));
         // For a different job any free executor (the first) is fine.
@@ -221,8 +215,8 @@ mod tests {
     #[test]
     fn pick_none_when_all_busy() {
         let mut pool = ExecutorPool::new(2);
-        pool.start(0, JobId(0), 0.0);
-        pool.start(1, JobId(1), 0.0);
+        pool.start(0, JobId(0));
+        pool.start(1, JobId(1));
         assert_eq!(pool.pick_free_for(JobId(0)), None);
     }
 
@@ -266,7 +260,7 @@ mod tests {
                     (0..n).partition(|&i| !pool.get(i).is_busy());
                 if !idle.is_empty() && (busy.is_empty() || rng.gen_range(0.0..1.0) < p_start) {
                     let idx = idle[rng.gen_range(0..idle.len())];
-                    pool.start(idx, JobId(rng.gen_range(0..6u64)), step as f64);
+                    pool.start(idx, JobId(rng.gen_range(0..6u64)));
                 } else {
                     let idx = busy[rng.gen_range(0..busy.len())];
                     if rng.gen_range(0..8usize) == 0 {
@@ -294,7 +288,7 @@ mod tests {
     #[test]
     fn crash_cold_resets_a_busy_executor() {
         let mut pool = ExecutorPool::new(2);
-        pool.start(0, JobId(7), 3.0);
+        pool.start(0, JobId(7));
         assert_eq!(pool.busy_count(), 1);
         pool.crash(0);
         assert_eq!(pool.busy_count(), 0);

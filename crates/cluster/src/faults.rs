@@ -190,6 +190,17 @@ impl FaultPlan for PoissonCrashes {
     // time must end generation instead of looping forever.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
     fn schedule(&self, ctx: &FaultContext) -> Result<FaultSchedule, SimError> {
+        // The fields are public, so a struct literal skips `new`'s and
+        // `with_horizon`'s asserts: a mean that is not positive never
+        // advances `t`, and a NaN one, or a NaN or negative horizon, would
+        // silently generate nothing.
+        let mean = self.mean_seconds_between;
+        if !(mean.is_finite() && mean > 0.0) {
+            return invalid_field("PoissonCrashes", "mean_seconds_between", "positive", mean);
+        }
+        if let Some(h) = self.horizon.filter(|h| !(h.is_finite() && *h >= 0.0)) {
+            return invalid_field("PoissonCrashes", "horizon", "non-negative", h);
+        }
         // An open-ended crash process needs a real stopping point.  The
         // engine's default `max_sim_time` is a no-limit sentinel, not a
         // horizon — materialising against it would either generate ~10⁶+
@@ -241,6 +252,14 @@ impl FaultPlan for PoissonCrashes {
     }
 }
 
+/// Reports a plan field that a struct literal set to a value the plan's
+/// constructor refuses.
+fn invalid_field(plan: &str, field: &str, rule: &str, value: f64) -> Result<FaultSchedule, SimError> {
+    Err(SimError::InvalidFault {
+        reason: format!("{plan} {field} must be finite and {rule}, got {value}"),
+    })
+}
+
 /// A windowed whole-member outage: `member` stops dispatching at `start`
 /// and resumes at `end`.
 #[derive(Debug, Clone, Copy)]
@@ -269,6 +288,16 @@ impl RegionOutage {
 
 impl FaultPlan for RegionOutage {
     fn schedule(&self, _ctx: &FaultContext) -> Result<FaultSchedule, SimError> {
+        // The fields are public, so a struct literal skips `new`'s assert:
+        // a NaN bound would panic in `FaultSchedule::new`, and an end at or
+        // before the start would leave the member down for the rest of the
+        // run.
+        if !(self.start.is_finite() && self.start >= 0.0) {
+            return invalid_field("RegionOutage", "start", "non-negative", self.start);
+        }
+        if !(self.end.is_finite() && self.end > self.start) {
+            return invalid_field("RegionOutage", "end", "after its start", self.end);
+        }
         Ok(FaultSchedule::new(vec![
             FaultInjection {
                 time: self.start,

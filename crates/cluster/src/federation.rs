@@ -81,13 +81,14 @@ impl Member {
     }
 
     /// Rejects a member the engine cannot run, naming the field: a
-    /// malformed configuration, or a time scale so large that the carbon
-    /// step, in schedule seconds, no longer advances the clock at the time
-    /// limit.  Such a run would step the carbon clock in place forever
-    /// instead of tripping the limit.  The limit is capped at
+    /// malformed configuration or carbon trace, or a time scale so large
+    /// that the carbon step, in schedule seconds, no longer advances the
+    /// clock at the time limit.  Such a run would step the carbon clock in
+    /// place forever instead of tripping the limit.  The limit is capped at
     /// [`NO_TIME_LIMIT`], because an infinite limit absorbs every step.
     fn check(&self) -> Result<(), String> {
         self.config.check()?;
+        self.carbon.check().map_err(|reason| format!("carbon trace {reason}"))?;
         let step = self.carbon.step / self.config.time_scale;
         let limit = self.config.max_sim_time.min(NO_TIME_LIMIT);
         if limit + step == limit {
@@ -115,9 +116,10 @@ pub struct Federation {
     /// The materialized workload, sorted and validated once by
     /// [`Federation::new`]; every materialized run pulls from a clone.
     workload: MaterializedJobs,
-    /// The transfer model migrations are priced by: fixed per-pair delays
-    /// for pairs that cross no capacitated link, max-min fair-shared flows
-    /// for pairs that do (see [`NetworkTopology`]).  Defaults to
+    /// The transfer model migrations are priced by: a fixed per-GB delay
+    /// for jobs leaving a member without an uplink, max-min fair-shared
+    /// flows over the uplink of a member that has one (see
+    /// [`NetworkTopology`]).  Defaults to
     /// [`NetworkTopology::new`], under which every move is free and
     /// instantaneous.
     network: NetworkTopology,
@@ -187,11 +189,11 @@ impl Federation {
         Federation::new(members, Vec::new())
     }
 
-    /// Prices migrations with a fixed per-pair cost matrix (see
+    /// Prices migrations with a fixed per-GB cost matrix (see
     /// [`TransferMatrix`] for units): shorthand for
     /// [`Federation::with_network`] over
-    /// [`NetworkTopology::from_matrix`], the link-free topology that
-    /// carries the matrix's per-GB latencies and energy figure.  Only
+    /// [`NetworkTopology::from_matrix`], the uplink-free topology that
+    /// carries the matrix's per-GB rate and energy figure.  Only
     /// migrations pay these costs — initial routing at arrival stays free,
     /// because the job's input is assumed to be uploaded to wherever the
     /// router placed it.
@@ -203,10 +205,10 @@ impl Federation {
     }
 
     /// Sets the federation's transfer model to a link-level network:
-    /// transfers over pairs whose [`NetworkTopology::path`] crosses modeled
-    /// links are max-min fair-shared among every transfer in flight, pairs
-    /// that cross none keep their fixed per-pair delay, and transfer carbon
-    /// uses the topology's energy figure.  This and
+    /// transfers leaving a member with a [`NetworkTopology::uplink`] are
+    /// max-min fair-shared with the other transfers over it, transfers
+    /// leaving a member without one keep the fixed per-GB delay, and
+    /// transfer carbon uses the topology's energy figure.  This and
     /// [`Federation::with_transfer_matrix`] set the same transfer model, so
     /// the last call wins.
     ///

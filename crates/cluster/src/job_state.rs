@@ -55,8 +55,6 @@ pub struct ActiveJob {
     pub progress: JobProgress,
     /// Arrival time.
     pub arrival: f64,
-    /// Completion time, set when the last task finishes.
-    pub completion: Option<f64>,
     /// Time the job's *first* task was dispatched (`None` while it is still
     /// queued).  `first_start - arrival` is the job's queueing delay, the
     /// steady-state serving mode's figure of merit.  Set once and carried
@@ -106,7 +104,6 @@ impl ActiveJob {
             dag,
             progress,
             arrival,
-            completion: None,
             first_start: None,
             busy_executors: 0,
             executor_seconds: 0.0,
@@ -127,7 +124,6 @@ impl ActiveJob {
             dag: job.dag,
             progress,
             arrival: job.arrival,
-            completion: None,
             first_start: None,
             busy_executors: 0,
             executor_seconds: 0.0,
@@ -136,11 +132,6 @@ impl ActiveJob {
             attempts: Vec::new(),
             draining: None,
         }
-    }
-
-    /// True once every stage has completed.
-    pub fn is_complete(&self) -> bool {
-        self.completion.is_some()
     }
 
     /// Records one more failure of `(stage, task)` and returns the task's
@@ -230,14 +221,6 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_arrival_rejected() {
         let _ = SubmittedJob::at(-1.0, dag());
-    }
-
-    #[test]
-    fn active_job_lifecycle() {
-        let mut a = ActiveJob::new(JobId(0), Arc::new(dag()), 3.0);
-        assert!(!a.is_complete());
-        a.completion = Some(10.0);
-        assert!(a.is_complete());
     }
 
     #[test]

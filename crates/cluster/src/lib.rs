@@ -80,14 +80,15 @@
 //!   bit for bit) and may move jobs between members — *idle* jobs
 //!   immediately, busy ones via a drain verb that stops their dispatching
 //!   and moves them when the last running task resolves.  One transfer
-//!   model prices a move, the federation's [`NetworkTopology`]: a pair that
-//!   crosses no capacitated link pays a fixed delay (the job spends
-//!   `remaining_gb × seconds_per_gb(from, to) + latency(from, to)` schedule
-//!   seconds in transit on no member, the cross-region analogue of the
-//!   in-cluster executor-move delay; a [`TransferMatrix`] is exactly this
-//!   case and enters as [`NetworkTopology::from_matrix`]), and a pair that
-//!   crosses capacitated links becomes a flow, max-min fair-shared with
-//!   every transfer in flight — concurrent transfers over a congested link
+//!   model prices a move, the federation's [`NetworkTopology`]: member
+//!   uplinks over one per-GB rate.  A job leaving a member without an
+//!   uplink pays a fixed delay (it spends `remaining_gb × seconds_per_gb`
+//!   schedule seconds in transit on no member, the cross-region analogue of
+//!   the in-cluster executor-move delay; a [`TransferMatrix`] is exactly
+//!   this case and enters as [`NetworkTopology::from_matrix`]), and a job
+//!   leaving a member with an uplink becomes a flow over it, max-min
+//!   fair-shared with the other flows leaving that member and capped at
+//!   `1 / seconds_per_gb` — concurrent transfers over a congested uplink
 //!   slow each other down, and the engine recomputes the allocation as a
 //!   deterministic event whenever a flow starts or finishes.  Either way
 //!   the transfer carbon integrates each endpoint's trace over the whole
@@ -167,8 +168,9 @@
 //!   hang off them (bottleneck scores on `JobDag`, the range-min/max bounds
 //!   index on `CarbonTrace`), so mutating a submitted DAG in place is a
 //!   contract violation.
-//! * **Incremental frontier sets.**  `JobProgress` keeps the runnable and
-//!   dispatchable stage sets sorted and up to date in O(children) per
+//! * **Incremental frontier sets.**  `JobProgress` keeps each stage's
+//!   missing-parent count (the O(1) runnable test) and the sorted
+//!   dispatchable stage set up to date in O(children) per stage
 //!   completion; `dispatchable_stages()` returns a borrowed slice and
 //!   `remaining_work` answers in O(stages with fresh pending tasks) from
 //!   the DAG's cached duration suffix sums and a pending-stage bitset.  A task's completion reads no DAG: the stage's packed

@@ -1,24 +1,23 @@
-//! Link-level inter-region network model for federated migrations.
+//! Inter-region network model for federated migrations.
 //!
 //! A [`TransferMatrix`] prices every migration with a fixed per-GB scalar,
 //! so ten simultaneous transfers over the same backbone each move as fast as
 //! one would — placement policies can never observe congestion.  This module
 //! is the federation's one transfer model, with the physical layer the
-//! matrix lacks: a [`NetworkTopology`] describes
-//! capacitated links (per-member uplinks/downlinks plus optional dedicated
-//! pair links), fixed propagation latencies and the network energy per GB;
-//! a [`FlowSet`] tracks the transfer flows currently in flight and shares
-//! each link's bandwidth among them by **max-min fairness**, recomputed as a
+//! matrix lacks: a [`NetworkTopology`] gives some members a capacitated
+//! *uplink* that every transfer leaving the member crosses, on top of one
+//! uncontended per-GB rate and the network energy per GB; a [`FlowSet`]
+//! tracks the transfer flows currently in flight and shares each uplink's
+//! bandwidth among them by **max-min fairness**, recomputed as a
 //! deterministic engine event whenever a flow starts or finishes.
 //!
 //! ## The fluid model
 //!
-//! A migrating job's remaining state is one *flow* from its source member to
-//! its destination.  The flow's route is the (up to three) links configured
-//! for the pair: the source's uplink, the pair's dedicated link, and the
-//! destination's downlink — whichever of those exist.  Between recomputation
-//! points every flow progresses at a constant rate, so the engine only needs
-//! events at flow starts and finishes:
+//! A job migrating away from a member with an uplink is one *flow* over
+//! that uplink, its rate also capped at `1 / seconds_per_gb` when the
+//! per-GB rate is non-zero.  Between recomputation points every flow
+//! progresses at a constant rate, so the engine only needs events at flow
+//! starts and finishes:
 //!
 //! * **start** — settle all flows to `now`, add the new flow, re-solve the
 //!   max-min allocation, and re-schedule the arrival event of every flow
@@ -26,18 +25,19 @@
 //!   stamp, exactly like crashed-task finishes),
 //! * **finish** — settle, remove the completed flow, re-solve, re-schedule.
 //!
-//! A flow whose bytes are fully delivered but whose fixed `latency` tail has
-//! not yet elapsed holds **no** bandwidth: it is excluded from the
-//! allocation and its queued arrival event stays valid.
+//! A flow whose bytes are fully delivered but whose arrival event has not
+//! yet fired holds **no** bandwidth: it is excluded from the allocation and
+//! its queued arrival event stays valid.
 //!
-//! ## How a matrix enters: the degenerate uncontended topology
+//! ## How a matrix enters: the uncontended topology
 //!
+//! A job leaving a member without an uplink crosses no capacitated link and
+//! pays a fixed delay, `gb × seconds_per_gb`, whatever else is in flight.
 //! [`NetworkTopology::from_matrix`] is how a [`TransferMatrix`] enters a
-//! federation: every pair keeps its per-GB latency as an *uncontended*
-//! rate (no capacitated links, so flows never interact) and the engine
-//! prices each such pair at a fixed delay, `gb × seconds_per_gb + latency`
-//! with zero latency.  The default topology, [`NetworkTopology::new`], is
-//! the free matrix's: `from_matrix(&TransferMatrix::zero(n))`.
+//! federation: no member has an uplink, and the matrix's per-GB rate and
+//! energy figure carry over.  The default topology,
+//! [`NetworkTopology::new`], is the free matrix's:
+//! `from_matrix(&TransferMatrix::zero(n))`.
 //!
 //! [`TransferMatrix`]: crate::routing::TransferMatrix
 
@@ -45,76 +45,45 @@ use crate::result::LinkUtilization;
 use crate::routing::TransferMatrix;
 use pcaps_dag::JobId;
 
-/// Remaining gigabytes below which a flow counts as delivered (it enters its
-/// latency tail and stops holding bandwidth).
+/// Remaining gigabytes below which a flow counts as delivered (it stops
+/// holding bandwidth and waits for its queued arrival event).
 const EPS_GB: f64 = 1e-9;
 
 /// One capacitated link of a [`NetworkTopology`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetworkLink {
     /// Human-readable label used in per-link utilization reports
-    /// (`uplink(m)`, `downlink(m)`, `link(a->b)`).
+    /// (`uplink(m)`).
     pub label: String,
     /// The link's capacity in gigabytes per schedule second, shared
     /// max-min-fairly among the flows crossing it.
     pub capacity_gb_per_s: f64,
 }
 
-/// The (at most three) link ids a flow between one member pair crosses.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FlowPath {
-    ids: [usize; 3],
-    len: usize,
-}
-
-impl FlowPath {
-    fn push(&mut self, id: usize) {
-        self.ids[self.len] = id;
-        self.len += 1;
-    }
-
-    /// The link ids, in route order (uplink, pair link, downlink).
-    pub fn as_slice(&self) -> &[usize] {
-        &self.ids[..self.len]
-    }
-
-    /// True if the pair crosses no capacitated link (uncontended).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-/// An inter-region network topology: capacitated links, per-pair
-/// uncontended rates, fixed latencies, and the network energy per GB.
+/// An inter-region network topology: capacitated member uplinks, one
+/// uncontended per-GB rate, and the network energy per GB.
 ///
 /// Built like the [`TransferMatrix`] it generalises — a chain of `with_*`
 /// calls, each validating its arguments with the same panic discipline
-/// (diagonal pairs rejected, indices range-checked, magnitudes finite).
+/// (indices range-checked, magnitudes finite).
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetworkTopology {
     n: usize,
     links: Vec<NetworkLink>,
     /// Per-member shared egress link (all flows leaving the member).
     uplink: Vec<Option<usize>>,
-    /// Per-member shared ingress link (all flows entering the member).
-    downlink: Vec<Option<usize>>,
-    /// Per-pair dedicated link, row-major `n × n`.
-    pair_link: Vec<Option<usize>>,
-    /// Per-pair *uncontended* per-GB latency (schedule seconds per GB,
-    /// 0 = free), row-major.  This is the `TransferMatrix` scalar carried
-    /// over: for pairs with no capacitated link it prices the transfer
-    /// exactly like the matrix did; for pairs with links it caps the flow's
-    /// rate at `1 / seconds_per_gb` on top of the fair shares.
-    seconds_per_gb: Vec<f64>,
-    /// Per-pair fixed propagation latency (schedule seconds), row-major.
-    /// Charged once per transfer, after the last byte.
-    latency: Vec<f64>,
+    /// The *uncontended* per-GB rate (schedule seconds per GB, 0 = free)
+    /// of every off-diagonal pair.  This is the `TransferMatrix` scalar
+    /// carried over: a transfer from a member without an uplink is priced
+    /// exactly like the matrix did; a flow over an uplink has its rate
+    /// capped at `1 / seconds_per_gb` on top of its fair share.
+    seconds_per_gb: f64,
     energy_kwh_per_gb: f64,
 }
 
 impl NetworkTopology {
-    /// A free topology over `members` regions: no links, zero per-pair
-    /// latency, zero energy — every transfer is instantaneous.
+    /// A free topology over `members` regions: no links, zero per-GB rate,
+    /// zero energy — every transfer is instantaneous.
     ///
     /// # Panics
     /// Panics if `members` is zero.
@@ -124,40 +93,20 @@ impl NetworkTopology {
             n: members,
             links: Vec::new(),
             uplink: vec![None; members],
-            downlink: vec![None; members],
-            pair_link: vec![None; members * members],
-            seconds_per_gb: vec![0.0; members * members],
-            latency: vec![0.0; members * members],
+            seconds_per_gb: 0.0,
             energy_kwh_per_gb: 0.0,
         }
     }
 
-    /// The degenerate uncontended topology equivalent to `matrix`: every
-    /// pair keeps its per-GB latency and the energy scalar carries over; no
-    /// capacitated links exist, so concurrent flows never interact and the
-    /// engine prices every pair at its fixed `gb × seconds_per_gb` delay.
+    /// The uncontended topology equivalent to `matrix`: its per-GB rate
+    /// and energy scalar carry over; no member has an uplink, so concurrent
+    /// flows never interact and the engine prices every pair at its fixed
+    /// `gb × seconds_per_gb` delay.
     pub fn from_matrix(matrix: &TransferMatrix) -> Self {
-        let n = matrix.num_members();
-        let mut topo = NetworkTopology::new(n);
-        for from in 0..n {
-            for to in 0..n {
-                topo.seconds_per_gb[from * n + to] = matrix.seconds_per_gb(from, to);
-            }
-        }
+        let mut topo = NetworkTopology::new(matrix.num_members());
+        topo.seconds_per_gb = matrix.seconds_per_gb;
         topo.energy_kwh_per_gb = matrix.energy_kwh_per_gb();
         topo
-    }
-
-    fn check_capacity(gb_per_s: f64) {
-        assert!(
-            gb_per_s > 0.0 && gb_per_s.is_finite(),
-            "link capacity must be positive and finite"
-        );
-    }
-
-    fn check_pair(&self, from: usize, to: usize) {
-        assert!(from != to, "the diagonal of a network topology is always free");
-        assert!(from < self.n && to < self.n, "pair ({from}, {to}) out of range");
     }
 
     /// Gives member `member` a shared egress link: every flow leaving the
@@ -168,7 +117,10 @@ impl NetworkTopology {
     /// and finite.
     pub fn with_uplink(mut self, member: usize, gb_per_s: f64) -> Self {
         assert!(member < self.n, "member {member} out of range");
-        Self::check_capacity(gb_per_s);
+        assert!(
+            gb_per_s > 0.0 && gb_per_s.is_finite(),
+            "link capacity must be positive and finite"
+        );
         match self.uplink[member] {
             Some(id) => self.links[id].capacity_gb_per_s = gb_per_s,
             None => {
@@ -179,85 +131,6 @@ impl NetworkTopology {
                 self.uplink[member] = Some(self.links.len() - 1);
             }
         }
-        self
-    }
-
-    /// Gives member `member` a shared ingress link: every flow entering the
-    /// member crosses it.  Replaces any previous downlink capacity.
-    ///
-    /// # Panics
-    /// Panics if `member` is out of range or the capacity is not positive
-    /// and finite.
-    pub fn with_downlink(mut self, member: usize, gb_per_s: f64) -> Self {
-        assert!(member < self.n, "member {member} out of range");
-        Self::check_capacity(gb_per_s);
-        match self.downlink[member] {
-            Some(id) => self.links[id].capacity_gb_per_s = gb_per_s,
-            None => {
-                self.links.push(NetworkLink {
-                    label: format!("downlink({member})"),
-                    capacity_gb_per_s: gb_per_s,
-                });
-                self.downlink[member] = Some(self.links.len() - 1);
-            }
-        }
-        self
-    }
-
-    /// Gives the directed pair `from → to` a dedicated capacitated link.
-    /// Replaces any previous dedicated capacity for the pair.
-    ///
-    /// # Panics
-    /// Panics if `from == to` (the diagonal is definitionally free — the
-    /// same guard [`TransferMatrix::with_link`] applies), either index is
-    /// out of range, or the capacity is not positive and finite.
-    pub fn with_link(mut self, from: usize, to: usize, gb_per_s: f64) -> Self {
-        self.check_pair(from, to);
-        Self::check_capacity(gb_per_s);
-        match self.pair_link[from * self.n + to] {
-            Some(id) => self.links[id].capacity_gb_per_s = gb_per_s,
-            None => {
-                self.links.push(NetworkLink {
-                    label: format!("link({from}->{to})"),
-                    capacity_gb_per_s: gb_per_s,
-                });
-                self.pair_link[from * self.n + to] = Some(self.links.len() - 1);
-            }
-        }
-        self
-    }
-
-    /// Sets the pair's uncontended per-GB latency (the [`TransferMatrix`]
-    /// scalar): an upper bound of `1 / seconds_per_gb` GB/s on the pair's
-    /// flow rate, and the exact matrix pricing when the pair crosses no
-    /// capacitated link.
-    ///
-    /// # Panics
-    /// Panics if `from == to`, either index is out of range, or the latency
-    /// is negative or not finite.
-    pub fn with_seconds_per_gb(mut self, from: usize, to: usize, seconds_per_gb: f64) -> Self {
-        self.check_pair(from, to);
-        assert!(
-            seconds_per_gb >= 0.0 && seconds_per_gb.is_finite(),
-            "per-GB transfer latency must be non-negative and finite"
-        );
-        self.seconds_per_gb[from * self.n + to] = seconds_per_gb;
-        self
-    }
-
-    /// Sets the pair's fixed propagation latency (schedule seconds),
-    /// charged once per transfer after the last byte is delivered.
-    ///
-    /// # Panics
-    /// Panics if `from == to`, either index is out of range, or the latency
-    /// is negative or not finite.
-    pub fn with_latency(mut self, from: usize, to: usize, seconds: f64) -> Self {
-        self.check_pair(from, to);
-        assert!(
-            seconds >= 0.0 && seconds.is_finite(),
-            "propagation latency must be non-negative and finite"
-        );
-        self.latency[from * self.n + to] = seconds;
         self
     }
 
@@ -289,29 +162,20 @@ impl NetworkTopology {
         &self.links
     }
 
-    /// The link ids a `from → to` flow crosses (empty = uncontended pair).
-    pub fn path(&self, from: usize, to: usize) -> FlowPath {
-        let mut p = FlowPath::default();
-        if let Some(id) = self.uplink[from] {
-            p.push(id);
-        }
-        if let Some(id) = self.pair_link[from * self.n + to] {
-            p.push(id);
-        }
-        if let Some(id) = self.downlink[to] {
-            p.push(id);
-        }
-        p
+    /// The link id of `member`'s uplink, which every flow leaving the
+    /// member crosses (`None` = transfers from it are uncontended).
+    pub fn uplink(&self, member: usize) -> Option<usize> {
+        self.uplink[member]
     }
 
-    /// The pair's uncontended per-GB latency (schedule seconds per GB).
+    /// The pair's uncontended per-GB rate (schedule seconds per GB): the
+    /// topology's one rate off the diagonal, 0 on it.
     pub fn seconds_per_gb(&self, from: usize, to: usize) -> f64 {
-        self.seconds_per_gb[from * self.n + to]
-    }
-
-    /// The pair's fixed propagation latency (schedule seconds).
-    pub fn latency(&self, from: usize, to: usize) -> f64 {
-        self.latency[from * self.n + to]
+        if from == to {
+            0.0
+        } else {
+            self.seconds_per_gb
+        }
     }
 
     /// Network energy per GB moved (kWh/GB).
@@ -320,7 +184,7 @@ impl NetworkTopology {
     }
 
     /// The pair's per-flow rate cap: `1 / seconds_per_gb` GB/s, infinite
-    /// when the pair's uncontended latency is zero.
+    /// when the pair's uncontended rate is zero.
     fn flow_cap(&self, from: usize, to: usize) -> f64 {
         let spg = self.seconds_per_gb(from, to);
         if spg > 0.0 {
@@ -332,7 +196,7 @@ impl NetworkTopology {
 
     /// Max-min fair rate allocation for a set of concurrent flows given as
     /// `(from, to)` pairs.  Progressive filling: every unfrozen flow's rate
-    /// grows at the same pace until a link saturates or a flow hits its
+    /// grows at the same pace until an uplink saturates or a flow hits its
     /// per-pair cap, at which point the binding flows freeze and the rest
     /// keep filling.  A flow with no finite constraint gets
     /// `f64::INFINITY` (its transfer is instantaneous).
@@ -345,7 +209,7 @@ impl NetworkTopology {
         if nf == 0 {
             return rates;
         }
-        let paths: Vec<FlowPath> = flows.iter().map(|&(f, t)| self.path(f, t)).collect();
+        let routes: Vec<Option<usize>> = flows.iter().map(|&(f, _)| self.uplink(f)).collect();
         let caps: Vec<f64> = flows.iter().map(|&(f, t)| self.flow_cap(f, t)).collect();
         let mut remaining: Vec<f64> =
             self.links.iter().map(|l| l.capacity_gb_per_s).collect();
@@ -358,7 +222,7 @@ impl NetworkTopology {
             }
             for f in 0..nf {
                 if !frozen[f] {
-                    for &l in paths[f].as_slice() {
+                    if let Some(l) = routes[f] {
                         counts[l] += 1;
                     }
                 }
@@ -386,7 +250,7 @@ impl NetworkTopology {
             for f in 0..nf {
                 if !frozen[f] {
                     rates[f] += delta;
-                    for &l in paths[f].as_slice() {
+                    if let Some(l) = routes[f] {
                         remaining[l] -= delta;
                     }
                 }
@@ -401,7 +265,7 @@ impl NetworkTopology {
                 }
                 let capped =
                     caps[f].is_finite() && caps[f] - rates[f] <= caps[f] * 1e-12;
-                let saturated = paths[f].as_slice().iter().any(|&l| {
+                let saturated = routes[f].is_some_and(|l| {
                     remaining[l] <= self.links[l].capacity_gb_per_s * 1e-12
                 });
                 if capped || saturated {
@@ -429,10 +293,10 @@ pub struct TransferFlow {
     /// Destination member.
     pub to: usize,
     /// Gigabytes still to deliver.  At or below 1e-9 GB (`EPS_GB`) the flow
-    /// is in its latency tail: delivered, holding no bandwidth, waiting for
-    /// its queued arrival event.
+    /// is delivered: it holds no bandwidth and waits for its queued arrival
+    /// event.
     pub remaining_gb: f64,
-    /// Current allocated rate (GB per schedule second); 0 in the tail.
+    /// Current allocated rate (GB per schedule second); 0 once delivered.
     pub rate: f64,
     /// Arrival-event validity stamp: a queued `FlowArrival` whose epoch
     /// differs from the flow's current one is stale and dropped, exactly
@@ -507,7 +371,8 @@ impl FlowSet {
         self.link_gb.len()
     }
 
-    /// Flows currently in flight (including latency tails).
+    /// Flows currently in flight (including delivered ones whose arrival
+    /// event has not fired yet).
     pub fn len(&self) -> usize {
         self.flows.len()
     }
@@ -534,9 +399,10 @@ impl FlowSet {
         // Busy time first, against the pre-settle rates: a link is busy for
         // the whole inter-event interval if any flow was crossing it.
         for (l, busy) in self.link_busy.iter_mut().enumerate() {
-            let active = self.flows.iter().any(|f| {
-                f.rate > 0.0 && topology.path(f.from, f.to).as_slice().contains(&l)
-            });
+            let active = self
+                .flows
+                .iter()
+                .any(|f| f.rate > 0.0 && topology.uplink(f.from) == Some(l));
             if active {
                 *busy += dt;
             }
@@ -550,7 +416,7 @@ impl FlowSet {
             if f.remaining_gb < EPS_GB {
                 f.remaining_gb = 0.0;
             }
-            for &l in topology.path(f.from, f.to).as_slice() {
+            if let Some(l) = topology.uplink(f.from) {
                 self.link_gb[l] += delivered;
             }
         }
@@ -585,7 +451,7 @@ impl FlowSet {
             .position(|f| f.job == job && f.epoch == epoch)?;
         let mut flow = self.flows.remove(idx);
         if flow.remaining_gb > 0.0 {
-            for &l in topology.path(flow.from, flow.to).as_slice() {
+            if let Some(l) = topology.uplink(flow.from) {
                 self.link_gb[l] += flow.remaining_gb;
             }
             flow.remaining_gb = 0.0;
@@ -595,9 +461,9 @@ impl FlowSet {
 
     /// Re-solves the max-min allocation over the still-delivering flows and
     /// appends a [`FlowArrivalPlan`] to `plans` for every flow whose rate
-    /// changed (plus every brand-new flow).  Flows in their latency tail
-    /// keep their queued event; flows whose allocation is unconstrained
-    /// deliver instantly and enter the tail at once.
+    /// changed (plus every brand-new flow).  Delivered flows keep their
+    /// queued event.  Every flow crosses its source's uplink, whose finite
+    /// capacity bounds its rate.
     ///
     /// Must be called with the set already settled to `now`.
     pub fn reallocate(
@@ -615,32 +481,16 @@ impl FlowSet {
                 pairs.push((f.from, f.to));
                 active.push(i);
             } else {
-                // Latency tail: delivered, holds no bandwidth, queued
-                // arrival event stays valid.
+                // Delivered: holds no bandwidth, its queued arrival event
+                // stays valid.
                 f.rate = 0.0;
             }
         }
         let rates = topology.fair_share_rates(&pairs);
         for (&i, rate) in active.iter().zip(rates) {
             let f = &mut self.flows[i];
-            if rate.is_infinite() {
-                // Unconstrained: the transfer is instantaneous.  Deliver
-                // now and wait out the propagation tail only.
-                for &l in topology.path(f.from, f.to).as_slice() {
-                    self.link_gb[l] += f.remaining_gb;
-                }
-                f.remaining_gb = 0.0;
-                f.rate = 0.0;
-                f.epoch = self.next_epoch;
-                self.next_epoch += 1;
-                plans.push(FlowArrivalPlan {
-                    job: f.job,
-                    to: f.to,
-                    epoch: f.epoch,
-                    at: now + topology.latency(f.from, f.to),
-                    record: f.record,
-                });
-            } else if rate != f.rate {
+            debug_assert!(rate.is_finite(), "a flow must cross its source's uplink");
+            if rate != f.rate {
                 f.rate = rate;
                 f.epoch = self.next_epoch;
                 self.next_epoch += 1;
@@ -648,7 +498,7 @@ impl FlowSet {
                     job: f.job,
                     to: f.to,
                     epoch: f.epoch,
-                    at: now + f.remaining_gb / rate + topology.latency(f.from, f.to),
+                    at: now + f.remaining_gb / rate,
                     record: f.record,
                 });
             }
@@ -669,10 +519,9 @@ impl FlowSet {
         to: usize,
         gb: f64,
     ) -> f64 {
-        let latency = topology.latency(from, to);
-        if topology.path(from, to).is_empty() {
+        if topology.uplink(from).is_none() {
             // Uncontended pair: the exact matrix arithmetic.
-            return gb * topology.seconds_per_gb(from, to) + latency;
+            return gb * topology.seconds_per_gb(from, to);
         }
         let mut pairs: Vec<(usize, usize)> = self
             .flows
@@ -682,12 +531,7 @@ impl FlowSet {
             .collect();
         pairs.push((from, to));
         let rates = topology.fair_share_rates(&pairs);
-        let rate = rates[pairs.len() - 1];
-        if rate.is_infinite() {
-            latency
-        } else {
-            gb / rate + latency
-        }
+        gb / rates[pairs.len() - 1]
     }
 
     /// Per-link traffic report: gigabytes carried, busy seconds, and the
@@ -724,56 +568,27 @@ mod tests {
 
     #[test]
     fn from_matrix_is_uncontended_and_carries_scalars() {
-        let m = TransferMatrix::uniform(3, 2.5)
-            .with_link(0, 1, 9.0)
-            .with_energy_per_gb(0.05);
+        let m = TransferMatrix::uniform(3, 2.5).with_energy_per_gb(0.05);
         let t = NetworkTopology::from_matrix(&m);
         assert_eq!(t.num_members(), 3);
         assert_eq!(t.num_links(), 0);
-        assert!(t.path(0, 1).is_empty());
-        assert_eq!(t.seconds_per_gb(0, 1), 9.0);
+        assert!((0..3).all(|member| t.uplink(member).is_none()));
+        assert_eq!(t.seconds_per_gb(0, 1), 2.5);
         assert_eq!(t.seconds_per_gb(1, 0), 2.5);
         assert_eq!(t.seconds_per_gb(1, 1), 0.0);
         assert_eq!(t.energy_kwh_per_gb(), 0.05);
     }
 
     #[test]
-    fn paths_compose_uplink_pair_downlink() {
-        let t = NetworkTopology::new(3)
-            .with_uplink(0, 1.0)
-            .with_link(0, 2, 0.5)
-            .with_downlink(2, 2.0);
-        assert_eq!(t.num_links(), 3);
-        assert_eq!(t.path(0, 2).as_slice(), &[0, 1, 2]);
-        assert_eq!(t.path(0, 1).as_slice(), &[0], "only the uplink applies");
-        assert!(t.path(1, 0).is_empty());
-        assert_eq!(t.links()[0].label, "uplink(0)");
-        assert_eq!(t.links()[1].label, "link(0->2)");
-        assert_eq!(t.links()[2].label, "downlink(2)");
-    }
-
-    #[test]
-    #[should_panic(expected = "diagonal")]
-    fn rejects_diagonal_link() {
-        let _ = NetworkTopology::new(2).with_link(1, 1, 5.0);
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn rejects_out_of_range_link() {
-        let _ = NetworkTopology::new(2).with_link(0, 2, 5.0);
+        let _ = NetworkTopology::new(2).with_uplink(2, 5.0);
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn rejects_zero_capacity() {
         let _ = NetworkTopology::new(2).with_uplink(0, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn rejects_negative_latency() {
-        let _ = NetworkTopology::new(2).with_latency(0, 1, -1.0);
     }
 
     #[test]
@@ -786,29 +601,30 @@ mod tests {
 
     #[test]
     fn fair_share_textbook_max_min() {
-        // Flow A crosses only L1 (cap 10); B crosses L1 and L2 (cap 4);
-        // C crosses only L2.  Max-min: B and C bottleneck on L2 at 2 each,
-        // A soaks up L1's remainder: 8.
-        let t = NetworkTopology::new(4)
-            .with_uplink(0, 10.0) // L1: flows leaving member 0
-            .with_downlink(3, 4.0); // L2: flows entering member 3
-        let rates = t.fair_share_rates(&[(0, 1), (0, 3), (2, 3)]);
-        assert!((rates[0] - 8.0).abs() < 1e-9, "A = {}", rates[0]);
+        // Flow A alone on L1 (member 0's uplink, cap 10); B and C share L2
+        // (member 2's uplink, cap 4); the per-GB rate caps every flow at
+        // 3 GB/s.  Max-min: all rise to 2, where L2 saturates and freezes
+        // B and C; A keeps filling until its cap stops it at 3.
+        let t = NetworkTopology::from_matrix(&TransferMatrix::uniform(4, 1.0 / 3.0))
+            .with_uplink(0, 10.0)
+            .with_uplink(2, 4.0);
+        let rates = t.fair_share_rates(&[(0, 1), (2, 3), (2, 1)]);
+        assert!((rates[0] - 3.0).abs() < 1e-9, "A = {}", rates[0]);
         assert!((rates[1] - 2.0).abs() < 1e-9, "B = {}", rates[1]);
         assert!((rates[2] - 2.0).abs() < 1e-9, "C = {}", rates[2]);
     }
 
     #[test]
     fn fair_share_respects_the_pair_cap() {
-        // Two flows over a 10 GB/s link, one capped at 1 GB/s by its
-        // uncontended latency: the capped flow freezes at 1 and the other
-        // takes the rest.
-        let t = NetworkTopology::new(3)
-            .with_uplink(0, 10.0)
-            .with_seconds_per_gb(0, 1, 1.0);
-        let rates = t.fair_share_rates(&[(0, 1), (0, 2)]);
-        assert!((rates[0] - 1.0).abs() < 1e-9);
-        assert!((rates[1] - 9.0).abs() < 1e-9);
+        // A 1.5 GB/s uplink under a per-GB rate of 1 s/GB: one flow alone
+        // stops at the 1 GB/s cap; two flows share the uplink instead.
+        let t = NetworkTopology::from_matrix(&TransferMatrix::uniform(3, 1.0))
+            .with_uplink(0, 1.5);
+        let alone = t.fair_share_rates(&[(0, 1)]);
+        assert!((alone[0] - 1.0).abs() < 1e-9);
+        let shared = t.fair_share_rates(&[(0, 1), (0, 2)]);
+        assert!((shared[0] - 0.75).abs() < 1e-9);
+        assert!((shared[1] - 0.75).abs() < 1e-9);
     }
 
     #[test]
@@ -865,34 +681,6 @@ mod tests {
     }
 
     #[test]
-    fn latency_tail_holds_no_bandwidth() {
-        let t = NetworkTopology::new(3)
-            .with_uplink(0, 1.0)
-            .with_latency(0, 1, 100.0);
-        let mut fs = FlowSet::new(&t);
-        let mut plans = Vec::new();
-        fs.settle(&t, 0.0);
-        fs.begin(JobId(0), 0, 1, 1.0, 0);
-        fs.reallocate(&t, 0.0, &mut plans);
-        assert!((plans[0].at - 101.0).abs() < 1e-12);
-        let tail_epoch = plans[0].epoch;
-        plans.clear();
-        // Bytes done at t=1; at t=2 the flow is in its tail.  A new flow
-        // gets the whole link and the tail flow is not rescheduled.
-        fs.settle(&t, 2.0);
-        fs.begin(JobId(1), 0, 2, 5.0, 1);
-        fs.reallocate(&t, 2.0, &mut plans);
-        assert_eq!(plans.len(), 1, "only the new flow is (re)scheduled");
-        assert_eq!(plans[0].job, JobId(1));
-        assert!((plans[0].at - 7.0).abs() < 1e-12, "full 1 GB/s for the new flow");
-        assert_eq!(
-            fs.flows()[0].epoch,
-            tail_epoch,
-            "the tail flow's queued arrival stays valid"
-        );
-    }
-
-    #[test]
     fn estimate_matches_the_share_a_new_flow_would_get() {
         let t = NetworkTopology::new(3).with_uplink(0, 2.0);
         let mut fs = FlowSet::new(&t);
@@ -903,8 +691,9 @@ mod tests {
         fs.reallocate(&t, 0.0, &mut plans);
         // With one flow in flight a newcomer would get 1 GB/s.
         assert!((fs.estimate_seconds(&t, 0, 2, 10.0) - 10.0).abs() < 1e-12);
-        // Uncontended pairs price exactly like the matrix.
-        let free = NetworkTopology::new(2).with_seconds_per_gb(0, 1, 3.0);
+        // Transfers from a member without an uplink price exactly like the
+        // matrix.
+        let free = NetworkTopology::from_matrix(&TransferMatrix::uniform(2, 3.0));
         let fs2 = FlowSet::new(&free);
         assert_eq!(fs2.estimate_seconds(&free, 0, 1, 4.0), 12.0);
     }

@@ -134,7 +134,7 @@ pub struct MigrationRecord {
 /// report an empty link table.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LinkUtilization {
-    /// The link's label (`uplink(m)`, `downlink(m)`, `link(a->b)`).
+    /// The link's label (`uplink(m)`).
     pub label: String,
     /// Configured capacity (GB per schedule second).
     pub capacity_gb_per_s: f64,

@@ -22,15 +22,15 @@
 //! runs nowhere.  One model prices that crossing, the federation's
 //! [`NetworkTopology`] (see the `network` module):
 //!
-//! * a pair that crosses no capacitated link pays a **fixed** delay,
-//!   `remaining_gb × seconds_per_gb(from, to) + latency(from, to)` schedule
-//!   seconds (the cross-region analogue of the in-cluster
+//! * a job leaving a member without an uplink pays a **fixed** delay,
+//!   `remaining_gb × seconds_per_gb(from, to)` schedule seconds (the
+//!   cross-region analogue of the in-cluster
 //!   [`ClusterConfig::executor_move_delay`]), independent of how many other
 //!   transfers are in flight.  A [`TransferMatrix`] describes exactly this
 //!   case and enters a federation as [`NetworkTopology::from_matrix`];
-//! * a pair that crosses capacitated links becomes a *flow* that shares
-//!   every link's bandwidth **max-min fairly** with the concurrent flows, so
-//!   the delay of a transfer depends on the contention it meets.
+//! * a job leaving a member with an uplink becomes a *flow* that shares the
+//!   uplink's bandwidth **max-min fairly** with the other flows leaving that
+//!   member, so the delay of a transfer depends on the contention it meets.
 //!
 //! The transfer's **carbon** is priced against both endpoint grids, half
 //! each: the energy `remaining_gb × energy_kwh_per_gb` is charged at
@@ -189,13 +189,13 @@ impl Router for StaticRouter {
     }
 }
 
-/// Pairwise cross-region transfer costs: a builder for the link-free
+/// Cross-region transfer costs: a builder for the link-free
 /// [`NetworkTopology`] that [`NetworkTopology::from_matrix`] (and so
 /// [`Federation::with_transfer_matrix`]) turns it into.
 ///
-/// The matrix prices the link from every member to every other member in
-/// **schedule seconds per gigabyte** — the time a migrating job spends in
-/// transit per GB of remaining state — plus one scalar
+/// The matrix prices the link from every member to every other member at
+/// one rate in **schedule seconds per gigabyte** — the time a migrating job
+/// spends in transit per GB of remaining state — plus one scalar
 /// [`energy_kwh_per_gb`] used to attribute carbon to the movement itself.
 /// The diagonal is always zero (a job is never "transferred" to the member
 /// it is already on; same-member migrations are no-ops).
@@ -204,7 +204,7 @@ impl Router for StaticRouter {
 ///
 /// * `seconds_per_gb(from, to)` — schedule seconds per GB.  At the paper's
 ///   60× time scale, 1 schedule second is 1 carbon minute, so a per-GB
-///   latency of 2.0 means a 10 GB job spends 20 carbon-minutes on the wire.
+///   rate of 2.0 means a 10 GB job spends 20 carbon-minutes on the wire.
 /// * `energy_kwh_per_gb` — kWh drawn by the network path per GB moved;
 ///   a migration is charged `gb × energy × ½(c̄_from + c̄_to)` grams, each
 ///   `c̄` the endpoint's mean intensity over the transfer interval.
@@ -213,8 +213,8 @@ impl Router for StaticRouter {
 /// [`Federation::with_transfer_matrix`]: crate::federation::Federation::with_transfer_matrix
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransferMatrix {
-    /// Row-major `n × n` per-GB latencies (schedule seconds per GB).
-    seconds_per_gb: Vec<f64>,
+    /// Per-GB rate (schedule seconds per GB) of every off-diagonal pair.
+    pub(crate) seconds_per_gb: f64,
     /// Energy drawn by the network per GB moved (kWh/GB).
     energy_kwh_per_gb: f64,
     n: usize,
@@ -227,49 +227,22 @@ impl TransferMatrix {
     ///
     /// [`Federation::new`]: crate::federation::Federation::new
     pub fn zero(members: usize) -> Self {
-        assert!(members > 0, "transfer matrix needs at least one member");
-        TransferMatrix {
-            seconds_per_gb: vec![0.0; members * members],
-            energy_kwh_per_gb: 0.0,
-            n: members,
-        }
+        TransferMatrix::uniform(members, 0.0)
     }
 
     /// A uniform matrix: every off-diagonal link costs `seconds_per_gb`
     /// schedule seconds per GB (the diagonal stays zero).
     ///
     /// # Panics
-    /// Panics if `seconds_per_gb` is negative or not finite.
+    /// Panics if `members` is zero or `seconds_per_gb` is negative or not
+    /// finite.
     pub fn uniform(members: usize, seconds_per_gb: f64) -> Self {
+        assert!(members > 0, "transfer matrix needs at least one member");
         assert!(
             seconds_per_gb >= 0.0 && seconds_per_gb.is_finite(),
-            "per-GB transfer latency must be non-negative and finite"
+            "per-GB transfer rate must be non-negative and finite"
         );
-        let mut m = TransferMatrix::zero(members);
-        for from in 0..members {
-            for to in 0..members {
-                if from != to {
-                    m.seconds_per_gb[from * members + to] = seconds_per_gb;
-                }
-            }
-        }
-        m
-    }
-
-    /// Overrides one directed link's per-GB latency.
-    ///
-    /// # Panics
-    /// Panics if `from == to` (the diagonal is definitionally zero), either
-    /// index is out of range, or the latency is negative/not finite.
-    pub fn with_link(mut self, from: usize, to: usize, seconds_per_gb: f64) -> Self {
-        assert!(from != to, "the diagonal of a transfer matrix is always zero");
-        assert!(from < self.n && to < self.n, "link ({from}, {to}) out of range");
-        assert!(
-            seconds_per_gb >= 0.0 && seconds_per_gb.is_finite(),
-            "per-GB transfer latency must be non-negative and finite"
-        );
-        self.seconds_per_gb[from * self.n + to] = seconds_per_gb;
-        self
+        TransferMatrix { seconds_per_gb, energy_kwh_per_gb: 0.0, n: members }
     }
 
     /// Sets the network energy per GB moved (kWh/GB).
@@ -290,9 +263,14 @@ impl TransferMatrix {
         self.n
     }
 
-    /// Per-GB latency (schedule seconds) of the directed link `from → to`.
+    /// Per-GB rate (schedule seconds) of the directed link `from → to`:
+    /// the matrix's one rate off the diagonal, 0 on it.
     pub fn seconds_per_gb(&self, from: usize, to: usize) -> f64 {
-        self.seconds_per_gb[from * self.n + to]
+        if from == to {
+            0.0
+        } else {
+            self.seconds_per_gb
+        }
     }
 
     /// Network energy per GB moved (kWh/GB).
@@ -381,10 +359,10 @@ impl<'a> MigrationContext<'a> {
     }
 
     /// Estimated transfer delay (schedule seconds) of moving `gb` gigabytes
-    /// `from → to` *right now*: the pair's fixed delay when it crosses no
-    /// capacitated link, otherwise the max-min share a new flow would get
-    /// against the transfers currently in flight, held constant (a lower
-    /// bound on interference — rates can drop further if more flows start).
+    /// `from → to` *right now*: the pair's fixed delay when `from` has no
+    /// uplink, otherwise the max-min share a new flow would get against the
+    /// transfers currently in flight, held constant (a lower bound on
+    /// interference — rates can drop further if more flows start).
     pub fn estimated_transfer_seconds(&self, from: usize, to: usize, gb: f64) -> f64 {
         self.flows.estimate_seconds(self.network, from, to, gb)
     }
@@ -594,19 +572,6 @@ mod tests {
             }
         }
         assert_eq!(u.energy_kwh_per_gb(), 0.05);
-    }
-
-    #[test]
-    fn transfer_matrix_link_override() {
-        let m = TransferMatrix::uniform(2, 1.0).with_link(0, 1, 9.0);
-        assert_eq!(m.seconds_per_gb(0, 1), 9.0);
-        assert_eq!(m.seconds_per_gb(1, 0), 1.0, "links are directed");
-    }
-
-    #[test]
-    #[should_panic(expected = "diagonal")]
-    fn transfer_matrix_rejects_diagonal_link() {
-        let _ = TransferMatrix::zero(2).with_link(1, 1, 5.0);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! The full set of paper baselines (Spark/Kubernetes default, Weighted Fair,
 //! the Decima-like probabilistic scheduler, GreenHadoop) lives in the
-//! `pcaps-schedulers` crate; this module only provides the two trivial
-//! policies the engine's own tests and doctests need, so the simulator crate
-//! stays self-contained.
+//! `pcaps-schedulers` crate; this module only provides the trivial policy
+//! the engine's own tests and doctests need, so the simulator crate stays
+//! self-contained.
 
 use crate::scheduler_api::{DecisionSink, SchedEvent, Scheduler, SchedulingContext};
 
@@ -53,46 +53,6 @@ impl Scheduler for SimpleFifo {
     }
 }
 
-/// Round-robin scheduler: cycles over jobs, giving one task at a time.  Not a
-/// paper baseline, but useful as a structurally different policy in tests.
-#[derive(Debug, Default, Clone)]
-pub struct RoundRobin {
-    cursor: usize,
-}
-
-impl RoundRobin {
-    /// Creates the scheduler.
-    pub fn new() -> Self {
-        RoundRobin { cursor: 0 }
-    }
-}
-
-impl Scheduler for RoundRobin {
-    fn name(&self) -> &str {
-        "round-robin"
-    }
-
-    fn on_event(
-        &mut self,
-        _event: SchedEvent<'_>,
-        ctx: &SchedulingContext<'_>,
-        out: &mut DecisionSink,
-    ) {
-        if ctx.queue_length() == 0 || ctx.free_executors == 0 {
-            return;
-        }
-        let n = ctx.queue_length();
-        for offset in 0..n {
-            let job = ctx.job_at((self.cursor + offset) % n);
-            if let Some(stage) = job.dispatchable_stages().first().copied() {
-                self.cursor = (self.cursor + offset + 1) % n;
-                out.dispatch(job.id, stage, 1);
-                return;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,21 +92,7 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_interleaves() {
-        let result = run(&mut RoundRobin::new(), 4);
-        assert!(result.all_jobs_complete());
-        // Round robin alternates between the jobs once executors start
-        // freeing, so the large job a finishes later than it does under FIFO
-        // while b is not starved.
-        let fifo = run(&mut SimpleFifo::new(), 4);
-        assert!(result.jobs[0].completion > fifo.jobs[0].completion);
-        assert!((result.jobs[0].completion - 30.0).abs() < 1e-9);
-        assert!((result.jobs[1].completion - 30.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn names() {
         assert_eq!(SimpleFifo::new().name(), "simple-fifo");
-        assert_eq!(RoundRobin::new().name(), "round-robin");
     }
 }

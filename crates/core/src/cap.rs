@@ -11,31 +11,19 @@ pub struct CapConfig {
     /// up to `B` machines regardless of carbon, which guarantees continuous
     /// progress (§4.2).  Smaller `B` is more carbon-aware.
     pub minimum_quota: usize,
-    /// Whether to also rescale the wrapped scheduler's per-stage parallelism
-    /// by `r(t)/K` (§5.1).  Enabled by default.
-    pub scale_parallelism: bool,
 }
 
 impl CapConfig {
     /// CAP with an explicit minimum quota.
     pub fn with_minimum_quota(minimum_quota: usize) -> Self {
         assert!(minimum_quota >= 1, "minimum quota B must be at least 1");
-        CapConfig {
-            minimum_quota,
-            scale_parallelism: true,
-        }
+        CapConfig { minimum_quota }
     }
 
     /// The paper's "moderately carbon-aware" configuration on the 100-node
     /// cluster: B = 20 (Tables 2 and 3).
     pub fn moderate() -> Self {
         CapConfig::with_minimum_quota(20)
-    }
-
-    /// Disables the parallelism rescaling of §5.1.
-    pub fn without_parallelism_scaling(mut self) -> Self {
-        self.scale_parallelism = false;
-        self
     }
 }
 
@@ -156,11 +144,8 @@ impl<S: Scheduler> Scheduler for Cap<S> {
             }
             // §5.1: scale the stage's parallelism by r(t)/K, then clamp to
             // the remaining quota headroom.
-            let scaled = if self.config.scale_parallelism {
-                ((a.executors as f64) * quota as f64 / ctx.total_executors as f64).ceil() as usize
-            } else {
-                a.executors
-            };
+            let scaled =
+                ((a.executors as f64) * quota as f64 / ctx.total_executors as f64).ceil() as usize;
             let granted = scaled.max(1).min(allowance);
             out.assign(Assignment::new(a.job, a.stage, granted));
             allowance -= granted;

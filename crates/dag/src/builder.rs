@@ -156,7 +156,7 @@ mod tests {
         for bad in [f64::NAN, f64::INFINITY, -3.0] {
             let err = JobDagBuilder::new("bad")
                 .uniform_stage("a", 2, 1.0)
-                .stage("b", vec![Task::new(1.0), Task { duration: bad, shuffle_bytes: 0 }])
+                .stage("b", vec![Task::new(1.0), Task { duration: bad }])
                 .build()
                 .unwrap_err();
             assert_eq!(

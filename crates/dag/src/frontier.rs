@@ -10,19 +10,19 @@
 //!
 //! ## Incremental maintenance
 //!
-//! Both the runnable and the dispatchable stage sets are maintained
-//! *incrementally*: [`Frontier::complete`] updates the runnable set in
-//! O(children · log width) and [`JobProgress::dispatch_task`] /
-//! [`JobProgress::finish_task`] keep the dispatchable set in sync, so
-//! [`Frontier::runnable`] and [`JobProgress::dispatchable_stages`] are O(1)
-//! slice borrows instead of O(num_stages) rescans with fresh allocations.
-//! This is the per-event cost model the simulator's scheduling hot path is
-//! built around (see `pcaps-cluster`'s crate docs); schedulers must treat
-//! the returned slices as snapshots that are invalidated by any mutating
-//! call.  Both sets are kept sorted by ascending [`StageId`], matching the
-//! order the previous full-rescan implementation produced.  A bitset of the
-//! stages that still have fresh pending tasks lets
-//! [`JobProgress::remaining_work`] skip fully dispatched stages.
+//! [`Frontier::complete`] keeps a count of incomplete parents per stage in
+//! O(children), so [`Frontier::is_runnable`] is an O(1) test.  The
+//! dispatchable stage set is maintained *incrementally*:
+//! [`JobProgress::dispatch_task`], [`JobProgress::fail_task`] and
+//! [`JobProgress::finish_task`] keep it in sync, so
+//! [`JobProgress::dispatchable_stages`] is an O(1) slice borrow instead of
+//! an O(num_stages) rescan with a fresh allocation.  This is the per-event
+//! cost model the simulator's scheduling hot path is built around (see
+//! `pcaps-cluster`'s crate docs); schedulers must treat the returned slice
+//! as a snapshot that is invalidated by any mutating call.  The set is kept
+//! sorted by ascending [`StageId`], matching the order a full rescan would
+//! produce.  A bitset of the stages that still have fresh pending tasks
+//! lets [`JobProgress::remaining_work`] skip fully dispatched stages.
 
 use crate::ids::StageId;
 use crate::job::JobDag;
@@ -42,8 +42,8 @@ fn sorted_remove(list: &mut Vec<StageId>, stage: StageId) {
     }
 }
 
-/// Structural frontier: tracks completed stages and exposes the set of
-/// runnable stages (all parents complete, not itself complete).
+/// Structural frontier: tracks completed stages and answers which stages
+/// are runnable (all parents complete, not itself complete).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Frontier {
     num_stages: usize,
@@ -52,33 +52,21 @@ pub struct Frontier {
     num_completed: usize,
     /// Number of incomplete parents per stage.
     missing_parents: Vec<usize>,
-    /// Incrementally maintained runnable set, ascending by stage id.
-    runnable: Vec<StageId>,
 }
 
 impl Frontier {
     /// Creates a frontier for the given job with nothing completed.
     pub fn new(job: &JobDag) -> Self {
-        let missing_parents: Vec<usize> = job
-            .stage_ids()
-            .map(|s| job.adjacency.parents(s).len())
-            .collect();
-        // Stage ids are visited in ascending order, so the runnable list is
-        // born sorted.
-        let runnable = job
-            .stage_ids()
-            .filter(|s| missing_parents[s.index()] == 0)
-            .collect();
         Frontier {
             num_stages: job.num_stages(),
             completed: vec![false; job.num_stages()],
             num_completed: 0,
-            missing_parents,
-            runnable,
+            missing_parents: job.stage_ids().map(|s| job.adjacency.parents(s).len()).collect(),
         }
     }
 
-    /// Marks `stage` complete, updating the runnable set in O(children).
+    /// Marks `stage` complete, updating its children's missing-parent
+    /// counts in O(children).
     /// Calling this twice for the same stage is a logic error and panics in
     /// debug builds; in release it is a no-op.
     pub fn complete(&mut self, job: &JobDag, stage: StageId) {
@@ -91,13 +79,9 @@ impl Frontier {
         }
         self.completed[stage.index()] = true;
         self.num_completed += 1;
-        sorted_remove(&mut self.runnable, stage);
         for &c in job.adjacency.children(stage) {
             debug_assert!(self.missing_parents[c.index()] > 0);
             self.missing_parents[c.index()] = self.missing_parents[c.index()].saturating_sub(1);
-            if self.missing_parents[c.index()] == 0 && !self.completed[c.index()] {
-                sorted_insert(&mut self.runnable, c);
-            }
         }
     }
 
@@ -106,15 +90,10 @@ impl Frontier {
         self.completed[stage.index()]
     }
 
-    /// True if every parent of `stage` is complete and `stage` itself is not.
+    /// True if every parent of `stage` is complete and `stage` itself is
+    /// not.  O(1): [`Frontier::complete`] keeps the missing-parent counts.
     pub fn is_runnable(&self, stage: StageId) -> bool {
         !self.is_complete(stage) && self.missing_parents[stage.index()] == 0
-    }
-
-    /// All runnable stages in increasing id order.  O(1): the set is
-    /// maintained incrementally by [`Frontier::complete`].
-    pub fn runnable(&self) -> &[StageId] {
-        &self.runnable
     }
 
     /// Number of completed stages.
@@ -190,13 +169,13 @@ impl JobProgress {
             })
             .collect();
         // Every stage holds at least one task in a validated job, so the
-        // initial dispatchable set is exactly the runnable set; the filter
-        // only matters for hand-assembled jobs with empty stages.
-        let dispatchable = frontier
-            .runnable()
-            .iter()
-            .copied()
-            .filter(|s| counts[s.index()].pending > 0)
+        // initial dispatchable set is exactly the runnable set; the pending
+        // test only matters for hand-assembled jobs with empty stages.
+        // Stage ids are visited in ascending order, so the set is born
+        // sorted.
+        let dispatchable = job
+            .stage_ids()
+            .filter(|&s| frontier.is_runnable(s) && counts[s.index()].pending > 0)
             .collect();
         let mut pending_stages = vec![0u64; counts.len().div_ceil(64)];
         for (s, c) in counts.iter().enumerate() {
@@ -248,7 +227,7 @@ impl JobProgress {
         })
     }
 
-    /// Structural frontier (completed stages / runnable set).
+    /// Structural frontier (completed stages, runnable test).
     pub fn frontier(&self) -> &Frontier {
         &self.frontier
     }
@@ -475,11 +454,16 @@ mod tests {
             .unwrap()
     }
 
+    /// The runnable stages, in increasing id order.
+    fn runnable(f: &Frontier, job: &JobDag) -> Vec<StageId> {
+        job.stage_ids().filter(|&s| f.is_runnable(s)).collect()
+    }
+
     #[test]
     fn frontier_initially_sources() {
         let job = diamond();
         let f = Frontier::new(&job);
-        assert_eq!(f.runnable(), vec![StageId(0)]);
+        assert_eq!(runnable(&f, &job), vec![StageId(0)]);
         assert!(!f.job_complete());
     }
 
@@ -488,22 +472,23 @@ mod tests {
         let job = diamond();
         let mut f = Frontier::new(&job);
         f.complete(&job, StageId(0));
-        assert_eq!(f.runnable(), vec![StageId(1), StageId(2)]);
+        assert_eq!(runnable(&f, &job), vec![StageId(1), StageId(2)]);
         f.complete(&job, StageId(1));
         // d still blocked on c.
-        assert_eq!(f.runnable(), vec![StageId(2)]);
+        assert_eq!(runnable(&f, &job), vec![StageId(2)]);
         f.complete(&job, StageId(2));
-        assert_eq!(f.runnable(), vec![StageId(3)]);
+        assert_eq!(runnable(&f, &job), vec![StageId(3)]);
         f.complete(&job, StageId(3));
         assert!(f.job_complete());
         assert_eq!(f.num_completed(), 4);
-        assert!(f.runnable().is_empty());
+        assert!(runnable(&f, &job).is_empty());
     }
 
     #[test]
     fn runnable_set_stays_sorted() {
         // A fan-out where completing the root unlocks several children at
-        // once; insertion order of the children differs from id order.
+        // once; insertion order of the children differs from id order, and
+        // the dispatchable set they join must still come out ascending.
         let job = JobDagBuilder::new("fan")
             .stage("root", vec![Task::new(1.0)])
             .stage("c1", vec![Task::new(1.0)])
@@ -517,9 +502,10 @@ mod tests {
             .unwrap()
             .build()
             .unwrap();
-        let mut f = Frontier::new(&job);
-        f.complete(&job, StageId(0));
-        assert_eq!(f.runnable(), vec![StageId(1), StageId(2), StageId(3)]);
+        let mut p = JobProgress::new(&job);
+        p.dispatch_task(&job, StageId(0)).unwrap();
+        assert!(p.finish_task(&job, StageId(0)));
+        assert_eq!(p.dispatchable_stages(), vec![StageId(1), StageId(2), StageId(3)]);
     }
 
     #[test]

@@ -97,11 +97,6 @@ impl Stage {
         lower.max(self.critical_duration())
     }
 
-    /// Total shuffle bytes produced by the stage.
-    pub fn shuffle_bytes(&self) -> u64 {
-        self.tasks.iter().map(|t| t.shuffle_bytes).sum()
-    }
-
     /// Returns the stage with all task durations scaled by `factor` (see
     /// [`Task::scaled`]), rewritten in place.
     pub fn scaled(mut self, factor: f64) -> Self {
@@ -166,15 +161,5 @@ mod tests {
         let s = stage(&[10.0, 20.0]).scaled(0.1);
         assert!((s.total_work() - 3.0).abs() < 1e-12);
         assert!((s.critical_duration() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn shuffle_bytes_sum() {
-        let s = Stage::new(
-            StageId(1),
-            "sh",
-            vec![Task::with_shuffle(1.0, 10), Task::with_shuffle(1.0, 32)],
-        );
-        assert_eq!(s.shuffle_bytes(), 42);
     }
 }

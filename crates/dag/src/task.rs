@@ -1,11 +1,8 @@
 //! The unit of execution: a task.
 //!
 //! In Spark terms a task processes one partition of a stage's input data on a
-//! single executor core.  For scheduling purposes the only properties that
-//! matter are its *duration* (how long one executor is busy running it) and,
-//! for fidelity with the simulator of Mao et al. \[48\], an optional *data
-//! shuffle size* that contributes to the executor-movement delay when an
-//! executor switches jobs.
+//! single executor core.  For scheduling purposes the only property that
+//! matters is its *duration*: how long one executor is busy running it.
 
 use serde::{Deserialize, Serialize};
 
@@ -14,14 +11,10 @@ use serde::{Deserialize, Serialize};
 pub struct Task {
     /// Wall-clock seconds of executor time required to run this task.
     pub duration: f64,
-    /// Bytes of shuffle data produced by this task.  Only used to scale the
-    /// executor-movement ("data locality warm-up") delay in the simulator;
-    /// it does not affect precedence.
-    pub shuffle_bytes: u64,
 }
 
 impl Task {
-    /// Creates a task with the given duration (seconds) and no shuffle data.
+    /// Creates a task with the given duration (seconds).
     ///
     /// # Panics
     /// Panics if `duration` is not finite or is negative — task durations are
@@ -32,17 +25,7 @@ impl Task {
             duration.is_finite() && duration >= 0.0,
             "task duration must be finite and non-negative, got {duration}"
         );
-        Task {
-            duration,
-            shuffle_bytes: 0,
-        }
-    }
-
-    /// Creates a task with a duration and an associated shuffle output size.
-    pub fn with_shuffle(duration: f64, shuffle_bytes: u64) -> Self {
-        let mut t = Task::new(duration);
-        t.shuffle_bytes = shuffle_bytes;
-        t
+        Task { duration }
     }
 
     /// Returns a copy of this task with its duration multiplied by `factor`.
@@ -57,7 +40,6 @@ impl Task {
         );
         Task {
             duration: self.duration * factor,
-            shuffle_bytes: self.shuffle_bytes,
         }
     }
 }
@@ -76,22 +58,13 @@ mod tests {
     fn new_sets_duration() {
         let t = Task::new(12.5);
         assert_eq!(t.duration, 12.5);
-        assert_eq!(t.shuffle_bytes, 0);
-    }
-
-    #[test]
-    fn with_shuffle_sets_bytes() {
-        let t = Task::with_shuffle(3.0, 1 << 20);
-        assert_eq!(t.duration, 3.0);
-        assert_eq!(t.shuffle_bytes, 1 << 20);
     }
 
     #[test]
     fn scaled_multiplies_duration_only() {
-        let t = Task::with_shuffle(60.0, 100);
+        let t = Task::new(60.0);
         let s = t.scaled(1.0 / 60.0);
         assert!((s.duration - 1.0).abs() < 1e-12);
-        assert_eq!(s.shuffle_bytes, 100);
     }
 
     #[test]

@@ -62,10 +62,10 @@ pub struct FederationExperimentConfig {
     /// carbon at the endpoint-mean intensity.
     pub transfer_energy_kwh_per_gb: f64,
     /// Optional link-level network model attached to every trial's
-    /// federation: migration delays then come from max-min fair sharing of
-    /// the topology's links instead of the fixed matrix rates.  `None` (the
-    /// default) keeps the matrix path bit for bit.  Not serialized —
-    /// persisted configs re-run on the plain matrix.
+    /// federation: a migration leaving a member with an uplink then takes
+    /// its max-min fair share of that uplink instead of the fixed matrix
+    /// delay.  `None` (the default) keeps the matrix path bit for bit.  Not
+    /// serialized — persisted configs re-run on the plain matrix.
     #[serde(skip)]
     pub network: Option<NetworkTopology>,
 }
@@ -100,11 +100,11 @@ impl FederationExperimentConfig {
         self
     }
 
-    /// A congested variant of this config's topology: the per-pair matrix
-    /// rates carry over as per-flow caps, but every transfer departing
-    /// `member` must also cross one thin `gb_per_s` uplink — concurrent
-    /// departures (a migration wave, an outage evacuation) then fair-share
-    /// that link and slow each other down.
+    /// A congested variant of this config's topology: the matrix's one
+    /// per-GB rate carries over as a per-flow cap, but every transfer
+    /// departing `member` must also cross one thin `gb_per_s` uplink —
+    /// concurrent departures (a migration wave, an outage evacuation) then
+    /// fair-share that link and slow each other down.
     pub fn congested_uplink(&self, member: usize, gb_per_s: f64) -> NetworkTopology {
         NetworkTopology::from_matrix(&self.transfer_matrix()).with_uplink(member, gb_per_s)
     }
@@ -767,8 +767,8 @@ mod tests {
 
     #[test]
     fn empty_network_topology_matches_the_matrix_path_bitwise() {
-        // `NetworkTopology::from_matrix` carries the per-pair seconds-per-GB
-        // but no capacitated links, so every transfer takes the engine's
+        // `NetworkTopology::from_matrix` carries the matrix's seconds-per-GB
+        // but no uplinks, so every transfer takes the engine's
         // fixed-delay path — the run must be bit-identical to the plain
         // matrix federation.
         let mut cfg = small_config();

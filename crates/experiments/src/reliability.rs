@@ -136,10 +136,10 @@ pub fn run_reliability_trial(
 
 /// Runs one outage-evacuation trial: `outage` takes one whole member down
 /// over its window, the engine evacuates that member's drained jobs to the
-/// surviving members, and — when the config carries a link-level network
-/// (see [`FederationExperimentConfig::with_network`]) — those simultaneous
-/// evacuations contend for the outaged member's uplink under max-min fair
-/// sharing instead of each enjoying the uniform matrix delay.
+/// surviving members, and — when the config gives the outaged member an
+/// uplink (see [`FederationExperimentConfig::with_network`]) — those
+/// simultaneous evacuations contend for that uplink under max-min fair
+/// sharing instead of each paying the fixed per-GB matrix delay.
 pub fn run_outage_trial(
     config: &FederationExperimentConfig,
     outage: &RegionOutage,

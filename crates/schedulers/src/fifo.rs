@@ -52,38 +52,23 @@ impl Scheduler for SparkStandaloneFifo {
     }
 }
 
+/// Executors one application may hold under [`KubeDefaultFifo`]: the
+/// paper's prototype caps each application at 25 to avoid a
+/// dynamic-allocation hang.
+const PER_JOB_CAP: usize = 25;
+
 /// The Spark-on-Kubernetes default behaviour of the paper's prototype
 /// (the `default` baseline of Table 2): FIFO stage ordering, but each
-/// application is capped at `per_job_cap` executors (25 in the paper, to
-/// avoid a dynamic-allocation hang).  The cap makes executor usage more
-/// efficient than standalone FIFO because later jobs are not starved
+/// application is capped at 25 executors.  The cap makes executor usage
+/// more efficient than standalone FIFO because later jobs are not starved
 /// (Appendix A.1.2 / Fig. 15).
-#[derive(Debug, Clone)]
-pub struct KubeDefaultFifo {
-    per_job_cap: usize,
-}
+#[derive(Debug, Default, Clone)]
+pub struct KubeDefaultFifo;
 
 impl KubeDefaultFifo {
-    /// Creates the scheduler with the paper's 25-executor cap.
+    /// Creates the scheduler.
     pub fn new() -> Self {
-        KubeDefaultFifo { per_job_cap: 25 }
-    }
-
-    /// Creates the scheduler with a custom per-application executor cap.
-    pub fn with_cap(per_job_cap: usize) -> Self {
-        assert!(per_job_cap > 0, "per-job cap must be positive");
-        KubeDefaultFifo { per_job_cap }
-    }
-
-    /// The configured cap.
-    pub fn cap(&self) -> usize {
-        self.per_job_cap
-    }
-}
-
-impl Default for KubeDefaultFifo {
-    fn default() -> Self {
-        KubeDefaultFifo::new()
+        KubeDefaultFifo
     }
 }
 
@@ -103,7 +88,7 @@ impl Scheduler for KubeDefaultFifo {
             if free == 0 {
                 break;
             }
-            let mut room = self.per_job_cap.saturating_sub(job.busy_executors);
+            let mut room = PER_JOB_CAP.saturating_sub(job.busy_executors);
             if room == 0 {
                 continue;
             }
@@ -177,22 +162,8 @@ mod tests {
     }
 
     #[test]
-    fn custom_cap_is_respected() {
-        let s = KubeDefaultFifo::with_cap(3);
-        assert_eq!(s.cap(), 3);
-        let result = two_job_sim(8).run(&mut KubeDefaultFifo::with_cap(3)).unwrap();
-        assert!(result.all_jobs_complete());
-    }
-
-    #[test]
     fn names() {
         assert_eq!(SparkStandaloneFifo::new().name(), "fifo");
         assert_eq!(KubeDefaultFifo::new().name(), "k8s-default");
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_cap_rejected() {
-        let _ = KubeDefaultFifo::with_cap(0);
     }
 }

@@ -21,11 +21,12 @@
 //! A [`MigrationPolicy`] sits *beside* the router and may revise its
 //! placements after the fact: it is consulted on every member's carbon step
 //! with that member's idle jobs as candidates, and each move it emits pays
-//! the transfer costs of the federation's network topology (a fixed per-GB
-//! delay on pairs that cross no capacitated link — every pair of a
-//! topology built from a `TransferMatrix` — or a fair-shared flow on pairs
-//! that do, plus per-GB network energy priced at the endpoint-mean
-//! intensity; see the `TransferMatrix` docs for units).  Two built-ins:
+//! the transfer costs of the federation's network topology (the one fixed
+//! per-GB delay when the source member has no uplink — no member of a
+//! topology built from a `TransferMatrix` has one — or a fair share of the
+//! source's uplink when it does, plus per-GB network energy priced at the
+//! endpoint-mean intensity; see the `TransferMatrix` docs for units).  Two
+//! built-ins:
 //!
 //! * [`pcaps_cluster::NeverMigrate`] (re-exported by `pcaps-cluster`) —
 //!   placement is final; the baseline,
@@ -44,10 +45,10 @@
 //!   Two opt-in extensions: [`with_drain`] also moves *busy* jobs by
 //!   drain-then-move (they stop dispatching and depart when their running
 //!   tasks finish), and [`with_max_transfer_seconds`] skips moves whose
-//!   estimated transfer delay — contention-aware on pairs that cross the
-//!   capacitated links of the federation's
+//!   estimated transfer delay — contention-aware when the source member has
+//!   an uplink in the federation's
 //!   [`NetworkTopology`](pcaps_cluster::NetworkTopology) — exceeds a cap, so
-//!   a green grid behind a congested link stops attracting work whose green
+//!   a move over a congested uplink stops attracting work whose green
 //!   window would close mid-transfer.
 //!
 //! All policies are deterministic and allocation-free per decision (a single
@@ -192,7 +193,9 @@ impl Router for CarbonGreedyRouter {
 /// where `c_m` is member `m`'s current intensity, `L_m` the forecast lower
 /// bound over the member's lookahead horizon (both O(1) via the trace's
 /// sparse-table bounds index), `backlog_m` its outstanding work per executor
-/// in seconds, `w` the intensity weight, and `τ` the backlog tolerance.
+/// in seconds, `w = 0.5` the intensity weight (trust the forecast as much as
+/// the present), and `τ = 600 s` the backlog tolerance (10 schedule minutes,
+/// i.e. 10 carbon-hours at the paper's 60× time scale).
 ///
 /// The `L_m` term lets a region that is *about to turn green* win over one
 /// that is marginally greener right now but forecast to stay flat — that is
@@ -201,57 +204,25 @@ impl Router for CarbonGreedyRouter {
 /// queue factor makes a member's effective intensity grow linearly with its
 /// backlog, so sustained arrivals spread out instead of herding onto the
 /// greenest grid.
-#[derive(Debug, Clone, Copy)]
-pub struct CarbonQueueAwareRouter {
-    /// Weight `w ∈ [0, 1]` of the current intensity versus the forecast
-    /// lower bound.
-    pub intensity_weight: f64,
-    /// Backlog tolerance `τ` (seconds of per-executor backlog that doubles a
-    /// member's effective intensity).
-    pub backlog_tolerance: f64,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CarbonQueueAwareRouter;
 
 impl CarbonQueueAwareRouter {
-    /// Paper-scale defaults: `w = 0.5` (trust the forecast as much as the
-    /// present) and `τ = 600 s` of per-executor backlog (10 schedule
-    /// minutes, i.e. 10 carbon-hours at the paper's 60× time scale).
+    /// Weight `w` of the current intensity versus the forecast lower bound.
+    const INTENSITY_WEIGHT: f64 = 0.5;
+    /// Backlog tolerance `τ`: seconds of per-executor backlog that double a
+    /// member's effective intensity.
+    const BACKLOG_TOLERANCE: f64 = 600.0;
+
+    /// Creates the router.
     pub fn new() -> Self {
-        CarbonQueueAwareRouter {
-            intensity_weight: 0.5,
-            backlog_tolerance: 600.0,
-        }
+        CarbonQueueAwareRouter
     }
 
-    /// Overrides the intensity weight `w`.
-    ///
-    /// # Panics
-    /// Panics unless `0.0 <= w <= 1.0`.
-    pub fn with_intensity_weight(mut self, w: f64) -> Self {
-        assert!((0.0..=1.0).contains(&w), "intensity weight must be in [0, 1]");
-        self.intensity_weight = w;
-        self
-    }
-
-    /// Overrides the backlog tolerance `τ` (seconds).
-    ///
-    /// # Panics
-    /// Panics unless `tau` is positive and finite.
-    pub fn with_backlog_tolerance(mut self, tau: f64) -> Self {
-        assert!(tau > 0.0 && tau.is_finite(), "backlog tolerance must be positive");
-        self.backlog_tolerance = tau;
-        self
-    }
-
-    fn score(&self, m: &MemberView) -> f64 {
-        let effective = self.intensity_weight * m.carbon.intensity
-            + (1.0 - self.intensity_weight) * m.carbon.lower_bound;
-        effective * (1.0 + m.backlog_seconds() / self.backlog_tolerance)
-    }
-}
-
-impl Default for CarbonQueueAwareRouter {
-    fn default() -> Self {
-        CarbonQueueAwareRouter::new()
+    fn score(m: &MemberView) -> f64 {
+        let w = Self::INTENSITY_WEIGHT;
+        let effective = w * m.carbon.intensity + (1.0 - w) * m.carbon.lower_bound;
+        effective * (1.0 + m.backlog_seconds() / Self::BACKLOG_TOLERANCE)
     }
 }
 
@@ -261,8 +232,7 @@ impl Router for CarbonQueueAwareRouter {
     }
 
     fn route(&mut self, _id: JobId, _job: &SubmittedJob, ctx: &RoutingContext<'_>) -> usize {
-        let this = *self;
-        argmin_by(ctx.members(), |m| this.score(m))
+        argmin_by(ctx.members(), Self::score)
     }
 }
 
@@ -617,9 +587,6 @@ mod tests {
         let flat = view(0, CarbonView::new(200.0, 200.0, 220.0), 0.0);
         let dipping = view(1, CarbonView::new(200.0, 50.0, 220.0), 0.0);
         assert_eq!(route_once(&mut CarbonQueueAwareRouter::new(), &[flat, dipping]), 1);
-        // With w = 1 the forecast is ignored and the tie goes to member 0.
-        let mut present_only = CarbonQueueAwareRouter::new().with_intensity_weight(1.0);
-        assert_eq!(route_once(&mut present_only, &[flat, dipping]), 0);
     }
 
     #[test]
@@ -655,18 +622,6 @@ mod tests {
         assert_eq!(LeastOutstandingWorkRouter::new().name(), "least-work");
         assert_eq!(CarbonGreedyRouter::new().name(), "carbon-greedy");
         assert_eq!(CarbonQueueAwareRouter::new().name(), "carbon-queue-aware");
-    }
-
-    #[test]
-    #[should_panic(expected = "intensity weight")]
-    fn bad_weight_rejected() {
-        let _ = CarbonQueueAwareRouter::new().with_intensity_weight(1.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "backlog tolerance")]
-    fn bad_tolerance_rejected() {
-        let _ = CarbonQueueAwareRouter::new().with_backlog_tolerance(0.0);
     }
 
     mod migrator {

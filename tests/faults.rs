@@ -5,6 +5,8 @@
 //! * faulted runs are deterministic: the same schedule, schedulers, seeds
 //!   and migration policy replay the same fingerprints, fault logs, waste
 //!   accounting and migration log,
+//! * malformed retry policies and fault plans are rejected naming the
+//!   field,
 //! * hand-computed oracles pin the recovery semantics: crash → backoff →
 //!   re-dispatch timing, retry exhaustion at the policy bound, outage
 //!   drain-and-evacuate over the priced migration path, and dispatch at the
@@ -320,6 +322,46 @@ fn malformed_retry_policies_are_rejected_naming_the_field() {
     }
     let result = run(policy(0.0, 0.0)).expect("a zero backoff is legal");
     assert!((result.makespan - 70.5).abs() < 1e-9, "got {}", result.makespan);
+}
+
+/// `PoissonCrashes` and `RegionOutage` have public fields, so a struct
+/// literal skips their constructors' asserts.  Each malformed plan must
+/// fail the run with `InvalidFault` naming the field: unchecked, a mean
+/// that is not positive never advances the crash clock (injections pile up
+/// until memory runs out), a NaN mean or a NaN or negative horizon yields
+/// an empty schedule, a NaN outage bound panics in `FaultSchedule::new`,
+/// and an end at or before the start keeps the member down for good.
+#[test]
+fn malformed_fault_plans_are_rejected_naming_the_field() {
+    let crashes = |mean_seconds_between, horizon| PoissonCrashes {
+        seed: 7,
+        mean_seconds_between,
+        horizon: Some(horizon),
+    };
+    let outage = |start, end| RegionOutage { member: 0, start, end };
+    let plans: [(&str, Box<dyn FaultPlan>); 12] = [
+        ("mean_seconds_between", Box::new(crashes(0.0, 100.0))),
+        ("mean_seconds_between", Box::new(crashes(-5.0, 100.0))),
+        ("mean_seconds_between", Box::new(crashes(f64::NAN, 100.0))),
+        ("mean_seconds_between", Box::new(crashes(f64::INFINITY, 100.0))),
+        ("horizon", Box::new(crashes(10.0, f64::NAN))),
+        ("horizon", Box::new(crashes(10.0, -1.0))),
+        ("horizon", Box::new(crashes(10.0, f64::INFINITY))),
+        ("start", Box::new(outage(f64::NAN, 10.0))),
+        ("start", Box::new(outage(-1.0, 10.0))),
+        ("end", Box::new(outage(5.0, f64::NAN))),
+        ("end", Box::new(outage(5.0, 5.0))),
+        ("end", Box::new(outage(5.0, 2.0))),
+    ];
+    for (field, plan) in &plans {
+        let sim = one_executor_sim(10.0, FaultSchedule::none()).with_fault_plan(plan.as_ref());
+        match sim.run(&mut SimpleFifo::new()) {
+            Err(SimError::InvalidFault { reason }) => {
+                assert!(reason.contains(field), "{field}: {reason}")
+            }
+            other => panic!("{field}: expected InvalidFault, got {other:?}"),
+        }
+    }
 }
 
 #[test]

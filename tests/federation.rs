@@ -5,9 +5,9 @@
 //!   bit for all seven scheduler specs of the experiment harness,
 //! * routing is deterministic — the same seed yields the same per-cluster
 //!   job sets run after run, for every built-in router,
-//! * a malformed member `ClusterConfig` (public fields bypass the builder
-//!   asserts) is a `SimError::InvalidConfig` naming the member and the
-//!   field through every run entry point.
+//! * a malformed member `ClusterConfig` or carbon trace (public fields
+//!   bypass the builder asserts) is a `SimError::InvalidConfig` naming the
+//!   member and the field through every run entry point.
 
 use carbon_aware_dag_sched::cluster::SimError;
 use carbon_aware_dag_sched::prelude::*;
@@ -183,12 +183,47 @@ fn per_member_job_sets_replay_bit_identically() {
     }
 }
 
+/// Runs a workload through every entry point — materialized, streamed and
+/// served single-cluster runs, and a federation whose second member is the
+/// malformed one — and expects each to report an `InvalidConfig` naming the
+/// member's label and `field`.
+fn expect_invalid_config_everywhere(field: &str, config: ClusterConfig, carbon: CarbonTrace) {
+    let base = ClusterConfig::new(4).with_time_scale(60.0);
+    let builder = WorkloadBuilder::new(WorkloadKind::TpchMixed, 3).jobs(3);
+    let good_trace = || SyntheticTraceGenerator::new(GridRegion::Germany, 3).generate_days(7);
+    let expect = |entry: &str, label: &str, got: Result<(), SimError>| match got {
+        Err(SimError::InvalidConfig { member, reason }) => {
+            assert_eq!(member, label, "{entry}, {field}");
+            assert!(reason.contains(field), "{entry}, {field}: {reason}");
+        }
+        other => panic!("{entry}, {field}: expected InvalidConfig, got {other:?}"),
+    };
+    let label = carbon.label.clone();
+    let sim = Simulator::new(config.clone(), builder.build(), carbon.clone());
+    expect("Simulator::run", &label, sim.run(&mut SparkStandaloneFifo::new()).map(drop));
+
+    let sim = Simulator::streaming(config.clone(), carbon.clone());
+    let mut source = StreamSource::new(builder.stream());
+    let run = sim.run_source(&mut source, &mut SparkStandaloneFifo::new()).map(drop);
+    expect("Simulator::run_source", &label, run);
+    let mut source = StreamSource::new(builder.stream());
+    expect("Simulator::serve", &label, sim.serve(&mut source).map(drop));
+
+    let fed = Federation::new(
+        vec![Member::new("A", base, good_trace()), Member::new("B", config, carbon)],
+        builder.build(),
+    );
+    let mut a = SparkStandaloneFifo::new();
+    let mut b = SparkStandaloneFifo::new();
+    let mut schedulers: [&mut dyn Scheduler; 2] = [&mut a, &mut b];
+    let run = fed.run(&mut RoundRobinRouter::new(), &mut schedulers).map(drop);
+    expect("Federation::run", "B", run);
+}
+
 /// Every field a builder method asserts on, set by struct literal to a
 /// value that method refuses, plus a time scale the builder accepts but
-/// whose carbon step vanishes at the time limit.  At construction each is
-/// an `InvalidConfig` naming the member's label and the field, and every
-/// run entry point reports it: materialized, streamed and served runs, and
-/// a second member of a federation whose first member is valid.
+/// whose carbon step vanishes at the time limit, is rejected at
+/// construction through every run entry point.
 #[test]
 fn malformed_cluster_configs_are_rejected_naming_the_member_and_field() {
     let base = ClusterConfig::new(4).with_time_scale(60.0);
@@ -206,39 +241,40 @@ fn malformed_cluster_configs_are_rejected_naming_the_member_and_field() {
         // carbon clock forever.
         ("max_sim_time", ClusterConfig { max_sim_time: f64::INFINITY, ..base.clone() }),
     ];
-    let builder = WorkloadBuilder::new(WorkloadKind::TpchMixed, 3).jobs(3);
-    let trace = || SyntheticTraceGenerator::new(GridRegion::Germany, 3).generate_days(7);
-    let expect = |entry: &str, field: &str, label: &str, got: Result<(), SimError>| match got {
-        Err(SimError::InvalidConfig { member, reason }) => {
-            assert_eq!(member, label, "{entry}, {field}");
-            assert!(reason.contains(field), "{entry}, {field}: {reason}");
-        }
-        other => panic!("{entry}, {field}: expected InvalidConfig, got {other:?}"),
-    };
+    let trace = SyntheticTraceGenerator::new(GridRegion::Germany, 3).generate_days(7);
     for (field, config) in cases {
-        let sim = Simulator::new(config.clone(), builder.build(), trace());
-        let run = sim.run(&mut SparkStandaloneFifo::new()).map(drop);
-        expect("Simulator::run", field, "DE", run);
+        expect_invalid_config_everywhere(field, config, trace.clone());
+    }
+}
 
-        let sim = Simulator::streaming(config.clone(), trace());
-        let mut source = StreamSource::new(builder.stream());
-        let run = sim.run_source(&mut source, &mut SparkStandaloneFifo::new()).map(drop);
-        expect("Simulator::run_source", field, "DE", run);
-        let mut source = StreamSource::new(builder.stream());
-        let served = sim.serve(&mut source).map(drop);
-        expect("Simulator::serve", field, "DE", served);
-
-        let fed = Federation::new(
-            vec![
-                Member::new("A", base.clone(), trace()),
-                Member::new("B", config, trace()),
-            ],
-            builder.build(),
-        );
-        let mut a = SparkStandaloneFifo::new();
-        let mut b = SparkStandaloneFifo::new();
-        let mut schedulers: [&mut dyn Scheduler; 2] = [&mut a, &mut b];
-        let run = fed.run(&mut RoundRobinRouter::new(), &mut schedulers).map(drop);
-        expect("Federation::run", field, "B", run);
+/// A carbon trace edited after `CarbonTrace::new` (its fields are public)
+/// to a value `new` refuses, or to a non-finite start, is rejected at
+/// construction through every run entry point, naming the trace field.
+/// Unchecked, a negative or NaN step never reaches the next carbon step (the
+/// run hangs), an empty trace divides by zero, and a NaN start reads every
+/// instant as the first value.
+#[test]
+fn malformed_carbon_traces_are_rejected_naming_the_member_and_field() {
+    let config = ClusterConfig::new(4).with_time_scale(60.0);
+    let good = SyntheticTraceGenerator::new(GridRegion::Germany, 3).generate_days(7);
+    let edited = |edit: fn(&mut CarbonTrace)| {
+        let mut trace = good.clone();
+        edit(&mut trace);
+        trace
+    };
+    let cases: [(&str, CarbonTrace); 10] = [
+        ("step", edited(|t| t.step = -3600.0)),
+        ("step", edited(|t| t.step = f64::NAN)),
+        ("step", edited(|t| t.step = 0.0)),
+        ("step", edited(|t| t.step = f64::INFINITY)),
+        ("values", edited(|t| t.values.clear())),
+        ("values", edited(|t| t.values[5] = -1.0)),
+        ("values", edited(|t| t.values[5] = f64::NAN)),
+        ("values", edited(|t| t.values[5] = f64::INFINITY)),
+        ("start", edited(|t| t.start = f64::NAN)),
+        ("start", edited(|t| t.start = f64::NEG_INFINITY)),
+    ];
+    for (field, trace) in cases {
+        expect_invalid_config_everywhere(field, config.clone(), trace);
     }
 }

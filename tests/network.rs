@@ -1,24 +1,28 @@
 //! Network-topology conformance suite.
 //!
-//! The link-level network model is a federation's one transfer model:
-//! pairs that cross capacitated links become max-min fair-shared flows, and
-//! a `TransferMatrix` enters as its link-free special case.  It is pinned
-//! from four directions:
+//! The network model is a federation's one transfer model: a job leaving a
+//! member with an uplink becomes a max-min fair-shared flow over it, a job
+//! leaving a member without one pays the fixed per-GB delay, and a
+//! `TransferMatrix` enters as the uplink-free special case.  It is pinned
+//! from five directions:
 //!
 //! 1. **Fluid-model correctness** — driving a [`FlowSet`] through the
 //!    engine's own `settle`/`begin`/`finish`/`reallocate` protocol over
-//!    seeded random topologies and flow sets must reproduce the completion
-//!    times of an independent from-scratch fluid simulation built directly
-//!    on [`NetworkTopology::fair_share_rates`], plus a hand-computed
-//!    latency-tail case.
-//! 2. **Matrix pricing, by value** — a `TransferMatrix` enters a federation
+//!    seeded random uplink topologies and flow sets must reproduce the
+//!    completion times of an independent from-scratch fluid simulation
+//!    built directly on [`NetworkTopology::fair_share_rates`].
+//! 2. **Mixed shapes, end to end** — in federations where only some members
+//!    have an uplink, every migration from a member without one takes
+//!    exactly `gb × seconds_per_gb`, flows in flight or not, and every
+//!    migration over an uplink lands when the fluid oracle says.
+//! 3. **Matrix pricing, by value** — a `TransferMatrix` enters a federation
 //!    as the link-free [`NetworkTopology::from_matrix`] topology, whichever
 //!    builder attaches it, and both routes replay the `fed3_migrate_pcaps`
 //!    per-member fingerprints and migration-log hash recorded when the
 //!    engine still priced matrices through a branch of its own.
-//! 3. **Determinism** — drain-then-move trials over a capacitated network
+//! 4. **Determinism** — drain-then-move trials over a capacitated network
 //!    replay bit-identically across {FIFO, PCAPS} × 3 seeds.
-//! 4. **Settlement ends the run** — a superseded flow arrival still queued
+//! 5. **Settlement ends the run** — a superseded flow arrival still queued
 //!    after the last job completes neither keeps the clock running nor
 //!    trips the time limit.
 
@@ -57,39 +61,25 @@ impl Rng {
 /// One generated flow: `(from, to, gigabytes, start_time)`.
 type FlowSpec = (usize, usize, f64, f64);
 
-/// A random capacitated topology: every member gets an uplink (so every
-/// cross-member path is non-empty and takes the flow-priced path), some get
-/// downlinks, some pairs get dedicated links and per-flow rate caps.  All
-/// latencies stay zero so the oracle below needs no tail modelling; the
-/// latency tail is pinned by its own hand-computed test.
-fn random_topology(rng: &mut Rng, members: usize) -> NetworkTopology {
-    let mut topo = NetworkTopology::new(members);
+/// A random capacitated topology over `members` regions: each member gets
+/// an uplink with probability `p_uplink`, and the per-GB rate, which caps
+/// every flow at `1 / seconds_per_gb`, is zero (uncapped) for about a third
+/// of topologies.
+fn random_topology(rng: &mut Rng, members: usize, p_uplink: f64) -> NetworkTopology {
+    let seconds_per_gb = if rng.r01() < 0.35 { 0.0 } else { 0.5 + 2.5 * rng.r01() };
+    let mut topo = NetworkTopology::from_matrix(&TransferMatrix::uniform(members, seconds_per_gb));
     for m in 0..members {
-        topo = topo.with_uplink(m, 0.05 + rng.r01());
-        if rng.r01() < 0.5 {
-            topo = topo.with_downlink(m, 0.05 + rng.r01());
-        }
-    }
-    for from in 0..members {
-        for to in 0..members {
-            if from == to {
-                continue;
-            }
-            if rng.r01() < 0.25 {
-                topo = topo.with_link(from, to, 0.05 + rng.r01());
-            }
-            if rng.r01() < 0.4 {
-                topo = topo.with_seconds_per_gb(from, to, 0.5 + 2.5 * rng.r01());
-            }
+        if rng.r01() < p_uplink {
+            topo = topo.with_uplink(m, 0.05 + rng.r01());
         }
     }
     topo
 }
 
-/// From-scratch fluid simulation: piecewise-constant max-min rates
-/// recomputed at every start and completion, flows draining at their
-/// allocated rates in between.  Zero-latency topologies only.  Returns each
-/// flow's completion time.
+/// From-scratch fluid simulation of flows that all leave members with an
+/// uplink: piecewise-constant max-min rates recomputed at every start and
+/// completion, flows draining at their allocated rates in between.
+/// Returns each flow's completion time.
 fn oracle_completions(topo: &NetworkTopology, specs: &[FlowSpec]) -> Vec<f64> {
     let n = specs.len();
     let mut remaining: Vec<f64> = specs.iter().map(|s| s.2).collect();
@@ -102,17 +92,6 @@ fn oracle_completions(topo: &NetworkTopology, specs: &[FlowSpec]) -> Vec<f64> {
         let pairs: Vec<(usize, usize)> =
             active.iter().map(|&i| (specs[i].0, specs[i].1)).collect();
         let rates = topo.fair_share_rates(&pairs);
-        // Unconstrained flows deliver instantly; re-solve without them.
-        let mut any_instant = false;
-        for (k, &i) in active.iter().enumerate() {
-            if rates[k].is_infinite() {
-                done[i] = Some(now);
-                any_instant = true;
-            }
-        }
-        if any_instant {
-            continue;
-        }
         let next_start = (0..n)
             .filter(|&i| done[i].is_none() && specs[i].3 > now)
             .map(|i| specs[i].3)
@@ -186,15 +165,15 @@ fn flow_set_completions(topo: &NetworkTopology, specs: &[FlowSpec]) -> Vec<f64> 
     done.into_iter().map(|d| d.unwrap()).collect()
 }
 
-/// (1) Property: over seeded random topologies and staggered contended flow
-/// sets, the incremental `FlowSet` and the from-scratch fluid oracle agree
-/// on every completion time.
+/// (1) Property: over seeded random topologies where every member has an
+/// uplink, and staggered contended flow sets, the incremental `FlowSet` and
+/// the from-scratch fluid oracle agree on every completion time.
 #[test]
 fn flow_completions_match_the_from_scratch_max_min_oracle() {
     for seed in 1..=24u64 {
         let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
         let members = 3 + rng.below(3);
-        let topo = random_topology(&mut rng, members);
+        let topo = random_topology(&mut rng, members, 1.0);
         let nflows = 3 + rng.below(8);
         let specs: Vec<FlowSpec> = (0..nflows)
             .map(|_| {
@@ -215,43 +194,128 @@ fn flow_completions_match_the_from_scratch_max_min_oracle() {
     }
 }
 
-/// (1b) The latency tail, hand-computed: a 2 GB and a 6 GB flow share a
-/// 1 GB/s uplink (0.5 GB/s each) with a 3 s propagation latency.  Flow 0's
-/// bytes drain at t=4 but its share is only released when its arrival event
-/// fires at t=7 (the fluid model frees bandwidth at events, not
-/// mid-interval), so flow 1 reaches t=7 with 6 − 3.5 = 2.5 GB left, drains
-/// them alone at 1 GB/s by t=9.5, and arrives at 12.5.
+/// Routes job `i` to source member `i % sources`, so every source holds
+/// jobs.
+struct BySourceIndex(usize);
+
+impl Router for BySourceIndex {
+    fn name(&self) -> &str {
+        "by-source-index"
+    }
+    fn route(&mut self, id: JobId, _: &SubmittedJob, _: &RoutingContext<'_>) -> usize {
+        id.0 as usize % self.0
+    }
+}
+
+/// Moves every migratable candidate that has not moved yet to one member.
+struct MoveOnceTo {
+    to: usize,
+    moved: Vec<JobId>,
+}
+
+impl MigrationPolicy for MoveOnceTo {
+    fn name(&self) -> &str {
+        "move-once"
+    }
+    fn on_carbon_change(
+        &mut self,
+        _ctx: &MigrationContext<'_>,
+        candidates: &[MigrationCandidate],
+        out: &mut MigrationSink,
+    ) {
+        for c in candidates.iter().filter(|c| c.migratable()) {
+            if !self.moved.contains(&c.job) {
+                self.moved.push(c.job);
+                out.migrate(c.job, self.to);
+            }
+        }
+    }
+}
+
+/// (2) Property: federations of 2–4 source members, a random subset of
+/// them with an uplink, and one destination.  The sources never dispatch,
+/// and each ships its jobs to the destination at its own carbon steps
+/// (trace steps differ per source, so transfers start at staggered
+/// instants and overlap).  A migration from a source without an uplink
+/// takes exactly `gb × seconds_per_gb`, bit for bit, even while other
+/// sources' flows are in flight; the migrations over uplinks land when the
+/// from-scratch fluid oracle, fed their departures, says.
 #[test]
-fn latency_tails_hold_bandwidth_until_the_arrival_event() {
-    let topo = NetworkTopology::new(3)
-        .with_uplink(0, 1.0)
-        .with_latency(0, 1, 3.0)
-        .with_latency(0, 2, 3.0);
-    let mut flows = FlowSet::new(&topo);
-    let mut plans = Vec::new();
-    flows.settle(&topo, 0.0);
-    flows.begin(JobId(0), 0, 1, 2.0, 0);
-    flows.begin(JobId(1), 0, 2, 6.0, 1);
-    flows.reallocate(&topo, 0.0, &mut plans);
-    assert_eq!(plans.len(), 2);
-    let first = plans.iter().position(|p| p.job == JobId(0)).expect("flow 0 planned");
-    let first = plans.swap_remove(first);
-    assert!((first.at - 7.0).abs() < 1e-9, "2 GB at 0.5 GB/s + 3 s latency");
-    assert!((plans[0].at - 15.0).abs() < 1e-9, "6 GB at 0.5 GB/s + 3 s latency, pre-release");
-    plans.clear();
-    flows.settle(&topo, first.at);
-    let flow = flows.finish(&topo, first.job, first.epoch).expect("not stale");
-    assert_eq!(flow.remaining_gb, 0.0);
-    flows.reallocate(&topo, first.at, &mut plans);
-    // The survivor re-plans: 2.5 GB left at 1 GB/s + 3 s latency from t=7,
-    // superseding its original t=15 estimate.
-    assert_eq!(plans.len(), 1);
-    assert_eq!(plans[0].job, JobId(1));
-    assert!((plans[0].at - 12.5).abs() < 1e-9, "got {}", plans[0].at);
-    flows.settle(&topo, plans[0].at);
-    let flow = flows.finish(&topo, plans[0].job, plans[0].epoch).expect("not stale");
-    assert_eq!(flow.remaining_gb, 0.0);
-    assert!(flows.is_empty());
+fn mixed_uplink_federations_price_each_migration_by_its_source() {
+    let (mut fixed, mut flows, mut fixed_during_flows) = (0, 0, 0);
+    for seed in 1..=12u64 {
+        let mut rng = Rng(seed.wrapping_mul(0xD1B5_4A32_D192_ED03) | 1);
+        let sources = 2 + rng.below(3);
+        let dest = sources;
+        let mut topo = random_topology(&mut rng, sources + 1, 0.5);
+        if (0..sources).all(|m| topo.uplink(m).is_none()) {
+            topo = topo.with_uplink(rng.below(sources), 0.05 + rng.r01());
+        }
+        let spg = topo.seconds_per_gb(0, dest);
+        let config = ClusterConfig::new(2).with_move_delay(0.0).with_time_scale(1.0);
+        let members: Vec<Member> = (0..=sources)
+            .map(|m| {
+                let step = 300.0 + 100.0 * m as f64 + 50.0 * rng.below(4) as f64;
+                let trace = CarbonTrace::new(format!("m{m}"), 0.0, step, vec![100.0; 48]);
+                Member::new(format!("m{m}"), config.clone(), trace)
+            })
+            .collect();
+        let jobs: Vec<SubmittedJob> = (0..3 * sources)
+            .map(|i| {
+                let dag = JobDagBuilder::new(format!("j{i}"))
+                    .stage("s", vec![Task::new(1.0 + 4.0 * rng.r01())])
+                    .build()
+                    .unwrap();
+                SubmittedJob::at(1500.0 * rng.r01(), dag).with_data_gb(1.0 + 40.0 * rng.r01())
+            })
+            .collect();
+        let fed = Federation::new(members, jobs).with_network(topo.clone());
+        let mut idle: Vec<Idle> = (0..sources).map(|_| Idle).collect();
+        let mut fifo = SparkStandaloneFifo::new();
+        let mut schedulers: Vec<&mut dyn Scheduler> =
+            idle.iter_mut().map(|s| s as &mut dyn Scheduler).collect();
+        schedulers.push(&mut fifo);
+        let mut policy = MoveOnceTo { to: dest, moved: Vec::new() };
+        let result = fed
+            .run_with_migration(&mut BySourceIndex(sources), &mut policy, &mut schedulers)
+            .expect("every job migrates to the destination and completes there");
+        assert!(result.all_jobs_complete(), "seed {seed}");
+        assert_eq!(result.migrations.len(), 3 * sources, "seed {seed}: every job moves once");
+
+        let (over_uplinks, uncontended): (Vec<&MigrationRecord>, Vec<&MigrationRecord>) =
+            result.migrations.iter().partition(|m| topo.uplink(m.from).is_some());
+        for m in &uncontended {
+            assert_eq!(
+                m.transfer_seconds.to_bits(),
+                (m.gb * spg).to_bits(),
+                "seed {seed}: {:?} left a member without an uplink",
+                m.job
+            );
+            assert_eq!(m.arrived.to_bits(), (m.departed + m.gb * spg).to_bits(), "seed {seed}");
+            if over_uplinks.iter().any(|f| f.departed <= m.departed && m.departed < f.arrived) {
+                fixed_during_flows += 1;
+            }
+        }
+        let specs: Vec<FlowSpec> =
+            over_uplinks.iter().map(|m| (m.from, m.to, m.gb, m.departed)).collect();
+        let expected = oracle_completions(&topo, &specs);
+        for (m, e) in over_uplinks.iter().zip(&expected) {
+            assert!(
+                (m.arrived - e).abs() <= 1e-6 * e.max(1.0),
+                "seed {seed}, {:?} over uplink {:?}: oracle {e}, engine {}",
+                m.job,
+                topo.uplink(m.from),
+                m.arrived
+            );
+        }
+        fixed += uncontended.len();
+        flows += over_uplinks.len();
+    }
+    assert!(fixed > 0 && flows > 0, "both pricing paths ran: {fixed} fixed, {flows} flows");
+    assert!(
+        fixed_during_flows > 0,
+        "no fixed-delay migration departed while a flow was in flight, so the property is vacuous"
+    );
 }
 
 /// The `fed3_migrate_pcaps` bench configuration (three grids, 10 jobs,
@@ -342,7 +406,7 @@ fn migration_log_hash(migrations: &[MigrationRecord]) -> u64 {
     h
 }
 
-/// (2) Matrix pricing, pinned by value: both ways a matrix enters a
+/// (3) Matrix pricing, pinned by value: both ways a matrix enters a
 /// federation — `with_transfer_matrix`, and `with_network` over
 /// `NetworkTopology::from_matrix` — replay the `fed3_migrate_pcaps`
 /// fingerprints and migration log recorded before the two routes shared
@@ -369,7 +433,7 @@ fn from_matrix_topology_replays_the_fed3_migrate_pcaps_fingerprints() {
     }
 }
 
-/// (3) Determinism: drain-then-move over a capacitated network replays bit
+/// (4) Determinism: drain-then-move over a capacitated network replays bit
 /// for bit across {FIFO, PCAPS} × 3 seeds, and at least one combination
 /// actually migrates through contended flows.
 #[test]
@@ -451,7 +515,7 @@ impl MigrationPolicy for MoveAllTo {
     }
 }
 
-/// (4) At t=3600 two idle jobs (1 GB and 10 GB) leave A over its one shared
+/// (5) At t=3600 two idle jobs (1 GB and 10 GB) leave A over its one shared
 /// 1 GB/s uplink at 0.5 GB/s each.  The small job lands at 3602; the big
 /// one's rate then doubles, so its 9 GB left land at 3611, superseding the
 /// arrival still queued for 3620.  Its 1 s task finishes at 3612, and the

@@ -1,8 +1,9 @@
 //! Randomized property tests on the core data structures and invariants:
 //! DAG construction, threshold functions, k-search quotas, carbon traces,
 //! the simulator's conservation laws, and — crucially for the incremental
-//! hot-path engine — agreement between the incrementally maintained
-//! runnable/dispatchable sets and a recompute-from-scratch oracle, and
+//! hot-path engine — agreement between the missing-parent runnable test
+//! and the incrementally maintained dispatchable set on one side and a
+//! recompute-from-scratch oracle on the other, and
 //! between the indexed `CarbonTrace::bounds` and a naive linear scan.
 //!
 //! The tests are driven by a seeded ChaCha8 generator (no external proptest
@@ -270,7 +271,6 @@ fn assert_scaled_and_renamed(streamed: &JobDag, bare: &JobDag, scale: f64, index
                 (r.duration * scale).to_bits(),
                 "{what}"
             );
-            assert_eq!(t.shuffle_bytes, r.shuffle_bytes, "{what}");
         }
     }
 }
@@ -328,11 +328,12 @@ fn naive_dispatchable(dag: &JobDag, progress: &JobProgress) -> Vec<StageId> {
 }
 
 fn assert_sets_match(dag: &JobDag, progress: &JobProgress, case: u64, step: usize) {
-    let runnable: Vec<StageId> = progress.frontier().runnable().to_vec();
+    let runnable: Vec<StageId> =
+        dag.stage_ids().filter(|&s| progress.frontier().is_runnable(s)).collect();
     assert_eq!(
         runnable,
         naive_runnable(dag, progress),
-        "case {case} step {step}: incremental runnable set diverged"
+        "case {case} step {step}: the missing-parent runnable test diverged"
     );
     let dispatchable: Vec<StageId> = progress.dispatchable_stages().to_vec();
     assert_eq!(
@@ -441,8 +442,9 @@ impl TaskWalk {
 }
 
 /// A randomized execution that dispatches, finishes and fails tasks: after
-/// every step the incremental runnable/dispatchable sets must equal the
-/// sets recomputed from scratch, every stage's pending + running +
+/// every step the runnable test (from missing-parent counts) and the
+/// incremental dispatchable set must equal the sets recomputed from
+/// scratch, every stage's pending + running +
 /// finished counts must add up to its tasks, a stage must be complete
 /// exactly when all its tasks finished, `dispatch_task` must hand out the
 /// oldest failed task or else the next fresh one (never a running or
@@ -503,7 +505,7 @@ fn incremental_frontier_matches_scratch_recompute() {
             }
             walk.assert_matches(&dag, &progress, case, step);
         }
-        assert!(progress.frontier().runnable().is_empty());
+        assert!(dag.stage_ids().all(|s| !progress.frontier().is_runnable(s)));
         assert!(progress.dispatchable_stages().is_empty());
         assert_eq!(progress.remaining_work(&dag), 0.0);
     }
