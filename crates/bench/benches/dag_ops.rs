@@ -40,13 +40,17 @@ fn workload_generation(c: &mut Criterion) {
         b.iter(|| criterion::black_box(gen.next_job()))
     });
     // What streamed intake pays per job: the generator plus the sampler's
-    // duration scaling and `name#index` renaming.
-    group.bench_function("alibaba_stream_pull", |b| {
-        let mut stream = WorkloadBuilder::new(WorkloadKind::Alibaba, 11)
-            .jobs(usize::MAX)
-            .stream();
-        b.iter(|| criterion::black_box(stream.next()))
-    });
+    // duration scaling and `name#index` renaming.  The TPC-H mixed stream
+    // is what the federated and serving perfbench workloads pull.
+    for (label, kind) in [
+        ("alibaba_stream_pull", WorkloadKind::Alibaba),
+        ("tpch_mixed_stream_pull", WorkloadKind::TpchMixed),
+    ] {
+        group.bench_function(label, |b| {
+            let mut stream = WorkloadBuilder::new(kind, 11).jobs(usize::MAX).stream();
+            b.iter(|| criterion::black_box(stream.next()))
+        });
+    }
     group.finish();
 }
 

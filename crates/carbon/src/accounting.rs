@@ -43,7 +43,16 @@ pub const DEFAULT_EXECUTOR_POWER_KW: f64 = 0.2;
 impl CarbonAccountant {
     /// Creates an accountant over a trace with default power and no time
     /// scaling (1 second of schedule time = 1 second of trace time).
+    ///
+    /// # Panics
+    /// Panics, naming the field, if the trace is one [`CarbonTrace::new`]
+    /// would have refused ([`CarbonTrace::check`]): its fields are public,
+    /// and a step edited to zero, a negative value or NaN would stall the
+    /// footprint integration forever.
     pub fn new(trace: CarbonTrace) -> Self {
+        if let Err(reason) = trace.check() {
+            panic!("malformed carbon trace: {reason}");
+        }
         CarbonAccountant {
             trace,
             executor_power_kw: DEFAULT_EXECUTOR_POWER_KW,
@@ -137,6 +146,28 @@ impl CarbonAccountant {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An hourly trace whose public `step` was edited after construction.
+    fn trace_with_step(step: f64) -> CarbonTrace {
+        let mut trace = CarbonTrace::hourly("edited", vec![300.0; 48]);
+        trace.step = step;
+        trace
+    }
+
+    #[test]
+    #[should_panic(expected = "step must be positive")]
+    fn negative_step_is_rejected_at_construction() {
+        let acct = CarbonAccountant::new(trace_with_step(-3600.0));
+        // Unchecked, this integration never advanced.
+        let _ = acct.footprint_interval_grams(1.0, 0.0, 10.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "step must be positive")]
+    fn nan_step_is_rejected_at_construction() {
+        let acct = CarbonAccountant::new(trace_with_step(f64::NAN));
+        let _ = acct.footprint_interval_grams(1.0, 0.0, 10.0);
+    }
 
     #[test]
     fn constant_trace_footprint_is_linear() {

@@ -26,7 +26,10 @@
 //!   invocation allocates nothing in the steady state,
 //! * job DAGs are shared (`Arc<JobDag>`), so activating a job bumps a
 //!   reference count instead of deep-cloning every stage and task, and
-//!   workload validation happens once in [`Federation::new`], not per run,
+//!   workload validation happens once in [`Federation::new`], not per run;
+//!   a DAG is flat (one task array, one name arena), so a dispatch reads
+//!   its task from one contiguous array and retiring a job frees a fixed
+//!   handful of blocks, not two per stage,
 //! * runnable/dispatchable stage sets and remaining-work sums are maintained
 //!   incrementally inside [`pcaps_dag::JobProgress`], whose packed
 //!   per-stage task counts let a task finish decide stage completion
@@ -2339,10 +2342,16 @@ mod tests {
         assert_eq!(sim.run(&mut SimpleFifo::new()).unwrap_err(), SimError::EmptyWorkload);
     }
 
+    /// `bad` with its second stage emptied through the public flat fields.
+    fn empty_second_stage(mut bad: pcaps_dag::JobDag) -> pcaps_dag::JobDag {
+        bad.tasks.truncate(1);
+        bad.stage_ends[1] = 1;
+        bad
+    }
+
     #[test]
     fn invalid_dag_is_detected_once_at_construction() {
-        let mut bad = chain_job("bad", 2, 1, 1.0);
-        bad.stages[1].tasks.clear();
+        let bad = empty_second_stage(chain_job("bad", 2, 1, 1.0));
         let sim = Simulator::new(
             ClusterConfig::new(1),
             vec![SubmittedJob::at(0.0, bad)],
@@ -2363,7 +2372,8 @@ mod tests {
     /// an invalid job.
     fn job_with_task_duration(duration: f64) -> pcaps_dag::JobDag {
         let mut job = chain_job("bad", 2, 2, 1.0);
-        job.stages[1].tasks[1].duration = duration;
+        // Task 1 of stage 1: the flat task array holds stage 0's two first.
+        job.tasks[3].duration = duration;
         job
     }
 
@@ -2399,6 +2409,47 @@ mod tests {
             ]
             .into_iter();
             assert_invalid_duration(sim.run_source(&mut source, &mut SimpleFifo::new()));
+        }
+    }
+
+    /// A DAG whose flat layout was corrupted through its public fields is an
+    /// invalid job naming the layout error, both at federation construction
+    /// and on a streamed pull — never an index or slice panic, in
+    /// `SubmittedJob::at`'s work sum included.
+    #[test]
+    fn corrupt_flat_layouts_are_invalid_jobs_at_construction_and_on_pull() {
+        type Corruption = fn(&mut pcaps_dag::JobDag);
+        let cases: [(Corruption, &str); 6] = [
+            (|j| j.stage_ends[0] = 5, "the tasks of stage1 end before they start"),
+            (|j| j.stage_ends[1] = 5, "the last stage ends at task 5, but the job holds 4"),
+            (|j| j.name_ends[1] = 40, "the name bounds of stage1"),
+            (|j| j.name_ends[0] = 1, "the name bounds of stage0"),
+            (|j| j.stage_ends[0] = 0, "stage0 has no tasks"),
+            (|j| j.tasks[1].duration = f64::NAN, "task 1 of stage0"),
+        ];
+        for (corrupt, reason_part) in cases {
+            let bad = || {
+                let mut job = JobDagBuilder::new("bad")
+                    .uniform_stage("ü", 2, 1.0)
+                    .uniform_stage("s1", 2, 1.0)
+                    .build()
+                    .unwrap();
+                corrupt(&mut job);
+                SubmittedJob::at(1.0, job)
+            };
+            let assert_invalid = |result: Result<SimulationResult, SimError>| match result {
+                Err(SimError::InvalidJob { job, reason }) => {
+                    assert_eq!(job, "bad");
+                    assert!(reason.contains(reason_part), "{reason}");
+                }
+                other => panic!("expected invalid-job error, got {other:?}"),
+            };
+            let good = || SubmittedJob::at(0.0, chain_job("good", 1, 1, 1.0));
+            let sim = Simulator::new(ClusterConfig::new(1), vec![good(), bad()], flat_trace());
+            assert_invalid(sim.run(&mut SimpleFifo::new()));
+            let sim = Simulator::streaming(ClusterConfig::new(1), flat_trace());
+            let mut source = vec![good(), bad()].into_iter();
+            assert_invalid(sim.run_source(&mut source, &mut SimpleFifo::new()));
         }
     }
 
@@ -2637,8 +2688,7 @@ mod tests {
 
     #[test]
     fn streamed_dags_are_validated_unless_prevalidated() {
-        let mut bad = chain_job("bad", 2, 1, 1.0);
-        bad.stages[1].tasks.clear();
+        let bad = empty_second_stage(chain_job("bad", 2, 1, 1.0));
         let sim = Simulator::streaming(ClusterConfig::new(1), flat_trace());
         let mut source = vec![SubmittedJob::at(0.0, bad)].into_iter();
         match sim.run_source(&mut source, &mut SimpleFifo::new()) {

@@ -162,12 +162,19 @@
 //!   engine consults it again at its member's next arrival, task finish or
 //!   failure, or carbon step, so the queue holds no policy-requested
 //!   timers.
-//! * **Shared DAGs.**  Workloads hold `Arc<JobDag>`; activating a job bumps
-//!   a reference count (no deep clone), and [`Federation::new`] validates
-//!   every DAG exactly once.  DAGs are immutable once submitted — caches
-//!   hang off them (bottleneck scores on `JobDag`, the range-min/max bounds
-//!   index on `CarbonTrace`), so mutating a submitted DAG in place is a
-//!   contract violation.
+//! * **Shared, flat DAGs.**  Workloads hold `Arc<JobDag>`; activating a job
+//!   bumps a reference count (no deep clone), and [`Federation::new`]
+//!   validates every DAG exactly once (a streamed pull is validated on
+//!   arrival unless its source is a generator stream).  A `JobDag` is a
+//!   fixed handful of heap blocks whatever its stage count — one task
+//!   array, one stage-name arena, `u32` stage ends, the CSR adjacency and
+//!   two lazily filled caches — so building a job and retiring it cost
+//!   O(1) allocations, and validation turns any corrupted layout into
+//!   `SimError::InvalidJob` rather than a panic.  DAGs are immutable once
+//!   submitted — caches hang off them (bottleneck scores and duration
+//!   suffix sums on `JobDag`, the range-min/max bounds index on
+//!   `CarbonTrace`), so mutating a submitted DAG in place is a contract
+//!   violation.
 //! * **Incremental frontier sets.**  `JobProgress` keeps each stage's
 //!   missing-parent count (the O(1) runnable test) and the sorted
 //!   dispatchable stage set up to date in O(children) per stage

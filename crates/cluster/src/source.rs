@@ -177,7 +177,8 @@ mod tests {
     fn materialized_jobs_reject_invalid_dags() {
         let mut bad = job("bad", 0.0);
         let mut dag = (*bad.dag).clone();
-        dag.stages[0].tasks.clear();
+        dag.tasks.clear();
+        dag.stage_ends[0] = 0;
         bad.dag = std::sync::Arc::new(dag);
         match MaterializedJobs::new(vec![job("ok", 0.0), bad]) {
             Err(SimError::InvalidJob { job, .. }) => assert_eq!(job, "bad"),

@@ -3,22 +3,29 @@
 use crate::error::DagError;
 use crate::graph::Adjacency;
 use crate::ids::StageId;
-use crate::job::JobDag;
-use crate::stage::Stage;
+use crate::job::{check_stages, span, JobDag};
 use crate::task::Task;
 
 /// Builder for [`JobDag`] that assigns dense stage ids and validates the
 /// result (non-empty stages, acyclic precedence) at [`JobDagBuilder::build`].
 ///
-/// Stages can be referenced either by the [`StageId`] returned from
-/// [`JobDagBuilder::add_stage`] or by name via
-/// [`JobDagBuilder::edge_by_name`].  Names need not be unique: a name
-/// refers to the last stage added under it.
+/// Stages are appended straight into the job's flat arrays (see
+/// [`JobDag`]), so building a job allocates a fixed handful of blocks plus
+/// their growth, whatever its stage count.  Stages can be referenced
+/// either by the [`StageId`] returned from [`JobDagBuilder::add_stage`] or
+/// by name via [`JobDagBuilder::edge_by_name`].  Names need not be unique:
+/// a name refers to the last stage added under it.
 #[derive(Debug, Clone)]
 pub struct JobDagBuilder {
     name: String,
-    stages: Vec<Stage>,
+    tasks: Vec<Task>,
+    stage_ends: Vec<u32>,
+    stage_names: String,
+    name_ends: Vec<u32>,
     edges: Vec<(StageId, StageId)>,
+    /// The first stage whose task or name end did not fit a `u32`:
+    /// [`JobDagBuilder::build`] reports it rather than truncate.
+    overflow: Option<DagError>,
 }
 
 impl JobDagBuilder {
@@ -26,28 +33,61 @@ impl JobDagBuilder {
     pub fn new(name: impl Into<String>) -> Self {
         JobDagBuilder {
             name: name.into(),
-            stages: Vec::new(),
+            tasks: Vec::new(),
+            stage_ends: Vec::new(),
+            stage_names: String::new(),
+            name_ends: Vec::new(),
             edges: Vec::new(),
+            overflow: None,
         }
     }
 
-    /// Adds a stage and returns its id.
-    pub fn add_stage(&mut self, name: impl Into<String>, tasks: Vec<Task>) -> StageId {
-        let id = StageId(self.stages.len() as u32);
-        self.stages.push(Stage::new(id, name, tasks));
-        id
+    /// Reserves room for `stages` more stages holding `tasks` more tasks
+    /// between them, so a generator that knows its job's size ahead does
+    /// not regrow the task and end arrays stage by stage.
+    pub fn reserve(&mut self, stages: usize, tasks: usize) {
+        self.tasks.reserve(tasks);
+        self.stage_ends.reserve(stages);
+        self.name_ends.reserve(stages);
+    }
+
+    /// Adds a stage and returns its id.  The name is copied into the job's
+    /// name arena and the tasks appended to its task array.
+    pub fn add_stage(
+        &mut self,
+        name: impl AsRef<str>,
+        tasks: impl IntoIterator<Item = Task>,
+    ) -> StageId {
+        let stage = StageId(self.stage_ends.len() as u32);
+        self.tasks.extend(tasks);
+        self.stage_names.push_str(name.as_ref());
+        let end = u32::try_from(self.tasks.len());
+        let name_end = u32::try_from(self.stage_names.len());
+        if self.overflow.is_none() {
+            if end.is_err() {
+                self.overflow = Some(DagError::TooManyTasks {
+                    stage,
+                    tasks: self.tasks.len(),
+                });
+            } else if name_end.is_err() {
+                self.overflow = Some(DagError::InvalidStageName { stage });
+            }
+        }
+        self.stage_ends.push(end.unwrap_or(u32::MAX));
+        self.name_ends.push(name_end.unwrap_or(u32::MAX));
+        stage
     }
 
     /// Adds a stage in fluent style, discarding the id (look it up by name
     /// later if needed).
-    pub fn stage(mut self, name: impl Into<String>, tasks: Vec<Task>) -> Self {
+    pub fn stage(mut self, name: impl AsRef<str>, tasks: impl IntoIterator<Item = Task>) -> Self {
         self.add_stage(name, tasks);
         self
     }
 
     /// Convenience: add a stage of `n` identical tasks of `duration` seconds.
-    pub fn uniform_stage(self, name: impl Into<String>, n: usize, duration: f64) -> Self {
-        self.stage(name, vec![Task::new(duration); n])
+    pub fn uniform_stage(self, name: impl AsRef<str>, n: usize, duration: f64) -> Self {
+        self.stage(name, std::iter::repeat_n(Task::new(duration), n))
     }
 
     /// Records a precedence edge `from -> to` by stage id.
@@ -60,6 +100,21 @@ impl JobDagBuilder {
         }
         self.edges.push((from, to));
         Ok(self)
+    }
+
+    /// Records precedence edges `from -> to` by stage id, in order: the
+    /// same as one [`JobDagBuilder::edge`] call per edge, but the edge list
+    /// grows once for an iterator that knows its length.
+    pub fn edges(
+        mut self,
+        edges: impl IntoIterator<Item = (StageId, StageId)>,
+    ) -> Result<Self, DagError> {
+        let start = self.edges.len();
+        self.edges.extend(edges);
+        match self.edges[start..].iter().find(|(from, to)| from == to) {
+            Some(&(stage, _)) => Err(DagError::SelfLoop { stage }),
+            None => Ok(self),
+        }
     }
 
     /// Records a precedence edge between two previously added stages by
@@ -81,30 +136,42 @@ impl JobDagBuilder {
     /// looked up while wiring hand-written DAGs, so generators pay nothing
     /// for them.
     pub fn stage_id(&self, name: &str) -> Option<StageId> {
-        self.stages
-            .iter()
+        (0..self.name_ends.len())
             .rev()
-            .find(|s| s.name == name)
-            .map(|s| s.id)
+            .find(|&i| {
+                span(&self.name_ends, i).and_then(|r| self.stage_names.get(r)) == Some(name)
+            })
+            .map(|i| StageId(i as u32))
     }
 
     /// Number of stages added so far.
     pub fn num_stages(&self) -> usize {
-        self.stages.len()
+        self.stage_ends.len()
     }
 
-    /// Finalises the job, validating all invariants.
-    pub fn build(self) -> Result<JobDag, DagError> {
-        if self.stages.is_empty() {
-            return Err(DagError::EmptyJob);
+    /// Finalises the job, validating all invariants.  The flat arrays are
+    /// trimmed to their length: a job stays resident until it completes,
+    /// so its growth slack would outlive the build.
+    pub fn build(mut self) -> Result<JobDag, DagError> {
+        if let Some(overflow) = self.overflow {
+            return Err(overflow);
         }
-        for s in &self.stages {
-            s.check_tasks()?;
-        }
-        let adjacency = Adjacency::from_edges(self.stages.len(), &self.edges)?;
+        check_stages(&self.tasks, &self.stage_ends, &self.stage_names, &self.name_ends)?;
+        self.tasks.shrink_to_fit();
+        self.stage_ends.shrink_to_fit();
+        self.stage_names.shrink_to_fit();
+        self.name_ends.shrink_to_fit();
+        let adjacency = Adjacency::from_edges(self.stage_ends.len(), &self.edges)?;
         // Cycle check.
         adjacency.topological_order()?;
-        let job = JobDag::from_parts(self.name, self.stages, adjacency);
+        let job = JobDag::from_parts(
+            self.name,
+            self.tasks,
+            self.stage_ends,
+            self.stage_names,
+            self.name_ends,
+            adjacency,
+        );
         debug_assert!(job.validate().is_ok());
         Ok(job)
     }

@@ -13,12 +13,34 @@ pub enum DagError {
         /// The offending stage.
         stage: StageId,
     },
-    /// A stage has more tasks than the runtime's `u32` task counts hold.
+    /// The job holds more tasks than its `u32` stage ends (and the
+    /// runtime's `u32` task counts) can index.
     TooManyTasks {
+        /// The first stage whose end does not fit.
+        stage: StageId,
+        /// The job's task count up to and including that stage.
+        tasks: usize,
+    },
+    /// A stage's end in [`crate::JobDag::stage_ends`] lies below the
+    /// previous stage's end.
+    StageEndsDecrease {
         /// The offending stage.
         stage: StageId,
-        /// Its task count.
+    },
+    /// The last stage end is not the length of [`crate::JobDag::tasks`].
+    TaskCountMismatch {
+        /// Where the last stage ends.
+        last_end: usize,
+        /// How many tasks the job holds.
         tasks: usize,
+    },
+    /// A stage's name bounds do not fit the name arena: its end in
+    /// [`crate::JobDag::name_ends`] is missing, lies past the arena or
+    /// below the previous end, falls off a `char` boundary or overflows a
+    /// `u32` — or the arena bounds a stage that does not exist.
+    InvalidStageName {
+        /// The offending stage.
+        stage: StageId,
     },
     /// A task's duration is NaN, infinite or negative.  [`crate::Task::new`]
     /// rejects such a duration, but [`crate::Task`]'s fields are public, so
@@ -64,7 +86,16 @@ impl fmt::Display for DagError {
             DagError::EmptyJob => write!(f, "job has no stages"),
             DagError::EmptyStage { stage } => write!(f, "{stage} has no tasks"),
             DagError::TooManyTasks { stage, tasks } => {
-                write!(f, "{stage} has {tasks} tasks, more than {}", u32::MAX)
+                write!(f, "the job holds {tasks} tasks by the end of {stage}, more than {}", u32::MAX)
+            }
+            DagError::StageEndsDecrease { stage } => {
+                write!(f, "the tasks of {stage} end before they start")
+            }
+            DagError::TaskCountMismatch { last_end, tasks } => {
+                write!(f, "the last stage ends at task {last_end}, but the job holds {tasks} tasks")
+            }
+            DagError::InvalidStageName { stage } => {
+                write!(f, "the name bounds of {stage} do not fit the stage-name arena")
             }
             DagError::InvalidTaskDuration { stage, task } => {
                 write!(f, "task {task} of {stage} has a non-finite or negative duration")
@@ -98,6 +129,9 @@ mod tests {
             DagError::EmptyJob.to_string(),
             DagError::EmptyStage { stage: StageId(3) }.to_string(),
             DagError::TooManyTasks { stage: StageId(3), tasks: 1 << 33 }.to_string(),
+            DagError::StageEndsDecrease { stage: StageId(2) }.to_string(),
+            DagError::TaskCountMismatch { last_end: 9, tasks: 6 }.to_string(),
+            DagError::InvalidStageName { stage: StageId(1) }.to_string(),
             DagError::InvalidTaskDuration { stage: StageId(3), task: 4 }.to_string(),
             DagError::UnknownStage { stage: StageId(9) }.to_string(),
             DagError::UnknownStageName { name: "x".into() }.to_string(),

@@ -158,10 +158,9 @@ impl JobProgress {
     pub fn new(job: &JobDag) -> Self {
         let frontier = Frontier::new(job);
         let counts: Vec<StageCounts> = job
-            .stages
-            .iter()
+            .stages()
             .map(|s| StageCounts {
-                // Validation rejects a stage of more than `u32::MAX` tasks.
+                // Validation rejects a job of more than `u32::MAX` tasks.
                 pending: u32::try_from(s.num_tasks())
                     .expect("a stage holds at most u32::MAX tasks"),
                 running: 0,
@@ -617,7 +616,7 @@ mod tests {
         let mut builder = JobDagBuilder::new("wide");
         for i in 0..70 {
             let tasks = (0..1 + i % 3).map(|k| Task::new(0.1 + 0.37 * (i * 3 + k) as f64));
-            builder.add_stage(format!("s{i}"), tasks.collect());
+            builder.add_stage(format!("s{i}"), tasks);
         }
         let job = builder.build().unwrap();
         let mut p = JobProgress::new(&job);

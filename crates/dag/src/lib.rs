@@ -9,9 +9,15 @@
 //! This crate provides the job model shared by every other crate in the
 //! workspace:
 //!
-//! * [`Task`], [`Stage`], [`JobDag`] — the static description of a job,
-//! * [`JobDagBuilder`] — validated construction (rejects cycles, dangling
-//!   edges, empty stages),
+//! * [`Task`], [`JobDag`] — the static description of a job, stored flat:
+//!   every task in one array in stage order, every stage name in one
+//!   string, `u32` stage ends into both and implicit stage ids (a stage's
+//!   id is its index), so a job is a fixed handful of heap blocks whatever
+//!   its size,
+//! * [`Stage`] — a borrowed `Copy` view of one stage (id, name, tasks),
+//!   handed out by [`JobDag::stage`] and [`JobDag::stages`],
+//! * [`JobDagBuilder`] — validated construction straight into the flat
+//!   arrays (rejects cycles, dangling edges, empty stages),
 //! * [`analysis`] — critical path, bottom/top levels, work, width and other
 //!   graph measures used by schedulers,
 //! * [`frontier`] — incremental tracking of which stages are runnable as
@@ -24,6 +30,14 @@
 //! All durations are in (simulated) seconds and carried as `f64`.  The model
 //! is deliberately free of any scheduling or carbon logic so that baselines
 //! and carbon-aware schedulers operate on exactly the same representation.
+//!
+//! A built [`JobDag`] is immutable by contract: its fields (the task array,
+//! both end arrays, the name arena and the adjacency) are public for
+//! reading and for tests that construct invalid states, and
+//! [`JobDag::validate`] turns any edit of them into a [`DagError`] without
+//! an index or slice panic.  Derived quantities are cached on the DAG, so
+//! change a job only through its consuming transforms ([`JobDag::scaled`],
+//! [`JobDag::renamed`]).
 //!
 //! ## Example
 //!

@@ -15,6 +15,7 @@
 //! and fan-ins (the dominant motifs in the trace).  It is deterministic
 //! given a seed.
 
+use crate::push_decimal;
 use pcaps_dag::{JobDag, JobDagBuilder, StageId, Task};
 use rand::Rng;
 use rand::SeedableRng;
@@ -34,7 +35,28 @@ pub struct AlibabaGenerator {
     /// Target mean number of stages per DAG.
     mean_stages: f64,
     counter: u64,
+    /// Working vectors of [`AlibabaGenerator::next_job`], kept between jobs.
+    scratch: Scratch,
 }
+
+/// The per-job working vectors of the generator, kept between jobs so a
+/// generated job allocates little beyond the blocks its DAG keeps.  Every
+/// one is cleared before use, so their contents never reach a job.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    layer_of: Vec<usize>,
+    weights: Vec<f64>,
+    jitters: Vec<f64>,
+    order: Vec<usize>,
+    ge_count: Vec<usize>,
+    edges: Vec<(StageId, StageId)>,
+    chosen: Vec<usize>,
+    stage_name: String,
+}
+
+/// Room reserved for a job's name: `"alibaba-"`, the job counter and the
+/// `#index` suffix the workload stream appends, up to 11 digits each.
+const NAME_CAPACITY: usize = 32;
 
 /// The paper's reported mean single-executor duration of an Alibaba job.
 pub const TARGET_MEAN_DURATION: f64 = 7989.0;
@@ -55,6 +77,7 @@ impl AlibabaGenerator {
             max_duration: 120_000.0,
             mean_stages: TARGET_MEAN_NODES,
             counter: 0,
+            scratch: Scratch::default(),
         }
     }
 
@@ -98,8 +121,10 @@ impl AlibabaGenerator {
         self.counter += 1;
         let total_duration = self.sample_duration();
         let num_stages = self.sample_num_stages();
-        let name = format!("alibaba-{}", self.counter);
-        self.build_dag(&name, num_stages, total_duration)
+        let mut name = String::with_capacity(NAME_CAPACITY);
+        name.push_str("alibaba-");
+        push_decimal(&mut name, self.counter);
+        self.build_dag(name, num_stages, total_duration)
     }
 
     /// Generates `n` jobs.
@@ -109,47 +134,59 @@ impl AlibabaGenerator {
 
     /// Builds a layered random DAG with the requested stage count and total
     /// single-executor work.
-    fn build_dag(&mut self, name: &str, num_stages: usize, total_duration: f64) -> JobDag {
+    fn build_dag(&mut self, name: String, num_stages: usize, total_duration: f64) -> JobDag {
+        let rng = &mut self.rng;
+        let Scratch {
+            layer_of,
+            weights,
+            jitters,
+            order,
+            ge_count,
+            edges,
+            chosen,
+            stage_name,
+        } = &mut self.scratch;
         // 1. Assign stages to layers: the number of layers grows with DAG
         //    size (between 3 and ~12), remaining stages are spread randomly.
         let num_layers = (2.0 * (num_stages as f64).sqrt())
             .round()
             .clamp(2.0, 12.0) as usize;
-        let mut layer_of = vec![0usize; num_stages];
-        for (i, layer) in layer_of.iter_mut().enumerate() {
-            *layer = if i < num_layers {
+        layer_of.clear();
+        layer_of.extend((0..num_stages).map(|i| {
+            if i < num_layers {
                 i // guarantee every layer is non-empty
             } else {
-                self.rng.gen_range(0..num_layers)
-            };
-        }
+                rng.gen_range(0..num_layers)
+            }
+        }));
 
         // 2. Split the total work over stages with a log-normal-ish spread,
         //    then split each stage's work over its tasks.
-        let stage_weights: Vec<f64> = (0..num_stages)
-            .map(|_| {
-                let u: f64 = self.rng.gen_range(0.0..1.0);
-                (u * 3.0).exp()
-            })
-            .collect();
-        let weight_sum: f64 = stage_weights.iter().sum();
+        weights.clear();
+        weights.extend((0..num_stages).map(|_| {
+            let u: f64 = rng.gen_range(0.0..1.0);
+            (u * 3.0).exp()
+        }));
+        let weight_sum: f64 = weights.iter().sum();
+        // Production stages have anywhere from 1 to ~50 tasks; keep the
+        // count roughly proportional to the stage's work.
+        let split = |w: f64| {
+            let stage_work = total_duration * w / weight_sum;
+            (stage_work, ((stage_work / 200.0).ceil() as usize).clamp(1, 50))
+        };
 
         let mut builder = JobDagBuilder::new(name);
-        let mut ids: Vec<StageId> = Vec::with_capacity(num_stages);
-        let mut jitters: Vec<f64> = Vec::new();
-        for (i, w) in stage_weights.iter().enumerate() {
-            let stage_work = total_duration * w / weight_sum;
-            // Production stages have anywhere from 1 to ~50 tasks; keep the
-            // count roughly proportional to the stage's work.
-            let tasks = ((stage_work / 200.0).ceil() as usize).clamp(1, 50);
+        builder.reserve(num_stages, weights.iter().map(|&w| split(w).1).sum());
+        for (i, &w) in weights.iter().enumerate() {
+            let (stage_work, tasks) = split(w);
             jitters.clear();
-            jitters.extend((0..tasks).map(|_| self.rng.gen_range(0.5..1.5)));
+            jitters.extend((0..tasks).map(|_| rng.gen_range(0.5..1.5)));
             let jitter_sum: f64 = jitters.iter().sum();
-            let task_durations: Vec<Task> = jitters
-                .iter()
-                .map(|j| Task::new(stage_work * j / jitter_sum))
-                .collect();
-            ids.push(builder.add_stage(stage_name(i), task_durations));
+            write_stage_name(stage_name, i);
+            builder.add_stage(
+                &*stage_name,
+                jitters.iter().map(|j| Task::new(stage_work * j / jitter_sum)),
+            );
         }
 
         // 3. Wire edges: every stage in layer > 0 gets 1–3 parents from
@@ -163,66 +200,51 @@ impl AlibabaGenerator {
         //    descending layer (then index), any stage's candidate list is
         //    the suffix of stages in strictly earlier layers, found at
         //    offset `ge_count[layer]` (= number of stages with layer ≥ l).
-        let mut order: Vec<usize> = (0..num_stages).collect();
+        order.clear();
+        order.extend(0..num_stages);
         order.sort_unstable_by_key(|&j| (std::cmp::Reverse(layer_of[j]), j));
-        let mut ge_count = vec![0usize; num_layers + 1];
-        for &l in &layer_of {
+        ge_count.clear();
+        ge_count.resize(num_layers + 1, 0);
+        for &l in layer_of.iter() {
             ge_count[l] += 1;
         }
         for l in (0..num_layers).rev() {
             ge_count[l] += ge_count[l + 1];
         }
-        let mut edges: Vec<(StageId, StageId)> = Vec::new();
-        let mut chosen: Vec<usize> = Vec::with_capacity(3);
+        edges.clear();
         for i in 0..num_stages {
             if layer_of[i] == 0 {
                 continue;
             }
-            let parents_wanted = self.rng.gen_range(1..=3usize);
+            let parents_wanted = rng.gen_range(1..=3usize);
             let candidates = &order[ge_count[layer_of[i]]..];
             let take = parents_wanted.min(candidates.len());
             // Pick among the closest 2×take candidates to add variety.
             let pool = candidates.len().min(take * 2);
             chosen.clear();
             while chosen.len() < take {
-                let pick = candidates[self.rng.gen_range(0..pool)];
+                let pick = candidates[rng.gen_range(0..pool)];
                 if !chosen.contains(&pick) {
                     chosen.push(pick);
                 }
             }
-            for &p in &chosen {
-                edges.push((ids[p], ids[i]));
-            }
+            edges.extend(chosen.iter().map(|&p| (StageId(p as u32), StageId(i as u32))));
         }
 
-        let mut b = builder;
-        for (f, t) in edges {
-            b = b.edge(f, t).expect("layered edges cannot form cycles");
-        }
-        b.build().expect("generated Alibaba DAG is always valid")
+        builder
+            .edges(edges.iter().copied())
+            .expect("layered edges cannot form cycles")
+            .build()
+            .expect("generated Alibaba DAG is always valid")
     }
 }
 
-/// The name of stage `i`, `"s{i}"`, built by pushing `'s'` and the decimal
-/// digits into a presized `String`: the same bytes as `format!("s{i}")`
-/// without the formatting machinery, which every stage of every generated
-/// job pays for on the streaming hot path.
-fn stage_name(i: usize) -> String {
-    let mut digits = [0u8; 20]; // usize::MAX has 20 decimal digits
-    let mut start = digits.len();
-    let mut n = i;
-    loop {
-        start -= 1;
-        digits[start] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    let mut name = String::with_capacity(1 + digits.len() - start);
-    name.push('s');
-    name.extend(digits[start..].iter().map(|&d| char::from(d)));
-    name
+/// Writes stage `i`'s name, `"s{i}"`, into `buf` (cleared first): the same
+/// bytes as `format!("s{i}")` without a fresh `String` per stage.
+fn write_stage_name(buf: &mut String, i: usize) {
+    buf.clear();
+    buf.push('s');
+    push_decimal(buf, i as u64);
 }
 
 #[cfg(test)]
@@ -232,8 +254,10 @@ mod tests {
     #[test]
     fn stage_names_match_format() {
         let wide = [999, 1000, 65_535, u32::MAX as usize, usize::MAX];
+        let mut buf = String::from("stale");
         for i in (0..1_000).chain(wide) {
-            assert_eq!(stage_name(i), format!("s{i}"));
+            write_stage_name(&mut buf, i);
+            assert_eq!(buf, format!("s{i}"));
         }
     }
 

@@ -180,8 +180,8 @@ impl WorkloadBuilder {
 
 /// The DAG-sampling half of a workload stream: kind selection, duration
 /// scaling and unique `name#index` renaming, independent of how arrivals
-/// are spaced.  Each pulled DAG is built once and then scaled and renamed
-/// in place.
+/// are spaced.  Each pulled DAG is built once, then scaled in place and
+/// `#index` appended to its name in place.
 struct JobSampler {
     kind: WorkloadKind,
     duration_scale: f64,
@@ -208,8 +208,10 @@ impl JobSampler {
             }
             WorkloadKind::Alibaba => self.alibaba.next_job(),
         };
-        let name = format!("{}#{}", dag.name, i);
-        dag.scaled(self.duration_scale).renamed(name)
+        let mut dag = dag.scaled(self.duration_scale);
+        dag.name.push('#');
+        crate::push_decimal(&mut dag.name, i as u64);
+        dag
     }
 }
 

@@ -56,3 +56,22 @@ pub use tpch::{TpchQuery, TpchScale};
 /// that one hour of carbon-trace time corresponds to one minute of schedule
 /// time (§6.1).
 pub const PAPER_DURATION_SCALE: f64 = 1.0 / 60.0;
+
+/// Appends the decimal digits of `n` to `out`: the bytes `write!(out,
+/// "{n}")` would append, without the formatting machinery, which the
+/// generators pay for on the streaming hot path (once per stage name and
+/// once per job name).
+pub(crate) fn push_decimal(out: &mut String, n: u64) {
+    let mut digits = [0u8; 20]; // u64::MAX has 20 decimal digits
+    let mut start = digits.len();
+    let mut n = n;
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
+}

@@ -13,6 +13,7 @@
 //! Task counts grow with the data scale (more partitions), durations are
 //! deterministic given `(query, scale, seed)`.
 
+use crate::push_decimal;
 use pcaps_dag::{JobDag, JobDagBuilder, Task};
 use rand::Rng;
 use rand::SeedableRng;
@@ -149,13 +150,19 @@ impl TpchQuery {
 
         let partitions = scale.partitions();
         let mut builder = JobDagBuilder::new(format!("tpch-q{}-{}", self.0, scale.label()));
+        // One name buffer and one weight buffer serve every stage.
+        let mut name = String::new();
+        let mut weights = Vec::new();
 
         // Scan layer.
         let mut scan_ids = Vec::new();
         for s in 0..scans {
             let stage_work = scan_work / scans as f64;
-            let tasks = jittered_tasks(&mut rng, stage_work, partitions);
-            scan_ids.push(builder.add_stage(format!("scan{s}"), tasks));
+            let tasks = jittered_tasks(&mut rng, &mut weights, stage_work, partitions);
+            name.clear();
+            name.push_str("scan");
+            push_decimal(&mut name, s as u64);
+            scan_ids.push(builder.add_stage(&name, tasks));
         }
 
         // Join tree: each level halves the number of stages (at least one),
@@ -169,8 +176,14 @@ impl TpchQuery {
             let stage_work = join_work / join_levels as f64 / next_count as f64;
             let mut next_level = Vec::new();
             for j in 0..next_count {
-                let tasks = jittered_tasks(&mut rng, stage_work, (partitions / 2).max(2));
-                let id = builder.add_stage(format!("join{level}_{j}"), tasks);
+                let tasks =
+                    jittered_tasks(&mut rng, &mut weights, stage_work, (partitions / 2).max(2));
+                name.clear();
+                name.push_str("join");
+                push_decimal(&mut name, level as u64);
+                name.push('_');
+                push_decimal(&mut name, j as u64);
+                let id = builder.add_stage(&name, tasks);
                 // Connect to one or two parents from the previous level.
                 let p0 = prev_level[(2 * j) % prev_level.len()];
                 edges.push((p0, id));
@@ -184,30 +197,35 @@ impl TpchQuery {
 
         // Final aggregation/sort stage depends on every stage of the last
         // join level.
-        let agg_tasks = jittered_tasks(&mut rng, agg_work, (partitions / 4).max(1));
+        let agg_tasks = jittered_tasks(&mut rng, &mut weights, agg_work, (partitions / 4).max(1));
         let agg = builder.add_stage("aggregate", agg_tasks);
         for p in &prev_level {
             edges.push((*p, agg));
         }
 
-        let mut b = builder;
-        for (f, t) in edges {
-            b = b.edge(f, t).expect("generated edges are valid");
-        }
-        b.build().expect("generated TPC-H DAG is always valid")
+        builder
+            .edges(edges)
+            .expect("generated edges are valid")
+            .build()
+            .expect("generated TPC-H DAG is always valid")
     }
 }
 
 /// Splits `stage_work` executor-seconds across `n` tasks with ±20% jitter,
-/// preserving the total.
-fn jittered_tasks(rng: &mut ChaCha8Rng, stage_work: f64, n: usize) -> Vec<Task> {
-    let n = n.max(1);
-    let weights: Vec<f64> = (0..n).map(|_| rng.gen_range(0.8..1.2)).collect();
+/// preserving the total.  The jitter weights are drawn into `weights`
+/// (cleared first), which the returned tasks borrow.
+fn jittered_tasks<'w>(
+    rng: &mut ChaCha8Rng,
+    weights: &'w mut Vec<f64>,
+    stage_work: f64,
+    n: usize,
+) -> impl Iterator<Item = Task> + 'w {
+    weights.clear();
+    weights.extend((0..n.max(1)).map(|_| rng.gen_range(0.8..1.2)));
     let total_weight: f64 = weights.iter().sum();
     weights
         .iter()
-        .map(|w| Task::new(stage_work * w / total_weight))
-        .collect()
+        .map(move |w| Task::new(stage_work * w / total_weight))
 }
 
 /// The average single-executor duration over all 22 queries at `scale`

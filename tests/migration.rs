@@ -244,7 +244,7 @@ fn migration_conserves_jobs_and_tasks() {
         let expected_tasks: usize = fed
             .workload()
             .iter()
-            .map(|j| j.dag.stages.iter().map(|s| s.num_tasks()).sum::<usize>())
+            .map(|j| j.dag.stages().map(|s| s.num_tasks()).sum::<usize>())
             .sum();
         let mut policy = CarbonDeltaMigrator::new();
         let result = run_three_member(&fed, &mut policy, RouterSpec::RoundRobin);

@@ -59,8 +59,7 @@ fn dag_invariants_hold() {
         let cp = analysis::critical_path(&dag);
         assert!(cp.length <= dag.total_work() + 1e-9, "case {case}");
         let longest_stage = dag
-            .stages
-            .iter()
+            .stages()
             .map(|s| s.critical_duration())
             .fold(0.0, f64::max);
         assert!(cp.length >= longest_stage - 1e-9, "case {case}");
@@ -262,10 +261,10 @@ fn assert_scaled_and_renamed(streamed: &JobDag, bare: &JobDag, scale: f64, index
     assert_eq!(streamed.name, format!("{}#{index}", bare.name), "{what}");
     assert_eq!(streamed.adjacency, bare.adjacency, "{what}");
     assert_eq!(streamed.num_stages(), bare.num_stages(), "{what}");
-    for (got, raw) in streamed.stages.iter().zip(&bare.stages) {
-        assert_eq!((got.id, &got.name), (raw.id, &raw.name), "{what}");
+    for (got, raw) in streamed.stages().zip(bare.stages()) {
+        assert_eq!((got.id, got.name), (raw.id, raw.name), "{what}");
         assert_eq!(got.tasks.len(), raw.tasks.len(), "{what}");
-        for (t, r) in got.tasks.iter().zip(&raw.tasks) {
+        for (t, r) in got.tasks.iter().zip(raw.tasks) {
             assert_eq!(
                 t.duration.to_bits(),
                 (r.duration * scale).to_bits(),
@@ -302,6 +301,203 @@ fn streamed_dags_are_generator_dags_scaled_and_renamed() {
         let q = *queries.choose(&mut rng).unwrap();
         let at = *TpchScale::ALL.choose(&mut rng).unwrap();
         assert_scaled_and_renamed(&job.dag, &q.job(at, rng.gen()), scale, i);
+    }
+}
+
+/// One stage of a flat-layout case as the builder receives it.
+struct StageInput {
+    name: String,
+    durations: Vec<f64>,
+}
+
+/// Seeded random builder input: 1–80 stages of 1–50 tasks; durations
+/// that are 0.0 or log-uniform over 1e-300..1e6; names that are empty,
+/// multi-byte, repeated or unique.
+fn random_stage_inputs(rng: &mut ChaCha8Rng) -> Vec<StageInput> {
+    const SHARED: [&str; 4] = ["", "map", "é", "reduce"];
+    (0..rng.gen_range(1..=80usize))
+        .map(|i| StageInput {
+            name: if rng.gen_range(0..2u32) == 0 {
+                SHARED[rng.gen_range(0..SHARED.len())].to_string()
+            } else {
+                format!("s{i}")
+            },
+            durations: (0..rng.gen_range(1..=50usize))
+                .map(|_| {
+                    if rng.gen_range(0..8u32) == 0 {
+                        0.0
+                    } else {
+                        10f64.powf(rng.gen_range(-300.0..6.0))
+                    }
+                })
+                .collect(),
+        })
+        .collect()
+}
+
+/// Oracle: the critical path by the parent's formulas over nested
+/// durations, with stage order as the topological order (every edge runs
+/// forward) and each stage's parents in edge-insertion order.
+fn oracle_critical_path(
+    stages: &[Vec<f64>],
+    edges: &[(usize, usize)],
+) -> (f64, Vec<StageId>) {
+    let crit = |s: usize| stages[s].iter().copied().fold(0.0_f64, f64::max);
+    let mut dist = vec![0.0_f64; stages.len()];
+    let mut pred: Vec<Option<usize>> = vec![None; stages.len()];
+    for s in 0..stages.len() {
+        let (best_parent, best) = edges
+            .iter()
+            .filter(|&&(_, to)| to == s)
+            .map(|&(from, _)| (Some(from), dist[from]))
+            .fold((None, 0.0_f64), |acc, cur| if cur.1 > acc.1 { cur } else { acc });
+        dist[s] = best + crit(s);
+        pred[s] = best_parent;
+    }
+    let (mut cur, length) = dist
+        .iter()
+        .enumerate()
+        .fold((0, f64::NEG_INFINITY), |acc, (i, &d)| if d > acc.1 { (i, d) } else { acc });
+    let mut path = vec![StageId(cur as u32)];
+    while let Some(p) = pred[cur] {
+        path.push(StageId(p as u32));
+        cur = p;
+    }
+    path.reverse();
+    (length.max(0.0), path)
+}
+
+/// Oracle: the bottleneck scores by the parent's formulas (bottom level
+/// over the critical-path length, clamped; all 1.0 when that length is 0).
+fn oracle_bottleneck_scores(stages: &[Vec<f64>], edges: &[(usize, usize)], cp: f64) -> Vec<f64> {
+    if cp <= 0.0 {
+        return vec![1.0; stages.len()];
+    }
+    let mut bottom = vec![0.0_f64; stages.len()];
+    for s in (0..stages.len()).rev() {
+        let below = edges
+            .iter()
+            .filter(|&&(from, _)| from == s)
+            .map(|&(_, to)| bottom[to])
+            .fold(0.0_f64, f64::max);
+        bottom[s] = stages[s].iter().copied().fold(0.0_f64, f64::max) + below;
+    }
+    bottom.iter().map(|&b| (b / cp).clamp(0.0, 1.0)).collect()
+}
+
+/// The flat layout (one task array, one name arena, `u32` ends) serves
+/// every stage view and every derived quantity bit for bit as the parent's
+/// per-stage `Vec`s did: an oracle recomputes each from nested
+/// `Vec<Vec<f64>>` durations with the parent's formulas and fold orders.
+#[test]
+fn flat_layout_matches_a_nested_oracle() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xF1A7);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    for case in 0..CASES {
+        let inputs = random_stage_inputs(&mut rng);
+        let n = inputs.len();
+        let mut builder = JobDagBuilder::new(format!("flat-{case}"));
+        for (i, input) in inputs.iter().enumerate() {
+            let tasks = input.durations.iter().map(|&d| Task::new(d));
+            // Both argument forms callers use: an iterator and a `Vec`.
+            let id = if i % 2 == 0 {
+                builder.add_stage(&input.name, tasks)
+            } else {
+                builder.add_stage(input.name.clone(), tasks.collect::<Vec<_>>())
+            };
+            assert_eq!(id, StageId(i as u32), "case {case}");
+        }
+        for input in &inputs {
+            let last = inputs.iter().rposition(|other| other.name == input.name);
+            assert_eq!(
+                builder.stage_id(&input.name),
+                last.map(|i| StageId(i as u32)),
+                "case {case}: {:?} names the last stage added under it",
+                input.name
+            );
+        }
+        let mut edges: Vec<(usize, usize)> = (0..rng.gen_range(0..2 * n))
+            .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+            .filter(|(a, z)| a < z)
+            .collect();
+        edges.sort_unstable();
+        edges.dedup();
+        // Insert them in a random order, which is each stage's parent order.
+        for i in (1..edges.len()).rev() {
+            edges.swap(i, rng.gen_range(0..=i));
+        }
+        let dag = builder
+            .edges(edges.iter().map(|&(a, z)| (StageId(a as u32), StageId(z as u32))))
+            .unwrap()
+            .build()
+            .unwrap();
+        dag.validate().unwrap();
+
+        let stages: Vec<Vec<f64>> = inputs.iter().map(|i| i.durations.clone()).collect();
+        let stage_work: Vec<f64> = stages.iter().map(|d| d.iter().sum::<f64>()).collect();
+        assert_eq!(dag.num_stages(), n, "case {case}");
+        assert_eq!(dag.num_tasks(), stages.iter().map(Vec::len).sum::<usize>(), "case {case}");
+        assert_eq!(
+            dag.total_work().to_bits(),
+            stage_work.iter().sum::<f64>().to_bits(),
+            "case {case}"
+        );
+        assert_eq!(dag.stages().len(), n, "case {case}");
+        for (view, (input, durations)) in dag.stages().zip(inputs.iter().zip(&stages)) {
+            let what = format!("case {case} {}", view.id);
+            assert_eq!(view.name, input.name, "{what}");
+            assert_eq!(view, dag.stage(view.id), "{what}");
+            let got: Vec<f64> = view.tasks.iter().map(|t| t.duration).collect();
+            assert_eq!(bits(&got), bits(durations), "{what}");
+            assert_eq!(view.num_tasks(), durations.len(), "{what}");
+            let work = durations.iter().sum::<f64>();
+            let crit = durations.iter().copied().fold(0.0_f64, f64::max);
+            assert_eq!(view.total_work().to_bits(), work.to_bits(), "{what}");
+            assert_eq!(view.critical_duration().to_bits(), crit.to_bits(), "{what}");
+            assert_eq!(
+                view.mean_task_duration().to_bits(),
+                (work / durations.len() as f64).to_bits(),
+                "{what}"
+            );
+            assert_eq!(view.duration_with_executors(0), 0.0, "{what}");
+            for k in 1..=4 {
+                assert_eq!(
+                    view.duration_with_executors(k).to_bits(),
+                    (work / k as f64).max(crit).to_bits(),
+                    "{what} with {k} executors"
+                );
+            }
+        }
+
+        let (offsets, sums) = dag.duration_suffix_sums();
+        let mut expected_offsets = vec![0u32];
+        let mut expected_sums = Vec::new();
+        for durations in &stages {
+            expected_sums.extend((0..=durations.len()).map(|k| durations[k..].iter().sum::<f64>()));
+            expected_offsets.push(expected_sums.len() as u32);
+        }
+        assert_eq!(offsets, expected_offsets, "case {case}");
+        assert_eq!(bits(sums), bits(&expected_sums), "case {case}");
+
+        let (length, path) = oracle_critical_path(&stages, &edges);
+        let cp = analysis::critical_path(&dag);
+        assert_eq!((cp.length.to_bits(), &cp.stages), (length.to_bits(), &path), "case {case}");
+        assert_eq!(
+            bits(dag.bottleneck_scores()),
+            bits(&oracle_bottleneck_scores(&stages, &edges, length)),
+            "case {case}"
+        );
+
+        let factor = rng.gen_range(1e-3..10.0);
+        let scaled = dag.clone().scaled(factor);
+        let expected: Vec<f64> = stages.iter().flatten().map(|d| d * factor).collect();
+        let got: Vec<f64> = scaled.tasks.iter().map(|t| t.duration).collect();
+        assert_eq!(bits(&got), bits(&expected), "case {case}: scaled by {factor}");
+        assert_eq!(
+            (&scaled.stage_ends, &scaled.stage_names, &scaled.name_ends, &scaled.adjacency),
+            (&dag.stage_ends, &dag.stage_names, &dag.name_ends, &dag.adjacency),
+            "case {case}"
+        );
     }
 }
 
@@ -357,7 +553,7 @@ impl TaskWalk {
     fn new(dag: &JobDag) -> Self {
         TaskWalk {
             running: vec![Vec::new(); dag.num_stages()],
-            finished: dag.stages.iter().map(|s| vec![false; s.num_tasks()]).collect(),
+            finished: dag.stages().map(|s| vec![false; s.num_tasks()]).collect(),
             retry: Vec::new(),
             fresh: vec![0; dag.num_stages()],
         }
