@@ -123,6 +123,10 @@ require_full_suite determinism "determinism fingerprint suite"
 # exits non-zero with a row diff on any drift.
 cargo run --release -q -p pcaps-experiments --bin repro_check
 
+# The size measure of ROADMAP's aim 2 (non-test lines, see loc.sh):
+# printed for the record, it gates nothing.
+echo "non-test .rs lines: $(crates/bench/loc.sh | tail -n 1)"
+
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 

@@ -716,7 +716,7 @@ pub(crate) struct Engine<'a> {
 /// definition.
 fn remaining_state(job: &ActiveJob) -> (f64, f64) {
     let remaining_work = job.progress.remaining_work(&job.dag);
-    let total = job.dag.total_work();
+    let total = job.total_work;
     let fraction = if total > 0.0 { remaining_work / total } else { 0.0 };
     (remaining_work, job.data_gb * fraction)
 }
@@ -1417,7 +1417,7 @@ impl<'a> Engine<'a> {
             "arrivals must come in ascending id order"
         );
         let active = ActiveJob::from_submitted(id, job);
-        member.outstanding_work += active.dag.total_work();
+        member.outstanding_work += active.total_work;
         member.register_active(active);
         member.routed_jobs += 1;
         member.profile.record_jobs_in_system(st.time, member.active.len());
@@ -1469,7 +1469,7 @@ impl<'a> Engine<'a> {
                         completion: time,
                         first_start: done.first_start.unwrap_or(time),
                         executor_seconds: done.executor_seconds,
-                        total_work: done.dag.total_work(),
+                        total_work: done.total_work,
                         num_stages: done.dag.num_stages(),
                     });
                     member.profile.record_jobs_in_system(time, member.active.len());
@@ -1708,6 +1708,7 @@ impl<'a> Engine<'a> {
         let ctx = MigrationContext::new(
             self.state.time,
             changed,
+            self.fed.members()[changed].config.time_scale,
             &views,
             self.fed.network(),
             &self.state.flows,
@@ -2227,7 +2228,7 @@ impl EngineSnapshot {
 mod tests {
     use super::*;
     use crate::routing::TransferMatrix;
-    use crate::schedulers::SimpleFifo;
+    use crate::schedulers::SparkStandaloneFifo;
     use pcaps_dag::{JobDagBuilder, StageId, Task};
 
     fn chain_job(name: &str, stages: usize, tasks: usize, dur: f64) -> pcaps_dag::JobDag {
@@ -2254,7 +2255,7 @@ mod tests {
         let total = job.total_work();
         let config = ClusterConfig::new(1).with_move_delay(0.0).with_time_scale(1.0);
         let sim = Simulator::new(config, vec![SubmittedJob::at(0.0, job)], flat_trace());
-        let result = sim.run(&mut SimpleFifo::new()).unwrap();
+        let result = sim.run(&mut SparkStandaloneFifo::new()).unwrap();
         assert!(result.all_jobs_complete());
         assert!((result.makespan - total).abs() < 1e-9);
         assert_eq!(result.tasks_dispatched, 6);
@@ -2270,7 +2271,7 @@ mod tests {
                 vec![SubmittedJob::at(0.0, job.clone())],
                 flat_trace(),
             );
-            sim.run(&mut SimpleFifo::new()).unwrap().makespan
+            sim.run(&mut SparkStandaloneFifo::new()).unwrap().makespan
         };
         assert!((mk(1) - 80.0).abs() < 1e-9);
         assert!((mk(4) - 20.0).abs() < 1e-9);
@@ -2285,7 +2286,7 @@ mod tests {
         let job = chain_job("j", 2, 1, 7.0);
         let config = ClusterConfig::new(10).with_move_delay(0.0).with_time_scale(1.0);
         let sim = Simulator::new(config, vec![SubmittedJob::at(0.0, job)], flat_trace());
-        let result = sim.run(&mut SimpleFifo::new()).unwrap();
+        let result = sim.run(&mut SparkStandaloneFifo::new()).unwrap();
         assert!((result.makespan - 14.0).abs() < 1e-9);
     }
 
@@ -2297,7 +2298,7 @@ mod tests {
             .with_move_delay(0.0)
             .with_time_scale(1.0);
         let sim = Simulator::new(config, vec![SubmittedJob::at(0.0, job)], flat_trace());
-        let result = sim.run(&mut SimpleFifo::new()).unwrap();
+        let result = sim.run(&mut SparkStandaloneFifo::new()).unwrap();
         // 8 tasks of 10 s on at most 2 executors → 40 s.
         assert!((result.makespan - 40.0).abs() < 1e-9);
     }
@@ -2314,7 +2315,7 @@ mod tests {
             vec![SubmittedJob::at(0.0, j0), SubmittedJob::at(0.0, j1)],
             flat_trace(),
         );
-        let result = sim.run(&mut SimpleFifo::new()).unwrap();
+        let result = sim.run(&mut SparkStandaloneFifo::new()).unwrap();
         assert!((result.makespan - 24.0).abs() < 1e-9);
     }
 
@@ -2328,7 +2329,7 @@ mod tests {
             vec![SubmittedJob::at(100.0, j1), SubmittedJob::at(0.0, j0)],
             flat_trace(),
         );
-        let result = sim.run(&mut SimpleFifo::new()).unwrap();
+        let result = sim.run(&mut SparkStandaloneFifo::new()).unwrap();
         assert!(result.all_jobs_complete());
         // Second job cannot start before its arrival at t=100.
         assert!((result.makespan - 105.0).abs() < 1e-9);
@@ -2339,7 +2340,7 @@ mod tests {
     #[test]
     fn empty_workload_is_error() {
         let sim = Simulator::new(ClusterConfig::new(1), vec![], flat_trace());
-        assert_eq!(sim.run(&mut SimpleFifo::new()).unwrap_err(), SimError::EmptyWorkload);
+        assert_eq!(sim.run(&mut SparkStandaloneFifo::new()).unwrap_err(), SimError::EmptyWorkload);
     }
 
     /// `bad` with its second stage emptied through the public flat fields.
@@ -2359,7 +2360,7 @@ mod tests {
         );
         // Every run reports the cached validation failure.
         for _ in 0..2 {
-            match sim.run(&mut SimpleFifo::new()) {
+            match sim.run(&mut SparkStandaloneFifo::new()) {
                 Err(SimError::InvalidJob { job, .. }) => assert_eq!(job, "bad"),
                 other => panic!("expected invalid-job error, got {other:?}"),
             }
@@ -2395,7 +2396,7 @@ mod tests {
                 vec![SubmittedJob::at(0.0, job_with_task_duration(bad))],
                 flat_trace(),
             );
-            assert_invalid_duration(sim.run(&mut SimpleFifo::new()));
+            assert_invalid_duration(sim.run(&mut SparkStandaloneFifo::new()));
         }
     }
 
@@ -2408,7 +2409,7 @@ mod tests {
                 SubmittedJob::at(1.0, job_with_task_duration(bad)),
             ]
             .into_iter();
-            assert_invalid_duration(sim.run_source(&mut source, &mut SimpleFifo::new()));
+            assert_invalid_duration(sim.run_source(&mut source, &mut SparkStandaloneFifo::new()));
         }
     }
 
@@ -2446,10 +2447,10 @@ mod tests {
             };
             let good = || SubmittedJob::at(0.0, chain_job("good", 1, 1, 1.0));
             let sim = Simulator::new(ClusterConfig::new(1), vec![good(), bad()], flat_trace());
-            assert_invalid(sim.run(&mut SimpleFifo::new()));
+            assert_invalid(sim.run(&mut SparkStandaloneFifo::new()));
             let sim = Simulator::streaming(ClusterConfig::new(1), flat_trace());
             let mut source = vec![good(), bad()].into_iter();
-            assert_invalid(sim.run_source(&mut source, &mut SimpleFifo::new()));
+            assert_invalid(sim.run_source(&mut source, &mut SparkStandaloneFifo::new()));
         }
     }
 
@@ -2458,7 +2459,7 @@ mod tests {
         let job = chain_job("j", 2, 3, 4.0);
         let config = ClusterConfig::new(3).with_move_delay(0.0).with_time_scale(1.0);
         let sim = Simulator::new(config, vec![SubmittedJob::at(0.0, job)], flat_trace());
-        let result = sim.run(&mut SimpleFifo::new()).unwrap();
+        let result = sim.run(&mut SparkStandaloneFifo::new()).unwrap();
         assert!((result.jobs[0].executor_seconds - 24.0).abs() < 1e-9);
         assert_eq!(result.jobs[0].num_stages, 2);
     }
@@ -2468,7 +2469,7 @@ mod tests {
         let job = chain_job("j", 1, 4, 5.0);
         let config = ClusterConfig::new(4).with_move_delay(0.0).with_time_scale(1.0);
         let sim = Simulator::new(config, vec![SubmittedJob::at(0.0, job)], flat_trace());
-        let result = sim.run(&mut SimpleFifo::new()).unwrap();
+        let result = sim.run(&mut SparkStandaloneFifo::new()).unwrap();
         assert!(!result.profile.usage.is_empty());
         // Four 5 s tasks on four executors: 20 executor-seconds of area.
         assert!((result.profile.average_utilization(5.0) * 5.0 - 20.0).abs() < 1e-9);
@@ -2640,12 +2641,12 @@ mod tests {
         ];
         let config = ClusterConfig::new(3).with_move_delay(0.5).with_time_scale(1.0);
         let materialized = Simulator::new(config.clone(), workload.clone(), flat_trace());
-        let expected = materialized.run(&mut SimpleFifo::new()).unwrap();
+        let expected = materialized.run(&mut SparkStandaloneFifo::new()).unwrap();
 
         let streaming = Simulator::streaming(config, flat_trace());
         let mut source = workload.into_iter();
         let got = streaming
-            .run_source(&mut source, &mut SimpleFifo::new())
+            .run_source(&mut source, &mut SparkStandaloneFifo::new())
             .unwrap();
         assert_eq!(got.makespan, expected.makespan);
         assert_eq!(got.tasks_dispatched, expected.tasks_dispatched);
@@ -2657,10 +2658,10 @@ mod tests {
     #[test]
     fn streaming_simulator_without_source_is_an_empty_workload() {
         let sim = Simulator::streaming(ClusterConfig::new(1), flat_trace());
-        assert_eq!(sim.run(&mut SimpleFifo::new()).unwrap_err(), SimError::EmptyWorkload);
+        assert_eq!(sim.run(&mut SparkStandaloneFifo::new()).unwrap_err(), SimError::EmptyWorkload);
         let mut empty = std::iter::empty::<SubmittedJob>();
         assert_eq!(
-            sim.run_source(&mut empty, &mut SimpleFifo::new()).unwrap_err(),
+            sim.run_source(&mut empty, &mut SparkStandaloneFifo::new()).unwrap_err(),
             SimError::EmptyWorkload
         );
     }
@@ -2676,7 +2677,7 @@ mod tests {
             SubmittedJob::at(3.0, chain_job("early", 1, 1, 1.0)),
         ];
         let mut source = jobs.into_iter();
-        match sim.run_source(&mut source, &mut SimpleFifo::new()) {
+        match sim.run_source(&mut source, &mut SparkStandaloneFifo::new()) {
             Err(SimError::OutOfOrderArrival { job, arrival, previous }) => {
                 assert_eq!(job, "early");
                 assert_eq!(arrival, 3.0);
@@ -2691,7 +2692,7 @@ mod tests {
         let bad = empty_second_stage(chain_job("bad", 2, 1, 1.0));
         let sim = Simulator::streaming(ClusterConfig::new(1), flat_trace());
         let mut source = vec![SubmittedJob::at(0.0, bad)].into_iter();
-        match sim.run_source(&mut source, &mut SimpleFifo::new()) {
+        match sim.run_source(&mut source, &mut SparkStandaloneFifo::new()) {
             Err(SimError::InvalidJob { job, .. }) => assert_eq!(job, "bad"),
             other => panic!("expected InvalidJob, got {other:?}"),
         }
@@ -2709,7 +2710,7 @@ mod tests {
                 .with_time_scale(1.0)
                 .with_profile_mode(mode);
             Simulator::new(config, workload.clone(), flat_trace())
-                .run(&mut SimpleFifo::new())
+                .run(&mut SparkStandaloneFifo::new())
                 .unwrap()
         };
         let full = run_with(ProfileMode::Full);
@@ -2767,8 +2768,8 @@ mod tests {
             ],
         )
         .with_transfer_matrix(TransferMatrix::uniform(2, 10.0).with_energy_per_gb(0.1));
-        let mut a = SimpleFifo::new();
-        let mut b = SimpleFifo::new();
+        let mut a = SparkStandaloneFifo::new();
+        let mut b = SparkStandaloneFifo::new();
         let mut policy = MoveIdleTo { to: 1 };
         let result = {
             let mut schedulers: [&mut dyn Scheduler; 2] = [&mut a, &mut b];
@@ -2845,7 +2846,7 @@ mod tests {
             ],
         );
         let mut a = Clingy { seen: Vec::new() };
-        let mut b = SimpleFifo::new();
+        let mut b = SparkStandaloneFifo::new();
         let mut policy = MoveIdleTo { to: 1 };
         let result = {
             let mut schedulers: [&mut dyn Scheduler; 2] = [&mut a, &mut b];

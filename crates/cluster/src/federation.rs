@@ -18,7 +18,7 @@
 //! ```
 //! use pcaps_cluster::federation::{Federation, Member};
 //! use pcaps_cluster::routing::StaticRouter;
-//! use pcaps_cluster::schedulers::SimpleFifo;
+//! use pcaps_cluster::schedulers::SparkStandaloneFifo;
 //! use pcaps_cluster::{ClusterConfig, Scheduler, SubmittedJob};
 //! use pcaps_carbon::CarbonTrace;
 //! use pcaps_dag::{JobDagBuilder, Task};
@@ -36,8 +36,8 @@
 //!     ],
 //!     vec![SubmittedJob::at(0.0, job("j0")), SubmittedJob::at(1.0, job("j1"))],
 //! );
-//! let mut fifo_a = SimpleFifo::new();
-//! let mut fifo_b = SimpleFifo::new();
+//! let mut fifo_a = SparkStandaloneFifo::new();
+//! let mut fifo_b = SparkStandaloneFifo::new();
 //! let mut schedulers: [&mut dyn Scheduler; 2] = [&mut fifo_a, &mut fifo_b];
 //! let result = fed.run(&mut StaticRouter::new(0), &mut schedulers).unwrap();
 //! assert!(result.all_jobs_complete());
@@ -419,7 +419,7 @@ impl Federation {
 mod tests {
     use super::*;
     use crate::routing::{Router, RoutingContext, StaticRouter};
-    use crate::schedulers::SimpleFifo;
+    use crate::schedulers::SparkStandaloneFifo;
     use pcaps_dag::{JobDagBuilder, JobId, Task};
 
     fn job(name: &str, tasks: usize, dur: f64) -> pcaps_dag::JobDag {
@@ -455,8 +455,8 @@ mod tests {
         fed: &Federation,
         router: &mut dyn Router,
     ) -> Result<FederationResult, SimError> {
-        let mut a = SimpleFifo::new();
-        let mut b = SimpleFifo::new();
+        let mut a = SparkStandaloneFifo::new();
+        let mut b = SparkStandaloneFifo::new();
         let mut schedulers: [&mut dyn Scheduler; 2] = [&mut a, &mut b];
         fed.run(router, &mut schedulers)
     }
@@ -545,7 +545,7 @@ mod tests {
     #[should_panic(expected = "one scheduler per member")]
     fn scheduler_count_must_match_members() {
         let fed = two_member_fed(vec![SubmittedJob::at(0.0, job("j", 1, 1.0))]);
-        let mut only = SimpleFifo::new();
+        let mut only = SparkStandaloneFifo::new();
         let mut schedulers: [&mut dyn Scheduler; 1] = [&mut only];
         let _ = fed.run(&mut StaticRouter::new(0), &mut schedulers);
     }
@@ -557,7 +557,7 @@ mod tests {
     #[should_panic(expected = "one scheduler per member")]
     fn scheduler_count_is_checked_before_the_workload() {
         let fed = two_member_fed(vec![]);
-        let mut only = SimpleFifo::new();
+        let mut only = SparkStandaloneFifo::new();
         let mut schedulers: [&mut dyn Scheduler; 1] = [&mut only];
         let _ = fed.run(&mut StaticRouter::new(0), &mut schedulers);
     }
@@ -579,8 +579,8 @@ mod tests {
         let expected = run_fed(&fed, &mut ParityRouter).unwrap();
 
         let streaming = Federation::streaming(fed.members().to_vec());
-        let mut a = SimpleFifo::new();
-        let mut b = SimpleFifo::new();
+        let mut a = SparkStandaloneFifo::new();
+        let mut b = SparkStandaloneFifo::new();
         let mut schedulers: [&mut dyn Scheduler; 2] = [&mut a, &mut b];
         let mut source = crate::source::MaterializedJobs::new(workload).unwrap();
         let got = streaming
@@ -616,8 +616,8 @@ mod tests {
                 other => panic!("expected InvalidTopology, got {other:?}"),
             };
             check(run_fed(&fed, &mut StaticRouter::new(0)).map(drop));
-            let mut a = SimpleFifo::new();
-            let mut b = SimpleFifo::new();
+            let mut a = SparkStandaloneFifo::new();
+            let mut b = SparkStandaloneFifo::new();
             let mut schedulers: [&mut dyn Scheduler; 2] = [&mut a, &mut b];
             let mut source = crate::source::MaterializedJobs::new(workload.clone()).unwrap();
             let mut router = StaticRouter::new(0);

@@ -71,6 +71,11 @@ pub struct ActiveJob {
     /// materialized workload — under streaming intake the submitted form is
     /// dropped once the job is activated.
     pub data_gb: f64,
+    /// The DAG's total work (executor-seconds), [`JobDag::total_work`]
+    /// folded once at activation: a DAG never changes once built, and the
+    /// routing counters, migration pricing and completion record all read
+    /// it.
+    pub total_work: f64,
     /// Tasks of this job currently in retry backoff after an executor crash
     /// (failed, not yet released for re-dispatch).  A job with cooling-down
     /// tasks cannot migrate — the retry timer is anchored to its member.
@@ -97,7 +102,8 @@ impl ActiveJob {
     /// jobs through [`ActiveJob::from_submitted`], which carries the
     /// declared size without recomputing the default.
     pub fn new(id: JobId, dag: Arc<JobDag>, arrival: f64) -> Self {
-        let data_gb = dag.total_work() * DEFAULT_DATA_GB_PER_WORK_SECOND;
+        let total_work = dag.total_work();
+        let data_gb = total_work * DEFAULT_DATA_GB_PER_WORK_SECOND;
         let progress = JobProgress::new(&dag);
         ActiveJob {
             id,
@@ -108,6 +114,7 @@ impl ActiveJob {
             busy_executors: 0,
             executor_seconds: 0.0,
             data_gb,
+            total_work,
             retrying: 0,
             attempts: Vec::new(),
             draining: None,
@@ -115,10 +122,11 @@ impl ActiveJob {
     }
 
     /// Activates a submitted job, consuming it: the DAG moves (no refcount
-    /// churn) and the declared `data_gb` travels with the job — no
-    /// per-activation work traversal.
+    /// churn), the declared `data_gb` travels with the job, and the DAG's
+    /// total work is folded once.
     pub fn from_submitted(id: JobId, job: SubmittedJob) -> Self {
         let progress = JobProgress::new(&job.dag);
+        let total_work = job.dag.total_work();
         ActiveJob {
             id,
             dag: job.dag,
@@ -128,6 +136,7 @@ impl ActiveJob {
             busy_executors: 0,
             executor_seconds: 0.0,
             data_gb: job.data_gb,
+            total_work,
             retrying: 0,
             attempts: Vec::new(),
             draining: None,

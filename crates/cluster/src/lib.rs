@@ -208,11 +208,10 @@
 //!   from.  `DecimaLike` factorises its softmax into a per-job factor and a
 //!   per-job sum of stage factors, keys each job's entry by those stamps,
 //!   revisits only the journaled jobs, and recomputes every job factor only
-//!   when the max-remaining normaliser's bits change (or its overflow
-//!   guard rebases the reference score).  Nothing is stored or folded per
-//!   stage: the sum and the max probability are folds over jobs, resumed
-//!   at the first changed job, and sampling binary-searches the jobs'
-//!   running sums, then walks the chosen job's stages.
+//!   when the max-remaining normaliser's bits change.  Nothing is stored or
+//!   folded per stage: the sum and the max probability are folds over
+//!   jobs, resumed at the first changed job, and sampling binary-searches
+//!   the jobs' running sums, then walks the chosen job's stages.
 //!   `tests/scheduler_state.rs` pins it bit for bit against a from-scratch
 //!   factorised recomputation, and within rounding of the textbook
 //!   softmax, across arrivals, completions, serve-mode compaction,
@@ -246,7 +245,7 @@
 //! ## Example
 //!
 //! ```
-//! use pcaps_cluster::{ClusterConfig, Simulator, SubmittedJob, schedulers::SimpleFifo};
+//! use pcaps_cluster::{ClusterConfig, Simulator, SubmittedJob, schedulers::SparkStandaloneFifo};
 //! use pcaps_carbon::CarbonTrace;
 //! use pcaps_dag::{JobDagBuilder, Task};
 //!
@@ -258,7 +257,7 @@
 //! let config = ClusterConfig::new(4);
 //! let carbon = CarbonTrace::constant("flat", 300.0, 48);
 //! let sim = Simulator::new(config, vec![SubmittedJob::at(0.0, job)], carbon);
-//! let mut fifo = SimpleFifo::new();
+//! let mut fifo = SparkStandaloneFifo::new();
 //! let result = sim.run(&mut fifo).unwrap();
 //! assert!(result.all_jobs_complete());
 //! ```

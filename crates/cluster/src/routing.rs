@@ -330,22 +330,30 @@ pub struct MigrationContext<'a> {
     /// The member whose carbon intensity just stepped (the member the
     /// offered candidates live on).
     pub member: usize,
+    /// That member's carbon-trace seconds per schedule second (its
+    /// [`ClusterConfig::time_scale`]): what turns a candidate's remaining
+    /// executor-seconds into carbon time, as the member's accountant does.
+    ///
+    /// [`ClusterConfig::time_scale`]: crate::config::ClusterConfig::time_scale
+    pub time_scale: f64,
     members: &'a [MemberView],
     network: &'a NetworkTopology,
     flows: &'a FlowSet,
 }
 
 impl<'a> MigrationContext<'a> {
-    /// Builds a context over per-member views (ordered by member index),
+    /// Builds a context for a consultation of `member` (whose time scale
+    /// is `time_scale`) over per-member views (ordered by member index),
     /// the federation's network topology and its in-flight flow set.
     pub fn new(
         time: f64,
         member: usize,
+        time_scale: f64,
         members: &'a [MemberView],
         network: &'a NetworkTopology,
         flows: &'a FlowSet,
     ) -> Self {
-        MigrationContext { time, member, members, network, flows }
+        MigrationContext { time, member, time_scale, members, network, flows }
     }
 
     /// The member views, ordered by member index.
@@ -605,10 +613,11 @@ mod tests {
         let topo =
             NetworkTopology::from_matrix(&TransferMatrix::uniform(2, 3.0).with_energy_per_gb(0.05));
         let flows = FlowSet::new(&topo);
-        let ctx = MigrationContext::new(7.0, 0, &views, &topo, &flows);
+        let ctx = MigrationContext::new(7.0, 0, 60.0, &views, &topo, &flows);
         assert_eq!(ctx.num_members(), 2);
         assert_eq!(ctx.member, 0);
         assert_eq!(ctx.time, 7.0);
+        assert_eq!(ctx.time_scale, 60.0);
         assert_eq!(ctx.members()[1].member, 1);
         // A matrix-built topology prices each pair at its fixed per-GB rate.
         assert_eq!(ctx.estimated_transfer_seconds(0, 1, 4.0), 12.0);
@@ -622,7 +631,7 @@ mod tests {
         let views = [view(0, 400.0, 0.0), view(1, 100.0, 0.0)];
         let topo = NetworkTopology::new(2).with_uplink(0, 2.0).with_energy_per_gb(0.1);
         let flows = FlowSet::new(&topo);
-        let ctx = MigrationContext::new(0.0, 0, &views, &topo, &flows);
+        let ctx = MigrationContext::new(0.0, 0, 60.0, &views, &topo, &flows);
         // 10 GB over an idle 2 GB/s uplink.
         assert!((ctx.estimated_transfer_seconds(0, 1, 10.0) - 5.0).abs() < 1e-12);
         // Carbon prices through the topology's energy scalar.
@@ -654,7 +663,7 @@ mod tests {
         let views = [view(0, 500.0, 0.0), view(1, 100.0, 0.0)];
         let topo = NetworkTopology::new(2);
         let flows = FlowSet::new(&topo);
-        let ctx = MigrationContext::new(0.0, 0, &views, &topo, &flows);
+        let ctx = MigrationContext::new(0.0, 0, 60.0, &views, &topo, &flows);
         let mut sink = MigrationSink::new();
         policy.on_carbon_change(&ctx, &[], &mut sink);
         assert!(sink.is_empty());

@@ -356,8 +356,10 @@ impl Assignment {
 /// Why the scheduler is being invoked: a typed view of the triggering
 /// event.
 ///
-/// Stateful policies use this to update incrementally instead of rescanning
-/// the whole context on every call; stateless policies simply ignore it.
+/// The event only says why the policy runs.  What changed since a
+/// policy's previous call comes from the change journal
+/// ([`SchedulingContext::changes_since`]), never from this stream, and
+/// stateless policies simply ignore it.
 ///
 /// **The event stream is not a complete log.**  The engine consults a
 /// policy only when there is something to decide — at least one free

@@ -3,8 +3,8 @@
 //! The finite entry points ([`Federation::run`], [`Simulator::run`] and
 //! their streaming variants) run a workload to *completion*: the run ends
 //! when the source drains and every job settles.  A serving system never
-//! drains — arrivals are an unbounded process ([`UnboundedStream`]-style
-//! sources yield forever) and the quantity of interest is the *steady
+//! drains — arrivals are an unbounded process (sources such as an unbounded
+//! [`WorkloadStream`] yield forever) and the quantity of interest is the *steady
 //! state*: queueing-delay percentiles, throughput, carbon per job-hour over
 //! sliding windows, not a makespan.
 //!
@@ -49,7 +49,7 @@
 //! ```
 //! use pcaps_cluster::federation::{Federation, Member};
 //! use pcaps_cluster::routing::StaticRouter;
-//! use pcaps_cluster::schedulers::SimpleFifo;
+//! use pcaps_cluster::schedulers::SparkStandaloneFifo;
 //! use pcaps_cluster::source::MaterializedJobs;
 //! use pcaps_cluster::{ClusterConfig, Scheduler, SubmittedJob};
 //! use pcaps_carbon::CarbonTrace;
@@ -72,7 +72,7 @@
 //! ])
 //! .unwrap();
 //! let mut session = fed.serve(&mut source).unwrap();
-//! let mut fifo = SimpleFifo::new();
+//! let mut fifo = SparkStandaloneFifo::new();
 //! {
 //!     let mut schedulers: [&mut dyn Scheduler; 1] = [&mut fifo];
 //!     let mut router = StaticRouter::new(0);
@@ -88,7 +88,7 @@
 //!
 //! [`Federation::run`]: crate::federation::Federation::run
 //! [`Simulator::run`]: crate::engine::Simulator::run
-//! [`UnboundedStream`]: https://docs.rs/pcaps-workloads
+//! [`WorkloadStream`]: https://docs.rs/pcaps-workloads
 
 use crate::admission::AdmissionPolicy;
 use crate::engine::{Engine, EngineSnapshot, Simulator};
@@ -328,7 +328,7 @@ mod tests {
     use crate::admission::BoundedQueue;
     use crate::config::ClusterConfig;
     use crate::federation::Member;
-    use crate::schedulers::SimpleFifo;
+    use crate::schedulers::SparkStandaloneFifo;
     use crate::source::MaterializedJobs;
     use crate::SubmittedJob;
     use pcaps_carbon::CarbonTrace;
@@ -365,7 +365,7 @@ mod tests {
         let run = |slices: &[f64]| {
             let mut source = MaterializedJobs::new(workload()).unwrap();
             let mut session = fed.serve(&mut source).unwrap();
-            let mut fifo = SimpleFifo::new();
+            let mut fifo = SparkStandaloneFifo::new();
             let mut router = StaticRouter::new(0);
             for &h in slices {
                 let mut schedulers: [&mut dyn Scheduler; 1] = [&mut fifo];
@@ -390,7 +390,7 @@ mod tests {
         let fed = one_member_fed();
         let mut source = MaterializedJobs::new(workload()).unwrap();
         let mut session = fed.serve(&mut source).unwrap();
-        let mut fifo = SimpleFifo::new();
+        let mut fifo = SparkStandaloneFifo::new();
         let mut router = StaticRouter::new(0);
         let mut schedulers: [&mut dyn Scheduler; 1] = [&mut fifo];
         let drained = session.run_until(4.25, &mut router, &mut schedulers, None).unwrap();
@@ -406,7 +406,7 @@ mod tests {
     fn admission_conservation_in_one_shot_run() {
         let fed = one_member_fed();
         let mut source = MaterializedJobs::new(workload()).unwrap();
-        let mut fifo = SimpleFifo::new();
+        let mut fifo = SparkStandaloneFifo::new();
         let mut router = StaticRouter::new(0);
         let mut schedulers: [&mut dyn Scheduler; 1] = [&mut fifo];
         let mut admission = BoundedQueue::new(1);
@@ -427,12 +427,12 @@ mod tests {
         let config = ClusterConfig::new(2).with_move_delay(0.0).with_time_scale(1.0);
         let carbon = CarbonTrace::constant("A", 100.0, 100);
         let finite = Simulator::new(config.clone(), workload(), carbon.clone());
-        let expected = finite.run(&mut SimpleFifo::new()).unwrap();
+        let expected = finite.run(&mut SparkStandaloneFifo::new()).unwrap();
 
         let streaming = Simulator::streaming(config, carbon);
         let mut source = MaterializedJobs::new(workload()).unwrap();
         let got = streaming
-            .run_until(&mut source, 1000.0, &mut SimpleFifo::new(), None)
+            .run_until(&mut source, 1000.0, &mut SparkStandaloneFifo::new(), None)
             .unwrap();
         assert_eq!(got.jobs, expected.jobs);
         assert_eq!(got.makespan, expected.makespan);
@@ -444,7 +444,7 @@ mod tests {
         let fed = one_member_fed();
         let mut source = MaterializedJobs::new(workload()).unwrap();
         let mut session = fed.serve(&mut source).unwrap();
-        let mut fifo = SimpleFifo::new();
+        let mut fifo = SparkStandaloneFifo::new();
         let mut router = StaticRouter::new(0);
         let mut schedulers: [&mut dyn Scheduler; 1] = [&mut fifo];
         session.run_until(6.0, &mut router, &mut schedulers, None).unwrap();
@@ -469,7 +469,7 @@ mod tests {
 
         // Uninterrupted reference run.
         let mut src_ref = MaterializedJobs::new(workload()).unwrap();
-        let mut fifo = SimpleFifo::new();
+        let mut fifo = SparkStandaloneFifo::new();
         let mut router = StaticRouter::new(0);
         let mut schedulers: [&mut dyn Scheduler; 1] = [&mut fifo];
         let expected = fed
@@ -480,7 +480,7 @@ mod tests {
         // fresh source; continue to drain.
         let mut src_a = MaterializedJobs::new(workload()).unwrap();
         let mut session_a = fed.serve(&mut src_a).unwrap();
-        let mut fifo_a = SimpleFifo::new();
+        let mut fifo_a = SparkStandaloneFifo::new();
         {
             let mut schedulers: [&mut dyn Scheduler; 1] = [&mut fifo_a];
             session_a.run_until(4.0, &mut router, &mut schedulers, None).unwrap();
@@ -492,9 +492,9 @@ mod tests {
         let mut session_b = fed.serve(&mut src_b).unwrap();
         session_b.restore(&snap).unwrap();
         assert_eq!(session_b.time(), 4.0);
-        // SimpleFifo is stateless, so a fresh instance is "equivalently
+        // SparkStandaloneFifo is stateless, so a fresh instance is "equivalently
         // warmed" by construction.
-        let mut fifo_b = SimpleFifo::new();
+        let mut fifo_b = SparkStandaloneFifo::new();
         {
             let mut schedulers: [&mut dyn Scheduler; 1] = [&mut fifo_b];
             session_b.run_until(1000.0, &mut router, &mut schedulers, None).unwrap();
@@ -513,7 +513,7 @@ mod tests {
 
         let mut src_b = MaterializedJobs::new(workload()).unwrap();
         let mut session_b = fed.serve(&mut src_b).unwrap();
-        let mut fifo = SimpleFifo::new();
+        let mut fifo = SparkStandaloneFifo::new();
         let mut router = StaticRouter::new(0);
         let mut schedulers: [&mut dyn Scheduler; 1] = [&mut fifo];
         session_b.run_until(4.0, &mut router, &mut schedulers, None).unwrap();
@@ -550,7 +550,7 @@ mod tests {
         let fed = one_member_fed();
         let mut source = MaterializedJobs::new(workload()).unwrap();
         let mut session = fed.serve(&mut source).unwrap();
-        let mut fifo = SimpleFifo::new();
+        let mut fifo = SparkStandaloneFifo::new();
         let mut router = StaticRouter::new(0);
         let mut schedulers: [&mut dyn Scheduler; 1] = [&mut fifo];
         let _ = session.run_until(f64::INFINITY, &mut router, &mut schedulers, None);

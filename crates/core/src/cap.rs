@@ -158,7 +158,6 @@ mod tests {
     use super::*;
     use pcaps_carbon::synth::SyntheticTraceGenerator;
     use pcaps_carbon::{CarbonTrace, GridRegion};
-    use pcaps_cluster::schedulers::SimpleFifo;
     use pcaps_cluster::{ClusterConfig, Simulator, SubmittedJob};
     use pcaps_schedulers::{DecimaLike, SparkStandaloneFifo, WeightedFair};
     use pcaps_workloads::{WorkloadBuilder, WorkloadKind};
@@ -219,10 +218,10 @@ mod tests {
     fn smaller_b_is_more_carbon_aware_but_slower() {
         let trace = de_trace(7);
         let strict = simulator(trace.clone(), 9, 20, 20)
-            .run(&mut Cap::new(SimpleFifo::new(), CapConfig::with_minimum_quota(2)))
+            .run(&mut Cap::new(SparkStandaloneFifo::new(), CapConfig::with_minimum_quota(2)))
             .unwrap();
         let loose = simulator(trace, 9, 20, 20)
-            .run(&mut Cap::new(SimpleFifo::new(), CapConfig::with_minimum_quota(18)))
+            .run(&mut Cap::new(SparkStandaloneFifo::new(), CapConfig::with_minimum_quota(18)))
             .unwrap();
         assert!(strict.all_jobs_complete() && loose.all_jobs_complete());
         assert!(

@@ -2,8 +2,8 @@
 //!
 //! Every other experiment in this crate runs a finite batch to completion
 //! and reports end-of-run summaries.  This one exercises the serving mode
-//! instead: an [`UnboundedStream`] of jobs spaced by a diurnal arrival
-//! process is pulled through a [`ServeSession`] in window-sized slices,
+//! instead: an unbounded [`WorkloadStream`] of jobs spaced by a diurnal
+//! arrival process is pulled through a [`ServeSession`] in window-sized slices,
 //! and each slice closes a [`WindowedMetrics`] window into one
 //! [`SteadyStateSample`] — queueing-delay percentiles, sustained
 //! throughput, carbon per executor-hour, and a jobs-in-system gauge.
@@ -21,7 +21,7 @@
 //! Binary: `steady_state`; CSV: `results/steady_state.csv` (one row per
 //! window per trial).
 //!
-//! [`UnboundedStream`]: pcaps_workloads::UnboundedStream
+//! [`WorkloadStream`]: pcaps_workloads::WorkloadStream
 //! [`ServeSession`]: pcaps_cluster::ServeSession
 
 use crate::format::TextTable;

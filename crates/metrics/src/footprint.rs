@@ -15,7 +15,7 @@ pub fn total_footprint(result: &SimulationResult, accountant: &CarbonAccountant)
 mod tests {
     use super::*;
     use pcaps_carbon::CarbonTrace;
-    use pcaps_cluster::schedulers::SimpleFifo;
+    use pcaps_cluster::schedulers::SparkStandaloneFifo;
     use pcaps_cluster::{ClusterConfig, Simulator, SubmittedJob};
     use pcaps_dag::{JobDagBuilder, Task};
 
@@ -34,7 +34,7 @@ mod tests {
             ],
             CarbonTrace::constant("flat", 360.0, 48),
         );
-        sim.run(&mut SimpleFifo::new()).unwrap()
+        sim.run(&mut SparkStandaloneFifo::new()).unwrap()
     }
 
     fn accountant() -> CarbonAccountant {

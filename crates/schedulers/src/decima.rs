@@ -25,17 +25,17 @@
 //! # Factorised softmax
 //!
 //! A dispatchable stage `i` of job `j` scores
-//! `s = w_s·(1 − R_j/N) + w_c·C_j + w_b·b_i`: a job term (remaining work
+//! `s = 2·(1 − R_j/N) + 0.5·C_j + 1.5·b_i`: a job term (remaining work
 //! `R_j` over the max-remaining normaliser `N`, completed-stage fraction
 //! `C_j`) plus a stage term (the stage's bottleneck score `b_i`).  Its
-//! softmax weight `exp((s − ref) / T)` therefore splits exactly into
+//! softmax weight `exp(s)` therefore splits exactly into
 //!
 //! ```text
-//! job factor    J_j = exp((w_s·(1 − R_j/N) + w_c·C_j + bmax_j − ref) / T)
-//! stage factor  e_i = exp((w_b·b_i − bmax_j) / T)
+//! job factor    J_j = exp(2·(1 − R_j/N) + 0.5·C_j + bmax_j)
+//! stage factor  e_i = exp(1.5·b_i − bmax_j)
 //! ```
 //!
-//! where `bmax_j` is the largest `w_b·b_i` among the job's dispatchable
+//! where `bmax_j` is the largest `1.5·b_i` among the job's dispatchable
 //! stages, so `e_i ≤ 1`, and exactly 1 for the job's best stage.  With
 //! `E_j = Σ e_i` over the job's stages, `p_i = J_j·e_i / Σ` where
 //! `Σ = Σ_j J_j·E_j`.
@@ -52,7 +52,7 @@
 //!   job joined or left the table, the journal overflowed, or the previous
 //!   pass saw another run), the pass reconciles instead: one ordered merge
 //!   of the table against every active job.
-//! * **Job stamps.**  Each entry (`R_j`, `w_c·C_j`, `bmax_j`, `E_j` and
+//! * **Job stamps.**  Each entry (`R_j`, `0.5·C_j`, `bmax_j`, `E_j` and
 //!   `J_j`) is stamped with its job's [`JobProgress::pending_version`] and
 //!   completed-stage count.  An entry whose stamps still match is current,
 //!   whatever else the job did (a task finish that completes no stage
@@ -69,12 +69,13 @@
 //!   `max J` up to and including itself.  The fold restarts at the first
 //!   entry whose terms changed, from its predecessor's running values, so
 //!   the prefix keeps its bits and the fold stays the sequential one.
-//! * **Reference score.**  `ref` starts at 0 and is rebased only when the
-//!   largest job factor leaves `[2⁻⁶⁴, 2⁶⁴]`.  It then becomes the largest
-//!   job score, so the largest factor is exactly 1, and every factor is
-//!   recomputed.  No factor overflows and `Σ` never underflows to 0, for
-//!   any `T > 0`.  Scores lie within `±(|w_s| + |w_b| + |w_c|)`, so at the
-//!   default weights (`T = 1`, scores in `[0, 4]`) `ref` never moves.
+//! * **Score range.**  A job score `2·(1 − R_j/N) + 0.5·C_j + bmax_j` lies
+//!   in `[0, 4]`: `R_j ≤ N`, `C_j < 1` for a job with work, and
+//!   `bottleneck_scores` clamps every `b_i` to `[0, 1]`.  So every job
+//!   factor lies in `[1, e⁴ ≈ 54.6]`: no factor overflows and `Σ` never
+//!   underflows to 0.  Debug builds assert that every job score lies in
+//!   `[−1, 5]`, so a feature change that could overflow `exp` fails the
+//!   tests instead of going silent.
 //!
 //! A journal-driven pass therefore costs O(changed jobs) plus O(stages)
 //! per rebuilt job, plus the fold from the first changed entry to the end
@@ -88,7 +89,7 @@
 //! preserves order, so the argmax stage's relative importance `p / max p`
 //! is exactly 1.
 //!
-//! The textbook softmax `exp((s − max s) / T) / Σ` ([`softmax`]) is the same
+//! The textbook softmax `exp(s − max s) / Σ` ([`softmax`]) is the same
 //! distribution up to rounding: probabilities differ by a few ulps, so a
 //! sample can differ from [`sample_cdf`] over it only when `r` lies within
 //! rounding of a CDF boundary.  `tests/scheduler_state.rs` pins every pass
@@ -112,48 +113,17 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// Bounds on the largest job factor between rebases of the reference score
-/// (see the module docs): `2⁻⁶⁴` and `2⁶⁴`.
-const FACTOR_MAX: f64 = 18_446_744_073_709_551_616.0;
-const FACTOR_MIN: f64 = 1.0 / FACTOR_MAX;
+/// Weight of the shortest-remaining-work feature.
+const SHORT_JOB: f64 = 2.0;
+/// Weight of the critical-path (bottleneck) feature.
+const BOTTLENECK: f64 = 1.5;
+/// Weight of the stage-progress feature (stages of jobs that are almost
+/// done get a boost, freeing their executors sooner).
+const COMPLETION: f64 = 0.5;
 
-/// Feature weights for the Decima-like scoring function.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DecimaWeights {
-    /// Weight of the shortest-remaining-work feature.
-    pub short_job: f64,
-    /// Weight of the critical-path (bottleneck) feature.
-    pub bottleneck: f64,
-    /// Weight of the stage-progress feature (stages of jobs that are almost
-    /// done get a boost, freeing their executors sooner).
-    pub completion: f64,
-    /// Softmax temperature: lower values make the policy more deterministic.
-    pub temperature: f64,
-}
-
-impl Default for DecimaWeights {
-    fn default() -> Self {
-        DecimaWeights {
-            short_job: 2.0,
-            bottleneck: 1.5,
-            completion: 0.5,
-            temperature: 1.0,
-        }
-    }
-}
-
-impl DecimaWeights {
-    /// Job `j`'s best score `w_s·(1 − R_j/N) + w_c·C_j + bmax_j`.
-    fn job_score(&self, entry: &JobEntry, normaliser: f64) -> f64 {
-        self.short_job * (1.0 - entry.remaining / normaliser)
-            + entry.completion_term
-            + entry.best_bottleneck
-    }
-
-    /// The stage factor `e_i = exp((w_b·b_i − bmax_j) / T)`.
-    fn stage_factor(&self, bottleneck: f64, best_bottleneck: f64) -> f64 {
-        ((self.bottleneck * bottleneck - best_bottleneck) / self.temperature).exp()
-    }
+/// The stage factor `e_i = exp(1.5·b_i − bmax_j)`.
+fn stage_factor(bottleneck: f64, best_bottleneck: f64) -> f64 {
+    (BOTTLENECK * bottleneck - best_bottleneck).exp()
 }
 
 /// Counters of [`DecimaLike`]'s incremental passes (see the module docs):
@@ -164,8 +134,8 @@ pub struct DecimaCacheStats {
     /// `distribution_into` call): `journal_passes + reconciles`.
     pub passes: u64,
     /// Passes that recomputed every job factor, because the max-remaining
-    /// normaliser changed bits (the first pass counts) or the reference
-    /// score was rebased.  The other passes recomputed changed jobs' only.
+    /// normaliser changed bits (the first pass counts).  The other passes
+    /// recomputed changed jobs' only.
     pub full_refactors: u64,
     /// Job-factor (`J_j`) `exp` evaluations over all passes.
     pub job_exps: u64,
@@ -197,9 +167,9 @@ struct JobEntry {
     completed: usize,
     /// Undispatched work `R_j` (executor-seconds) — `JobView::remaining_work()`.
     remaining: f64,
-    /// `w_c · completed stages / total stages`.
+    /// `0.5 · completed stages / total stages`.
     completion_term: f64,
-    /// `bmax_j`, the largest `w_b · bottleneck` among the dispatchable stages.
+    /// `bmax_j`, the largest `1.5 · bottleneck` among the dispatchable stages.
     best_bottleneck: f64,
     /// `E_j = Σ e_i` over the dispatchable stages in stage order: at least 1
     /// (the best stage's factor) for a job with work, 0 for one without.
@@ -218,12 +188,7 @@ impl JobEntry {
     /// Builds the entry from scratch around a known remaining work `R_j`:
     /// O(stages), one `exp` per dispatchable stage, job factor left for
     /// [`DecimaLike::fold`].
-    fn build(
-        weights: &DecimaWeights,
-        job: &JobView<'_>,
-        remaining: f64,
-        stats: &mut DecimaCacheStats,
-    ) -> Self {
+    fn build(job: &JobView<'_>, remaining: f64, stats: &mut DecimaCacheStats) -> Self {
         let completed = job.progress.frontier().num_completed();
         let completion = completed as f64 / job.dag.num_stages() as f64;
         let mut entry = JobEntry {
@@ -231,7 +196,7 @@ impl JobEntry {
             pending_version: job.progress.pending_version(),
             completed,
             remaining,
-            completion_term: weights.completion * completion,
+            completion_term: COMPLETION * completion,
             best_bottleneck: f64::NEG_INFINITY,
             stage_sum: 0.0,
             factor: f64::NAN,
@@ -246,12 +211,12 @@ impl JobEntry {
             let bottleneck = job.dag.bottleneck_scores();
             let best = dispatchable
                 .iter()
-                .map(|s| weights.bottleneck * bottleneck[s.index()])
+                .map(|s| BOTTLENECK * bottleneck[s.index()])
                 .fold(f64::NEG_INFINITY, f64::max);
             entry.best_bottleneck = best;
             entry.stage_sum = dispatchable
                 .iter()
-                .map(|s| weights.stage_factor(bottleneck[s.index()], best))
+                .map(|s| stage_factor(bottleneck[s.index()], best))
                 .sum();
             stats.stage_exps += dispatchable.len() as u64;
         }
@@ -267,12 +232,7 @@ impl JobEntry {
     /// Brings the entry up to date with `job` (same id): nothing if it is
     /// current, otherwise a rebuild that keeps `R_j` unless a dispatch or
     /// failure moved the pending version.  Returns whether it rebuilt.
-    fn refresh(
-        &mut self,
-        weights: &DecimaWeights,
-        job: &JobView<'_>,
-        stats: &mut DecimaCacheStats,
-    ) -> bool {
+    fn refresh(&mut self, job: &JobView<'_>, stats: &mut DecimaCacheStats) -> bool {
         if self.is_current(job) {
             return false;
         }
@@ -281,12 +241,19 @@ impl JobEntry {
         } else {
             job.remaining_work()
         };
-        *self = JobEntry::build(weights, job, remaining, stats);
+        *self = JobEntry::build(job, remaining, stats);
         true
     }
 
     fn has_work(&self) -> bool {
         self.stage_sum > 0.0
+    }
+
+    /// Job `j`'s best score `2·(1 − R_j/N) + 0.5·C_j + bmax_j`.
+    fn score(&self, normaliser: f64) -> f64 {
+        SHORT_JOB * (1.0 - self.remaining / normaliser)
+            + self.completion_term
+            + self.best_bottleneck
     }
 }
 
@@ -312,7 +279,6 @@ fn max_remaining(table: &[JobEntry]) -> f64 {
 /// slot-base shifts, and migration detach/reattach uniformly.
 #[derive(Debug, Clone)]
 pub struct DecimaLike {
-    weights: DecimaWeights,
     rng: ChaCha8Rng,
     /// Cached per-job entries, aligned with the latest pass's `ctx.jobs()`
     /// order (entry `i` is `ctx.job_at(i)`).
@@ -327,8 +293,6 @@ pub struct DecimaLike {
     max_remaining: f64,
     /// Bits of the previous pass's normaliser (`None` before the first pass).
     normaliser_bits: Option<u64>,
-    /// The reference score `ref` the job factors are taken relative to.
-    reference: f64,
     /// The latest pass's normalising sum `Σ_j J_j·E_j` and largest `J_j`.
     sum: f64,
     max_factor: f64,
@@ -341,37 +305,15 @@ pub struct DecimaLike {
 }
 
 impl DecimaLike {
-    /// Creates the scheduler with default weights and the given sampling
-    /// seed.
+    /// Creates the scheduler with the given sampling seed.
     pub fn new(seed: u64) -> Self {
-        DecimaLike::with_weights(seed, DecimaWeights::default())
-    }
-
-    /// Creates the scheduler with custom feature weights.
-    ///
-    /// # Panics
-    /// Panics unless every feature weight is finite and the temperature is
-    /// positive and finite: a NaN or infinite weight would make every score,
-    /// and with it the whole distribution, NaN.
-    pub fn with_weights(seed: u64, weights: DecimaWeights) -> Self {
-        let DecimaWeights { short_job, bottleneck, completion, temperature } = weights;
-        assert!(
-            short_job.is_finite() && bottleneck.is_finite() && completion.is_finite(),
-            "Decima feature weights must be finite, got {weights:?}"
-        );
-        assert!(
-            temperature > 0.0 && temperature.is_finite(),
-            "softmax temperature must be positive and finite, got {temperature}"
-        );
         DecimaLike {
-            weights,
             rng: ChaCha8Rng::seed_from_u64(seed),
             table: Vec::new(),
             scratch: Vec::new(),
             cursor: None,
             max_remaining: 0.0,
             normaliser_bits: None,
-            reference: 0.0,
             sum: 0.0,
             max_factor: 0.0,
             jobs_with_work: None,
@@ -412,7 +354,7 @@ impl DecimaLike {
     /// rebuilt entry may raise the normaliser in O(1); only when the entry
     /// holding it shrinks is the table rescanned.
     fn refresh_changed(&mut self, ctx: &SchedulingContext<'_>, changes: &[u32]) -> usize {
-        let DecimaLike { weights, table, max_remaining: max, stats, .. } = self;
+        let DecimaLike { table, max_remaining: max, stats, .. } = self;
         let mut jobs_with_work = self.jobs_with_work.expect("a journal pass follows a reconcile");
         let mut first = table.len();
         let mut rescan = false;
@@ -422,7 +364,7 @@ impl DecimaLike {
             let entry = &mut table[i];
             debug_assert_eq!(entry.id, job.id, "the journal promised an unchanged roster");
             let (old_remaining, had_work) = (entry.remaining, entry.has_work());
-            if !entry.refresh(weights, &job, stats) {
+            if !entry.refresh(&job, stats) {
                 continue;
             }
             first = first.min(i);
@@ -479,7 +421,7 @@ impl DecimaLike {
     /// The max-remaining fold and the jobs-with-work count ride along in
     /// the same sweep.
     fn reconcile(&mut self, ctx: &SchedulingContext<'_>) -> usize {
-        let DecimaLike { weights, table, scratch, stats, .. } = self;
+        let DecimaLike { table, scratch, stats, .. } = self;
         let mut max = 0.0_f64;
         let mut jobs_with_work = 0usize;
         let mut visit = |entry: &JobEntry| {
@@ -495,7 +437,7 @@ impl DecimaLike {
         for job in jobs.by_ref() {
             match table.get_mut(aligned) {
                 Some(entry) if entry.id == job.id => {
-                    if entry.refresh(weights, &job, stats) {
+                    if entry.refresh(&job, stats) {
                         first = first.min(aligned);
                     }
                     visit(entry);
@@ -534,10 +476,10 @@ impl DecimaLike {
                     }
                     let entry = match cached {
                         Some(mut entry) => {
-                            entry.refresh(weights, &job, stats);
+                            entry.refresh(&job, stats);
                             entry
                         }
-                        None => JobEntry::build(weights, &job, job.remaining_work(), stats),
+                        None => JobEntry::build(&job, job.remaining_work(), stats),
                     };
                     visit(&entry);
                     scratch.push(entry);
@@ -551,9 +493,8 @@ impl DecimaLike {
     }
 
     /// One distribution pass: bring the table up to date, recompute the
-    /// job factors the cache keys require (see the module docs), fold `Σ`
-    /// and the largest factor from the first changed entry, and rebase the
-    /// reference score if that factor left its bounds.
+    /// job factors the cache keys require (see the module docs), and fold
+    /// `Σ` and the largest factor from the first changed entry.
     fn compute(&mut self, ctx: &SchedulingContext<'_>) {
         let first_changed = self.refresh(ctx);
         let normaliser = self.max_remaining.max(1e-9);
@@ -564,19 +505,6 @@ impl DecimaLike {
             self.stats.full_refactors += 1;
         }
         self.fold(normaliser, refactor_all, first_changed);
-        if self.has_work() && !(FACTOR_MIN..=FACTOR_MAX).contains(&self.max_factor) {
-            let weights = self.weights;
-            self.reference = self
-                .table
-                .iter()
-                .filter(|e| e.has_work())
-                .map(|e| weights.job_score(e, normaliser))
-                .fold(f64::NEG_INFINITY, f64::max);
-            if !refactor_all {
-                self.stats.full_refactors += 1;
-            }
-            self.fold(normaliser, true, 0);
-        }
     }
 
     /// Computes the job factors that are missing (all of them when
@@ -586,7 +514,7 @@ impl DecimaLike {
     /// since the previous fold, so it resumes from `from - 1`'s running
     /// values, which carry the bits a fold from the start would reach.
     fn fold(&mut self, normaliser: f64, refactor_all: bool, from: usize) {
-        let DecimaLike { weights, table, reference, stats, .. } = self;
+        let DecimaLike { table, stats, .. } = self;
         let from = if refactor_all { 0 } else { from };
         let (mut sum, mut max_factor) = match from.checked_sub(1) {
             Some(prev) => (table[prev].cumulative, table[prev].cumulative_max),
@@ -595,9 +523,13 @@ impl DecimaLike {
         for entry in &mut table[from..] {
             if entry.has_work() {
                 if refactor_all || entry.factor.is_nan() {
-                    let exponent =
-                        (weights.job_score(entry, normaliser) - *reference) / weights.temperature;
-                    entry.factor = exponent.exp();
+                    let score = entry.score(normaliser);
+                    debug_assert!(
+                        (-1.0..=5.0).contains(&score),
+                        "job score {score} of {} left [0, 4]: its factor could overflow",
+                        entry.id
+                    );
+                    entry.factor = score.exp();
                     stats.job_exps += 1;
                 }
                 sum += entry.factor * entry.stage_sum;
@@ -642,8 +574,7 @@ impl DecimaLike {
         let mut acc = 0.0;
         let mut chosen = None;
         for &stage in job.dispatchable_stages() {
-            let factor =
-                self.weights.stage_factor(bottleneck[stage.index()], entry.best_bottleneck);
+            let factor = stage_factor(bottleneck[stage.index()], entry.best_bottleneck);
             self.stats.stage_exps += 1;
             acc += factor;
             chosen = Some((stage, factor));
@@ -692,7 +623,7 @@ impl ProbabilisticScheduler for DecimaLike {
     fn distribution_into(&mut self, ctx: &SchedulingContext<'_>, out: &mut Vec<StageProbability>) {
         self.compute(ctx);
         out.clear();
-        let DecimaLike { weights, table, sum, stats, .. } = self;
+        let DecimaLike { table, sum, stats, .. } = self;
         for (i, entry) in table.iter().enumerate().filter(|(_, e)| e.has_work()) {
             let job = ctx.job_at(i);
             let bottleneck = job.dag.bottleneck_scores();
@@ -702,7 +633,7 @@ impl ProbabilisticScheduler for DecimaLike {
                 job: entry.id,
                 stage,
                 probability: entry.factor
-                    * weights.stage_factor(bottleneck[stage.index()], entry.best_bottleneck)
+                    * stage_factor(bottleneck[stage.index()], entry.best_bottleneck)
                     / *sum,
             }));
         }
@@ -906,50 +837,5 @@ mod tests {
         let b = tpch_sim(2, 10, 16, 30.0).run(&mut DecimaLike::new(11)).unwrap();
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.average_jct(), b.average_jct());
-    }
-
-    #[test]
-    #[should_panic(expected = "temperature")]
-    fn rejects_bad_temperature() {
-        let _ = DecimaLike::with_weights(
-            0,
-            DecimaWeights { temperature: 0.0, ..DecimaWeights::default() },
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "temperature")]
-    fn rejects_infinite_temperature() {
-        let _ = DecimaLike::with_weights(
-            0,
-            DecimaWeights { temperature: f64::INFINITY, ..DecimaWeights::default() },
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "feature weights must be finite")]
-    fn rejects_nan_feature_weight() {
-        let _ = DecimaLike::with_weights(
-            0,
-            DecimaWeights { short_job: f64::NAN, ..DecimaWeights::default() },
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "feature weights must be finite")]
-    fn rejects_infinite_feature_weight() {
-        let _ = DecimaLike::with_weights(
-            0,
-            DecimaWeights { bottleneck: f64::INFINITY, ..DecimaWeights::default() },
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "feature weights must be finite")]
-    fn rejects_negative_infinite_feature_weight() {
-        let _ = DecimaLike::with_weights(
-            0,
-            DecimaWeights { completion: f64::NEG_INFINITY, ..DecimaWeights::default() },
-        );
     }
 }

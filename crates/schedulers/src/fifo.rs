@@ -3,54 +3,9 @@
 
 use pcaps_cluster::{DecisionSink, SchedEvent, Scheduler, SchedulingContext};
 
-/// Spark standalone FIFO (the `FIFO` baseline of the simulator experiments).
-///
-/// The earliest-arrived job with dispatchable work receives up to one
-/// executor per pending task of each of its runnable stages before any later
-/// job is considered.  As Appendix A.1.2 notes, this over-assigns executors
-/// to the head-of-queue job, blocking later jobs from entering service —
-/// which is exactly the behaviour the paper observes (higher JCT and carbon
-/// than the capped Kubernetes default).
-#[derive(Debug, Default, Clone)]
-pub struct SparkStandaloneFifo;
-
-impl SparkStandaloneFifo {
-    /// Creates the scheduler.
-    pub fn new() -> Self {
-        SparkStandaloneFifo
-    }
-}
-
-impl Scheduler for SparkStandaloneFifo {
-    fn name(&self) -> &str {
-        "fifo"
-    }
-
-    fn on_event(
-        &mut self,
-        _event: SchedEvent<'_>,
-        ctx: &SchedulingContext<'_>,
-        out: &mut DecisionSink,
-    ) {
-        let mut free = ctx.free_executors;
-        for job in ctx.jobs() {
-            if free == 0 {
-                break;
-            }
-            for &stage in job.dispatchable_stages() {
-                if free == 0 {
-                    break;
-                }
-                // One executor per pending task, Spark standalone style.
-                let want = job.progress.pending_tasks(stage).min(free);
-                if want > 0 {
-                    out.dispatch(job.id, stage, want);
-                    free -= want;
-                }
-            }
-        }
-    }
-}
+/// Spark standalone FIFO, defined beside the engine so the simulator crate's
+/// own tests have a scheduler.
+pub use pcaps_cluster::schedulers::SparkStandaloneFifo;
 
 /// Executors one application may hold under [`KubeDefaultFifo`]: the
 /// paper's prototype caps each application at 25 to avoid a

@@ -7,7 +7,9 @@
 //! * [`SparkStandaloneFifo`] — Spark standalone's default FIFO behaviour,
 //!   which assigns up to one executor per task of a stage and therefore
 //!   over-assigns executors to the job at the head of the queue (the `FIFO`
-//!   baseline of Table 3 and Appendix A.1.2),
+//!   baseline of Table 3 and Appendix A.1.2); it is defined in
+//!   `pcaps_cluster::schedulers`, beside the engine whose own tests run it,
+//!   and re-exported here,
 //! * [`KubeDefaultFifo`] — the Spark-on-Kubernetes default of the prototype:
 //!   FIFO stage ordering with a 25-executor per-application cap (the
 //!   `default` baseline of Table 2),
@@ -42,7 +44,7 @@ pub mod probabilistic;
 pub mod routing;
 pub mod weighted_fair;
 
-pub use decima::{DecimaCacheStats, DecimaLike, DecimaWeights};
+pub use decima::{DecimaCacheStats, DecimaLike};
 pub use fifo::{KubeDefaultFifo, SparkStandaloneFifo};
 pub use greenhadoop::GreenHadoop;
 pub use probabilistic::{ProbabilisticScheduler, SampledStage, StageProbability};

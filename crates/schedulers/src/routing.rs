@@ -35,14 +35,13 @@
 //!   remaining work there outweighs the carbon cost of moving its remaining
 //!   data.  **Hysteresis rule** (so jobs don't ping-pong between two grids
 //!   whose intensities oscillate around each other): a move needs (1) an
-//!   intensity gap of at least [`min_intensity_delta`] g/kWh, (2) an
-//!   execution-carbon saving of at least [`cost_factor`] × the transfer
-//!   carbon (`cost_factor` > 1 demands the move pay for itself with margin),
-//!   and (3) at least [`cooldown_s`] schedule seconds since the same job
-//!   last moved.  Returning to a previously left grid therefore requires
-//!   that grid to be `min_intensity_delta` cleaner *and* the transfer to be
-//!   re-paid with margin, after the cooldown — oscillation is priced out.
-//!   Two opt-in extensions: [`with_drain`] also moves *busy* jobs by
+//!   intensity gap of at least 30 g/kWh, (2) an execution-carbon saving of
+//!   at least twice the transfer carbon (the move must pay for itself with
+//!   margin), and (3) at least 120 schedule seconds since the same job last
+//!   moved.  Returning to a previously left grid therefore requires that
+//!   grid to be 30 g/kWh cleaner *and* the transfer to be re-paid with
+//!   margin, after the cooldown — oscillation is priced out.  Two opt-in
+//!   extensions: [`with_drain`] also moves *busy* jobs by
 //!   drain-then-move (they stop dispatching and depart when their running
 //!   tasks finish), and [`with_max_transfer_seconds`] skips moves whose
 //!   estimated transfer delay — contention-aware when the source member has
@@ -52,13 +51,10 @@
 //!   window would close mid-transfer.
 //!
 //! All policies are deterministic and allocation-free per decision (a single
-//! pass over the member views / candidates; the migrator's per-job cooldown
-//! table grows once to the workload size).  Ties break toward the lower
-//! member index so federated runs replay bit-identically.
+//! pass over the member views / candidates; the migrator's cooldown table
+//! holds only the moves younger than the cooldown).  Ties break toward the
+//! lower member index so federated runs replay bit-identically.
 //!
-//! [`min_intensity_delta`]: CarbonDeltaMigrator::min_intensity_delta
-//! [`cost_factor`]: CarbonDeltaMigrator::cost_factor
-//! [`cooldown_s`]: CarbonDeltaMigrator::cooldown_s
 //! [`with_drain`]: CarbonDeltaMigrator::with_drain
 //! [`with_max_transfer_seconds`]: CarbonDeltaMigrator::with_max_transfer_seconds
 
@@ -244,9 +240,9 @@ impl Router for CarbonQueueAwareRouter {
 /// ```text
 /// saving(job)  = (c_member − c_g) · remaining_work · time_scale/3600 · kW      [grams]
 /// transfer(job) = remaining_gb · energy_kwh_per_gb · ½(c_member + c_g)         [grams]
-/// migrate  ⇔  c_member − c_g ≥ min_intensity_delta
-///           ∧ saving ≥ cost_factor · transfer
-///           ∧ time − last_move(job) ≥ cooldown_s
+/// migrate  ⇔  c_member − c_g ≥ 30 g/kWh
+///           ∧ saving ≥ 2 · transfer
+///           ∧ time − last_move(job) ≥ 120 s
 /// ```
 ///
 /// The three conjuncts are the hysteresis rule (see the module docs): a
@@ -256,30 +252,14 @@ impl Router for CarbonQueueAwareRouter {
 /// unprofitable.
 ///
 /// `saving` converts the job's remaining executor-seconds into kWh with the
-/// same convention the carbon accountant uses (`time_scale` carbon-seconds
-/// per schedule second, `executor_power_kw` kilowatts per busy executor), so
-/// the comparison against the transfer carbon — computed from the
-/// federation's network energy figure exactly as the engine will charge it
-/// — is apples to apples.
+/// same convention the carbon accountant uses (the consulted member's
+/// `time_scale` carbon-seconds per schedule second, read off the
+/// [`MigrationContext`], and the accountant's default 0.2 kW per busy
+/// executor), so the comparison against the transfer carbon — computed from
+/// the federation's network energy figure exactly as the engine will charge
+/// it — is apples to apples.
 #[derive(Debug, Clone)]
 pub struct CarbonDeltaMigrator {
-    /// Per-executor power draw (kW) used to convert remaining work into
-    /// energy; matches `pcaps_carbon::accounting::DEFAULT_EXECUTOR_POWER_KW`
-    /// by default.
-    pub executor_power_kw: f64,
-    /// Carbon-trace seconds per schedule second (the paper convention is
-    /// 60.0); must match the member configs for the saving estimate to be in
-    /// the same units as the transfer carbon.
-    pub time_scale: f64,
-    /// Dead band: the destination must be at least this much cleaner
-    /// (g/kWh) than the job's current grid.
-    pub min_intensity_delta: f64,
-    /// Required margin: the execution-carbon saving must be at least this
-    /// multiple of the transfer carbon (values > 1 demand the move pay for
-    /// itself with headroom).
-    pub cost_factor: f64,
-    /// Minimum schedule seconds between two migrations of the same job.
-    pub cooldown_s: f64,
     /// When true, a profitable candidate with running or retrying tasks gets
     /// a drain-then-move verb instead of being skipped: it stops dispatching
     /// and migrates once its tasks finish in place.  Off by default — the
@@ -291,93 +271,31 @@ pub struct CarbonDeltaMigrator {
     /// attached).  `f64::INFINITY` by default — no estimate is computed and
     /// decisions match the pre-network migrator exactly.
     pub max_transfer_seconds: f64,
-    /// `last_move[job]` is the schedule time of the job's last migration
-    /// (grown on demand; `-inf` before the first move).
-    last_move: Vec<f64>,
+    /// `(job, time)` of every move younger than the cooldown, in time
+    /// order; older ones are pruned at each consultation.
+    recent_moves: Vec<(JobId, f64)>,
 }
 
 impl CarbonDeltaMigrator {
-    /// Paper-scale defaults: accountant power (0.2 kW) and time scale (60×),
-    /// a 30 g/kWh dead band, a 2× transfer-cost margin and a 120 s schedule
-    /// cooldown (2 carbon-hours at 60×).
+    /// Dead band: the destination must be at least this much cleaner
+    /// (g/kWh) than the job's current grid.
+    const MIN_INTENSITY_DELTA: f64 = 30.0;
+    /// Required margin: the execution-carbon saving must be at least this
+    /// multiple of the transfer carbon.
+    const COST_FACTOR: f64 = 2.0;
+    /// Minimum schedule seconds between two migrations of the same job
+    /// (2 carbon-hours at the paper's 60× time scale).
+    const COOLDOWN_S: f64 = 120.0;
+
+    /// The policy: a 30 g/kWh dead band, a 2× transfer-cost margin and a
+    /// 120 s schedule cooldown, moving idle jobs only, with no cap on the
+    /// transfer delay.
     pub fn new() -> Self {
         CarbonDeltaMigrator {
-            executor_power_kw: pcaps_carbon::accounting::DEFAULT_EXECUTOR_POWER_KW,
-            time_scale: 60.0,
-            min_intensity_delta: 30.0,
-            cost_factor: 2.0,
-            cooldown_s: 120.0,
             drain: false,
             max_transfer_seconds: f64::INFINITY,
-            last_move: Vec::new(),
+            recent_moves: Vec::new(),
         }
-    }
-
-    /// No hysteresis at all: any strictly greener grid attracts every idle
-    /// job whose saving covers the bare transfer carbon (`cost_factor` = 1,
-    /// zero dead band, zero cooldown).  With a zero [`TransferMatrix`] this
-    /// is *always-migrate-to-greenest* — useful as a conformance baseline,
-    /// rarely as a production policy.
-    ///
-    /// [`TransferMatrix`]: pcaps_cluster::routing::TransferMatrix
-    pub fn aggressive() -> Self {
-        CarbonDeltaMigrator {
-            min_intensity_delta: 0.0,
-            cost_factor: 1.0,
-            cooldown_s: 0.0,
-            ..CarbonDeltaMigrator::new()
-        }
-    }
-
-    /// Overrides the carbon time scale (carbon seconds per schedule second).
-    ///
-    /// # Panics
-    /// Panics unless `scale` is positive and finite.
-    pub fn with_time_scale(mut self, scale: f64) -> Self {
-        assert!(scale > 0.0 && scale.is_finite(), "time scale must be positive");
-        self.time_scale = scale;
-        self
-    }
-
-    /// Overrides the per-executor power draw (kW).
-    ///
-    /// # Panics
-    /// Panics unless `kw` is positive and finite.
-    pub fn with_executor_power(mut self, kw: f64) -> Self {
-        assert!(kw > 0.0 && kw.is_finite(), "executor power must be positive");
-        self.executor_power_kw = kw;
-        self
-    }
-
-    /// Overrides the intensity dead band (g/kWh).
-    ///
-    /// # Panics
-    /// Panics unless `delta` is non-negative and finite.
-    pub fn with_min_intensity_delta(mut self, delta: f64) -> Self {
-        assert!(delta >= 0.0 && delta.is_finite(), "intensity delta must be non-negative");
-        self.min_intensity_delta = delta;
-        self
-    }
-
-    /// Overrides the transfer-cost margin factor.
-    ///
-    /// # Panics
-    /// Panics unless `factor >= 1.0` (a factor below 1 would *subsidise*
-    /// moves that lose carbon).
-    pub fn with_cost_factor(mut self, factor: f64) -> Self {
-        assert!(factor >= 1.0 && factor.is_finite(), "cost factor must be at least 1");
-        self.cost_factor = factor;
-        self
-    }
-
-    /// Overrides the per-job cooldown (schedule seconds).
-    ///
-    /// # Panics
-    /// Panics unless `seconds` is non-negative and finite.
-    pub fn with_cooldown(mut self, seconds: f64) -> Self {
-        assert!(seconds >= 0.0 && seconds.is_finite(), "cooldown must be non-negative");
-        self.cooldown_s = seconds;
-        self
     }
 
     /// Enables drain-then-move: profitable candidates with running or
@@ -405,18 +323,11 @@ impl CarbonDeltaMigrator {
         self
     }
 
-    fn last_move(&self, job: JobId) -> f64 {
-        self.last_move
-            .get(job.index())
-            .copied()
-            .unwrap_or(f64::NEG_INFINITY)
-    }
-
-    fn record_move(&mut self, job: JobId, time: f64) {
-        if self.last_move.len() <= job.index() {
-            self.last_move.resize(job.index() + 1, f64::NEG_INFINITY);
-        }
-        self.last_move[job.index()] = time;
+    /// True if `job` moved less than the cooldown ago.  Only such moves
+    /// are kept: simulated time never decreases, so a pruned move would
+    /// have passed this check too.
+    fn cooling_down(&self, job: JobId) -> bool {
+        self.recent_moves.iter().any(|&(moved, _)| moved == job)
     }
 }
 
@@ -442,6 +353,7 @@ impl MigrationPolicy for CarbonDeltaMigrator {
         out: &mut MigrationSink,
     ) {
         let src = ctx.member;
+        self.recent_moves.retain(|&(_, time)| ctx.time - time < Self::COOLDOWN_S);
         let greenest = argmin_by(ctx.members(), |m| m.carbon.intensity);
         // argmin_by prefers available members; if it still landed on an
         // unavailable one the whole federation is down — nowhere to move to.
@@ -451,7 +363,7 @@ impl MigrationPolicy for CarbonDeltaMigrator {
         let c_src = ctx.members()[src].carbon.intensity;
         let c_dst = ctx.members()[greenest].carbon.intensity;
         let delta = c_src - c_dst;
-        if delta <= 0.0 || delta < self.min_intensity_delta {
+        if delta <= 0.0 || delta < Self::MIN_INTENSITY_DELTA {
             return;
         }
         for c in candidates {
@@ -465,14 +377,15 @@ impl MigrationPolicy for CarbonDeltaMigrator {
             if !idle && !self.drain {
                 continue;
             }
-            if ctx.time - self.last_move(c.job) < self.cooldown_s {
+            if self.cooling_down(c.job) {
                 continue;
             }
-            let job_kwh = c.remaining_work * self.time_scale / 3600.0 * self.executor_power_kw;
+            let job_kwh = c.remaining_work * ctx.time_scale / 3600.0
+                * pcaps_carbon::accounting::DEFAULT_EXECUTOR_POWER_KW;
             let saving = delta * job_kwh;
             let transfer_grams =
                 ctx.estimated_transfer_carbon_grams(c.remaining_gb, c_src, c_dst);
-            if saving < self.cost_factor * transfer_grams {
+            if saving < Self::COST_FACTOR * transfer_grams {
                 continue;
             }
             if self.max_transfer_seconds.is_finite()
@@ -486,7 +399,7 @@ impl MigrationPolicy for CarbonDeltaMigrator {
             } else {
                 out.drain(c.job, greenest);
             }
-            self.record_move(c.job, ctx.time);
+            self.recent_moves.push((c.job, ctx.time));
         }
     }
 }
@@ -650,7 +563,7 @@ mod tests {
         ) -> Vec<(u64, usize)> {
             let topo = NetworkTopology::from_matrix(transfer);
             let flows = FlowSet::new(&topo);
-            let ctx = MigrationContext::new(time, member, views, &topo, &flows);
+            let ctx = MigrationContext::new(time, member, 60.0, views, &topo, &flows);
             let mut sink = MigrationSink::new();
             policy.on_carbon_change(&ctx, candidates, &mut sink);
             sink.moves().iter().map(|m| (m.job.0, m.to)).collect()
@@ -677,16 +590,16 @@ mod tests {
 
         #[test]
         fn dead_band_blocks_marginal_gains() {
-            // 20 g/kWh gap < the default 30 g/kWh dead band.
-            let views = [view(0, CarbonView::flat(120.0), 0.0), view(1, CarbonView::flat(100.0), 0.0)];
+            // A 20 g/kWh gap is inside the 30 g/kWh dead band.
+            let narrow = [view(0, CarbonView::flat(120.0), 0.0), view(1, CarbonView::flat(100.0), 0.0)];
             let transfer = TransferMatrix::zero(2);
             let mut p = CarbonDeltaMigrator::new();
-            assert!(consult(&mut p, 0.0, 0, &views, &transfer, &[candidate(0, 600.0, 1.0, 0)])
+            assert!(consult(&mut p, 0.0, 0, &narrow, &transfer, &[candidate(0, 600.0, 1.0, 0)])
                 .is_empty());
-            // Shrinking the band admits the same move.
-            let mut eager = CarbonDeltaMigrator::new().with_min_intensity_delta(10.0);
+            // A 40 g/kWh gap clears it and the same job moves.
+            let wide = [view(0, CarbonView::flat(140.0), 0.0), view(1, CarbonView::flat(100.0), 0.0)];
             assert_eq!(
-                consult(&mut eager, 0.0, 0, &views, &transfer, &[candidate(0, 600.0, 1.0, 0)]),
+                consult(&mut p, 0.0, 0, &wide, &transfer, &[candidate(0, 600.0, 1.0, 0)]),
                 vec![(0, 1)]
             );
         }
@@ -713,7 +626,7 @@ mod tests {
             let a_dirty = [view(0, CarbonView::flat(500.0), 0.0), view(1, CarbonView::flat(100.0), 0.0)];
             let b_dirty = [view(0, CarbonView::flat(100.0), 0.0), view(1, CarbonView::flat(500.0), 0.0)];
             let transfer = TransferMatrix::zero(2);
-            let mut p = CarbonDeltaMigrator::new().with_cooldown(100.0);
+            let mut p = CarbonDeltaMigrator::new();
             // t=0: job 0 leaves member 0 for member 1.
             assert_eq!(
                 consult(&mut p, 0.0, 0, &a_dirty, &transfer, &[candidate(0, 600.0, 1.0, 0)]),
@@ -722,7 +635,7 @@ mod tests {
             // t=60: the grids flipped, but the cooldown holds the job still.
             assert!(consult(&mut p, 60.0, 1, &b_dirty, &transfer, &[candidate(0, 600.0, 1.0, 0)])
                 .is_empty());
-            // t=150: cooldown expired — now it may return.
+            // t=150: the 120 s cooldown expired — now it may return.
             assert_eq!(
                 consult(&mut p, 150.0, 1, &b_dirty, &transfer, &[candidate(0, 600.0, 1.0, 0)]),
                 vec![(0, 0)]
@@ -730,24 +643,41 @@ mod tests {
         }
 
         #[test]
-        fn no_moves_when_already_on_the_greenest_grid() {
-            let views = [view(0, CarbonView::flat(100.0), 0.0), view(1, CarbonView::flat(500.0), 0.0)];
+        fn cooldown_table_keeps_only_moves_inside_the_cooldown() {
+            // An open-loop run moves ever-larger job ids; the table must not
+            // grow with them.  Moves 121 s apart each outlive the cooldown
+            // by the next consultation, so one entry remains at a time.
+            let views = [view(0, CarbonView::flat(500.0), 0.0), view(1, CarbonView::flat(100.0), 0.0)];
             let transfer = TransferMatrix::zero(2);
-            let mut p = CarbonDeltaMigrator::aggressive();
-            assert!(consult(&mut p, 0.0, 0, &views, &transfer, &[candidate(0, 600.0, 1.0, 0)])
-                .is_empty());
+            let mut p = CarbonDeltaMigrator::new();
+            for k in 0..200u64 {
+                let job = 1_000 * k;
+                let time = 121.0 * k as f64;
+                assert_eq!(
+                    consult(&mut p, time, 0, &views, &transfer, &[candidate(job, 600.0, 1.0, 0)]),
+                    vec![(job, 1)]
+                );
+                assert!(p.recent_moves.len() <= 1, "{} entries after move {k}", p.recent_moves.len());
+            }
+            // Two moves inside one cooldown window are both kept, and each
+            // blocks its own job only.
+            consult(&mut p, 30_000.0, 0, &views, &transfer, &[candidate(1, 600.0, 1.0, 0)]);
+            consult(&mut p, 30_060.0, 0, &views, &transfer, &[candidate(2, 600.0, 1.0, 0)]);
+            assert_eq!(p.recent_moves.len(), 2);
+            let both = [candidate(1, 600.0, 1.0, 0), candidate(2, 600.0, 1.0, 0), candidate(3, 600.0, 1.0, 0)];
+            assert_eq!(consult(&mut p, 30_100.0, 0, &views, &transfer, &both), vec![(3, 1)]);
+            // At 30 150 s job 1's move is 150 s old: pruned, so job 1 may move
+            // again; job 2's (90 s) and job 3's (50 s) still hold.
+            assert_eq!(consult(&mut p, 30_150.0, 0, &views, &transfer, &both), vec![(1, 1)]);
         }
 
         #[test]
-        fn aggressive_always_chases_the_greenest_grid_at_zero_cost() {
-            let views = [view(0, CarbonView::flat(101.0), 0.0), view(1, CarbonView::flat(100.0), 0.0)];
+        fn no_moves_when_already_on_the_greenest_grid() {
+            let views = [view(0, CarbonView::flat(100.0), 0.0), view(1, CarbonView::flat(500.0), 0.0)];
             let transfer = TransferMatrix::zero(2);
-            let mut p = CarbonDeltaMigrator::aggressive();
-            assert_eq!(
-                consult(&mut p, 0.0, 0, &views, &transfer, &[candidate(0, 1.0, 50.0, 0)]),
-                vec![(0, 1)],
-                "any strictly greener grid attracts idle work when moving is free"
-            );
+            let mut p = CarbonDeltaMigrator::new();
+            assert!(consult(&mut p, 0.0, 0, &views, &transfer, &[candidate(0, 600.0, 1.0, 0)])
+                .is_empty());
         }
 
         #[test]
@@ -758,7 +688,7 @@ mod tests {
                 down(view(1, CarbonView::flat(100.0), 0.0)),
             ];
             let transfer = TransferMatrix::zero(2);
-            let mut p = CarbonDeltaMigrator::aggressive();
+            let mut p = CarbonDeltaMigrator::new();
             assert!(consult(&mut p, 0.0, 0, &views, &transfer, &[candidate(0, 600.0, 1.0, 0)])
                 .is_empty());
         }
@@ -784,7 +714,7 @@ mod tests {
             let mut draining = CarbonDeltaMigrator::new().with_drain();
             let topo = NetworkTopology::from_matrix(&transfer);
             let flows = FlowSet::new(&topo);
-            let ctx = MigrationContext::new(0.0, 0, &views, &topo, &flows);
+            let ctx = MigrationContext::new(0.0, 0, 60.0, &views, &topo, &flows);
             let mut sink = MigrationSink::new();
             draining.on_carbon_change(&ctx, std::slice::from_ref(&busy), &mut sink);
             assert_eq!(sink.moves().len(), 1);
@@ -810,12 +740,6 @@ mod tests {
                 consult(&mut roomy, 0.0, 0, &views, &transfer, std::slice::from_ref(&idle)),
                 vec![(0, 1)]
             );
-        }
-
-        #[test]
-        #[should_panic(expected = "cost factor")]
-        fn sub_unit_cost_factor_rejected() {
-            let _ = CarbonDeltaMigrator::new().with_cost_factor(0.5);
         }
     }
 }

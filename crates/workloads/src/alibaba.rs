@@ -32,8 +32,6 @@ pub struct AlibabaGenerator {
     /// Maximum total single-executor duration (seconds) — bounds the tail so
     /// a single job cannot dominate an entire experiment.
     max_duration: f64,
-    /// Target mean number of stages per DAG.
-    mean_stages: f64,
     counter: u64,
     /// Working vectors of [`AlibabaGenerator::next_job`], kept between jobs.
     scratch: Scratch,
@@ -75,25 +73,9 @@ impl AlibabaGenerator {
             pareto_alpha: 0.6,
             min_duration: 800.0,
             max_duration: 120_000.0,
-            mean_stages: TARGET_MEAN_NODES,
             counter: 0,
             scratch: Scratch::default(),
         }
-    }
-
-    /// Overrides the mean number of stages per generated DAG.
-    ///
-    /// # Panics
-    /// Panics if `mean < 3.0`: every DAG has at least three stages (see
-    /// `sample_num_stages`), so a smaller mean would silently clamp every
-    /// DAG to exactly three.
-    pub fn with_mean_stages(mut self, mean: f64) -> Self {
-        assert!(
-            mean >= 3.0,
-            "the mean stage count must be at least 3, got {mean}"
-        );
-        self.mean_stages = mean;
-        self
     }
 
     /// Samples a bounded-Pareto total duration.
@@ -106,10 +88,10 @@ impl AlibabaGenerator {
         ((-(u * (h - l) - h) / (h * l)).powf(-1.0 / a)).clamp(self.min_duration, self.max_duration)
     }
 
-    /// Samples the number of stages (geometric-ish around the mean, at least
-    /// 3, capped at 4× the mean).
+    /// Samples the number of stages (geometric-ish around the paper's mean
+    /// of 66, at least 3, capped at 4× the mean).
     fn sample_num_stages(&mut self) -> usize {
-        let mean = self.mean_stages;
+        let mean = TARGET_MEAN_NODES;
         // Exponential with the target mean, shifted by the minimum size.
         let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
         let sample = -(mean - 3.0) * u.ln() + 3.0;
@@ -330,21 +312,5 @@ mod tests {
             (60.0..300.0).contains(&mean_scaled),
             "scaled mean {mean_scaled:.0}s should be a few minutes"
         );
-    }
-
-    #[test]
-    fn with_mean_stages_changes_size() {
-        let mut small = AlibabaGenerator::new(5).with_mean_stages(10.0);
-        let mut large = AlibabaGenerator::new(5).with_mean_stages(120.0);
-        let avg = |jobs: &[JobDag]| {
-            jobs.iter().map(|j| j.num_stages() as f64).sum::<f64>() / jobs.len() as f64
-        };
-        assert!(avg(&large.jobs(100)) > avg(&small.jobs(100)));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 3")]
-    fn mean_stages_below_the_minimum_rejected() {
-        let _ = AlibabaGenerator::new(5).with_mean_stages(2.5);
     }
 }

@@ -11,11 +11,11 @@ use rand_chacha::ChaCha8Rng;
 
 /// A stream of monotonically non-decreasing arrival times.
 ///
-/// Streaming job sources ([`crate::WorkloadStream`]) are generic over the
-/// process that spaces their arrivals; [`PoissonArrivals`] is the paper's
-/// homogeneous process and [`DiurnalArrivals`] adds the day/night submission
-/// rhythm of production traces.  Implementations must be deterministic given
-/// their seed.
+/// A [`crate::WorkloadStream`] spaces its arrivals with one of these
+/// processes, boxed, so one stream type serves every process;
+/// [`PoissonArrivals`] is the paper's homogeneous process and
+/// [`DiurnalArrivals`] adds the day/night submission rhythm of production
+/// traces.  Implementations must be deterministic given their seed.
 pub trait ArrivalProcess {
     /// Samples the next arrival time (non-decreasing across calls).
     fn next_arrival(&mut self) -> f64;

@@ -130,42 +130,31 @@ impl WorkloadBuilder {
                 self.seed ^ 0xA11CE,
             )),
             first_at_zero: true,
-            remaining: self.num_jobs,
-        }
-    }
-
-    /// Like [`WorkloadBuilder::stream`], but spacing arrivals with the given
-    /// process (e.g. [`crate::DiurnalArrivals`]) instead of the builder's
-    /// Poisson default.  Every arrival, including the first, is sampled
-    /// from the process — a diurnal stream should respect its rate profile
-    /// from the start rather than pinning job 0 to time 0.
-    pub fn stream_with_arrivals<A: ArrivalProcess + 'static>(&self, process: A) -> WorkloadStream {
-        WorkloadStream {
-            sampler: self.sampler(),
-            arrivals: Box::new(process),
-            first_at_zero: false,
-            remaining: self.num_jobs,
+            remaining: Some(self.num_jobs),
         }
     }
 
     /// The open-arrival form: a stream that never ends, spacing arrivals
-    /// with the given process (every gap sampled, like
-    /// [`WorkloadBuilder::stream_with_arrivals`]).  The builder's job count
-    /// is ignored — the consumer decides when to stop pulling, which for
-    /// the simulation engine means an open-loop run bounded by a time
-    /// horizon rather than by workload exhaustion.  The DAG stream is the
-    /// same as the bounded forms': pulling the first `n` jobs of an
-    /// unbounded stream yields exactly `stream_with_arrivals(process)`
-    /// limited to `n`.
-    pub fn stream_unbounded<A: ArrivalProcess + 'static>(&self, process: A) -> UnboundedStream {
-        UnboundedStream {
+    /// with the given process (e.g. [`crate::DiurnalArrivals`]) instead of
+    /// the builder's Poisson default.  Every arrival, including the first,
+    /// is sampled from the process — a diurnal stream should respect its
+    /// rate profile from the start rather than pinning job 0 to time 0.
+    /// The builder's job count is ignored — the consumer decides when to
+    /// stop pulling, which for the simulation engine means an open-loop run
+    /// bounded by a time horizon rather than by workload exhaustion.  The
+    /// DAG stream is the same as [`WorkloadBuilder::stream`]'s: only the
+    /// arrival times differ.
+    pub fn stream_unbounded<A: ArrivalProcess + 'static>(&self, process: A) -> WorkloadStream {
+        WorkloadStream {
             sampler: self.sampler(),
             arrivals: Box::new(process),
+            first_at_zero: false,
+            remaining: None,
         }
     }
 
-    /// The per-job DAG sampler shared by every stream form (bounded,
-    /// custom-arrival, unbounded), so they are draw-for-draw identical.
+    /// The per-job DAG sampler shared by both stream forms (bounded and
+    /// unbounded), so they are draw-for-draw identical.
     fn sampler(&self) -> JobSampler {
         JobSampler {
             kind: self.kind,
@@ -215,8 +204,13 @@ impl JobSampler {
     }
 }
 
-/// The lazy twin of a built workload: jobs are sampled one at a time as the
-/// stream is pulled (see [`WorkloadBuilder::stream`]).
+/// A stream of generated jobs, sampled one at a time as it is pulled:
+/// either the lazy twin of a built workload ([`WorkloadBuilder::stream`])
+/// or an open-arrival stream that never ends
+/// ([`WorkloadBuilder::stream_unbounded`]), whose size hint is the
+/// infinite iterator's `(usize::MAX, None)`.  Consumers of an unbounded
+/// stream must bound their own pulls — the engine's open-loop serving mode
+/// does so with a time horizon.
 ///
 /// Arrivals are non-decreasing by construction (the arrival process is
 /// monotone), so the stream satisfies the simulator's source contract as
@@ -225,9 +219,10 @@ pub struct WorkloadStream {
     sampler: JobSampler,
     arrivals: Box<dyn ArrivalProcess>,
     /// `build()` semantics: the first job arrives at time 0 (the batch
-    /// starts immediately); custom arrival processes sample every gap.
+    /// starts immediately); an unbounded stream samples every gap.
     first_at_zero: bool,
-    remaining: usize,
+    /// Jobs left to yield, `None` for an unbounded stream.
+    remaining: Option<usize>,
 }
 
 impl std::fmt::Debug for WorkloadStream {
@@ -244,10 +239,9 @@ impl Iterator for WorkloadStream {
     type Item = SubmittedJob;
 
     fn next(&mut self) -> Option<SubmittedJob> {
-        if self.remaining == 0 {
-            return None;
+        if let Some(remaining) = &mut self.remaining {
+            *remaining = remaining.checked_sub(1)?;
         }
-        self.remaining -= 1;
         let arrival = if self.first_at_zero && self.sampler.next_index == 0 {
             0.0
         } else {
@@ -257,60 +251,26 @@ impl Iterator for WorkloadStream {
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-/// An arrival stream that never ends (see
-/// [`WorkloadBuilder::stream_unbounded`]): every pull samples the next gap
-/// from the arrival process and the next DAG from the workload kind, forever.
-///
-/// Like [`WorkloadStream`] it is a [`GeneratedStream`], with the
-/// infinite-iterator size hint `(usize::MAX, None)`.  Consumers must bound
-/// their own pulls — the engine's open-loop serving mode does so with a
-/// time horizon.
-pub struct UnboundedStream {
-    sampler: JobSampler,
-    arrivals: Box<dyn ArrivalProcess>,
-}
-
-impl std::fmt::Debug for UnboundedStream {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("UnboundedStream")
-            .field("kind", &self.sampler.kind)
-            .field("next_index", &self.sampler.next_index)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Iterator for UnboundedStream {
-    type Item = SubmittedJob;
-
-    fn next(&mut self) -> Option<SubmittedJob> {
-        let arrival = self.arrivals.next_arrival();
-        Some(SubmittedJob::at(arrival, self.sampler.next_dag()))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (usize::MAX, None)
+        match self.remaining {
+            Some(remaining) => (remaining, Some(remaining)),
+            None => (usize::MAX, None),
+        }
     }
 }
 
 /// A stream whose jobs come straight from a [`WorkloadBuilder`]: every DAG
 /// was built, and thereby validated, by the generators, and arrivals are
-/// non-decreasing.  Sealed — only [`WorkloadStream`] and
-/// [`UnboundedStream`] implement it — so a consumer may skip revalidating
-/// what such a stream yields; any other iterator of jobs, including an
-/// adapter over one of these streams, is not a `GeneratedStream`.
+/// non-decreasing.  Sealed — only [`WorkloadStream`] implements it — so a
+/// consumer may skip revalidating what such a stream yields; any other
+/// iterator of jobs, including an adapter over a `WorkloadStream`, is not a
+/// `GeneratedStream`.
 pub trait GeneratedStream: Iterator<Item = SubmittedJob> + sealed::Sealed {}
 
 impl GeneratedStream for WorkloadStream {}
-impl GeneratedStream for UnboundedStream {}
 
 mod sealed {
     pub trait Sealed {}
     impl Sealed for super::WorkloadStream {}
-    impl Sealed for super::UnboundedStream {}
 }
 
 #[cfg(test)]
@@ -449,7 +409,8 @@ mod tests {
         use crate::arrivals::DiurnalArrivals;
         let builder = WorkloadBuilder::new(WorkloadKind::TpchMixed, 9).jobs(50);
         let jobs: Vec<SubmittedJob> = builder
-            .stream_with_arrivals(DiurnalArrivals::new(30.0, 0.5, 1440.0, 9))
+            .stream_unbounded(DiurnalArrivals::new(30.0, 0.5, 1440.0, 9))
+            .take(50)
             .collect();
         assert_eq!(jobs.len(), 50);
         assert!(jobs[0].arrival > 0.0, "custom processes sample the first gap too");
@@ -468,14 +429,19 @@ mod tests {
     fn unbounded_prefix_matches_the_bounded_stream() {
         use crate::arrivals::DiurnalArrivals;
         let builder = WorkloadBuilder::new(WorkloadKind::TpchMixed, 21).jobs(40);
-        let bounded: Vec<SubmittedJob> = builder
-            .stream_with_arrivals(DiurnalArrivals::new(30.0, 0.5, 1440.0, 21))
-            .collect();
+        let bounded: Vec<SubmittedJob> = builder.stream().collect();
         let unbounded: Vec<SubmittedJob> = builder
             .stream_unbounded(DiurnalArrivals::new(30.0, 0.5, 1440.0, 21))
             .take(40)
             .collect();
-        assert_eq!(bounded, unbounded, "the unbounded stream must be the same draw stream");
+        assert_eq!(unbounded.len(), bounded.len());
+        // Same DAG draws as the bounded stream; every arrival, the first
+        // included, is the process's own draw.
+        let mut process = DiurnalArrivals::new(30.0, 0.5, 1440.0, 21);
+        for (u, b) in unbounded.iter().zip(&bounded) {
+            assert_eq!(u.dag, b.dag, "the unbounded stream must be the same draw stream");
+            assert_eq!(u.arrival, process.next_arrival());
+        }
     }
 
     #[test]

@@ -32,8 +32,9 @@
 //! Workloads come in two forms: **materialized**
 //! ([`WorkloadBuilder::build`], a `Vec<SubmittedJob>`, fine for paper-sized
 //! batches) and **streaming** ([`WorkloadBuilder::stream`] and its
-//! custom-arrival and unbounded variants), iterators that build each job's
-//! DAG only when it is pulled.  Streaming intake is what makes
+//! open-arrival form [`WorkloadBuilder::stream_unbounded`], both a
+//! [`WorkloadStream`]), iterators that build each job's DAG only when it
+//! is pulled.  Streaming intake is what makes
 //! Alibaba-trace-sized runs (50k–100k jobs) possible without up-front
 //! memory proportional to the whole trace.
 
@@ -47,9 +48,7 @@ pub mod tpch;
 
 pub use alibaba::AlibabaGenerator;
 pub use arrivals::{ArrivalProcess, DiurnalArrivals, PoissonArrivals};
-pub use batch::{
-    GeneratedStream, UnboundedStream, WorkloadBuilder, WorkloadKind, WorkloadStream,
-};
+pub use batch::{GeneratedStream, WorkloadBuilder, WorkloadKind, WorkloadStream};
 pub use tpch::{TpchQuery, TpchScale};
 
 /// The paper's experiment time scaling: job durations are divided by 60 so

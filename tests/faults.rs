@@ -15,7 +15,6 @@
 //!   exactly its DAG's work, job ids partition across members, and retries
 //!   balance failures once the run completes.
 
-use carbon_aware_dag_sched::cluster::schedulers::SimpleFifo;
 use carbon_aware_dag_sched::cluster::SimError;
 use carbon_aware_dag_sched::dag::JobId;
 use carbon_aware_dag_sched::prelude::*;
@@ -211,7 +210,7 @@ fn a_single_crash_recovers_with_hand_computed_timing_and_waste() {
     // One executor, one 100 s task, crash at t=10: the default policy
     // releases the retry at 15 (5 s backoff), the rerun spans [15, 115].
     let sim = one_executor_sim(100.0, FaultSchedule::new(vec![crash(10.0, 0, 0)]));
-    let result = sim.run(&mut SimpleFifo::new()).unwrap();
+    let result = sim.run(&mut SparkStandaloneFifo::new()).unwrap();
     assert!(result.all_jobs_complete());
     assert!((result.makespan - 115.0).abs() < 1e-9, "got {}", result.makespan);
     assert!((result.wasted_seconds - 10.0).abs() < 1e-9);
@@ -249,7 +248,7 @@ fn crashing_an_idle_executor_wastes_nothing() {
         CarbonTrace::constant("flat", 300.0, 26_304),
     )
     .with_fault_schedule(FaultSchedule::new(vec![crash(10.0, 0, 1)]));
-    let result = sim.run(&mut SimpleFifo::new()).unwrap();
+    let result = sim.run(&mut SparkStandaloneFifo::new()).unwrap();
     assert!((result.makespan - 100.0).abs() < 1e-9, "an idle crash cannot delay the run");
     assert_eq!(result.wasted_seconds, 0.0);
     assert_eq!(result.tasks_failed, 0);
@@ -275,7 +274,7 @@ fn retry_exhaustion_aborts_with_the_policy_count() {
         100.0,
         FaultSchedule::new(vec![crash(10.0, 0, 0), crash(25.0, 0, 0), crash(45.0, 0, 0)]),
     );
-    match sim.run(&mut SimpleFifo::new()) {
+    match sim.run(&mut SparkStandaloneFifo::new()) {
         Err(SimError::RetriesExhausted { job, stage, task, attempts }) => {
             assert_eq!(job, "j");
             assert_eq!(stage, StageId(0));
@@ -302,7 +301,7 @@ fn malformed_retry_policies_are_rejected_naming_the_field() {
     let run = |retry: RetryPolicy| {
         one_executor_sim(50.5, FaultSchedule::new(vec![crash(20.0, 0, 0)]))
             .with_retry_policy(retry)
-            .run(&mut SimpleFifo::new())
+            .run(&mut SparkStandaloneFifo::new())
     };
     let overflowing = RetryPolicy { max_attempts: 4, backoff_base: 1.0, backoff_factor: 1e200 };
     for (retry, field) in [
@@ -355,7 +354,7 @@ fn malformed_fault_plans_are_rejected_naming_the_field() {
     ];
     for (field, plan) in &plans {
         let sim = one_executor_sim(10.0, FaultSchedule::none()).with_fault_plan(plan.as_ref());
-        match sim.run(&mut SimpleFifo::new()) {
+        match sim.run(&mut SparkStandaloneFifo::new()) {
             Err(SimError::InvalidFault { reason }) => {
                 assert!(reason.contains(field), "{field}: {reason}")
             }
@@ -371,7 +370,7 @@ fn fault_schedules_are_validated_against_the_topology() {
         FaultSchedule::new(vec![crash(1.0, 5, 0)]),
     );
     assert!(matches!(
-        bad_member.run(&mut SimpleFifo::new()),
+        bad_member.run(&mut SparkStandaloneFifo::new()),
         Err(SimError::InvalidFault { .. })
     ));
     let bad_executor = one_executor_sim(
@@ -379,7 +378,7 @@ fn fault_schedules_are_validated_against_the_topology() {
         FaultSchedule::new(vec![crash(1.0, 0, 9)]),
     );
     assert!(matches!(
-        bad_executor.run(&mut SimpleFifo::new()),
+        bad_executor.run(&mut SparkStandaloneFifo::new()),
         Err(SimError::InvalidFault { .. })
     ));
 }
@@ -406,8 +405,8 @@ fn an_outage_drains_running_work_and_evacuates_idle_jobs() {
     // Ends at 4 050, before the last finish event at 4 110, so both edges
     // fire inside the run.
     .with_fault_plan(&RegionOutage::new(0, 100.0, 4_050.0));
-    let mut a = SimpleFifo::new();
-    let mut b = SimpleFifo::new();
+    let mut a = SparkStandaloneFifo::new();
+    let mut b = SparkStandaloneFifo::new();
     let mut schedulers: [&mut dyn Scheduler; 2] = [&mut a, &mut b];
     let result = fed.run(&mut StaticRouter::new(0), &mut schedulers).unwrap();
 
@@ -501,9 +500,9 @@ fn random_crashes_conserve_work_jobs_and_retry_balance() {
     let fed = Federation::new(members, workload)
         .with_fault_plan(&PoissonCrashes::new(42, 250.0).with_horizon(4_000.0))
         .with_retry_policy(RetryPolicy { max_attempts: 50, ..RetryPolicy::default() });
-    let mut a = SimpleFifo::new();
-    let mut b = SimpleFifo::new();
-    let mut c = SimpleFifo::new();
+    let mut a = SparkStandaloneFifo::new();
+    let mut b = SparkStandaloneFifo::new();
+    let mut c = SparkStandaloneFifo::new();
     let mut schedulers: [&mut dyn Scheduler; 3] = [&mut a, &mut b, &mut c];
     let result = fed.run(&mut RoundRobinRouter::new(), &mut schedulers).unwrap();
 

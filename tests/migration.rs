@@ -277,13 +277,40 @@ fn migration_conserves_jobs_and_tasks() {
     }
 }
 
-/// The always-migrate-to-greenest policy of the hand-computed tests:
-/// [`CarbonDeltaMigrator::aggressive`] with the fixtures' unit conventions
-/// (time scale 1, 1 kW per executor — matching the hand accountant below).
-fn always_greenest() -> CarbonDeltaMigrator {
-    CarbonDeltaMigrator::aggressive()
-        .with_time_scale(1.0)
-        .with_executor_power(1.0)
+/// The always-migrate-to-greenest policy of the hand-computed tests: every
+/// migratable, non-draining candidate moves to the greenest available
+/// member whenever that member is strictly greener than the candidate's
+/// own.  No dead band, cost margin or cooldown, so on the cliff it makes
+/// exactly the one move the hand integrals assume, whatever the transfer
+/// costs.
+struct AlwaysGreenest;
+
+impl MigrationPolicy for AlwaysGreenest {
+    fn name(&self) -> &str {
+        "always-greenest"
+    }
+
+    fn on_carbon_change(
+        &mut self,
+        ctx: &MigrationContext<'_>,
+        candidates: &[MigrationCandidate],
+        out: &mut MigrationSink,
+    ) {
+        let members = ctx.members();
+        let intensity = |m: usize| members[m].carbon.intensity;
+        let Some(greenest) = (0..members.len())
+            .filter(|&m| members[m].available)
+            .min_by(|&a, &b| intensity(a).total_cmp(&intensity(b)))
+        else {
+            return;
+        };
+        if intensity(greenest) >= intensity(ctx.member) {
+            return;
+        }
+        for c in candidates.iter().filter(|c| c.migratable() && !c.draining) {
+            out.migrate(c.job, greenest);
+        }
+    }
 }
 
 /// The two-member carbon-cliff fixture of the hand-computed tests.
@@ -367,7 +394,7 @@ fn cliff_carbon(fed: &Federation, result: &FederationResult) -> f64 {
 #[test]
 fn zero_cost_greenest_migration_produces_the_hand_computed_carbon_total() {
     let fed = cliff_federation(TransferMatrix::zero(2));
-    let mut policy = always_greenest();
+    let mut policy = AlwaysGreenest;
     let result = run_cliff(&fed, &mut policy);
     assert!(result.all_jobs_complete());
     // Exactly one move: job 1, A → B, at the cliff, instantaneous.
@@ -403,7 +430,7 @@ fn zero_cost_greenest_migration_produces_the_hand_computed_carbon_total() {
 #[test]
 fn nonzero_transfer_matrix_visibly_prices_the_migration() {
     let fed = cliff_federation(TransferMatrix::uniform(2, 100.0).with_energy_per_gb(0.05));
-    let mut policy = always_greenest();
+    let mut policy = AlwaysGreenest;
     let result = run_cliff(&fed, &mut policy);
     assert!(result.all_jobs_complete());
     assert_eq!(result.num_migrations(), 1);
@@ -420,6 +447,29 @@ fn nonzero_transfer_matrix_visibly_prices_the_migration() {
         (100.0 * 3600.0 + 500.0 * 400.0 + 100.0 * 4000.0) / 3600.0 + 108.0;
     let got = cliff_carbon(&fed, &result);
     assert!((got - expected).abs() < 1e-6, "got {got}, expected {expected}");
+}
+
+/// (4c) The carbon-delta migrator prices a saving at the consulted
+/// member's time scale.  The cliff's members run at time scale 1, so job
+/// 1's 4000 executor-seconds at 0.2 kW save 400 × 4000/3600 × 0.2 ≈ 88.9 g
+/// on the green grid — below twice the 108 g transfer, so the priced cliff
+/// keeps it on A, where it runs [4000, 8000].  Priced at 60× the same
+/// saving would read ≈ 5333 g and move it.  With a free matrix the same
+/// policy does move it, so the stay is the price, not a blind policy.
+#[test]
+fn the_carbon_delta_migrator_prices_savings_at_the_members_time_scale() {
+    let priced = cliff_federation(TransferMatrix::uniform(2, 100.0).with_energy_per_gb(0.05));
+    let result = run_cliff(&priced, &mut CarbonDeltaMigrator::new());
+    assert!(result.all_jobs_complete());
+    assert_eq!(result.num_migrations(), 0, "an 88.9 g saving cannot pay twice 108 g");
+    assert!((result.makespan - 8000.0).abs() < 1e-9, "got {}", result.makespan);
+
+    let free = cliff_federation(TransferMatrix::zero(2));
+    let result = run_cliff(&free, &mut CarbonDeltaMigrator::new());
+    assert_eq!(result.num_migrations(), 1, "a free move needs no saving beyond the dead band");
+    let m = result.migrations[0];
+    assert_eq!((m.job.0, m.from, m.to), (1, 0, 1));
+    assert!((m.departed - 3600.0).abs() < 1e-9);
 }
 
 /// `SubmittedJob::data_gb` is a public field, so a struct literal can
@@ -451,7 +501,7 @@ fn malformed_data_size_is_detected_once_at_construction() {
     for bad in MALFORMED_DATA_SIZES {
         let fed = Federation::new(cliff_members(), cliff_jobs_with_data_gb(bad))
             .with_transfer_matrix(TransferMatrix::uniform(2, 1.0));
-        assert_invalid_data_size(try_run_cliff(&fed, &mut always_greenest()));
+        assert_invalid_data_size(try_run_cliff(&fed, &mut AlwaysGreenest));
     }
 }
 
@@ -469,7 +519,7 @@ fn streamed_malformed_data_size_is_rejected_on_pull() {
         assert_invalid_data_size(fed.run_source_with_migration(
             &mut source,
             &mut StaticRouter::new(0),
-            &mut always_greenest(),
+            &mut AlwaysGreenest,
             &mut schedulers,
         ));
     }

@@ -10,16 +10,14 @@
 //! a restored timeline.  Three oracles run per pass:
 //!
 //! * **Cache check, bit-strict.**  A from-scratch factorised recomputation
-//!   (every job factor and stage factor recomputed, the only carried state
-//!   being the reference score and its rebase rule) must give the same
-//!   probability bits, max-probability bits and sampled `(job, stage)`.  A
-//!   missed journal entry, a stale stamp, a factor survived past a
-//!   normaliser change, a skipped rebase, a fold resumed from the wrong
-//!   entry or a reordered float op fails loudly with the event time
+//!   (every job factor and stage factor recomputed, nothing carried between
+//!   passes) must give the same probability bits, max-probability bits and
+//!   sampled `(job, stage)`.  A missed journal entry, a stale stamp, a
+//!   factor survived past a normaliser change, a fold resumed from the
+//!   wrong entry or a reordered float op fails loudly with the event time
 //!   attached.
 //! * **Fidelity to the textbook softmax.**  Every probability is within
-//!   `1e-12` relative of `softmax` over the raw scores (scaled by the
-//!   softmax's conditioning at extreme temperatures), and the argmax
+//!   `1e-12` relative of `softmax` over the raw scores, and the argmax
 //!   stage's relative importance is exactly 1.
 //! * **Sampling.**  The sampled pair equals `sample_cdf` over the textbook
 //!   distribution, except when the draw lies within that tolerance of the
@@ -39,13 +37,20 @@ use pcaps_dag::JobId;
 use pcaps_schedulers::probabilistic::{
     sample_cdf, softmax, ProbabilisticScheduler, SampledStage, StageProbability,
 };
-use pcaps_schedulers::{DecimaCacheStats, DecimaWeights};
+use pcaps_schedulers::DecimaCacheStats;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
+/// `DecimaLike`'s feature weights: shortest remaining work, bottleneck
+/// (critical path) and completed-stage fraction.  Its softmax runs at
+/// temperature 1.
+const SHORT_JOB: f64 = 2.0;
+const BOTTLENECK: f64 = 1.5;
+const COMPLETION: f64 = 0.5;
+
 /// The pair scores of the textbook definition, in pair order (jobs in
 /// `ctx.jobs()` order, each job's dispatchable stages in order).
-fn textbook_scores(ctx: &SchedulingContext<'_>, w: DecimaWeights) -> Vec<(JobId, StageId, f64)> {
+fn textbook_scores(ctx: &SchedulingContext<'_>) -> Vec<(JobId, StageId, f64)> {
     let max_remaining = ctx
         .jobs()
         .map(|j| j.remaining_work())
@@ -62,9 +67,9 @@ fn textbook_scores(ctx: &SchedulingContext<'_>, w: DecimaWeights) -> Vec<(JobId,
         let completion_feature =
             job.progress.frontier().num_completed() as f64 / job.dag.num_stages() as f64;
         for &stage in dispatchable {
-            let score = w.short_job * short_job_feature
-                + w.bottleneck * bottleneck[stage.index()]
-                + w.completion * completion_feature;
+            let score = SHORT_JOB * short_job_feature
+                + BOTTLENECK * bottleneck[stage.index()]
+                + COMPLETION * completion_feature;
             scored.push((job.id, stage, score));
         }
     }
@@ -72,9 +77,9 @@ fn textbook_scores(ctx: &SchedulingContext<'_>, w: DecimaWeights) -> Vec<(JobId,
 }
 
 /// Oracle: the textbook distribution, `softmax` over the raw scores.
-fn textbook_distribution(ctx: &SchedulingContext<'_>, w: DecimaWeights) -> Vec<StageProbability> {
-    let scored = textbook_scores(ctx, w);
-    let probs = softmax(&scored.iter().map(|s| s.2).collect::<Vec<_>>(), w.temperature);
+fn textbook_distribution(ctx: &SchedulingContext<'_>) -> Vec<StageProbability> {
+    let scored = textbook_scores(ctx);
+    let probs = softmax(&scored.iter().map(|s| s.2).collect::<Vec<_>>(), 1.0);
     scored
         .iter()
         .zip(probs)
@@ -83,32 +88,18 @@ fn textbook_distribution(ctx: &SchedulingContext<'_>, w: DecimaWeights) -> Vec<S
 }
 
 /// Relative tolerance of the textbook comparison.  Scores carry a few ulps
-/// of rounding, which the softmax amplifies by `|score| / T`; at the scale
-/// of the default weights (`|score| ≤ 4`, `T = 1`) the bound is `1e-12`.
-fn textbook_tolerance(w: DecimaWeights) -> f64 {
-    let span = w.short_job.abs() + w.bottleneck.abs() + w.completion.abs();
-    1e-12 * f64::max(1.0, span / (4.0 * w.temperature))
-}
-
-/// Probabilities below this may be subnormal or 0 in either computation
-/// (the factorised weights sit up to `2⁶⁴` off the textbook's scale), so
-/// they are compared absolutely.
-const ABSOLUTE_FLOOR: f64 = 1e-280;
+/// of rounding, which the softmax amplifies by `|score| ≤ 4`.
+const TEXTBOOK_TOLERANCE: f64 = 1e-12;
 
 /// One job of the factorised recomputation.
 struct OracleJob {
     id: JobId,
-    score: f64,
     factor: f64,
     stages: Vec<(StageId, f64)>,
     stage_sum: f64,
 }
 
-/// Oracle: the factorised distribution recomputed from scratch.  The only
-/// state carried between passes (by [`Oracles`]) is the reference score,
-/// under the rule the module docs of `decima.rs` state: it starts at 0 and
-/// is rebased to the largest job score whenever the largest job factor
-/// leaves `[2⁻⁶⁴, 2⁶⁴]`.
+/// Oracle: the factorised distribution recomputed from scratch.
 struct Factorised {
     jobs: Vec<OracleJob>,
     sum: f64,
@@ -116,18 +107,13 @@ struct Factorised {
 }
 
 impl Factorised {
-    fn compute(
-        ctx: &SchedulingContext<'_>,
-        w: DecimaWeights,
-        reference: &mut f64,
-        rebases: &mut usize,
-    ) -> Self {
+    fn compute(ctx: &SchedulingContext<'_>) -> Self {
         let normaliser = ctx
             .jobs()
             .map(|j| j.remaining_work())
             .fold(0.0_f64, f64::max)
             .max(1e-9);
-        let mut jobs = Vec::new();
+        let mut oracle = Factorised { jobs: Vec::new(), sum: 0.0, max_factor: 0.0 };
         for job in ctx.jobs() {
             let dispatchable = job.dispatchable_stages();
             if dispatchable.is_empty() {
@@ -136,47 +122,30 @@ impl Factorised {
             let bottleneck = job.dag.bottleneck_scores();
             let best = dispatchable
                 .iter()
-                .map(|s| w.bottleneck * bottleneck[s.index()])
+                .map(|s| BOTTLENECK * bottleneck[s.index()])
                 .fold(f64::NEG_INFINITY, f64::max);
             let stages: Vec<(StageId, f64)> = dispatchable
                 .iter()
-                .map(|&s| {
-                    let e = ((w.bottleneck * bottleneck[s.index()] - best) / w.temperature).exp();
-                    (s, e)
-                })
+                .map(|&s| (s, (BOTTLENECK * bottleneck[s.index()] - best).exp()))
                 .collect();
             let completion =
                 job.progress.frontier().num_completed() as f64 / job.dag.num_stages() as f64;
-            let score = w.short_job * (1.0 - job.remaining_work() / normaliser)
-                + w.completion * completion
+            let score = SHORT_JOB * (1.0 - job.remaining_work() / normaliser)
+                + COMPLETION * completion
                 + best;
-            jobs.push(OracleJob {
-                id: job.id,
-                score,
-                factor: f64::NAN,
-                stage_sum: stages.iter().map(|s| s.1).sum(),
-                stages,
-            });
-        }
-        let mut oracle = Factorised { jobs, sum: 0.0, max_factor: 0.0 };
-        oracle.fold(w, *reference);
-        let bounds = 2f64.powi(-64)..=2f64.powi(64);
-        if !oracle.jobs.is_empty() && !bounds.contains(&oracle.max_factor) {
-            *reference = oracle.jobs.iter().map(|j| j.score).fold(f64::NEG_INFINITY, f64::max);
-            *rebases += 1;
-            oracle.fold(w, *reference);
+            let factor = score.exp();
+            assert!(
+                (1.0..=4f64.exp()).contains(&factor),
+                "job score {score} of {} at t={} left [0, 4]",
+                job.id,
+                ctx.time
+            );
+            let stage_sum: f64 = stages.iter().map(|s| s.1).sum();
+            oracle.sum += factor * stage_sum;
+            oracle.max_factor = oracle.max_factor.max(factor);
+            oracle.jobs.push(OracleJob { id: job.id, factor, stages, stage_sum });
         }
         oracle
-    }
-
-    fn fold(&mut self, w: DecimaWeights, reference: f64) {
-        self.sum = 0.0;
-        self.max_factor = 0.0;
-        for job in &mut self.jobs {
-            job.factor = ((job.score - reference) / w.temperature).exp();
-            self.sum += job.factor * job.stage_sum;
-            self.max_factor = self.max_factor.max(job.factor);
-        }
     }
 
     fn distribution(&self) -> Vec<StageProbability> {
@@ -301,13 +270,10 @@ impl Regimes {
     }
 }
 
-/// The per-pass oracles for one `DecimaLike`, with the reference score the
-/// factorised recomputation carries and the tallies the tests assert on.
-#[derive(Clone)]
+/// The per-pass oracles for one `DecimaLike`, with the tallies the tests
+/// assert on.
+#[derive(Clone, Default)]
 struct Oracles {
-    weights: DecimaWeights,
-    reference: f64,
-    rebases: usize,
     regimes: Regimes,
     /// Draws within the textbook tolerance of a CDF boundary (none are
     /// expected).
@@ -315,20 +281,6 @@ struct Oracles {
 }
 
 impl Oracles {
-    fn new(weights: DecimaWeights) -> Self {
-        Oracles {
-            weights,
-            reference: 0.0,
-            rebases: 0,
-            regimes: Regimes::default(),
-            near_boundary: 0,
-        }
-    }
-
-    fn factorised(&mut self, ctx: &SchedulingContext<'_>) -> Factorised {
-        Factorised::compute(ctx, self.weights, &mut self.reference, &mut self.rebases)
-    }
-
     /// Pins a full distribution pass: bit for bit against the factorised
     /// recomputation, within tolerance of the textbook softmax, and the
     /// argmax's relative importance at exactly 1.
@@ -342,7 +294,7 @@ impl Oracles {
         let mut got = Vec::new();
         inner.distribution_into(ctx, &mut got);
         self.regimes.record(before, inner.cache_stats());
-        let oracle = self.factorised(ctx).distribution();
+        let oracle = Factorised::compute(ctx).distribution();
         assert_eq!(
             got.len(),
             oracle.len(),
@@ -372,14 +324,13 @@ impl Oracles {
     }
 
     fn check_textbook(&self, got: &[StageProbability], ctx: &SchedulingContext<'_>, label: &str) {
-        let textbook = textbook_distribution(ctx, self.weights);
-        let tolerance = textbook_tolerance(self.weights);
+        let textbook = textbook_distribution(ctx);
         assert_eq!(got.len(), textbook.len(), "{label}: pair count at t={}", ctx.time);
         for (g, t) in got.iter().zip(&textbook) {
             assert_eq!((g.job, g.stage), (t.job, t.stage), "{label}: pair order at t={}", ctx.time);
             let error = (g.probability - t.probability).abs();
             assert!(
-                error <= tolerance * t.probability + ABSOLUTE_FLOOR,
+                error <= TEXTBOOK_TOLERANCE * t.probability,
                 "{label}: probability of ({}, {}) is {} vs the textbook {} at t={}",
                 g.job,
                 g.stage,
@@ -421,7 +372,7 @@ impl Oracles {
             r
         });
         self.regimes.record(before, inner.cache_stats());
-        let oracle = self.factorised(ctx);
+        let oracle = Factorised::compute(ctx);
         let Some(got) = got else {
             assert!(draws.is_empty(), "{label}: drew without sampling at t={}", ctx.time);
             assert!(oracle.jobs.is_empty(), "{label}: sampled nothing from work at t={}", ctx.time);
@@ -453,12 +404,12 @@ impl Oracles {
             ctx.time
         );
 
-        let textbook = textbook_distribution(ctx, self.weights);
+        let textbook = textbook_distribution(ctx);
         let idx = sample_cdf(textbook.iter().map(|e| e.probability), r)
             .expect("the textbook has work whenever the policy sampled");
         let below: f64 = textbook[..idx].iter().map(|e| e.probability).sum();
         let above = below + textbook[idx].probability;
-        let window = textbook_tolerance(self.weights);
+        let window = TEXTBOOK_TOLERANCE;
         if (r - below).abs() <= window || (r - above).abs() <= window {
             self.near_boundary += 1;
         } else {
@@ -473,7 +424,6 @@ impl Oracles {
     }
 
     fn merge(&mut self, other: &Oracles) {
-        self.rebases += other.rebases;
         self.regimes.add(&other.regimes);
         self.near_boundary += other.near_boundary;
     }
@@ -510,13 +460,9 @@ struct CheckingDecima {
 
 impl CheckingDecima {
     fn new(seed: u64, route: Route) -> Self {
-        CheckingDecima::with_weights(seed, route, DecimaWeights::default())
-    }
-
-    fn with_weights(seed: u64, route: Route, weights: DecimaWeights) -> Self {
         CheckingDecima {
-            inner: DecimaLike::with_weights(seed, weights),
-            oracles: Oracles::new(weights),
+            inner: DecimaLike::new(seed),
+            oracles: Oracles::default(),
             route,
             rng: ChaCha8Rng::seed_from_u64(seed ^ 0xD4A3),
             checks: 0,
@@ -652,14 +598,16 @@ fn tpch_single_cluster(seed: u64) -> Simulator {
     Simulator::new(ClusterConfig::new(16).with_time_scale(60.0), workload, trace)
 }
 
-/// Runs the standalone checking scheduler through both routes on several
-/// seeds and returns the merged tallies.
-fn check_single_cluster_runs(weights: DecimaWeights, label: &str) -> Oracles {
-    let mut total = Oracles::new(weights);
+/// Arrivals and completions on a single cluster, across several seeds,
+/// through both routes.
+#[test]
+fn incremental_scores_match_scratch_on_single_cluster_runs() {
+    let label = "single cluster";
+    let mut total = Oracles::default();
     for seed in [1u64, 5, 11] {
         let sim = tpch_single_cluster(seed);
         for route in [Route::Distribution, Route::Sample] {
-            let mut checker = CheckingDecima::with_weights(seed, route, weights);
+            let mut checker = CheckingDecima::new(seed, route);
             let result = sim.run(&mut checker).expect("run completes");
             assert!(result.all_jobs_complete(), "{label}: seed {seed}, {route:?}");
             assert!(
@@ -672,48 +620,7 @@ fn check_single_cluster_runs(weights: DecimaWeights, label: &str) -> Oracles {
     }
     total.assert_no_near_boundary_draws(label);
     total.regimes.assert_both_paths(label);
-    total
-}
-
-/// Arrivals and completions on a single cluster at the default weights,
-/// across several seeds, through both routes.
-#[test]
-fn incremental_scores_match_scratch_on_single_cluster_runs() {
-    let total = check_single_cluster_runs(DecimaWeights::default(), "single cluster");
-    total.regimes.assert_all_reached("single cluster");
-    assert_eq!(total.rebases, 0, "scores in [0, 4] at T = 1 never rebase the reference");
-}
-
-/// A near-greedy temperature: most textbook probabilities are exactly 0 and
-/// the reference score must follow the best job as it moves, so the rebase
-/// path runs again and again.
-#[test]
-fn factorised_softmax_matches_the_textbook_at_low_temperature() {
-    let weights = DecimaWeights { temperature: 1e-3, ..DecimaWeights::default() };
-    let total = check_single_cluster_runs(weights, "T = 1e-3");
-    total.regimes.assert_all_reached("T = 1e-3");
-    assert!(total.rebases > 10, "T = 1e-3 must rebase the reference, got {}", total.rebases);
-}
-
-/// A near-uniform temperature: every factor sits within rounding of 1.
-#[test]
-fn factorised_softmax_matches_the_textbook_at_high_temperature() {
-    let weights = DecimaWeights { temperature: 1e3, ..DecimaWeights::default() };
-    let total = check_single_cluster_runs(weights, "T = 1e3");
-    total.regimes.assert_all_reached("T = 1e3");
-}
-
-/// Negative feature weights (favour long jobs and off-critical-path
-/// stages): scores go negative, so the reference starts above them.
-#[test]
-fn factorised_softmax_matches_the_textbook_with_negative_weights() {
-    let weights = DecimaWeights {
-        short_job: -2.0,
-        bottleneck: -1.5,
-        ..DecimaWeights::default()
-    };
-    let total = check_single_cluster_runs(weights, "negative weights");
-    total.regimes.assert_all_reached("negative weights");
+    total.regimes.assert_all_reached(label);
 }
 
 /// The PCAPS route on a volatile trace (real deferrals + throttled
@@ -732,7 +639,7 @@ fn incremental_scores_match_scratch_through_pcaps() {
     let mut pcaps = Pcaps::new(
         CheckingProbabilistic {
             inner: DecimaLike::new(1),
-            oracles: Oracles::new(DecimaWeights::default()),
+            oracles: Oracles::default(),
             checks: 0,
         },
         PcapsConfig::with_gamma(0.9),
@@ -958,7 +865,7 @@ impl MigrationPolicy for RandomMover {
 fn incremental_scores_match_scratch_across_migrations() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x919);
     let mut total_moves = 0usize;
-    let mut total = Oracles::new(DecimaWeights::default());
+    let mut total = Oracles::default();
     for case in 0..8u64 {
         let members = rng.gen_range(2..4usize);
         let njobs = rng.gen_range(4..9usize);

@@ -25,7 +25,7 @@ fn serving_sim(seed: u64) -> Simulator {
 
 /// An unbounded Poisson TPC-H stream — deterministic per seed, so two
 /// instances replay the same arrivals (the property restore relies on).
-fn serving_source(seed: u64) -> StreamSource<pcaps_workloads::UnboundedStream> {
+fn serving_source(seed: u64) -> StreamSource<pcaps_workloads::WorkloadStream> {
     StreamSource::new(
         WorkloadBuilder::new(WorkloadKind::TpchMixed, seed)
             .stream_unbounded(PoissonArrivals::new(20.0, seed ^ 0xA11CE)),
@@ -136,7 +136,7 @@ fn churn_federation() -> Federation {
         .with_retry_policy(RetryPolicy { max_attempts: 64, ..RetryPolicy::default() })
 }
 
-fn churn_source() -> StreamSource<pcaps_workloads::UnboundedStream> {
+fn churn_source() -> StreamSource<pcaps_workloads::WorkloadStream> {
     StreamSource::new(
         WorkloadBuilder::new(WorkloadKind::TpchMixed, 31)
             .stream_unbounded(PoissonArrivals::new(30.0, 31 ^ 0xA11CE)),
