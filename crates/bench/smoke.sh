@@ -86,14 +86,15 @@ require_full_suite() {
 # drains, crashes and an outage in flight; restore rejecting a differently
 # shaped federation; windowed-percentile oracle, admission conservation,
 # open-loop determinism, bounded residency); tests/network.rs pins the
-# uplink transfer model (flow completions over uplink-only topologies vs the
-# from-scratch max-min oracle, federations where only some members have an
-# uplink pricing each migration by its source — the fixed per-GB delay bit
-# for bit, or the oracle's arrival — fed3_migrate_pcaps replaying its
-# recorded fingerprints and migration-log hash whether the matrix is
-# attached by with_transfer_matrix or by with_network(from_matrix),
-# drain-then-move replay determinism, and a superseded flow arrival never
-# outliving the run); tests/scheduler_state.rs pins the
+# uplink transfer model (the closed-form per-uplink fair share vs the
+# progressive-filling max-min oracle, flow completions over uplink-only
+# topologies vs the from-scratch fluid oracle, federations where only some
+# members have an uplink pricing each migration by its source — the fixed
+# per-GB delay bit for bit, or the oracle's arrival — fed3_migrate_pcaps
+# replaying its recorded fingerprints and migration-log hash whether the
+# matrix is attached by with_transfer_matrix or by
+# with_network(from_matrix), drain-then-move replay determinism, and a
+# superseded flow arrival never outliving the run); tests/scheduler_state.rs pins the
 # incremental probabilistic-scheduler state (DecimaLike's stamped table of
 # factorised softmax terms, refreshed through the engine's change journal
 # or reconciled in full, recomputed in full only when the max-remaining

@@ -8,8 +8,8 @@
 //! * [`CarbonTrace`] — an hourly (or arbitrary-step) piecewise-constant
 //!   signal with deterministic indexing, answering the lookahead bounds
 //!   `L` and `U` that threshold-based algorithms rely on in O(1)
-//!   ([`CarbonTrace::bounds`]; the engine asks for a 48-hour window by
-//!   default),
+//!   ([`CarbonTrace::bounds`], over the fixed 48-hour
+//!   [`FORECAST_HORIZON`]),
 //! * [`GridRegion`] — the six power grids evaluated in the paper (PJM,
 //!   CAISO, Ontario, Germany, New South Wales, South Africa) together with
 //!   their published summary statistics (Table 1),
@@ -31,7 +31,7 @@
 //! let trace = SyntheticTraceGenerator::new(GridRegion::Caiso, 42).generate_days(30);
 //! let c_now = trace.intensity(3600.0 * 12.0);
 //! assert!(c_now > 0.0);
-//! let (l, u) = trace.bounds(0.0, 48.0 * 3600.0);
+//! let (l, u) = trace.bounds(0.0);
 //! assert!(l <= u);
 //! ```
 
@@ -51,4 +51,4 @@ pub use io::{load_csv, parse_csv, CsvOptions, TraceIoError};
 pub use multi::TraceSet;
 pub use regions::{GridRegion, GridStats};
 pub use stats::TraceStats;
-pub use trace::CarbonTrace;
+pub use trace::{CarbonTrace, FORECAST_HORIZON};

@@ -3,6 +3,10 @@
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
+/// Lookahead horizon (carbon-trace seconds) of the forecast bounds `L` and
+/// `U` that [`CarbonTrace::bounds`] reports: 48 hours.
+pub const FORECAST_HORIZON: f64 = 48.0 * 3600.0;
+
 /// A piecewise-constant carbon intensity trace.
 ///
 /// The value reported for any time inside `[start + i*step, start + (i+1)*step)`
@@ -18,18 +22,20 @@ pub struct CarbonTrace {
     pub step: f64,
     /// Reported intensities in gCO₂eq/kWh.
     ///
-    /// Do not mutate after construction: [`CarbonTrace::bounds`] answers
-    /// from a range-min/max index built over these values on first query,
-    /// so in-place mutation serves stale bounds silently.  Derive changed
-    /// traces through the constructors or [`CarbonTrace::window`] instead.
+    /// Do not mutate these or `step` after construction:
+    /// [`CarbonTrace::bounds`] answers from a table built over them on
+    /// first query, so in-place mutation serves stale bounds silently.
+    /// Derive changed traces through the constructors or
+    /// [`CarbonTrace::window`] instead.
     pub values: Vec<f64>,
     /// Optional human-readable label (e.g., the grid code).
     pub label: String,
-    /// Lazily built sparse-table range-min/max index answering
-    /// [`CarbonTrace::bounds`] in O(1) per query.  Derived from `values`;
-    /// excluded from `Clone`/`PartialEq` (it is a cache, rebuilt on demand).
+    /// The `(min, max)` of the forecast window starting at each value
+    /// index, built on the first [`CarbonTrace::bounds`] query so that each
+    /// query is one lookup.  Derived from `values` and `step`; excluded
+    /// from `Clone`/`PartialEq` (it is a cache, rebuilt on demand).
     #[serde(skip)]
-    bounds_index: OnceLock<RangeIndex>,
+    forecast: OnceLock<Vec<(f64, f64)>>,
 }
 
 impl Clone for CarbonTrace {
@@ -39,9 +45,9 @@ impl Clone for CarbonTrace {
             step: self.step,
             values: self.values.clone(),
             label: self.label.clone(),
-            // Deliberately not cloned: the index can be megabytes for long
-            // traces and is cheap to rebuild where it is actually queried.
-            bounds_index: OnceLock::new(),
+            // Deliberately not cloned: the table grows with the trace and
+            // is cheap to rebuild where it is actually queried.
+            forecast: OnceLock::new(),
         }
     }
 }
@@ -52,53 +58,6 @@ impl PartialEq for CarbonTrace {
             && self.step == other.step
             && self.values == other.values
             && self.label == other.label
-    }
-}
-
-/// Sparse table over the trace's values (conceptually doubled to answer
-/// wrap-around windows): `levels[k][i]` holds the min/max over the `2^k`
-/// values starting at doubled index `i`.  Built in O(n log n), answers any
-/// range min/max in O(1) with two overlapping power-of-two lookups.
-#[derive(Debug)]
-struct RangeIndex {
-    levels: Vec<Vec<(f64, f64)>>,
-}
-
-impl RangeIndex {
-    fn build(values: &[f64]) -> Self {
-        let n = values.len();
-        let doubled = 2 * n;
-        let mut level0 = Vec::with_capacity(doubled);
-        for i in 0..doubled {
-            let v = values[i % n];
-            level0.push((v, v));
-        }
-        let mut levels = vec![level0];
-        let mut width = 1usize;
-        while width * 2 <= doubled {
-            let prev = levels.last().expect("at least level 0 exists");
-            let next: Vec<(f64, f64)> = (0..doubled - width * 2 + 1)
-                .map(|i| {
-                    let (lo1, hi1) = prev[i];
-                    let (lo2, hi2) = prev[i + width];
-                    (lo1.min(lo2), hi1.max(hi2))
-                })
-                .collect();
-            levels.push(next);
-            width *= 2;
-        }
-        RangeIndex { levels }
-    }
-
-    /// Min/max over `len` values starting at wrapped index `start`
-    /// (`start < n`, `len <= n`).
-    fn query(&self, start: usize, len: usize) -> (f64, f64) {
-        debug_assert!(len >= 1);
-        let k = (usize::BITS - 1 - len.leading_zeros()) as usize;
-        let width = 1usize << k;
-        let (lo1, hi1) = self.levels[k][start];
-        let (lo2, hi2) = self.levels[k][start + len - width];
-        (lo1.min(lo2), hi1.max(hi2))
     }
 }
 
@@ -116,7 +75,7 @@ impl CarbonTrace {
             step,
             values,
             label: label.into(),
-            bounds_index: OnceLock::new(),
+            forecast: OnceLock::new(),
         };
         if let Err(reason) = trace.check() {
             panic!("malformed carbon trace: {reason}");
@@ -188,20 +147,40 @@ impl CarbonTrace {
         self.values[self.index_at(t)]
     }
 
-    /// Minimum and maximum intensity over the window `[t, t + horizon]`.
-    /// These are the `L` and `U` bounds used by threshold-based algorithms.
-    pub fn bounds(&self, t: f64, horizon: f64) -> (f64, f64) {
-        assert!(horizon >= 0.0, "lookahead horizon must be non-negative");
-        let first = self.index_at(t);
-        // The cast saturates, so a huge horizon must not overflow the `+ 1`.
-        let steps = ((horizon / self.step).ceil() as usize).saturating_add(1);
-        let steps = steps.min(self.values.len());
-        // O(1) per query from the sparse table (built once per trace on
-        // first use).  The window covers exactly the `steps` wrapped values
-        // a linear scan would visit, so results are bit-identical.
-        self.bounds_index
-            .get_or_init(|| RangeIndex::build(&self.values))
-            .query(first, steps)
+    /// Minimum and maximum intensity over the window
+    /// `[t, t + FORECAST_HORIZON]`: the `L` and `U` bounds used by
+    /// threshold-based algorithms.
+    pub fn bounds(&self, t: f64) -> (f64, f64) {
+        self.forecast.get_or_init(|| self.forecast_table())[self.index_at(t)]
+    }
+
+    /// The `(min, max)` over the `w = ⌈FORECAST_HORIZON / step⌉ + 1`
+    /// wrapped values (at most the whole trace) starting at each index —
+    /// the values a linear scan from that index visits, so every bound is
+    /// exact.  O(n + w): cut the wrapped sequence into blocks of `w`, and
+    /// each window is a suffix of one block joined to a prefix of the next.
+    fn forecast_table(&self) -> Vec<(f64, f64)> {
+        let n = self.values.len();
+        // The cast saturates, so a tiny step must not overflow the `+ 1`.
+        let w = ((FORECAST_HORIZON / self.step).ceil() as usize).saturating_add(1).min(n);
+        let at = |i: usize| (self.values[i % n], self.values[i % n]);
+        let join = |(lo, hi): (f64, f64), (l, h): (f64, f64)| (lo.min(l), hi.max(h));
+        let len = n + w - 1;
+        // suffix[i]: from `i` to the end of its block.
+        let mut suffix = vec![at(len - 1); len];
+        for i in (0..len - 1).rev() {
+            suffix[i] = if (i + 1) % w == 0 { at(i) } else { join(at(i), suffix[i + 1]) };
+        }
+        // `prefix`: from the start of `j`'s block to `j`.
+        let mut prefix = at(0);
+        let mut table = Vec::with_capacity(n);
+        for j in 0..len {
+            prefix = if j % w == 0 { at(j) } else { join(prefix, at(j)) };
+            if j + 1 >= w {
+                table.push(join(suffix[j + 1 - w], prefix));
+            }
+        }
+        table
     }
 
     /// The time at which the value currently in effect at `t` changes.
@@ -299,20 +278,26 @@ mod tests {
 
     #[test]
     fn bounds_limited_to_horizon() {
-        let t = trace();
-        // Looking ahead only one hour from t=0 sees values {100, 200}.
-        let (l, u) = t.bounds(0.0, 3600.0);
-        assert_eq!((l, u), (100.0, 200.0));
-        // Looking ahead the full trace sees everything.
-        let (l, u) = t.bounds(0.0, 24.0 * 3600.0);
-        assert_eq!((l, u), (50.0, 300.0));
+        // 72 hours at 100, but 900 at hour 48 and 5 at hour 49: the window
+        // from t=0 ends at the 48-hour horizon, so it sees the 900 and not
+        // the 5; one hour later it sees both.
+        let mut values = vec![100.0; 72];
+        values[48] = 900.0;
+        values[49] = 5.0;
+        let t = CarbonTrace::hourly("test", values);
+        assert_eq!(t.bounds(0.0), (100.0, 900.0));
+        assert_eq!(t.bounds(3599.0), (100.0, 900.0));
+        assert_eq!(t.bounds(3600.0), (5.0, 900.0));
+        // Past hour 49 the window wraps round to the start.
+        assert_eq!(t.bounds(50.0 * 3600.0), (100.0, 100.0));
     }
 
     #[test]
-    fn bounds_over_a_huge_horizon_cover_the_whole_trace() {
+    fn bounds_over_a_tiny_step_cover_the_whole_trace() {
         let t = trace();
-        assert_eq!(t.bounds(0.0, 1e300), (t.min(), t.max()));
-        assert_eq!(t.bounds(2.5 * 3600.0, f64::INFINITY), (50.0, 300.0));
+        assert_eq!(t.bounds(2.5 * 3600.0), (50.0, 300.0));
+        let tiny = CarbonTrace::new("tiny", 0.0, 1e-300, vec![100.0, 200.0, 300.0, 50.0]);
+        assert_eq!(tiny.bounds(0.0), (50.0, 300.0));
     }
 
     #[test]
@@ -341,8 +326,7 @@ mod tests {
         let t = CarbonTrace::constant("flat", 400.0, 10);
         assert_eq!(t.min(), 400.0);
         assert_eq!(t.max(), 400.0);
-        let (l, u) = t.bounds(0.0, 48.0 * 3600.0);
-        assert_eq!((l, u), (400.0, 400.0));
+        assert_eq!(t.bounds(0.0), (400.0, 400.0));
     }
 
     #[test]

@@ -10,7 +10,7 @@ pub const NO_TIME_LIMIT: f64 = 1.0e9;
 
 /// Lookahead horizon (carbon-trace seconds) of the forecast bounds `L` and
 /// `U` every carbon view carries: 48 hours.
-pub const FORECAST_HORIZON: f64 = 48.0 * 3600.0;
+pub use pcaps_carbon::FORECAST_HORIZON;
 
 /// How much of the run's activity the engine records in its
 /// [`UsageProfile`].

@@ -45,7 +45,7 @@
 //!   progress it mutates (every such mutation goes through
 //!   `MemberState::job_mut`), so a policy revalidates only the jobs that
 //!   moved ([`SchedulingContext::changes_since`]),
-//! * carbon bounds come from each member trace's O(1) range-min/max index,
+//! * carbon bounds come from each member trace's O(1) forecast-bounds table,
 //! * routing decisions see per-member queue depth and outstanding work that
 //!   are maintained incrementally (O(1) per arrival/dispatch), and the
 //!   [`MemberView`] buffer handed to the router is reused across arrivals,
@@ -72,7 +72,7 @@
 //! [`Federation::new`]: crate::federation::Federation::new
 
 use crate::admission::{AdmissionDecision, AdmissionPolicy};
-use crate::config::{ClusterConfig, ProfileMode, FORECAST_HORIZON};
+use crate::config::{ClusterConfig, ProfileMode};
 use crate::error::{PartialRunSummary, SimError};
 use crate::event::{Event, EventQueue};
 use crate::executor::ExecutorPool;
@@ -238,11 +238,12 @@ impl Member {
     }
 
     /// The carbon signal at schedule time `time`: the trace's intensity and
-    /// its bounds over the next [`FORECAST_HORIZON`].
+    /// its bounds over the next
+    /// [`FORECAST_HORIZON`](crate::config::FORECAST_HORIZON).
     fn carbon_view(&self, time: f64) -> CarbonView {
         let ct = self.carbon_time(time);
         let intensity = self.carbon.intensity(ct);
-        let (lower_bound, upper_bound) = self.carbon.bounds(ct, FORECAST_HORIZON);
+        let (lower_bound, upper_bound) = self.carbon.bounds(ct);
         CarbonView::new(intensity, lower_bound, upper_bound)
     }
 
@@ -1332,7 +1333,6 @@ impl<'a> Engine<'a> {
             migration_policy: migration_name.to_string(),
             members: members_out,
             migrations: std::mem::take(&mut st.migrations),
-            links: st.flows.utilization(self.fed.network()),
             makespan,
         }
     }
@@ -1544,16 +1544,15 @@ impl<'a> Engine<'a> {
                 Ok(Some((target, EventSeed::JobArrived(job))))
             }
             Event::FlowArrival { member: target, job, epoch } => {
-                let topo = self.fed.network();
-                self.state.flows.settle(topo, time);
-                let Some(flow) = self.state.flows.finish(topo, job, epoch) else {
+                self.state.flows.settle(time);
+                let Some(flow) = self.state.flows.finish(job, epoch) else {
                     // The flow's rate changed after this event was pushed —
                     // a replacement event with the current epoch is queued.
                     return Ok(None);
                 };
                 // Finalize the provisional record with the actual arrival
-                // and the transfer-interval carbon integral, then re-solve
-                // the allocation for the surviving flows (the departed
+                // and the transfer-interval carbon integral, then re-divide
+                // the uplinks among the surviving flows (the departed
                 // flow's bandwidth is redistributed).
                 let record = self.state.migrations[flow.record];
                 let grams =
@@ -1636,7 +1635,7 @@ impl<'a> Engine<'a> {
         gb * self.fed.network().energy_kwh_per_gb() * 0.5 * (avg_src + avg_dst)
     }
 
-    /// Re-solves the max-min allocation of the (settled) flow set, turns
+    /// Re-divides the uplinks among the (settled) flow set, turns
     /// each changed flow's new arrival estimate into a queue event, and
     /// keeps that flow's provisional migration record current
     /// (best-estimate arrival, so a serve-mode assemble with flows still in
@@ -1824,9 +1823,10 @@ impl<'a> Engine<'a> {
         let topo = self.fed.network();
         if topo.uplink(src).is_some() {
             // The source has an uplink: the transfer becomes a flow whose
-            // arrival is decided by max-min fair sharing with every other
-            // flow in flight.  Its migration record is provisional
-            // (best-estimate arrival and carbon) until the flow delivers.
+            // arrival is decided by its fair share of the uplink with the
+            // other flows leaving the source.  Its migration record is
+            // provisional (best-estimate arrival and carbon) until the flow
+            // delivers.
             let record = st.migrations.len();
             st.migrations.push(MigrationRecord {
                 job,
@@ -1838,7 +1838,7 @@ impl<'a> Engine<'a> {
                 transfer_seconds: 0.0,
                 transfer_carbon_grams: 0.0,
             });
-            st.flows.settle(topo, departed);
+            st.flows.settle(departed);
             st.flows.begin(job, src, to, gb, record);
             self.reallocate_flows();
             return Ok(());
@@ -2129,8 +2129,8 @@ impl<'a> Engine<'a> {
     /// Installs a snapshot into this engine, re-attaching the source.
     ///
     /// The snapshot must come from a federation of the same shape: the
-    /// same member count, executor pools of the same sizes, and a network
-    /// with the same number of links (its in-flight flows live on them).
+    /// same member count, executor pools of the same sizes, and an uplink
+    /// on every member an in-flight flow of the snapshot leaves.
     /// It is RNG-free: it does not capture the source.  Instead, the engine
     /// discards pulls from its *own* (freshly constructed, deterministic)
     /// source until it reaches the snapshot's pull position — the discarded
@@ -2160,11 +2160,10 @@ impl<'a> Engine<'a> {
                 ));
             }
         }
-        let links = self.fed.network().num_links();
-        if snap.state.flows.num_links() != links {
+        if let Some(m) = snap.state.flows.source_without_uplink(self.fed.network()) {
             return mismatch(format!(
-                "the snapshot's network has {} link(s), this federation's has {links}",
-                snap.state.flows.num_links()
+                "the snapshot has a transfer in flight from member {m}, which has no uplink in \
+                 this federation"
             ));
         }
         let (seen, target) = (self.state.jobs.seen(), snap.jobs_seen());

@@ -61,12 +61,13 @@ pub enum Event {
         /// The migrating job.
         job: JobId,
     },
-    /// A migrating job's *network flow* finishes delivering over contended
-    /// links and the job arrives at its destination member.  The arrival
-    /// instant depends on bandwidth sharing, so whenever the flow's max-min
-    /// rate changes a replacement event is pushed with a bumped epoch; an
-    /// event whose epoch no longer matches the flow's is stale and dropped
-    /// (the same invalidation scheme crashed task finishes use).
+    /// A migrating job's *network flow* finishes delivering over its
+    /// source's contended uplink and the job arrives at its destination
+    /// member.  The arrival instant depends on bandwidth sharing, so
+    /// whenever the flow's fair share changes a replacement event is pushed
+    /// with a bumped epoch; an event whose epoch no longer matches the
+    /// flow's is stale and dropped (the same invalidation scheme crashed
+    /// task finishes use).
     FlowArrival {
         /// Destination member cluster.
         member: usize,

@@ -86,13 +86,15 @@
 //!   schedule seconds in transit on no member, the cross-region analogue of
 //!   the in-cluster executor-move delay; a [`TransferMatrix`] is exactly
 //!   this case and enters as [`NetworkTopology::from_matrix`]), and a job
-//!   leaving a member with an uplink becomes a flow over it, max-min
-//!   fair-shared with the other flows leaving that member and capped at
-//!   `1 / seconds_per_gb` — concurrent transfers over a congested uplink
-//!   slow each other down, and the engine recomputes the allocation as a
-//!   deterministic event whenever a flow starts or finishes.  Either way
-//!   the transfer carbon integrates each endpoint's trace over the whole
-//!   in-transit interval (`remaining_gb × energy_kwh_per_gb × ½(avg_from + avg_to)`
+//!   leaving a member with an uplink becomes a flow over it and no other
+//!   link.  Each of the `n` flows still delivering out of a member gets
+//!   `min(capacity / n, 1 / seconds_per_gb)` of its uplink
+//!   ([`NetworkTopology::fair_share`], the max-min fair share when every
+//!   flow crosses one link under one cap), so concurrent transfers over a
+//!   congested uplink slow each other down, and the engine re-divides an
+//!   uplink as a deterministic event whenever a flow starts or finishes.
+//!   Either way the transfer carbon integrates each endpoint's trace over
+//!   the whole in-transit interval (`remaining_gb × energy_kwh_per_gb × ½(avg_from + avg_to)`
 //!   grams, logged in the [`FederationResult::migrations`] records), so a
 //!   transfer that spans carbon steps is priced against every step it
 //!   crosses, not the departure instant.  Applying a move re-registers
@@ -172,7 +174,7 @@
 //!   O(1) allocations, and validation turns any corrupted layout into
 //!   `SimError::InvalidJob` rather than a panic.  DAGs are immutable once
 //!   submitted — caches hang off them (bottleneck scores and duration
-//!   suffix sums on `JobDag`, the range-min/max bounds index on
+//!   suffix sums on `JobDag`, the forecast-bounds table on
 //!   `CarbonTrace`), so mutating a submitted DAG in place is a contract
 //!   violation.
 //! * **Incremental frontier sets.**  `JobProgress` keeps each stage's
@@ -218,9 +220,10 @@
 //!   migration and restored sessions, through both the distribution and
 //!   the sampling paths and both refresh paths.
 //! * **O(1) carbon bounds.**  Per-event `CarbonView`s (for scheduling and
-//!   routing alike) are served by each trace's sparse-table index; linear
-//!   walks over the forecast horizon belong in trace construction, never in
-//!   the event loop.
+//!   routing alike) are served by each trace's forecast-bounds table (one
+//!   `(min, max)` per start index, built on first query); linear walks over
+//!   the forecast horizon belong in trace construction, never in the event
+//!   loop.
 //! * **Fault layer.**  Failures are *scheduled data*, not randomness at run
 //!   time: a [`FaultPlan`] materialises into a sorted [`FaultSchedule`]
 //!   attached to the federation, and the event loop interleaves injections
@@ -302,9 +305,9 @@ pub use faults::{
 };
 pub use federation::{Federation, Member};
 pub use job_state::{JobRecord, SubmittedJob};
-pub use network::{FlowArrivalPlan, FlowSet, NetworkLink, NetworkTopology, TransferFlow};
+pub use network::{FlowArrivalPlan, FlowSet, NetworkTopology, TransferFlow};
 pub use profile::UsageProfile;
-pub use result::{FederationResult, LinkUtilization, MemberResult, MigrationRecord, SimulationResult};
+pub use result::{FederationResult, MemberResult, MigrationRecord, SimulationResult};
 pub use routing::{
     MemberView, Migration, MigrationCandidate, MigrationContext, MigrationPolicy, MigrationSink,
     NeverMigrate, Router, RoutingContext, StaticRouter, TransferMatrix,

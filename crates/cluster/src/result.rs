@@ -128,25 +128,6 @@ pub struct MigrationRecord {
     pub transfer_carbon_grams: f64,
 }
 
-/// Traffic summary of one capacitated network link over a federated run.
-/// Only produced when the federation carries a
-/// [`NetworkTopology`](crate::network::NetworkTopology); matrix-priced runs
-/// report an empty link table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LinkUtilization {
-    /// The link's label (`uplink(m)`).
-    pub label: String,
-    /// Configured capacity (GB per schedule second).
-    pub capacity_gb_per_s: f64,
-    /// Total gigabytes carried over the run.
-    pub gb_carried: f64,
-    /// Schedule seconds during which at least one flow crossed the link.
-    pub busy_seconds: f64,
-    /// Mean utilization while busy: `gb_carried / (capacity × busy_seconds)`
-    /// (0 for a link no flow ever crossed).
-    pub utilization: f64,
-}
-
 /// Everything recorded during one federated run: one [`MemberResult`] per
 /// member cluster plus federation-level aggregates.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -159,11 +140,6 @@ pub struct FederationResult {
     pub members: Vec<MemberResult>,
     /// Every applied migration, in application order.
     pub migrations: Vec<MigrationRecord>,
-    /// Per-link traffic summaries when the federation prices transfers
-    /// through a network topology (empty for matrix-priced runs, and when
-    /// deserializing results recorded before the network layer existed).
-    #[serde(default)]
-    pub links: Vec<LinkUtilization>,
     /// Schedule time at which the last job of the whole federation completed.
     pub makespan: f64,
 }
@@ -354,7 +330,6 @@ mod tests {
                 },
             ],
             migrations: vec![],
-            links: vec![],
             makespan: 40.0,
         };
         assert!(fed.all_jobs_complete());
@@ -384,7 +359,6 @@ mod tests {
             migration_policy: "test".into(),
             members: vec![MemberResult { member: 0, label: "a".into(), result: result() }],
             migrations: vec![migration(0, 1, 5.0, 30.0), migration(1, 0, 7.0, 12.0)],
-            links: vec![],
             makespan: 25.0,
         };
         assert_eq!(fed.num_migrations(), 2);
@@ -402,7 +376,6 @@ mod tests {
             migration_policy: "never-migrate".into(),
             members: vec![MemberResult { member: 0, label: "DE".into(), result: result() }],
             migrations: vec![],
-            links: vec![],
             makespan: 25.0,
         };
         assert_eq!(fed.into_single().makespan, 25.0);
@@ -419,7 +392,6 @@ mod tests {
                 MemberResult { member: 1, label: "b".into(), result: result() },
             ],
             migrations: vec![],
-            links: vec![],
             makespan: 25.0,
         };
         let _ = fed.into_single();

@@ -29,8 +29,9 @@
 //!   transfers are in flight.  A [`TransferMatrix`] describes exactly this
 //!   case and enters a federation as [`NetworkTopology::from_matrix`];
 //! * a job leaving a member with an uplink becomes a *flow* that shares the
-//!   uplink's bandwidth **max-min fairly** with the other flows leaving that
-//!   member, so the delay of a transfer depends on the contention it meets.
+//!   uplink's bandwidth **evenly** with the other flows leaving that member
+//!   (each capped at `1 / seconds_per_gb`: the max-min fair share), so the
+//!   delay of a transfer depends on the contention it meets.
 //!
 //! The transfer's **carbon** is priced against both endpoint grids, half
 //! each: the energy `remaining_gb × energy_kwh_per_gb` is charged at
@@ -57,7 +58,7 @@
 //! Both layers obey the same hot-path discipline as scheduling: the engine
 //! maintains each member's queue depth and outstanding (undispatched) work
 //! incrementally, each [`MemberView`]'s carbon bounds come from the trace's
-//! O(1) sparse-table index, and the view/candidate buffers are engine-owned
+//! O(1) forecast-bounds table, and the view/candidate buffers are engine-owned
 //! and reused, so building a routing or migration context is
 //! O(members + one member's active jobs) with no allocation in the steady
 //! state.
@@ -88,7 +89,7 @@ pub struct MemberView {
     /// returns to place a job here).
     pub member: usize,
     /// The member's carbon signal: current intensity plus forecast bounds
-    /// over the member's configured lookahead horizon.
+    /// over the [`FORECAST_HORIZON`](crate::config::FORECAST_HORIZON).
     pub carbon: CarbonView,
     /// Number of active (arrived, incomplete) jobs on the member.
     pub queue_depth: usize,
@@ -221,9 +222,10 @@ pub struct TransferMatrix {
 }
 
 impl TransferMatrix {
-    /// A free matrix: every link costs zero time and zero energy.  This is
-    /// the default of [`Federation::new`] — migration semantics without
-    /// movement cost.
+    /// A free matrix: every link costs zero time and zero energy —
+    /// migration semantics without movement cost.  Its
+    /// [`NetworkTopology::from_matrix`] is [`NetworkTopology::new`], the
+    /// default transfer model of [`Federation::new`].
     ///
     /// [`Federation::new`]: crate::federation::Federation::new
     pub fn zero(members: usize) -> Self {
@@ -367,10 +369,11 @@ impl<'a> MigrationContext<'a> {
     }
 
     /// Estimated transfer delay (schedule seconds) of moving `gb` gigabytes
-    /// `from → to` *right now*: the pair's fixed delay when `from` has no
-    /// uplink, otherwise the max-min share a new flow would get against the
-    /// transfers currently in flight, held constant (a lower bound on
-    /// interference — rates can drop further if more flows start).
+    /// `from → to` *right now*: 0 when `from == to`, the pair's fixed delay
+    /// when `from` has no uplink, otherwise the fair share a new flow would
+    /// get against the transfers currently leaving `from`, held constant (a
+    /// lower bound on interference — rates can drop further if more flows
+    /// start).
     pub fn estimated_transfer_seconds(&self, from: usize, to: usize, gb: f64) -> f64 {
         self.flows.estimate_seconds(self.network, from, to, gb)
     }

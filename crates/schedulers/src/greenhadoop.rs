@@ -81,7 +81,7 @@ impl GreenHadoop {
             return ctx.total_executors;
         }
         let ct_now = ctx.time * self.time_scale;
-        let (lower, upper) = self.trace.bounds(ct_now, FORECAST_HORIZON);
+        let (lower, upper) = self.trace.bounds(ct_now);
 
         // Walk future carbon steps accumulating green capacity to find the
         // green window, bounded by the forecast horizon.

@@ -15,7 +15,7 @@
 //!   threshold-free carbon-agnostic greedy),
 //! * [`CarbonQueueAwareRouter`] — blend the carbon signal (current intensity
 //!   tempered by the forecast lower bound, both O(1) from the trace's
-//!   sparse-table index) with queue pressure, so a green but congested
+//!   forecast-bounds table) with queue pressure, so a green but congested
 //!   region stops attracting every job.
 //!
 //! A [`MigrationPolicy`] sits *beside* the router and may revise its
@@ -187,8 +187,8 @@ impl Router for CarbonGreedyRouter {
 /// ```
 ///
 /// where `c_m` is member `m`'s current intensity, `L_m` the forecast lower
-/// bound over the member's lookahead horizon (both O(1) via the trace's
-/// sparse-table bounds index), `backlog_m` its outstanding work per executor
+/// bound over the forecast horizon (both O(1) via the trace's
+/// forecast-bounds table), `backlog_m` its outstanding work per executor
 /// in seconds, `w = 0.5` the intensity weight (trust the forecast as much as
 /// the present), and `τ = 600 s` the backlog tolerance (10 schedule minutes,
 /// i.e. 10 carbon-hours at the paper's 60× time scale).

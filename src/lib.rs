@@ -67,7 +67,7 @@ pub mod prelude {
         MigrationCandidate, MigrationContext, MigrationPolicy, MigrationRecord, MigrationSink,
         NeverMigrate, PartialRunSummary, PoissonCrashes, ProfileMode, RegionOutage,
         RetryPolicy, Router, RoutingContext, SchedEvent, Scheduler, SchedulingContext,
-        FlowSet, NetworkLink, NetworkTopology, ServeSession, SimulationResult,
+        FlowSet, NetworkTopology, ServeSession, SimulationResult,
         Simulator, StaticRouter, SubmittedJob, TransferFlow, TransferMatrix,
     };
     pub use pcaps_core::{Cap, CapConfig, Pcaps, PcapsConfig};

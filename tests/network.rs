@@ -1,16 +1,16 @@
 //! Network-topology conformance suite.
 //!
 //! The network model is a federation's one transfer model: a job leaving a
-//! member with an uplink becomes a max-min fair-shared flow over it, a job
-//! leaving a member without one pays the fixed per-GB delay, and a
-//! `TransferMatrix` enters as the uplink-free special case.  It is pinned
-//! from five directions:
+//! member with an uplink becomes a flow over it, getting its fair share of
+//! the uplink, a job leaving a member without one pays the fixed per-GB
+//! delay, and a `TransferMatrix` enters as the uplink-free special case.
+//! It is pinned from six directions:
 //!
 //! 1. **Fluid-model correctness** — driving a [`FlowSet`] through the
 //!    engine's own `settle`/`begin`/`finish`/`reallocate` protocol over
 //!    seeded random uplink topologies and flow sets must reproduce the
 //!    completion times of an independent from-scratch fluid simulation
-//!    built directly on [`NetworkTopology::fair_share_rates`].
+//!    built directly on [`fair_share_rates`].
 //! 2. **Mixed shapes, end to end** — in federations where only some members
 //!    have an uplink, every migration from a member without one takes
 //!    exactly `gb × seconds_per_gb`, flows in flight or not, and every
@@ -25,6 +25,11 @@
 //! 5. **Settlement ends the run** — a superseded flow arrival still queued
 //!    after the last job completes neither keeps the clock running nor
 //!    trips the time limit.
+//! 6. **The closed form is max-min fairness** — over seeded random
+//!    topologies and flow multisets, [`NetworkTopology::fair_share`]'s
+//!    per-uplink share matches [`fair_share_rates`], a progressive-filling
+//!    max-min solver for arbitrary routes and per-pair caps kept here as
+//!    the independent oracle.
 
 use carbon_aware_dag_sched::prelude::*;
 use pcaps_cluster::{DecisionSink, FlowArrivalPlan, FlowSet, NetworkTopology};
@@ -76,6 +81,151 @@ fn random_topology(rng: &mut Rng, members: usize, p_uplink: f64) -> NetworkTopol
     topo
 }
 
+/// Max-min fair rate allocation for a set of concurrent flows given as
+/// `(from, to)` pairs, by progressive filling: every unfrozen flow's rate
+/// grows at the same pace until an uplink saturates or a flow hits its
+/// per-pair cap, at which point the binding flows freeze and the rest keep
+/// filling.  A flow with no finite constraint gets `f64::INFINITY` (its
+/// transfer is instantaneous).
+///
+/// This solver handles any route and any per-pair cap, which the network
+/// model does not need (a flow crosses only its source's uplink, and every
+/// pair has the one cap), so it is the independent oracle the closed-form
+/// [`NetworkTopology::fair_share`] is checked against.
+fn fair_share_rates(topo: &NetworkTopology, flows: &[(usize, usize)]) -> Vec<f64> {
+    let nf = flows.len();
+    let mut rates = vec![0.0; nf];
+    if nf == 0 {
+        return rates;
+    }
+    // One link id per member: a member's uplink, or a link no flow crosses.
+    let links: Vec<f64> = (0..topo.num_members()).map(|m| topo.uplink(m).unwrap_or(0.0)).collect();
+    let routes: Vec<Option<usize>> = flows.iter().map(|&(f, _)| topo.uplink(f).map(|_| f)).collect();
+    let caps: Vec<f64> = flows
+        .iter()
+        .map(|&(f, t)| {
+            let spg = topo.seconds_per_gb(f, t);
+            if spg > 0.0 {
+                1.0 / spg
+            } else {
+                f64::INFINITY
+            }
+        })
+        .collect();
+    let mut remaining: Vec<f64> = links.clone();
+    let mut counts = vec![0usize; links.len()];
+    let mut frozen = vec![false; nf];
+    let mut unfrozen = nf;
+    while unfrozen > 0 {
+        for c in counts.iter_mut() {
+            *c = 0;
+        }
+        for f in 0..nf {
+            if !frozen[f] {
+                if let Some(l) = routes[f] {
+                    counts[l] += 1;
+                }
+            }
+        }
+        let mut delta = f64::INFINITY;
+        for (l, &c) in counts.iter().enumerate() {
+            if c > 0 {
+                delta = delta.min(remaining[l].max(0.0) / c as f64);
+            }
+        }
+        for f in 0..nf {
+            if !frozen[f] && caps[f].is_finite() {
+                delta = delta.min((caps[f] - rates[f]).max(0.0));
+            }
+        }
+        if !delta.is_finite() {
+            // No finite constraint binds the remaining flows.
+            for f in 0..nf {
+                if !frozen[f] {
+                    rates[f] = f64::INFINITY;
+                }
+            }
+            break;
+        }
+        for f in 0..nf {
+            if !frozen[f] {
+                rates[f] += delta;
+                if let Some(l) = routes[f] {
+                    remaining[l] -= delta;
+                }
+            }
+        }
+        // Freeze flows at a saturated constraint.  The chosen delta is
+        // one of the minima, so at least one flow freezes per round and
+        // the loop terminates in at most `nf` rounds.
+        let mut any = false;
+        for f in 0..nf {
+            if frozen[f] {
+                continue;
+            }
+            let capped = caps[f].is_finite() && caps[f] - rates[f] <= caps[f] * 1e-12;
+            let saturated = routes[f].is_some_and(|l| remaining[l] <= links[l] * 1e-12);
+            if capped || saturated {
+                frozen[f] = true;
+                unfrozen -= 1;
+                any = true;
+            }
+        }
+        debug_assert!(any, "progressive filling froze no flow — delta was not a minimum");
+        if !any {
+            break;
+        }
+    }
+    rates
+}
+
+/// (6) Property: over seeded random topologies (uplinks of 0.05–1.05 GB/s
+/// on a random subset of members, a per-GB rate of 0 or 0.5–3 s/GB) and
+/// random multisets of flows over 1–5 uplinks, each flow's
+/// [`NetworkTopology::fair_share`] — its source's capacity split among the
+/// flows leaving it, capped by the per-GB rate — matches the
+/// progressive-filling max-min oracle within 1e-12 relative, and bit for
+/// bit whenever one uplink carries every flow.
+#[test]
+fn fair_share_matches_the_progressive_filling_oracle() {
+    let (mut single, mut capped) = (0, 0);
+    for seed in 1..=400u64 {
+        let mut rng = Rng(seed.wrapping_mul(0xA076_1D64_78BD_642F) | 1);
+        let members = 2 + rng.below(7);
+        let mut topo = random_topology(&mut rng, members, 0.6);
+        if (0..members).all(|m| topo.uplink(m).is_none()) {
+            topo = topo.with_uplink(rng.below(members), 0.05 + rng.r01());
+        }
+        let mut uplinks: Vec<usize> = (0..members).filter(|&m| topo.uplink(m).is_some()).collect();
+        let used = 1 + rng.below(uplinks.len().min(5));
+        while uplinks.len() > used {
+            uplinks.swap_remove(rng.below(uplinks.len()));
+        }
+        let nflows = used + rng.below(12);
+        let pairs: Vec<(usize, usize)> = (0..nflows)
+            .map(|k| {
+                let from = if k < used { uplinks[k] } else { uplinks[rng.below(used)] };
+                (from, (from + 1 + rng.below(members - 1)) % members)
+            })
+            .collect();
+        let expected = fair_share_rates(&topo, &pairs);
+        for (k, (&(from, to), e)) in pairs.iter().zip(&expected).enumerate() {
+            let sharing = pairs.iter().filter(|p| p.0 == from).count();
+            let got = topo.fair_share(from, sharing);
+            if used == 1 {
+                assert_eq!(got.to_bits(), e.to_bits(), "seed {seed}, flow {k}: {got} vs {e}");
+            } else {
+                assert!((got - e).abs() <= 1e-12 * e, "seed {seed}, flow {k}: {got} vs {e}");
+            }
+            let spg = topo.seconds_per_gb(from, to);
+            capped += usize::from(spg > 0.0 && got == 1.0 / spg);
+        }
+        single += usize::from(used == 1);
+    }
+    assert!(single > 0 && single < 400, "both the one-uplink and the many-uplink case ran");
+    assert!(capped > 0, "no flow was held at the per-GB cap, so the cap went untested");
+}
+
 /// From-scratch fluid simulation of flows that all leave members with an
 /// uplink: piecewise-constant max-min rates recomputed at every start and
 /// completion, flows draining at their allocated rates in between.
@@ -91,7 +241,7 @@ fn oracle_completions(topo: &NetworkTopology, specs: &[FlowSpec]) -> Vec<f64> {
             .collect();
         let pairs: Vec<(usize, usize)> =
             active.iter().map(|&i| (specs[i].0, specs[i].1)).collect();
-        let rates = topo.fair_share_rates(&pairs);
+        let rates = fair_share_rates(topo, &pairs);
         let next_start = (0..n)
             .filter(|&i| done[i].is_none() && specs[i].3 > now)
             .map(|i| specs[i].3)
@@ -147,14 +297,14 @@ fn flow_set_completions(topo: &NetworkTopology, specs: &[FlowSpec]) -> Vec<f64> 
         if take_start {
             let (st, i) = start.unwrap();
             next_start += 1;
-            flows.settle(topo, st);
+            flows.settle(st);
             flows.begin(JobId(i as u64), specs[i].0, specs[i].1, specs[i].2, i);
             flows.reallocate(topo, st, &mut scratch);
         } else {
             let (at, k) = arrival.unwrap();
             let plan = plans.swap_remove(k);
-            flows.settle(topo, at);
-            let Some(flow) = flows.finish(topo, plan.job, plan.epoch) else {
+            flows.settle(at);
+            let Some(flow) = flows.finish(plan.job, plan.epoch) else {
                 continue; // superseded by a rate change — stale, dropped
             };
             done[flow.job.0 as usize] = Some(at);

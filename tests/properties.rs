@@ -11,6 +11,7 @@
 //! the printed case seed.
 
 use carbon_aware_dag_sched::prelude::*;
+use pcaps_carbon::FORECAST_HORIZON;
 use pcaps_core::{KSearchThresholds, ThresholdFn};
 use pcaps_dag::analysis;
 use pcaps_dag::{Adjacency, DagError, JobProgress};
@@ -710,22 +711,23 @@ fn incremental_frontier_matches_scratch_recompute() {
     assert!(failed > CASES as usize, "the walk failed only {failed} tasks");
 }
 
-/// `CarbonTrace::bounds` (which may answer from a precomputed range-min/max
-/// index) must agree exactly with a naive linear scan for random queries.
+/// `CarbonTrace::bounds` (which answers from a table of per-start window
+/// bounds built on first query) must agree exactly with a naive linear scan
+/// over the forecast horizon for random traces, steps and queries.
 #[test]
 fn carbon_bounds_match_naive_linear_scan() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xB0B5);
     for case in 0..CASES {
-        let len = rng.gen_range(2..72usize);
+        let len = rng.gen_range(2..400usize);
         let values: Vec<f64> = (0..len).map(|_| rng.gen_range(10.0..900.0)).collect();
-        let trace = CarbonTrace::hourly("prop", values.clone());
+        let step = rng.gen_range(900.0..7_200.0);
+        let trace = CarbonTrace::new("prop", 0.0, step, values.clone());
         for query in 0..16 {
-            let t = rng.gen_range(0.0..200.0) * 3600.0;
-            let horizon = rng.gen_range(1.0..72.0) * 3600.0;
-            let (l, u) = trace.bounds(t, horizon);
+            let t = rng.gen_range(0.0..600.0) * step;
+            let (l, u) = trace.bounds(t);
             // Naive reference: walk every step the window covers.
             let first = trace.index_at(t);
-            let steps = ((horizon / trace.step).ceil() as usize + 1).min(len);
+            let steps = ((FORECAST_HORIZON / step).ceil() as usize + 1).min(len);
             let mut lo = f64::INFINITY;
             let mut hi = f64::NEG_INFINITY;
             for k in 0..steps {
@@ -837,8 +839,7 @@ fn carbon_trace_bounds_contain_intensity() {
         let values: Vec<f64> = (0..len).map(|_| rng.gen_range(10.0..900.0)).collect();
         let trace = CarbonTrace::hourly("prop", values);
         let t = rng.gen_range(0.0..200.0) * 3600.0;
-        let horizon = rng.gen_range(1.0..72.0) * 3600.0;
-        let (l, u) = trace.bounds(t, horizon);
+        let (l, u) = trace.bounds(t);
         let c = trace.intensity(t);
         assert!(
             l <= c + 1e-9 && c <= u + 1e-9,

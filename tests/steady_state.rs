@@ -118,10 +118,6 @@ fn churn_federation() -> Federation {
         .zip(TraceSet::for_regions(&regions, 7, 72).into_traces())
         .map(|(r, t)| Member::new(r.code(), ClusterConfig::new(4).with_time_scale(60.0), t))
         .collect();
-    let network = (0..regions.len()).fold(
-        NetworkTopology::from_matrix(&TransferMatrix::uniform(3, 1.0).with_energy_per_gb(0.05)),
-        |net, m| net.with_uplink(m, 0.25),
-    );
     let crashes = PoissonCrashes::new(0xC4A5, 60.0)
         .schedule(&pcaps_cluster::FaultContext { executors: vec![4; 3], horizon: FED_END })
         .unwrap();
@@ -131,9 +127,18 @@ fn churn_federation() -> Federation {
         FaultInjection { time: OUTAGE.1, member: 1, kind: FaultKind::RegionOutageEnd },
     ]);
     Federation::streaming(members)
-        .with_network(network)
+        .with_network(uplinks_on(&[0, 1, 2]))
         .with_fault_schedule(FaultSchedule::new(injections))
         .with_retry_policy(RetryPolicy { max_attempts: 64, ..RetryPolicy::default() })
+}
+
+/// The churn federation's network with 0.25 GB/s uplinks on `members`
+/// only, over its one per-GB rate and energy figure.
+fn uplinks_on(members: &[usize]) -> NetworkTopology {
+    members.iter().fold(
+        NetworkTopology::from_matrix(&TransferMatrix::uniform(3, 1.0).with_energy_per_gb(0.05)),
+        |net, &m| net.with_uplink(m, 0.25),
+    )
 }
 
 fn churn_source() -> StreamSource<pcaps_workloads::WorkloadStream> {
@@ -255,13 +260,13 @@ fn federated_snapshot_restore_continuation_is_bit_identical() {
             assert_eq!(bits(&r.faults), bits(&c.faults), "t={at}, member {i}: fault logs diverged");
         }
         assert_eq!(bits(&reference.migrations), bits(&continued.migrations), "t={at}");
-        assert_eq!(bits(&reference.links), bits(&continued.links), "t={at}");
     }
 }
 
 /// A snapshot's flow set belongs to its federation's links: restoring one
 /// taken mid-transfer over a capacitated uplink into a federation without
-/// those links must fail up front, not when the flow's arrival fires.
+/// those links must fail up front, naming the member the first flow in
+/// flight leaves, not when the flow's arrival fires.
 #[test]
 fn restore_rejects_a_snapshot_whose_links_the_federation_lacks() {
     const AT: f64 = 200.0;
@@ -272,17 +277,61 @@ fn restore_rejects_a_snapshot_whose_links_the_federation_lacks() {
     policies.advance(&mut session, AT);
     let snap = session.snapshot();
     policies.advance(&mut session, FED_END);
-    assert!(
-        session.finish().migrations.iter().any(|m| m.departed <= AT && AT < m.arrived),
-        "the snapshot must hold a transfer in flight"
-    );
+    let leaving = session
+        .finish()
+        .migrations
+        .iter()
+        .find(|m| m.departed <= AT && AT < m.arrived)
+        .map(|m| m.from)
+        .expect("the snapshot must hold a transfer in flight");
 
     let bare = Federation::streaming(fed.members().to_vec());
     let mut bare_source = churn_source();
     let mut restored = bare.serve(&mut bare_source).unwrap();
     match restored.restore(&snap) {
+        Err(SimError::SnapshotMismatch { reason }) => assert!(
+            reason.contains(&format!("from member {leaving},")) && reason.contains("no uplink"),
+            "{reason}"
+        ),
+        other => panic!("expected SnapshotMismatch, got {other:?}"),
+    }
+}
+
+/// A flow runs on its source's uplink, so the uplink count alone does not
+/// make a network fit a snapshot: one taken while a flow leaves member 0
+/// (uplinks on members 0 and 1) must not restore into a federation with
+/// as many uplinks, on members 1 and 2, where that flow would cross none.
+#[test]
+fn restore_rejects_a_snapshot_whose_flow_leaves_a_member_without_an_uplink() {
+    // Germany, South Africa, CAISO: the dirty grids come first, so member 0
+    // ships jobs to the green member 2.
+    let mut members = churn_federation().members().to_vec();
+    members.rotate_left(1);
+    let fed = |uplinks: &[usize]| {
+        Federation::streaming(members.clone()).with_network(uplinks_on(uplinks))
+    };
+    let (shipping, moved) = (fed(&[0, 1]), fed(&[1, 2]));
+    let mut source = churn_source();
+    let mut session = shipping.serve(&mut source).unwrap();
+    ChurnPolicies::new().advance(&mut session, FED_END);
+    let flow = session
+        .finish()
+        .migrations
+        .into_iter()
+        .find(|m| m.from == 0 && m.arrived > m.departed)
+        .expect("member 0 ships a job over its uplink");
+    let at = 0.5 * (flow.departed + flow.arrived);
+
+    let mut prefix_source = churn_source();
+    let mut prefix = shipping.serve(&mut prefix_source).unwrap();
+    ChurnPolicies::new().advance(&mut prefix, at);
+    let snap = prefix.snapshot();
+
+    let mut moved_source = churn_source();
+    let mut restored = moved.serve(&mut moved_source).unwrap();
+    match restored.restore(&snap) {
         Err(SimError::SnapshotMismatch { reason }) => {
-            assert!(reason.contains("3 link(s)") && reason.contains("has 0"), "{reason}")
+            assert!(reason.contains("from member 0,") && reason.contains("no uplink"), "{reason}")
         }
         other => panic!("expected SnapshotMismatch, got {other:?}"),
     }
