@@ -81,20 +81,24 @@ require_full_suite() {
 # do-no-harm guarantee (empty schedule ≡ no schedule, bit for bit), replay
 # determinism under injection (with and without carbon-delta migration),
 # and the hand-computed recovery oracles (dispatch at an outage's end
-# included); tests/steady_state.rs pins the serving mode (snapshot/restore
-# bit-identity across policies and seeds, and on a federation with flows,
-# drains, crashes and an outage in flight; restore rejecting a differently
-# shaped federation; windowed-percentile oracle, admission conservation,
-# open-loop determinism, bounded residency); tests/network.rs pins the
-# uplink transfer model (the closed-form per-uplink fair share vs the
-# progressive-filling max-min oracle, flow completions over uplink-only
-# topologies vs the from-scratch fluid oracle, federations where only some
-# members have an uplink pricing each migration by its source — the fixed
-# per-GB delay bit for bit, or the oracle's arrival — fed3_migrate_pcaps
-# replaying its recorded fingerprints and migration-log hash whether the
-# matrix is attached by with_transfer_matrix or by
-# with_network(from_matrix), drain-then-move replay determinism, and a
-# superseded flow arrival never outliving the run); tests/scheduler_state.rs pins the
+# included, and the evacuation of a job a crash left idle on an outaged
+# member); tests/steady_state.rs pins the serving mode (snapshot/restore
+# bit-identity across policies and seeds, and on a federation with flows
+# over uplinks or out of members without one, drains, crashes and an
+# outage in flight; restore rejecting other executor pools;
+# windowed-percentile oracle, admission conservation, open-loop
+# determinism, bounded residency); tests/network.rs pins the one transfer
+# path, every migration a flow (the closed-form per-uplink fair share vs
+# the progressive-filling max-min oracle, flow completions over
+# uplink-only topologies vs the from-scratch fluid oracle, federations
+# where only some members have an uplink — a flow out of a member without
+# one at the per-GB cap, bit for bit gb × seconds_per_gb, a flow over an
+# uplink at the oracle's arrival — fed3_migrate_pcaps replaying its
+# recorded fingerprints and migration-log hash whether the matrix is
+# attached by with_transfer_matrix or by with_network(from_matrix),
+# drain-then-move replay determinism, a superseded flow arrival never
+# outliving the run, and 0 GB moves arriving at their departure on every
+# topology); tests/scheduler_state.rs pins the
 # incremental probabilistic-scheduler state (DecimaLike's stamped table of
 # factorised softmax terms, refreshed through the engine's change journal
 # or reconciled in full, recomputed in full only when the max-remaining
@@ -108,7 +112,9 @@ require_full_suite() {
 # recount, streamed DAGs ≡ generator DAGs bit for bit);
 # tests/determinism.rs pins the run_trial fingerprints to the v1
 # seed's, on the finite and the serving path, and DecimaLike's cache_stats
-# counters.
+# counters; tests/federation.rs pins a single-member federation to the
+# Simulator fingerprints and routing determinism; tests/end_to_end.rs pins
+# the Theorem 4.3 and 4.5 bounds across the crates.
 require_full_suite migration "migration conformance suite"
 require_full_suite streaming "streaming-equivalence suite"
 require_full_suite faults "fault-injection conformance suite"
@@ -117,6 +123,8 @@ require_full_suite network "network-topology conformance suite"
 require_full_suite scheduler_state "incremental scheduler-state suite"
 require_full_suite properties "property-oracle suite"
 require_full_suite determinism "determinism fingerprint suite"
+require_full_suite federation "federation conformance suite"
+require_full_suite end_to_end "end-to-end integration suite"
 
 # Committed results must regenerate from the code: repro_check reruns the
 # multi_region, reliability and steady_state sweeps in full (byte for

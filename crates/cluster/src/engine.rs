@@ -75,7 +75,7 @@ use crate::admission::{AdmissionDecision, AdmissionPolicy};
 use crate::config::{ClusterConfig, ProfileMode};
 use crate::error::{PartialRunSummary, SimError};
 use crate::event::{Event, EventQueue};
-use crate::executor::ExecutorPool;
+use crate::executor::{ExecutorPool, RunningTask};
 use crate::faults::{
     CrashVictim, FaultEffect, FaultInjection, FaultKind, FaultPlan, FaultRecord, FaultSchedule,
     RetryPolicy,
@@ -207,23 +207,6 @@ impl Simulator {
         let result = self.federation.run_source(source, &mut router, &mut schedulers)?;
         Ok(result.into_single())
     }
-}
-
-/// What an executor is running right now — the engine-side mirror of an
-/// in-flight [`Event::TaskFinish`], kept so an [`FaultKind::ExecutorCrash`]
-/// can identify its victim in O(1) without scanning the event queue.
-#[derive(Debug, Clone, Copy)]
-struct RunningTask {
-    job: JobId,
-    stage: StageId,
-    /// The task's index within its stage (what a retry must re-run).
-    task: usize,
-    /// Dispatch time (schedule seconds) — wasted work on a crash is
-    /// `crash_time - started`, move delay included.
-    started: f64,
-    /// The task's duration (excluding move delay), for undoing the
-    /// dispatch-time pre-charge of `executor_seconds`.
-    duration: f64,
 }
 
 impl Member {
@@ -358,14 +341,6 @@ struct MemberState {
     sink: DecisionSink,
 
     // --- Fault-layer state (all inert on fault-free runs) ---
-    /// `running[e]` mirrors the in-flight task on executor `e` (`None`:
-    /// idle).  Sized once at construction — no per-event allocation.
-    running: Vec<Option<RunningTask>>,
-    /// `epochs[e]` counts crashes of executor `e`.  Dispatches stamp the
-    /// current epoch into their [`Event::TaskFinish`]; a finish whose epoch
-    /// is stale belongs to a killed task and is dropped.  All zero (and
-    /// never compared unequal) on fault-free runs.
-    epochs: Vec<u64>,
     /// False while a [`FaultKind::RegionOutageStart`] window is open: the
     /// member stops dispatching (its scheduler is not consulted), running
     /// tasks drain, and routers/migration policies see
@@ -384,9 +359,8 @@ struct MemberState {
 
 impl MemberState {
     fn new(spec: &Member, jobs_hint: usize) -> Self {
-        let executors = spec.config.num_executors;
         MemberState {
-            executors: ExecutorPool::new(executors),
+            executors: ExecutorPool::new(spec.config.num_executors),
             active: Vec::with_capacity(jobs_hint.min(1024)),
             journal: ChangeJournal::new(),
             slots: Vec::with_capacity(jobs_hint.min(1024)),
@@ -400,8 +374,6 @@ impl MemberState {
             next_carbon_change: spec.carbon_step_schedule(),
             current_intensity: spec.carbon.intensity(0.0),
             sink: DecisionSink::new(),
-            running: vec![None; executors],
-            epochs: vec![0; executors],
             available: true,
             wasted_seconds: 0.0,
             tasks_failed: 0,
@@ -541,7 +513,7 @@ struct JobSlot {
     /// without keeping the DAG alive after completion.
     stage_count: u32,
     /// Detached runtime state of a job currently migrating between members
-    /// (on no member's active table); its [`Event::MigrationArrival`]
+    /// (on no member's active table); its flow's [`Event::FlowArrival`]
     /// re-registers it.  Boxed: a finite run keeps one slot per job it has
     /// seen, and few of them are ever in transit.
     in_transit: Option<Box<ActiveJob>>,
@@ -660,8 +632,8 @@ struct RunState {
     /// fire.  The no-fault hot path costs exactly one exhaustion check per
     /// loop iteration.
     next_fault: usize,
-    /// In-flight transfer flows over the federation's network topology
-    /// (always empty when no member has an uplink).
+    /// Every migration in flight, as a flow over the federation's network
+    /// topology.
     flows: FlowSet,
     /// Jobs currently draining toward a migration (their `ActiveJob` holds
     /// the destination).  At zero the event path skips the drain trigger's
@@ -903,15 +875,17 @@ fn apply_assignments_for(
             active.busy_executors += 1;
             active.executor_seconds += task.duration;
             let finish_time = time + move_delay + task.duration;
-            member.executors.start(exec_idx, a.job);
+            member.executors.start(
+                exec_idx,
+                RunningTask {
+                    job: a.job,
+                    stage: a.stage,
+                    task: task_idx,
+                    started: time,
+                    duration: task.duration,
+                },
+            );
             member.outstanding_work -= task.duration;
-            member.running[exec_idx] = Some(RunningTask {
-                job: a.job,
-                stage: a.stage,
-                task: task_idx,
-                started: time,
-                duration: task.duration,
-            });
             events.push(
                 finish_time,
                 Event::TaskFinish {
@@ -919,7 +893,7 @@ fn apply_assignments_for(
                     executor: exec_idx,
                     job: a.job,
                     stage: a.stage,
-                    epoch: member.epochs[exec_idx],
+                    epoch: member.executors.get(exec_idx).epoch,
                 },
             );
             dispatched += 1;
@@ -1438,7 +1412,7 @@ impl<'a> Engine<'a> {
                 // with an older one belongs to a killed task: the queue's
                 // deterministic analogue of cancelling the event.  Always
                 // equal on fault-free runs.
-                if epoch != self.state.members[target].epochs[executor] {
+                if epoch != self.state.members[target].executors.get(executor).epoch {
                     return Ok(None);
                 }
                 // Read before the finish: a completion retires the
@@ -1448,7 +1422,6 @@ impl<'a> Engine<'a> {
                 let st = &mut self.state;
                 let member = &mut st.members[target];
                 member.executors.finish(executor);
-                member.running[executor] = None;
                 let Some(idx) = member.slot(job) else {
                     return Err(SimError::InvalidAssignment {
                         reason: format!(
@@ -1487,27 +1460,7 @@ impl<'a> Engine<'a> {
                     st.completed_jobs += 1;
                     return Ok(Some((target, seed)));
                 }
-                // The drain trigger is checked before the outage evacuation
-                // below — a policy-chosen destination outranks the
-                // evacuation heuristic.
-                if was_draining && self.depart_if_drained(target, job)? {
-                    return Ok(Some((target, seed)));
-                }
-                // An outaged member must not strand work it can no longer
-                // dispatch: once a job's running tasks have drained, it is
-                // evacuated exactly like the idle jobs at outage start.
-                // Only a task finish can drain a job, so the other events
-                // skip this.
-                let member = &self.state.members[target];
-                if !member.available {
-                    let idx = member.slot(job).expect("an uncompleted job stays active");
-                    let j = &member.active[idx];
-                    if j.busy_executors == 0 && j.retrying == 0 {
-                        if let Some(dest) = self.evacuation_target(target) {
-                            self.apply_migration(job, dest, false)?;
-                        }
-                    }
-                }
+                self.move_if_idle(target, job, was_draining)?;
                 Ok(Some((target, seed)))
             }
             Event::RetryRelease { member: target, job, stage, task } => {
@@ -1534,38 +1487,50 @@ impl<'a> Engine<'a> {
                     member: target,
                     effect: FaultEffect::TaskRetried { job, stage, task },
                 });
-                if was_draining {
-                    self.depart_if_drained(target, job)?;
-                }
+                self.move_if_idle(target, job, was_draining)?;
                 Ok(Some((target, EventSeed::Kick)))
-            }
-            Event::MigrationArrival { member: target, job } => {
-                self.register_migration_arrival(target, job);
-                Ok(Some((target, EventSeed::JobArrived(job))))
             }
             Event::FlowArrival { member: target, job, epoch } => {
                 self.state.flows.settle(time);
-                let Some(flow) = self.state.flows.finish(job, epoch) else {
+                if self.state.flows.finish(job, epoch).is_none() {
                     // The flow's rate changed after this event was pushed —
                     // a replacement event with the current epoch is queued.
                     return Ok(None);
-                };
-                // Finalize the provisional record with the actual arrival
-                // and the transfer-interval carbon integral, then re-divide
-                // the uplinks among the surviving flows (the departed
-                // flow's bandwidth is redistributed).
-                let record = self.state.migrations[flow.record];
-                let grams =
-                    self.transfer_carbon(record.gb, flow.from, flow.to, record.departed, time);
-                let record = &mut self.state.migrations[flow.record];
-                record.arrived = time;
-                record.transfer_seconds = time - record.departed;
-                record.transfer_carbon_grams = grams;
+                }
+                // The plan that queued this event wrote the record; the
+                // departed flow's bandwidth is redistributed.
                 self.reallocate_flows();
                 self.register_migration_arrival(target, job);
                 Ok(Some((target, EventSeed::JobArrived(job))))
             }
         }
+    }
+
+    /// Moves `job` off member `target` if a task finish or a retry release
+    /// left it idle there: a draining job departs for its policy's
+    /// destination (which outranks the evacuation heuristic), and an
+    /// outaged member evacuates it exactly like the idle jobs at outage
+    /// start, so it strands no work it can no longer dispatch.
+    fn move_if_idle(
+        &mut self,
+        target: usize,
+        job: JobId,
+        was_draining: bool,
+    ) -> Result<(), SimError> {
+        if was_draining && self.depart_if_drained(target, job)? {
+            return Ok(());
+        }
+        let member = &self.state.members[target];
+        if !member.available {
+            let idx = member.slot(job).expect("an uncompleted job stays active");
+            let j = &member.active[idx];
+            if j.busy_executors == 0 && j.retrying == 0 {
+                if let Some(dest) = self.evacuation_target(target) {
+                    self.apply_migration(job, dest, false)?;
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Whether `job` is draining toward a migration on member `target`.
@@ -1595,9 +1560,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Re-registers a migrated job at its destination member once its
-    /// transfer completes — shared by the fixed-delay
-    /// [`Event::MigrationArrival`] and the flow-priced
-    /// [`Event::FlowArrival`] paths.
+    /// flow's [`Event::FlowArrival`] fires.
     fn register_migration_arrival(&mut self, target: usize, job: JobId) {
         let st = &mut self.state;
         let state = st
@@ -1637,13 +1600,17 @@ impl<'a> Engine<'a> {
 
     /// Re-divides the uplinks among the (settled) flow set, turns
     /// each changed flow's new arrival estimate into a queue event, and
-    /// keeps that flow's provisional migration record current
-    /// (best-estimate arrival, so a serve-mode assemble with flows still in
-    /// flight reports estimates rather than placeholders).
+    /// writes it into that flow's migration record: the arrival, the
+    /// transfer time (time already spent plus the plan's seconds, so a
+    /// flow planned once at departure records its priced seconds exactly)
+    /// and the interval's carbon.  The last plan is the one that arrives,
+    /// and a serve-mode assemble with flows still in flight reports
+    /// estimates rather than placeholders.
     fn reallocate_flows(&mut self) {
         let mut plans = std::mem::take(&mut self.flow_plan_buf);
         plans.clear();
-        self.state.flows.reallocate(self.fed.network(), self.state.time, &mut plans);
+        let now = self.state.time;
+        self.state.flows.reallocate(self.fed.network(), now, &mut plans);
         for p in &plans {
             self.state
                 .events
@@ -1652,7 +1619,7 @@ impl<'a> Engine<'a> {
             let grams = self.transfer_carbon(r.gb, r.from, r.to, r.departed, p.at);
             let r = &mut self.state.migrations[p.record];
             r.arrived = p.at;
-            r.transfer_seconds = p.at - r.departed;
+            r.transfer_seconds = (now - r.departed) + p.seconds;
             r.transfer_carbon_grams = grams;
         }
         self.flow_plan_buf = plans;
@@ -1727,12 +1694,12 @@ impl<'a> Engine<'a> {
     }
 
     /// Validates and applies one migration verb: detaches the job from its
-    /// source member, charges the transfer over the federation's network
-    /// topology (a fixed delay when the source member has no uplink, as no
-    /// member of a matrix-built topology does, or a max-min fair-shared flow
-    /// over its uplink when it has one) plus the interval-integrated transfer
-    /// carbon, and schedules the arrival that re-registers it at the
-    /// destination.  With `drain` set, a busy or retrying job is flagged
+    /// source member and starts its transfer as a flow over the federation's
+    /// network topology (a max-min fair share of the source's uplink, or
+    /// the per-GB cap when the source has none, as no member of a
+    /// matrix-built topology does), whose plan prices the arrival that
+    /// re-registers it at the destination and the interval-integrated
+    /// transfer carbon.  With `drain` set, a busy or retrying job is flagged
     /// instead of rejected: it stops dispatching and departs when its last
     /// task resolves.  Both members' incremental
     /// counters (queue depth, outstanding work) are fixed up in O(changed)
@@ -1820,47 +1787,22 @@ impl<'a> Engine<'a> {
         slot.in_transit = Some(Box::new(state));
         let departed = st.time;
 
-        let topo = self.fed.network();
-        if topo.uplink(src).is_some() {
-            // The source has an uplink: the transfer becomes a flow whose
-            // arrival is decided by its fair share of the uplink with the
-            // other flows leaving the source.  Its migration record is
-            // provisional (best-estimate arrival and carbon) until the flow
-            // delivers.
-            let record = st.migrations.len();
-            st.migrations.push(MigrationRecord {
-                job,
-                from: src,
-                to,
-                departed,
-                arrived: departed,
-                gb,
-                transfer_seconds: 0.0,
-                transfer_carbon_grams: 0.0,
-            });
-            st.flows.settle(departed);
-            st.flows.begin(job, src, to, gb, record);
-            self.reallocate_flows();
-            return Ok(());
-        }
-
-        // Uncontended pair: the delay is known at departure; the carbon
-        // integrates each endpoint's trace over the transfer interval.
-        let transfer_seconds = gb * topo.seconds_per_gb(src, to);
-        let arrived = departed + transfer_seconds;
-        let transfer_carbon_grams = self.transfer_carbon(gb, src, to, departed, arrived);
-        let st = &mut self.state;
-        st.events.push(arrived, Event::MigrationArrival { member: to, job });
+        // The flow's record is written by every plan of its arrival, the
+        // first one in the reallocation right below.
+        let record = st.migrations.len();
         st.migrations.push(MigrationRecord {
             job,
             from: src,
             to,
             departed,
-            arrived,
+            arrived: departed,
             gb,
-            transfer_seconds,
-            transfer_carbon_grams,
+            transfer_seconds: 0.0,
+            transfer_carbon_grams: 0.0,
         });
+        st.flows.settle(departed);
+        st.flows.begin(job, src, to, gb, record);
+        self.reallocate_flows();
         Ok(())
     }
 
@@ -1898,7 +1840,10 @@ impl<'a> Engine<'a> {
         let st = &mut self.state;
         let time = st.time;
         let member = &mut st.members[target];
-        let Some(rt) = member.running[exec].take() else {
+        // A busy executor's crash invalidates the pending finish event and
+        // cold-resets it (it comes back immediately, but its warm-start
+        // affinity is gone).
+        let Some(rt) = member.executors.crash(exec) else {
             member.fault_log.push(FaultRecord {
                 time,
                 member: target,
@@ -1906,10 +1851,6 @@ impl<'a> Engine<'a> {
             });
             return Ok(());
         };
-        // Invalidate the pending finish event and cold-reset the executor
-        // (it comes back immediately, but its warm-start affinity is gone).
-        member.epochs[exec] += 1;
-        member.executors.crash(exec);
         let Some(idx) = member.slot(rt.job) else {
             return Err(SimError::InvalidAssignment {
                 reason: format!(
@@ -2129,8 +2070,8 @@ impl<'a> Engine<'a> {
     /// Installs a snapshot into this engine, re-attaching the source.
     ///
     /// The snapshot must come from a federation of the same shape: the
-    /// same member count, executor pools of the same sizes, and an uplink
-    /// on every member an in-flight flow of the snapshot leaves.
+    /// same member count and executor pools of the same sizes (every
+    /// network carries every flow, so the topology is not checked).
     /// It is RNG-free: it does not capture the source.  Instead, the engine
     /// discards pulls from its *own* (freshly constructed, deterministic)
     /// source until it reaches the snapshot's pull position — the discarded
@@ -2159,12 +2100,6 @@ impl<'a> Engine<'a> {
                     spec.config.num_executors
                 ));
             }
-        }
-        if let Some(m) = snap.state.flows.source_without_uplink(self.fed.network()) {
-            return mismatch(format!(
-                "the snapshot has a transfer in flight from member {m}, which has no uplink in \
-                 this federation"
-            ));
         }
         let (seen, target) = (self.state.jobs.seen(), snap.jobs_seen());
         if seen > target {

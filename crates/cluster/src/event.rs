@@ -50,24 +50,14 @@ pub enum Event {
         /// The task's index within the stage.
         task: usize,
     },
-    /// A migrating job finishes its cross-region transfer and arrives at its
-    /// destination member (the job was detached from its source when the
-    /// migration was applied; this event re-registers it).  Used for
-    /// transfers over uncontended pairs, whose duration is known at
-    /// departure.
-    MigrationArrival {
-        /// Destination member cluster.
-        member: usize,
-        /// The migrating job.
-        job: JobId,
-    },
-    /// A migrating job's *network flow* finishes delivering over its
-    /// source's contended uplink and the job arrives at its destination
-    /// member.  The arrival instant depends on bandwidth sharing, so
-    /// whenever the flow's fair share changes a replacement event is pushed
-    /// with a bumped epoch; an event whose epoch no longer matches the
-    /// flow's is stale and dropped (the same invalidation scheme crashed
-    /// task finishes use).
+    /// A migrating job's *network flow* finishes delivering and the job
+    /// arrives at its destination member (the job was detached from its
+    /// source when the migration was applied; this event re-registers it).
+    /// The arrival instant depends on bandwidth sharing, so whenever the
+    /// flow's fair share changes a replacement event is pushed with a
+    /// bumped epoch; an event whose epoch no longer matches the flow's is
+    /// stale and dropped (the same invalidation scheme crashed task
+    /// finishes use).
     FlowArrival {
         /// Destination member cluster.
         member: usize,
@@ -76,19 +66,6 @@ pub enum Event {
         /// The flow's epoch stamp at push time.
         epoch: u64,
     },
-}
-
-impl Event {
-    /// The member cluster this event belongs to.  Every event variant is
-    /// member-scoped.
-    pub fn member(&self) -> usize {
-        match *self {
-            Event::TaskFinish { member, .. }
-            | Event::RetryRelease { member, .. }
-            | Event::MigrationArrival { member, .. }
-            | Event::FlowArrival { member, .. } => member,
-        }
-    }
 }
 
 /// An event stamped with its occurrence time.
@@ -167,12 +144,17 @@ impl EventQueue {
 mod tests {
     use super::*;
 
+    /// A sample event: job `job`'s flow arrival at member 0.
+    fn arrival(job: u64) -> Event {
+        Event::FlowArrival { member: 0, job: JobId(job), epoch: 0 }
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.push(5.0, Event::MigrationArrival { member: 0, job: JobId(1) });
-        q.push(1.0, Event::MigrationArrival { member: 0, job: JobId(0) });
-        q.push(3.0, Event::MigrationArrival { member: 0, job: JobId(2) });
+        q.push(5.0, arrival(1));
+        q.push(1.0, arrival(0));
+        q.push(3.0, arrival(2));
         let order: Vec<f64> = std::iter::from_fn(|| q.pop().map(|(t, _)| t)).collect();
         assert_eq!(order, vec![1.0, 3.0, 5.0]);
     }
@@ -180,19 +162,19 @@ mod tests {
     #[test]
     fn ties_broken_by_insertion_order() {
         let mut q = EventQueue::new();
-        q.push(2.0, Event::MigrationArrival { member: 0, job: JobId(10) });
-        q.push(2.0, Event::MigrationArrival { member: 0, job: JobId(20) });
+        q.push(2.0, arrival(10));
+        q.push(2.0, arrival(20));
         let first = q.pop().unwrap().1;
         let second = q.pop().unwrap().1;
-        assert_eq!(first, Event::MigrationArrival { member: 0, job: JobId(10) });
-        assert_eq!(second, Event::MigrationArrival { member: 0, job: JobId(20) });
+        assert_eq!(first, arrival(10));
+        assert_eq!(second, arrival(20));
     }
 
     #[test]
     fn peek_does_not_remove() {
         let mut q = EventQueue::new();
         assert_eq!(q.peek_time(), None);
-        q.push(7.0, Event::MigrationArrival { member: 0, job: JobId(0) });
+        q.push(7.0, arrival(0));
         assert_eq!(q.peek_time(), Some(7.0));
     }
 
@@ -200,21 +182,7 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn rejects_nan_time() {
         let mut q = EventQueue::new();
-        q.push(f64::NAN, Event::MigrationArrival { member: 0, job: JobId(0) });
-    }
-
-    #[test]
-    fn migration_arrival_events_carry_member_and_job() {
-        let mut q = EventQueue::new();
-        q.push(6.0, Event::MigrationArrival { member: 1, job: JobId(5) });
-        match q.pop().unwrap() {
-            (t, Event::MigrationArrival { member, job }) => {
-                assert_eq!(t, 6.0);
-                assert_eq!(member, 1);
-                assert_eq!(job, JobId(5));
-            }
-            other => panic!("wrong event: {other:?}"),
-        }
+        q.push(f64::NAN, arrival(0));
     }
 
     #[test]
@@ -222,12 +190,11 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(8.0, Event::FlowArrival { member: 2, job: JobId(3), epoch: 4 });
         match q.pop().unwrap() {
-            (t, e @ Event::FlowArrival { member, job, epoch }) => {
+            (t, Event::FlowArrival { member, job, epoch }) => {
                 assert_eq!(t, 8.0);
                 assert_eq!(member, 2);
                 assert_eq!(job, JobId(3));
                 assert_eq!(epoch, 4);
-                assert_eq!(e.member(), 2);
             }
             other => panic!("wrong event: {other:?}"),
         }

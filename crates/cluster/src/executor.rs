@@ -1,42 +1,52 @@
 //! Executor state tracking.
 
-use pcaps_dag::JobId;
+use pcaps_dag::{JobId, StageId};
 use serde::{Deserialize, Serialize};
+
+/// The task an executor is running: what its pending
+/// [`Event::TaskFinish`](crate::event::Event::TaskFinish) will finish, kept
+/// on the executor so a crash names its victim in O(1) without scanning the
+/// event queue.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct RunningTask {
+    /// The task's job.
+    pub job: JobId,
+    /// The task's stage.
+    pub stage: StageId,
+    /// The task's index within its stage (what a retry must re-run).
+    pub task: usize,
+    /// Dispatch time (schedule seconds) — wasted work on a crash is
+    /// `crash_time - started`, move delay included.
+    pub started: f64,
+    /// The task's duration (excluding move delay), for undoing the
+    /// dispatch-time pre-charge of `executor_seconds`.
+    pub duration: f64,
+}
 
 /// Runtime state of a single executor.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ExecutorState {
-    /// Job the executor is currently running a task for (`None` when idle).
-    pub current_job: Option<JobId>,
+    /// The task the executor is running (`None` when idle).
+    pub running: Option<RunningTask>,
     /// Last job the executor ran a task for — used to decide whether an
     /// executor-movement delay applies when it picks up new work.
     pub last_job: Option<JobId>,
+    /// Crashes of the executor while busy.  A dispatch stamps it into its
+    /// [`Event::TaskFinish`](crate::event::Event::TaskFinish); a finish
+    /// stamped with an older epoch belongs to a killed task and is dropped.
+    /// Always 0 on fault-free runs.
+    pub epoch: u64,
 }
 
 impl ExecutorState {
     /// A fresh idle executor that has never run anything.
     pub fn idle() -> Self {
-        ExecutorState {
-            current_job: None,
-            last_job: None,
-        }
+        ExecutorState { running: None, last_job: None, epoch: 0 }
     }
 
     /// True if the executor is currently running a task.
     pub fn is_busy(&self) -> bool {
-        self.current_job.is_some()
-    }
-
-    /// Marks the executor busy for `job`.
-    pub fn start(&mut self, job: JobId) {
-        debug_assert!(!self.is_busy(), "executor double-booked");
-        self.current_job = Some(job);
-    }
-
-    /// Marks the executor idle after finishing a task.
-    pub fn finish(&mut self) {
-        debug_assert!(self.is_busy(), "idle executor cannot finish a task");
-        self.last_job = self.current_job.take();
+        self.running.is_some()
     }
 
     /// Whether picking up a task of `job` requires a movement delay (the
@@ -109,33 +119,37 @@ impl ExecutorPool {
         self.len() - self.busy
     }
 
-    /// Marks executor `idx` busy for `job`.
-    pub fn start(&mut self, idx: usize, job: JobId) {
-        self.states[idx].start(job);
+    /// Marks idle executor `idx` busy running `task`.
+    pub fn start(&mut self, idx: usize, task: RunningTask) {
+        let e = &mut self.states[idx];
+        debug_assert!(!e.is_busy(), "executor double-booked");
+        e.running = Some(task);
         self.clear_free(idx);
         self.busy += 1;
     }
 
-    /// Marks executor `idx` idle after finishing a task.
+    /// Marks busy executor `idx` idle after its task finished.
     pub fn finish(&mut self, idx: usize) {
-        self.states[idx].finish();
+        let e = &mut self.states[idx];
+        let task = e.running.take().expect("an idle executor cannot finish a task");
+        e.last_job = Some(task.job);
         self.set_free(idx);
         self.busy -= 1;
     }
 
-    /// Cold-resets a *busy* executor `idx` after a crash: the in-flight
-    /// task is abandoned and the replacement process starts with no
-    /// warm-start affinity (`last_job` is cleared, so its next task pays
-    /// the movement delay like a fresh executor).
-    ///
-    /// # Panics
-    /// Panics (debug builds) if the executor is idle — crashing an idle
-    /// executor is a no-op the engine handles before reaching the pool.
-    pub fn crash(&mut self, idx: usize) {
-        debug_assert!(self.states[idx].is_busy(), "crash of an idle executor reached the pool");
-        self.states[idx] = ExecutorState::idle();
+    /// Crashes executor `idx`.  A busy executor loses its task, which is
+    /// returned: its epoch is bumped (so the task's pending finish is
+    /// stale) and the replacement process starts cold, with no warm-start
+    /// affinity (its next task pays the movement delay like a fresh
+    /// executor's).  An idle executor is left unchanged.
+    pub fn crash(&mut self, idx: usize) -> Option<RunningTask> {
+        let e = &mut self.states[idx];
+        let task = e.running.take()?;
+        e.last_job = None;
+        e.epoch += 1;
         self.set_free(idx);
         self.busy -= 1;
+        Some(task)
     }
 
     /// State of executor `idx`.
@@ -173,14 +187,22 @@ impl ExecutorPool {
 mod tests {
     use super::*;
 
+    /// A task of `job` dispatched at t=0 (stage 0, task 0, 1 s).
+    fn task(job: u64) -> RunningTask {
+        RunningTask { job: JobId(job), stage: StageId(0), task: 0, started: 0.0, duration: 1.0 }
+    }
+
     #[test]
     fn lifecycle() {
-        let mut e = ExecutorState::idle();
+        let mut pool = ExecutorPool::new(1);
+        let e = pool.get(0);
         assert!(!e.is_busy());
         assert!(e.needs_move_delay(JobId(0)));
-        e.start(JobId(0));
-        assert!(e.is_busy());
-        e.finish();
+        pool.start(0, task(0));
+        assert!(pool.get(0).is_busy());
+        assert_eq!(pool.get(0).running, Some(task(0)));
+        pool.finish(0);
+        let e = pool.get(0);
         assert!(!e.is_busy());
         assert_eq!(e.last_job, Some(JobId(0)));
         assert!(!e.needs_move_delay(JobId(0)));
@@ -192,7 +214,7 @@ mod tests {
         let mut pool = ExecutorPool::new(3);
         assert_eq!(pool.len(), 3);
         assert_eq!(pool.free_count(), 3);
-        pool.start(1, JobId(0));
+        pool.start(1, task(0));
         assert_eq!(pool.busy_count(), 1);
         assert_eq!(pool.free_count(), 2);
         pool.finish(1);
@@ -205,7 +227,7 @@ mod tests {
     fn pick_prefers_warm_executor() {
         let mut pool = ExecutorPool::new(3);
         // Executor 2 previously ran job 7.
-        pool.start(2, JobId(7));
+        pool.start(2, task(7));
         pool.finish(2);
         assert_eq!(pool.pick_free_for(JobId(7)), Some(2));
         // For a different job any free executor (the first) is fine.
@@ -215,8 +237,8 @@ mod tests {
     #[test]
     fn pick_none_when_all_busy() {
         let mut pool = ExecutorPool::new(2);
-        pool.start(0, JobId(0));
-        pool.start(1, JobId(1));
+        pool.start(0, task(0));
+        pool.start(1, task(1));
         assert_eq!(pool.pick_free_for(JobId(0)), None);
     }
 
@@ -260,11 +282,11 @@ mod tests {
                     (0..n).partition(|&i| !pool.get(i).is_busy());
                 if !idle.is_empty() && (busy.is_empty() || rng.gen_range(0.0..1.0) < p_start) {
                     let idx = idle[rng.gen_range(0..idle.len())];
-                    pool.start(idx, JobId(rng.gen_range(0..6u64)));
+                    pool.start(idx, task(rng.gen_range(0..6u64)));
                 } else {
                     let idx = busy[rng.gen_range(0..busy.len())];
                     if rng.gen_range(0..8usize) == 0 {
-                        pool.crash(idx);
+                        assert!(pool.crash(idx).is_some());
                     } else {
                         pool.finish(idx);
                     }
@@ -288,13 +310,19 @@ mod tests {
     #[test]
     fn crash_cold_resets_a_busy_executor() {
         let mut pool = ExecutorPool::new(2);
-        pool.start(0, JobId(7));
+        pool.start(0, task(7));
         assert_eq!(pool.busy_count(), 1);
-        pool.crash(0);
+        assert_eq!(pool.crash(0), Some(task(7)), "the crash returns its victim");
         assert_eq!(pool.busy_count(), 0);
         let e = pool.get(0);
         assert!(!e.is_busy());
+        assert_eq!(e.epoch, 1, "the killed task's finish is stale");
         assert_eq!(e.last_job, None, "warm-start affinity is lost on crash");
         assert!(e.needs_move_delay(JobId(7)));
+        // An idle executor survives a crash unchanged.
+        let idle = *pool.get(1);
+        assert_eq!(pool.crash(1), None);
+        assert_eq!(*pool.get(1), idle);
+        assert_eq!(pool.free_count(), 2);
     }
 }

@@ -116,10 +116,10 @@ pub struct Federation {
     /// The materialized workload, sorted and validated once by
     /// [`Federation::new`]; every materialized run pulls from a clone.
     workload: MaterializedJobs,
-    /// The transfer model migrations are priced by: a fixed per-GB delay
-    /// for jobs leaving a member without an uplink, max-min fair-shared
-    /// flows over the uplink of a member that has one (see
-    /// [`NetworkTopology`]).  Defaults to
+    /// The transfer model migrations are priced by: every move is a flow,
+    /// max-min fair-shared over the uplink of a member that has one, and
+    /// at the per-GB cap (`gb × seconds_per_gb`) out of a member without
+    /// one (see [`NetworkTopology`]).  Defaults to
     /// [`NetworkTopology::new`], under which every move is free and
     /// instantaneous.
     network: NetworkTopology,
@@ -207,7 +207,7 @@ impl Federation {
     /// Sets the federation's transfer model to a link-level network:
     /// transfers leaving a member with a [`NetworkTopology::uplink`] are
     /// max-min fair-shared with the other transfers over it, transfers
-    /// leaving a member without one keep the fixed per-GB delay, and
+    /// leaving a member without one take exactly `gb × seconds_per_gb`, and
     /// transfer carbon uses the topology's energy figure.  This and
     /// [`Federation::with_transfer_matrix`] set the same transfer model, so
     /// the last call wins.

@@ -81,19 +81,20 @@
 //!   immediately, busy ones via a drain verb that stops their dispatching
 //!   and moves them when the last running task resolves.  One transfer
 //!   model prices a move, the federation's [`NetworkTopology`]: member
-//!   uplinks over one per-GB rate.  A job leaving a member without an
-//!   uplink pays a fixed delay (it spends `remaining_gb × seconds_per_gb`
-//!   schedule seconds in transit on no member, the cross-region analogue of
-//!   the in-cluster executor-move delay; a [`TransferMatrix`] is exactly
-//!   this case and enters as [`NetworkTopology::from_matrix`]), and a job
-//!   leaving a member with an uplink becomes a flow over it and no other
-//!   link.  Each of the `n` flows still delivering out of a member gets
+//!   uplinks over one per-GB rate.  Every move is a flow out of its source
+//!   member with one arrival event, in transit on no member meanwhile.
+//!   Each of the `n` flows still delivering out of a member gets
 //!   `min(capacity / n, 1 / seconds_per_gb)` of its uplink
 //!   ([`NetworkTopology::fair_share`], the max-min fair share when every
 //!   flow crosses one link under one cap), so concurrent transfers over a
 //!   congested uplink slow each other down, and the engine re-divides an
 //!   uplink as a deterministic event whenever a flow starts or finishes.
-//!   Either way the transfer carbon integrates each endpoint's trace over
+//!   A member without an uplink has unbounded capacity, so a job leaving
+//!   it moves at the cap and takes exactly `remaining_gb × seconds_per_gb`
+//!   schedule seconds, the cross-region analogue of the in-cluster
+//!   executor-move delay (a [`TransferMatrix`] is exactly this case and
+//!   enters as [`NetworkTopology::from_matrix`]).
+//!   The transfer carbon integrates each endpoint's trace over
 //!   the whole in-transit interval (`remaining_gb × energy_kwh_per_gb × ½(avg_from + avg_to)`
 //!   grams, logged in the [`FederationResult::migrations`] records), so a
 //!   transfer that spans carbon steps is priced against every step it
@@ -230,13 +231,16 @@
 //!   with the queue by time (an injection fires only when strictly earlier
 //!   than every queued event and carbon step, so the empty schedule — the
 //!   default — reproduces the fault-free engine bit for bit at one `Option`
-//!   comparison per iteration).  An executor crash kills the in-flight task
-//!   by bumping the executor's *epoch* (the stale finish event is dropped on
-//!   pop — no queue surgery), books the dispatch-to-crash interval as wasted
-//!   work, and re-releases the task after the [`RetryPolicy`] backoff; a
-//!   region outage stops a member's dispatching, drains its running tasks,
-//!   and evacuates its idle jobs over the priced migration path, and its
-//!   end consults the member's scheduler again.  Recovery bookkeeping is
+//!   comparison per iteration).  Each executor keeps one record: the task
+//!   it runs, its last job and its crash *epoch*.  A crash takes the task
+//!   off the executor and bumps the epoch (the stale finish event is
+//!   dropped on pop — no queue surgery), books the dispatch-to-crash
+//!   interval as wasted work, and re-releases the task after the
+//!   [`RetryPolicy`] backoff; a region outage stops a member's dispatching,
+//!   drains its running tasks, and evacuates its idle jobs over the priced
+//!   migration path, at the outage start and whenever a task finish or a
+//!   retry release leaves a job idle there, and its end consults the
+//!   member's scheduler again.  Recovery bookkeeping is
 //!   O(affected member), allocation-free on the no-fault path, and fully
 //!   deterministic: same schedule, same seeds, same run.
 //! * **No wall clock.**  The engine keeps only simulated time and reads no

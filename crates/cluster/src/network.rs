@@ -6,19 +6,19 @@
 //! is the federation's one transfer model, with the contention the matrix
 //! lacks: a [`NetworkTopology`] gives some members a capacitated *uplink*
 //! that every transfer leaving the member crosses, on top of one per-GB
-//! rate and the network energy per GB; a [`FlowSet`] tracks the transfer
-//! flows in flight and re-divides each uplink among the flows leaving its
-//! member, as a deterministic engine event, whenever a flow starts or
+//! rate and the network energy per GB; a [`FlowSet`] tracks every transfer
+//! in flight as a flow and re-divides each uplink among the flows leaving
+//! its member, as a deterministic engine event, whenever a flow starts or
 //! finishes.
 //!
 //! ## The per-uplink share
 //!
-//! A job migrating away from a member with an uplink is one *flow* over
-//! that uplink, its rate also capped at `1 / seconds_per_gb` when the
-//! per-GB rate is non-zero.  Every flow crosses exactly one capacitated
-//! link and all flows share the one cap, so the max-min fair allocation has
-//! a closed form ([`NetworkTopology::fair_share`]): each of the `n` flows
-//! still delivering bytes out of member `m` gets
+//! A migrating job is one *flow* out of its source member, over the
+//! member's uplink if it has one, its rate capped at `1 / seconds_per_gb`
+//! when the per-GB rate is non-zero.  Every flow crosses at most one
+//! capacitated link and all flows share the one cap, so the max-min fair
+//! allocation has a closed form ([`NetworkTopology::fair_share`]): each of
+//! the `n` flows still delivering bytes out of member `m` gets
 //! `min(capacity(m) / n, 1 / seconds_per_gb)`, and flows leaving different
 //! members never interact.  `tests/network.rs` holds a progressive-filling
 //! max-min solver as the oracle this share is checked against.
@@ -35,12 +35,16 @@
 //!
 //! A flow whose bytes are fully delivered but whose arrival event has not
 //! yet fired holds **no** bandwidth: it is not counted on its uplink and
-//! its queued arrival event stays valid.
+//! its queued arrival event stays valid.  A flow that starts with nothing
+//! to deliver (a 0 GB move) arrives at the instant it starts.
 //!
-//! ## How a matrix enters: the uncontended topology
+//! ## How a matrix enters: uncapacitated sources
 //!
-//! A job leaving a member without an uplink crosses no capacitated link and
-//! pays a fixed delay, `gb × seconds_per_gb`, whatever else is in flight.
+//! A member without an uplink is a source of unbounded capacity: each flow
+//! leaving it gets the per-GB cap `1 / seconds_per_gb` whatever else is in
+//! flight, or arrives at once when that rate is 0.  A flow at the cap is
+//! priced `remaining_gb × seconds_per_gb`, the matrix's own arithmetic, so
+//! a job leaving such a member takes exactly `gb × seconds_per_gb`.
 //! [`NetworkTopology::from_matrix`] is how a [`TransferMatrix`] enters a
 //! federation: no member has an uplink, and the matrix's per-GB rate and
 //! energy figure carry over.  The default topology,
@@ -57,7 +61,7 @@ use pcaps_dag::JobId;
 const EPS_GB: f64 = 1e-9;
 
 /// An inter-region network topology: capacitated member uplinks, one
-/// uncontended per-GB rate, and the network energy per GB.
+/// per-GB rate, and the network energy per GB.
 ///
 /// Built like the [`TransferMatrix`] it generalises — a chain of `with_*`
 /// calls, each validating its arguments with the same panic discipline
@@ -65,14 +69,13 @@ const EPS_GB: f64 = 1e-9;
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetworkTopology {
     /// Per-member uplink capacity (GB per schedule second), shared by all
-    /// flows leaving the member; `None` = transfers from it are
-    /// uncontended.
+    /// flows leaving the member; `None` = an uncapacitated source.
     uplink: Vec<Option<f64>>,
-    /// The *uncontended* per-GB rate (schedule seconds per GB, 0 = free)
-    /// of every off-diagonal pair.  This is the `TransferMatrix` scalar
-    /// carried over: a transfer from a member without an uplink is priced
-    /// exactly like the matrix did; a flow over an uplink has its rate
-    /// capped at `1 / seconds_per_gb` on top of its fair share.
+    /// The per-GB rate (schedule seconds per GB, 0 = free) of every
+    /// off-diagonal pair.  This is the `TransferMatrix` scalar carried
+    /// over: it caps every flow's rate at `1 / seconds_per_gb`, so a
+    /// transfer from a member without an uplink is priced exactly like the
+    /// matrix did.
     seconds_per_gb: f64,
     energy_kwh_per_gb: f64,
 }
@@ -92,10 +95,10 @@ impl NetworkTopology {
         }
     }
 
-    /// The uncontended topology equivalent to `matrix`: its per-GB rate
+    /// The uncapacitated topology equivalent to `matrix`: its per-GB rate
     /// and energy scalar carry over; no member has an uplink, so concurrent
-    /// flows never interact and the engine prices every pair at its fixed
-    /// `gb × seconds_per_gb` delay.
+    /// flows never interact and every transfer takes exactly
+    /// `gb × seconds_per_gb`.
     pub fn from_matrix(matrix: &TransferMatrix) -> Self {
         let mut topo = NetworkTopology::new(matrix.num_members());
         topo.seconds_per_gb = matrix.seconds_per_gb;
@@ -138,14 +141,14 @@ impl NetworkTopology {
     }
 
     /// The capacity (GB per schedule second) of `member`'s uplink, which
-    /// every flow leaving the member crosses (`None` = transfers from it
-    /// are uncontended).
+    /// every flow leaving the member crosses (`None` = an uncapacitated
+    /// source).
     pub fn uplink(&self, member: usize) -> Option<f64> {
         self.uplink[member]
     }
 
-    /// The pair's uncontended per-GB rate (schedule seconds per GB): the
-    /// topology's one rate off the diagonal, 0 on it.
+    /// The pair's per-GB rate (schedule seconds per GB): the topology's
+    /// one rate off the diagonal, 0 on it.
     pub fn seconds_per_gb(&self, from: usize, to: usize) -> f64 {
         if from == to {
             0.0
@@ -162,19 +165,28 @@ impl NetworkTopology {
     /// The max-min fair rate (GB per schedule second) of each of `flows`
     /// flows leaving `member` at once: an even split of the member's
     /// uplink, capped at `1 / seconds_per_gb` when the per-GB rate is
-    /// non-zero.  Every flow crosses only its source's uplink, so this is
+    /// non-zero.  A member without an uplink has unbounded capacity, so its
+    /// flows get the cap, or `f64::INFINITY` (an instant transfer) when the
+    /// rate is 0.  Every flow crosses only its source's uplink, so this is
     /// the whole allocation; flows leaving other members do not enter it.
-    ///
-    /// # Panics
-    /// Panics if `member` has no uplink.
     pub fn fair_share(&self, member: usize, flows: usize) -> f64 {
         debug_assert!(flows > 0, "a share is taken among at least one flow");
-        let capacity = self.uplink[member].expect("only a member with an uplink carries flows");
-        let share = capacity / flows as f64;
+        let share = self.uplink[member].map_or(f64::INFINITY, |c| c / flows as f64);
         if self.seconds_per_gb > 0.0 {
             share.min(1.0 / self.seconds_per_gb)
         } else {
             share
+        }
+    }
+
+    /// Seconds a flow at `rate` takes to deliver `gb`: `gb ×
+    /// seconds_per_gb` at the per-GB cap, which is the matrix's own
+    /// arithmetic, and `gb / rate` below it (0 at an infinite rate).
+    fn seconds_at(&self, rate: f64, gb: f64) -> f64 {
+        if self.seconds_per_gb > 0.0 && rate == 1.0 / self.seconds_per_gb {
+            gb * self.seconds_per_gb
+        } else {
+            gb / rate
         }
     }
 }
@@ -192,19 +204,21 @@ pub struct TransferFlow {
     /// is delivered: it holds no bandwidth and waits for its queued arrival
     /// event.
     pub remaining_gb: f64,
-    /// Current allocated rate (GB per schedule second); 0 once delivered.
+    /// The rate (GB per schedule second) its queued arrival was planned
+    /// at; 0 until its first [`FlowSet::reallocate`].
     pub rate: f64,
     /// Arrival-event validity stamp: a queued `FlowArrival` whose epoch
     /// differs from the flow's current one is stale and dropped, exactly
     /// like a crashed executor's task-finish event.
     pub epoch: u64,
-    /// Index of the flow's provisional record in the engine's migration
-    /// log, finalized when the flow completes.
+    /// Index of the flow's record in the engine's migration log, rewritten
+    /// at every plan of its arrival.
     pub record: usize,
 }
 
 /// A re-scheduled arrival the engine must turn into a queue event: flow
-/// `job` (stamped `epoch`) now arrives at member `to` at time `at`.
+/// `job` (stamped `epoch`) now arrives at member `to` at time `at`,
+/// `seconds` after the plan.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowArrivalPlan {
     /// The migrating job.
@@ -215,8 +229,11 @@ pub struct FlowArrivalPlan {
     pub epoch: u64,
     /// Estimated arrival instant (schedule seconds).
     pub at: f64,
-    /// Index of the flow's provisional migration record, so the engine can
-    /// keep the log's estimate current.
+    /// Seconds from the plan instant to `at`: the flow's remaining
+    /// gigabytes priced at its new rate.
+    pub seconds: f64,
+    /// Index of the flow's migration record, so the engine can keep the
+    /// log's arrival, transfer time and carbon current.
     pub record: usize,
 }
 
@@ -256,13 +273,6 @@ impl FlowSet {
         }
     }
 
-    /// The source of the first in-flight flow that leaves a member without
-    /// an uplink in `topology`, if any: a flow set that topology cannot
-    /// carry.
-    pub(crate) fn source_without_uplink(&self, topology: &NetworkTopology) -> Option<usize> {
-        self.flows.iter().map(|f| f.from).find(|&m| topology.uplink(m).is_none())
-    }
-
     /// Advances every flow to `now` at its current rate.  Idempotent at a
     /// fixed instant; must be called before any
     /// `begin`/`finish`/`reallocate` at a new instant.
@@ -272,7 +282,7 @@ impl FlowSet {
         if dt <= 0.0 {
             return;
         }
-        for f in self.flows.iter_mut().filter(|f| f.rate > 0.0) {
+        for f in self.flows.iter_mut().filter(|f| f.remaining_gb > 0.0) {
             f.remaining_gb -= (f.rate * dt).min(f.remaining_gb);
             if f.remaining_gb < EPS_GB {
                 f.remaining_gb = 0.0;
@@ -281,8 +291,8 @@ impl FlowSet {
     }
 
     /// Registers a new flow (rate 0 until the next [`reallocate`]).
-    /// `record` is the index of the flow's provisional entry in the
-    /// engine's migration log.
+    /// `record` is the index of the flow's entry in the engine's migration
+    /// log.
     ///
     /// [`reallocate`]: FlowSet::reallocate
     pub fn begin(&mut self, job: JobId, from: usize, to: usize, gb: f64, record: usize) {
@@ -311,7 +321,8 @@ impl FlowSet {
     /// Re-divides every uplink among the flows still delivering over it
     /// ([`NetworkTopology::fair_share`]) and appends a [`FlowArrivalPlan`]
     /// to `plans` for every flow whose rate changed (plus every brand-new
-    /// flow).  Delivered flows keep their queued event.
+    /// flow; one with nothing to deliver arrives at `now`).  Delivered
+    /// flows keep their queued event.
     ///
     /// Must be called with the set already settled to `now`.
     pub fn reallocate(
@@ -322,18 +333,22 @@ impl FlowSet {
     ) {
         debug_assert_eq!(self.last_update, now, "reallocate on an unsettled flow set");
         self.sharing.fill(0);
+        for f in self.flows.iter().filter(|f| f.remaining_gb > 0.0) {
+            self.sharing[f.from] += 1;
+        }
         for f in self.flows.iter_mut() {
-            if f.remaining_gb > 0.0 {
-                self.sharing[f.from] += 1;
+            let rate = if f.remaining_gb > 0.0 {
+                topology.fair_share(f.from, self.sharing[f.from])
+            } else if f.rate == 0.0 {
+                // Begun with nothing to deliver: it has no arrival yet.
+                f64::INFINITY
             } else {
                 // Delivered: holds no bandwidth, its queued arrival event
                 // stays valid.
-                f.rate = 0.0;
-            }
-        }
-        for f in self.flows.iter_mut().filter(|f| f.remaining_gb > 0.0) {
-            let rate = topology.fair_share(f.from, self.sharing[f.from]);
+                continue;
+            };
             if rate != f.rate {
+                let seconds = topology.seconds_at(rate, f.remaining_gb);
                 f.rate = rate;
                 f.epoch = self.next_epoch;
                 self.next_epoch += 1;
@@ -341,7 +356,8 @@ impl FlowSet {
                     job: f.job,
                     to: f.to,
                     epoch: f.epoch,
-                    at: now + f.remaining_gb / rate,
+                    at: now + seconds,
+                    seconds,
                     record: f.record,
                 });
             }
@@ -352,7 +368,9 @@ impl FlowSet {
     /// Estimated completion time (seconds from now) of a *hypothetical*
     /// `gb`-gigabyte flow `from → to` added to the current flow set, under
     /// the static-rate approximation (the fair share it would get right
-    /// now, held constant).  A same-member move transfers nothing and
+    /// now, held constant), priced like [`FlowSet::reallocate`] prices it:
+    /// a flow out of a member without an uplink takes exactly
+    /// `gb × seconds_per_gb`.  A same-member move transfers nothing and
     /// takes 0.  This is what network-aware migration policies consult
     /// before committing to a move.
     pub fn estimate_seconds(
@@ -365,16 +383,12 @@ impl FlowSet {
         if from == to {
             return 0.0;
         }
-        if topology.uplink(from).is_none() {
-            // Uncontended pair: the exact matrix arithmetic.
-            return gb * topology.seconds_per_gb(from, to);
-        }
         let sharing = self
             .flows
             .iter()
             .filter(|f| f.from == from && f.remaining_gb > 0.0)
             .count();
-        gb / topology.fair_share(from, sharing + 1)
+        topology.seconds_at(topology.fair_share(from, sharing + 1), gb)
     }
 }
 
@@ -439,7 +453,47 @@ mod tests {
     fn unconstrained_flows_are_instantaneous() {
         // No uplink and a zero per-GB rate: nothing bounds a transfer.
         let t = NetworkTopology::new(2);
+        assert_eq!(t.fair_share(0, 3), f64::INFINITY);
         assert_eq!(FlowSet::new(&t).estimate_seconds(&t, 0, 1, 10.0), 0.0);
+    }
+
+    #[test]
+    fn an_uncapacitated_source_gives_every_flow_the_per_gb_cap() {
+        // Member 1 has no uplink: however many flows leave it, each gets
+        // 1 / seconds_per_gb and is priced gb × seconds_per_gb exactly.
+        let spg = 0.1 + 0.2;
+        let t = NetworkTopology::from_matrix(&TransferMatrix::uniform(2, spg)).with_uplink(0, 1.0);
+        let mut fs = FlowSet::new(&t);
+        let mut plans = Vec::new();
+        fs.settle(2.0);
+        fs.begin(JobId(0), 1, 0, 7.0, 0);
+        fs.begin(JobId(1), 1, 0, 3.0, 1);
+        fs.reallocate(&t, 2.0, &mut plans);
+        assert_eq!(plans.len(), 2);
+        for (p, gb) in plans.iter().zip([7.0, 3.0]) {
+            assert_eq!(p.seconds.to_bits(), (gb * spg).to_bits());
+            assert_eq!(p.at.to_bits(), (2.0 + gb * spg).to_bits());
+        }
+        assert_eq!(fs.estimate_seconds(&t, 1, 0, 5.0).to_bits(), (5.0 * spg).to_bits());
+    }
+
+    #[test]
+    fn a_flow_with_nothing_to_deliver_arrives_at_once() {
+        // With an uplink and without one, a 0 GB flow is planned at the
+        // instant it begins, and only once.
+        let t = NetworkTopology::from_matrix(&TransferMatrix::uniform(2, 2.0)).with_uplink(0, 1.0);
+        for from in [0, 1] {
+            let mut fs = FlowSet::new(&t);
+            let mut plans = Vec::new();
+            fs.settle(4.0);
+            fs.begin(JobId(0), from, 1 - from, 0.0, 0);
+            fs.reallocate(&t, 4.0, &mut plans);
+            assert_eq!(plans.len(), 1, "from {from}");
+            assert_eq!((plans[0].at, plans[0].seconds), (4.0, 0.0), "from {from}");
+            fs.reallocate(&t, 4.0, &mut plans);
+            assert_eq!(plans.len(), 1, "from {from}: re-planned");
+            assert!(fs.finish(JobId(0), plans[0].epoch).is_some());
+        }
     }
 
     #[test]

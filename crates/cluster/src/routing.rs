@@ -20,18 +20,20 @@
 //! fraction of undispatched work, modelling in-flight DAG state rather than
 //! a full re-upload) crosses the federation's network, during which the job
 //! runs nowhere.  One model prices that crossing, the federation's
-//! [`NetworkTopology`] (see the `network` module):
+//! [`NetworkTopology`] (see the `network` module), and every migrating job
+//! is one *flow* out of its source member, its rate capped at
+//! `1 / seconds_per_gb`:
 //!
-//! * a job leaving a member without an uplink pays a **fixed** delay,
+//! * a member without an uplink is an uncapacitated source, so a job
+//!   leaving it moves at the cap and pays exactly
 //!   `remaining_gb × seconds_per_gb(from, to)` schedule seconds (the
 //!   cross-region analogue of the in-cluster
 //!   [`ClusterConfig::executor_move_delay`]), independent of how many other
 //!   transfers are in flight.  A [`TransferMatrix`] describes exactly this
 //!   case and enters a federation as [`NetworkTopology::from_matrix`];
-//! * a job leaving a member with an uplink becomes a *flow* that shares the
-//!   uplink's bandwidth **evenly** with the other flows leaving that member
-//!   (each capped at `1 / seconds_per_gb`: the max-min fair share), so the
-//!   delay of a transfer depends on the contention it meets.
+//! * a job leaving a member with an uplink shares the uplink's bandwidth
+//!   **evenly** with the other flows leaving that member (the max-min fair
+//!   share), so the delay of a transfer depends on the contention it meets.
 //!
 //! The transfer's **carbon** is priced against both endpoint grids, half
 //! each: the energy `remaining_gb × energy_kwh_per_gb` is charged at
@@ -369,11 +371,12 @@ impl<'a> MigrationContext<'a> {
     }
 
     /// Estimated transfer delay (schedule seconds) of moving `gb` gigabytes
-    /// `from → to` *right now*: 0 when `from == to`, the pair's fixed delay
-    /// when `from` has no uplink, otherwise the fair share a new flow would
-    /// get against the transfers currently leaving `from`, held constant (a
-    /// lower bound on interference — rates can drop further if more flows
-    /// start).
+    /// `from → to` *right now*: 0 when `from == to`, otherwise `gb` at the
+    /// fair share a new flow would get against the transfers currently
+    /// leaving `from`, held constant (a lower bound on interference — rates
+    /// can drop further if more flows start).  When `from` has no uplink
+    /// that share is the per-GB cap and the estimate is exactly
+    /// `gb × seconds_per_gb`.
     pub fn estimated_transfer_seconds(&self, from: usize, to: usize, gb: f64) -> f64 {
         self.flows.estimate_seconds(self.network, from, to, gb)
     }

@@ -31,8 +31,7 @@
 //!   run state — one struct holding every field a run changes, so nothing
 //!   can be left out — into an [`EngineSnapshot`];
 //!   [`ServeSession::restore`] checks that the snapshot fits the session's
-//!   federation (member count, executor pools, an uplink under every flow
-//!   in flight), re-attaches
+//!   federation (member count, executor pools), re-attaches
 //!   a fresh (deterministic) source at the snapshot's pull position and
 //!   assigns the state back, after which the continuation is bit-identical
 //!   to a run that never stopped.  Policy objects live outside the engine:
@@ -245,8 +244,7 @@ impl<'a> ServeSession<'a> {
     ///
     /// Reports [`SimError::SnapshotMismatch`] when the snapshot comes from a
     /// differently shaped federation (member count, any member's executor
-    /// count, or a flow in flight from a member without an uplink here) or
-    /// when the source cannot reach the snapshot's pull position.
+    /// count) or when the source cannot reach the snapshot's pull position.
     pub fn restore(&mut self, snap: &EngineSnapshot) -> Result<(), SimError> {
         self.engine.restore(snap)
     }

@@ -63,8 +63,8 @@ pub struct FederationExperimentConfig {
     pub transfer_energy_kwh_per_gb: f64,
     /// Optional link-level network model attached to every trial's
     /// federation: a migration leaving a member with an uplink then takes
-    /// its max-min fair share of that uplink instead of the fixed matrix
-    /// delay.  `None` (the default) keeps the matrix path bit for bit.  Not
+    /// its max-min fair share of that uplink instead of the matrix's per-GB
+    /// delay.  `None` (the default) keeps the matrix prices bit for bit.  Not
     /// serialized — persisted configs re-run on the plain matrix.
     #[serde(skip)]
     pub network: Option<NetworkTopology>,
@@ -768,9 +768,9 @@ mod tests {
     #[test]
     fn empty_network_topology_matches_the_matrix_path_bitwise() {
         // `NetworkTopology::from_matrix` carries the matrix's seconds-per-GB
-        // but no uplinks, so every transfer takes the engine's
-        // fixed-delay path — the run must be bit-identical to the plain
-        // matrix federation.
+        // but no uplinks, so every transfer moves at the per-GB cap and
+        // takes exactly `gb × seconds_per_gb` — the run must be
+        // bit-identical to the plain matrix federation.
         let mut cfg = small_config();
         cfg.num_jobs = 12;
         cfg.executors_per_member = 4;

@@ -21,11 +21,11 @@
 //! A [`MigrationPolicy`] sits *beside* the router and may revise its
 //! placements after the fact: it is consulted on every member's carbon step
 //! with that member's idle jobs as candidates, and each move it emits pays
-//! the transfer costs of the federation's network topology (the one fixed
-//! per-GB delay when the source member has no uplink — no member of a
-//! topology built from a `TransferMatrix` has one — or a fair share of the
-//! source's uplink when it does, plus per-GB network energy priced at the
-//! endpoint-mean intensity; see the `TransferMatrix` docs for units).  Two
+//! the transfer costs of the federation's network topology (a flow at the
+//! one per-GB rate when the source member has no uplink — no member of a
+//! topology built from a `TransferMatrix` has one — or at a fair share of
+//! the source's uplink when it does, plus per-GB network energy priced at
+//! the endpoint-mean intensity; see the `TransferMatrix` docs for units).  Two
 //! built-ins:
 //!
 //! * [`pcaps_cluster::NeverMigrate`] (re-exported by `pcaps-cluster`) —

@@ -9,8 +9,8 @@
 //!   field,
 //! * hand-computed oracles pin the recovery semantics: crash → backoff →
 //!   re-dispatch timing, retry exhaustion at the policy bound, outage
-//!   drain-and-evacuate over the priced migration path, and dispatch at the
-//!   instant an outage ends,
+//!   drain-and-evacuate over the priced migration path (a crashed task's
+//!   release included), and dispatch at the instant an outage ends,
 //! * conservation: under random crashes every completed job still charges
 //!   exactly its DAG's work, job ids partition across members, and retries
 //!   balance failures once the run completes.
@@ -437,6 +437,44 @@ fn an_outage_drains_running_work_and_evacuates_idle_jobs() {
         "outage start with one evacuee, got {log:?}"
     );
     assert!(log.iter().any(|r| matches!(r.effect, FaultEffect::OutageEnded)));
+}
+
+/// A crash on an outaged member does not strand its job.  Its one task
+/// is running when member 0 goes down at 50 s, so the outage start leaves
+/// it there; the crash at 100 s sends the task into a 5 s backoff, and its
+/// release at 105 s leaves the job idle on a member that cannot dispatch.
+/// The release evacuates it like an idle job at outage start (1 GB over the
+/// free network arrives at once), and it reruns on member 1 over
+/// [105, 1 105].  Without that it would wait out the outage and finish at
+/// 6 000 s while member 1 idles.
+#[test]
+fn a_crash_on_an_outaged_member_does_not_strand_its_job() {
+    let config = ClusterConfig::new(1).with_move_delay(0.0).with_time_scale(1.0);
+    let fed = Federation::new(
+        vec![
+            Member::new("A", config.clone(), CarbonTrace::constant("A", 300.0, 26_304)),
+            Member::new("B", config, CarbonTrace::constant("B", 300.0, 26_304)),
+        ],
+        vec![SubmittedJob::at(0.0, single_task_job("j", 1_000.0)).with_data_gb(1.0)],
+    )
+    .with_fault_schedule(FaultSchedule::new(vec![
+        FaultInjection { time: 50.0, member: 0, kind: FaultKind::RegionOutageStart },
+        crash(100.0, 0, 0),
+        FaultInjection { time: 5_000.0, member: 0, kind: FaultKind::RegionOutageEnd },
+    ]));
+    let mut a = SparkStandaloneFifo::new();
+    let mut b = SparkStandaloneFifo::new();
+    let mut schedulers: [&mut dyn Scheduler; 2] = [&mut a, &mut b];
+    let result = fed.run(&mut StaticRouter::new(0), &mut schedulers).unwrap();
+
+    assert!(result.all_jobs_complete());
+    assert_eq!(result.makespan, 1_105.0);
+    assert_eq!(result.migrations.len(), 1);
+    let m = &result.migrations[0];
+    assert_eq!((m.job, m.from, m.to), (JobId(0), 0, 1));
+    assert_eq!((m.departed, m.arrived), (105.0, 105.0));
+    assert_eq!(result.wasted_seconds(), 100.0);
+    assert_eq!(result.members[1].result.jobs.len(), 1);
 }
 
 #[test]

@@ -1,10 +1,10 @@
 //! Network-topology conformance suite.
 //!
-//! The network model is a federation's one transfer model: a job leaving a
-//! member with an uplink becomes a flow over it, getting its fair share of
-//! the uplink, a job leaving a member without one pays the fixed per-GB
-//! delay, and a `TransferMatrix` enters as the uplink-free special case.
-//! It is pinned from six directions:
+//! The network model is a federation's one transfer model: every job that
+//! leaves a member is a flow, at its fair share of the member's uplink, or
+//! at the per-GB cap, which takes exactly `gb × seconds_per_gb`, when the
+//! member has none; a `TransferMatrix` enters as the uplink-free special
+//! case.  It is pinned from seven directions:
 //!
 //! 1. **Fluid-model correctness** — driving a [`FlowSet`] through the
 //!    engine's own `settle`/`begin`/`finish`/`reallocate` protocol over
@@ -30,6 +30,8 @@
 //!    per-uplink share matches [`fair_share_rates`], a progressive-filling
 //!    max-min solver for arbitrary routes and per-pair caps kept here as
 //!    the independent oracle.
+//! 7. **0 GB moves arrive** — a job with nothing to move arrives at its
+//!    departure instant, out of a member with an uplink or without one.
 
 use carbon_aware_dag_sched::prelude::*;
 use pcaps_cluster::{DecisionSink, FlowArrivalPlan, FlowSet, NetworkTopology};
@@ -703,4 +705,45 @@ fn a_superseded_flow_arrival_does_not_outlive_the_run() {
     assert!((arrivals[1] - 3611.0).abs() < 1e-9, "got {arrivals:?}");
     assert!(result.all_jobs_complete());
     assert!((result.makespan - 3612.0).abs() < 1e-9, "got {}", result.makespan);
+}
+
+/// (7) A 0 GB move arrives at its departure instant on every topology.  An
+/// outage at t=10 evacuates an idle 0 GB job off member 0: once over its
+/// 1 GB/s uplink, once with the uplink on member 1 instead, both at a
+/// per-GB rate of 2 s/GB.  The job arrives at 10 with no transfer time and
+/// its 5 s task ends at 15.  A flow that starts with nothing to deliver
+/// must still have its arrival queued; without one the job stays in
+/// transit until the time limit.
+#[test]
+fn a_zero_gb_move_arrives_at_its_departure_on_every_topology() {
+    let config = ClusterConfig::new(1)
+        .with_move_delay(0.0)
+        .with_time_scale(1.0)
+        .with_max_sim_time(50_000.0);
+    for uplink in [0, 1] {
+        let dag = JobDagBuilder::new("j").stage("s", vec![Task::new(5.0)]).build().unwrap();
+        let fed = Federation::new(
+            vec![
+                Member::new("A", config.clone(), CarbonTrace::constant("A", 100.0, 48)),
+                Member::new("B", config.clone(), CarbonTrace::constant("B", 100.0, 48)),
+            ],
+            vec![SubmittedJob::at(0.0, dag).with_data_gb(0.0)],
+        )
+        .with_network(
+            NetworkTopology::from_matrix(&TransferMatrix::uniform(2, 2.0)).with_uplink(uplink, 1.0),
+        )
+        .with_fault_plan(&RegionOutage::new(0, 10.0, 20.0));
+        let mut a = Idle;
+        let mut b = SparkStandaloneFifo::new();
+        let mut schedulers: [&mut dyn Scheduler; 2] = [&mut a, &mut b];
+        let result = fed
+            .run(&mut StaticRouter::new(0), &mut schedulers)
+            .unwrap_or_else(|e| panic!("uplink on member {uplink}: {e}"));
+        assert_eq!(result.migrations.len(), 1, "uplink on member {uplink}");
+        let m = &result.migrations[0];
+        assert_eq!((m.from, m.to, m.gb), (0, 1, 0.0), "uplink on member {uplink}");
+        assert_eq!((m.departed, m.arrived), (10.0, 10.0), "uplink on member {uplink}");
+        assert_eq!(m.transfer_seconds, 0.0, "uplink on member {uplink}");
+        assert_eq!(result.makespan, 15.0, "uplink on member {uplink}");
+    }
 }

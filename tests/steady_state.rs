@@ -1,8 +1,8 @@
 //! Steady-state serving mode, end to end: snapshot/restore continuations
 //! are bit-identical to uninterrupted runs across policies and seeds, on
 //! one cluster and on a federation with flows, drains, crashes and an
-//! outage in flight; restoring into a differently shaped
-//! federation is refused; windowed percentiles match a from-scratch sort
+//! outage in flight; restoring into a federation with other executor pools
+//! is refused; windowed percentiles match a from-scratch sort
 //! over a recorded window, bounded-queue admission conserves arrivals, the
 //! open-loop sample series is deterministic, and long-run resident state is
 //! bounded by jobs in system — never by total jobs seen.
@@ -107,11 +107,12 @@ const FED_END: f64 = 1_800.0;
 /// Member 1's region outage, `[start, end)`.
 const OUTAGE: (f64, f64) = (420.0, 780.0);
 
-/// Three grids behind thin uplinks, with Poisson crashes on every member
+/// Three grids, thin uplinks on `uplinks`, Poisson crashes on every member
 /// and one outage window: a federated serving run with every kind of
-/// in-flight state a snapshot must carry (flows on capacitated links,
-/// drains, crashed tasks in retry backoff, an outaged member).
-fn churn_federation() -> Federation {
+/// in-flight state a snapshot must carry (flows on capacitated links or
+/// out of members without one, drains, crashed tasks in retry backoff, an
+/// outaged member).
+fn churn_federation(uplinks: &[usize]) -> Federation {
     let regions = [GridRegion::Caiso, GridRegion::Germany, GridRegion::SouthAfrica];
     let members: Vec<Member> = regions
         .iter()
@@ -127,7 +128,7 @@ fn churn_federation() -> Federation {
         FaultInjection { time: OUTAGE.1, member: 1, kind: FaultKind::RegionOutageEnd },
     ]);
     Federation::streaming(members)
-        .with_network(uplinks_on(&[0, 1, 2]))
+        .with_network(uplinks_on(uplinks))
         .with_fault_schedule(FaultSchedule::new(injections))
         .with_retry_policy(RetryPolicy { max_attempts: 64, ..RetryPolicy::default() })
 }
@@ -187,153 +188,82 @@ fn bits<T: std::fmt::Debug>(value: &T) -> String {
 }
 
 /// A federated serving run restored from a snapshot continues bit for bit,
-/// whatever is in flight at the snapshot: a transfer on a capacitated
-/// uplink, a crashed task waiting out its backoff, an open outage window.
-/// For each instant a prefix session (fresh policies) runs to it and is
+/// whatever is in flight at the snapshot: a transfer over a capacitated
+/// uplink or out of a member without one, a crashed task waiting out its
+/// backoff, an open outage window.  It runs with uplinks on every member
+/// and on member 0 only, where every job leaves a member without one.  For
+/// each instant a prefix session (fresh policies) runs to it and is
 /// snapshotted; a fresh session over a fresh source restores the snapshot
 /// and runs on with the prefix's warmed policies.
 #[test]
 fn federated_snapshot_restore_continuation_is_bit_identical() {
-    let fed = churn_federation();
-    let mut source = churn_source();
-    let mut session = fed.serve(&mut source).unwrap();
-    ChurnPolicies::new().advance(&mut session, FED_END);
-    let reference = session.finish();
+    for uplinks in [&[0, 1, 2][..], &[0]] {
+        let fed = churn_federation(uplinks);
+        let mut source = churn_source();
+        let mut session = fed.serve(&mut source).unwrap();
+        ChurnPolicies::new().advance(&mut session, FED_END);
+        let reference = session.finish();
 
-    // Snapshot instants: a fixed spread, plus the midpoint of the first
-    // flow-priced transfer and of the first crash-to-retry backoff the
-    // uninterrupted run logged.
-    let mut instants = vec![300.0, 600.0, 1_100.0, 1_500.0];
-    let transfer = reference
-        .migrations
-        .iter()
-        .find(|m| m.arrived > m.departed)
-        .map(|m| (m.departed, m.arrived));
-    let backoff = reference.members.iter().find_map(|m| {
-        m.result.faults.iter().enumerate().find_map(|(i, f)| {
-            let FaultEffect::ExecutorCrashed { victim: Some(v), .. } = f.effect else {
-                return None;
-            };
-            m.result.faults[i..].iter().find_map(|r| match r.effect {
-                FaultEffect::TaskRetried { job, stage, task }
-                    if (job, stage, task) == (v.job, v.stage, v.task) =>
-                {
-                    Some((f.time, r.time))
-                }
-                _ => None,
+        // Snapshot instants: a fixed spread, plus the midpoint of the first
+        // transfer that leaves a member without an uplink (of the first
+        // transfer when every member has one) and of the first
+        // crash-to-retry backoff the uninterrupted run logged.
+        let mut instants = vec![300.0, 600.0, 1_100.0, 1_500.0];
+        let moving: Vec<&MigrationRecord> =
+            reference.migrations.iter().filter(|m| m.arrived > m.departed).collect();
+        let bare = moving.iter().find(|m| fed.network().uplink(m.from).is_none());
+        let transfer = bare.or(moving.first()).map(|m| (m.departed, m.arrived));
+        assert_eq!(bare.is_some(), uplinks.len() < 3, "uplinks on {uplinks:?}");
+        let backoff = reference.members.iter().find_map(|m| {
+            m.result.faults.iter().enumerate().find_map(|(i, f)| {
+                let FaultEffect::ExecutorCrashed { victim: Some(v), .. } = f.effect else {
+                    return None;
+                };
+                m.result.faults[i..].iter().find_map(|r| match r.effect {
+                    FaultEffect::TaskRetried { job, stage, task }
+                        if (job, stage, task) == (v.job, v.stage, v.task) =>
+                    {
+                        Some((f.time, r.time))
+                    }
+                    _ => None,
+                })
             })
-        })
-    });
-    instants.extend(transfer.into_iter().chain(backoff).map(|(a, b)| 0.5 * (a + b)));
-    let inside = |(start, end): (f64, f64)| instants.iter().any(|&t| start <= t && t < end);
-    assert!(
-        reference.migrations.iter().any(|m| inside((m.departed, m.arrived))),
-        "no snapshot instant falls inside a transfer"
-    );
-    assert!(backoff.is_some_and(inside), "no snapshot instant falls inside a retry backoff");
-    assert!(inside(OUTAGE), "no snapshot instant falls inside the outage");
+        });
+        instants.extend(transfer.into_iter().chain(backoff).map(|(a, b)| 0.5 * (a + b)));
+        let inside = |(start, end): (f64, f64)| instants.iter().any(|&t| start <= t && t < end);
+        assert!(transfer.is_some_and(inside), "uplinks on {uplinks:?}: no instant in a transfer");
+        assert!(backoff.is_some_and(inside), "uplinks on {uplinks:?}: no instant in a backoff");
+        assert!(inside(OUTAGE), "no snapshot instant falls inside the outage");
 
-    for &at in &instants {
-        let mut prefix_source = churn_source();
-        let mut prefix = fed.serve(&mut prefix_source).unwrap();
-        let mut warmed = ChurnPolicies::new();
-        warmed.advance(&mut prefix, at);
-        let snap = prefix.snapshot();
+        for &at in &instants {
+            let mut prefix_source = churn_source();
+            let mut prefix = fed.serve(&mut prefix_source).unwrap();
+            let mut warmed = ChurnPolicies::new();
+            warmed.advance(&mut prefix, at);
+            let snap = prefix.snapshot();
 
-        let mut cont_source = churn_source();
-        let mut cont = fed.serve(&mut cont_source).unwrap();
-        cont.restore(&snap).unwrap();
-        warmed.advance(&mut cont, FED_END);
-        let continued = cont.finish();
+            let mut cont_source = churn_source();
+            let mut cont = fed.serve(&mut cont_source).unwrap();
+            cont.restore(&snap).unwrap();
+            warmed.advance(&mut cont, FED_END);
+            let continued = cont.finish();
 
-        for (i, (r, c)) in reference.members.iter().zip(&continued.members).enumerate() {
-            let (r, c) = (&r.result, &c.result);
-            assert_eq!(bits(&r.jobs), bits(&c.jobs), "t={at}, member {i}: jobs diverged");
-            assert_eq!(r.tasks_dispatched, c.tasks_dispatched, "t={at}, member {i}");
-            assert_eq!(
-                r.wasted_seconds.to_bits(),
-                c.wasted_seconds.to_bits(),
-                "t={at}, member {i}"
-            );
-            assert_eq!(r.tasks_failed, c.tasks_failed, "t={at}, member {i}");
-            assert_eq!(r.retries, c.retries, "t={at}, member {i}");
-            assert_eq!(bits(&r.faults), bits(&c.faults), "t={at}, member {i}: fault logs diverged");
+            let case = format!("uplinks on {uplinks:?}, t={at}");
+            for (i, (r, c)) in reference.members.iter().zip(&continued.members).enumerate() {
+                let (r, c) = (&r.result, &c.result);
+                assert_eq!(bits(&r.jobs), bits(&c.jobs), "{case}, member {i}: jobs diverged");
+                assert_eq!(r.tasks_dispatched, c.tasks_dispatched, "{case}, member {i}");
+                assert_eq!(
+                    r.wasted_seconds.to_bits(),
+                    c.wasted_seconds.to_bits(),
+                    "{case}, member {i}"
+                );
+                assert_eq!(r.tasks_failed, c.tasks_failed, "{case}, member {i}");
+                assert_eq!(r.retries, c.retries, "{case}, member {i}");
+                assert_eq!(bits(&r.faults), bits(&c.faults), "{case}, member {i}: faults diverged");
+            }
+            assert_eq!(bits(&reference.migrations), bits(&continued.migrations), "{case}");
         }
-        assert_eq!(bits(&reference.migrations), bits(&continued.migrations), "t={at}");
-    }
-}
-
-/// A snapshot's flow set belongs to its federation's links: restoring one
-/// taken mid-transfer over a capacitated uplink into a federation without
-/// those links must fail up front, naming the member the first flow in
-/// flight leaves, not when the flow's arrival fires.
-#[test]
-fn restore_rejects_a_snapshot_whose_links_the_federation_lacks() {
-    const AT: f64 = 200.0;
-    let fed = churn_federation();
-    let mut source = churn_source();
-    let mut session = fed.serve(&mut source).unwrap();
-    let mut policies = ChurnPolicies::new();
-    policies.advance(&mut session, AT);
-    let snap = session.snapshot();
-    policies.advance(&mut session, FED_END);
-    let leaving = session
-        .finish()
-        .migrations
-        .iter()
-        .find(|m| m.departed <= AT && AT < m.arrived)
-        .map(|m| m.from)
-        .expect("the snapshot must hold a transfer in flight");
-
-    let bare = Federation::streaming(fed.members().to_vec());
-    let mut bare_source = churn_source();
-    let mut restored = bare.serve(&mut bare_source).unwrap();
-    match restored.restore(&snap) {
-        Err(SimError::SnapshotMismatch { reason }) => assert!(
-            reason.contains(&format!("from member {leaving},")) && reason.contains("no uplink"),
-            "{reason}"
-        ),
-        other => panic!("expected SnapshotMismatch, got {other:?}"),
-    }
-}
-
-/// A flow runs on its source's uplink, so the uplink count alone does not
-/// make a network fit a snapshot: one taken while a flow leaves member 0
-/// (uplinks on members 0 and 1) must not restore into a federation with
-/// as many uplinks, on members 1 and 2, where that flow would cross none.
-#[test]
-fn restore_rejects_a_snapshot_whose_flow_leaves_a_member_without_an_uplink() {
-    // Germany, South Africa, CAISO: the dirty grids come first, so member 0
-    // ships jobs to the green member 2.
-    let mut members = churn_federation().members().to_vec();
-    members.rotate_left(1);
-    let fed = |uplinks: &[usize]| {
-        Federation::streaming(members.clone()).with_network(uplinks_on(uplinks))
-    };
-    let (shipping, moved) = (fed(&[0, 1]), fed(&[1, 2]));
-    let mut source = churn_source();
-    let mut session = shipping.serve(&mut source).unwrap();
-    ChurnPolicies::new().advance(&mut session, FED_END);
-    let flow = session
-        .finish()
-        .migrations
-        .into_iter()
-        .find(|m| m.from == 0 && m.arrived > m.departed)
-        .expect("member 0 ships a job over its uplink");
-    let at = 0.5 * (flow.departed + flow.arrived);
-
-    let mut prefix_source = churn_source();
-    let mut prefix = shipping.serve(&mut prefix_source).unwrap();
-    ChurnPolicies::new().advance(&mut prefix, at);
-    let snap = prefix.snapshot();
-
-    let mut moved_source = churn_source();
-    let mut restored = moved.serve(&mut moved_source).unwrap();
-    match restored.restore(&snap) {
-        Err(SimError::SnapshotMismatch { reason }) => {
-            assert!(reason.contains("from member 0,") && reason.contains("no uplink"), "{reason}")
-        }
-        other => panic!("expected SnapshotMismatch, got {other:?}"),
     }
 }
 
