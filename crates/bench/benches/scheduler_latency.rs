@@ -5,8 +5,8 @@
 //! outstanding jobs, and each iteration times one whole `run_trial`:
 //! building the workload and the carbon trace, the simulation with every
 //! scheduler call, and the trial summary.  The per-call latency the paper
-//! reports comes from the `fig20` binary, which wraps each policy in a
-//! forwarding probe.
+//! reports comes from the `fig20` entry of `repro`, which wraps each policy
+//! in a forwarding probe.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pcaps_bench::{bench_config, runner};

@@ -46,11 +46,21 @@ cargo clippy --all-targets -- -D warnings
 # here, where neither the compiler nor clippy looks.
 RUSTDOCFLAGS="${RUSTDOCFLAGS:-} -D warnings" cargo doc --no-deps
 cargo test -q
+
+tmpdir=$(mktemp -d)
+trap 'rm -rf "$tmpdir"' EXIT
+
 # Every example runs to completion: the build above compiles them, but
 # only running one shows it still works end to end.
 for example in examples/*.rs; do
     cargo run --release -q --example "$(basename "$example" .rs)"
 done
+# So does every table, figure and sweep of the repro registry, at its quick
+# size, and repro exits non-zero if one panics or its CSV cannot be
+# written.  It writes results/ under its working directory, so it runs in
+# $tmpdir: in the repo root it would overwrite the committed full-size CSVs.
+(cd "$tmpdir" && cargo run --release -q --manifest-path "$OLDPWD/Cargo.toml" \
+    -p pcaps-experiments --bin repro -- --quick)
 # The repository benchmark (perfbench/) is a package of its own that builds
 # these crates by path and pins their dependency lists in its own lockfile:
 # build it and run its self-test, locked and offline, into the target
@@ -114,7 +124,8 @@ require_full_suite() {
 # seed's, on the finite and the serving path, and DecimaLike's cache_stats
 # counters; tests/federation.rs pins a single-member federation to the
 # Simulator fingerprints and routing determinism; tests/end_to_end.rs pins
-# the Theorem 4.3 and 4.5 bounds across the crates.
+# the Theorem 4.3 and 4.5 bounds across the crates; tests/scheduler_v2.rs
+# pins the typed event stream a policy sees against the simulation state.
 require_full_suite migration "migration conformance suite"
 require_full_suite streaming "streaming-equivalence suite"
 require_full_suite faults "fault-injection conformance suite"
@@ -125,19 +136,19 @@ require_full_suite properties "property-oracle suite"
 require_full_suite determinism "determinism fingerprint suite"
 require_full_suite federation "federation conformance suite"
 require_full_suite end_to_end "end-to-end integration suite"
+require_full_suite scheduler_v2 "scheduler event-stream suite"
 
-# Committed results must regenerate from the code: repro_check reruns the
-# multi_region, reliability and steady_state sweeps in full (byte for
-# byte) and the 1k/10k-job rows of alibaba_scale (schedule columns), and
-# exits non-zero with a row diff on any drift.
+# Committed results must regenerate from the code: repro_check reruns
+# every entry of the repro registry at full size and compares its CSV with
+# the committed one byte for byte (fig20.csv without its host-time latency
+# column, and alibaba_scale at its quick 1k/10k-job size on its schedule
+# columns), fails on a committed CSV no entry writes, and exits non-zero
+# with a row diff on any drift.
 cargo run --release -q -p pcaps-experiments --bin repro_check
 
 # The size measure of ROADMAP's aim 2 (non-test lines, see loc.sh):
 # printed for the record, it gates nothing.
 echo "non-test .rs lines: $(crates/bench/loc.sh | tail -n 1)"
-
-tmpdir=$(mktemp -d)
-trap 'rm -rf "$tmpdir"' EXIT
 
 PCAPS_BENCH_QUICK=1 PCAPS_BENCH_JSON="$tmpdir/simulator_throughput.json" \
     cargo bench --bench simulator_throughput

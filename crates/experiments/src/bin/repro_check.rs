@@ -1,22 +1,22 @@
-//! Regenerates the committed `results/*.csv` files and fails on any drift.
+//! Regenerates every entry of [`OUTPUTS`] and fails if a committed
+//! `results/*.csv` drifted from it.
 //!
-//! `multi_region.csv`, `reliability.csv` and `steady_state.csv` are rerun in
-//! full and must match the committed files byte for byte.
-//! `alibaba_scale.csv` is rerun for its 1k- and 10k-job rows (the 100k rows
-//! take minutes), and those rows' schedule columns (everything but
-//! `wall_seconds`) must match.  Every drifted line is printed as a row diff
-//! and the exit status is non-zero.
+//! Each entry runs at full size and its CSV must match the committed file
+//! byte for byte, with two exceptions.  `fig20.csv` is compared without its
+//! "Mean latency (µs)" column (host time).  `alibaba_scale` runs at its
+//! quick size (the 1k- and 10k-job rows; the 100k rows take most of the
+//! full sweep's time) and those rows are compared on their schedule columns
+//! (everything but `wall_seconds`).  A committed CSV that no entry writes
+//! fails too.  Every drifted line is printed as a row diff and the exit
+//! status is non-zero.
 //!
 //! Run from the repository root (the files are read from `results/`):
 //!
 //! ```text
 //! cargo run --release -p pcaps-experiments --bin repro_check
 //! ```
-use pcaps_experiments::alibaba_scale::{scale_sweep, to_csv, ScaleConfig};
-use pcaps_experiments::multi_region::MultiRegionSweep;
-use pcaps_experiments::reliability::ReliabilitySweep;
-use pcaps_experiments::repro::{diff_lines, scale_schedule_columns};
-use pcaps_experiments::steady_state::SteadyStateSweep;
+use pcaps_experiments::alibaba_scale::ScaleConfig;
+use pcaps_experiments::repro::{diff_lines, scale_schedule_columns, without_column, OUTPUTS};
 use pcaps_experiments::RESULTS_DIR;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -62,35 +62,50 @@ fn check(
     false
 }
 
-fn main() -> ExitCode {
-    let whole = |csv: &str| csv.to_string();
-    let scale = ScaleConfig {
-        job_counts: vec![1_000, 10_000],
-        ..ScaleConfig::standard()
+/// Whether every committed `results/*.csv` is some entry's output.
+fn every_committed_csv_has_an_entry() -> bool {
+    let files = match std::fs::read_dir(RESULTS_DIR) {
+        Ok(dir) => dir,
+        Err(e) => {
+            println!("FAIL {RESULTS_DIR}: cannot list it: {e}");
+            return false;
+        }
     };
-    let results = [
-        check(
-            "multi_region.csv",
-            || MultiRegionSweep::run(false).to_csv(),
-            whole,
-        ),
-        check(
-            "reliability.csv",
-            || ReliabilitySweep::run(false).to_csv(),
-            whole,
-        ),
-        check(
-            "steady_state.csv",
-            || SteadyStateSweep::run(false).to_csv(),
-            whole,
-        ),
-        check(
-            "alibaba_scale.csv",
-            || to_csv(&scale, &scale_sweep(&scale)),
-            |csv| scale_schedule_columns(csv, &scale.job_counts),
-        ),
-    ];
-    if results.iter().all(|&ok| ok) {
+    let mut orphans: Vec<String> = files
+        .filter_map(|f| f.ok()?.file_name().into_string().ok())
+        .filter(|file| {
+            file.strip_suffix(".csv")
+                .is_some_and(|stem| OUTPUTS.iter().all(|(name, _)| *name != stem))
+        })
+        .collect();
+    orphans.sort();
+    for file in &orphans {
+        println!("FAIL {file}: no entry of OUTPUTS writes it");
+    }
+    orphans.is_empty()
+}
+
+fn main() -> ExitCode {
+    let scale_counts = ScaleConfig::quick().job_counts;
+    let mut ok = true;
+    for &(name, run) in OUTPUTS {
+        let file = format!("{name}.csv");
+        ok &= match name {
+            "fig20" => check(
+                &file,
+                || run(false).csv,
+                |csv| without_column(csv, "Mean latency (µs)"),
+            ),
+            "alibaba_scale" => check(
+                &file,
+                || run(true).csv,
+                |csv| scale_schedule_columns(csv, &scale_counts),
+            ),
+            _ => check(&file, || run(false).csv, str::to_string),
+        };
+    }
+    ok &= every_committed_csv_has_an_entry();
+    if ok {
         println!("repro_check: every committed result regenerates");
         ExitCode::SUCCESS
     } else {

@@ -14,6 +14,7 @@
 //! PCAPS sits in between FIFO and C-OPT — is what this experiment checks.
 
 use crate::format::TextTable;
+use crate::repro::Output;
 use pcaps_carbon::synth::SyntheticTraceGenerator;
 use pcaps_carbon::{CarbonAccountant, CarbonTrace, GridRegion};
 use pcaps_cluster::{ClusterConfig, Scheduler, Simulator, SubmittedJob};
@@ -123,6 +124,14 @@ pub fn run() -> Vec<Fig1Row> {
             carbon_vs_fifo: s.carbon_grams / fifo.carbon_grams,
         })
         .collect()
+}
+
+/// Fig. 1 (one size only: the example is already small).
+pub(crate) fn output(_quick: bool) -> Output {
+    Output::table(
+        "Fig. 1 — motivating example (18-hour window, one DAG, 3 machines)",
+        &render(&run()),
+    )
 }
 
 /// Renders the comparison as a table.

@@ -8,7 +8,9 @@
 //! increases ECT far less than CAP-Decima.
 
 use crate::format::TextTable;
-use crate::runner::{run_trial, BaseScheduler, ExperimentConfig, SchedulerSpec};
+use crate::repro::Output;
+use crate::runner::{run_trial, BaseScheduler, ExperimentConfig, SchedulerSpec, Setup};
+use pcaps_carbon::GridRegion;
 use pcaps_metrics::{polyfit, NormalizedSummary};
 
 /// One point of the frontier: a configuration of PCAPS or CAP-Decima.
@@ -123,6 +125,25 @@ pub fn render(out: &Fig13Output) -> TextTable {
         }
     }
     table
+}
+
+/// Fig. 13 on the DE grid, with each policy's mean ECT increase for 35–45%
+/// savings where its frontier reaches that band.
+pub(crate) fn output(quick: bool) -> Output {
+    let (jobs, execs) = if quick { (15, 30) } else { (50, 100) };
+    let cfg = Setup::Simulator.config(GridRegion::Germany, jobs, execs, 42);
+    let gammas: Vec<f64> = (1..=10).map(|i| i as f64 / 10.0).collect();
+    let bs: Vec<usize> = (1..=9).map(|i| (i * 10 * execs / 100).max(1)).collect();
+    let out = run(&cfg, &gammas, &bs);
+    let title =
+        format!("Fig. 13 — PCAPS vs CAP-Decima carbon / ECT frontier (DE grid, {jobs} jobs)");
+    let mut text = Output::table(&title, &render(&out)).text;
+    for (label, points) in [("PCAPS", &out.pcaps), ("CAP-Decima", &out.cap_decima)] {
+        if let Some(p) = mean_ect_increase_for_savings(points, 35.0, 45.0) {
+            text.push_str(&format!("{label} mean ECT increase for 35–45% savings: {p:.1}%\n"));
+        }
+    }
+    Output { text, csv: to_csv(&out) }
 }
 
 /// CSV of both frontiers.

@@ -8,6 +8,7 @@
 //! standalone FIFO by ~19% in carbon and ~22% in average JCT.
 
 use crate::format::TextTable;
+use crate::repro::Output;
 use crate::runner::{run_trial, BaseScheduler, ExperimentConfig, SchedulerSpec};
 use pcaps_carbon::GridRegion;
 use pcaps_metrics::Series;
@@ -80,6 +81,29 @@ fn jobs_series(
         s.push(t, count as f64);
     }
     s
+}
+
+/// Fig. 15: the ratios are printed, both policies' series written.
+pub(crate) fn output(quick: bool) -> Output {
+    let (jobs, execs) = if quick { (20, 40) } else { (50, 100) };
+    let out = run(jobs, execs, 42, 200);
+    let title = format!(
+        "Fig. 15 — standalone FIFO vs Spark/K8s default ({jobs} TPC-H jobs, {execs} executors)"
+    );
+    Output {
+        csv: to_csv(&out),
+        ..Output::table(&title, &render(&out))
+    }
+}
+
+/// Every usage and jobs-in-system series as CSV (`series,time_s,value`).
+pub fn to_csv(out: &Fig15Output) -> String {
+    let mut csv = String::from("series,time_s,value\n");
+    for s in out.usage.iter().chain(&out.jobs_in_system) {
+        csv.push_str(&s.to_csv());
+        csv.push('\n');
+    }
+    csv
 }
 
 /// Renders the summary comparison.

@@ -16,6 +16,7 @@
 //! the same configurations.
 
 use crate::format::TextTable;
+use crate::repro::Output;
 use crate::runner::{BaseScheduler, ExperimentConfig, SchedulerSpec};
 use pcaps_carbon::GridRegion;
 use pcaps_cluster::{DecisionSink, SchedEvent, Scheduler, SchedulingContext, SimulationResult};
@@ -124,6 +125,19 @@ pub fn run(job_counts: &[usize], executors: usize, seed: u64) -> Vec<LatencyPoin
             });
         }
     }
+    out
+}
+
+/// Fig. 20 (`quick`: up to 10 jobs on 20 executors).  Its latency column
+/// is host time; the other columns are deterministic.
+pub(crate) fn output(quick: bool) -> Output {
+    let (counts, execs): (&[usize], usize) =
+        if quick { (&[1, 5, 10], 20) } else { (&[1, 5, 10, 25, 50, 75, 100], 100) };
+    let mut out = Output::table(
+        "Fig. 20 — scheduler invocation latency (simulator, DE grid)",
+        &render(&run(counts, execs, 42)),
+    );
+    out.text.push_str("(See `cargo bench -p pcaps-bench` for the Criterion version.)\n");
     out
 }
 

@@ -1,5 +1,6 @@
 //! Fig. 5: time-varying carbon intensity for the six grids over 48 hours.
 
+use crate::repro::Output;
 use pcaps_carbon::synth::SyntheticTraceGenerator;
 use pcaps_carbon::GridRegion;
 use pcaps_metrics::Series;
@@ -20,6 +21,22 @@ pub fn series(seed: u64, offset_hours: usize) -> Vec<Series> {
             s
         })
         .collect()
+}
+
+/// Fig. 5 (one size only): each grid's range is printed, its series written.
+pub(crate) fn output(_quick: bool) -> Output {
+    let series = series(42, 24 * 10);
+    let mut text = format!(
+        "Fig. 5 — 48-hour carbon intensity series written for {} grids\n",
+        series.len()
+    );
+    for s in &series {
+        let min = s.points.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);
+        let max = s.points.iter().map(|p| p.1).fold(f64::NEG_INFINITY, f64::max);
+        text.push_str(&format!("  {:>6}: {:.0} – {:.0} gCO2eq/kWh\n", s.label, min, max));
+    }
+    text.push_str("\nFull series: results/fig5.csv\n");
+    Output { text, csv: to_csv(&series) }
 }
 
 /// Renders all series as one CSV document (`grid,hour,intensity`).

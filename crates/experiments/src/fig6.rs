@@ -2,6 +2,7 @@
 //! small cluster (5 executors, 20 TPC-H jobs, DE grid), alongside the carbon
 //! intensity over the same window.
 
+use crate::repro::Output;
 use crate::runner::{run_trial, BaseScheduler, ExperimentConfig, SchedulerSpec};
 use pcaps_carbon::GridRegion;
 use pcaps_metrics::Series;
@@ -67,6 +68,24 @@ pub fn run(seed: u64, samples: usize) -> Fig6Output {
         carbon,
         horizon,
     }
+}
+
+/// Fig. 6 (one size only): each schedule's average usage is printed, every
+/// series written.
+pub(crate) fn output(_quick: bool) -> Output {
+    let out = run(42, 200);
+    let mut text = String::from(
+        "Fig. 6 — executor usage over time (5 executors, 20 TPC-H jobs, DE grid)\n\n",
+    );
+    for s in &out.usage {
+        let avg: f64 = s.points.iter().map(|p| p.1).sum::<f64>() / s.points.len() as f64;
+        text.push_str(&format!(
+            "  {:>9}: average busy executors {:.2} over {:.0} s\n",
+            s.label, avg, out.horizon
+        ));
+    }
+    text.push_str("\nFull series: results/fig6.csv\n");
+    Output { text, csv: to_csv(&out) }
 }
 
 /// Renders all series as CSV (`series,x,y`).

@@ -6,6 +6,7 @@
 //! and completion time in ~26%, while CAP rarely improves both.
 
 use crate::format::TextTable;
+use crate::repro::Output;
 use crate::runner::{run_trial, BaseScheduler, ExperimentConfig, SchedulerSpec};
 use pcaps_carbon::GridRegion;
 use pcaps_metrics::footprint::total_footprint;
@@ -60,10 +61,9 @@ pub fn run(region: GridRegion, num_jobs: usize, executors: usize, trials: usize,
         .map(|(label, spec)| {
             let mut points = Vec::with_capacity(trials);
             for i in 0..trials {
-                let mut cfg = ExperimentConfig::prototype(region, num_jobs, seed + i as u64 * 101);
-                cfg.executors = executors;
-                cfg.per_job_cap = Some((executors / 4).max(1));
-                cfg.trace_offset_hours = i * 37;
+                let seed = seed + i as u64 * 101;
+                let cfg = ExperimentConfig::prototype(region, num_jobs, executors, seed)
+                    .with_offset(i * 37);
                 let accountant = cfg.accountant();
                 let baseline =
                     run_trial(&cfg, SchedulerSpec::Baseline(BaseScheduler::KubeDefault));
@@ -83,6 +83,19 @@ pub fn run(region: GridRegion, num_jobs: usize, executors: usize, trials: usize,
             }
         })
         .collect()
+}
+
+/// Fig. 9: the quadrant shares are printed, every scatter point written.
+pub(crate) fn output(quick: bool) -> Output {
+    let (jobs, execs, trials) = if quick { (10, 20, 4) } else { (50, 100, 24) };
+    let scatters = run(GridRegion::Germany, jobs, execs, trials, 42);
+    Output {
+        csv: to_csv(&scatters),
+        ..Output::table(
+            "Fig. 9 — per-trial average JCT vs per-job carbon (normalised to default)",
+            &render(&scatters),
+        )
+    }
 }
 
 /// Renders the quadrant summary table.

@@ -1,7 +1,7 @@
 //! Plain-text table formatting for experiment output.
 
 /// A simple aligned text table (markdown-ish) used by every experiment
-/// binary to print its rows the way the paper's tables lay them out.
+/// output to print its rows the way the paper's tables lay them out.
 #[derive(Debug, Clone, Default)]
 pub struct TextTable {
     header: Vec<String>,

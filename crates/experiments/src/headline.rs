@@ -8,7 +8,8 @@
 //!   normalised against FIFO, averaged over the six grid regions.
 
 use crate::format::{pct, ratio, TextTable};
-use crate::runner::{run_trials, BaseScheduler, ExperimentConfig, SchedulerSpec};
+use crate::repro::Output;
+use crate::runner::{run_trials, BaseScheduler, ExperimentConfig, SchedulerSpec, Setup};
 use pcaps_carbon::GridRegion;
 use pcaps_metrics::summary::average_normalized;
 use pcaps_metrics::NormalizedSummary;
@@ -73,31 +74,48 @@ fn region_summary(
     average_normalized(&per_trial).expect("at least one trial")
 }
 
-/// Computes a headline table: every scheduler in `specs` against `baseline`,
-/// averaged over `regions`.
+/// The schedulers of Table 2 (prototype) or Table 3 (simulator), the
+/// setup's baseline first.
+fn specs(setup: Setup) -> Vec<SchedulerSpec> {
+    let base = setup.base();
+    match setup {
+        Setup::Prototype => vec![
+            SchedulerSpec::Baseline(base),
+            SchedulerSpec::Baseline(BaseScheduler::Decima),
+            SchedulerSpec::cap_moderate(base),
+            SchedulerSpec::pcaps_moderate(),
+        ],
+        Setup::Simulator => vec![
+            SchedulerSpec::Baseline(base),
+            SchedulerSpec::Baseline(BaseScheduler::WeightedFair),
+            SchedulerSpec::Baseline(BaseScheduler::Decima),
+            SchedulerSpec::GreenHadoop { theta: 0.5 },
+            SchedulerSpec::cap_moderate(base),
+            SchedulerSpec::cap_moderate(BaseScheduler::WeightedFair),
+            SchedulerSpec::cap_moderate(BaseScheduler::Decima),
+            SchedulerSpec::pcaps_moderate(),
+        ],
+    }
+}
+
+/// Computes a headline table: every scheduler of Table 2 (prototype) or
+/// Table 3 (simulator) against the setup's baseline, averaged over
+/// `regions`.
 pub fn headline_rows(
     regions: &[GridRegion],
-    specs: &[SchedulerSpec],
-    baseline: SchedulerSpec,
-    prototype: bool,
+    setup: Setup,
     params: HeadlineParams,
 ) -> Vec<NormalizedSummary> {
-    specs
-        .iter()
-        .map(|&spec| {
+    let HeadlineParams { num_jobs, trials, executors, seed } = params;
+    let baseline = SchedulerSpec::Baseline(setup.base());
+    specs(setup)
+        .into_iter()
+        .map(|spec| {
             let per_region: Vec<NormalizedSummary> = regions
                 .iter()
                 .map(|&region| {
-                    let mut config = if prototype {
-                        ExperimentConfig::prototype(region, params.num_jobs, params.seed)
-                    } else {
-                        ExperimentConfig::simulator(region, params.num_jobs, params.seed)
-                    };
-                    config.executors = params.executors;
-                    if prototype {
-                        config.per_job_cap = Some((params.executors / 4).max(1));
-                    }
-                    region_summary(&config, baseline, spec, params.trials)
+                    let config = setup.config(region, num_jobs, executors, seed);
+                    region_summary(&config, baseline, spec, trials)
                 })
                 .collect();
             let mut avg = average_normalized(&per_region).expect("at least one region");
@@ -108,42 +126,16 @@ pub fn headline_rows(
         .collect()
 }
 
-/// Table 2: the prototype summary (normalised to the Spark/K8s default).
-pub fn table2(regions: &[GridRegion], params: HeadlineParams) -> Vec<NormalizedSummary> {
-    let specs = [
-        SchedulerSpec::Baseline(BaseScheduler::KubeDefault),
-        SchedulerSpec::Baseline(BaseScheduler::Decima),
-        SchedulerSpec::cap_moderate(BaseScheduler::KubeDefault),
-        SchedulerSpec::pcaps_moderate(),
-    ];
-    headline_rows(
-        regions,
-        &specs,
-        SchedulerSpec::Baseline(BaseScheduler::KubeDefault),
-        true,
-        params,
-    )
-}
-
-/// Table 3: the simulator summary (normalised to Spark standalone FIFO).
-pub fn table3(regions: &[GridRegion], params: HeadlineParams) -> Vec<NormalizedSummary> {
-    let specs = [
-        SchedulerSpec::Baseline(BaseScheduler::Fifo),
-        SchedulerSpec::Baseline(BaseScheduler::WeightedFair),
-        SchedulerSpec::Baseline(BaseScheduler::Decima),
-        SchedulerSpec::GreenHadoop { theta: 0.5 },
-        SchedulerSpec::cap_moderate(BaseScheduler::Fifo),
-        SchedulerSpec::cap_moderate(BaseScheduler::WeightedFair),
-        SchedulerSpec::cap_moderate(BaseScheduler::Decima),
-        SchedulerSpec::pcaps_moderate(),
-    ];
-    headline_rows(
-        regions,
-        &specs,
-        SchedulerSpec::Baseline(BaseScheduler::Fifo),
-        false,
-        params,
-    )
+/// Table `number` (2 for the prototype, 3 for the simulator) over the six
+/// grids.
+pub(crate) fn table(number: u8, setup: Setup, quick: bool) -> Output {
+    let params = if quick { HeadlineParams::quick() } else { HeadlineParams::default() };
+    let rows = headline_rows(&GridRegion::ALL, setup, params);
+    let title = format!(
+        "Table {number} — {} configuration, averaged over six grids",
+        setup.name()
+    );
+    Output::table(&title, &render(&rows))
 }
 
 /// Renders headline rows in the paper's table layout.
@@ -171,7 +163,7 @@ mod tests {
 
     #[test]
     fn quick_table3_has_expected_shape() {
-        let rows = table3(&[GridRegion::Germany], HeadlineParams::quick());
+        let rows = headline_rows(&[GridRegion::Germany], Setup::Simulator, HeadlineParams::quick());
         assert_eq!(rows.len(), 8);
         // The FIFO row is the baseline normalised to itself.
         let fifo = &rows[0];
@@ -191,7 +183,7 @@ mod tests {
 
     #[test]
     fn quick_table2_has_expected_shape() {
-        let rows = table2(&[GridRegion::Germany], HeadlineParams::quick());
+        let rows = headline_rows(&[GridRegion::Germany], Setup::Prototype, HeadlineParams::quick());
         assert_eq!(rows.len(), 4);
         assert!(rows[0].scheduler.contains("default"));
         let pcaps = rows.last().unwrap();

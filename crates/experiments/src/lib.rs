@@ -1,10 +1,11 @@
 //! # pcaps-experiments — reproduction harness for every table and figure
 //!
 //! Each module reproduces one table or figure of the paper's evaluation
-//! (§6 and Appendix A); the matching binaries under `src/bin/` print the
-//! rows/series to stdout and write CSV files under `results/`.
+//! (§6 and Appendix A).  Every output is one entry of [`repro::OUTPUTS`]:
+//! a name and a function that returns the text to print and the CSV to
+//! write under `results/`.
 //!
-//! | Paper artefact | Module | Binary |
+//! | Paper artefact | Module | Entry |
 //! |---|---|---|
 //! | Table 1 (carbon trace characteristics) | [`table1`] | `table1` |
 //! | Fig. 1 (motivating example) | [`fig1`] | `fig1` |
@@ -24,22 +25,26 @@
 //!
 //! Beyond the paper, the [`multi_region`] module sweeps *federated*
 //! configurations — one arrival stream routed across several grids,
-//! comparing routing × scheduling policies (binary: `multi_region`, CSV:
-//! `results/multi_region.csv`) — the [`alibaba_scale`] module sweeps
-//! trace-scale streaming workloads (1k–100k Alibaba-style jobs pulled
-//! lazily through the [`streaming`] bridge; binary: `alibaba_scale`, CSV:
-//! `results/alibaba_scale.csv`) — and the [`reliability`] module sweeps
-//! crash rates × strategies under deterministic fault injection, reporting
-//! wasted work, wasted carbon, and goodput (binary: `reliability`, CSV:
-//! `results/reliability.csv`) — and the [`steady_state`] module sweeps
-//! open-arrival serving load (unbounded diurnal streams at several rate
-//! multipliers × {FIFO, PCAPS} × admission arms), reporting windowed
-//! queueing-delay percentiles, throughput, and carbon per executor-hour
-//! (binary: `steady_state`, CSV: `results/steady_state.csv`).
+//! comparing routing × scheduling policies (entry: `multi_region`) — the
+//! [`alibaba_scale`] module sweeps trace-scale streaming workloads (1k–100k
+//! Alibaba-style jobs pulled lazily through the [`streaming`] bridge;
+//! entry: `alibaba_scale`) — and the [`reliability`] module sweeps crash
+//! rates × strategies under deterministic fault injection, reporting wasted
+//! work, wasted carbon, and goodput (entry: `reliability`) — and the
+//! [`steady_state`] module sweeps open-arrival serving load (unbounded
+//! diurnal streams at several rate multipliers × {FIFO, PCAPS} × admission
+//! arms), reporting windowed queueing-delay percentiles, throughput, and
+//! carbon per executor-hour (entry: `steady_state`).  Each entry writes
+//! `results/<entry>.csv`.
 //!
-//! The `repro_all` binary runs everything back to back (pass `--quick` for a
-//! reduced-trial smoke run).  The `repro_check` binary reruns the sweeps
-//! behind the committed CSVs and fails on any drift (see [`repro`]).
+//! Two binaries read the registry.  `repro [--quick] [name…]` runs the
+//! named entries, or all of them in order, printing each under a
+//! `=== name ===` banner and writing its CSV; it exits non-zero on an
+//! unknown name or flag, a CSV it cannot write, or a panicking entry.
+//! `--quick` runs reduced sizes; run it outside the repository root, where
+//! it would overwrite the committed full-size CSVs.  `repro_check`
+//! regenerates every entry and fails if a committed `results/*.csv`
+//! drifted from it (see [`repro`]).
 //!
 //! All experiments are deterministic given their seeds; trials differ only in
 //! the seed and the offset into the carbon trace, mirroring the paper's
@@ -78,7 +83,7 @@ pub use reliability::{
     ReliabilityStrategy, ReliabilityTrialOutput, reliability_sweep, run_reliability_trial,
 };
 pub use runner::{
-    BaseScheduler, ExperimentConfig, SchedulerSpec, TrialOutput, run_trial, run_trials,
+    BaseScheduler, ExperimentConfig, SchedulerSpec, Setup, TrialOutput, run_trial, run_trials,
 };
 pub use steady_state::{
     AdmissionSpec, SteadyStateConfig, SteadyTrialOutput, run_steady_trial, steady_state_sweep,
@@ -91,11 +96,4 @@ pub const RESULTS_DIR: &str = "results";
 /// arm with the same schema under the first arm's header.
 pub(crate) fn csv_rows(csv: &str) -> &str {
     csv.split_once('\n').map(|(_, rows)| rows).unwrap_or("")
-}
-
-/// Writes `contents` to `results/<name>` (best effort — experiments still
-/// print to stdout if the directory cannot be created).
-pub fn write_results_file(name: &str, contents: &str) -> std::io::Result<()> {
-    std::fs::create_dir_all(RESULTS_DIR)?;
-    std::fs::write(format!("{RESULTS_DIR}/{name}"), contents)
 }

@@ -10,14 +10,15 @@
 //! sweep reports, for every router × migration × scheduler combination, the
 //! per-region carbon/makespan breakdown plus federation-level totals
 //! (including migration counts, transfer seconds and transfer carbon), and
-//! writes them as one CSV (`results/multi_region.csv` via the
-//! `multi_region` binary).
+//! writes them as one CSV (`results/multi_region.csv`, the `multi_region`
+//! entry of [`crate::repro::OUTPUTS`]).
 //!
 //! All rows carry region-qualified scheduler labels
 //! ([`SchedulerSpec::label_in_region`]) so two members running the same
 //! policy never collide in the output.
 
 use crate::format::TextTable;
+use crate::repro::Output;
 use crate::runner::{BaseScheduler, SchedulerSpec};
 use pcaps_carbon::{CarbonAccountant, GridRegion, TraceSet};
 use pcaps_cluster::{
@@ -437,74 +438,75 @@ pub fn multi_region_sweep(
         .collect()
 }
 
-/// The sweep behind `results/multi_region.csv`, shared by the
-/// `multi_region` binary (which prints it) and `repro_check` (which
-/// compares its CSV with the committed file).
-#[derive(Debug, Clone)]
-pub struct MultiRegionSweep {
-    /// The main arm's configuration.
-    pub config: FederationExperimentConfig,
-    /// The main arm's scheduler specs.
-    pub specs: Vec<SchedulerSpec>,
-    /// The main arm: every router × migration policy × scheduler.
-    pub outputs: Vec<FederatedTrialOutput>,
-    /// The congested-uplink arm: the two-region carbon cliff under
-    /// round-robin routing and FIFO, with the dirty grid's uplink choked to
-    /// 0.01 GB/s, for every migration policy.
-    pub congested: Vec<FederatedTrialOutput>,
-}
-
-impl MultiRegionSweep {
-    /// Runs both arms.  `quick` shrinks the main arm to two regions and 12
-    /// jobs.
-    pub fn run(quick: bool) -> Self {
-        // The full sweep runs 96 jobs on 8 executors per member: enough load
-        // that the single greenest grid cannot absorb everything, so routing
-        // must overflow onto second-best grids — exactly the regime where
-        // placements go stale and live migration earns its keep.  (At a
-        // 48-job/20-executor operating point, Ontario's hydro grid swallows
-        // the whole workload and migration has nothing left to fix.)
-        let (regions, jobs, execs): (Vec<GridRegion>, usize, usize) = if quick {
-            (vec![GridRegion::Caiso, GridRegion::SouthAfrica], 12, 10)
-        } else {
-            (GridRegion::ALL.to_vec(), 96, 8)
-        };
-        let mut config = FederationExperimentConfig::standard(regions, jobs, 42);
-        config.executors_per_member = execs;
-        let specs = vec![
-            SchedulerSpec::Baseline(BaseScheduler::Fifo),
-            SchedulerSpec::Baseline(BaseScheduler::Decima),
-            SchedulerSpec::pcaps_moderate(),
-        ];
-        let outputs = multi_region_sweep(&config, &RouterSpec::ALL, &MigrationSpec::ALL, &specs);
-        // Congested arm: the two-region cliff (round-robin strands half the
-        // jobs on the dirty grid) with that grid's uplink choked to 0.01 GB/s
-        // — a single 6 GB move takes 600 schedule seconds alone, far past
-        // the aware policy's 60 s cap, and max-min sharing makes concurrent
-        // evacuations slower still.
-        let mut cliff = FederationExperimentConfig::standard(
-            vec![GridRegion::Caiso, GridRegion::SouthAfrica],
-            12,
-            42,
-        );
-        cliff.executors_per_member = 4;
-        let congested_config = cliff.clone().with_network(cliff.congested_uplink(1, 0.01));
-        let congested = multi_region_sweep(
-            &congested_config,
-            &[RouterSpec::RoundRobin],
-            &MigrationSpec::ALL,
-            &[SchedulerSpec::Baseline(BaseScheduler::Fifo)],
-        );
-        MultiRegionSweep { config, specs, outputs, congested }
-    }
-
-    /// Both arms as one CSV (the format of `results/multi_region.csv`): the
-    /// congested rows share the schema and append under the one header.
-    pub fn to_csv(&self) -> String {
-        let mut csv = to_csv(&self.outputs);
-        csv.push_str(crate::csv_rows(&to_csv(&self.congested)));
-        csv
-    }
+/// The sweep behind `results/multi_region.csv`: every router × migration
+/// policy × scheduler, then a congested-uplink arm (the two-region carbon
+/// cliff under round-robin routing and FIFO, with the dirty grid's uplink
+/// choked to 0.01 GB/s, for every migration policy) whose rows append under
+/// the one header.  `quick` shrinks the main arm to two regions and 12
+/// jobs.
+pub(crate) fn output(quick: bool) -> Output {
+    // The full sweep runs 96 jobs on 8 executors per member: enough load
+    // that the single greenest grid cannot absorb everything, so routing
+    // must overflow onto second-best grids — exactly the regime where
+    // placements go stale and live migration earns its keep.  (At a
+    // 48-job/20-executor operating point, Ontario's hydro grid swallows
+    // the whole workload and migration has nothing left to fix.)
+    let (regions, jobs, execs): (Vec<GridRegion>, usize, usize) = if quick {
+        (vec![GridRegion::Caiso, GridRegion::SouthAfrica], 12, 10)
+    } else {
+        (GridRegion::ALL.to_vec(), 96, 8)
+    };
+    let mut config = FederationExperimentConfig::standard(regions, jobs, 42);
+    config.executors_per_member = execs;
+    let specs = [
+        SchedulerSpec::Baseline(BaseScheduler::Fifo),
+        SchedulerSpec::Baseline(BaseScheduler::Decima),
+        SchedulerSpec::pcaps_moderate(),
+    ];
+    let outputs = multi_region_sweep(&config, &RouterSpec::ALL, &MigrationSpec::ALL, &specs);
+    // Congested arm: the two-region cliff (round-robin strands half the
+    // jobs on the dirty grid) with that grid's uplink choked to 0.01 GB/s
+    // — a single 6 GB move takes 600 schedule seconds alone, far past
+    // the aware policy's 60 s cap, and max-min sharing makes concurrent
+    // evacuations slower still.
+    let mut cliff = FederationExperimentConfig::standard(
+        vec![GridRegion::Caiso, GridRegion::SouthAfrica],
+        12,
+        42,
+    );
+    cliff.executors_per_member = 4;
+    let congested_config = cliff.clone().with_network(cliff.congested_uplink(1, 0.01));
+    let congested = multi_region_sweep(
+        &congested_config,
+        &[RouterSpec::RoundRobin],
+        &MigrationSpec::ALL,
+        &[SchedulerSpec::Baseline(BaseScheduler::Fifo)],
+    );
+    let text = format!(
+        "Multi-region federation sweep — {} members × {} routers × {} migration policies × {} schedulers\n\n\
+         {}\n\
+         Carbon-aware routing composes with carbon-aware scheduling — and live migration\n\
+         gives the placement a second chance: jobs stranded on a grid that turned dirty\n\
+         after arrival move to a greener one when the carbon saved outweighs the priced\n\
+         per-GB transfer (delay + network energy).  See results/multi_region.csv for the\n\
+         per-region breakdown including migration counts and transfer seconds.\n\
+         \nCongested-uplink arm — ZA's uplink capped at 0.01 GB/s (link-level network model):\n\n\
+         {}\n\
+         Behind a congested link the payoff inverts: blind carbon-delta migration still\n\
+         chases the green grid, but its transfers crawl through the shared 0.01 GB/s\n\
+         uplink and JCT ends up worse than never migrating.  The delay-aware variant\n\
+         sees the contention-aware transfer estimate blow past its cap and declines\n\
+         the moves, recovering the JCT loss.\n",
+        config.regions.len(),
+        RouterSpec::ALL.len(),
+        MigrationSpec::ALL.len(),
+        specs.len(),
+        render(&outputs).render(),
+        render(&congested).render(),
+    );
+    let mut csv = to_csv(&outputs);
+    csv.push_str(crate::csv_rows(&to_csv(&congested)));
+    Output { text, csv }
 }
 
 /// Renders the sweep as a text table (one aggregate line per trial).

@@ -6,7 +6,8 @@
 //! (ZA) leave little room for any carbon-aware policy.
 
 use crate::format::{pct, ratio, TextTable};
-use crate::runner::{run_trials, ExperimentConfig, SchedulerSpec};
+use crate::repro::Output;
+use crate::runner::{run_trials, BaseScheduler, SchedulerSpec, Setup};
 use pcaps_carbon::GridRegion;
 use pcaps_metrics::summary::average_normalized;
 use pcaps_metrics::NormalizedSummary;
@@ -23,36 +24,22 @@ pub struct GridRow {
     pub per_scheduler: Vec<NormalizedSummary>,
 }
 
-/// Runs the per-grid comparison.
-///
-/// `prototype` selects the prototype cluster configuration (Fig. 10) versus
-/// the simulator configuration (Fig. 14).
-// Public experiment entry point: one argument per sweep axis, kept flat
-// rather than bundled into a config struct its few callers would only
-// build once.
-#[allow(clippy::too_many_arguments)]
+/// Runs the per-grid comparison of `specs` against `setup`'s baseline: the
+/// prototype configuration for Fig. 10, the simulator's for Fig. 14.
 pub fn per_grid(
     regions: &[GridRegion],
     specs: &[SchedulerSpec],
-    baseline: SchedulerSpec,
-    prototype: bool,
+    setup: Setup,
     num_jobs: usize,
     executors: usize,
     trials: usize,
     seed: u64,
 ) -> Vec<GridRow> {
+    let baseline = SchedulerSpec::Baseline(setup.base());
     regions
         .iter()
         .map(|&region| {
-            let mut config = if prototype {
-                ExperimentConfig::prototype(region, num_jobs, seed)
-            } else {
-                ExperimentConfig::simulator(region, num_jobs, seed)
-            };
-            config.executors = executors;
-            if prototype {
-                config.per_job_cap = Some((executors / 4).max(1));
-            }
+            let config = setup.config(region, num_jobs, executors, seed);
             let base_runs = run_trials(&config, baseline, trials);
             let per_scheduler = specs
                 .iter()
@@ -77,6 +64,23 @@ pub fn per_grid(
             }
         })
         .collect()
+}
+
+/// Fig. `fig` (10 for the prototype, 14 for the simulator): PCAPS, CAP and
+/// Decima against `setup`'s baseline on every grid.
+pub(crate) fn figure(fig: u8, setup: Setup, quick: bool) -> Output {
+    let (jobs, execs, trials) = if quick { (12, 24, 1) } else { (50, 100, 3) };
+    let specs = [
+        SchedulerSpec::pcaps_moderate(),
+        SchedulerSpec::cap_moderate(setup.base()),
+        SchedulerSpec::Baseline(BaseScheduler::Decima),
+    ];
+    let rows = per_grid(&GridRegion::ALL, &specs, setup, jobs, execs, trials, 42);
+    let title = format!(
+        "Fig. {fig} — per-grid carbon reduction and ECT ({} configuration)",
+        setup.name()
+    );
+    Output::table(&title, &render(&rows))
 }
 
 /// Renders the per-grid rows (one line per region × scheduler).
@@ -105,7 +109,6 @@ pub fn render(rows: &[GridRow]) -> TextTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::BaseScheduler;
 
     #[test]
     fn variable_grids_allow_more_savings_than_flat_ones() {
@@ -114,8 +117,7 @@ mod tests {
         let rows = per_grid(
             &[GridRegion::Caiso, GridRegion::SouthAfrica],
             &[SchedulerSpec::pcaps_moderate()],
-            SchedulerSpec::Baseline(BaseScheduler::Fifo),
-            false,
+            Setup::Simulator,
             12,
             20,
             1,

@@ -15,11 +15,12 @@
 //! fault-free baseline) with routing × migration × scheduling strategies so
 //! the output answers two questions at once: how much absolute performance
 //! each strategy loses as crashes accelerate, and whether the carbon-aware
-//! strategies stay ahead of the carbon-blind ones under churn (binary:
+//! strategies stay ahead of the carbon-blind ones under churn (entry:
 //! `reliability`, CSV: `results/reliability.csv`).
 
 use crate::format::TextTable;
 use crate::multi_region::{FederationExperimentConfig, MigrationSpec, RouterSpec};
+use crate::repro::Output;
 use crate::runner::{BaseScheduler, SchedulerSpec};
 use pcaps_carbon::GridRegion;
 use pcaps_cluster::{
@@ -217,85 +218,80 @@ pub fn reliability_sweep(
     Ok(outputs)
 }
 
-/// The sweep behind `results/reliability.csv`, shared by the `reliability`
-/// binary (which prints it) and `repro_check` (which compares its CSV with
-/// the committed file).
-#[derive(Debug, Clone)]
-pub struct ReliabilitySweep {
-    /// The crash arm's configuration.
-    pub config: FederationExperimentConfig,
-    /// The crash arm's mean times between crashes per member (`None` is the
-    /// fault-free baseline).
-    pub mtbfs: Vec<Option<f64>>,
-    /// The crash arm's strategies ([`ReliabilityStrategy::ladder`]).
-    pub strategies: Vec<ReliabilityStrategy>,
-    /// The crash arm: every crash rate × strategy.
-    pub outputs: Vec<ReliabilityTrialOutput>,
-    /// The outage arm: one member down just after a burst of arrivals,
-    /// evacuated over the uniform matrix and then through a choked uplink.
-    pub outage: Vec<ReliabilityTrialOutput>,
-}
-
-impl ReliabilitySweep {
-    /// Runs both arms.  `quick` shrinks the crash arm to two regions, 12
-    /// jobs and two crash rates.
-    ///
-    /// # Panics
-    /// Panics if a trial exhausts a task's attempts, which the generous
-    /// [`trial_retry_policy`] makes practically unreachable.
-    pub fn run(quick: bool) -> Self {
-        let (regions, jobs, execs): (Vec<GridRegion>, usize, usize) = if quick {
-            (vec![GridRegion::Caiso, GridRegion::SouthAfrica], 12, 8)
-        } else {
-            (vec![GridRegion::Caiso, GridRegion::Germany, GridRegion::SouthAfrica], 48, 10)
-        };
-        let mut config = FederationExperimentConfig::standard(regions, jobs, 42);
-        config.executors_per_member = execs;
-        // Fault-free baseline, then mean times between crashes per member
-        // from rare (one crash per trace-hour of schedule time) to punishing.
-        let mtbfs = if quick {
-            vec![None, Some(600.0)]
-        } else {
-            vec![None, Some(3_600.0), Some(900.0), Some(300.0)]
-        };
-        let strategies = ReliabilityStrategy::ladder();
-        let outputs = reliability_sweep(&config, &mtbfs, &strategies)
-            .expect("the generous trial retry policy never exhausts a task's attempts");
-        // Outage arm: the green grid goes down 60 s after a burst of
-        // arrivals, so its whole queue evacuates to the survivor at once.
-        // Replayed on the uniform matrix and through a network whose
-        // outaged-member uplink is choked to 0.001 GB/s — same evacuations,
-        // but now they contend for one link under max-min fair sharing.
-        let mut cliff = FederationExperimentConfig::standard(
-            vec![GridRegion::Caiso, GridRegion::SouthAfrica],
-            12,
-            42,
-        );
-        cliff.executors_per_member = 2;
-        cliff.mean_interarrival = 1.0;
-        let congested = cliff.clone().with_network(cliff.congested_uplink(0, 0.001));
-        let region_outage = RegionOutage::new(0, 60.0, 86_400.0);
-        let strategy = ReliabilityStrategy {
-            router: RouterSpec::RoundRobin,
-            migration: MigrationSpec::Never,
-            spec: SchedulerSpec::Baseline(BaseScheduler::Fifo),
-        };
-        let outage = [&cliff, &congested]
-            .map(|c| {
-                run_outage_trial(c, &region_outage, strategy)
-                    .expect("outage trials dispatch no crashed attempts")
-            })
-            .to_vec();
-        ReliabilitySweep { config, mtbfs, strategies, outputs, outage }
-    }
-
-    /// Both arms as one CSV (the format of `results/reliability.csv`): the
-    /// outage rows share the schema and append under the one header.
-    pub fn to_csv(&self) -> String {
-        let mut csv = to_csv(&self.outputs);
-        csv.push_str(crate::csv_rows(&to_csv(&self.outage)));
-        csv
-    }
+/// The sweep behind `results/reliability.csv`: every crash rate × strategy
+/// ([`ReliabilityStrategy::ladder`]), then an outage arm (one member down
+/// just after a burst of arrivals, evacuated over the uniform matrix and
+/// then through a choked uplink) whose rows append under the one header.
+/// `quick` shrinks the crash arm to two regions, 12 jobs and two crash
+/// rates.
+///
+/// # Panics
+/// Panics if a trial exhausts a task's attempts, which the generous
+/// [`trial_retry_policy`] makes practically unreachable.
+pub(crate) fn output(quick: bool) -> Output {
+    let (regions, jobs, execs): (Vec<GridRegion>, usize, usize) = if quick {
+        (vec![GridRegion::Caiso, GridRegion::SouthAfrica], 12, 8)
+    } else {
+        (vec![GridRegion::Caiso, GridRegion::Germany, GridRegion::SouthAfrica], 48, 10)
+    };
+    let mut config = FederationExperimentConfig::standard(regions, jobs, 42);
+    config.executors_per_member = execs;
+    // Fault-free baseline, then mean times between crashes per member
+    // from rare (one crash per trace-hour of schedule time) to punishing.
+    let mtbfs = if quick {
+        vec![None, Some(600.0)]
+    } else {
+        vec![None, Some(3_600.0), Some(900.0), Some(300.0)]
+    };
+    let strategies = ReliabilityStrategy::ladder();
+    let outputs = reliability_sweep(&config, &mtbfs, &strategies)
+        .expect("the generous trial retry policy never exhausts a task's attempts");
+    // Outage arm: the green grid goes down 60 s after a burst of
+    // arrivals, so its whole queue evacuates to the survivor at once.
+    // Replayed on the uniform matrix and through a network whose
+    // outaged-member uplink is choked to 0.001 GB/s — same evacuations,
+    // but now they contend for one link under max-min fair sharing.
+    let mut cliff = FederationExperimentConfig::standard(
+        vec![GridRegion::Caiso, GridRegion::SouthAfrica],
+        12,
+        42,
+    );
+    cliff.executors_per_member = 2;
+    cliff.mean_interarrival = 1.0;
+    let congested = cliff.clone().with_network(cliff.congested_uplink(0, 0.001));
+    let region_outage = RegionOutage::new(0, 60.0, 86_400.0);
+    let strategy = ReliabilityStrategy {
+        router: RouterSpec::RoundRobin,
+        migration: MigrationSpec::Never,
+        spec: SchedulerSpec::Baseline(BaseScheduler::Fifo),
+    };
+    let outage = [&cliff, &congested].map(|c| {
+        run_outage_trial(c, &region_outage, strategy)
+            .expect("outage trials dispatch no crashed attempts")
+    });
+    let text = format!(
+        "Reliability sweep — {} members × {} crash rates × {} strategies\n\n\
+         {}\n\
+         Crashes waste both time and carbon: every thrown-away attempt drew power at\n\
+         the grid's intensity when it ran.  Goodput tracks the retained fraction of\n\
+         executor-seconds; the carbon-aware strategies keep their footprint advantage\n\
+         under churn because routing and migration steer retries toward green grids.\n\
+         See results/reliability.csv for every trial.\n\
+         \nOutage-evacuation arm — CAISO down from t=60 s, uplink 0.001 GB/s when congested:\n\n\
+         {}\n\
+         Both runs evacuate the same jobs; only the transfer model differs.  Through the\n\
+         choked uplink the simultaneous evacuation flows max-min share 0.001 GB/s, so\n\
+         the moves that cost seconds on the uniform matrix now serialise into hours —\n\
+         the degradation an outage really causes when every refugee crosses one link.\n",
+        config.regions.len(),
+        mtbfs.len(),
+        strategies.len(),
+        render(&outputs).render(),
+        render(&outage).render(),
+    );
+    let mut csv = to_csv(&outputs);
+    csv.push_str(crate::csv_rows(&to_csv(&outage)));
+    Output { text, csv }
 }
 
 fn mtbf_label(mtbf: Option<f64>) -> String {

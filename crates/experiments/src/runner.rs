@@ -55,11 +55,13 @@ impl ExperimentConfig {
         }
     }
 
-    /// The paper's prototype setup: 100 executors with a 25-executor
-    /// per-application cap.
-    pub fn prototype(region: GridRegion, num_jobs: usize, seed: u64) -> Self {
+    /// The paper's prototype setup on `executors` executors: a
+    /// per-application cap of a quarter of the cluster (25 at the paper's
+    /// 100 executors).
+    pub fn prototype(region: GridRegion, num_jobs: usize, executors: usize, seed: u64) -> Self {
         ExperimentConfig {
-            per_job_cap: Some(25),
+            executors,
+            per_job_cap: Some((executors / 4).max(1)),
             ..ExperimentConfig::simulator(region, num_jobs, seed)
         }
     }
@@ -150,6 +152,52 @@ impl BaseScheduler {
             BaseScheduler::KubeDefault => "default",
             BaseScheduler::WeightedFair => "W.Fair",
             BaseScheduler::Decima => "Decima",
+        }
+    }
+}
+
+/// The paper's two cluster setups, each measured against its own
+/// carbon-agnostic default: the Spark-on-Kubernetes prototype against the
+/// capped K8s default, the simulator against Spark standalone FIFO.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Setup {
+    /// [`ExperimentConfig::prototype`], baseline [`BaseScheduler::KubeDefault`].
+    Prototype,
+    /// [`ExperimentConfig::simulator`], baseline [`BaseScheduler::Fifo`].
+    Simulator,
+}
+
+impl Setup {
+    /// This setup on `executors` executors.
+    pub(crate) fn config(
+        self,
+        region: GridRegion,
+        num_jobs: usize,
+        executors: usize,
+        seed: u64,
+    ) -> ExperimentConfig {
+        match self {
+            Setup::Prototype => ExperimentConfig::prototype(region, num_jobs, executors, seed),
+            Setup::Simulator => ExperimentConfig {
+                executors,
+                ..ExperimentConfig::simulator(region, num_jobs, seed)
+            },
+        }
+    }
+
+    /// The scheduler this setup normalises against.
+    pub(crate) fn base(self) -> BaseScheduler {
+        match self {
+            Setup::Prototype => BaseScheduler::KubeDefault,
+            Setup::Simulator => BaseScheduler::Fifo,
+        }
+    }
+
+    /// `"prototype"` or `"simulator"`, as the tables and figures name it.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Setup::Prototype => "prototype",
+            Setup::Simulator => "simulator",
         }
     }
 }
@@ -380,7 +428,7 @@ mod tests {
 
     #[test]
     fn prototype_config_has_cap() {
-        let c = ExperimentConfig::prototype(GridRegion::Caiso, 10, 0);
+        let c = ExperimentConfig::prototype(GridRegion::Caiso, 10, 100, 0);
         assert_eq!(c.per_job_cap, Some(25));
         assert_eq!(c.executors, 100);
         let s = ExperimentConfig::simulator(GridRegion::Caiso, 10, 0);

@@ -18,13 +18,14 @@
 //! show the alternative: rejections absorb the overload and delay
 //! percentiles stay finite.
 //!
-//! Binary: `steady_state`; CSV: `results/steady_state.csv` (one row per
+//! Entry: `steady_state`; CSV: `results/steady_state.csv` (one row per
 //! window per trial).
 //!
 //! [`WorkloadStream`]: pcaps_workloads::WorkloadStream
 //! [`ServeSession`]: pcaps_cluster::ServeSession
 
 use crate::format::TextTable;
+use crate::repro::Output;
 use crate::runner::{BaseScheduler, SchedulerSpec};
 use crate::streaming::StreamSource;
 use pcaps_carbon::synth::SyntheticTraceGenerator;
@@ -294,45 +295,40 @@ pub fn steady_state_sweep(
     out
 }
 
-/// The sweep behind `results/steady_state.csv`, shared by the
-/// `steady_state` binary (which prints it) and `repro_check` (which
-/// compares its CSV with the committed file).
-#[derive(Debug, Clone)]
-pub struct SteadyStateSweep {
-    /// The serving configuration (German grid, seed 42).
-    pub config: SteadyStateConfig,
-    /// Arrival-rate multipliers.
-    pub rates: Vec<f64>,
-    /// Scheduler arms ([`default_specs`]).
-    pub specs: Vec<SchedulerSpec>,
-    /// Admission arms: none, and a queue bounded at `4·K`.
-    pub admissions: Vec<AdmissionSpec>,
-    /// Every rate × scheduler × admission trial.
-    pub outputs: Vec<SteadyTrialOutput>,
-}
-
-impl SteadyStateSweep {
-    /// Runs the sweep.  `quick` shortens the horizon to 720 schedule
-    /// seconds on 12 executors at two rates.
-    pub fn run(quick: bool) -> Self {
-        let mut config = SteadyStateConfig::standard(GridRegion::Germany, 42);
-        let rates = if quick {
-            config.horizon = 720.0;
-            config.executors = 12;
-            vec![1.0, 3.0]
-        } else {
-            vec![0.5, 1.0, 2.0, 4.0]
-        };
-        let specs = default_specs();
-        let admissions = vec![AdmissionSpec::None, AdmissionSpec::Bounded(4 * config.executors)];
-        let outputs = steady_state_sweep(&config, &rates, &specs, &admissions);
-        SteadyStateSweep { config, rates, specs, admissions, outputs }
-    }
-
-    /// The sweep as CSV (the format of `results/steady_state.csv`).
-    pub fn to_csv(&self) -> String {
-        to_csv(&self.outputs)
-    }
+/// The sweep behind `results/steady_state.csv` on the German grid: every
+/// rate multiplier × [`default_specs`] × admission (none, and a queue
+/// bounded at `4·K`).  `quick` shortens the horizon to 720 schedule seconds
+/// on 12 executors at two rates.
+pub(crate) fn output(quick: bool) -> Output {
+    let mut config = SteadyStateConfig::standard(GridRegion::Germany, 42);
+    let rates = if quick {
+        config.horizon = 720.0;
+        config.executors = 12;
+        vec![1.0, 3.0]
+    } else {
+        vec![0.5, 1.0, 2.0, 4.0]
+    };
+    let specs = default_specs();
+    let admissions = [AdmissionSpec::None, AdmissionSpec::Bounded(4 * config.executors)];
+    let outputs = steady_state_sweep(&config, &rates, &specs, &admissions);
+    let text = format!(
+        "Steady-state serving sweep — {} rate multipliers × {} schedulers × {} admission arms\n\
+         ({} schedule-second horizon, {}-second windows, diurnal amplitude {})\n\n\
+         {}\n\
+         Past saturation the finite-trial story inverts: PCAPS's deferral into green\n\
+         windows shows up as standing queueing delay (and without admission control,\n\
+         as an ever-growing backlog), while the bounded-queue arms trade rejections\n\
+         for finite delay percentiles.  See results/steady_state.csv for the full\n\
+         per-window percentile series.\n",
+        rates.len(),
+        specs.len(),
+        admissions.len(),
+        config.horizon,
+        config.window,
+        config.amplitude,
+        render(&outputs).render(),
+    );
+    Output { text, csv: to_csv(&outputs) }
 }
 
 /// The sweep's default scheduler arms: FIFO and moderately carbon-aware

@@ -1,8 +1,13 @@
 //! Parameter sweeps: Figs. 7, 8, 11, 12 (carbon-awareness sweeps) and
 //! Figs. 16–19 (job-count and inter-arrival sweeps, Appendix A.2).
+//!
+//! Each figure runs one of the paper's two [`Setup`]s on the DE grid: the
+//! prototype for Figs. 7, 8, 17 and 19, the simulator for Figs. 11, 12, 16
+//! and 18.
 
 use crate::format::{pct, ratio, TextTable};
-use crate::runner::{run_trials, BaseScheduler, ExperimentConfig, SchedulerSpec};
+use crate::repro::Output;
+use crate::runner::{run_trials, BaseScheduler, ExperimentConfig, SchedulerSpec, Setup};
 use pcaps_carbon::GridRegion;
 use pcaps_metrics::summary::average_normalized;
 use pcaps_metrics::NormalizedSummary;
@@ -143,15 +148,13 @@ pub fn render(parameter_name: &str, points: &[SweepPoint]) -> TextTable {
     table
 }
 
-/// The default parameter grids used by the figure binaries (matching the
-/// ranges in the paper's figures).
+/// The default parameter grids of the figures (matching the ranges in the
+/// paper's figures).
 pub mod grids {
     /// γ values of Figs. 7 and 11.
     pub const GAMMAS: [f64; 5] = [0.1, 0.25, 0.5, 0.75, 0.9];
-    /// B values of Fig. 8 (prototype, K = 100).
-    pub const BS_PROTOTYPE: [usize; 5] = [10, 20, 40, 60, 80];
-    /// B values of Fig. 12 (simulator, K = 100).
-    pub const BS_SIMULATOR: [usize; 5] = [10, 20, 40, 60, 80];
+    /// B values of Figs. 8 and 12 at K = 100 (scaled with K).
+    pub const BS: [usize; 5] = [10, 20, 40, 60, 80];
     /// Job counts of Fig. 16.
     pub const JOB_COUNTS_SIM: [usize; 5] = [12, 25, 50, 100, 200];
     /// Job counts of Fig. 17.
@@ -160,11 +163,106 @@ pub mod grids {
     pub const INTERARRIVALS: [f64; 5] = [7.5, 15.0, 30.0, 60.0, 120.0];
 }
 
-/// The default sweep setting for the DE grid used throughout §6.3/§6.4.
-pub fn default_sweep_config(num_jobs: usize, executors: usize, seed: u64) -> ExperimentConfig {
-    let mut c = ExperimentConfig::simulator(GridRegion::Germany, num_jobs, seed);
-    c.executors = executors;
-    c
+/// `setup` on the DE grid used throughout §6.3/§6.4.
+fn de_config(setup: Setup, num_jobs: usize, executors: usize) -> ExperimentConfig {
+    setup.config(GridRegion::Germany, num_jobs, executors, 42)
+}
+
+/// How the figures name `setup`'s CAP and its baseline.
+fn labels(setup: Setup) -> (&'static str, &'static str) {
+    match setup {
+        Setup::Prototype => ("CAP", "Spark/K8s default"),
+        Setup::Simulator => ("CAP-FIFO", "FIFO"),
+    }
+}
+
+/// Fig. `fig` (7 for the prototype, 11 for the simulator): PCAPS versus γ.
+pub(crate) fn gamma_figure(fig: u8, setup: Setup, quick: bool) -> Output {
+    let (jobs, execs, trials) = if quick { (15, 30, 1) } else { (50, 100, 3) };
+    let baseline = SchedulerSpec::Baseline(setup.base());
+    let cfg = de_config(setup, jobs, execs);
+    let points = gamma_sweep(&cfg, baseline, &grids::GAMMAS, trials);
+    let title = format!(
+        "Fig. {fig} — PCAPS carbon / ECT vs gamma ({}, DE grid, {jobs} jobs)",
+        setup.name()
+    );
+    Output::table(&title, &render("gamma", &points))
+}
+
+/// Fig. `fig` (8 for the prototype, 12 for the simulator): CAP versus B,
+/// with [`grids::BS`] scaled to the cluster.
+pub(crate) fn b_figure(fig: u8, setup: Setup, quick: bool) -> Output {
+    let (jobs, execs, trials) = if quick { (15, 30, 1) } else { (50, 100, 3) };
+    let bs: Vec<usize> = grids::BS.iter().map(|b| (b * execs / 100).max(1)).collect();
+    let base = setup.base();
+    let cfg = de_config(setup, jobs, execs);
+    let points = b_sweep(&cfg, SchedulerSpec::Baseline(base), base, &bs, trials);
+    let title = format!(
+        "Fig. {fig} — {} carbon / ECT vs B ({}, DE grid, {jobs} jobs)",
+        labels(setup).0,
+        setup.name()
+    );
+    Output::table(&title, &render("B", &points))
+}
+
+/// Figs. 16–19: `sweep` run for PCAPS, CAP and Decima against `setup`'s
+/// baseline, one table per policy, each under its label.
+fn per_policy(
+    fig: u8,
+    swept: &str,
+    parameter: &str,
+    setup: Setup,
+    sweep: impl Fn(SchedulerSpec, SchedulerSpec) -> Vec<SweepPoint>,
+) -> Output {
+    let (cap, vs) = labels(setup);
+    let mut text = format!(
+        "Fig. {fig} — {swept} sweep ({}, DE grid), vs {vs}\n\n",
+        setup.name()
+    );
+    let mut csv = String::new();
+    let baseline = SchedulerSpec::Baseline(setup.base());
+    for (label, spec) in [
+        ("PCAPS", SchedulerSpec::pcaps_moderate()),
+        (cap, SchedulerSpec::cap_moderate(setup.base())),
+        ("Decima", SchedulerSpec::Baseline(BaseScheduler::Decima)),
+    ] {
+        let table = render(parameter, &sweep(baseline, spec));
+        text.push_str(&format!("{label}:\n{}\n", table.render()));
+        csv.push_str(&format!("# {label}\n{}", table.to_csv()));
+    }
+    Output { text, csv }
+}
+
+/// Fig. `fig` (16 for the simulator, 17 for the prototype): the job-count
+/// sweep.
+pub(crate) fn job_count_figure(fig: u8, setup: Setup, quick: bool) -> Output {
+    let (execs, trials, counts): (usize, usize, &[usize]) = match (quick, setup) {
+        (true, _) => (24, 1, &[6, 12, 25]),
+        (false, Setup::Simulator) => (100, 2, &grids::JOB_COUNTS_SIM),
+        (false, Setup::Prototype) => (100, 2, &grids::JOB_COUNTS_PROTO),
+    };
+    let cfg = de_config(setup, 50, execs);
+    per_policy(fig, "job-count", "jobs", setup, |baseline, spec| {
+        job_count_sweep(&cfg, baseline, spec, counts, trials)
+    })
+}
+
+/// Fig. `fig` (18 for the simulator, 19 for the prototype): the
+/// inter-arrival sweep.
+pub(crate) fn interarrival_figure(fig: u8, setup: Setup, quick: bool) -> Output {
+    let (jobs, execs, trials, ias) = if quick {
+        (12, 24, 1, &[15.0, 60.0][..])
+    } else {
+        (50, 100, 2, &grids::INTERARRIVALS[..])
+    };
+    let cfg = de_config(setup, jobs, execs);
+    per_policy(
+        fig,
+        "inter-arrival-time",
+        "interarrival_s",
+        setup,
+        |baseline, spec| interarrival_sweep(&cfg, baseline, spec, ias, trials),
+    )
 }
 
 #[cfg(test)]
@@ -172,7 +270,7 @@ mod tests {
     use super::*;
 
     fn tiny_config() -> ExperimentConfig {
-        let mut c = default_sweep_config(10, 20, 3);
+        let mut c = Setup::Simulator.config(GridRegion::Germany, 10, 20, 3);
         c.trace_days = 7;
         c
     }

@@ -1,6 +1,7 @@
 //! Table 1: summary of carbon intensity trace characteristics.
 
 use crate::format::TextTable;
+use crate::repro::Output;
 use pcaps_carbon::synth::SyntheticTraceGenerator;
 use pcaps_carbon::{GridRegion, TraceStats};
 
@@ -35,6 +36,15 @@ pub fn rows(hours: usize, seed: u64) -> Vec<Table1Row> {
 /// The full-size reproduction of Table 1 (three years of hourly data).
 pub fn paper_rows(seed: u64) -> Vec<Table1Row> {
     rows(GridRegion::PAPER_TRACE_HOURS, seed)
+}
+
+/// Table 1 (`quick`: three months of trace instead of three years).
+pub(crate) fn output(quick: bool) -> Output {
+    let rows = if quick { rows(24 * 90, 42) } else { paper_rows(42) };
+    Output::table(
+        "Table 1 — carbon intensity trace characteristics (paper vs generated)",
+        &render(&rows),
+    )
 }
 
 /// Renders the rows in the layout of Table 1, with the paper's values next

@@ -673,7 +673,7 @@ fn migrating_a_running_job_is_an_error() {
 }
 
 /// Migration composes with the experiment harness end to end: the CSV the
-/// `multi_region` binary writes carries the migration axis with per-row
+/// `multi_region` entry writes carries the migration axis with per-row
 /// move counts and transfer seconds.
 #[test]
 fn federated_trial_reports_migration_accounting() {
