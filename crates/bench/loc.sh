@@ -2,7 +2,8 @@
 # Non-test Rust line count, the size measure of ROADMAP's aim 2: every `.rs`
 # file under `crates/` (the shims included), `src/` and `examples/`, each
 # cut at its first `#[cfg(test)]` line, so a unit-test module at the foot
-# of a file does not count (integration tests under `tests/` never do).
+# of a file does not count (integration tests, under the root `tests/` or
+# a crate's own `tests/`, never do).
 #
 # Usage:  crates/bench/loc.sh
 #
@@ -11,7 +12,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/../.."
 
-find crates src examples -name '*.rs' -print0 | sort -z | xargs -0 awk '
+find crates src examples -path 'crates/*/tests' -prune -o -name '*.rs' -print0 |
+    sort -z | xargs -0 awk '
     FNR == 1 {
         if (file != "") { printf "%6d %s\n", n, file; total += n }
         file = FILENAME; n = 0; cut = 0

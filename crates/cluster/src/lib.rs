@@ -195,31 +195,36 @@
 //!   per-job feature caches, aggregate counts) persists across invocations.
 //!   Which jobs to revisit comes from the member's change journal
 //!   ([`SchedulingContext::changes_since`]); whether a revisited entry is
-//!   still good comes from `JobProgress::pending_version` (bumped by
-//!   dispatch and failure) plus the completed-stage count — equal job id
-//!   and equal stamps mean equal observable progress, so a cached entry is
-//!   reused bit for bit and only mutated jobs are recomputed.  Revalidation
-//!   keys off engine-owned state, never off the [`SchedEvent`] stream: events are advisory (they are suppressed while
-//!   the member has nothing to decide, migrations arrive as plain
-//!   `JobArrived`, a departing job sends its former member no event), so a
-//!   policy that trusted event delivery for cache invalidation would
-//!   silently go stale.  Aggregates a policy needs every event (e.g. total
+//!   still good comes from the stamps `JobProgress` keeps:
+//!   `pending_version` (bumped by dispatch and failure, so it keys the
+//!   remaining work), `dispatchable_version` (bumped when a stage enters
+//!   or leaves the dispatchable set, so it keys per-stage terms) and the
+//!   completed-stage count.  Equal job id and equal stamps mean equal
+//!   observable progress, so a cached entry is reused bit for bit and only
+//!   the terms whose stamps moved are recomputed.  Revalidation keys off
+//!   engine-owned state, never off the [`SchedEvent`] stream: events are
+//!   advisory (they are suppressed while the member has nothing to decide,
+//!   migrations arrive as plain `JobArrived`, a departing job sends its
+//!   former member no event), so a policy that trusted event delivery for
+//!   cache invalidation would silently go stale.  Aggregates a policy needs every event (e.g. total
 //!   outstanding work) come from the engine's incrementally maintained
 //!   counters via [`SchedulingContext`] accessors rather than per-event
 //!   folds over the job table.  Derived values that depend on *every* job
 //!   are cached under the bits of the global input they were computed
 //!   from.  `DecimaLike` factorises its softmax into a per-job factor and a
-//!   per-job sum of stage factors, keys each job's entry by those stamps,
-//!   revisits only the journaled jobs, and recomputes every job factor only
-//!   when the max-remaining normaliser's bits change.  Nothing is stored or
-//!   folded per stage: the sum and the max probability are folds over
-//!   jobs, resumed at the first changed job, and sampling binary-searches
-//!   the jobs' running sums, then walks the chosen job's stages.
+//!   per-job sum of stage factors, keys each job's entry by those stamps
+//!   (a dispatch that leaves its stage dispatchable keeps the stage sum),
+//!   revisits only the journaled jobs, and recomputes every job factor
+//!   only when the max-remaining normaliser's bits change.  Nothing is
+//!   stored per stage: the sum and the max probability are folds over a
+//!   dense per-job array beside the entries, resumed at the first changed
+//!   job, and sampling binary-searches that array's running sums, then
+//!   walks the chosen job's stages.
 //!   `tests/scheduler_state.rs` pins it bit for bit against a from-scratch
 //!   factorised recomputation, and within rounding of the textbook
-//!   softmax, across arrivals, completions, serve-mode compaction,
-//!   migration and restored sessions, through both the distribution and
-//!   the sampling paths and both refresh paths.
+//!   softmax, across arrivals, completions, crashes and retries,
+//!   serve-mode compaction, migration and restored sessions, through both
+//!   the distribution and the sampling paths and both refresh paths.
 //! * **O(1) carbon bounds.**  Per-event `CarbonView`s (for scheduling and
 //!   routing alike) are served by each trace's forecast-bounds table (one
 //!   `(min, max)` per start index, built on first query); linear walks over

@@ -124,8 +124,9 @@ impl<'a> JobView<'a> {
         self.progress.dispatchable_stages()
     }
 
-    /// Remaining undispatched work in executor-seconds (O(num_stages),
-    /// answered from cached per-stage duration suffix sums).
+    /// Remaining undispatched work in executor-seconds (O(stages with
+    /// fresh pending tasks), answered from cached per-stage duration
+    /// suffix sums).
     pub fn remaining_work(&self) -> f64 {
         self.progress.remaining_work(self.dag)
     }

@@ -73,6 +73,10 @@ pub struct PcapsStats {
     /// Number of decisions taken under the "no machines busy" progress
     /// guarantee (Algorithm 1, line 7).
     pub forced_progress: u64,
+    /// Number of consults declined without sampling because PCAPS had
+    /// already decided at this instant in the throttle regime (one
+    /// decision per scheduling event, Algorithm 1).
+    pub declined: u64,
     /// Total executor-seconds of work deferred (sum of the expected work of
     /// deferred stages at the moment of deferral).
     pub deferred_work: f64,
@@ -172,6 +176,7 @@ impl<PB: ProbabilisticScheduler> Scheduler for Pcaps<PB> {
         if threshold.is_throttled(ctx.carbon.intensity)
             && self.last_decision_time == Some(ctx.time)
         {
+            self.stats.declined += 1;
             return;
         }
         // Line 5: sample v ∈ A_t with p_{v,t} and max_u p_{u,t} from PB

@@ -22,17 +22,22 @@
 //! as a snapshot that is invalidated by any mutating call.  The set is kept
 //! sorted by ascending [`StageId`], matching the order a full rescan would
 //! produce.  A bitset of the stages that still have fresh pending tasks
-//! lets [`JobProgress::remaining_work`] skip fully dispatched stages.
+//! lets [`JobProgress::remaining_work`] skip fully dispatched stages, and
+//! [`JobProgress::dispatchable_version`] counts the changes to the set, so
+//! a policy can tell in O(1) whether the set it derived terms from moved.
 
 use crate::ids::StageId;
 use crate::job::JobDag;
 use serde::{Deserialize, Serialize};
 
-/// Inserts `stage` into a sorted stage list (no-op if already present).
-fn sorted_insert(list: &mut Vec<StageId>, stage: StageId) {
-    if let Err(pos) = list.binary_search(&stage) {
-        list.insert(pos, stage);
-    }
+/// Inserts `stage` into a sorted stage list (no-op if already present);
+/// returns whether it was inserted.
+fn sorted_insert(list: &mut Vec<StageId>, stage: StageId) -> bool {
+    let Err(pos) = list.binary_search(&stage) else {
+        return false;
+    };
+    list.insert(pos, stage);
+    true
 }
 
 /// Removes `stage` from a sorted stage list (no-op if absent).
@@ -151,6 +156,9 @@ pub struct JobProgress {
     /// only mutations that change which tasks are undispatched (see
     /// [`JobProgress::pending_version`]).
     pending_version: u64,
+    /// Monotonic counter bumped whenever a stage enters or leaves
+    /// `dispatchable` (see [`JobProgress::dispatchable_version`]).
+    dispatchable_version: u64,
 }
 
 impl JobProgress {
@@ -190,18 +198,19 @@ impl JobProgress {
             retry_work: 0.0,
             pending_stages,
             pending_version: 0,
+            dispatchable_version: 0,
         }
     }
 
     /// A monotonic counter bumped by every successful dispatch and every
     /// failure, and by nothing else.  Those are the only mutations that
     /// change the undispatched work: a finish moves a task from running to
-    /// finished, and changes what a scheduler sees only when it completes a
-    /// stage, which [`Frontier::num_completed`] counts.  So for one job
-    /// within one timeline, an equal pending version means bit-equal
-    /// [`JobProgress::remaining_work`], and an equal pending version plus
-    /// an equal completed-stage count mean the same dispatchable set too.
-    /// Policies key per-job caches by the pair and revalidate in O(1).
+    /// finished.  So for one job within one timeline, an equal pending
+    /// version means bit-equal [`JobProgress::remaining_work`].  It says
+    /// nothing about the dispatchable set: a dispatch that leaves pending
+    /// tasks in its stage moves the version and not the set, and a stage
+    /// completion moves the set and not the version.  Policies key per-job
+    /// caches of the remaining work by it and revalidate in O(1).
     ///
     /// The counter travels with the progress through migration and
     /// snapshot/restore.  A caller that restores an engine to an earlier
@@ -212,18 +221,19 @@ impl JobProgress {
         self.pending_version
     }
 
-    /// Ids (as indices) of the stages with fresh pending tasks, ascending.
-    fn pending_stage_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        self.pending_stages.iter().enumerate().flat_map(|(w, &word)| {
-            let mut bits = word;
-            std::iter::from_fn(move || {
-                (bits != 0).then(|| {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    w * 64 + b
-                })
-            })
-        })
+    /// A monotonic counter bumped whenever a stage enters or leaves
+    /// [`JobProgress::dispatchable_stages`], and by nothing else: by the
+    /// dispatch that takes a stage's last pending task or queued retry, by
+    /// a failure that puts a stage back into the set, and by a stage
+    /// completion that makes a child with pending tasks runnable.  A
+    /// dispatch that leaves pending tasks in its stage, a failure in a
+    /// stage that is still dispatchable and a finish that unlocks no child
+    /// leave it alone.  So for one job within one timeline, an equal
+    /// dispatchable version means the same dispatchable set, and per-stage
+    /// terms derived from the set can be kept.  The same snapshot caveat
+    /// as [`JobProgress::pending_version`] applies.  O(1).
+    pub fn dispatchable_version(&self) -> u64 {
+        self.dispatchable_version
     }
 
     /// Structural frontier (completed stages, runnable test).
@@ -282,24 +292,28 @@ impl JobProgress {
     /// O(stages with fresh pending tasks): answered from the DAG's cached
     /// per-stage duration suffix sums ([`JobDag::duration_suffix_sums`])
     /// instead of walking every task, and folded only over the stages in
-    /// the pending bitset.  Bit-identical to a direct task-by-task
-    /// recomputation over every stage: a stage with no fresh pending task
-    /// would add its empty suffix sum, which `f64`'s `Sum` makes `-0.0`,
-    /// and `x + -0.0` is `x` bit for bit.  The fold is a `.sum()` over the
-    /// kept terms, so it starts from the same neutral element and a job
-    /// with nothing pending still yields `-0.0`.
+    /// the pending bitset.  A stage's term is the suffix sum that starts at
+    /// its first undispatched task, which lies `pending` entries before
+    /// the stage's empty suffix (the last entry of its block), so each
+    /// term takes one offset load and one count load.  Bit-identical to a
+    /// direct task-by-task recomputation over every stage: a stage with no
+    /// fresh pending task would add its empty suffix sum, which `f64`'s
+    /// `Sum` makes `-0.0`, and `x + -0.0` is `x` bit for bit.  The fold
+    /// starts from that same neutral element, `-0.0`, and adds the kept
+    /// terms in stage order, so a job with nothing pending still yields
+    /// `-0.0`.
     pub fn remaining_work(&self, job: &JobDag) -> f64 {
         let (offsets, sums) = job.duration_suffix_sums();
         debug_assert_eq!(job.num_stages() + 1, offsets.len());
-        let fresh: f64 = self
-            .pending_stage_indices()
-            .map(|s| {
-                let offset = offsets[s] as usize;
-                let tasks = (offsets[s + 1] as usize - offset) - 1;
-                let done_or_running = tasks - self.counts[s].pending as usize;
-                sums[offset + done_or_running]
-            })
-            .sum();
+        let mut fresh = -0.0;
+        for (w, &word) in self.pending_stages.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let s = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                fresh += sums[offsets[s + 1] as usize - 1 - self.counts[s].pending as usize];
+            }
+        }
         // Failed tasks awaiting re-dispatch are neither pending (above) nor
         // running; add their tracked work back.  The guard keeps fault-free
         // arithmetic bit-identical (no `+ 0.0` term on the hot path).
@@ -331,6 +345,7 @@ impl JobProgress {
                 counts.running += 1;
                 if counts.pending == 0 && !self.retry.iter().any(|&(s, _)| s == stage) {
                     sorted_remove(&mut self.dispatchable, stage);
+                    self.dispatchable_version += 1;
                 }
                 self.pending_version += 1;
                 return Some(task as usize);
@@ -351,6 +366,7 @@ impl JobProgress {
             // No retry entries can exist for this stage here: the retry
             // branch above consumes them before any fresh task is taken.
             sorted_remove(&mut self.dispatchable, stage);
+            self.dispatchable_version += 1;
             self.pending_stages[stage.index() / 64] &= !(1 << (stage.index() % 64));
         }
         self.pending_version += 1;
@@ -379,7 +395,9 @@ impl JobProgress {
         counts.running -= 1;
         self.retry.push((stage, task as u32));
         self.retry_work += job.stage(stage).tasks[task].duration;
-        sorted_insert(&mut self.dispatchable, stage);
+        if sorted_insert(&mut self.dispatchable, stage) {
+            self.dispatchable_version += 1;
+        }
         self.pending_version += 1;
     }
 
@@ -418,6 +436,7 @@ impl JobProgress {
         for &c in job.adjacency.children(stage) {
             if self.frontier.is_runnable(c) && self.counts[c.index()].pending > 0 {
                 sorted_insert(&mut self.dispatchable, c);
+                self.dispatchable_version += 1;
             }
         }
         true
@@ -594,10 +613,17 @@ mod tests {
         }
     }
 
+    /// Ids (as indices) of the stages in the pending bitset, ascending.
+    fn pending_stage_indices(p: &JobProgress) -> Vec<usize> {
+        (0..p.counts.len())
+            .filter(|&s| p.pending_stages[s / 64] & (1 << (s % 64)) != 0)
+            .collect()
+    }
+
     /// The bitset holds exactly the stages whose fresh pending count is
     /// non-zero, and `remaining_work` equals the all-stage fold bit for bit.
     fn assert_pending_state(p: &JobProgress, job: &JobDag, step: &str) {
-        let from_bits: Vec<usize> = p.pending_stage_indices().collect();
+        let from_bits = pending_stage_indices(p);
         let from_counts: Vec<usize> =
             (0..p.counts.len()).filter(|&s| p.counts[s].pending > 0).collect();
         assert_eq!(from_bits, from_counts, "pending bitset after {step}");
@@ -641,7 +667,7 @@ mod tests {
                 assert_pending_state(&p, &job, &format!("finishing {stage}"));
             }
         }
-        assert!(p.pending_stage_indices().next().is_none());
+        assert!(pending_stage_indices(&p).is_empty());
         assert_eq!(p.queued_retries(), queued.len());
         assert!(p.remaining_work(&job) > 0.0, "queued retries still count");
         for stage in queued {
@@ -663,20 +689,23 @@ mod tests {
     fn pending_version_moves_with_dispatch_and_failure_only() {
         let job = diamond();
         let mut p = JobProgress::new(&job);
-        assert_eq!(p.pending_version(), 0);
+        let versions = |p: &JobProgress| (p.pending_version(), p.dispatchable_version());
+        assert_eq!(versions(&p), (0, 0));
         p.dispatch_task(&job, StageId(0)).unwrap();
+        assert_eq!(versions(&p), (1, 0), "a dispatch that leaves pending tasks keeps the set");
         p.dispatch_task(&job, StageId(0)).unwrap();
-        assert_eq!(p.pending_version(), 2);
+        assert_eq!(versions(&p), (2, 1), "the last pending task takes its stage out");
         assert_eq!(p.dispatch_task(&job, StageId(0)), None);
-        assert_eq!(p.pending_version(), 2, "a refused dispatch changes nothing");
+        assert_eq!(versions(&p), (2, 1), "a refused dispatch changes nothing");
         p.fail_task(&job, StageId(0), 1);
-        assert_eq!(p.pending_version(), 3);
+        assert_eq!(versions(&p), (3, 2), "a failure puts its stage back");
         assert!(!p.finish_task(&job, StageId(0)));
-        assert_eq!(p.pending_version(), 3, "a finish leaves the pending work alone");
+        assert_eq!(versions(&p), (3, 2), "a finish leaves the pending work alone");
         p.dispatch_task(&job, StageId(0)).unwrap();
-        assert_eq!(p.pending_version(), 4, "a retry dispatch counts");
+        assert_eq!(versions(&p), (4, 3), "a retry dispatch counts");
         assert!(p.finish_task(&job, StageId(0)));
         assert_eq!(p.pending_version(), 4, "a stage completion shows in num_completed");
+        assert_eq!(p.dispatchable_version(), 5, "and in the set, once per unlocked child");
         assert_eq!(p.frontier().num_completed(), 1);
     }
 

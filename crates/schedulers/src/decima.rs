@@ -53,22 +53,31 @@
 //!   pass saw another run), the pass reconciles instead: one ordered merge
 //!   of the table against every active job.
 //! * **Job stamps.**  Each entry (`R_j`, `0.5·C_j`, `bmax_j`, `E_j` and
-//!   `J_j`) is stamped with its job's [`JobProgress::pending_version`] and
-//!   completed-stage count.  An entry whose stamps still match is current,
-//!   whatever else the job did (a task finish that completes no stage
-//!   changes neither).  A changed completed count alone rebuilds the stage
-//!   terms, at O(dispatchable stages) `exp`s, and keeps `R_j`; a changed
-//!   pending version recomputes `R_j` too.  Nothing is stored per stage:
-//!   sampling recomputes the chosen job's few `e_i` with the same
+//!   `J_j`) is stamped with three counters of its job's progress:
+//!   [`JobProgress::pending_version`] for `R_j`, the completed-stage count
+//!   for `0.5·C_j`, and [`JobProgress::dispatchable_version`] for `bmax_j`
+//!   and `E_j`.  An entry whose stamps all match is current, whatever else
+//!   the job did (a task finish that completes no stage moves none).  A
+//!   stale entry recomputes `R_j` only if the pending version moved (a
+//!   dispatch or a failure), the stage terms, at O(dispatchable stages)
+//!   `exp`s, only if the dispatchable set moved, and `0.5·C_j` and `J_j`
+//!   always: a dispatch that leaves pending tasks in its stage costs one
+//!   `remaining_work` fold and one job `exp`.  Nothing is stored per
+//!   stage: sampling recomputes the chosen job's few `e_i` with the same
 //!   operations that summed them into `E_j`.
 //! * **Normaliser bits.**  `N` is the largest `R_j`, kept across passes
 //!   and rescanned from the table only when the entry holding it shrinks.
 //!   Every job factor depends on `N`, so when its bits change every `J_j`
-//!   is recomputed; otherwise only rebuilt jobs' are.
-//! * **Fold suffix.**  Each entry keeps the running `Σ J·E` and running
-//!   `max J` up to and including itself.  The fold restarts at the first
-//!   entry whose terms changed, from its predecessor's running values, so
-//!   the prefix keeps its bits and the fold stays the sequential one.
+//!   is recomputed; otherwise only refreshed jobs' are.
+//! * **Dense fold table.**  The fold reads and writes one 32-byte slot per
+//!   job, kept beside the table: `J_j·E_j`, `J_j`, and the running `Σ J·E`
+//!   and `max J` up to and including the job.  A job without work holds
+//!   `+0.0` in both terms, which leaves the running values (from `+0.0`)
+//!   unchanged bit for bit.  A refreshed entry marks its slot stale, a
+//!   reconcile marks every slot from its first mismatch stale, and the
+//!   fold reloads stale slots from their entries.  It restarts at the
+//!   first stale slot, from its predecessor's running values, so the
+//!   prefix keeps its bits and the fold stays the sequential one.
 //! * **Score range.**  A job score `2·(1 − R_j/N) + 0.5·C_j + bmax_j` lies
 //!   in `[0, 4]`: `R_j ≤ N`, `C_j < 1` for a job with work, and
 //!   `bottleneck_scores` clamps every `b_i` to `[0, 1]`.  So every job
@@ -78,12 +87,13 @@
 //!   tests instead of going silent.
 //!
 //! A journal-driven pass therefore costs O(changed jobs) plus O(stages)
-//! per rebuilt job, plus the fold from the first changed entry to the end
-//! of the table, plus O(log jobs) to sample; a rescan of the normaliser or
-//! a reconcile costs O(resident jobs).  Sampling binary-searches the
-//! non-decreasing running sums for the first job whose `Σ J·E` reaches
-//! `r·Σ`, then walks that job's stages for the first whose cumulative
-//! `e_i` reaches the remainder `÷ J_j`, and reports `max p = max_j J_j / Σ`.
+//! per job whose dispatchable set moved, plus the fold from the first
+//! stale slot to the end of the table, plus O(log jobs) to sample; a
+//! rescan of the normaliser or a reconcile costs O(resident jobs).
+//! Sampling binary-searches the slots' non-decreasing running sums for the
+//! first job whose `Σ J·E` reaches `r·Σ`, then walks that job's stages for
+//! the first whose cumulative `e_i` reaches the remainder `÷ J_j`, and
+//! reports `max p = max_j J_j / Σ`.
 //! That is exact: the best stage's weight is `J_j·1`, every other is
 //! `J_j·e_i ≤ J_j`, and correctly rounded division by the same `Σ`
 //! preserves order, so the argmax stage's relative importance `p / max p`
@@ -95,12 +105,14 @@
 //! rounding of a CDF boundary.  `tests/scheduler_state.rs` pins every pass
 //! bit for bit against a from-scratch factorised recomputation and within
 //! `1e-12` relative of the textbook softmax; [`DecimaLike::cache_stats`]
-//! counts the passes of each kind, full refactors and `exp`s.  Debug builds
+//! counts the passes of each kind, full refactors, `exp`s and the
+//! refreshes that kept their stage terms.  Debug builds
 //! also check, after every journal-driven pass, that every entry the pass
 //! did not revisit is still current, so a mutation the engine failed to
 //! journal fails the test suite.
 //!
 //! [`JobProgress::pending_version`]: pcaps_dag::JobProgress::pending_version
+//! [`JobProgress::dispatchable_version`]: pcaps_dag::JobProgress::dispatchable_version
 //! [`softmax`]: crate::probabilistic::softmax
 //! [`sample_cdf`]: crate::probabilistic::sample_cdf
 
@@ -140,9 +152,14 @@ pub struct DecimaCacheStats {
     /// Job-factor (`J_j`) `exp` evaluations over all passes.
     pub job_exps: u64,
     /// Stage-factor (`e_i`) `exp` evaluations over all passes: every
-    /// dispatchable stage of a rebuilt job, plus the stages walked to pick
-    /// a sample or written out by `distribution_into`.
+    /// dispatchable stage of a new entry or of a refreshed one whose
+    /// dispatchable set moved, plus the stages walked to pick a sample or
+    /// written out by `distribution_into`.
     pub stage_exps: u64,
+    /// Entry refreshes that kept their stage terms (`bmax_j` and `E_j`)
+    /// because the job's dispatchable set had not moved, and recomputed
+    /// only `R_j` (if the pending version moved), `0.5·C_j` and `J_j`.
+    pub kept_stage_terms: u64,
     /// Passes that revisited only the jobs the engine's change journal
     /// named.
     pub journal_passes: u64,
@@ -152,19 +169,19 @@ pub struct DecimaCacheStats {
     pub reconciles: u64,
 }
 
-/// One job's cached entry, stamped with the job's
-/// [`JobProgress::pending_version`] and completed-stage count: while both
-/// match, the job's remaining work, completed stages and dispatchable set
-/// are what the entry was built from.
-///
-/// [`JobProgress::pending_version`]: pcaps_dag::JobProgress::pending_version
+/// One job's cached entry, stamped with the three progress counters its
+/// terms were computed at (see the module docs): while all three match,
+/// the job's remaining work, completed stages and dispatchable set are
+/// what the entry was built from.
 #[derive(Debug, Clone, Copy)]
 struct JobEntry {
     id: JobId,
     /// The pending version `remaining` was computed at.
     pending_version: u64,
-    /// The completed-stage count the stage terms were computed at.
+    /// The completed-stage count `completion_term` was computed at.
     completed: usize,
+    /// The dispatchable version the stage terms were computed at.
+    dispatchable_version: u64,
     /// Undispatched work `R_j` (executor-seconds) — `JobView::remaining_work()`.
     remaining: f64,
     /// `0.5 · completed stages / total stages`.
@@ -176,72 +193,86 @@ struct JobEntry {
     stage_sum: f64,
     /// The job factor `J_j`, or NaN until a fold computes it.
     factor: f64,
-    /// `Σ J·E` over the entries up to and including this one, as the
-    /// latest fold left it.
-    cumulative: f64,
-    /// The largest `J_j` among the entries with work up to and including
-    /// this one (0 if none), as the latest fold left it.
-    cumulative_max: f64,
 }
 
 impl JobEntry {
-    /// Builds the entry from scratch around a known remaining work `R_j`:
-    /// O(stages), one `exp` per dispatchable stage, job factor left for
-    /// [`DecimaLike::fold`].
-    fn build(job: &JobView<'_>, remaining: f64, stats: &mut DecimaCacheStats) -> Self {
-        let completed = job.progress.frontier().num_completed();
-        let completion = completed as f64 / job.dag.num_stages() as f64;
+    /// Builds the entry from scratch: O(stages), one `exp` per dispatchable
+    /// stage, job factor left for [`DecimaLike::fold`].
+    fn build(job: &JobView<'_>, stats: &mut DecimaCacheStats) -> Self {
         let mut entry = JobEntry {
             id: job.id,
             pending_version: job.progress.pending_version(),
-            completed,
-            remaining,
-            completion_term: COMPLETION * completion,
+            completed: 0,
+            dispatchable_version: 0,
+            remaining: job.remaining_work(),
+            completion_term: 0.0,
             best_bottleneck: f64::NEG_INFINITY,
             stage_sum: 0.0,
             factor: f64::NAN,
-            cumulative: f64::NAN,
-            cumulative_max: f64::NAN,
         };
-        let dispatchable = job.dispatchable_stages();
-        if !dispatchable.is_empty() {
-            // Per-stage features from the DAG structure — cached on the
-            // (shared) DAG, so the graph analysis runs once per job instead
-            // of once per pass.
-            let bottleneck = job.dag.bottleneck_scores();
-            let best = dispatchable
-                .iter()
-                .map(|s| BOTTLENECK * bottleneck[s.index()])
-                .fold(f64::NEG_INFINITY, f64::max);
-            entry.best_bottleneck = best;
-            entry.stage_sum = dispatchable
-                .iter()
-                .map(|s| stage_factor(bottleneck[s.index()], best))
-                .sum();
-            stats.stage_exps += dispatchable.len() as u64;
-        }
+        entry.set_completion(job);
+        entry.set_stage_terms(job, stats);
         entry
     }
 
-    /// True while both stamps match `job`'s progress (same id assumed).
+    /// Recomputes `0.5·C_j` and its stamp.
+    fn set_completion(&mut self, job: &JobView<'_>) {
+        self.completed = job.progress.frontier().num_completed();
+        self.completion_term = COMPLETION * (self.completed as f64 / job.dag.num_stages() as f64);
+    }
+
+    /// Recomputes `bmax_j` and `E_j` and their stamp: one `exp` per
+    /// dispatchable stage.
+    fn set_stage_terms(&mut self, job: &JobView<'_>, stats: &mut DecimaCacheStats) {
+        self.dispatchable_version = job.progress.dispatchable_version();
+        let dispatchable = job.dispatchable_stages();
+        if dispatchable.is_empty() {
+            self.best_bottleneck = f64::NEG_INFINITY;
+            self.stage_sum = 0.0;
+            return;
+        }
+        // Per-stage features from the DAG structure — cached on the
+        // (shared) DAG, so the graph analysis runs once per job instead of
+        // once per pass.
+        let bottleneck = job.dag.bottleneck_scores();
+        let best = dispatchable
+            .iter()
+            .map(|s| BOTTLENECK * bottleneck[s.index()])
+            .fold(f64::NEG_INFINITY, f64::max);
+        self.best_bottleneck = best;
+        self.stage_sum = dispatchable
+            .iter()
+            .map(|s| stage_factor(bottleneck[s.index()], best))
+            .sum();
+        stats.stage_exps += dispatchable.len() as u64;
+    }
+
+    /// True while all three stamps match `job`'s progress (same id assumed).
     fn is_current(&self, job: &JobView<'_>) -> bool {
         self.pending_version == job.progress.pending_version()
             && self.completed == job.progress.frontier().num_completed()
+            && self.dispatchable_version == job.progress.dispatchable_version()
     }
 
     /// Brings the entry up to date with `job` (same id): nothing if it is
-    /// current, otherwise a rebuild that keeps `R_j` unless a dispatch or
-    /// failure moved the pending version.  Returns whether it rebuilt.
+    /// current, otherwise `R_j` if the pending version moved, the stage
+    /// terms if the dispatchable set moved, and `0.5·C_j`, leaving the job
+    /// factor for the fold.  Returns whether it refreshed.
     fn refresh(&mut self, job: &JobView<'_>, stats: &mut DecimaCacheStats) -> bool {
         if self.is_current(job) {
             return false;
         }
-        let remaining = if self.pending_version == job.progress.pending_version() {
-            self.remaining
+        if self.pending_version != job.progress.pending_version() {
+            self.pending_version = job.progress.pending_version();
+            self.remaining = job.remaining_work();
+        }
+        if self.dispatchable_version == job.progress.dispatchable_version() {
+            stats.kept_stage_terms += 1;
         } else {
-            job.remaining_work()
-        };
-        *self = JobEntry::build(job, remaining, stats);
+            self.set_stage_terms(job, stats);
+        }
+        self.set_completion(job);
+        self.factor = f64::NAN;
         true
     }
 
@@ -254,6 +285,39 @@ impl JobEntry {
         SHORT_JOB * (1.0 - self.remaining / normaliser)
             + self.completion_term
             + self.best_bottleneck
+    }
+}
+
+/// One job's fold terms and running values, kept in a dense array beside
+/// the table (see the module docs), so the fold and the sample's binary
+/// search read 32-byte slots instead of whole entries.
+#[derive(Debug, Clone, Copy)]
+struct FoldSlot {
+    /// `J_j·E_j`, or `+0.0` for a job without work.
+    weight: f64,
+    /// `J_j`, `0.0` for a job without work, or NaN while the slot is stale.
+    factor: f64,
+    /// `Σ weight` over the slots up to and including this one, as the
+    /// latest fold left it.
+    sum: f64,
+    /// The largest `factor` up to and including this one (at least `0.0`),
+    /// as the latest fold left it.
+    max: f64,
+}
+
+impl FoldSlot {
+    /// A slot the next fold reloads from its entry.
+    const STALE: FoldSlot = FoldSlot {
+        weight: f64::NAN,
+        factor: f64::NAN,
+        sum: f64::NAN,
+        max: f64::NAN,
+    };
+
+    /// A job factor is at least 1 and a job with work has `E_j ≥ 1`, so
+    /// only a job without work has a zero weight.
+    fn has_work(&self) -> bool {
+        self.weight > 0.0
     }
 }
 
@@ -270,7 +334,8 @@ fn max_remaining(table: &[JobEntry]) -> f64 {
 ///
 /// Holds a persistent per-job table of softmax factors (see the module
 /// docs), so a steady-state pass costs O(changed jobs) plus stage work for
-/// rebuilt jobs and the fold suffix; it performs no heap allocation.
+/// jobs whose dispatchable set moved and the fold suffix; it performs no
+/// heap allocation.
 /// Correctness never depends on the advisory `SchedEvent` stream: which
 /// jobs to revisit comes from the engine's change journal, and whenever
 /// the journal cannot vouch for the table it is reconciled against the
@@ -283,6 +348,8 @@ pub struct DecimaLike {
     /// Cached per-job entries, aligned with the latest pass's `ctx.jobs()`
     /// order (entry `i` is `ctx.job_at(i)`).
     table: Vec<JobEntry>,
+    /// The fold's slots, aligned with `table` (slot `i` is entry `i`'s).
+    slots: Vec<FoldSlot>,
     /// Scratch for the ordered merge (swapped with `table` when membership
     /// changes).
     scratch: Vec<JobEntry>,
@@ -310,6 +377,7 @@ impl DecimaLike {
         DecimaLike {
             rng: ChaCha8Rng::seed_from_u64(seed),
             table: Vec::new(),
+            slots: Vec::new(),
             scratch: Vec::new(),
             cursor: None,
             max_remaining: 0.0,
@@ -326,10 +394,11 @@ impl DecimaLike {
         self.stats
     }
 
-    /// Brings the job table up to date with the context, leaving it
-    /// aligned with `ctx.jobs()`, the max-remaining fold and the
-    /// jobs-with-work count current, and returns the index of the first
-    /// entry whose terms changed (the table length if none did).
+    /// Brings the job table up to date with the context, leaving it and
+    /// the fold slots aligned with `ctx.jobs()`, every changed entry's slot
+    /// stale, and the max-remaining fold and the jobs-with-work count
+    /// current, and returns the index of the first stale slot (the table
+    /// length if none is).
     fn refresh(&mut self, ctx: &SchedulingContext<'_>) -> usize {
         let cursor = self.cursor.replace(ctx.cursor());
         let Some(changes) = cursor.and_then(|cursor| ctx.changes_since(cursor)) else {
@@ -351,10 +420,10 @@ impl DecimaLike {
     /// The journal path: revisits the entries at the journaled indices
     /// only.  The journal promises the roster is unchanged since the
     /// previous pass, so entry `i` still belongs to `ctx.job_at(i)`.  A
-    /// rebuilt entry may raise the normaliser in O(1); only when the entry
-    /// holding it shrinks is the table rescanned.
+    /// refreshed entry may raise the normaliser in O(1); only when the
+    /// entry holding it shrinks is the table rescanned.
     fn refresh_changed(&mut self, ctx: &SchedulingContext<'_>, changes: &[u32]) -> usize {
-        let DecimaLike { table, max_remaining: max, stats, .. } = self;
+        let DecimaLike { table, slots, max_remaining: max, stats, .. } = self;
         let mut jobs_with_work = self.jobs_with_work.expect("a journal pass follows a reconcile");
         let mut first = table.len();
         let mut rescan = false;
@@ -367,6 +436,7 @@ impl DecimaLike {
             if !entry.refresh(&job, stats) {
                 continue;
             }
+            slots[i] = FoldSlot::STALE;
             first = first.min(i);
             jobs_with_work = jobs_with_work - usize::from(had_work) + usize::from(entry.has_work());
             if entry.remaining > *max {
@@ -390,6 +460,7 @@ impl DecimaLike {
     #[cfg(debug_assertions)]
     fn assert_current(&self, ctx: &SchedulingContext<'_>) {
         assert_eq!(self.table.len(), ctx.queue_length(), "the journal hid a roster change");
+        assert_eq!(self.slots.len(), self.table.len(), "the fold slots left the table");
         for (i, (entry, job)) in self.table.iter().zip(ctx.jobs()).enumerate() {
             assert!(
                 entry.id == job.id && entry.is_current(&job),
@@ -419,9 +490,10 @@ impl DecimaLike {
     /// entry; a cached one is refreshed against its stamps.
     ///
     /// The max-remaining fold and the jobs-with-work count ride along in
-    /// the same sweep.
+    /// the same sweep.  A refreshed entry's slot goes stale, and so does
+    /// every slot from the first mismatch on.
     fn reconcile(&mut self, ctx: &SchedulingContext<'_>) -> usize {
-        let DecimaLike { table, scratch, stats, .. } = self;
+        let DecimaLike { table, slots, scratch, stats, .. } = self;
         let mut max = 0.0_f64;
         let mut jobs_with_work = 0usize;
         let mut visit = |entry: &JobEntry| {
@@ -438,6 +510,7 @@ impl DecimaLike {
             match table.get_mut(aligned) {
                 Some(entry) if entry.id == job.id => {
                     if entry.refresh(&job, stats) {
+                        slots[aligned] = FoldSlot::STALE;
                         first = first.min(aligned);
                     }
                     visit(entry);
@@ -451,7 +524,10 @@ impl DecimaLike {
         }
         match first_mismatch {
             // Only departures off the back (if any).
-            None => table.truncate(aligned),
+            None => {
+                table.truncate(aligned);
+                slots.truncate(aligned);
+            }
             Some(first_new) => {
                 first = first.min(aligned);
                 scratch.clear();
@@ -479,12 +555,14 @@ impl DecimaLike {
                             entry.refresh(&job, stats);
                             entry
                         }
-                        None => JobEntry::build(&job, job.remaining_work(), stats),
+                        None => JobEntry::build(&job, stats),
                     };
                     visit(&entry);
                     scratch.push(entry);
                 }
                 std::mem::swap(table, scratch);
+                slots.truncate(aligned);
+                slots.resize(table.len(), FoldSlot::STALE);
             }
         }
         self.max_remaining = max;
@@ -507,38 +585,45 @@ impl DecimaLike {
         self.fold(normaliser, refactor_all, first_changed);
     }
 
-    /// Computes the job factors that are missing (all of them when
-    /// `refactor_all`) and folds `Σ = Σ_j J_j·E_j` and `max_j J_j` over the
-    /// jobs with work, in table order, recording each entry's running
-    /// values.  Entries before `from` (0 when `refactor_all`) are unchanged
-    /// since the previous fold, so it resumes from `from - 1`'s running
-    /// values, which carry the bits a fold from the start would reach.
+    /// Reloads the stale slots (all of them when `refactor_all`) from their
+    /// entries, computing the job factors that are missing (all of them
+    /// when `refactor_all`), and folds `Σ = Σ_j J_j·E_j` and `max_j J_j` in
+    /// table order, recording each slot's running values.  Slots before
+    /// `from` (0 when `refactor_all`) are unchanged since the previous
+    /// fold, so it resumes from `from - 1`'s running values, which carry
+    /// the bits a fold from the start would reach.
     fn fold(&mut self, normaliser: f64, refactor_all: bool, from: usize) {
-        let DecimaLike { table, stats, .. } = self;
+        let DecimaLike { table, slots, stats, .. } = self;
         let from = if refactor_all { 0 } else { from };
         let (mut sum, mut max_factor) = match from.checked_sub(1) {
-            Some(prev) => (table[prev].cumulative, table[prev].cumulative_max),
+            Some(prev) => (slots[prev].sum, slots[prev].max),
             None => (0.0, 0.0_f64),
         };
-        for entry in &mut table[from..] {
-            if entry.has_work() {
-                if refactor_all || entry.factor.is_nan() {
-                    let score = entry.score(normaliser);
-                    debug_assert!(
-                        (-1.0..=5.0).contains(&score),
-                        "job score {score} of {} left [0, 4]: its factor could overflow",
-                        entry.id
-                    );
-                    entry.factor = score.exp();
-                    stats.job_exps += 1;
-                }
-                sum += entry.factor * entry.stage_sum;
-                if entry.factor > max_factor {
-                    max_factor = entry.factor;
-                }
+        for (i, slot) in slots.iter_mut().enumerate().skip(from) {
+            if refactor_all || slot.factor.is_nan() {
+                let entry = &mut table[i];
+                (slot.weight, slot.factor) = if entry.has_work() {
+                    if refactor_all || entry.factor.is_nan() {
+                        let score = entry.score(normaliser);
+                        debug_assert!(
+                            (-1.0..=5.0).contains(&score),
+                            "job score {score} of {} left [0, 4]: its factor could overflow",
+                            entry.id
+                        );
+                        entry.factor = score.exp();
+                        stats.job_exps += 1;
+                    }
+                    (entry.factor * entry.stage_sum, entry.factor)
+                } else {
+                    (0.0, 0.0)
+                };
             }
-            entry.cumulative = sum;
-            entry.cumulative_max = max_factor;
+            sum += slot.weight;
+            if slot.factor > max_factor {
+                max_factor = slot.factor;
+            }
+            slot.sum = sum;
+            slot.max = max_factor;
         }
         self.sum = sum;
         self.max_factor = max_factor;
@@ -555,18 +640,19 @@ impl DecimaLike {
         let target = r * self.sum;
         // The running sums never decrease, so the first job with work whose
         // running sum reaches the target is the first with work at or after
-        // the partition point (an entry without work repeats its
+        // the partition point (a slot without work repeats its
         // predecessor's sum, so it can only sit there when the target is
         // 0).  `Σ` is the last running sum and `r < 1`, so some job reaches
         // the target; the fallback only guards against a caller's `r ≥ 1`.
-        let start = self.table.partition_point(|e| e.cumulative < target);
-        let i = self.table[start..]
+        let slots = &self.slots;
+        let start = slots.partition_point(|s| s.sum < target);
+        let i = slots[start..]
             .iter()
-            .position(JobEntry::has_work)
+            .position(FoldSlot::has_work)
             .map(|k| start + k)
-            .or_else(|| self.table.iter().rposition(JobEntry::has_work))
+            .or_else(|| slots.iter().rposition(FoldSlot::has_work))
             .expect("callers check the pass found work");
-        let before = if i == 0 { 0.0 } else { self.table[i - 1].cumulative };
+        let before = if i == 0 { 0.0 } else { slots[i - 1].sum };
         let entry = self.table[i];
         let job = ctx.job_at(i);
         let bottleneck = job.dag.bottleneck_scores();

@@ -9,6 +9,7 @@ use carbon_aware_dag_sched::prelude::*;
 use pcaps_experiments::runner::{
     run_trial, BaseScheduler, ExperimentConfig, SchedulerSpec,
 };
+use pcaps_core::pcaps::PcapsStats;
 use pcaps_schedulers::DecimaCacheStats;
 
 fn run_pipeline(seed: u64) -> (f64, f64, f64) {
@@ -154,11 +155,11 @@ fn open_loop_serving_matches_the_v1_seed() {
 
 /// `DecimaLike::cache_stats` after the reference `decima` and `pcaps`
 /// trials, pinned next to their fingerprints: how many passes recomputed
-/// every job factor, how many job- and stage-factor `exp`s ran, and how
-/// many passes read the engine's change journal rather than reconciling
-/// against every job, is deterministic, so a change to the cache keys or
-/// to the journal's resets shows here even when the schedule does not
-/// move.
+/// every job factor, how many job- and stage-factor `exp`s ran, how many
+/// refreshes kept their stage terms, and how many passes read the
+/// engine's change journal rather than reconciling against every job, is
+/// deterministic, so a change to the cache keys or to the journal's
+/// resets shows here even when the schedule does not move.
 const CACHE_STATS: [(&str, DecimaCacheStats); 2] = [
     (
         "decima",
@@ -166,7 +167,8 @@ const CACHE_STATS: [(&str, DecimaCacheStats); 2] = [
             passes: 645,
             full_refactors: 353,
             job_exps: 771,
-            stage_exps: 2926,
+            stage_exps: 1325,
+            kept_stage_terms: 587,
             journal_passes: 459,
             reconciles: 186,
         },
@@ -177,12 +179,25 @@ const CACHE_STATS: [(&str, DecimaCacheStats); 2] = [
             passes: 753,
             full_refactors: 197,
             job_exps: 868,
-            stage_exps: 3335,
+            stage_exps: 1525,
+            kept_stage_terms: 655,
             journal_passes: 610,
             reconciles: 143,
         },
     ),
 ];
+
+/// `Pcaps::stats` after the reference `pcaps` trial: how many sampled
+/// stages it scheduled, deferred and forced through the progress
+/// guarantee, the work it deferred, and how many consults it declined
+/// because it had already decided at that instant.
+const PCAPS_STATS: PcapsStats = PcapsStats {
+    scheduled: 713,
+    deferred: 40,
+    forced_progress: 127,
+    declined: 267,
+    deferred_work: 1841.2911320281123,
+};
 
 #[test]
 fn decima_cache_stats_match_the_pins() {
@@ -210,6 +225,7 @@ fn decima_cache_stats_match_the_pins() {
     for ((name, expected), got) in CACHE_STATS.iter().zip(got) {
         assert_eq!(got, *expected, "{name}: DecimaLike cache counters moved");
     }
+    assert_eq!(pcaps.stats(), PCAPS_STATS, "pcaps: PCAPS's decision counters moved");
 }
 
 #[test]

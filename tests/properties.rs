@@ -3,7 +3,8 @@
 //! the simulator's conservation laws, and — crucially for the incremental
 //! hot-path engine — agreement between the missing-parent runnable test
 //! and the incrementally maintained dispatchable set on one side and a
-//! recompute-from-scratch oracle on the other, and
+//! recompute-from-scratch oracle on the other, the dispatchable stamp
+//! moving exactly when that set does, and
 //! between the indexed `CarbonTrace::bounds` and a naive linear scan.
 //!
 //! The tests are driven by a seeded ChaCha8 generator (no external proptest
@@ -709,6 +710,67 @@ fn incremental_frontier_matches_scratch_recompute() {
         assert_eq!(progress.remaining_work(&dag), 0.0);
     }
     assert!(failed > CASES as usize, "the walk failed only {failed} tasks");
+}
+
+/// The dispatchable stamp's contract, under random dispatch, finish and
+/// fail sequences: after every call, a change to `dispatchable_stages()`
+/// moved `dispatchable_version`, and the stamp moved for nothing else; in
+/// particular a dispatch that leaves pending tasks in its stage, or a
+/// finish that completes no stage, leaves it alone.  Schedulers keep
+/// per-stage terms while the stamp holds, so a missed bump would serve
+/// them a stale set.
+#[test]
+fn dispatchable_version_moves_exactly_with_the_dispatchable_set() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x57A3);
+    let (mut kept, mut moved, mut reinserted) = (0usize, 0usize, 0usize);
+    for case in 0..CASES {
+        let dag = random_dag(&mut rng);
+        let mut progress = JobProgress::new(&dag);
+        let mut running: Vec<Vec<usize>> = vec![Vec::new(); dag.num_stages()];
+        let mut step = 0usize;
+        while !progress.job_complete() {
+            step += 1;
+            assert!(step < 10_000, "case {case}: execution did not terminate");
+            let set_before = progress.dispatchable_stages().to_vec();
+            let stamp_before = progress.dispatchable_version();
+            let busy: Vec<StageId> =
+                dag.stage_ids().filter(|s| !running[s.index()].is_empty()).collect();
+            let dispatch = !set_before.is_empty() && (busy.is_empty() || rng.gen_bool(0.5));
+            // Whether the call's own outcome promises an unchanged set.
+            let set_kept = if dispatch {
+                let s = set_before[rng.gen_range(0..set_before.len())];
+                let task = progress.dispatch_task(&dag, s).expect("stage was dispatchable");
+                running[s.index()].push(task);
+                progress.pending_tasks(s) > 0
+            } else {
+                let s = busy[rng.gen_range(0..busy.len())];
+                let stage_running = &mut running[s.index()];
+                let task = stage_running.swap_remove(rng.gen_range(0..stage_running.len()));
+                if rng.gen_range(0..4usize) == 0 {
+                    reinserted += usize::from(!set_before.contains(&s));
+                    progress.fail_task(&dag, s, task);
+                    false
+                } else {
+                    !progress.finish_task(&dag, s)
+                }
+            };
+            let set_changed = progress.dispatchable_stages() != set_before;
+            let stamp_moved = progress.dispatchable_version() != stamp_before;
+            assert_eq!(
+                stamp_moved, set_changed,
+                "case {case} step {step}: stamp moved {stamp_moved}, set changed \
+                 {set_changed}: {set_before:?} -> {:?}",
+                progress.dispatchable_stages()
+            );
+            if set_kept {
+                assert!(!stamp_moved, "case {case} step {step}: the call promised the same set");
+            }
+            kept += usize::from(!stamp_moved);
+            moved += usize::from(stamp_moved);
+        }
+    }
+    assert!(kept > 0 && moved > 0, "both outcomes must occur ({kept} kept, {moved} moved)");
+    assert!(reinserted > 0, "some failure must put a fully dispatched stage back");
 }
 
 /// `CarbonTrace::bounds` (which answers from a table of per-start window

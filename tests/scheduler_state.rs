@@ -26,7 +26,9 @@
 //! The fair-share parallelism limit is pinned against a full rescan, and
 //! every run tallies which cache regime (full refactor, changed jobs only)
 //! and which refresh path (the journal, a full reconcile) each pass took,
-//! so a test cannot pass without reaching both of each.
+//! so a test cannot pass without reaching both of each.  Runs with crashes
+//! and retries also tally whether the entry refreshes kept their stage
+//! terms (the job's dispatchable set had not moved) or rebuilt them.
 //!
 //! Pattern of `tests/properties.rs`: seeded ChaCha8-driven cases, no
 //! external proptest dependency, every failure reproducible.
@@ -220,12 +222,21 @@ struct Regimes {
     changed_only: usize,
     journal: usize,
     reconcile: usize,
+    /// Passes in which some entry refresh kept its stage terms.
+    kept_terms: usize,
+    /// Journal passes in which some entry refresh rebuilt its stage terms
+    /// (a journal pass builds no new entry, so every stage `exp` it spent
+    /// beyond the ones it walked or wrote out was a rebuild).
+    rebuilt_terms: usize,
     /// Per pass, in order: whether it refreshed through the journal.
     journal_log: Vec<bool>,
 }
 
 impl Regimes {
-    fn record(&mut self, before: DecimaCacheStats, after: DecimaCacheStats) {
+    /// Classifies one pass; `walked` is the number of stage `exp`s it spent
+    /// outside entry refreshes (the pairs `distribution_into` wrote out, or
+    /// the stages a sample walked).
+    fn record(&mut self, before: DecimaCacheStats, after: DecimaCacheStats, walked: u64) {
         assert_eq!(after.passes, before.passes + 1, "one call is one pass");
         if after.full_refactors > before.full_refactors {
             self.full_refactor += 1;
@@ -238,6 +249,9 @@ impl Regimes {
         self.journal += journal as usize;
         self.reconcile += reconcile as usize;
         self.journal_log.push(journal == 1);
+        let built = after.stage_exps - before.stage_exps - walked;
+        self.kept_terms += usize::from(after.kept_stage_terms > before.kept_stage_terms);
+        self.rebuilt_terms += usize::from(journal == 1 && built > 0);
     }
 
     fn add(&mut self, other: &Regimes) {
@@ -245,6 +259,8 @@ impl Regimes {
         self.changed_only += other.changed_only;
         self.journal += other.journal;
         self.reconcile += other.reconcile;
+        self.kept_terms += other.kept_terms;
+        self.rebuilt_terms += other.rebuilt_terms;
         self.journal_log.extend_from_slice(&other.journal_log);
     }
 
@@ -255,6 +271,18 @@ impl Regimes {
              changed-only passes",
             self.full_refactor,
             self.changed_only
+        );
+    }
+
+    /// Both kinds of entry refresh ran: one that kept its stage terms and
+    /// one that rebuilt them.
+    fn assert_both_refreshes(&self, label: &str) {
+        assert!(
+            self.kept_terms > 0 && self.rebuilt_terms > 0,
+            "{label}: both kinds of refresh must be exercised, got {} passes that kept stage \
+             terms and {} that rebuilt them",
+            self.kept_terms,
+            self.rebuilt_terms
         );
     }
 
@@ -293,7 +321,7 @@ impl Oracles {
         let before = inner.cache_stats();
         let mut got = Vec::new();
         inner.distribution_into(ctx, &mut got);
-        self.regimes.record(before, inner.cache_stats());
+        self.regimes.record(before, inner.cache_stats(), got.len() as u64);
         let oracle = Factorised::compute(ctx).distribution();
         assert_eq!(
             got.len(),
@@ -371,9 +399,10 @@ impl Oracles {
             draws.push(r);
             r
         });
-        self.regimes.record(before, inner.cache_stats());
+        let after = inner.cache_stats();
         let oracle = Factorised::compute(ctx);
         let Some(got) = got else {
+            self.regimes.record(before, after, 0);
             assert!(draws.is_empty(), "{label}: drew without sampling at t={}", ctx.time);
             assert!(oracle.jobs.is_empty(), "{label}: sampled nothing from work at t={}", ctx.time);
             return None;
@@ -390,6 +419,14 @@ impl Oracles {
             "{label}: sample diverged from the factorised recomputation at t={}",
             ctx.time
         );
+        // The sample walked the chosen job's stages up to the chosen one.
+        let walked = oracle
+            .jobs
+            .iter()
+            .find(|j| j.id == got.job)
+            .and_then(|j| j.stages.iter().position(|&(s, _)| s == got.stage))
+            .expect("the sampled pair is in the distribution");
+        self.regimes.record(before, after, walked as u64 + 1);
         assert_eq!(
             importance_ratio(got.probability, got.max_probability).to_bits(),
             {
@@ -651,6 +688,41 @@ fn incremental_scores_match_scratch_through_pcaps() {
     pcaps.inner().oracles.regimes.assert_all_reached("pcaps");
     pcaps.inner().oracles.regimes.assert_both_paths("pcaps");
     pcaps.inner().oracles.assert_no_near_boundary_draws("pcaps");
+}
+
+/// The retry path: PCAPS over executors that crash, their tasks released
+/// for retry after a backoff.  A retry release puts its stage back into
+/// the dispatchable set, also when the stage has no fresh task left, and
+/// only the dispatchable stamp tells a cached entry to rebuild its stage
+/// terms; every pass must still match the oracle bit for bit, and
+/// refreshes that kept their stage terms and refreshes that rebuilt them
+/// must both occur.
+#[test]
+fn incremental_scores_match_scratch_under_crashes_and_retries() {
+    let trace = SyntheticTraceGenerator::new(GridRegion::Germany, 4).generate_days(30);
+    let workload: Vec<SubmittedJob> = WorkloadBuilder::new(WorkloadKind::TpchMixed, 4)
+        .jobs(15)
+        .build();
+    let sim = Simulator::new(ClusterConfig::new(20).with_time_scale(60.0), workload, trace)
+        .with_fault_plan(&PoissonCrashes::new(4, 20.0).with_horizon(5_000.0))
+        .with_retry_policy(RetryPolicy { max_attempts: 50, ..RetryPolicy::default() });
+    let mut pcaps = Pcaps::new(
+        CheckingProbabilistic {
+            inner: DecimaLike::new(4),
+            oracles: Oracles::default(),
+            checks: 0,
+        },
+        PcapsConfig::moderate(),
+    );
+    let result = sim.run(&mut pcaps).expect("run completes");
+    assert!(result.all_jobs_complete());
+    assert!(result.retries > 0, "the plan must crash running tasks that retry");
+    assert!(pcaps.inner().checks > 50, "the oracle must actually run");
+    let regimes = &pcaps.inner().oracles.regimes;
+    regimes.assert_both_refreshes("crashes and retries");
+    regimes.assert_all_reached("crashes and retries");
+    regimes.assert_both_paths("crashes and retries");
+    pcaps.inner().oracles.assert_no_near_boundary_draws("crashes and retries");
 }
 
 /// A fixed-spacing unbounded source, so the serving run stays sub-critical
