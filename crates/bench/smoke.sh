@@ -115,15 +115,19 @@ require_full_suite() {
 # normaliser changes, and its cached jobs-with-work count) bit for bit
 # against a from-scratch factorised oracle, and within rounding of the
 # textbook softmax, across arrivals, completions, serve-mode compaction,
-# migration and journal cursors carried into another run or a restored
-# session, with both refresh paths reached in every case; tests/properties.rs holds the structural
-# oracles (the missing-parent is_runnable test, the incremental dispatchable
-# set and task counts under dispatch, finish and failure vs a from-scratch
-# recount, streamed DAGs ≡ generator DAGs bit for bit);
-# tests/determinism.rs pins the run_trial fingerprints to the v1
-# seed's, on the finite and the serving path, and DecimaLike's cache_stats
-# counters; tests/federation.rs pins a single-member federation to the
-# Simulator fingerprints and routing determinism; tests/end_to_end.rs pins
+# migration, crashes with retries, and journal cursors carried into
+# another run or a restored session, with both refresh paths reached in
+# every case; tests/properties.rs holds the structural oracles (the
+# missing-parent is_runnable test, the incremental dispatchable set and
+# task counts under dispatch, finish and failure vs a from-scratch
+# recount, streamed DAGs ≡ generator DAGs bit for bit, Adjacency's
+# topological order vs the queue-based Kahn oracle on acyclic and cyclic
+# edge lists); tests/determinism.rs pins the run_trial fingerprints to
+# the v1 seed's, on the finite and the serving path, DecimaLike's
+# cache_stats and PCAPS's decision counters, and the digest of the
+# seed-42 Alibaba stream's first 300 jobs; tests/federation.rs pins a
+# single-member federation to the Simulator fingerprints and routing
+# determinism; tests/end_to_end.rs pins
 # the Theorem 4.3 and 4.5 bounds across the crates; tests/scheduler_v2.rs
 # pins the typed event stream a policy sees against the simulation state.
 require_full_suite migration "migration conformance suite"

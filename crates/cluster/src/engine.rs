@@ -857,15 +857,22 @@ fn apply_assignments_for(
             .min(member.executors.free_count())
             .min(cap_room)
             .min(member.active[idx].progress.pending_tasks(a.stage));
+        // Once a pick comes back cold, no idle executor last ran this job,
+        // and none can until a task finishes, which no dispatch here does:
+        // every later pick is the lowest idle executor.
+        let mut cold = false;
         for _ in 0..budget {
-            let Some(exec_idx) = member.executors.pick_free_for(a.job) else {
+            let pick = if cold {
+                member.executors.first_free()
+            } else {
+                member.executors.pick_free_for(a.job)
+            };
+            debug_assert_eq!(pick, member.executors.pick_free_for(a.job), "shortcut pick");
+            let Some(exec_idx) = pick else {
                 break;
             };
-            let move_delay = if member.executors.get(exec_idx).needs_move_delay(a.job) {
-                spec.config.executor_move_delay
-            } else {
-                0.0
-            };
+            cold = cold || member.executors.get(exec_idx).needs_move_delay(a.job);
+            let move_delay = if cold { spec.config.executor_move_delay } else { 0.0 };
             let active = member.job_mut(idx);
             let Some(task_idx) = active.progress.dispatch_task(&active.dag, a.stage) else {
                 break;

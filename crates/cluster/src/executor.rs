@@ -177,6 +177,14 @@ impl ExecutorPool {
         fallback
     }
 
+    /// The lowest-indexed idle executor.  While no idle executor last ran
+    /// a task of `job`, this is [`ExecutorPool::pick_free_for`]`(job)`,
+    /// found without reading a single executor record.
+    pub(crate) fn first_free(&self) -> Option<usize> {
+        let (w, word) = self.free.iter().enumerate().find(|(_, &word)| word != 0)?;
+        Some(w * 64 + word.trailing_zeros() as usize)
+    }
+
     /// Iterates over `(index, state)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &ExecutorState)> {
         self.states.iter().enumerate()
@@ -186,6 +194,8 @@ impl ExecutorPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     /// A task of `job` dispatched at t=0 (stage 0, task 0, 1 s).
     fn task(job: u64) -> RunningTask {
@@ -266,31 +276,36 @@ mod tests {
         fallback
     }
 
+    /// Pool sizes around the idle mask's word boundaries.
+    const POOL_SIZES: [usize; 6] = [1, 63, 64, 65, 100, 130];
+
+    /// One random start, finish or crash on `pool`.  Phases (by `step`)
+    /// mostly start, mostly finish, or mix, so a pool passes through
+    /// all-busy, all-idle and the word boundaries in between.
+    fn churn(pool: &mut ExecutorPool, rng: &mut ChaCha8Rng, step: usize) {
+        let p_start = [0.5, 0.9, 0.15][(step / 250) % 3];
+        let (idle, busy): (Vec<usize>, Vec<usize>) =
+            (0..pool.len()).partition(|&i| !pool.get(i).is_busy());
+        if !idle.is_empty() && (busy.is_empty() || rng.gen_range(0.0..1.0) < p_start) {
+            let idx = idle[rng.gen_range(0..idle.len())];
+            pool.start(idx, task(rng.gen_range(0..6u64)));
+        } else {
+            let idx = busy[rng.gen_range(0..busy.len())];
+            if rng.gen_range(0..8usize) == 0 {
+                assert!(pool.crash(idx).is_some());
+            } else {
+                pool.finish(idx);
+            }
+        }
+    }
+
     #[test]
     fn pick_free_for_matches_the_linear_scan() {
-        use rand::{Rng, SeedableRng};
-        use rand_chacha::ChaCha8Rng;
         let mut rng = ChaCha8Rng::seed_from_u64(0xE7EC);
-        for n in [1, 63, 64, 65, 100, 130] {
+        for n in POOL_SIZES {
             let mut pool = ExecutorPool::new(n);
             for step in 0..3_000 {
-                // Phases that mostly start, mostly finish, or mix, so the
-                // walk visits an all-busy pool, an all-idle one and the
-                // word boundaries in between.
-                let p_start = [0.5, 0.9, 0.15][(step / 250) % 3];
-                let (idle, busy): (Vec<usize>, Vec<usize>) =
-                    (0..n).partition(|&i| !pool.get(i).is_busy());
-                if !idle.is_empty() && (busy.is_empty() || rng.gen_range(0.0..1.0) < p_start) {
-                    let idx = idle[rng.gen_range(0..idle.len())];
-                    pool.start(idx, task(rng.gen_range(0..6u64)));
-                } else {
-                    let idx = busy[rng.gen_range(0..busy.len())];
-                    if rng.gen_range(0..8usize) == 0 {
-                        assert!(pool.crash(idx).is_some());
-                    } else {
-                        pool.finish(idx);
-                    }
-                }
+                churn(&mut pool, &mut rng, step);
                 let popcount: usize = pool.free.iter().map(|w| w.count_ones() as usize).sum();
                 let idle_now = pool.iter().filter(|(_, e)| !e.is_busy()).count();
                 assert_eq!(pool.free_count(), popcount, "n {n} step {step}: popcount");
@@ -305,6 +320,37 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The engine's dispatch loop starts a job's tasks one at a time on
+    /// its picks, and after the first cold pick takes the lowest idle
+    /// executor instead of picking: starting a task warms no idle
+    /// executor, so `pick_free_for` must keep returning exactly that one.
+    #[test]
+    fn after_a_cold_pick_the_pick_is_the_lowest_idle_executor() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0xC01D);
+        let mut cold_picks = 0;
+        for n in POOL_SIZES {
+            let mut pool = ExecutorPool::new(n);
+            for step in 0..600 {
+                churn(&mut pool, &mut rng, step);
+                for job in 0..7 {
+                    let job = JobId(job);
+                    let mut pool = pool.clone();
+                    let mut cold = false;
+                    while let Some(idx) = pool.pick_free_for(job) {
+                        if cold {
+                            assert_eq!(Some(idx), pool.first_free(), "n {n} step {step} {job}");
+                            cold_picks += 1;
+                        }
+                        cold = cold || pool.get(idx).needs_move_delay(job);
+                        pool.start(idx, task(job.0));
+                    }
+                    assert_eq!(pool.first_free(), None, "n {n} step {step} {job}");
+                }
+            }
+        }
+        assert!(cold_picks > 10_000, "only {cold_picks} picks followed a cold one");
     }
 
     #[test]

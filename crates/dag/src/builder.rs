@@ -43,11 +43,13 @@ impl JobDagBuilder {
     }
 
     /// Reserves room for `stages` more stages holding `tasks` more tasks
-    /// between them, so a generator that knows its job's size ahead does
-    /// not regrow the task and end arrays stage by stage.
-    pub fn reserve(&mut self, stages: usize, tasks: usize) {
+    /// and `name_bytes` more bytes of stage names between them, so a
+    /// generator that knows its job's size ahead does not regrow the task
+    /// array, the name arena and the end arrays stage by stage.
+    pub fn reserve(&mut self, stages: usize, tasks: usize, name_bytes: usize) {
         self.tasks.reserve(tasks);
         self.stage_ends.reserve(stages);
+        self.stage_names.reserve(name_bytes);
         self.name_ends.reserve(stages);
     }
 

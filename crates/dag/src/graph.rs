@@ -8,7 +8,6 @@
 use crate::error::DagError;
 use crate::ids::StageId;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Directed adjacency for a fixed number of stages `0..n`, stored as
 /// compressed sparse rows in both directions: stage `s`'s children are
@@ -68,17 +67,23 @@ impl Adjacency {
             child_offsets[s + 1] += child_offsets[s];
             parent_offsets[s + 1] += parent_offsets[s];
         }
-        // Placing the edges in order fills each stage's children from the
+        // Placing the edges in order fills each stage's lists from the
         // front, so the filled part of a list is exactly the edges an
-        // in-order insertion would already hold: a repeat is found there.
-        let mut next_child = child_offsets[..n].to_vec();
-        let mut next_parent = parent_offsets[..n].to_vec();
+        // in-order insertion would already hold.  An edge repeats an
+        // earlier one exactly when `from` is already among `to`'s parents
+        // (the same test as `to` among `from`'s children), and parent
+        // lists are the short ones in the generated DAGs.  One block holds
+        // both directions' placement cursors: children's, then parents'.
+        let mut next = Vec::with_capacity(2 * n);
+        next.extend_from_slice(&child_offsets[..n]);
+        next.extend_from_slice(&parent_offsets[..n]);
+        let (next_child, next_parent) = next.split_at_mut(n);
         let mut children = vec![StageId(0); placed.len()];
         let mut parents = vec![StageId(0); placed.len()];
         for &(from, to) in placed {
             let (f, t) = (from.index(), to.index());
-            let filled = child_offsets[f] as usize..next_child[f] as usize;
-            if children[filled].contains(&to) {
+            let filled = parent_offsets[t] as usize..next_parent[t] as usize;
+            if parents[filled].contains(&from) {
                 return Err(DagError::DuplicateEdge { from, to });
             }
             children[next_child[f] as usize] = to;
@@ -142,6 +147,10 @@ impl Adjacency {
 
     /// Kahn's algorithm.  Returns a topological order or an error naming a
     /// stage that is part of (or blocked behind) a cycle.
+    ///
+    /// The order is its own FIFO queue: a stage is appended when its last
+    /// parent is visited and visited when the cursor reaches it, so the
+    /// visit order is a queue's, in one block of `n` stages.
     pub fn topological_order(&self) -> Result<Vec<StageId>, DagError> {
         let n = self.len();
         let mut indeg: Vec<u32> = self
@@ -149,17 +158,15 @@ impl Adjacency {
             .windows(2)
             .map(|w| w[1] - w[0])
             .collect();
-        let mut queue: VecDeque<StageId> = (0..n as u32)
-            .map(StageId)
-            .filter(|s| indeg[s.index()] == 0)
-            .collect();
         let mut order = Vec::with_capacity(n);
-        while let Some(s) = queue.pop_front() {
-            order.push(s);
+        order.extend((0..n as u32).map(StageId).filter(|s| indeg[s.index()] == 0));
+        let mut visited = 0;
+        while let Some(&s) = order.get(visited) {
+            visited += 1;
             for &c in self.children(s) {
                 indeg[c.index()] -= 1;
                 if indeg[c.index()] == 0 {
-                    queue.push_back(c);
+                    order.push(c);
                 }
             }
         }

@@ -32,20 +32,22 @@ pub trait RngCore {
     }
 }
 
-/// A type that can be sampled uniformly from a range.
+/// A type that can be sampled uniformly from a range.  Generic over the
+/// generator, as upstream `rand`'s `sample_single` is, so a draw calls the
+/// generator directly rather than through a `dyn RngCore`.
 pub trait SampleRange<T> {
     /// Draws one value from `self` using `rng`.
-    fn sample_one(self, rng: &mut dyn RngCore) -> T;
+    fn sample_one<R: RngCore + ?Sized>(self, rng: &mut R) -> T;
 }
 
 #[inline]
-fn unit_f64(rng: &mut dyn RngCore) -> f64 {
+fn unit_f64<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
     // 53 random mantissa bits in [0, 1).
     (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 #[inline]
-fn below(rng: &mut dyn RngCore, n: u64) -> u64 {
+fn below<R: RngCore + ?Sized>(rng: &mut R, n: u64) -> u64 {
     debug_assert!(n > 0);
     // Lemire's multiply-shift reduction; bias is < 2^-64 per draw, far
     // below anything the simulator's statistics can resolve.
@@ -53,7 +55,7 @@ fn below(rng: &mut dyn RngCore, n: u64) -> u64 {
 }
 
 impl SampleRange<f64> for Range<f64> {
-    fn sample_one(self, rng: &mut dyn RngCore) -> f64 {
+    fn sample_one<R: RngCore + ?Sized>(self, rng: &mut R) -> f64 {
         assert!(self.start < self.end, "empty f64 sample range");
         let v = self.start + (self.end - self.start) * unit_f64(rng);
         // Guard against rounding up to the excluded endpoint.
@@ -66,14 +68,14 @@ impl SampleRange<f64> for Range<f64> {
 }
 
 impl SampleRange<usize> for Range<usize> {
-    fn sample_one(self, rng: &mut dyn RngCore) -> usize {
+    fn sample_one<R: RngCore + ?Sized>(self, rng: &mut R) -> usize {
         assert!(self.start < self.end, "empty usize sample range");
         self.start + below(rng, (self.end - self.start) as u64) as usize
     }
 }
 
 impl SampleRange<usize> for RangeInclusive<usize> {
-    fn sample_one(self, rng: &mut dyn RngCore) -> usize {
+    fn sample_one<R: RngCore + ?Sized>(self, rng: &mut R) -> usize {
         let (start, end) = (*self.start(), *self.end());
         assert!(start <= end, "empty inclusive sample range");
         start + below(rng, (end - start) as u64 + 1) as usize
@@ -81,14 +83,14 @@ impl SampleRange<usize> for RangeInclusive<usize> {
 }
 
 impl SampleRange<u64> for Range<u64> {
-    fn sample_one(self, rng: &mut dyn RngCore) -> u64 {
+    fn sample_one<R: RngCore + ?Sized>(self, rng: &mut R) -> u64 {
         assert!(self.start < self.end, "empty u64 sample range");
         self.start + below(rng, self.end - self.start)
     }
 }
 
 impl SampleRange<u32> for Range<u32> {
-    fn sample_one(self, rng: &mut dyn RngCore) -> u32 {
+    fn sample_one<R: RngCore + ?Sized>(self, rng: &mut R) -> u32 {
         assert!(self.start < self.end, "empty u32 sample range");
         self.start + below(rng, (self.end - self.start) as u64) as u32
     }
@@ -98,26 +100,26 @@ impl SampleRange<u32> for Range<u32> {
 /// rand's `Standard`).
 pub trait Random {
     /// Draws one value.
-    fn random(rng: &mut dyn RngCore) -> Self;
+    fn random<R: RngCore + ?Sized>(rng: &mut R) -> Self;
 }
 
 impl Random for u64 {
-    fn random(rng: &mut dyn RngCore) -> Self {
+    fn random<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         rng.next_u64()
     }
 }
 impl Random for u32 {
-    fn random(rng: &mut dyn RngCore) -> Self {
+    fn random<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         rng.next_u32()
     }
 }
 impl Random for f64 {
-    fn random(rng: &mut dyn RngCore) -> Self {
+    fn random<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         unit_f64(rng)
     }
 }
 impl Random for bool {
-    fn random(rng: &mut dyn RngCore) -> Self {
+    fn random<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         rng.next_u64() & 1 == 1
     }
 }

@@ -47,6 +47,8 @@ struct Scratch {
     jitters: Vec<f64>,
     order: Vec<usize>,
     ge_count: Vec<usize>,
+    /// Per-layer placement cursors of the counting sort into `order`.
+    cursor: Vec<usize>,
     edges: Vec<(StageId, StageId)>,
     chosen: Vec<usize>,
     stage_name: String,
@@ -118,6 +120,8 @@ impl AlibabaGenerator {
     /// single-executor work.
     fn build_dag(&mut self, name: String, num_stages: usize, total_duration: f64) -> JobDag {
         let rng = &mut self.rng;
+        // 1. Assign stages to layers and order them by layer for step 3.
+        self.scratch.layer_stages(rng, num_stages);
         let Scratch {
             layer_of,
             weights,
@@ -127,20 +131,8 @@ impl AlibabaGenerator {
             edges,
             chosen,
             stage_name,
+            ..
         } = &mut self.scratch;
-        // 1. Assign stages to layers: the number of layers grows with DAG
-        //    size (between 3 and ~12), remaining stages are spread randomly.
-        let num_layers = (2.0 * (num_stages as f64).sqrt())
-            .round()
-            .clamp(2.0, 12.0) as usize;
-        layer_of.clear();
-        layer_of.extend((0..num_stages).map(|i| {
-            if i < num_layers {
-                i // guarantee every layer is non-empty
-            } else {
-                rng.gen_range(0..num_layers)
-            }
-        }));
 
         // 2. Split the total work over stages with a log-normal-ish spread,
         //    then split each stage's work over its tasks.
@@ -158,7 +150,11 @@ impl AlibabaGenerator {
         };
 
         let mut builder = JobDagBuilder::new(name);
-        builder.reserve(num_stages, weights.iter().map(|&w| split(w).1).sum());
+        builder.reserve(
+            num_stages,
+            weights.iter().map(|&w| split(w).1).sum(),
+            stage_name_bytes(num_stages),
+        );
         for (i, &w) in weights.iter().enumerate() {
             let (stage_work, tasks) = split(w);
             jitters.clear();
@@ -174,25 +170,8 @@ impl AlibabaGenerator {
         // 3. Wire edges: every stage in layer > 0 gets 1–3 parents from
         //    earlier layers (preferring the immediately preceding layer),
         //    producing the chain / fan-in / fan-out motifs of the trace.
-        //
-        //    The preference order — closest earlier layer first, ascending
-        //    index within a layer — is the same relative order for every
-        //    stage, so one presort replaces the per-stage filter+sort that
-        //    used to dominate generation time: with stages sorted by
-        //    descending layer (then index), any stage's candidate list is
-        //    the suffix of stages in strictly earlier layers, found at
-        //    offset `ge_count[layer]` (= number of stages with layer ≥ l).
-        order.clear();
-        order.extend(0..num_stages);
-        order.sort_unstable_by_key(|&j| (std::cmp::Reverse(layer_of[j]), j));
-        ge_count.clear();
-        ge_count.resize(num_layers + 1, 0);
-        for &l in layer_of.iter() {
-            ge_count[l] += 1;
-        }
-        for l in (0..num_layers).rev() {
-            ge_count[l] += ge_count[l + 1];
-        }
+        //    A stage's candidates are the stages of strictly earlier
+        //    layers, closest first (see `Scratch::layer_stages`).
         edges.clear();
         for i in 0..num_stages {
             if layer_of[i] == 0 {
@@ -221,6 +200,64 @@ impl AlibabaGenerator {
     }
 }
 
+impl Scratch {
+    /// Assigns `num_stages` stages to layers (`layer_of`) and orders them by
+    /// descending layer, then ascending index (`order`), with `ge_count[l]`
+    /// the number of stages in layer `l` or later.
+    ///
+    /// The number of layers grows with DAG size (between 3 and ~12); every
+    /// layer gets one of the first stages, the remaining stages are spread
+    /// at random.  The wiring's preference order — closest earlier layer
+    /// first, ascending index within a layer — is the same relative order
+    /// for every stage, so with stages in `order` any stage's candidate
+    /// list is the suffix of stages in strictly earlier layers, at offset
+    /// `ge_count[layer]`.  `order` is a counting sort over those offsets:
+    /// layer `l`'s stages fill `order[ge_count[l + 1]..ge_count[l]]` in
+    /// ascending index order.
+    fn layer_stages(&mut self, rng: &mut ChaCha8Rng, num_stages: usize) {
+        let num_layers = (2.0 * (num_stages as f64).sqrt())
+            .round()
+            .clamp(2.0, 12.0) as usize;
+        self.layer_of.clear();
+        self.layer_of.extend((0..num_stages).map(|i| {
+            if i < num_layers {
+                i // guarantee every layer is non-empty
+            } else {
+                rng.gen_range(0..num_layers)
+            }
+        }));
+        let ge_count = &mut self.ge_count;
+        ge_count.clear();
+        ge_count.resize(num_layers + 1, 0);
+        for &l in &self.layer_of {
+            ge_count[l] += 1;
+        }
+        for l in (0..num_layers).rev() {
+            ge_count[l] += ge_count[l + 1];
+        }
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&ge_count[1..]);
+        self.order.clear();
+        self.order.resize(num_stages, 0);
+        for (i, &l) in self.layer_of.iter().enumerate() {
+            self.order[self.cursor[l]] = i;
+            self.cursor[l] += 1;
+        }
+    }
+}
+
+/// Bytes of the stage names `"s0"` to `"s{n - 1}"`: an `s` and one digit
+/// per stage, plus a digit for each stage at or past each power of ten.
+fn stage_name_bytes(n: usize) -> usize {
+    let mut bytes = 2 * n;
+    let mut power = 10;
+    while power < n {
+        bytes += n - power;
+        power *= 10;
+    }
+    bytes
+}
+
 /// Writes stage `i`'s name, `"s{i}"`, into `buf` (cleared first): the same
 /// bytes as `format!("s{i}")` without a fresh `String` per stage.
 fn write_stage_name(buf: &mut String, i: usize) {
@@ -240,6 +277,37 @@ mod tests {
         for i in (0..1_000).chain(wide) {
             write_stage_name(&mut buf, i);
             assert_eq!(buf, format!("s{i}"));
+        }
+    }
+
+    #[test]
+    fn stage_name_bytes_sum_the_names() {
+        let mut total = 0;
+        for n in 0..2_000 {
+            assert_eq!(stage_name_bytes(n), total, "{n} stages");
+            total += format!("s{n}").len();
+        }
+    }
+
+    /// The counting sort orders stages as sorting their indices by
+    /// descending layer, then index, would, on layer assignments drawn as
+    /// `build_dag` draws them, at every stage count the generator samples.
+    #[test]
+    fn counting_sort_matches_the_sort_by_layer() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x1A7E);
+        let mut scratch = Scratch::default();
+        for round in 0..4 {
+            for n in 3..=(TARGET_MEAN_NODES * 4.0) as usize {
+                scratch.layer_stages(&mut rng, n);
+                let layer_of = &scratch.layer_of;
+                let mut expected: Vec<usize> = (0..n).collect();
+                expected.sort_unstable_by_key(|&j| (std::cmp::Reverse(layer_of[j]), j));
+                assert_eq!(scratch.order, expected, "round {round}, {n} stages");
+                for (l, &count) in scratch.ge_count.iter().enumerate() {
+                    let at_or_past = layer_of.iter().filter(|&&k| k >= l).count();
+                    assert_eq!(count, at_or_past, "round {round}, {n} stages, layer {l}");
+                }
+            }
         }
     }
 

@@ -42,17 +42,18 @@ fn different_seeds_differ() {
     );
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// FNV-1a over the schedule-defining outputs of a run: makespan, dispatch
 /// count, and every per-job record (id, arrival, completion, executor
 /// seconds), all at full bit precision.
 fn fingerprint(result: &SimulationResult) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
+    let mut h = FNV_OFFSET;
     let mut mix = |v: u64| {
         for b in v.to_le_bytes() {
             h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
+            h = h.wrapping_mul(FNV_PRIME);
         }
     };
     mix(result.makespan.to_bits());
@@ -226,6 +227,61 @@ fn decima_cache_stats_match_the_pins() {
         assert_eq!(got, *expected, "{name}: DecimaLike cache counters moved");
     }
     assert_eq!(pcaps.stats(), PCAPS_STATS, "pcaps: PCAPS's decision counters moved");
+}
+
+/// FNV-1a over everything a streamed job carries into a run: its arrival
+/// bits, its name and stage-name bytes, its stage and name ends, every
+/// task duration's bits and every stage's parent list.  Each variable-length
+/// part is preceded by its length, so no two streams share a byte sequence.
+fn stream_digest(jobs: impl Iterator<Item = SubmittedJob>) -> u64 {
+    let mut h = FNV_OFFSET;
+    let mut bytes = |bs: &[u8]| {
+        for &b in bs {
+            h ^= b as u64;
+            h = h.wrapping_mul(FNV_PRIME);
+        }
+    };
+    for job in jobs {
+        let dag = &job.dag;
+        bytes(&job.arrival.to_bits().to_le_bytes());
+        for name in [&dag.name, &dag.stage_names] {
+            bytes(&(name.len() as u64).to_le_bytes());
+            bytes(name.as_bytes());
+        }
+        for ends in [&dag.stage_ends, &dag.name_ends] {
+            bytes(&(ends.len() as u64).to_le_bytes());
+            for end in ends {
+                bytes(&end.to_le_bytes());
+            }
+        }
+        for task in &dag.tasks {
+            bytes(&task.duration.to_bits().to_le_bytes());
+        }
+        for s in dag.stage_ids() {
+            let parents = dag.adjacency.parents(s);
+            bytes(&(parents.len() as u64).to_le_bytes());
+            for p in parents {
+                bytes(&p.0.to_le_bytes());
+            }
+        }
+    }
+    h
+}
+
+/// The digest of the first 300 jobs of the seed-42 Alibaba stream, the
+/// trace-scale workload of the scale trials and the benchmark.  A change
+/// to the generator, the DAG builder or the random-number shim that moves
+/// any job moves it.
+const ALIBABA_STREAM_DIGEST: u64 = 0x63a6_ecfe_d353_8642;
+
+#[test]
+fn alibaba_stream_matches_its_digest() {
+    let stream = WorkloadBuilder::new(WorkloadKind::Alibaba, 42).jobs(300).stream();
+    assert_eq!(
+        stream_digest(stream),
+        ALIBABA_STREAM_DIGEST,
+        "the seed-42 Alibaba stream changed"
+    );
 }
 
 #[test]

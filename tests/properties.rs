@@ -20,6 +20,7 @@ use pcaps_workloads::AlibabaGenerator;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::collections::VecDeque;
 
 /// Number of random cases per property.
 const CASES: u64 = 64;
@@ -179,6 +180,32 @@ fn sequential_adjacency(
     Ok((children, parents))
 }
 
+/// Oracle: Kahn's algorithm with a separate FIFO queue, as
+/// `Adjacency::topological_order` was first written.  On a cycle it names
+/// the lowest stage left with unvisited parents.
+fn queue_topological_order(adj: &Adjacency) -> Result<Vec<StageId>, DagError> {
+    let n = adj.len();
+    let mut indeg: Vec<usize> = (0..n).map(|i| adj.parents(StageId(i as u32)).len()).collect();
+    let mut queue: VecDeque<StageId> = (0..n as u32)
+        .map(StageId)
+        .filter(|s| indeg[s.index()] == 0)
+        .collect();
+    let mut order = Vec::new();
+    while let Some(s) = queue.pop_front() {
+        order.push(s);
+        for &c in adj.children(s) {
+            indeg[c.index()] -= 1;
+            if indeg[c.index()] == 0 {
+                queue.push_back(c);
+            }
+        }
+    }
+    match (0..n).find(|&i| indeg[i] > 0) {
+        None => Ok(order),
+        Some(i) => Err(DagError::CycleDetected { stage: StageId(i as u32) }),
+    }
+}
+
 fn assert_adjacency_matches(n: usize, edges: &[(StageId, StageId)], what: &str) {
     let csr = Adjacency::from_edges(n, edges);
     match sequential_adjacency(n, edges) {
@@ -191,6 +218,11 @@ fn assert_adjacency_matches(n: usize, edges: &[(StageId, StageId)], what: &str) 
                 assert_eq!(adj.children(s), &children[i][..], "{what}: children of {i}");
                 assert_eq!(adj.parents(s), &parents[i][..], "{what}: parents of {i}");
             }
+            assert_eq!(
+                adj.topological_order(),
+                queue_topological_order(&adj),
+                "{what}: topological order"
+            );
         }
         Err(expected) => assert_eq!(csr, Err(expected), "{what}"),
     }
@@ -198,7 +230,8 @@ fn assert_adjacency_matches(n: usize, edges: &[(StageId, StageId)], what: &str) 
 
 /// `Adjacency::from_edges` must produce the same per-stage lists, in
 /// insertion order, as inserting edge by edge, and fail with the same
-/// first error.
+/// first error; `topological_order` on every list that builds must give
+/// the queue oracle's order or cycle stage.
 #[test]
 fn adjacency_from_edges_matches_sequential_insertion() {
     let s = StageId;
@@ -256,6 +289,66 @@ fn adjacency_from_edges_matches_sequential_insertion() {
         outcomes.iter().all(|&c| c >= 20),
         "every outcome must be exercised: ok/unknown/self-loop/duplicate = {outcomes:?}"
     );
+}
+
+/// Fisher–Yates shuffle of `items`.
+fn shuffle<T>(items: &mut [T], rng: &mut ChaCha8Rng) {
+    for i in (1..items.len()).rev() {
+        items.swap(i, rng.gen_range(0..i + 1));
+    }
+}
+
+/// `Adjacency::topological_order` visits stages in the queue oracle's
+/// order on random DAGs whose stage ids are shuffled (so index order is
+/// not a topological order), and names the oracle's stage once cycles are
+/// added; `JobDagBuilder::build` reports that same first error.
+#[test]
+fn topological_order_matches_the_queue_oracle() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x7090);
+    let mut cyclic = 0;
+    for case in 0..512 {
+        let n = rng.gen_range(1..40usize);
+        let mut ids: Vec<u32> = (0..n as u32).collect();
+        shuffle(&mut ids, &mut rng);
+        let mut edges: Vec<(StageId, StageId)> = Vec::new();
+        for _ in 0..rng.gen_range(0..3 * n) {
+            let (a, z) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if a < z {
+                edges.push((StageId(ids[a]), StageId(ids[z])));
+            }
+        }
+        // Half the cases close one to three cycles of 2–5 stages.
+        if n >= 2 && case % 2 == 1 {
+            for _ in 0..rng.gen_range(1..=3usize) {
+                let mut ring: Vec<u32> = ids.clone();
+                shuffle(&mut ring, &mut rng);
+                ring.truncate(rng.gen_range(2..=5usize).min(n));
+                for (k, &from) in ring.iter().enumerate() {
+                    edges.push((StageId(from), StageId(ring[(k + 1) % ring.len()])));
+                }
+            }
+        }
+        edges.sort_unstable();
+        edges.dedup();
+        shuffle(&mut edges, &mut rng);
+        let what = format!("case {case}");
+        let adj = Adjacency::from_edges(n, &edges).unwrap();
+        let expected = queue_topological_order(&adj);
+        assert_eq!(adj.topological_order(), expected, "{what}");
+        let mut builder = JobDagBuilder::new("topo");
+        for i in 0..n {
+            builder.add_stage(format!("s{i}"), [Task::new(1.0)]);
+        }
+        let built = builder.edges(edges.iter().copied()).unwrap().build();
+        match expected {
+            Ok(_) => assert!(built.is_ok(), "{what}: {built:?}"),
+            Err(error) => {
+                assert_eq!(built.unwrap_err(), error, "{what}");
+                cyclic += 1;
+            }
+        }
+    }
+    assert!(cyclic >= 200, "only {cyclic} of 512 cases had a cycle");
 }
 
 /// Asserts that `streamed` is `bare` with every duration multiplied by
