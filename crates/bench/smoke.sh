@@ -1,22 +1,20 @@
 #!/usr/bin/env bash
-# Bench smoke run: verifies the workspace (tier-1 build + tests), then
-# executes the two end-to-end benchmarks (`simulator_throughput` and
-# `scheduler_latency`) in quick mode and writes a merged JSON snapshot of
-# mean ns per trial per scheduler, so the perf trajectory of the simulation
-# hot path is tracked PR over PR.
+# Bench smoke run: verifies the workspace (tier-1 build + tests, lints,
+# examples, every repro entry, perfbench's self-test, the conformance
+# suites in full and the committed CSVs), then runs each BENCHMARK.json
+# workload of perfbench for 2 s and writes their records into one JSON
+# snapshot, so the perf trajectory is tracked PR over PR.
 #
 # Usage:  crates/bench/smoke.sh [output.json]
 #
 # The default output is BENCH_<n>.json at the repo root, where <n> is one
 # past the highest existing snapshot number (BENCH_1.json for the first run).
-# Quick mode (PCAPS_BENCH_QUICK=1) cuts sample counts to 5 per benchmark, so
-# the whole smoke run takes well under a minute; drop the variable in the
-# commands below for tighter statistics.  Cross-snapshot comparisons should
-# use each benchmark's `min_ns` — the minimum per-batch mean is robust to
-# one-off scheduler noise, where the overall mean is not.  The snapshot's
-# `host` object (perfbench's host_metadata: CPU, nproc, rustc, commit,
-# source digest) says which machine and source the numbers come from, so
-# compare snapshots only when it matches.
+# The snapshot holds one `host` object (perfbench's host_metadata: CPU,
+# nproc, rustc, commit, source digest, seed), which says which machine and
+# source the numbers come from, and each workload's perfbench record (its
+# details and its result: `correct`, `failed` and the end-to-end metrics);
+# compare snapshots only when their hosts match.  A 2 s run is a record,
+# not a verdict: a perf claim follows ROADMAP's perfbench protocol.
 set -euo pipefail
 cd "$(dirname "$0")/../.."
 
@@ -30,16 +28,16 @@ fi
 # Never bench a broken tree: the tier-1 verify gate (ROADMAP.md) runs first
 # so every BENCH_<n>.json snapshot corresponds to a green build.  The whole
 # smoke run denies rustc warnings in workspace crates (exported RUSTFLAGS
-# covers the release build of every target — libs, bins, examples, tests,
-# benches — plus the test and bench compiles, and keeps cargo's fingerprints
-# consistent across the steps) so refactor leftovers (dead code, unused
-# imports) cannot linger; the shims under crates/shims/ carry crate-level
-# allows (they are deliberate API subsets) and are thereby exempt.
+# covers the release build of every target — libs, bins, examples, tests —
+# plus the test compiles and perfbench's build, and keeps cargo's
+# fingerprints consistent across the steps) so refactor leftovers (dead
+# code, unused imports) cannot linger; the shims under crates/shims/ carry
+# crate-level allows (they are deliberate API subsets) and are thereby
+# exempt.
 export RUSTFLAGS="${RUSTFLAGS:-} -Dwarnings"
 cargo build --release --all-targets
-# Clippy over every target of the default members, warnings denied (the
-# criterion shim carries a crate-level clippy allow for the same reason as
-# its rustc allows).  `cargo fmt` is not gated.
+# Clippy over every target of the default members, warnings denied.
+# `cargo fmt` is not gated.
 cargo clippy --all-targets -- -D warnings
 # Rustdoc over the default members, warnings denied: a doc link to a
 # deleted or private name, or a citation like `[48]` read as a link, fails
@@ -129,7 +127,10 @@ require_full_suite() {
 # single-member federation to the Simulator fingerprints and routing
 # determinism; tests/end_to_end.rs pins
 # the Theorem 4.3 and 4.5 bounds across the crates; tests/scheduler_v2.rs
-# pins the typed event stream a policy sees against the simulation state.
+# pins the typed event stream a policy sees against the simulation state;
+# crates/experiments/tests/repro_cli.rs pins the repro binary's failure
+# exits (an unknown name or flag stops it before anything runs, a CSV it
+# cannot write fails the run).
 require_full_suite migration "migration conformance suite"
 require_full_suite streaming "streaming-equivalence suite"
 require_full_suite faults "fault-injection conformance suite"
@@ -141,6 +142,7 @@ require_full_suite determinism "determinism fingerprint suite"
 require_full_suite federation "federation conformance suite"
 require_full_suite end_to_end "end-to-end integration suite"
 require_full_suite scheduler_v2 "scheduler event-stream suite"
+require_full_suite repro_cli "repro command-line suite"
 
 # Committed results must regenerate from the code: repro_check reruns
 # every entry of the repro registry at full size and compares its CSV with
@@ -154,26 +156,34 @@ cargo run --release -q -p pcaps-experiments --bin repro_check
 # printed for the record, it gates nothing.
 echo "non-test .rs lines: $(crates/bench/loc.sh | tail -n 1)"
 
-PCAPS_BENCH_QUICK=1 PCAPS_BENCH_JSON="$tmpdir/simulator_throughput.json" \
-    cargo bench --bench simulator_throughput
-PCAPS_BENCH_QUICK=1 PCAPS_BENCH_JSON="$tmpdir/scheduler_latency.json" \
-    cargo bench --bench scheduler_latency
+# The snapshot comes from the repository benchmark: every workload
+# BENCHMARK.json lists, 2 s each at perfbench's default seed (about 3 s
+# with set-up, warm-up and check trials), each record written to
+# $tmpdir/perf.
+workloads=$(python3 -c 'import json; print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+for workload in $workloads; do
+    python3 perfbench/run.py --workload "$workload" --seconds 2 --results "$tmpdir/perf"
+done
 
-python3 - "$tmpdir" "$out" <<'PYEOF'
+python3 - "$tmpdir/perf" "$out" <<'PYEOF'
 import json
 import pathlib
 import sys
 
-sys.dont_write_bytecode = True
-sys.path.insert(0, "perfbench")
-from run import host_metadata
-
-tmpdir, out = pathlib.Path(sys.argv[1]), sys.argv[2]
-# The criterion specs fix their own seeds, so the run has none to record.
-merged = {"host": host_metadata(None)}
-for f in sorted(tmpdir.glob("*.json")):
-    with open(f) as fh:
-        merged[f.stem] = json.load(fh)
+perf, out = pathlib.Path(sys.argv[1]), sys.argv[2]
+# One host object for the snapshot: every record must name the same one.
+merged = {"host": None}
+for f in sorted(perf.glob("*.json")):
+    record = json.loads(f.read_text())
+    name, result = record["workload"], record["result"]
+    if result["correct"] is not True or result["failed"] != 0:
+        sys.exit(f"error: perfbench {name} read correct={result['correct']} "
+                 f"with {result['failed']} failed")
+    host = record.pop("host")
+    if merged["host"] not in (None, host):
+        sys.exit(f"error: perfbench {name} ran on another host: {host}")
+    merged["host"] = host
+    merged[name] = record
 with open(out, "w") as fh:
     json.dump(merged, fh, indent=2)
     fh.write("\n")

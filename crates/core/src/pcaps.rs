@@ -10,6 +10,10 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of PCAPS.
+///
+/// PCAPS always sends the carbon-scaled parallelism limit of §5.1
+/// (`P′ = ⌈P · exp(5γ(L−c)/(U−L))⌉`, [`ThresholdFn::scale_parallelism`]),
+/// so γ sets both the filter and the scaling.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PcapsConfig {
     /// Carbon-awareness parameter γ ∈ [0, 1]: 0 recovers the carbon-agnostic
@@ -19,22 +23,13 @@ pub struct PcapsConfig {
     /// Seed of the sampling RNG (Algorithm 1 samples a stage from the
     /// wrapped policy's distribution at each scheduling event).
     pub seed: u64,
-    /// Whether to also apply the carbon-aware parallelism-limit scaling of
-    /// §5.1, as [`ThresholdFn::parallelism_factor`] adapts it
-    /// (`P′ = ⌈P · exp(5γ(L−c)/(U−L))⌉`).  Enabled by default; the
-    /// `ablation_parallelism` bench turns it off.
-    pub scale_parallelism: bool,
 }
 
 impl PcapsConfig {
     /// PCAPS with an explicit γ and defaults for everything else.
     pub fn with_gamma(gamma: f64) -> Self {
         assert!((0.0..=1.0).contains(&gamma), "gamma must be in [0, 1]");
-        PcapsConfig {
-            gamma,
-            seed: 0,
-            scale_parallelism: true,
-        }
+        PcapsConfig { gamma, seed: 0 }
     }
 
     /// The paper's "moderately carbon-aware" configuration: γ = 0.5
@@ -52,12 +47,6 @@ impl PcapsConfig {
     /// Sets the sampling seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Disables the parallelism-limit scaling of §5.1.
-    pub fn without_parallelism_scaling(mut self) -> Self {
-        self.scale_parallelism = false;
         self
     }
 }
@@ -217,11 +206,7 @@ impl<PB: ProbabilisticScheduler> Scheduler for Pcaps<PB> {
             .inner
             .parallelism_limit(ctx, chosen.job, chosen.stage)
             .max(1);
-        let limit = if self.config.scale_parallelism {
-            threshold.scale_parallelism(base_limit, ctx.carbon.intensity)
-        } else {
-            base_limit
-        };
+        let limit = threshold.scale_parallelism(base_limit, ctx.carbon.intensity);
         out.dispatch(chosen.job, chosen.stage, limit);
     }
 }
@@ -346,6 +331,68 @@ mod tests {
         let mut pcaps = Pcaps::new(DecimaLike::new(4), PcapsConfig::with_gamma(1.0));
         let result = sim.run(&mut pcaps).unwrap();
         assert!(result.all_jobs_complete(), "progress guarantee must prevent livelock");
+    }
+
+    /// Forwards every consult to PCAPS and checks each assignment it writes
+    /// against §5.1's `P′`, scaled from the limit `P` the wrapped policy
+    /// gives in the same consult.
+    struct ParallelismCheck {
+        pcaps: Pcaps<DecimaLike>,
+        checked: usize,
+        below_p: usize,
+    }
+
+    impl Scheduler for ParallelismCheck {
+        fn name(&self) -> &str {
+            self.pcaps.name()
+        }
+
+        fn on_event(
+            &mut self,
+            event: SchedEvent<'_>,
+            ctx: &SchedulingContext<'_>,
+            out: &mut DecisionSink,
+        ) {
+            self.pcaps.on_event(event, ctx, out);
+            let threshold = ThresholdFn::new(
+                self.pcaps.gamma(),
+                ctx.carbon.lower_bound,
+                ctx.carbon.upper_bound,
+            );
+            for a in out.assignments() {
+                let p = self
+                    .pcaps
+                    .inner()
+                    .parallelism_limit(ctx, a.job, a.stage)
+                    .max(1);
+                let scaled = threshold.scale_parallelism(p, ctx.carbon.intensity);
+                assert_eq!(
+                    a.executors, scaled,
+                    "P = {p} at c = {} must be sent as P′ = {scaled}",
+                    ctx.carbon.intensity
+                );
+                self.checked += 1;
+                self.below_p += usize::from(a.executors < p);
+            }
+        }
+    }
+
+    #[test]
+    fn sends_the_carbon_scaled_parallelism_limit() {
+        let sim = simulator(de_trace(4), 3, 15, 20);
+        let mut check = ParallelismCheck {
+            pcaps: Pcaps::new(DecimaLike::new(0), PcapsConfig::moderate()),
+            checked: 0,
+            below_p: 0,
+        };
+        let result = sim.run(&mut check).unwrap();
+        assert!(result.all_jobs_complete());
+        assert!(check.checked > 0);
+        assert!(
+            check.below_p > 0,
+            "no assignment of {} was scaled below P",
+            check.checked
+        );
     }
 
     #[test]

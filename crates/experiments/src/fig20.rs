@@ -12,8 +12,8 @@
 //! [`Scheduler`] that records the queue length every call saw and the host
 //! time the call took.  The probe decides nothing, so the Jobs and Max
 //! queue columns are deterministic and only the latency column is host
-//! time.  The Criterion benchmark `scheduler_latency` times whole trials of
-//! the same configurations.
+//! time.  perfbench's `--trace 1` times every scheduler call of its four
+//! workloads the same way and reports the median and 99th percentile.
 
 use crate::format::TextTable;
 use crate::repro::Output;
@@ -137,7 +137,7 @@ pub(crate) fn output(quick: bool) -> Output {
         "Fig. 20 — scheduler invocation latency (simulator, DE grid)",
         &render(&run(counts, execs, 42)),
     );
-    out.text.push_str("(See `cargo bench -p pcaps-bench` for the Criterion version.)\n");
+    out.text.push_str("(perfbench --trace 1 reports per-call p50/p99 on its four workloads.)\n");
     out
 }
 

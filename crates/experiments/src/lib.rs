@@ -21,7 +21,7 @@
 //! | Fig. 15 (FIFO vs Spark/K8s default usage) | [`fig15`] | `fig15` |
 //! | Fig. 16 / Fig. 17 (job-count sweeps) | [`sweeps`] | `fig16`, `fig17` |
 //! | Fig. 18 / Fig. 19 (inter-arrival sweeps) | [`sweeps`] | `fig18`, `fig19` |
-//! | Fig. 20 (scheduler latency) | [`fig20`] | `fig20` (+ `cargo bench`) |
+//! | Fig. 20 (scheduler latency) | [`fig20`] | `fig20` (+ perfbench `--trace 1`) |
 //!
 //! Beyond the paper, the [`multi_region`] module sweeps *federated*
 //! configurations — one arrival stream routed across several grids,

@@ -470,9 +470,9 @@ fn mixed_uplink_federations_price_each_migration_by_its_source() {
     );
 }
 
-/// The `fed3_migrate_pcaps` bench configuration (three grids, 10 jobs,
-/// carbon+queue-aware routing, carbon-delta migration, one PCAPS instance
-/// per member).
+/// The `fed3_migrate_pcaps` configuration this file replays (three grids,
+/// 10 jobs, carbon+queue-aware routing, carbon-delta migration, one PCAPS
+/// instance per member).
 fn fed3_config() -> FederationExperimentConfig {
     let mut cfg = FederationExperimentConfig::standard(
         vec![GridRegion::Caiso, GridRegion::Germany, GridRegion::SouthAfrica],
@@ -526,7 +526,7 @@ fn run_fed3(config: &FederationExperimentConfig) -> FederationResult {
     }
     federation
         .run_with_migration(router.as_mut(), policy.as_mut(), &mut refs)
-        .expect("the fed3 bench config always completes")
+        .expect("the fed3 replay config always completes")
 }
 
 /// `fed3_migrate_pcaps`'s per-member fingerprints, recorded while the
